@@ -123,7 +123,9 @@ func main() {
 		{"ingest/batch256", true, benchsuite.IngestBatch},
 		{"ingest/sketch256", true, benchsuite.SketchIngest},
 		{"query/warm", false, benchsuite.QueryWarm},
-		{"query/planner", false, benchsuite.PlannerRouted},
+		{"query/plan", false, benchsuite.Plan},
+		{"query/exact-cold", false, benchsuite.ExactCold},
+		{"query/exact-warm", false, benchsuite.ExactWarm},
 		{"wal/append256", true, benchsuite.WALAppend},
 		{"mixed/ingest-only", true, func(b *testing.B) { benchsuite.MixedReadWrite(b, benchsuite.MixedIngestOnly) }},
 		{"mixed/epoch-readers", true, func(b *testing.B) { benchsuite.MixedReadWrite(b, benchsuite.MixedEpochReaders) }},

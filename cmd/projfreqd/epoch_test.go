@@ -194,3 +194,43 @@ func TestStatsServedFromEpoch(t *testing.T) {
 		t.Fatalf("stats epoch rows=%d staleness=%d, want 30/0", st.Epoch.Rows, st.Epoch.StalenessRows)
 	}
 }
+
+// TestStatsReportVectorMemo: the epoch block of /v1/stats shows what
+// the exact summary's per-column-set memo did since the epoch's cut —
+// one build for a column set however many questions are asked about
+// it, hits for the rest — and starts over on the next epoch.
+func TestStatsReportVectorMemo(t *testing.T) {
+	const d, q = 6, 3
+	ts, _ := startDaemon(t, "exact", d, q, 1)
+	observeRows(t, ts.URL, d, q, 400, 0)
+	stats := func() *epochJSON {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var sr statsResponse
+		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || sr.Epoch == nil {
+			t.Fatalf("stats: %v, epoch %v", err, sr.Epoch)
+		}
+		return sr.Epoch
+	}
+	for _, spec := range []querySpec{
+		{Kind: "f0", Cols: []int{0, 1}},
+		{Kind: "fp", Cols: []int{0, 1}, P: 2},
+		{Kind: "hh", Cols: []int{0, 1}, P: 1, Phi: 0.1},
+		{Kind: "f0", Cols: []int{2, 3, 4}},
+	} {
+		if resp, body := postJSON(t, ts.URL+"/v1/query", queryRequest{Queries: []querySpec{spec}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query: %d %s", resp.StatusCode, body)
+		}
+	}
+	if ep := stats(); ep.MemoBuilds != 2 || ep.MemoHits != 2 || ep.MemoEvictions != 0 || ep.MemoBuildMS <= 0 {
+		t.Fatalf("memo block %+v, want 2 builds and 2 hits", ep)
+	}
+	observeRows(t, ts.URL, d, q, 1, 1)
+	if ep := stats(); ep.MemoBuilds != 0 || ep.MemoHits != 0 || ep.MemoBuildMS != 0 {
+		t.Fatalf("memo block %+v on a new epoch, want zeros", ep)
+	}
+}

@@ -995,6 +995,15 @@ type epochJSON struct {
 	// is the convergence clock the cluster harness watches; on a plain
 	// daemon it equals Rows.
 	MergedRows int64 `json:"merged_rows"`
+	// The exact summary's per-column-set vector memo since this epoch's
+	// cut: requests answered from an already built vector, passes over
+	// the retained rows and the time they took, vectors evicted. Many
+	// builds and few hits: queries are slow because every column set is
+	// new. All zero for summaries that keep no such state.
+	MemoHits      int64   `json:"memo_hits"`
+	MemoBuilds    int64   `json:"memo_builds"`
+	MemoEvictions int64   `json:"memo_evictions"`
+	MemoBuildMS   float64 `json:"memo_build_ms"`
 }
 
 // epochFromInfo converts the engine's view into the wire block.
@@ -1005,6 +1014,10 @@ func epochFromInfo(info engine.EpochInfo) *epochJSON {
 		StalenessRows: info.StalenessRows,
 		AgeMS:         float64(info.Age) / float64(time.Millisecond),
 		MergedRows:    info.MergedRows,
+		MemoHits:      info.Memo.Hits,
+		MemoBuilds:    info.Memo.Builds,
+		MemoEvictions: info.Memo.Evictions,
+		MemoBuildMS:   float64(info.Memo.BuildTime) / float64(time.Millisecond),
 	}
 }
 

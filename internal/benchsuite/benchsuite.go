@@ -15,9 +15,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/words"
+	"repro/internal/workload"
 )
 
 const (
@@ -155,52 +157,119 @@ func QueryWarm(b *testing.B) {
 	}
 }
 
-// PlannerRouted times planner-routed query batches over a
-// multi-subspace engine with a cold cache (CacheSize 1), so every
-// iteration exercises plan → evaluate across exact, covering, and
-// full-fallback routes. One iteration is one 16-query batch.
-func PlannerRouted(b *testing.B) {
-	eng, err := engine.NewSharded(func(int) (core.Summary, error) {
-		return core.NewExact(12, 2)
-	}, engine.Config{Shards: 4, CacheSize: 1})
+// Plan times the planner alone — registry.Registry.Plan over an
+// 8-subspace registry, cycling an exact-match probe, a covering scan
+// and a full fallback. No summary is queried. One iteration is one
+// planning decision.
+func Plan(b *testing.B) {
+	full, err := core.NewExact(benchDim, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer eng.Close()
-	subspaces := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}}
-	for _, cols := range subspaces {
-		if err := eng.RegisterSubspace(words.MustColumnSet(12, cols...), func(int) (core.Summary, error) {
-			return core.NewExact(12, 2)
-		}); err != nil {
+	reg, err := registry.New(full)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		sub, err := core.NewExact(benchDim, 2)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := reg.RegisterSubspace(words.MustColumnSet(benchDim, i, i+1, i+2), sub); err != nil {
 			b.Fatal(err)
 		}
 	}
-	src := rng.New(33)
-	w := make(words.Word, 12)
-	for i := 0; i < 20000; i++ {
-		for j := range w {
-			w[j] = uint16(src.Intn(2))
-		}
-		eng.Observe(w)
-	}
-	var qs []engine.Query
-	for i := 0; i < 4; i++ {
-		exact := words.MustColumnSet(12, subspaces[i]...)
-		cover := words.MustColumnSet(12, i, i+1)
-		qs = append(qs,
-			engine.Query{Kind: engine.KindF0, Cols: exact},
-			engine.Query{Kind: engine.KindF0, Cols: cover},
-			engine.Query{Kind: engine.KindFp, Cols: exact, P: 2},
-			engine.Query{Kind: engine.KindFp, Cols: cover, P: 2})
-	}
-	if res := eng.QueryBatch(qs); res[0].Err != nil {
-		b.Fatal(res[0].Err)
+	probes := []words.ColumnSet{
+		words.MustColumnSet(benchDim, 3, 4, 5), // exact
+		words.MustColumnSet(benchDim, 6, 7),    // covering
+		words.MustColumnSet(benchDim, 12, 15),  // full fallback
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := eng.QueryBatch(qs); res[0].Err != nil {
+		if t := reg.Plan(probes[i%len(probes)]); t.Summary == nil {
+			b.Fatal("nil plan target")
+		}
+	}
+}
+
+// exactQueryRows is the fixed state of the exact-query benches. An
+// exact summary's cold query is a pass over every retained row, so the
+// state must not grow with b.N.
+const exactQueryRows = 20000
+
+// exactQueryEngine builds a 2-shard engine over exact summaries holding
+// exactQueryRows Zipf-distributed rows, with the result cache cut down
+// to one entry so that every query is evaluated.
+func exactQueryEngine(b *testing.B) *engine.Sharded {
+	b.Helper()
+	eng, err := engine.NewSharded(func(int) (core.Summary, error) {
+		return core.NewExact(benchDim, benchQ)
+	}, engine.Config{Shards: 2, CacheSize: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	words.Drain(workload.ZipfPatterns(benchDim, benchQ, exactQueryRows, 4096, 1.1, 35), eng.Observe)
+	if _, err := eng.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	return eng
+}
+
+// ExactCold times an exact query whose column set is new to the epoch:
+// plan, one pass over the 20k retained rows into a frequency vector,
+// answer. The column sets cycle through all C(16, 3) = 560 triples —
+// far more than an exact summary memoizes — so no iteration finds its
+// vector built. One iteration is one single-query batch.
+func ExactCold(b *testing.B) {
+	eng := exactQueryEngine(b)
+	defer eng.Close()
+	var sets []words.ColumnSet
+	for i := 0; i < benchDim; i++ {
+		for j := i + 1; j < benchDim; j++ {
+			for k := j + 1; k < benchDim; k++ {
+				sets = append(sets, words.MustColumnSet(benchDim, i, j, k))
+			}
+		}
+	}
+	q := []engine.Query{{Kind: engine.KindF0}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q[0].Cols = sets[i%len(sets)]
+		if res := eng.QueryBatch(q); res[0].Err != nil {
 			b.Fatal(res[0].Err)
+		}
+	}
+}
+
+// ExactWarm times exact queries about a column set the epoch has
+// already been asked about: all four kinds in one batch, answered from
+// the memoized vector. The one-entry result cache would hold the last
+// answer of the previous batch, so the last query's φ moves a little
+// every iteration and all four are evaluated. One iteration is one
+// 4-query batch; its allocs/op are CI-gated.
+func ExactWarm(b *testing.B) {
+	eng := exactQueryEngine(b)
+	defer eng.Close()
+	c := words.MustColumnSet(benchDim, 1, 5, 9)
+	qs := []engine.Query{
+		{Kind: engine.KindF0, Cols: c},
+		{Kind: engine.KindFp, Cols: c, P: 2},
+		{Kind: engine.KindFrequency, Cols: c, Pattern: make(words.Word, 3)},
+		{Kind: engine.KindHeavyHitters, Cols: c, P: 1, Phi: 0.05},
+	}
+	if res := eng.QueryBatch(qs); res[3].Err != nil {
+		b.Fatal(res[3].Err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		qs[3].Phi = 0.05 + float64(1+i%1024)*1e-9
+		for _, r := range eng.QueryBatch(qs) {
+			if r.Err != nil || r.Cached {
+				b.Fatalf("warm batch: error %v, served by the result cache: %v", r.Err, r.Cached)
+			}
 		}
 	}
 }

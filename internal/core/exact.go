@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sync"
+	"time"
 
 	"repro/internal/freq"
 	"repro/internal/rng"
@@ -12,8 +16,79 @@ import (
 // input in Θ(nd) space and answers every query class exactly. It is
 // both a usable summary (for small data) and the ground truth the
 // experiment drivers validate approximate summaries against.
+//
+// Every query about a column set C is answered from the projected
+// frequency vector f(A, C), and building that vector — one pass over
+// the retained rows — is the whole cost of a query. Vector therefore
+// memoizes it per C: the first question about a C pays the pass, the
+// later ones (another kind, another pattern, another φ) read the same
+// vector. Mutation (Observe, ObserveBatch, Merge, UnmarshalBinary)
+// drops the memo; it is never serialized and never counted in
+// SizeBytes.
+//
+// Queries may run concurrently with each other. Mutation needs
+// exclusive access, as for every summary — which is why the mutators
+// drop the memo with a plain store and take no lock.
 type Exact struct {
 	table *words.Table
+
+	mu   sync.Mutex  // guards memo and everything in it but the vectors
+	memo *vectorMemo // nil until the first Vector call after a mutation
+}
+
+// maxMemoSets bounds how many column sets' vectors an Exact keeps. The
+// memo is also bounded in bytes, by the size of the table it is
+// derived from: memoized state never more than doubles the summary.
+const maxMemoSets = 64
+
+// vectorMemo holds the memoized vectors, oldest first.
+type vectorMemo struct {
+	entries []*memoEntry
+	bytes   int // total size of the resident, built vectors
+	stats   MemoStats
+}
+
+// memoEntry is one column set's vector. once makes concurrent askers
+// of one C build it once while other column sets build in parallel.
+type memoEntry struct {
+	key   string // the column set's canonical key
+	once  sync.Once
+	vec   *freq.Vector
+	bytes int // vec.SizeBytes() once built and accounted, 0 before
+}
+
+// MemoStats counts what the vector memo did since the summary was last
+// mutated: it shows whether queries are slow because every column set
+// is new (builds, build time) or fast because they repeat (hits).
+type MemoStats struct {
+	// Hits counts Vector calls answered by an already requested vector.
+	Hits int64
+	// Builds counts passes over the retained rows.
+	Builds int64
+	// Evictions counts vectors dropped to stay within the bounds.
+	Evictions int64
+	// BuildTime is the total time spent in those passes.
+	BuildTime time.Duration
+}
+
+// MemoStats returns the memo's counters.
+func (e *Exact) MemoStats() MemoStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.memo == nil {
+		return MemoStats{}
+	}
+	return e.memo.stats
+}
+
+// evictOldest drops the oldest entry. A caller still holding it (it
+// may not even be built yet) keeps a valid vector; it is just no
+// longer found.
+func (m *vectorMemo) evictOldest() {
+	m.bytes -= m.entries[0].bytes
+	m.entries[0] = nil
+	m.entries = m.entries[1:]
+	m.stats.Evictions++
 }
 
 // NewExact returns an exact summary for d columns over alphabet [q].
@@ -31,11 +106,17 @@ func NewExact(d, q int) (*Exact, error) {
 }
 
 // Observe appends a copy of the row.
-func (e *Exact) Observe(w words.Word) { e.table.Append(w) }
+func (e *Exact) Observe(w words.Word) {
+	e.memo = nil
+	e.table.Append(w)
+}
 
 // ObserveBatch implements BatchObserver: the whole batch is retained
 // with a single flat append instead of one per row.
-func (e *Exact) ObserveBatch(b *words.Batch) { e.table.AppendBatch(b) }
+func (e *Exact) ObserveBatch(b *words.Batch) {
+	e.memo = nil
+	e.table.AppendBatch(b)
+}
 
 // Dim returns d.
 func (e *Exact) Dim() int { return e.table.Dim() }
@@ -70,19 +151,64 @@ func (e *Exact) Merge(other Summary) error {
 		return mergeErr("shape mismatch: %d cols/[%d] vs %d cols/[%d]",
 			e.Dim(), e.Alphabet(), o.Dim(), o.Alphabet())
 	}
-	src := o.table.Source()
-	for {
-		w, ok := src.Next()
-		if !ok {
-			return nil
-		}
-		e.table.Append(w)
+	e.memo = nil
+	if o.table.NumRows() > 0 {
+		e.table.AppendBatch(o.table.Batch())
 	}
+	return nil
 }
 
-// Vector materializes the exact frequency vector f(A, C).
+// Vector returns the exact frequency vector f(A, C), memoized per
+// column set. The vector is shared with every other caller asking
+// about c and must be treated as read-only. It panics if c is not a
+// column set over the summary's d columns, as projecting a row onto it
+// would.
 func (e *Exact) Vector(c words.ColumnSet) *freq.Vector {
-	return freq.FromTable(e.table, c)
+	if c.Dim() != e.Dim() {
+		panic(fmt.Sprintf("core: column set over [%d] applied to a summary of dimension %d", c.Dim(), e.Dim()))
+	}
+	var kb [64]byte
+	key := c.AppendCanonicalKey(kb[:0])
+	e.mu.Lock()
+	if e.memo == nil {
+		e.memo = &vectorMemo{}
+	}
+	m := e.memo
+	var ent *memoEntry
+	for _, x := range m.entries {
+		if x.key == string(key) {
+			ent = x
+			break
+		}
+	}
+	if ent != nil {
+		m.stats.Hits++
+	} else {
+		if len(m.entries) == maxMemoSets {
+			m.evictOldest()
+		}
+		ent = &memoEntry{key: string(key)}
+		m.entries = append(m.entries, ent)
+	}
+	e.mu.Unlock()
+
+	ent.once.Do(func() {
+		start := time.Now()
+		ent.vec = freq.FromTable(e.table, c)
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		m.stats.Builds++
+		m.stats.BuildTime += time.Since(start)
+		if !slices.Contains(m.entries, ent) {
+			return // evicted while building
+		}
+		ent.bytes = ent.vec.SizeBytes()
+		m.bytes += ent.bytes
+		for m.bytes > e.table.SizeBytes() {
+			m.evictOldest()
+		}
+	})
+	return ent.vec
 }
 
 // F0 returns the exact number of distinct projected patterns.

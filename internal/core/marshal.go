@@ -347,7 +347,7 @@ func (e *Exact) UnmarshalBinary(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*e = *dec
+	e.table, e.memo = dec.table, nil
 	return nil
 }
 

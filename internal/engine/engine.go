@@ -24,10 +24,12 @@
 // budget does a read pay the rebuild: quiesce the workers with a
 // channel barrier, merge the shard summaries into a fresh registry,
 // and publish it as the next epoch. QueryBatch answers many queries
-// at a time against one epoch, evaluating cache misses on a bounded
-// worker pool (Config.QueryWorkers) behind a generation-checked
-// result cache; Flush is the strict escape hatch that always forces a
-// fresh epoch through the barrier.
+// at a time against one epoch: behind a generation-checked result
+// cache, misses are grouped by (target, column set) and each group is
+// answered by one of up to Config.QueryWorkers workers, so a summary
+// that builds state per column set (core.Exact's memoized frequency
+// vector) builds it once per epoch; Flush is the strict escape hatch
+// that always forces a fresh epoch through the barrier.
 //
 // # Subspaces
 //
@@ -77,8 +79,9 @@ type Config struct {
 	// BatchChunk caps the rows per shard chunk that ObserveBatch
 	// routes in one channel send (default 256).
 	BatchChunk int
-	// QueryWorkers bounds the worker pool QueryBatch evaluates cache
-	// misses on (default runtime.GOMAXPROCS(0)).
+	// QueryWorkers bounds how many (target, column set) groups of
+	// cache misses QueryBatch evaluates at a time (default
+	// runtime.GOMAXPROCS(0)).
 	QueryWorkers int
 	// MaxStalenessRows, when positive, lets reads serve an epoch that
 	// is up to this many accepted rows behind the ingest clock before
@@ -720,11 +723,15 @@ type EpochInfo struct {
 	// by absorbed sources (AbsorbSource). Equal to Rows on engines
 	// without sources; an aggregator's convergence is read off this.
 	MergedRows int64
+	// Memo totals what the epoch's summaries that memoize per-column-set
+	// state (core.Exact) did with it since the cut: many builds and few
+	// hits mean queries are slow because every column set is new.
+	Memo core.MemoStats
 }
 
 // epochInfo captures the caller-facing view of e at read time.
 func (s *Sharded) epochInfo(e *epoch) EpochInfo {
-	return EpochInfo{
+	info := EpochInfo{
 		Seq:           e.seq,
 		Rows:          e.rows,
 		StalenessRows: s.enqueued.Load() - e.rows,
@@ -732,6 +739,21 @@ func (s *Sharded) epochInfo(e *epoch) EpochInfo {
 		SizeBytes:     e.size,
 		MergedRows:    e.rows + e.srcRows,
 	}
+	add := func(sum core.Summary) {
+		if m, ok := sum.(interface{ MemoStats() core.MemoStats }); ok {
+			st := m.MemoStats()
+			info.Memo.Hits += st.Hits
+			info.Memo.Builds += st.Builds
+			info.Memo.Evictions += st.Evictions
+			info.Memo.BuildTime += st.BuildTime
+		}
+	}
+	add(e.reg.Full())
+	for i := range e.reg.NumSubspaces() {
+		_, sum := e.reg.Subspace(i)
+		add(sum)
+	}
+	return info
 }
 
 // SnapshotInfo is Snapshot plus the serving epoch's metadata, for

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/registry"
@@ -116,16 +117,27 @@ type Result struct {
 //  2. cache probe: the per-(target, query) key is checked against the
 //     generation-checked result cache (generations advance with
 //     epochs, so cached answers never outlive their snapshot);
-//  3. evaluate: distinct missing (target, query) pairs are answered
-//     concurrently on a pool of Config.QueryWorkers goroutines, each
-//     against its planned summary, falling back to the full summary
-//     when a specialized one cannot answer the class;
+//  3. evaluate: distinct missing (target, query) pairs are grouped by
+//     (target, column set) — the unit of work, since a summary that
+//     builds per-C state (core.Exact's memoized vector) builds it once
+//     for the whole group. One worker answers a group's queries in
+//     batch order; up to Config.QueryWorkers groups run at a time, and
+//     a batch with a single group runs on the caller's goroutine. A
+//     specialized summary that cannot answer a class falls back to the
+//     full summary;
 //  4. reassemble: answers land at their original batch positions
 //     (len(out) == len(queries), position-matched) and misses are
 //     written back to the cache.
 func (s *Sharded) QueryBatch(queries []Query) []Result {
 	out, _ := s.QueryBatchInfo(queries)
 	return out
+}
+
+// miss is one distinct (target, query) pair the cache did not hold.
+type miss struct {
+	key    string // its cache key
+	target registry.Target
+	idx    []int // the batch positions asking it
 }
 
 // QueryBatchInfo is QueryBatch plus the identity of the epoch that
@@ -147,10 +159,11 @@ func (s *Sharded) QueryBatchInfo(queries []Query) ([]Result, EpochInfo) {
 	snap, gen := e.reg, e.gen
 	// Deduplicate within the batch: identical queries planned to the
 	// same target share one computation (and one cache entry).
-	misses := make(map[string][]int)
-	targets := make(map[string]registry.Target)
-	var order []string
-	var kb []byte
+	var misses []miss
+	missAt := make(map[string]int)  // cache key → index in misses
+	var groups [][]int              // indices into misses, per (target, C)
+	groupAt := make(map[string]int) // (target, C) key → index in groups
+	var kb, gb []byte
 	for i, q := range queries {
 		t := snap.Plan(q.Cols)
 		kb = q.appendCacheKey(kb[:0], t.ID)
@@ -159,39 +172,50 @@ func (s *Sharded) QueryBatchInfo(queries []Query) ([]Result, EpochInfo) {
 			out[i].Cached = true
 			continue
 		}
-		key := string(kb)
-		if _, dup := misses[key]; !dup {
-			order = append(order, key)
-			targets[key] = t
+		if m, dup := missAt[string(kb)]; dup {
+			misses[m].idx = append(misses[m].idx, i)
+			continue
 		}
-		misses[key] = append(misses[key], i)
+		key := string(kb)
+		missAt[key] = len(misses)
+		gb = q.Cols.AppendCanonicalKey(binary.AppendUvarint(gb[:0], uint64(t.ID)))
+		g, ok := groupAt[string(gb)]
+		if !ok {
+			g = len(groups)
+			groupAt[string(gb)] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], len(misses))
+		misses = append(misses, miss{key: key, target: t, idx: []int{i}})
 	}
-	if len(order) == 0 {
-		return out, s.epochInfo(e)
-	}
-	workers := s.cfg.QueryWorkers
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for _, key := range order {
-		idx := misses[key]
-		t := targets[key]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(idx []int, t registry.Target) {
-			defer wg.Done()
-			r := answerPlanned(snap, t, queries[idx[0]])
-			for _, i := range idx {
+	evaluate := func(group []int) {
+		for _, m := range group {
+			r := answerPlanned(snap, misses[m].target, queries[misses[m].idx[0]])
+			for _, i := range misses[m].idx {
 				out[i] = r
 			}
-			<-sem
-		}(idx, t)
+		}
 	}
-	wg.Wait()
-	for _, key := range order {
-		s.cache.put(key, out[misses[key][0]], gen)
+	if workers := min(s.cfg.QueryWorkers, len(groups)); workers <= 1 {
+		for _, group := range groups {
+			evaluate(group)
+		}
+	} else {
+		var next atomic.Int64 // the next group to claim
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for g := next.Add(1) - 1; g < int64(len(groups)); g = next.Add(1) - 1 {
+					evaluate(groups[g])
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	for _, m := range misses {
+		s.cache.put(m.key, out[m.idx[0]], gen)
 	}
 	return out, s.epochInfo(e)
 }

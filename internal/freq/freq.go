@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/hashing"
 	"repro/internal/rng"
 	"repro/internal/words"
 )
@@ -18,36 +19,54 @@ import (
 // Vector is a materialized frequency vector f(A, C): pattern → count.
 // Patterns are stored by their compact byte key (words.AppendKey); the
 // projected word is recoverable via words.KeyToWord.
+//
+// It is an open-addressing table probed by the key's 64-bit
+// fingerprint (hashing.Fingerprint64). A fingerprint match is never
+// trusted on its own: the key bytes, kept back to back in one arena,
+// are compared on every match, so counts are exact whatever the hash
+// does. Entries live in parallel slices in insertion order, which is
+// the order every pass over the vector (F, HeavyHitters, Entries)
+// visits them in — the same input gives the same floating-point sums
+// on every run.
+//
+// All keys of one vector have one length, the 2·|C| bytes of its
+// projection; adding a key of another length is a programming error
+// and panics. A vector is not safe for concurrent mutation, but any
+// number of goroutines may read one that is no longer written to.
 type Vector struct {
-	counts map[string]int64
-	total  int64  // F_1 = n, invariant under C (as the paper notes)
-	keyBuf []byte // reusable key arena for AddBatch
+	slots  []uint32 // entry index + 1, 0 = empty; len is a power of two ≥ 2·entries
+	prints []uint64 // per entry: the key's fingerprint
+	counts []int64  // per entry: f_i
+	keys   []byte   // per entry: stride key bytes
+	stride int      // key length, fixed by the first entry
+	total  int64    // F_1 = n, invariant under C (as the paper notes)
 }
 
+// batchChunk is how many rows AddBatch pushes through the key pipeline
+// at a time. A chunk's rows, keys and fingerprints should stay in the
+// first-level cache between the stage that writes them and the stage
+// that reads them: on 16-column rows 256 to 512 rows a chunk measured
+// 21 ns a row, 4096 rows 27 and the whole table at once 46.
+const batchChunk = 512
+
 // NewVector returns an empty frequency vector.
-func NewVector() *Vector {
-	return &Vector{counts: make(map[string]int64)}
-}
+func NewVector() *Vector { return &Vector{} }
 
 // FromSource streams src and counts the projections of its rows onto
 // c, producing f(A, C) without materializing A.
 func FromSource(src words.RowSource, c words.ColumnSet) *Vector {
 	v := NewVector()
-	var buf []byte
 	for {
 		w, ok := src.Next()
 		if !ok {
 			return v
 		}
-		buf = words.AppendKey(buf[:0], w, c)
-		v.counts[string(buf)]++
-		v.total++
+		v.AddWord(w, c)
 	}
 }
 
 // FromTable counts a materialized table through the batched key
-// pipeline (one flat key arena for all rows), equivalent to FromSource
-// over the table's rows.
+// pipeline, equivalent to FromSource over the table's rows.
 func FromTable(t *words.Table, c words.ColumnSet) *Vector {
 	if t.Dim() < 1 {
 		return FromSource(t.Source(), c)
@@ -57,47 +76,126 @@ func FromTable(t *words.Table, c words.ColumnSet) *Vector {
 	return v
 }
 
+// probe walks key's probe sequence to the entry holding it, or to the
+// empty slot where it would be seated (entry -1). fp must be the value
+// the key was, or will be, inserted under; slots must not be empty.
+func (v *Vector) probe(fp uint64, key []byte) (entry int, slot uint64) {
+	mask := uint64(len(v.slots) - 1)
+	for s := fp & mask; ; s = (s + 1) & mask {
+		e := v.slots[s]
+		if e == 0 {
+			return -1, s
+		}
+		if i := int(e - 1); v.prints[i] == fp && string(v.key(i)) == string(key) {
+			return i, s
+		}
+	}
+}
+
+// count returns the count of key, whose fingerprint is fp.
+func (v *Vector) count(fp uint64, key []byte) int64 {
+	if len(v.slots) == 0 || len(key) != v.stride {
+		return 0
+	}
+	if i, _ := v.probe(fp, key); i >= 0 {
+		return v.counts[i]
+	}
+	return 0
+}
+
+// add raises the count of key, whose fingerprint is fp, by n.
+func (v *Vector) add(fp uint64, key []byte, n int64) {
+	if len(v.counts) == 0 {
+		v.stride = len(key)
+	} else if len(key) != v.stride {
+		panic(fmt.Sprintf("freq: %d-byte key added to a vector of %d-byte keys", len(key), v.stride))
+	}
+	if 2*(len(v.counts)+1) > len(v.slots) {
+		v.grow()
+	}
+	v.total += n
+	if i, slot := v.probe(fp, key); i >= 0 {
+		v.counts[i] += n
+	} else {
+		v.prints = append(v.prints, fp)
+		v.counts = append(v.counts, n)
+		v.keys = append(v.keys, key...)
+		v.slots[slot] = uint32(len(v.counts))
+	}
+}
+
+// grow doubles the slot array and re-seats every entry by its stored
+// fingerprint; entries are distinct, so no key is compared.
+func (v *Vector) grow() {
+	size := max(16, 2*len(v.slots))
+	if uint64(size) > math.MaxUint32 {
+		panic("freq: more than 2^31 distinct patterns")
+	}
+	v.slots = make([]uint32, size)
+	mask := uint64(size - 1)
+	for i, fp := range v.prints {
+		s := fp & mask
+		for v.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		v.slots[s] = uint32(i + 1)
+	}
+}
+
+// key returns entry i's key bytes, aliasing the arena.
+func (v *Vector) key(i int) []byte { return v.keys[i*v.stride : (i+1)*v.stride] }
+
 // Add increments the count of the pattern with the given key.
 func (v *Vector) Add(key string, count int64) {
 	if count <= 0 {
 		panic("freq: non-positive count")
 	}
-	v.counts[key] += count
-	v.total += count
+	k := []byte(key)
+	v.add(hashing.Fingerprint64(k), k, count)
 }
 
 // AddBatch counts the projections of every row of b onto c,
-// equivalent to AddWord per row. The whole batch's keys are built into
-// one reusable arena (words.AppendBatchKeys) and counted by slicing
-// it, so only genuinely new patterns allocate (the map-key copy).
+// equivalent to AddWord per row. Rows go through the batched key
+// pipeline a chunk at a time — words.AppendBatchKeys builds the
+// chunk's keys into an arena the chunks share, and
+// hashing.AppendFingerprints64 hashes them in one pass — so only
+// genuinely new patterns grow the vector.
 func (v *Vector) AddBatch(b *words.Batch, c words.ColumnSet) {
-	n := b.Len()
-	if n == 0 {
-		return
+	d, symbols, stride := b.Dim(), b.Symbols(), 2*c.Len()
+	var (
+		chunk  words.Batch
+		keys   []byte
+		prints []uint64
+	)
+	for lo := 0; lo < len(symbols); lo += batchChunk * d {
+		chunk.Bind(d, symbols[lo:min(lo+batchChunk*d, len(symbols))])
+		keys = words.AppendBatchKeys(keys[:0], &chunk, c)
+		prints = hashing.AppendFingerprints64(prints[:0], keys, chunk.Len(), stride)
+		for i, fp := range prints {
+			v.add(fp, keys[i*stride:(i+1)*stride], 1)
+		}
 	}
-	v.keyBuf = words.AppendBatchKeys(v.keyBuf[:0], b, c)
-	stride := 2 * c.Len()
-	for i := 0; i < n; i++ {
-		v.counts[string(v.keyBuf[i*stride:(i+1)*stride])]++
-	}
-	v.total += int64(n)
 }
 
 // AddWord increments the count of w projected onto c.
 func (v *Vector) AddWord(w words.Word, c words.ColumnSet) {
-	key := string(words.AppendKey(nil, w, c))
-	v.counts[key]++
-	v.total++
+	var buf [64]byte
+	key := words.AppendKey(buf[:0], w, c)
+	v.add(hashing.Fingerprint64(key), key, 1)
 }
 
 // Count returns f_{e(pattern)}: the frequency of the projected word
 // with the given key.
-func (v *Vector) Count(key string) int64 { return v.counts[key] }
+func (v *Vector) Count(key string) int64 {
+	k := []byte(key)
+	return v.count(hashing.Fingerprint64(k), k)
+}
 
 // CountWord returns the frequency of the (already projected) word b.
 func (v *Vector) CountWord(b words.Word) int64 {
-	full := words.FullColumnSet(len(b))
-	return v.counts[string(words.AppendKey(nil, b, full))]
+	var buf [64]byte
+	key := words.AppendKey(buf[:0], b, words.FullColumnSet(len(b)))
+	return v.count(hashing.Fingerprint64(key), key)
 }
 
 // Total returns F_1 = Σ_i f_i = n.
@@ -105,6 +203,12 @@ func (v *Vector) Total() int64 { return v.total }
 
 // Support returns F_0 = ‖f‖_0, the number of distinct patterns.
 func (v *Vector) Support() int64 { return int64(len(v.counts)) }
+
+// SizeBytes returns the memory the vector's entries occupy: slots,
+// fingerprints, counts and key bytes.
+func (v *Vector) SizeBytes() int {
+	return 4*len(v.slots) + 8*len(v.prints) + 8*len(v.counts) + len(v.keys)
+}
 
 // F computes the frequency moment F_p = Σ_i f_i^p for any real p ≥ 0.
 // F(0) counts distinct patterns; F(1) = n.
@@ -149,8 +253,9 @@ func (v *Vector) HeavyHitters(p, phi float64) []HeavyHitter {
 	norm := v.Norm(p)
 	thresh := phi * norm
 	var out []HeavyHitter
-	for k, c := range v.counts {
+	for i, c := range v.counts {
 		if float64(c) >= thresh {
+			k := string(v.key(i))
 			out = append(out, HeavyHitter{
 				Key:   k,
 				Word:  words.KeyToWord(k),
@@ -171,9 +276,9 @@ func (v *Vector) HeavyHitters(p, phi float64) []HeavyHitter {
 // Entries returns all (key, count) pairs sorted by key; used by tests
 // and serialization.
 func (v *Vector) Entries() []Entry {
-	out := make([]Entry, 0, len(v.counts))
-	for k, c := range v.counts {
-		out = append(out, Entry{Key: k, Count: c})
+	out := make([]Entry, len(v.counts))
+	for i, c := range v.counts {
+		out[i] = Entry{Key: string(v.key(i)), Count: c}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out

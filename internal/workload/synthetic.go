@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/words"
@@ -79,30 +80,38 @@ func ZipfPatterns(d, q, n, m int, s float64, seed uint64) words.RowSource {
 		}
 		catalog[i] = row
 	}
+	cdf := zipfCDF(m, s)
 	return newGenSource(d, q, n, master.Uint64(), func(src *rng.Source, _ int, w words.Word) {
-		// Rebuild the Zipf sampler lazily per Reset via the source's
-		// deterministic stream: inverse-CDF each draw.
-		copy(w, catalog[zipfDraw(src, m, s)])
+		copy(w, catalog[zipfDraw(src, cdf)])
 	})
 }
 
-// zipfDraw draws a Zipf(s) rank over [0, m) by inverse CDF on a
-// harmonic prefix; m is small in all uses so the O(m) scan is fine
-// and keeps the draw stateless (hence trivially resettable).
-func zipfDraw(src *rng.Source, m int, s float64) int {
-	u := src.Float64()
+// zipfCDF returns the Zipf(s) cumulative distribution over ranks
+// [0, m): cdf[i] = Σ_{j≤i} (j+1)^-s / H, with H the generalized
+// harmonic number. Each term is normalized and then accumulated, in
+// that order: every seeded stream built on this table is pinned bit for
+// bit (TestZipfPatternsGoldenStream), so the arithmetic must not move.
+func zipfCDF(m int, s float64) []float64 {
 	total := 0.0
 	for i := 0; i < m; i++ {
 		total += 1 / powf(float64(i+1), s)
 	}
+	cdf := make([]float64, m)
 	acc := 0.0
-	for i := 0; i < m; i++ {
+	for i := range cdf {
 		acc += 1 / powf(float64(i+1), s) / total
-		if u < acc {
-			return i
-		}
+		cdf[i] = acc
 	}
-	return m - 1
+	return cdf
+}
+
+// zipfDraw draws a rank by inverse CDF: the first rank whose
+// cumulative mass exceeds a uniform draw. The table is read-only, so
+// the draw stays stateless and the source trivially resettable.
+func zipfDraw(src *rng.Source, cdf []float64) int {
+	u := src.Float64()
+	i := sort.Search(len(cdf), func(i int) bool { return u < cdf[i] })
+	return min(i, len(cdf)-1)
 }
 
 func powf(x, y float64) float64 {
@@ -207,8 +216,9 @@ func Census(cfg CensusConfig) (words.RowSource, error) {
 			pref[g][j] = uint16(master.Intn(cfg.Card[j]))
 		}
 	}
+	cdf := zipfCDF(cfg.Groups, cfg.Skew)
 	return newGenSource(d, q, cfg.N, master.Uint64(), func(src *rng.Source, _ int, w words.Word) {
-		g := zipfDraw(src, cfg.Groups, cfg.Skew)
+		g := zipfDraw(src, cdf)
 		for j := 0; j < d; j++ {
 			if src.Float64() < cfg.Mixing {
 				w[j] = uint16(src.Intn(cfg.Card[j]))

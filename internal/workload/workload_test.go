@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/freq"
@@ -125,5 +126,49 @@ func TestLinkabilityUniqueFraction(t *testing.T) {
 	}
 	if _, err := Linkability(LinkabilityConfig{N: 10, Card: []int{5}, UniqueFraction: 2, CommonProfiles: 1}); err == nil {
 		t.Fatal("unique fraction > 1 must error")
+	}
+}
+
+// TestZipfPatternsGoldenStream pins the emitted rows to what the
+// generator produced when every draw recomputed the harmonic sum: the
+// first rows literally, the first 3000 by hash. A changed stream would
+// silently change every seeded experiment and test built on it.
+func TestZipfPatternsGoldenStream(t *testing.T) {
+	for _, tc := range []struct {
+		m     int
+		s     float64
+		seed  uint64
+		first []words.Word
+		hash  uint64
+	}{
+		{40, 1.2, 3, []words.Word{
+			{11, 10, 3, 8, 6, 6, 3, 11}, {1, 1, 14, 11, 9, 8, 8, 0}, {11, 10, 3, 8, 6, 6, 3, 11},
+			{1, 1, 14, 11, 9, 8, 8, 0}, {11, 10, 3, 8, 6, 6, 3, 11}, {11, 10, 3, 8, 6, 6, 3, 11},
+		}, 0x6d54cbe10a4fb425},
+		{4096, 1.1, 7, []words.Word{
+			{12, 10, 9, 13, 4, 15, 9, 13}, {4, 7, 2, 2, 2, 10, 10, 4}, {4, 14, 5, 4, 2, 6, 11, 8},
+			{4, 12, 6, 10, 12, 14, 14, 7}, {0, 0, 7, 8, 12, 6, 8, 1}, {5, 5, 1, 10, 11, 15, 7, 5},
+		}, 0x59a955cc4351aa79},
+	} {
+		src := ZipfPatterns(8, 16, 3000, tc.m, tc.s, tc.seed)
+		for pass := 0; pass < 2; pass++ { // the second pass checks Reset
+			h := fnv.New64a()
+			for i := 0; ; i++ {
+				w, ok := src.Next()
+				if !ok {
+					break
+				}
+				if i < len(tc.first) && !w.Equal(tc.first[i]) {
+					t.Fatalf("seed %d pass %d: row %d is %v, want %v", tc.seed, pass, i, w, tc.first[i])
+				}
+				for _, x := range w {
+					h.Write([]byte{byte(x), byte(x >> 8)})
+				}
+			}
+			if h.Sum64() != tc.hash {
+				t.Fatalf("seed %d pass %d: stream hash %#x, want %#x", tc.seed, pass, h.Sum64(), tc.hash)
+			}
+			src.(words.Resettable).Reset()
+		}
 	}
 }
