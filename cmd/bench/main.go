@@ -119,7 +119,6 @@ func main() {
 	}
 
 	workloads := []workload{
-		{"ingest/row", true, benchsuite.IngestRow},
 		{"ingest/batch256", true, benchsuite.IngestBatch},
 		{"ingest/sketch256", true, benchsuite.SketchIngest},
 		{"query/warm", false, benchsuite.QueryWarm},

@@ -27,9 +27,8 @@
 // queued). When a node's queue is full its further slices are shed
 // and the response is a 503 — the client owns retrying exactly the
 // shed slices (rows are hashed by content, so a retried slice
-// re-routes identically). With the queue disabled
-// (-retry-queue-rows=0) a dead node's slice is a terminal per-node
-// error with an overall 502, the pre-queue contract.
+// re-routes identically). A 502 means only that a node refused its
+// slice outright (4xx): the router will never deliver it.
 //
 // Membership is versioned: POST /v1/admin/membership swaps in a new
 // -ingest list as the next ring epoch, requeues removed nodes'
@@ -59,6 +58,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/store"
+	"repro/internal/wire"
 	"repro/internal/words"
 )
 
@@ -80,7 +80,7 @@ func run() error {
 		aggs     = flag.String("aggregators", "", "comma-separated aggregator base URLs (required)")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-upstream HTTP timeout")
 
-		retryRows = flag.Int("retry-queue-rows", 1<<16, "per-node redelivery queue bound in rows (0 disables queueing: failed slices are terminal 502s)")
+		retryRows = flag.Int("retry-queue-rows", 1<<16, "per-node redelivery queue bound in rows (at least 1)")
 		retryBase = flag.Duration("retry-base", 50*time.Millisecond, "initial redelivery backoff")
 		retryMax  = flag.Duration("retry-max", 5*time.Second, "redelivery backoff ceiling")
 
@@ -144,8 +144,7 @@ func run() error {
 // routers with small queues and fast backoffs.
 type routerConfig struct {
 	timeout time.Duration
-	// retryCapRows bounds each node's redelivery queue; 0 disables
-	// queueing entirely (failed slices become terminal errors).
+	// retryCapRows bounds each node's redelivery queue; at least 1.
 	retryCapRows int
 	retryBase    time.Duration
 	retryMax     time.Duration
@@ -155,8 +154,7 @@ type routerConfig struct {
 	healthThreshold int
 }
 
-// withDefaults fills zero-valued backoffs; a zero retryCapRows is
-// meaningful (queue off) and left alone.
+// withDefaults fills zero-valued backoffs.
 func (c routerConfig) withDefaults() routerConfig {
 	if c.retryBase <= 0 {
 		c.retryBase = 50 * time.Millisecond
@@ -206,6 +204,9 @@ type nodeStats struct {
 
 func newRouter(ingest, aggs []string, cfg routerConfig) (*router, error) {
 	cfg = cfg.withDefaults()
+	if cfg.retryCapRows < 1 {
+		return nil, fmt.Errorf("-retry-queue-rows must be at least 1, got %d", cfg.retryCapRows)
+	}
 	ring, err := cluster.NewRing(normalize(ingest))
 	if err != nil {
 		return nil, fmt.Errorf("ingest tier: %w", err)
@@ -217,6 +218,7 @@ func newRouter(ingest, aggs []string, cfg routerConfig) (*router, error) {
 	sort.Strings(a)
 	r := &router{
 		ring:   ring,
+		queues: make(map[string]*retryQueue, ring.Len()),
 		aggs:   a,
 		client: &http.Client{Timeout: cfg.timeout},
 		mux:    http.NewServeMux(),
@@ -225,11 +227,8 @@ func newRouter(ingest, aggs []string, cfg routerConfig) (*router, error) {
 	}
 	r.health = newHealthChecker(a, cfg.healthThreshold, r.client)
 	r.health.start(cfg.healthInterval)
-	if cfg.retryCapRows > 0 {
-		r.queues = make(map[string]*retryQueue, ring.Len())
-		for _, n := range ring.Nodes() {
-			r.queues[n] = r.newQueue(n)
-		}
+	for _, n := range ring.Nodes() {
+		r.queues[n] = r.newQueue(n)
 	}
 	for _, n := range append(ring.Nodes(), a...) {
 		if r.stats[n] == nil {
@@ -244,6 +243,10 @@ func newRouter(ingest, aggs []string, cfg routerConfig) (*router, error) {
 	r.mux.HandleFunc("POST /v1/admin/membership", r.handleAdminMembership)
 	return r, nil
 }
+
+// observePool recycles /v1/observe decode state across requests
+// (PartitionBatch copies the rows, so nothing decoded outlives one).
+var observePool = sync.Pool{New: func() interface{} { return new(wire.ObserveDecoder) }}
 
 // newQueue builds one node's redelivery queue wired to the router's
 // forwarding client.
@@ -261,7 +264,7 @@ func (r *router) Close() {
 	r.health.stopProbes()
 	r.ringMu.Lock()
 	queues := r.queues
-	r.queues = nil
+	r.queues = map[string]*retryQueue{}
 	r.ringMu.Unlock()
 	for _, q := range queues {
 		q.close()
@@ -314,11 +317,6 @@ func httpError(w http.ResponseWriter, status int, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
-// observeRequest mirrors projfreqd's /v1/observe body.
-type observeRequest struct {
-	Rows [][]uint16 `json:"rows"`
-}
-
 // nodeResult is one ingest node's outcome for its slice of a batch.
 // Routed rows were acked by the node; Queued rows await redelivery in
 // the router (Accepted = Routed + Queued); Shed rows were refused
@@ -336,9 +334,9 @@ type nodeResult struct {
 
 // observeResponse reports the fan-out's outcome with the two-level
 // ack totals. Status mapping: 503 when any rows were shed
-// (backpressure — retry the shed slices later); 502 when a slice
-// failed terminally (or any failure with the queue disabled); 200
-// otherwise, even if some rows are only queued.
+// (backpressure — retry the shed slices later); 502 when a node
+// refused a slice terminally (4xx); 200 otherwise, even if some rows
+// are only queued.
 type observeResponse struct {
 	Rows     int          `json:"rows"`
 	Accepted int          `json:"accepted"`
@@ -350,37 +348,22 @@ type observeResponse struct {
 }
 
 func (r *router) handleObserve(w http.ResponseWriter, req *http.Request) {
-	var body observeRequest
-	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
+	// The router is shape-agnostic: it takes the dimension from the
+	// batch itself and passes every symbol (symbol validation stays
+	// with the ingest daemons, which know the alphabet). The decoder
+	// only insists the batch is non-empty and rectangular — a ragged
+	// batch cannot be partitioned coherently.
+	dec := observePool.Get().(*wire.ObserveDecoder)
+	defer observePool.Put(dec)
+	batch, err := dec.Decode(req.Body, 0, wire.AnySymbol)
+	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		httpError(w, status, fmt.Errorf("decoding rows: %w", err))
+		httpError(w, status, err)
 		return
-	}
-	if len(body.Rows) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty batch"))
-		return
-	}
-	// The router is shape-agnostic: it takes the dimension from the
-	// batch itself (symbol validation stays with the ingest daemons,
-	// which know the alphabet). It only insists the batch is rectangular
-	// — a ragged batch cannot be partitioned coherently.
-	d := len(body.Rows[0])
-	if d == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("zero-length rows"))
-		return
-	}
-	batch := words.NewBatch(d, len(body.Rows))
-	for i, row := range body.Rows {
-		if len(row) != d {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("row %d has %d symbols, row 0 has %d", i, len(row), d))
-			return
-		}
-		copy(batch.AppendRow(), row)
 	}
 
 	// The read lock pins the ring and the queue set for the whole
@@ -423,10 +406,9 @@ func (r *router) handleObserve(w http.ResponseWriter, req *http.Request) {
 		// retries the shed slices once the queue drains.
 		w.WriteHeader(http.StatusServiceUnavailable)
 	case resp.Partial:
-		// Terminal per-node failure (or any failure with the queue
-		// disabled): the failed slices will never be delivered by the
-		// router. 502, not 500: the router did its job; an upstream (or
-		// the batch itself, for a node-side 4xx) did not.
+		// A node refused its slice (4xx): it will never be delivered by
+		// the router. 502, not 500: the router did its job; the batch
+		// itself did not pass the node.
 		w.WriteHeader(http.StatusBadGateway)
 	}
 	_ = json.NewEncoder(w).Encode(resp)
@@ -447,10 +429,11 @@ func (r *router) forwardObserve(node string, part *words.Batch) nodeResult {
 		// The node rejected the slice (4xx): redelivering the same bytes
 		// can never succeed, so this is the client's error to hear about.
 		res.Error = out.err.Error()
-	case r.queues != nil:
+	default:
 		q := r.queues[node]
 		if q == nil {
-			// A node in the ring always has a queue; guard anyway.
+			// Only a request still in flight when Close emptied the
+			// queue set gets here: a node in the ring has a queue.
 			res.Error = out.err.Error()
 		} else if q.enqueue(part) {
 			res.Queued = part.Len()
@@ -460,8 +443,6 @@ func (r *router) forwardObserve(node string, part *words.Batch) nodeResult {
 			res.Error = fmt.Sprintf("redelivery queue full (cap %d rows); slice shed after: %v",
 				r.cfg.retryCapRows, out.err)
 		}
-	default:
-		res.Error = out.err.Error()
 	}
 	return res
 }
@@ -469,16 +450,11 @@ func (r *router) forwardObserve(node string, part *words.Batch) nodeResult {
 // postObserve POSTs one sub-batch to one node and classifies the
 // outcome: ok (node acked), terminal (node answered 4xx — the same
 // bytes can never succeed), or retryable (transport error, timeout,
-// or 5xx). Shared by the first-attempt path and queue redelivery.
+// or 5xx). Shared by the first-attempt path and queue redelivery
+// (which is also where a membership change's requeued backlog goes
+// out).
 func (r *router) postObserve(node string, part *words.Batch) (int, deliverResult) {
-	rows := make([][]uint16, part.Len())
-	for i := range rows {
-		rows[i] = part.Row(i)
-	}
-	blob, err := json.Marshal(observeRequest{Rows: rows})
-	if err != nil {
-		return 0, deliverResult{terminal: true, err: err}
-	}
+	blob := wire.AppendObserve(nil, part)
 	resp, err := r.client.Post(node+"/v1/observe", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		return 0, deliverResult{err: err}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +14,20 @@ import (
 	"repro/internal/cluster"
 )
 
+// observeRequest is the /v1/observe body as a client (or a test's
+// stand-in ingest node) outside this module would marshal and decode
+// it; the router itself only goes through internal/wire's codec.
+type observeRequest struct {
+	Rows [][]uint16 `json:"rows"`
+}
+
 // fakeIngest is an in-process stand-in for projfreqd's /v1/observe:
-// it records every row it is sent and acks them.
+// it records every row it is sent and acks them, or — when refusing —
+// answers a 4xx, as projfreqd does to a batch it cannot take.
 type fakeIngest struct {
-	mu   sync.Mutex
-	rows [][]uint16
-	down bool
+	mu       sync.Mutex
+	rows     [][]uint16
+	refusing bool
 }
 
 func (f *fakeIngest) handler() http.Handler {
@@ -26,8 +35,8 @@ func (f *fakeIngest) handler() http.Handler {
 	mux.HandleFunc("POST /v1/observe", func(w http.ResponseWriter, r *http.Request) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
-		if f.down {
-			http.Error(w, "simulated outage", http.StatusServiceUnavailable)
+		if f.refusing {
+			http.Error(w, "simulated refusal", http.StatusUnprocessableEntity)
 			return
 		}
 		var req observeRequest
@@ -55,9 +64,8 @@ func testRows(n, d int) [][]uint16 {
 }
 
 // startRouterTier builds N fake ingest nodes, one fake aggregator,
-// and a router over them. The redelivery queue is disabled so these
-// tests pin the legacy terminal-502 contract; the queue-enabled
-// behavior has its own tests in retry_test.go.
+// and a router over them; what the redelivery queues do under outages
+// has its own tests in retry_test.go.
 func startRouterTier(t *testing.T, n int) (*httptest.Server, []*fakeIngest, []string) {
 	t.Helper()
 	ingests := make([]*fakeIngest, n)
@@ -80,10 +88,14 @@ func startRouterTier(t *testing.T, n int) (*httptest.Server, []*fakeIngest, []st
 	return rs, ingests, urls
 }
 
-// newTestRouter builds a router and ties its background goroutines to
-// the test's lifetime.
+// newTestRouter builds a router — with the -retry-queue-rows flag's
+// default when cfg leaves the bound unset — and ties its background
+// goroutines to the test's lifetime.
 func newTestRouter(t *testing.T, ingest, aggs []string, cfg routerConfig) *router {
 	t.Helper()
+	if cfg.retryCapRows == 0 {
+		cfg.retryCapRows = 1 << 16
+	}
 	r, err := newRouter(ingest, aggs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -145,13 +157,14 @@ func TestRouterPartitionsByRing(t *testing.T) {
 	}
 }
 
-// TestRouterReportsPartialIngest: a dead node's slice is reported per
-// node with an overall 502; the live nodes' slices are still
-// ingested.
+// TestRouterReportsPartialIngest: a slice its node refuses outright
+// (4xx) is reported per node with an overall 502 — the only way to a
+// 502 — and is neither queued nor shed; the other nodes' slices are
+// still ingested.
 func TestRouterReportsPartialIngest(t *testing.T) {
 	rs, ingests, urls := startRouterTier(t, 2)
 	ingests[1].mu.Lock()
-	ingests[1].down = true
+	ingests[1].refusing = true
 	ingests[1].mu.Unlock()
 
 	rows := testRows(200, 4)
@@ -169,7 +182,7 @@ func TestRouterReportsPartialIngest(t *testing.T) {
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
-	if !ack.Partial || ack.Accepted >= ack.Rows || ack.Accepted == 0 {
+	if !ack.Partial || ack.Accepted >= ack.Rows || ack.Accepted == 0 || ack.Queued != 0 || ack.Shed != 0 {
 		t.Fatalf("ack: %+v", ack)
 	}
 	ring, _ := cluster.NewRing(urls)
@@ -183,21 +196,24 @@ func TestRouterReportsPartialIngest(t *testing.T) {
 		t.Fatalf("accepted %d, live node owns %d", ack.Accepted, liveRows)
 	}
 	for _, res := range ack.Results {
-		dead := res.Node == urls[1]
-		if dead && (res.Error == "" || res.Accepted != 0) {
-			t.Fatalf("dead node result: %+v", res)
+		refused := res.Node == urls[1]
+		if refused && (res.Error == "" || res.Accepted != 0) {
+			t.Fatalf("refusing node result: %+v", res)
 		}
-		if !dead && res.Error != "" {
-			t.Fatalf("live node result: %+v", res)
+		if !refused && res.Error != "" {
+			t.Fatalf("accepting node result: %+v", res)
 		}
 	}
 }
 
-// TestRouterRejectsMalformedBatches covers the router-side refusals.
+// TestRouterRejectsMalformedBatches covers the router-side refusals
+// (the shared decoder's, in the router's dimension-from-the-batch
+// mode) as the 400s clients see.
 func TestRouterRejectsMalformedBatches(t *testing.T) {
 	rs, _, _ := startRouterTier(t, 2)
 	for name, body := range map[string]string{
 		"empty":      `{"rows":[]}`,
+		"no rows":    `{}`,
 		"ragged":     `{"rows":[[1,2,3],[1,2]]}`,
 		"zero-width": `{"rows":[[]]}`,
 		"not json":   `{"rows":`,
@@ -274,5 +290,20 @@ func TestRouterStats(t *testing.T) {
 	}
 	if st.Role != "router" || len(st.Ingest) != len(urls) || len(st.Aggregators) != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestRouterRequiresRetryQueue: there is no queue-less mode, so a
+// -retry-queue-rows below 1 is a usage error at start-up.
+func TestRouterRequiresRetryQueue(t *testing.T) {
+	for _, rows := range []int{0, -1} {
+		r, err := newRouter([]string{"http://n1"}, []string{"http://agg"}, routerConfig{retryCapRows: rows})
+		if err == nil {
+			r.Close()
+			t.Fatalf("-retry-queue-rows %d started a router", rows)
+		}
+		if !strings.Contains(err.Error(), "-retry-queue-rows") {
+			t.Fatalf("-retry-queue-rows %d: error does not name the flag: %v", rows, err)
+		}
 	}
 }

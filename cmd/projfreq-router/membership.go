@@ -133,15 +133,13 @@ func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request)
 	var removedQueues []*retryQueue
 	r.ringMu.Lock()
 	r.ring = next
-	if r.queues != nil {
-		for _, n := range diff.Added {
-			r.queues[n] = r.newQueue(n)
-		}
-		for _, n := range diff.Removed {
-			if q := r.queues[n]; q != nil {
-				removedQueues = append(removedQueues, q)
-				delete(r.queues, n)
-			}
+	for _, n := range diff.Added {
+		r.queues[n] = r.newQueue(n)
+	}
+	for _, n := range diff.Removed {
+		if q := r.queues[n]; q != nil {
+			removedQueues = append(removedQueues, q)
+			delete(r.queues, n)
 		}
 	}
 	r.ringMu.Unlock()

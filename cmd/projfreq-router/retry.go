@@ -4,8 +4,8 @@
 // until the node acks, the batch proves undeliverable (the node
 // rejects it outright), or the router shuts down.
 //
-// The queue is what turns a transient node outage from a terminal 502
-// into a two-level ack: rows the router queues are "accepted" (the
+// The queue is what makes a transient node outage a two-level ack
+// instead of a failed batch: rows the router queues are "accepted" (the
 // router owns redelivery) but not yet "routed" (durably acked by the
 // owning node). The bound is the backpressure contract — when a
 // node's queue is full its further slices are shed with 503 and the

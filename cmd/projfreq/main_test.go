@@ -119,13 +119,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIngestBatchRowsMatchesRowPath: -batch-rows ingestion produces a
-// summary bit-for-bit identical to per-row ingestion (the exact
-// summary's wire form is its retained rows in order).
-func TestIngestBatchRowsMatchesRowPath(t *testing.T) {
+// TestIngestFeedsEveryRowInOrder: ingest's fixed-size batches (the demo
+// table ends on a ragged one) leave a summary bit-for-bit identical to
+// one fed row by row (the exact summary's wire form is its retained
+// rows in order).
+func TestIngestFeedsEveryRowInOrder(t *testing.T) {
 	tb, err := loadData("", true, 2, 5)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tb.NumRows()%ingestBatchRows == 0 {
+		t.Fatalf("demo table of %d rows has no ragged last batch", tb.NumRows())
 	}
 	build := func() core.Summary {
 		s, err := buildSummary("exact", tb.Dim(), tb.Alphabet(), 0.2, 0.05, 0.3, 1, 0)
@@ -135,29 +139,21 @@ func TestIngestBatchRowsMatchesRowPath(t *testing.T) {
 		return s
 	}
 	rowWise := build()
-	if err := ingest(rowWise, tb.Source(), 0); err != nil {
+	words.Drain(tb.Source(), rowWise.Observe)
+	batched := build()
+	ingest(batched, tb)
+	want, err := core.MarshalSummary(rowWise)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, batchRows := range []int{1, 7, 512, 1 << 20} {
-		batched := build()
-		if err := ingest(batched, tb.Source(), batchRows); err != nil {
-			t.Fatal(err)
-		}
-		want, err := core.MarshalSummary(rowWise)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.MarshalSummary(batched)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("-batch-rows %d diverged from row-at-a-time ingestion", batchRows)
-		}
+	got, err := core.MarshalSummary(batched)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := ingest(build(), tb.Source(), -1); err == nil {
-		t.Fatal("negative -batch-rows must error")
+	if !bytes.Equal(got, want) {
+		t.Fatal("batched ingestion diverged from row-at-a-time ingestion")
 	}
+	ingest(build(), words.NewTable(tb.Dim(), tb.Alphabet())) // an empty table is a no-op
 }
 
 func TestPushSummaryAgainstStubDaemon(t *testing.T) {
@@ -209,9 +205,7 @@ func TestRegisterSubspacesRoutesBatch(t *testing.T) {
 	if err := registerSubspaces(eng, d, q, "0,x", "exact", 0.2, 0.05, 0.3, 1); err == nil {
 		t.Fatal("malformed -subspace must error")
 	}
-	if err := ingest(eng, tb.Source(), 256); err != nil {
-		t.Fatal(err)
-	}
+	ingest(eng, tb)
 	// Registration after ingestion is refused.
 	if err := registerSubspaces(eng, d, q, "4,5", "exact", 0.2, 0.05, 0.3, 1); err == nil {
 		t.Fatal("post-ingest -subspace must error")

@@ -45,7 +45,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -69,6 +68,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/registry"
 	"repro/internal/store"
+	"repro/internal/wire"
 	"repro/internal/words"
 )
 
@@ -396,14 +396,6 @@ func writeJSON(w http.ResponseWriter, v interface{}) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// observeRequest is the /v1/observe body: a batch of rows. The
-// handler does not unmarshal into this shape — it token-decodes the
-// body straight into a flat words.Batch — but the struct documents
-// the wire schema and is what clients (and the tests) marshal.
-type observeRequest struct {
-	Rows [][]uint16 `json:"rows"`
-}
-
 // observeResponse reports accepted rows and the engine's new total.
 type observeResponse struct {
 	Accepted int   `json:"accepted"`
@@ -411,9 +403,9 @@ type observeResponse struct {
 }
 
 func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	sc := observePool.Get().(*observeScratch)
-	defer observePool.Put(sc)
-	batch, err := sc.decode(r.Body, s.eng.Dim(), s.eng.Alphabet())
+	dec := observePool.Get().(*wire.ObserveDecoder)
+	defer observePool.Put(dec)
+	batch, err := dec.Decode(r.Body, s.eng.Dim(), s.eng.Alphabet())
 	if err != nil {
 		bodyError(w, err)
 		return
@@ -430,285 +422,9 @@ func (s *server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, observeResponse{Accepted: batch.Len(), Rows: s.eng.Rows()})
 }
 
-// observeScratch is the pooled per-request decode state of
-// /v1/observe: the raw body bytes and the batch the rows land in.
-// Both are reused across requests through observePool, so a steady
-// observe load does no per-request — let alone per-token — allocation
-// on the decode path.
-type observeScratch struct {
-	buf   bytes.Buffer
-	batch words.Batch
-}
-
-var observePool = sync.Pool{New: func() interface{} { return new(observeScratch) }}
-
-// decodeObserveBatch decodes an observe body into a fresh batch; it is
-// the unpooled convenience form of observeScratch.decode that tests
-// exercise directly.
-func decodeObserveBatch(body io.Reader, d, q int) (*words.Batch, error) {
-	var sc observeScratch
-	return sc.decode(body, d, q)
-}
-
-// decode scans an observe body into sc's batch, writing symbols
-// directly into the batch's flat backing array — no per-row slice, no
-// decoder tokens, no number strings materialize anywhere on the ingest
-// path. Rows are validated (length d, symbols in [q]) as they decode.
-// The returned batch aliases sc and is valid until sc's next decode.
-//
-// The scanner holds the whole body (already bounded by MaxBytesReader)
-// in sc.buf and walks it once. Two deliberate simplifications against
-// a full JSON parser: field names are matched byte-literally, so a
-// "rows" key spelled with JSON escape sequences is treated as unknown;
-// and unknown fields are skipped structurally (strings, nesting) but
-// their scalars are not validated. Clients marshalling observeRequest
-// produce neither shape.
-func (sc *observeScratch) decode(body io.Reader, d, q int) (*words.Batch, error) {
-	sc.buf.Reset()
-	if _, err := sc.buf.ReadFrom(body); err != nil {
-		return nil, fmt.Errorf("decoding rows: %w", err)
-	}
-	sc.batch.Bind(d, sc.batch.Symbols()[:0])
-	s := jsonScan{b: sc.buf.Bytes()}
-	s.skipWS()
-	if !s.eat('{') {
-		return nil, errors.New("decoding rows: body must be a JSON object")
-	}
-	s.skipWS()
-	if s.eat('}') {
-		return &sc.batch, nil
-	}
-	rowsSeen := false
-	for {
-		s.skipWS()
-		key, err := s.scanString()
-		if err != nil {
-			return nil, fmt.Errorf("decoding rows: %w", err)
-		}
-		s.skipWS()
-		if !s.eat(':') {
-			return nil, fmt.Errorf("decoding rows: missing ':' after %q", key)
-		}
-		s.skipWS()
-		if string(key) == "rows" && !rowsSeen {
-			rowsSeen = true
-			if err := sc.decodeRows(&s, d, q); err != nil {
-				return nil, err
-			}
-		} else if err := s.skipValue(); err != nil {
-			return nil, fmt.Errorf("decoding rows: %w", err)
-		}
-		s.skipWS()
-		if s.eat(',') {
-			continue
-		}
-		if s.eat('}') {
-			return &sc.batch, nil
-		}
-		return nil, errors.New("decoding rows: malformed object")
-	}
-}
-
-// decodeRows parses the [[…], …] rows array into sc.batch; the scanner
-// is positioned at the start of the value.
-func (sc *observeScratch) decodeRows(s *jsonScan, d, q int) error {
-	if s.eatLiteral("null") {
-		// "rows": null — what a client marshalling a nil slice sends;
-		// accepted as an empty batch, as the struct decoder did.
-		return nil
-	}
-	if !s.eat('[') {
-		return errors.New("rows must be an array")
-	}
-	for i := 0; ; i++ {
-		s.skipWS()
-		if s.eat(']') {
-			return nil
-		}
-		if i > 0 {
-			if !s.eat(',') {
-				return fmt.Errorf("row %d: malformed array", i)
-			}
-			s.skipWS()
-		}
-		if !s.eat('[') {
-			return fmt.Errorf("row %d must be an array", i)
-		}
-		dst := sc.batch.AppendRow()
-		j := 0
-		s.skipWS()
-		for !s.eat(']') {
-			if j > 0 {
-				if !s.eat(',') {
-					return fmt.Errorf("row %d: malformed array", i)
-				}
-				s.skipWS()
-			}
-			v, err := s.scanSymbol()
-			if err != nil {
-				return fmt.Errorf("row %d symbol %d: %w", i, j, err)
-			}
-			if int(v) >= q {
-				return fmt.Errorf("row %d: symbol %d outside alphabet [%d]", i, v, q)
-			}
-			if j >= d {
-				return fmt.Errorf("row %d has more than %d symbols", i, d)
-			}
-			dst[j] = v
-			j++
-			s.skipWS()
-		}
-		if j != d {
-			return fmt.Errorf("row %d has %d symbols, want %d", i, j, d)
-		}
-	}
-}
-
-// jsonScan is a minimal allocation-free scanner over a complete JSON
-// body, providing exactly what the observe decoder needs.
-type jsonScan struct {
-	b   []byte
-	pos int
-}
-
-func (s *jsonScan) skipWS() {
-	for s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
-	}
-}
-
-// eat consumes c if it is the next byte and reports whether it did.
-func (s *jsonScan) eat(c byte) bool {
-	if s.pos < len(s.b) && s.b[s.pos] == c {
-		s.pos++
-		return true
-	}
-	return false
-}
-
-// eatLiteral consumes the literal if it is next and ends at a value
-// boundary.
-func (s *jsonScan) eatLiteral(lit string) bool {
-	end := s.pos + len(lit)
-	if end > len(s.b) || string(s.b[s.pos:end]) != lit {
-		return false
-	}
-	if end < len(s.b) {
-		switch s.b[end] {
-		case ',', ']', '}', ' ', '\t', '\n', '\r':
-		default:
-			return false
-		}
-	}
-	s.pos = end
-	return true
-}
-
-// scanString consumes a JSON string and returns its raw contents
-// (escape sequences unprocessed) as a view into the body.
-func (s *jsonScan) scanString() ([]byte, error) {
-	if s.pos >= len(s.b) || s.b[s.pos] != '"' {
-		return nil, errors.New("malformed string")
-	}
-	s.pos++
-	start := s.pos
-	for s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case '\\':
-			s.pos += 2
-		case '"':
-			str := s.b[start:s.pos]
-			s.pos++
-			return str, nil
-		default:
-			s.pos++
-		}
-	}
-	return nil, io.ErrUnexpectedEOF
-}
-
-// scanSymbol consumes one row symbol: an unsigned decimal integer that
-// fits a uint16. Any other value — negative, fractional, exponent
-// form, or a non-number — is an error naming what it saw.
-func (s *jsonScan) scanSymbol() (uint16, error) {
-	if s.pos >= len(s.b) {
-		return 0, io.ErrUnexpectedEOF
-	}
-	c := s.b[s.pos]
-	if c < '0' || c > '9' {
-		if c == '-' || c == '+' || c == '.' {
-			return 0, errors.New("not an unsigned integer")
-		}
-		return 0, errors.New("not a number")
-	}
-	v := 0
-	for s.pos < len(s.b) {
-		c = s.b[s.pos]
-		if c < '0' || c > '9' {
-			break
-		}
-		v = v*10 + int(c-'0')
-		if v > 1<<16-1 {
-			return 0, errors.New("value out of uint16 range")
-		}
-		s.pos++
-	}
-	if s.pos < len(s.b) {
-		switch s.b[s.pos] {
-		case '.', 'e', 'E':
-			return 0, errors.New("not an unsigned integer")
-		}
-	}
-	return uint16(v), nil
-}
-
-// skipValue consumes one JSON value: a string, a bracketed structure
-// (with strings inside handled, so brackets in text do not confuse
-// nesting), or a scalar run.
-func (s *jsonScan) skipValue() error {
-	if s.pos >= len(s.b) {
-		return io.ErrUnexpectedEOF
-	}
-	switch s.b[s.pos] {
-	case '"':
-		_, err := s.scanString()
-		return err
-	case '[', '{':
-		depth := 0
-		for s.pos < len(s.b) {
-			switch s.b[s.pos] {
-			case '"':
-				if _, err := s.scanString(); err != nil {
-					return err
-				}
-				continue
-			case '[', '{':
-				depth++
-			case ']', '}':
-				depth--
-			}
-			s.pos++
-			if depth == 0 {
-				return nil
-			}
-		}
-		return io.ErrUnexpectedEOF
-	default:
-		for s.pos < len(s.b) {
-			switch s.b[s.pos] {
-			case ',', ']', '}', ' ', '\t', '\n', '\r':
-				return nil
-			}
-			s.pos++
-		}
-		return nil
-	}
-}
+// observePool recycles /v1/observe decode state (the raw body bytes
+// and the batch the rows land in) across requests.
+var observePool = sync.Pool{New: func() interface{} { return new(wire.ObserveDecoder) }}
 
 // pushResponse reports a merged remote summary.
 type pushResponse struct {

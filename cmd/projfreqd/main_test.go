@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -32,6 +31,13 @@ func startDaemon(t *testing.T, kind string, d, q int, seed uint64) (*httptest.Se
 		eng.Close()
 	})
 	return ts, eng
+}
+
+// observeRequest is the /v1/observe body as a client outside this
+// module would marshal it; the daemon itself only ever decodes it with
+// wire.ObserveDecoder.
+type observeRequest struct {
+	Rows [][]uint16 `json:"rows"`
 }
 
 func postJSON(t *testing.T, url string, body interface{}) (*http.Response, []byte) {
@@ -309,41 +315,6 @@ func TestDaemonOversizedBodyReturns413(t *testing.T) {
 	resp3, body3 := postJSON(t, ts.URL+"/v1/observe", observeRequest{Rows: [][]uint16{{0, 1, 0, 1, 0}}})
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("small observe: %d %s", resp3.StatusCode, body3)
-	}
-}
-
-func TestDecodeObserveBatch(t *testing.T) {
-	const d, q = 3, 4
-	// Well-formed body, with an unknown field the decoder must skip.
-	b, err := decodeObserveBatch(strings.NewReader(
-		`{"note": {"nested": [1, 2]}, "rows": [[0,1,2], [3,3,3]]}`), d, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 2 || !b.Row(0).Equal(words.Word{0, 1, 2}) || !b.Row(1).Equal(words.Word{3, 3, 3}) {
-		t.Fatalf("decoded %d rows: %v %v", b.Len(), b.Row(0), b.Row(1))
-	}
-	// Missing or null rows decode as an empty batch (a no-op observe,
-	// matching what the old struct decoder accepted).
-	for _, body := range []string{`{}`, `{"rows": null}`, `{"rows": []}`} {
-		if b, err := decodeObserveBatch(strings.NewReader(body), d, q); err != nil || b.Len() != 0 {
-			t.Fatalf("%s: %d rows, %v", body, b.Len(), err)
-		}
-	}
-	for name, body := range map[string]string{
-		"not an object":   `[[0,1,2]]`,
-		"rows not array":  `{"rows": 7}`,
-		"row not array":   `{"rows": [7]}`,
-		"short row":       `{"rows": [[0,1]]}`,
-		"long row":        `{"rows": [[0,1,2,3]]}`,
-		"symbol not int":  `{"rows": [[0,1,1.5]]}`,
-		"symbol out of q": `{"rows": [[0,1,4]]}`,
-		"negative symbol": `{"rows": [[0,1,-1]]}`,
-		"truncated":       `{"rows": [[0,1`,
-	} {
-		if _, err := decodeObserveBatch(strings.NewReader(body), d, q); err == nil {
-			t.Fatalf("%s must fail to decode", name)
-		}
 	}
 }
 

@@ -14,18 +14,11 @@ import (
 // with pattern fingerprints. KMV/HLL/BJKST satisfy it for F0 and the
 // stable and CountSketch-based adapters satisfy it for F_p.
 type Estimator interface {
-	Add(item uint64)
+	// AddBatch observes every fingerprint of items in order; the state
+	// afterwards must not depend on how a stream is cut into calls.
+	AddBatch(items []uint64)
 	Estimate() float64
 	SizeBytes() int
-}
-
-// BatchEstimator is the optional batched entry point of the key
-// pipeline: AddBatch(items) must be equivalent to calling Add per item
-// in order. Estimators that implement it consume a whole batch's
-// precomputed fingerprints in one call; the others fall back to the
-// per-item loop with identical resulting state.
-type BatchEstimator interface {
-	AddBatch(items []uint64)
 }
 
 // Factory builds a fresh Estimator for the net member with the given
@@ -43,8 +36,7 @@ type MetaSummary struct {
 	masks   []uint64
 	subsets []words.ColumnSet
 	sk      []Estimator
-	bufs    []words.Word
-	keyBuf  []byte
+	keyBuf  []byte   // reusable key arena for ObserveBatch
 	fps     []uint64 // reusable fingerprint arena for ObserveBatch
 	rows    int64
 }
@@ -55,10 +47,8 @@ func NewMetaSummary(net *Net, factory Factory) (*MetaSummary, error) {
 	m := &MetaSummary{net: net, factory: factory}
 	err := net.EnumerateMasks(func(mask uint64) bool {
 		m.masks = append(m.masks, mask)
-		cs := maskColumns(mask, net.Dim())
-		m.subsets = append(m.subsets, cs)
+		m.subsets = append(m.subsets, maskColumns(mask, net.Dim()))
 		m.sk = append(m.sk, factory(mask))
-		m.bufs = append(m.bufs, make(words.Word, cs.Len()))
 		return true
 	})
 	if err != nil {
@@ -79,32 +69,21 @@ func (m *MetaSummary) NumSketches() int { return len(m.sk) }
 // Rows returns the number of rows observed.
 func (m *MetaSummary) Rows() int64 { return m.rows }
 
-// Observe feeds one row into every member sketch. This is the
-// O(|N|) per-row cost that Theorem 6.5 trades against query-time
-// generality; the paper's claim is about space, not update time.
+// Observe feeds one row into every member sketch, as a one-row batch.
 func (m *MetaSummary) Observe(w words.Word) {
-	if len(w) != m.net.Dim() {
-		panic(fmt.Sprintf("anet: row length %d != dimension %d", len(w), m.net.Dim()))
-	}
-	m.rows++
-	for i, cs := range m.subsets {
-		buf := m.bufs[i]
-		w.ProjectInto(cs, buf)
-		m.keyBuf = words.AppendKey(m.keyBuf[:0], buf, words.FullColumnSet(cs.Len()))
-		m.sk[i].Add(hashing.Fingerprint64(m.keyBuf))
-	}
+	m.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch feeds every row of b into every member sketch through
-// the batched key pipeline, member-major: for each net member the
-// whole batch is projected into one flat key arena
+// ObserveBatch feeds every row of b into every member sketch — the
+// O(|N|) per-row cost that Theorem 6.5 trades against query-time
+// generality; the paper's claim is about space, not update time. It
+// runs member-major through the batched key pipeline: for each net
+// member the whole batch is projected into one flat key arena
 // (words.AppendBatchKeys), fingerprinted in one pass
-// (hashing.AppendFingerprints64), and handed to the sketch — via
-// AddBatch when the estimator implements BatchEstimator, else one Add
-// per fingerprint. Both arenas are owned by the summary and reused
-// across members and batches. Sketch states end up identical to
-// row-at-a-time Observe: every member sees the same fingerprints in
-// the same order.
+// (hashing.AppendFingerprints64), and handed to the member's sketch.
+// Both arenas are owned by the summary and reused across members and
+// batches; every member sees the same fingerprints in the same order
+// however the stream is cut into batches.
 func (m *MetaSummary) ObserveBatch(b *words.Batch) {
 	if b.Dim() != m.net.Dim() {
 		panic(fmt.Sprintf("anet: batch dimension %d != dimension %d", b.Dim(), m.net.Dim()))
@@ -117,14 +96,7 @@ func (m *MetaSummary) ObserveBatch(b *words.Batch) {
 	for i, cs := range m.subsets {
 		m.keyBuf = words.AppendBatchKeys(m.keyBuf[:0], b, cs)
 		m.fps = hashing.AppendFingerprints64(m.fps[:0], m.keyBuf, n, 2*cs.Len())
-		if be, ok := m.sk[i].(BatchEstimator); ok {
-			be.AddBatch(m.fps)
-			continue
-		}
-		sk := m.sk[i]
-		for _, fp := range m.fps {
-			sk.Add(fp)
-		}
+		m.sk[i].AddBatch(m.fps)
 	}
 }
 

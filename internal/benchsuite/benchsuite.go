@@ -60,25 +60,9 @@ func benchRows() *words.Batch {
 	return words.BatchOf(benchDim, data)
 }
 
-// IngestRow times per-row engine ingestion (one clone, one atomic
-// increment, one channel send per row). One iteration is one row.
-func IngestRow(b *testing.B) {
-	eng := benchEngine(b, engine.Config{})
-	defer eng.Close()
-	rows := benchRows()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Observe(rows.Row(i % benchPool))
-	}
-	if _, err := eng.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // IngestBatch times batched engine ingestion in chunks of 256 rows
 // (one arena copy and one channel send per chunk). One iteration is
-// one row, so ns/op compare directly with IngestRow.
+// one row.
 func IngestBatch(b *testing.B) {
 	eng := benchEngine(b, engine.Config{})
 	defer eng.Close()
@@ -335,14 +319,14 @@ const mixedReadEvery = 8192
 // meaningless).
 const mixedSampleT = 1 << 13
 
-// MixedReadWrite times streaming row ingestion (the daemon's live
-// /v1/observe path) under a fixed read load: one 4-query QueryBatch
-// every 8192 ingested rows, issued between rows so the schedule is
-// deterministic (time-based polling goroutines make single-core runs
-// scheduler-noise-dominated; the -race stress test covers true
-// read/write races). One iteration is one ingested row: ns/op is the
-// cost of a row's share of the whole mixed workload, and the ns/read
-// metric is the mean read latency.
+// MixedReadWrite times trickle ingestion (one Observe call, i.e. a
+// one-row batch, per row) under a fixed read load: one 4-query
+// QueryBatch every 8192 ingested rows, issued between rows so the
+// schedule is deterministic (time-based polling goroutines make
+// single-core runs scheduler-noise-dominated; the -race stress test
+// covers true read/write races). One iteration is one ingested row:
+// ns/op is the cost of a row's share of the whole mixed workload, and
+// the ns/read metric is the mean read latency.
 //
 // Under strict mode every read under write traffic pays a full
 // rebuild — quiesce all workers, merge four reservoirs, re-evaluate

@@ -274,8 +274,8 @@ type Config struct {
 	// Faults fronts every ingest node with a fault proxy; the ring's
 	// node set becomes the proxy URLs.
 	Faults bool
-	// RouterArgs are appended to the router's flags (e.g.
-	// "-retry-queue-rows", "0" to pin the legacy fail-fast contract).
+	// RouterArgs are appended to the router's flags (e.g. a fast
+	// "-retry-base"/"-retry-max" redelivery cadence).
 	RouterArgs []string
 }
 

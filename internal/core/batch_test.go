@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"testing"
 
 	"repro/internal/rng"
@@ -29,9 +31,23 @@ func batchTestRows(d, q, n int, seed uint64) []words.Word {
 	return rows
 }
 
+// goldenBatchDigests pins the SHA-256 of MarshalSummary after
+// batchTestRows(8, 4, 600, 1) went through each batchSummaryKinds
+// summary. The table was generated at commit 50dbadb through the
+// per-row Observe bodies that commit still had, so matching it proves
+// the batch path leaves byte-identical state to the deleted row path.
+var goldenBatchDigests = map[string]string{
+	"exact":            "1cc907bf626094d4afeefeb58c923fa0ed26c8184f722e6e95f95fcde817be1c",
+	"sample-wr":        "28f7534ce33624a7fa3472f9f67dc56bb86f40a40804621acc147a23488c4756",
+	"sample-reservoir": "a7279b598155fab92303daa6b1dcd8606cd429f29d48744e0e74c29871db08b8",
+	"net":              "73183fe0c952af3eeb0c9903763a7c3dc40eaceb66ad093930008641e3e16d31",
+	"subset":           "5edae481b53cf169a04665776c2f639be884011ed17b2371f61296cd89d18596",
+	"registered":       "8d0879be8eabbf7fe363815037d7a8261f616513ddc39afce5513a9fa9bcb5eb",
+}
+
 // batchSummaryKinds builds one fresh instance of every summary kind.
 // Each factory must return an identically configured summary on every
-// call so the row-path and batch-path instances are twins.
+// call so the two instances a test compares are twins.
 func batchSummaryKinds(t *testing.T, d, q int) map[string]func() Summary {
 	t.Helper()
 	return map[string]func() Summary{
@@ -85,12 +101,14 @@ func batchSummaryKinds(t *testing.T, d, q int) map[string]func() Summary {
 	}
 }
 
-// TestObserveBatchEquivalentToRows is the batch-path contract for all
-// five summary kinds: feeding rows through ObserveBatch — in uneven
-// batches, including empty and single-row ones, interleaved with
-// plain Observe calls — must leave the summary bit-for-bit identical
-// to row-at-a-time ingestion, pinned by wire-format byte equality
-// (the blob carries rows, sketch state, and sampler RNG state).
+// TestObserveBatchEquivalentToRows is the ingest contract for every
+// summary kind: state depends on the row sequence, not on how it is
+// split into batches. Feeding rows in uneven batches — including
+// empty and single-row ones, interleaved with plain Observe calls —
+// must leave the summary bit-for-bit identical to feeding them one at
+// a time, pinned by wire-format byte equality (the blob carries rows,
+// sketch state, and sampler RNG state), and both must hit the digest
+// recorded from the per-row bodies this repo used to carry.
 func TestObserveBatchEquivalentToRows(t *testing.T) {
 	const d, q, n = 8, 4, 600
 	rows := batchTestRows(d, q, n, 1)
@@ -104,10 +122,6 @@ func TestObserveBatchEquivalentToRows(t *testing.T) {
 				rowWise.Observe(w)
 			}
 			batched := fresh()
-			bo, ok := batched.(BatchObserver)
-			if !ok {
-				t.Fatalf("%s does not implement BatchObserver", batched.Name())
-			}
 			i := 0
 			for _, size := range splits {
 				if i >= n {
@@ -125,7 +139,7 @@ func TestObserveBatchEquivalentToRows(t *testing.T) {
 				for _, w := range rows[i : i+size] {
 					b.Append(w)
 				}
-				bo.ObserveBatch(b)
+				ObserveAll(batched, b)
 				// Reuse-after-ingest: the summary must have copied
 				// anything it kept.
 				for r := 0; r < b.Len(); r++ {
@@ -140,7 +154,7 @@ func TestObserveBatchEquivalentToRows(t *testing.T) {
 			for _, w := range rows[i:] {
 				b.Append(w)
 			}
-			bo.ObserveBatch(b)
+			ObserveAll(batched, b)
 
 			if batched.Rows() != rowWise.Rows() {
 				t.Fatalf("rows %d != %d", batched.Rows(), rowWise.Rows())
@@ -156,6 +170,10 @@ func TestObserveBatchEquivalentToRows(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Fatalf("batch-path wire form differs from row-path (%d vs %d bytes)", len(got), len(want))
 			}
+			sum := sha256.Sum256(want)
+			if digest := hex.EncodeToString(sum[:]); digest != goldenBatchDigests[name] {
+				t.Fatalf("wire form digest %s, golden %s", digest, goldenBatchDigests[name])
+			}
 		})
 	}
 }
@@ -169,7 +187,7 @@ func TestObserveBatchEmptyIsNoOp(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.(BatchObserver).ObserveBatch(words.NewBatch(d, 0))
+		ObserveAll(s, words.NewBatch(d, 0))
 		after, err := MarshalSummary(s)
 		if err != nil {
 			t.Fatal(err)
@@ -193,42 +211,20 @@ func TestObserveBatchDimensionMismatchPanics(t *testing.T) {
 			}()
 			b := words.NewBatch(d+1, 1)
 			b.Append(make(words.Word, d+1))
-			fresh().(BatchObserver).ObserveBatch(b)
+			ObserveAll(fresh(), b)
 		}()
 	}
 }
 
-// TestObserveAllFallsBackWithoutBatchSupport covers the helper's
-// row-at-a-time fallback for summaries without ObserveBatch.
-func TestObserveAllFallsBackWithoutBatchSupport(t *testing.T) {
-	s := &rowOnlySummary{d: 4}
-	b := words.NewBatch(4, 3)
-	for i := uint16(0); i < 3; i++ {
-		b.Append(words.Word{i, i, i, i})
-	}
-	ObserveAll(s, b)
-	if s.rows != 3 {
-		t.Fatalf("fallback fed %d rows, want 3", s.rows)
-	}
-	ex, err := NewExact(4, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ObserveAll(ex, b)
-	if ex.Rows() != 3 || !ex.Table().Row(2).Equal(words.Word{2, 2, 2, 2}) {
-		t.Fatalf("batched ObserveAll: %d rows", ex.Rows())
+// TestObserveOneRowDoesNotAllocate: the one-row batch Observe wraps a
+// row in lives on the stack, so a summary that retains no rows ingests
+// row by row without allocating once its arenas are warm.
+func TestObserveOneRowDoesNotAllocate(t *testing.T) {
+	const d, q = 8, 4
+	s := batchSummaryKinds(t, d, q)["subset"]()
+	row := batchTestRows(d, q, 1, 3)[0]
+	s.Observe(row)
+	if allocs := testing.AllocsPerRun(100, func() { s.Observe(row) }); allocs != 0 {
+		t.Fatalf("Observe allocates %v times per row", allocs)
 	}
 }
-
-// rowOnlySummary implements Summary but not BatchObserver.
-type rowOnlySummary struct {
-	d    int
-	rows int64
-}
-
-func (s *rowOnlySummary) Observe(words.Word) { s.rows++ }
-func (s *rowOnlySummary) Dim() int           { return s.d }
-func (s *rowOnlySummary) Alphabet() int      { return 2 }
-func (s *rowOnlySummary) Rows() int64        { return s.rows }
-func (s *rowOnlySummary) SizeBytes() int     { return 0 }
-func (s *rowOnlySummary) Name() string       { return "row-only" }

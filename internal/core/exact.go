@@ -107,12 +107,10 @@ func NewExact(d, q int) (*Exact, error) {
 
 // Observe appends a copy of the row.
 func (e *Exact) Observe(w words.Word) {
-	e.memo = nil
-	e.table.Append(w)
+	e.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch implements BatchObserver: the whole batch is retained
-// with a single flat append instead of one per row.
+// ObserveBatch retains the whole batch with a single flat append.
 func (e *Exact) ObserveBatch(b *words.Batch) {
 	e.memo = nil
 	e.table.AppendBatch(b)

@@ -320,16 +320,15 @@ func decodeExact(env envelope) (*Exact, error) {
 		return nil, err
 	}
 	r := payloadReader(env)
-	row := make(words.Word, env.d)
-	for i := int64(0); i < env.rows; i++ {
-		for j := range row {
-			row[j] = r.U16()
-		}
-		if err := row.Validate(env.q); err != nil {
-			return nil, badEncoding("exact row %d: %v", i, err)
-		}
-		e.Observe(row)
+	flat := make([]uint16, len(env.payload)/2)
+	for i := range flat {
+		flat[i] = r.U16()
 	}
+	b := words.BatchOf(env.d, flat)
+	if err := b.Validate(env.q); err != nil {
+		return nil, badEncoding("exact payload: %v", err)
+	}
+	e.table.AppendBatch(b)
 	return e, r.Done()
 }
 

@@ -165,7 +165,6 @@ type stableAdapter struct {
 	sk *sketch.Stable
 }
 
-func (a *stableAdapter) Add(item uint64)         { a.sk.Add(item) }
 func (a *stableAdapter) AddBatch(items []uint64) { a.sk.AddBatch(items) }
 func (a *stableAdapter) Estimate() float64       { return a.sk.EstimateMoment() }
 func (a *stableAdapter) SizeBytes() int          { return a.sk.SizeBytes() }
@@ -188,10 +187,7 @@ func (a *stableAdapter) UnmarshalBinary(data []byte) error { return a.sk.Unmarsh
 
 // The F0 sketch wrappers add anet.Mergeable dispatch on top of the
 // typed Merge each sketch already provides; they also forward binary
-// (de)serialization so the communication harness keeps working. The
-// embedded sketches' AddBatch methods promote, so every wrapper
-// satisfies anet.BatchEstimator and member-major batch ingestion takes
-// the batched pipeline.
+// (de)serialization so the communication harness keeps working.
 type kmvEstimator struct{ *sketch.KMV }
 
 // MergeEstimator implements anet.Mergeable.
@@ -227,17 +223,12 @@ func (b bjkstEstimator) MergeEstimator(o anet.Estimator) error {
 
 // Observe feeds one row into every maintained meta-summary.
 func (s *Net) Observe(w words.Word) {
-	s.rows++
-	s.f0.Observe(w)
-	for _, m := range s.fp {
-		m.Observe(w)
-	}
+	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch implements BatchObserver: each meta-summary streams
-// the whole batch member-major (anet.MetaSummary.ObserveBatch), so
-// per-member projection setup is paid once per batch rather than once
-// per row. Sketch states are identical to row-at-a-time ingestion.
+// ObserveBatch streams the whole batch member-major through each
+// meta-summary (anet.MetaSummary.ObserveBatch), so per-member
+// projection setup is paid once per batch rather than once per row.
 func (s *Net) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))

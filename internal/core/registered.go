@@ -23,8 +23,7 @@ type Registered struct {
 	subsets []words.ColumnSet
 	f0      []*sketch.KMV
 	khll    []*sketch.KHLL
-	bufs    []words.Word
-	keyBuf  []byte
+	keyBuf  []byte   // reusable key arena for ObserveBatch
 	fps     []uint64 // reusable fingerprint arena for ObserveBatch
 	rows    int64
 }
@@ -102,39 +101,25 @@ func NewRegistered(d, q int, subsets []words.ColumnSet, cfg RegisteredConfig) (*
 		masks[i], sets[i] = s.masks[j], s.subsets[j]
 	}
 	s.masks, s.subsets = masks, sets
-	for i, c := range s.subsets {
+	for i := range s.subsets {
 		s.f0 = append(s.f0, sketch.KMVForEpsilon(cfg.Epsilon, cfg.Seed+uint64(i)*0x9e3779b97f4a7c15))
 		s.khll = append(s.khll, sketch.NewKHLL(cfg.KHLLValues, cfg.KHLLPrecision, cfg.Seed^uint64(i)*0xa0761d6478bd642f))
-		s.bufs = append(s.bufs, make(words.Word, c.Len()))
 	}
 	return s, nil
 }
 
-// Observe feeds one row into every registered subset's sketches; the
-// running row index serves as the KHLL id.
+// Observe feeds one row into every registered subset's sketches.
 func (s *Registered) Observe(w words.Word) {
-	if len(w) != s.d {
-		panic(fmt.Sprintf("core: row length %d != dimension %d", len(w), s.d))
-	}
-	id := uint64(s.rows)
-	s.rows++
-	for i, c := range s.subsets {
-		w.ProjectInto(c, s.bufs[i])
-		s.keyBuf = words.AppendKey(s.keyBuf[:0], s.bufs[i], words.FullColumnSet(c.Len()))
-		fp := hashing.Fingerprint64(s.keyBuf)
-		s.f0[i].Add(fp)
-		s.khll[i].Add(fp, id)
-	}
+	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch implements BatchObserver, subset-major through the
-// batched key pipeline: each registered subset's whole-batch key arena
+// ObserveBatch feeds the batch subset-major through the batched key
+// pipeline: each registered subset's whole-batch key arena
 // (words.AppendBatchKeys) is fingerprinted in one pass
 // (hashing.AppendFingerprints64) and fed to its F0 and KHLL sketches
-// via AddBatch, with KHLL ids assigned from the running row index
-// exactly as row-at-a-time Observe would — so the sketch states (and
-// the per-stream id semantics Merge documents) are identical to the
-// row path.
+// via AddBatch. The running row index serves as the KHLL id, so ids
+// (and the per-stream id semantics Merge documents) do not depend on
+// where batches are cut.
 func (s *Registered) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != dimension %d", b.Dim(), s.d))

@@ -109,17 +109,12 @@ func (s *Sample) Merge(other Summary) error {
 
 // Observe feeds one row.
 func (s *Sample) Observe(w words.Word) {
-	if s.reservoir {
-		s.rs.Observe(w)
-	} else {
-		s.wr.Observe(w)
-	}
+	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch implements BatchObserver: the underlying sampler
-// replays its draws over the whole batch and clones at most one row
-// per sample slot, instead of one per acceptance. The sampler state
-// is bit-for-bit what row-at-a-time Observe produces.
+// ObserveBatch lets the underlying sampler replay its draws over the
+// whole batch and clone at most one row per sample slot, instead of
+// one per acceptance.
 func (s *Sample) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))

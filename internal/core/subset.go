@@ -23,8 +23,7 @@ type Subset struct {
 	masks   []uint64
 	subsets []words.ColumnSet
 	sk      []*sketch.KMV
-	bufs    []words.Word
-	keyBuf  []byte
+	keyBuf  []byte   // reusable key arena for ObserveBatch
 	fps     []uint64 // reusable fingerprint arena for ObserveBatch
 	rows    int64
 }
@@ -59,7 +58,6 @@ func NewSubset(d, q, t int, eps float64, seed uint64, maxSketches int) (*Subset,
 		s.masks = append(s.masks, maskOf(cols))
 		s.subsets = append(s.subsets, cs)
 		s.sk = append(s.sk, sketch.KMVForEpsilon(eps, master.Uint64()))
-		s.bufs = append(s.bufs, make(words.Word, t))
 		return true
 	})
 	// Combinations enumerates in lexicographic order; queries look up
@@ -72,11 +70,10 @@ func NewSubset(d, q, t int, eps float64, seed uint64, maxSketches int) (*Subset,
 	masks := make([]uint64, len(idx))
 	subsets := make([]words.ColumnSet, len(idx))
 	sk := make([]*sketch.KMV, len(idx))
-	bufs := make([]words.Word, len(idx))
 	for i, j := range idx {
-		masks[i], subsets[i], sk[i], bufs[i] = s.masks[j], s.subsets[j], s.sk[j], s.bufs[j]
+		masks[i], subsets[i], sk[i] = s.masks[j], s.subsets[j], s.sk[j]
 	}
-	s.masks, s.subsets, s.sk, s.bufs = masks, subsets, sk, bufs
+	s.masks, s.subsets, s.sk = masks, subsets, sk
 	return s, nil
 }
 
@@ -90,22 +87,15 @@ func maskOf(cols []int) uint64 {
 
 // Observe feeds one row into every subset sketch.
 func (s *Subset) Observe(w words.Word) {
-	s.rows++
-	for i, cs := range s.subsets {
-		w.ProjectInto(cs, s.bufs[i])
-		s.keyBuf = words.AppendKey(s.keyBuf[:0], s.bufs[i], words.FullColumnSet(s.t))
-		s.sk[i].Add(hashing.Fingerprint64(s.keyBuf))
-	}
+	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch implements BatchObserver, subset-major through the
-// batched key pipeline: for each of the C(d, t) subsets the whole
-// batch is projected into one flat key arena (words.AppendBatchKeys),
+// ObserveBatch feeds the batch subset-major through the batched key
+// pipeline: for each of the C(d, t) subsets the whole batch is
+// projected into one flat key arena (words.AppendBatchKeys),
 // fingerprinted in one pass (hashing.AppendFingerprints64), and fed to
 // that subset's KMV via AddBatch. Both arenas are owned by the summary
-// and reused across subsets and batches. Sketch states are identical
-// to row-at-a-time ingestion (each sketch sees the same fingerprint
-// sequence).
+// and reused across subsets and batches.
 func (s *Subset) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))

@@ -43,7 +43,16 @@ var ErrUnsupported = errors.New("core: query unsupported by this summary")
 
 // Summary is a space-bounded digest of the observed stream.
 type Summary interface {
-	// Observe feeds one row; the summary must not retain the slice.
+	// ObserveBatch feeds every row of b, in order. A summary's state
+	// depends on the row sequence only, not on how it is split into
+	// batches (the batch property tests pin this bit-for-bit), so
+	// per-row bookkeeping — projection scratch, key staging, clones —
+	// is paid once per batch. The summary must not retain b or any row
+	// view into it, and panics if b's dimension is not Dim(). An empty
+	// batch is a no-op.
+	ObserveBatch(b *words.Batch)
+	// Observe feeds one row as a one-row batch; the summary must not
+	// retain the slice.
 	Observe(w words.Word)
 	// Dim returns the number of columns d.
 	Dim() int
@@ -59,35 +68,8 @@ type Summary interface {
 	Name() string
 }
 
-// BatchObserver is the amortized-ingestion capability: a summary that
-// can digest a whole flat batch of rows (words.Batch) in one call,
-// paying its per-row bookkeeping — buffer setup, projection scratch,
-// map-key staging, clones — once per batch instead of once per row.
-// All five core summaries implement it, each with a genuinely
-// amortized inner loop, and the sharded engine routes whole chunks of
-// a batch to its workers through it. ObserveBatch must be equivalent
-// to calling Observe on every row of the batch in order (the batch
-// property tests pin this down bit-for-bit).
-type BatchObserver interface {
-	// ObserveBatch feeds every row of b, exactly as if Observe had
-	// been called row by row. The summary must not retain b or any
-	// row view into it, and must panic on a dimension mismatch like
-	// Observe does. An empty batch is a no-op.
-	ObserveBatch(b *words.Batch)
-}
-
-// ObserveAll feeds every row of b into s through its batched path
-// when the summary provides one, falling back to row-at-a-time
-// Observe otherwise.
-func ObserveAll(s Summary, b *words.Batch) {
-	if bo, ok := s.(BatchObserver); ok {
-		bo.ObserveBatch(b)
-		return
-	}
-	for i, n := 0, b.Len(); i < n; i++ {
-		s.Observe(b.Row(i))
-	}
-}
+// ObserveAll feeds every row of b into s.
+func ObserveAll(s Summary, b *words.Batch) { s.ObserveBatch(b) }
 
 // Mergeable is the distributed-ingestion capability: a summary that
 // can fold a peer built over a disjoint part of the stream into

@@ -17,11 +17,11 @@ import (
 //	log order == routing order == the checkpoint cut
 //
 // Appends hold logMu across the log write and the shard routing
-// (ingest, absorb), and CheckpointState reads the cut LSN and the
-// routing clock while holding logMu inside the quiesce barrier — so a
-// checkpoint's shard blobs contain exactly the records below its LSN,
-// and replaying the records at or above it through the same routing
-// code rebuilds the exact pre-crash shard state.
+// (ObserveBatchDurable, absorb), and CheckpointState reads the cut LSN
+// and the routing clock while holding logMu inside the quiesce barrier
+// — so a checkpoint's shard blobs contain exactly the records below
+// its LSN, and replaying the records at or above it through the same
+// routing code rebuilds the exact pre-crash shard state.
 
 // Log is the durability tee the engine appends to before routing
 // (implemented by *store.Store). Append calls are serialized by the

@@ -8,10 +8,10 @@
 // # Ingestion
 //
 // The Sharded engine runs one worker goroutine per shard, each owning
-// a private summary fed through a buffered channel; Observe is safe
-// for concurrent callers and never touches a summary directly, and
-// ObserveBatch routes whole chunks of rows per channel send through
-// the summaries' amortized batch paths (core.BatchObserver).
+// a private summary fed through a buffered channel; ObserveBatch is
+// safe for concurrent callers, never touches a summary directly, and
+// routes one chunk of rows per channel send into the shard summary's
+// ObserveBatch.
 //
 // # Queries
 //
@@ -96,8 +96,8 @@ type Config struct {
 	// budget; when both budgets are set, exceeding either one forces a
 	// rebuild.
 	MaxStalenessInterval time.Duration
-	// Log, when non-nil, is the durability tee: every accepted batch,
-	// row, and absorbed summary is appended to it before it is routed
+	// Log, when non-nil, is the durability tee: every accepted batch
+	// and absorbed summary is appended to it before it is routed
 	// to a shard, so a crashed process can be rebuilt by replaying the
 	// log (see internal/store and the durability section of
 	// ARCHITECTURE.md). Ingestion through a log is serialized —
@@ -125,11 +125,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shardMsg is one channel element: a row to observe, a pooled chunk of
-// rows (chunk != nil), or a barrier (ack != nil) that pauses the
-// worker until resume closes.
+// shardMsg is one channel element: a pooled chunk of rows, or a
+// barrier (ack != nil) that pauses the worker until resume closes.
 type shardMsg struct {
-	row    words.Word
 	chunk  *chunk
 	ack    chan<- struct{}
 	resume <-chan struct{}
@@ -379,68 +377,45 @@ func (s *Sharded) worker(i int) {
 	// chunk's arena: no per-chunk *Batch allocation on the ingest path.
 	var batch words.Batch
 	for m := range s.chans[i] {
-		switch {
-		case m.ack != nil:
+		if m.ack != nil {
 			m.ack <- struct{}{}
 			<-m.resume
-		case m.chunk != nil:
-			ch := m.chunk
-			batch.Bind(d, ch.rows)
-			sum.ObserveBatch(&batch)
-			ch.rows = ch.rows[:0]
-			s.arenaFree <- ch
-		default:
-			sum.Observe(m.row)
+			continue
 		}
+		ch := m.chunk
+		batch.Bind(d, ch.rows)
+		sum.ObserveBatch(&batch)
+		ch.rows = ch.rows[:0]
+		s.arenaFree <- ch
 	}
 }
 
-// Observe routes one row to a shard worker, round-robin. It is safe
-// for concurrent callers; the row is cloned before handoff, honouring
-// the Summary contract that the argument is not retained. It must not
-// be called after Close.
-//
-// The row counts as accepted only once it is in the shard queue: the
-// accepted-rows clock ticks after the channel send, so a concurrent
-// Flush that observes the new count is guaranteed to find the row
-// behind its quiesce barrier and reflect it in the snapshot.
-//
-// With a durability log configured the row is appended to it (as a
-// one-row batch record) before it is routed; a log failure panics,
-// because this signature cannot report that the durability promise
-// was broken — servers use ObserveBatchDurable, which returns it.
+// Observe routes one row as a one-row batch; see ObserveBatch, whose
+// contract (concurrency, the shape check in the caller, the durability
+// log, no use after Close) it shares.
 func (s *Sharded) Observe(w words.Word) {
-	if s.closed.Load() {
-		panic("engine: Observe after Close")
-	}
-	if s.log != nil {
-		if len(w) != s.Dim() {
-			panic(fmt.Sprintf("engine: row length %d != engine dimension %d", len(w), s.Dim()))
-		}
-		if err := s.ingest(words.BatchOf(len(w), w)); err != nil {
-			panic(fmt.Sprintf("engine: durability log append failed: %v", err))
-		}
-		return
-	}
-	i := s.next.Add(1) % uint64(len(s.chans))
-	s.chans[i] <- shardMsg{row: w.Clone()}
-	s.enqueued.Add(1)
+	s.ObserveBatch(words.RowBatch(w))
 }
 
 // ObserveBatch routes a whole batch of rows to the shard workers in
 // chunks of at most Config.BatchChunk rows: one arena copy and one
-// channel send per chunk, instead of one clone, one atomic increment,
-// and one send per row. Chunks are distributed round-robin with the
-// same routing counter as Observe, and each worker feeds its summary
-// through the summary's own batched path (core.BatchObserver), so the
-// merged result is identical to observing every row individually —
-// only the shard assignment granularity differs, which the merge
-// contract makes invisible. Safe for concurrent callers; b is not
-// retained and may be reused (or mutated) as soon as the call
-// returns. It must not be called after Close.
+// channel send per chunk. Chunks are distributed round-robin and each
+// worker feeds its shard summary's ObserveBatch; how a stream is cut
+// into batches and chunks only moves rows between shards, which the
+// merge contract makes invisible. Safe for concurrent callers; b is
+// not retained and may be reused (or mutated) as soon as the call
+// returns. It must not be called after Close, and it panics in the
+// caller if b's dimension is not the engine's.
+//
+// A chunk counts as accepted only once it is in the shard queue: the
+// accepted-rows clock ticks after the channel send, so a concurrent
+// Flush that observes the new count is guaranteed to find the rows
+// behind its quiesce barrier and reflect them in the snapshot.
+//
 // With a durability log configured the whole batch is appended as one
-// record before its chunks are routed; a log failure panics (see
-// Observe) — servers use ObserveBatchDurable instead.
+// record before its chunks are routed; a log failure panics, because
+// this signature cannot report that the durability promise was broken
+// — servers use ObserveBatchDurable, which returns it.
 func (s *Sharded) ObserveBatch(b *words.Batch) {
 	if err := s.ObserveBatchDurable(b); err != nil {
 		panic(fmt.Sprintf("engine: durability log append failed: %v", err))
@@ -452,6 +427,11 @@ func (s *Sharded) ObserveBatch(b *words.Batch) {
 // append failure is returned with nothing routed — the engine and the
 // log stay consistent and the caller (the daemon's observe handler)
 // can refuse the request. Without a log it never fails.
+//
+// This is the tee point. Log order must equal routing order or replay
+// would re-shard rows differently than the original run, so the whole
+// append+route sequence holds logMu — durable ingestion is serialized,
+// which the log's own disk write would largely force anyway.
 func (s *Sharded) ObserveBatchDurable(b *words.Batch) error {
 	if s.closed.Load() {
 		panic("engine: ObserveBatch after Close")
@@ -459,23 +439,12 @@ func (s *Sharded) ObserveBatchDurable(b *words.Batch) error {
 	if b.Dim() != s.Dim() {
 		panic(fmt.Sprintf("engine: batch dimension %d != engine dimension %d", b.Dim(), s.Dim()))
 	}
-	return s.ingest(b)
-}
-
-// ingest is the tee point: append to the log (if configured), then
-// route. Log order must equal routing order or replay would re-shard
-// rows differently than the original run, so the whole append+route
-// sequence holds logMu — durable ingestion is serialized, which the
-// log's own disk write would largely force anyway.
-func (s *Sharded) ingest(b *words.Batch) error {
-	if s.log == nil {
-		s.routeBatch(b)
-		return nil
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	if err := s.log.AppendBatch(b); err != nil {
-		return err
+	if s.log != nil {
+		s.logMu.Lock()
+		defer s.logMu.Unlock()
+		if err := s.log.AppendBatch(b); err != nil {
+			return err
+		}
 	}
 	s.routeBatch(b)
 	return nil
@@ -809,8 +778,9 @@ func (s *Sharded) absorb(sum core.Summary, tee bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log != nil {
-		// The log order must match the state order (see ingest): no row
-		// append may land between this merge and its log record.
+		// The log order must match the state order (see
+		// ObserveBatchDurable): no row append may land between this
+		// merge and its log record.
 		s.logMu.Lock()
 		defer s.logMu.Unlock()
 	}

@@ -408,6 +408,34 @@ func TestShardedObserveBatchMatchesRowPath(t *testing.T) {
 	}
 }
 
+// TestObserveShapePanicIsTheCallers: a wrong-length row panics in the
+// goroutine that called Observe, where it can be recovered, and the
+// engine keeps ingesting. Without a durability log the row used to
+// reach a shard worker unchecked and panic there, which no caller
+// frame can recover: it took the process down.
+func TestObserveShapePanicIsTheCallers(t *testing.T) {
+	eng, err := NewSharded(exactFactory(4, 2), Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a 3-symbol row into a 4-column engine must panic")
+			}
+		}()
+		eng.Observe(words.Word{0, 1, 0})
+	}()
+	eng.Observe(words.Word{0, 1, 0, 1})
+	if _, err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if eng.Rows() != 1 {
+		t.Fatalf("engine holds %d rows after one good row, want 1", eng.Rows())
+	}
+}
+
 // TestFlushReflectsAcceptedRows is the regression test for the
 // accepted-rows clock ordering: Observe/ObserveBatch must count a row
 // only once it is in a shard queue, so any Flush that starts after an
@@ -590,12 +618,13 @@ func TestCacheEvictionChurnBounded(t *testing.T) {
 // validation tests (every core summary is mergeable these days).
 type unmergeable struct{}
 
-func (unmergeable) Observe(words.Word) {}
-func (unmergeable) Dim() int           { return 4 }
-func (unmergeable) Alphabet() int      { return 2 }
-func (unmergeable) Rows() int64        { return 0 }
-func (unmergeable) SizeBytes() int     { return 0 }
-func (unmergeable) Name() string       { return "unmergeable" }
+func (unmergeable) ObserveBatch(*words.Batch) {}
+func (unmergeable) Observe(words.Word)        {}
+func (unmergeable) Dim() int                  { return 4 }
+func (unmergeable) Alphabet() int             { return 2 }
+func (unmergeable) Rows() int64               { return 0 }
+func (unmergeable) SizeBytes() int            { return 0 }
+func (unmergeable) Name() string              { return "unmergeable" }
 
 func TestAbsorbInvalidatesSnapshotDespiteDonorRowCount(t *testing.T) {
 	// A donor blob can carry sketch state while claiming zero rows

@@ -132,9 +132,9 @@ type entry struct {
 
 // Registry holds the catch-all full-dimension summary and any number
 // of per-columnset subspace summaries, and plans projection queries
-// across them. It implements core.Summary, core.BatchObserver,
-// core.Mergeable, the four batched query interfaces, and the wire
-// codec, so it composes with everything built for single summaries.
+// across them. It implements core.Summary, core.Mergeable, the four
+// batched query interfaces, and the wire codec, so it composes with
+// everything built for single summaries.
 //
 // A Registry is not safe for concurrent mutation; like the summaries
 // it contains, callers serialize Observe/Merge/RegisterSubspace (the
@@ -357,25 +357,18 @@ func (r *Registry) Subspace(i int) (words.ColumnSet, core.Summary) {
 	return r.entries[i].cols, r.entries[i].sum
 }
 
-// Observe fans one row out to the full summary and every subspace
-// summary, keeping all members over the identical stream.
+// Observe feeds one row to every member, as a one-row batch.
 func (r *Registry) Observe(w words.Word) {
-	r.unseal()
-	r.full.Observe(w)
-	for i := range r.entries {
-		r.entries[i].sum.Observe(w)
-	}
+	r.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch implements core.BatchObserver by feeding the whole
-// batch to each member through its own amortized batch path (falling
-// back to per-row Observe for members without one), equivalent to
-// observing every row in order.
+// ObserveBatch fans the whole batch out to the full summary and every
+// subspace summary, keeping all members over the identical stream.
 func (r *Registry) ObserveBatch(b *words.Batch) {
 	r.unseal()
-	core.ObserveAll(r.full, b)
+	r.full.ObserveBatch(b)
 	for i := range r.entries {
-		core.ObserveAll(r.entries[i].sum, b)
+		r.entries[i].sum.ObserveBatch(b)
 	}
 }
 

@@ -2,10 +2,13 @@ package registry
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/words"
 )
 
@@ -551,5 +554,95 @@ func TestDecodeRejectsNestedRegistry(t *testing.T) {
 	_, err = core.UnmarshalSummary(evil)
 	if !errors.Is(err, core.ErrBadEncoding) {
 		t.Fatalf("nested registry blob: %v", err)
+	}
+}
+
+// goldenRegistryDigest is the SHA-256 of the wire form of the registry
+// TestObserveSplitInvariant builds, after its 600 rows went in one
+// Observe call at a time at commit 50dbadb — through the per-row bodies
+// Registry, core.Exact and core.Registered still had there.
+const goldenRegistryDigest = "b58f6157e60461cca2372c6321e148415675bf47d6a42fe085a01cdc638eae0c"
+
+// TestObserveSplitInvariant is the registry's side of the ingest
+// contract (core's TestObserveBatchEquivalentToRows covers the bare
+// summaries on the same stream): members stay in lockstep and the wire
+// form depends on the row sequence only, however it is split into
+// ObserveBatch and Observe calls.
+func TestObserveSplitInvariant(t *testing.T) {
+	const d, q, n = 8, 4, 600
+	// core's batchTestRows(d, q, n, 1), which this package cannot import.
+	src := rng.New(1)
+	rows := make([]words.Word, n)
+	for i := range rows {
+		w := make(words.Word, d)
+		lo := 0
+		if src.Float64() < 0.4 {
+			lo = d / 2
+		}
+		for j := lo; j < d; j++ {
+			w[j] = uint16(src.Intn(q))
+		}
+		rows[i] = w
+	}
+	build := func() *Registry {
+		full, err := core.NewExact(d, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg, err := New(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := words.MustColumnSet(d, 0, 1)
+		sub, err := core.NewRegistered(d, q, []words.ColumnSet{cols},
+			core.RegisteredConfig{Epsilon: 0.1, KHLLValues: 64, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.RegisterSubspace(cols, sub); err != nil {
+			t.Fatal(err)
+		}
+		return reg
+	}
+	digest := func(reg *Registry) string {
+		blob, err := core.MarshalSummary(reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		return hex.EncodeToString(sum[:])
+	}
+
+	rowWise := build()
+	for _, w := range rows {
+		rowWise.Observe(w)
+	}
+	if got := digest(rowWise); got != goldenRegistryDigest {
+		t.Fatalf("row-at-a-time digest %s, golden %s", got, goldenRegistryDigest)
+	}
+
+	split := build()
+	i := 0
+	for _, size := range []int{3, 0, 1, -1, 97, 64, -1, -1, 200, n} {
+		if size < 0 {
+			split.Observe(rows[i])
+			i++
+			continue
+		}
+		if i+size > n {
+			size = n - i
+		}
+		b := words.NewBatch(d, size)
+		for _, w := range rows[i : i+size] {
+			b.Append(w)
+		}
+		split.ObserveBatch(b)
+		i += size
+	}
+	if split.Rows() != n {
+		t.Fatalf("split ingest holds %d rows, want %d", split.Rows(), n)
+	}
+	if got := digest(split); got != goldenRegistryDigest {
+		t.Fatalf("split digest %s, golden %s", got, goldenRegistryDigest)
 	}
 }

@@ -1,18 +1,15 @@
 // Package sample implements the row-sampling primitives behind the
 // paper's upper bounds: the with-replacement uniform sampler of
-// Theorem 5.1 (uSample), classical reservoir sampling, Bernoulli
-// sampling, a min-hash distinct (ℓ₀) sampler valid for insertion-only
-// streams, and an Efraimidis–Spirakis weighted sampler. All samplers
-// store words.Word rows and are deterministic given their seed.
+// Theorem 5.1 (uSample) and classical reservoir sampling. Both
+// samplers store words.Word rows and are deterministic given their
+// seed.
 package sample
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 
-	"repro/internal/hashing"
 	"repro/internal/rng"
 	"repro/internal/words"
 )
@@ -58,21 +55,15 @@ func SizeForError(eps, delta float64) int {
 
 // Observe feeds one row into every slot's reservoir.
 func (s *WithReplacement) Observe(w words.Word) {
-	s.seen++
-	for i := range s.rows {
-		// Keep the new row with probability 1/seen.
-		if s.srcs[i].Uint64n(uint64(s.seen)) == 0 {
-			s.rows[i] = w.Clone()
-		}
-	}
+	s.ObserveBatch(words.RowBatch(w))
 }
 
 // ObserveBatch feeds every row of b, slot-major: each slot replays its
-// private reservoir draws over the whole batch and only the last
-// accepted row (if any) is cloned, so a batch costs at most one clone
-// per slot instead of one per acceptance. The draw sequence per slot
-// is identical to row-at-a-time Observe, so the resulting sampler
-// state is bit-for-bit the same.
+// private reservoir draws over the whole batch — the row at stream
+// position n is kept with probability 1/n — and only the last accepted
+// row (if any) is cloned, so a batch costs at most one clone per slot
+// instead of one per acceptance. A slot's draw sequence depends on the
+// stream positions only, not on where batches are cut.
 func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 	n := b.Len()
 	if n == 0 {
@@ -196,22 +187,16 @@ func NewReservoir(t int, seed uint64) *Reservoir {
 
 // Observe feeds one row.
 func (r *Reservoir) Observe(w words.Word) {
-	r.seen++
-	if len(r.rows) < r.t {
-		r.rows = append(r.rows, w.Clone())
-		return
-	}
-	j := r.src.Uint64n(uint64(r.seen))
-	if j < uint64(r.t) {
-		r.rows[j] = w.Clone()
-	}
+	r.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch feeds every row of b with the same draw sequence as
-// row-at-a-time Observe, but defers cloning: a slot hit several times
+// ObserveBatch feeds every row of b (Algorithm R: fill the first t
+// slots, then the row at stream position n replaces a uniform slot
+// with probability t/n) and defers cloning: a slot hit several times
 // within the batch keeps only the last assignment, so the batch costs
-// one clone per touched slot rather than one per acceptance. The
-// resulting reservoir state is bit-for-bit identical to the row path.
+// one clone per touched slot rather than one per acceptance. The draw
+// sequence depends on the stream positions only, not on where batches
+// are cut.
 func (r *Reservoir) ObserveBatch(b *words.Batch) {
 	n := b.Len()
 	i := 0
@@ -308,145 +293,4 @@ func (r *Reservoir) EstimateFrequency(c words.ColumnSet, b words.Word) float64 {
 		}
 	}
 	return float64(g) / float64(len(r.rows)) * float64(r.seen)
-}
-
-// Bernoulli keeps each row independently with probability rate.
-type Bernoulli struct {
-	rate float64
-	seen int64
-	rows []words.Word
-	src  *rng.Source
-}
-
-// NewBernoulli returns a sampler with the given keep probability.
-func NewBernoulli(rate float64, seed uint64) *Bernoulli {
-	if rate <= 0 || rate > 1 {
-		panic("sample: Bernoulli rate outside (0,1]")
-	}
-	return &Bernoulli{rate: rate, src: rng.New(seed)}
-}
-
-// Observe feeds one row.
-func (b *Bernoulli) Observe(w words.Word) {
-	b.seen++
-	if b.src.Float64() < b.rate {
-		b.rows = append(b.rows, w.Clone())
-	}
-}
-
-// Rows returns the kept rows.
-func (b *Bernoulli) Rows() []words.Word { return b.rows }
-
-// Seen returns the stream length observed.
-func (b *Bernoulli) Seen() int64 { return b.seen }
-
-// Rate returns the keep probability.
-func (b *Bernoulli) Rate() float64 { return b.rate }
-
-// Distinct is a min-hash ℓ₀ sampler for insertion-only streams: it
-// retains the t rows whose full-row fingerprints hash smallest, which
-// is a uniform sample (without replacement) from the *distinct* rows
-// seen. Valid only without deletions — exactly the paper's model.
-type Distinct struct {
-	t     int
-	h     hashing.Mixer
-	items []distinctItem
-	index map[uint64]struct{}
-}
-
-type distinctItem struct {
-	hash uint64
-	row  words.Word
-}
-
-// NewDistinct returns an ℓ₀ sampler retaining t distinct rows.
-func NewDistinct(t int, seed uint64) *Distinct {
-	if t < 1 {
-		panic("sample: need positive distinct-sample size")
-	}
-	return &Distinct{t: t, h: hashing.NewMixer(seed), index: make(map[uint64]struct{})}
-}
-
-// Observe feeds one row.
-func (d *Distinct) Observe(w words.Word) {
-	full := words.FullColumnSet(len(w))
-	hv := d.h.Hash(hashing.Fingerprint64(words.AppendKey(nil, w, full)))
-	if _, dup := d.index[hv]; dup {
-		return
-	}
-	if len(d.items) >= d.t && hv >= d.items[len(d.items)-1].hash {
-		return
-	}
-	d.index[hv] = struct{}{}
-	i := sort.Search(len(d.items), func(i int) bool { return d.items[i].hash >= hv })
-	d.items = append(d.items, distinctItem{})
-	copy(d.items[i+1:], d.items[i:])
-	d.items[i] = distinctItem{hash: hv, row: w.Clone()}
-	if len(d.items) > d.t {
-		drop := d.items[len(d.items)-1]
-		delete(d.index, drop.hash)
-		d.items = d.items[:len(d.items)-1]
-	}
-}
-
-// Rows returns the sampled distinct rows (ascending hash order).
-func (d *Distinct) Rows() []words.Word {
-	out := make([]words.Word, len(d.items))
-	for i, it := range d.items {
-		out[i] = it.row
-	}
-	return out
-}
-
-// Weighted is the Efraimidis–Spirakis A-ES sampler: a size-t sample
-// where item i is included with probability proportional to its
-// weight, maintained online via keys u^{1/w}.
-type Weighted struct {
-	t     int
-	src   *rng.Source
-	items []weightedItem
-}
-
-type weightedItem struct {
-	key float64
-	row words.Word
-}
-
-// NewWeighted returns a weighted sampler of capacity t.
-func NewWeighted(t int, seed uint64) *Weighted {
-	if t < 1 {
-		panic("sample: need positive weighted-sample size")
-	}
-	return &Weighted{t: t, src: rng.New(seed)}
-}
-
-// Observe feeds one row with the given positive weight.
-func (ws *Weighted) Observe(w words.Word, weight float64) {
-	if weight <= 0 {
-		panic("sample: non-positive weight")
-	}
-	u := ws.src.Float64()
-	for u == 0 {
-		u = ws.src.Float64()
-	}
-	key := math.Pow(u, 1/weight)
-	if len(ws.items) >= ws.t && key <= ws.items[len(ws.items)-1].key {
-		return
-	}
-	i := sort.Search(len(ws.items), func(i int) bool { return ws.items[i].key <= key })
-	ws.items = append(ws.items, weightedItem{})
-	copy(ws.items[i+1:], ws.items[i:])
-	ws.items[i] = weightedItem{key: key, row: w.Clone()}
-	if len(ws.items) > ws.t {
-		ws.items = ws.items[:len(ws.items)-1]
-	}
-}
-
-// Rows returns the sampled rows, highest key first.
-func (ws *Weighted) Rows() []words.Word {
-	out := make([]words.Word, len(ws.items))
-	for i, it := range ws.items {
-		out[i] = it.row
-	}
-	return out
 }

@@ -139,98 +139,6 @@ func TestReservoirShortStream(t *testing.T) {
 	}
 }
 
-func TestBernoulliRate(t *testing.T) {
-	s := NewBernoulli(0.1, 9)
-	const n = 50000
-	for i := 0; i < n; i++ {
-		s.Observe(words.Word{uint16(i % 7)})
-	}
-	kept := float64(len(s.Rows()))
-	if math.Abs(kept/n-0.1) > 0.01 {
-		t.Fatalf("Bernoulli kept %v of stream, want 0.1", kept/n)
-	}
-	if s.Seen() != n || s.Rate() != 0.1 {
-		t.Fatalf("bookkeeping: seen %d rate %v", s.Seen(), s.Rate())
-	}
-}
-
-func TestDistinctSamplerDedups(t *testing.T) {
-	s := NewDistinct(16, 11)
-	// 8 distinct rows, each observed many times.
-	for rep := 0; rep < 100; rep++ {
-		for v := 0; v < 8; v++ {
-			s.Observe(words.Word{uint16(v)})
-		}
-	}
-	rows := s.Rows()
-	if len(rows) != 8 {
-		t.Fatalf("distinct sampler holds %d, want 8", len(rows))
-	}
-	seen := map[uint16]bool{}
-	for _, r := range rows {
-		if seen[r[0]] {
-			t.Fatal("duplicate in distinct sample")
-		}
-		seen[r[0]] = true
-	}
-}
-
-func TestDistinctSamplerUniformOverDistinct(t *testing.T) {
-	// 100 distinct rows with wildly different multiplicities; a
-	// min-hash sample of 20 must be (near) uniform over the 100, not
-	// weighted by multiplicity. Count inclusion of the heavy value
-	// across seeds.
-	includes := 0
-	const seeds = 300
-	for seed := uint64(0); seed < seeds; seed++ {
-		s := NewDistinct(20, seed)
-		for i := 0; i < 100; i++ {
-			reps := 1
-			if i == 0 {
-				reps = 1000 // heavy row
-			}
-			for r := 0; r < reps; r++ {
-				s.Observe(words.Word{uint16(i)})
-			}
-		}
-		for _, r := range s.Rows() {
-			if r[0] == 0 {
-				includes++
-			}
-		}
-	}
-	rate := float64(includes) / seeds
-	if math.Abs(rate-0.2) > 0.08 {
-		t.Fatalf("heavy row inclusion rate %v, want ~0.2 (uniform over distinct)", rate)
-	}
-}
-
-func TestWeightedSamplerPrefersHeavyWeights(t *testing.T) {
-	const trials = 400
-	heavyWins := 0
-	for seed := uint64(0); seed < trials; seed++ {
-		s := NewWeighted(1, seed)
-		s.Observe(words.Word{0}, 1)
-		s.Observe(words.Word{1}, 9)
-		if s.Rows()[0][0] == 1 {
-			heavyWins++
-		}
-	}
-	rate := float64(heavyWins) / trials
-	if math.Abs(rate-0.9) > 0.06 {
-		t.Fatalf("heavy item sampled at rate %v, want ~0.9", rate)
-	}
-}
-
-func TestWeightedSamplerValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on non-positive weight")
-		}
-	}()
-	NewWeighted(2, 1).Observe(words.Word{0}, 0)
-}
-
 func TestSamplersCloneRows(t *testing.T) {
 	w := words.Word{5}
 	s := NewReservoir(4, 13)

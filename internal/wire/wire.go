@@ -7,6 +7,9 @@
 // A Reader is parameterized by the owning package's corruption
 // sentinel, so truncation errors surface in each layer's own error
 // taxonomy (sketch.ErrCorrupt, sample.ErrCorrupt, core.ErrBadEncoding).
+//
+// The package also holds the codec of the one JSON payload on the
+// ingest path, the /v1/observe request body (observe.go).
 package wire
 
 import (

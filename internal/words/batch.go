@@ -4,10 +4,9 @@ import "fmt"
 
 // Batch is a flat buffer of rows: n rows of a fixed dimension d stored
 // row-major in one []uint16 backing array with stride d. It is the
-// unit of amortized ingestion — building rows into a Batch and feeding
-// summaries through their batched path (core.BatchObserver) replaces
-// one allocation, one clone, and one handoff per row with one per
-// batch.
+// unit of ingestion — building rows into a Batch and feeding it to
+// core.Summary.ObserveBatch costs one allocation, one clone, and one
+// handoff per batch rather than per row.
 //
 // A Batch is a mutable builder (Append/AppendRow/Reset) whose row
 // views alias its storage; consumers of a Batch must therefore not
@@ -42,6 +41,17 @@ func BatchOf(d int, symbols []uint16) *Batch {
 		panic(fmt.Sprintf("words: %d symbols do not form whole rows of %d", len(symbols), d))
 	}
 	return &Batch{d: d, data: symbols}
+}
+
+// RowBatch returns the one-row batch aliasing w (no copy): how a
+// single row enters the batch-only ingest path. It panics on an empty
+// row. It is small enough to inline, so the batch stays on the caller's
+// stack when the consumer does not retain it.
+func RowBatch(w Word) *Batch {
+	if len(w) == 0 {
+		panic("words: empty row")
+	}
+	return &Batch{d: len(w), data: w}
 }
 
 // Dim returns the number of columns d.

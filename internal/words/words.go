@@ -8,9 +8,9 @@
 //
 //   - Data: Word is one row ([]uint16 symbols); Table is an in-memory
 //     n×d array; RowSource streams rows one pass at a time; Batch is a
-//     flat stride-d buffer of rows, the unit of amortized ingestion
-//     (one allocation and one bookkeeping pass per batch instead of
-//     per row) that core.BatchObserver consumes.
+//     flat stride-d buffer of rows, the unit of ingestion (one
+//     allocation and one bookkeeping pass per batch instead of per
+//     row) that core.Summary.ObserveBatch consumes.
 //   - Queries: ColumnSet is an immutable subset C ⊆ [d] with the set
 //     algebra the bounds are stated in (union, intersection, symmetric
 //     difference for the α-net neighbour distance) and the predicates

@@ -55,17 +55,12 @@ type RowSource = words.RowSource
 // Table is an in-memory n×d array.
 type Table = words.Table
 
-// Batch is a flat stride-d buffer of rows — the unit of amortized
-// ingestion. Build rows into a Batch and feed summaries through
-// ObserveAll (or the engine's ObserveBatch) to pay per-row overhead
-// once per batch instead of once per row.
+// Batch is a flat stride-d buffer of rows — the unit of ingestion.
+// Build rows into a Batch and feed it to a summary's (or the engine's)
+// ObserveBatch to pay per-row overhead once per batch; Observe is the
+// one-row case. A summary's state depends on the row sequence only,
+// not on how it is split into batches.
 type Batch = words.Batch
-
-// BatchObserver is the amortized-ingestion capability: a summary that
-// digests a whole Batch in one call, equivalently to observing every
-// row in order. All five summaries and the sharded engine implement
-// it.
-type BatchObserver = core.BatchObserver
 
 // NewBatch returns an empty batch of rows with d columns and capacity
 // preallocated for capacityRows rows.
@@ -74,10 +69,6 @@ func NewBatch(d, capacityRows int) *Batch { return words.NewBatch(d, capacityRow
 // BatchOf wraps an existing flat row-major symbol slice (length a
 // multiple of d) as a batch without copying.
 func BatchOf(d int, symbols []uint16) *Batch { return words.BatchOf(d, symbols) }
-
-// ObserveAll feeds every row of b into s through its batched path
-// when the summary provides one, one row at a time otherwise.
-func ObserveAll(s Summary, b *Batch) { core.ObserveAll(s, b) }
 
 // Summary is a space-bounded digest answering projected queries.
 type Summary = core.Summary
