@@ -7,15 +7,11 @@
 package projfreq
 
 import (
-	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/anet"
-	"repro/internal/benchsuite"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/freq"
 	"repro/internal/hashing"
@@ -377,263 +373,6 @@ func BenchmarkExactF0Query(b *testing.B) {
 	}
 }
 
-// --- Sharded engine: ingestion throughput across shard counts and
-// batched query latency. The Net summary is the heavy per-row update
-// (one sketch add per net member), so it is where parallel ingest
-// pays; the final Flush folds the merge cost into the timed region.
-
-func benchShardedObserve(b *testing.B, shards int) {
-	cfg := core.NetConfig{Alpha: 0.3, Epsilon: 0.25, Seed: 19}
-	eng, err := engine.NewSharded(func(int) (core.Summary, error) {
-		return core.NewNet(12, 2, cfg)
-	}, engine.Config{Shards: shards, Queue: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	src := rng.New(21)
-	w := make(words.Word, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range w {
-			w[j] = uint16(src.Intn(2))
-		}
-		eng.Observe(w)
-	}
-	if _, err := eng.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func BenchmarkShardedObserve_1(b *testing.B) { benchShardedObserve(b, 1) }
-func BenchmarkShardedObserve_2(b *testing.B) { benchShardedObserve(b, 2) }
-func BenchmarkShardedObserve_4(b *testing.B) { benchShardedObserve(b, 4) }
-func BenchmarkShardedObserve_NumCPU(b *testing.B) {
-	benchShardedObserve(b, runtime.GOMAXPROCS(0))
-}
-
-// --- Batched engine ingestion at d=16. The reservoir sample summary
-// keeps per-row work tiny (one RNG draw) and its state bounded
-// regardless of b.N, so what this bench measures is the engine hot
-// path itself: one arena copy and one channel send per chunk. One
-// iteration is one row.
-
-func benchShardedIngest16(b *testing.B, batchRows int) {
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return core.NewSample(16, 4, 256, uint64(shard)+1, core.WithReservoir())
-	}, engine.Config{Shards: 4, Queue: 1024})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	const pool = 1 << 12
-	data := make([]uint16, pool*16)
-	src := rng.New(35)
-	for i := range data {
-		data[i] = uint16(src.Intn(4))
-	}
-	rows := words.BatchOf(16, data)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for lo := 0; lo < b.N; lo += batchRows {
-		n := batchRows
-		if lo+n > b.N {
-			n = b.N - lo
-		}
-		eng.ObserveBatch(rows.Slice(0, n))
-	}
-	if _, err := eng.Flush(); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkShardedObserveBatch tracks the batched ingestion pipeline
-// across batch sizes.
-func BenchmarkShardedObserveBatch(b *testing.B) {
-	for _, size := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("rows%d", size), func(b *testing.B) {
-			benchShardedIngest16(b, size)
-		})
-	}
-}
-
-// BenchmarkMixedReadWrite is the acceptance benchmark for the epoch
-// read path (internal/benchsuite.MixedReadWrite): batched ingestion
-// timed under concurrent QueryBatch readers. "epoch-readers" must stay
-// within ~10% of the read-free "ingest-only" ceiling, against the
-// "strict-readers" quiesce baseline. cmd/bench runs the same workloads
-// to produce the committed BENCH_*.json receipts.
-func BenchmarkMixedReadWrite(b *testing.B) {
-	modes := []struct {
-		name string
-		mode benchsuite.MixedMode
-	}{
-		{"ingest-only", benchsuite.MixedIngestOnly},
-		{"epoch-readers", benchsuite.MixedEpochReaders},
-		{"strict-readers", benchsuite.MixedStrictReaders},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) { benchsuite.MixedReadWrite(b, m.mode) })
-	}
-}
-
-// BenchmarkWALAppend times write-ahead-log batch appends (the
-// durability tee's cost per row) via the shared bench suite.
-func BenchmarkWALAppend(b *testing.B) { benchsuite.WALAppend(b) }
-
-// BenchmarkClusterShipping is the acceptance benchmark for the
-// aggregator's ETag anti-entropy (internal/benchsuite.ClusterShipping):
-// one iteration is one pull round against an in-process summary
-// source. "changed" pays the full blob transfer + decode + absorb;
-// "not-modified" is the 304-only probe the conditional GET reduces
-// unchanged shards to — the gap is the per-round saving. cmd/bench
-// runs the same workloads into the BENCH_*.json receipts.
-func BenchmarkClusterShipping(b *testing.B) {
-	modes := []struct {
-		name string
-		mode benchsuite.ShipMode
-	}{
-		{"changed", benchsuite.ShipChanged},
-		{"not-modified", benchsuite.ShipNotModified},
-	}
-	for _, m := range modes {
-		b.Run(m.name, func(b *testing.B) { benchsuite.ClusterShipping(b, m.mode) })
-	}
-}
-
-// batchQueries builds a 32-query mixed batch over distinct projections.
-func batchQueries() []engine.Query {
-	var qs []engine.Query
-	for i := 0; i < 16; i++ {
-		c := words.MustColumnSet(12, i%11, i%11+1)
-		qs = append(qs, engine.Query{Kind: engine.KindF0, Cols: c})
-		qs = append(qs, engine.Query{Kind: engine.KindFp, Cols: c, P: 2})
-	}
-	return qs
-}
-
-func benchShardedQueryBatch(b *testing.B, invalidate bool) {
-	eng, err := engine.NewSharded(func(int) (core.Summary, error) {
-		return core.NewExact(12, 2)
-	}, engine.Config{Shards: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer eng.Close()
-	words.Drain(workload.Uniform(12, 2, 20000, 33), eng.Observe)
-	qs := batchQueries()
-	eng.QueryBatch(qs) // build the first snapshot outside the timer
-	row := make(words.Word, 12)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if invalidate {
-			eng.Observe(row) // forces re-merge + cold cache
-		}
-		res := eng.QueryBatch(qs)
-		if res[0].Err != nil {
-			b.Fatal(res[0].Err)
-		}
-	}
-}
-
-func BenchmarkShardedQueryBatch_Warm(b *testing.B) { benchShardedQueryBatch(b, false) }
-func BenchmarkShardedQueryBatch_Cold(b *testing.B) { benchShardedQueryBatch(b, true) }
-
-// --- Planner-routed queries over a multi-subspace engine. The
-// workload mixes exact-match, covering, and full-fallback routes over
-// an exact catch-all, whose first query about a column set costs a
-// pass over the retained rows. An exact summary memoizes that pass per
-// epoch, so every iteration first cuts a new epoch (one more row,
-// outside the timer): the batch always meets cold column sets and an
-// empty result cache, and the parallel/sequential comparison measures
-// the evaluation of (target, C) groups side by side, not the memo.
-// The acceptance bar is the parallel sub-benchmark beating the
-// sequential one per processed batch.
-
-func plannedBenchEngine(b *testing.B) (*engine.Sharded, []engine.Query) {
-	b.Helper()
-	eng, err := engine.NewSharded(func(int) (core.Summary, error) {
-		return core.NewExact(12, 2)
-	}, engine.Config{Shards: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(eng.Close)
-	subspaces := [][]int{{0, 1, 2}, {3, 4, 5}, {6, 7, 8}, {9, 10, 11}}
-	for _, cols := range subspaces {
-		if err := eng.RegisterSubspace(words.MustColumnSet(12, cols...), func(int) (core.Summary, error) {
-			return core.NewExact(12, 2)
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	words.Drain(workload.Uniform(12, 2, 20000, 33), eng.Observe)
-	var qs []engine.Query
-	for i := 0; i < 12; i++ {
-		exact := words.MustColumnSet(12, subspaces[i%4]...) // exact-match route
-		cover := words.MustColumnSet(12, i%11, i%11+1)      // covering or full
-		qs = append(qs, engine.Query{Kind: engine.KindF0, Cols: exact})
-		qs = append(qs, engine.Query{Kind: engine.KindF0, Cols: cover})
-		qs = append(qs, engine.Query{Kind: engine.KindFp, Cols: exact, P: 2})
-		qs = append(qs, engine.Query{Kind: engine.KindFp, Cols: cover, P: 2})
-	}
-	return eng, qs
-}
-
-// newEpoch makes the next query meet a freshly merged snapshot: no
-// memoized vectors, no cached results. It runs outside the timer.
-func newEpoch(b *testing.B, eng *engine.Sharded) {
-	b.StopTimer()
-	eng.Observe(make(words.Word, eng.Dim()))
-	if _, err := eng.Flush(); err != nil {
-		b.Fatal(err)
-	}
-	b.StartTimer()
-}
-
-// BenchmarkPlannedQueryBatch is the acceptance benchmark for the
-// planner-routed parallel query path: "parallel" answers the whole
-// mixed batch in one QueryBatch (plan → group by (target, C) → one
-// worker per group → reassemble), "sequential" answers the same
-// queries one QueryBatch call at a time. One iteration processes the
-// full batch against a new epoch in both, so ns/op compare directly.
-func BenchmarkPlannedQueryBatch(b *testing.B) {
-	b.Run("parallel", func(b *testing.B) {
-		eng, qs := plannedBenchEngine(b)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			newEpoch(b, eng)
-			res := eng.QueryBatch(qs)
-			if res[0].Err != nil {
-				b.Fatal(res[0].Err)
-			}
-		}
-	})
-	b.Run("sequential", func(b *testing.B) {
-		eng, qs := plannedBenchEngine(b)
-		one := make([]engine.Query, 1)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			newEpoch(b, eng)
-			for _, q := range qs {
-				one[0] = q
-				if res := eng.QueryBatch(one); res[0].Err != nil {
-					b.Fatal(res[0].Err)
-				}
-			}
-		}
-	})
-}
-
-// BenchmarkRegistryPlan measures raw planner throughput: exact-match
-// lookups, covering scans, and full fallbacks over an 8-entry
-// registry (internal/benchsuite.Plan).
-func BenchmarkRegistryPlan(b *testing.B) { benchsuite.Plan(b) }
-
 // BenchmarkExperimentQuick runs each experiment driver end-to-end in
 // quick mode — the "regenerate everything" cost.
 func BenchmarkExperimentQuick(b *testing.B) {
@@ -695,5 +434,3 @@ func (benchNet) Decide(msg []byte, inst *workload.F0Instance) (bool, error) {
 	}
 	return ans.Estimate >= math.Sqrt(inst.ThresholdHigh()*inst.ThresholdLow()), nil
 }
-
-var _ = fmt.Sprintf // keep fmt linked for future bench reporting

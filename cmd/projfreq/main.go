@@ -347,9 +347,6 @@ func runBatch(eng *engine.Sharded, d int, spec string) error {
 			if r.Route != "" && r.Route != "full" {
 				note = "  [" + r.Route + "]"
 			}
-			if r.Cached {
-				note += "  [cached]"
-			}
 			fmt.Printf("  F0%v = %.1f%s\n", queries[i].Cols, r.Value, note)
 		}
 	}

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -198,7 +200,9 @@ func TestStatsServedFromEpoch(t *testing.T) {
 // TestStatsReportVectorMemo: the epoch block of /v1/stats shows what
 // the exact summary's per-column-set memo did since the epoch's cut —
 // one build for a column set however many questions are asked about
-// it, hits for the rest — and starts over on the next epoch.
+// it, hits for the rest, a repeated request body included: the daemon
+// keeps no answers, the memo is what makes the repeat cheap — and
+// starts over on the next epoch.
 func TestStatsReportVectorMemo(t *testing.T) {
 	const d, q = 6, 3
 	ts, _ := startDaemon(t, "exact", d, q, 1)
@@ -228,6 +232,23 @@ func TestStatsReportVectorMemo(t *testing.T) {
 	}
 	if ep := stats(); ep.MemoBuilds != 2 || ep.MemoHits != 2 || ep.MemoEvictions != 0 || ep.MemoBuildMS <= 0 {
 		t.Fatalf("memo block %+v, want 2 builds and 2 hits", ep)
+	}
+	repeat := queryRequest{Queries: []querySpec{{Kind: "hh", Cols: []int{0, 1}, P: 1, Phi: 0.1}}}
+	var first, second queryResponse
+	for _, out := range []*queryResponse{&first, &second} {
+		resp, body := postJSON(t, ts.URL+"/v1/query", repeat)
+		if resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte("cached")) {
+			t.Fatalf("repeated query: %d %s", resp.StatusCode, body)
+		}
+		if err := json.Unmarshal(body, out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !reflect.DeepEqual(first.Results, second.Results) || len(first.Results[0].Hits) == 0 {
+		t.Fatalf("repeated query answered %+v, then %+v", first.Results, second.Results)
+	}
+	if a, b := first.Epoch, second.Epoch; b.Seq != a.Seq || b.MemoHits != a.MemoHits+1 || b.MemoBuilds != 2 {
+		t.Fatalf("repeated query: epoch %+v, then %+v; want the same epoch, one more hit, no build", a, b)
 	}
 	observeRows(t, ts.URL, d, q, 1, 1)
 	if ep := stats(); ep.MemoBuilds != 0 || ep.MemoHits != 0 || ep.MemoBuildMS != 0 {

@@ -694,7 +694,6 @@ type resultJSON struct {
 	Error       string    `json:"error,omitempty"`
 	Unsupported bool      `json:"unsupported,omitempty"`
 	Route       string    `json:"route,omitempty"`
-	Cached      bool      `json:"cached,omitempty"`
 }
 
 // epochJSON surfaces the serving epoch's staleness to clients: which
@@ -785,7 +784,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		resp.Epoch = epochFromInfo(info)
 	}
 	for i, res := range results {
-		out := resultJSON{Value: res.Value, Route: res.Route, Cached: res.Cached}
+		out := resultJSON{Value: res.Value, Route: res.Route}
 		if res.Err != nil {
 			out.Error = res.Err.Error()
 			out.Unsupported = errors.Is(res.Err, core.ErrUnsupported)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/sketch"
 	"repro/internal/words"
 )
 
@@ -384,6 +385,31 @@ func TestRegisteredConfigParamErrors(t *testing.T) {
 	}
 	if _, err := NewRegistered(4, 2, subsets, RegisteredConfig{KHLLPrecision: 20}); !errors.Is(err, ErrInvalidParam) {
 		t.Fatalf("KHLLPrecision=20: %v", err)
+	}
+}
+
+// TestWideShapesRefusedAtConstruction: Subset and Registered look
+// subsets up by a 64-bit column mask, so d > 64 is refused by the
+// constructors (NewSubset used to build sketches under colliding masks
+// and panic on the first query) and, through them, by the decoder.
+func TestWideShapesRefusedAtConstruction(t *testing.T) {
+	if _, err := NewSubset(70, 2, 1, 0.5, 1, 0); !errors.Is(err, ErrInvalidParam) {
+		t.Errorf("NewSubset d=70: %v", err)
+	}
+	subsets := []words.ColumnSet{words.MustColumnSet(70, 0, 1)}
+	if _, err := NewRegistered(70, 2, subsets, RegisteredConfig{}); !errors.Is(err, ErrInvalidParam) {
+		t.Errorf("NewRegistered d=70: %v", err)
+	}
+	// The blob the old constructor would have accepted back: d = t = 70
+	// is one subset, so one sketch under the enumeration's first seed.
+	wide := &Subset{d: 70, q: 2, t: 70, eps: 0.5, seed: 1,
+		sk: []*sketch.KMV{sketch.KMVForEpsilon(0.5, rng.New(1).Uint64())}}
+	blob, err := wide.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum, err := UnmarshalSummary(blob); !errors.Is(err, ErrBadEncoding) {
+		t.Fatalf("wide subset blob decoded to %v, %v; want ErrBadEncoding", sum, err)
 	}
 }
 

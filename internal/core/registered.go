@@ -42,7 +42,8 @@ type RegisteredConfig struct {
 }
 
 // NewRegistered builds a summary for an explicit list of query
-// subsets, all over dimension d. Duplicate subsets are collapsed.
+// subsets, all over dimension d ≤ 64 (subsets are looked up by a
+// 64-bit column mask). Duplicate subsets are collapsed.
 func NewRegistered(d, q int, subsets []words.ColumnSet, cfg RegisteredConfig) (*Registered, error) {
 	if len(subsets) == 0 {
 		return nil, fmt.Errorf("core: no subsets registered")
@@ -69,6 +70,9 @@ func NewRegistered(d, q int, subsets []words.ColumnSet, cfg RegisteredConfig) (*
 	if cfg.KHLLPrecision < 4 || cfg.KHLLPrecision > 16 {
 		return nil, badParam("registered", "khllprecision", cfg.KHLLPrecision, "outside [4, 16]")
 	}
+	if d > 64 {
+		return nil, badParam("registered", "d", d, "exceeds the 64 columns a subset mask holds")
+	}
 	s := &Registered{d: d, q: q, cfg: cfg}
 	seen := map[uint64]bool{}
 	for _, c := range subsets {
@@ -77,9 +81,6 @@ func NewRegistered(d, q int, subsets []words.ColumnSet, cfg RegisteredConfig) (*
 		}
 		if c.Len() == 0 {
 			return nil, fmt.Errorf("core: empty subset registered")
-		}
-		if d > 64 {
-			return nil, fmt.Errorf("core: registered summary requires d <= 64")
 		}
 		mask := c.Mask()
 		if seen[mask] {

@@ -30,10 +30,14 @@ type Subset struct {
 
 // NewSubset enumerates all C(d, t) sketches; it refuses shapes whose
 // enumeration exceeds maxSketches to protect callers from accidental
-// combinatorial explosions.
+// combinatorial explosions, and d > 64: subsets are looked up by a
+// 64-bit column mask.
 func NewSubset(d, q, t int, eps float64, seed uint64, maxSketches int) (*Subset, error) {
 	if err := validateShape("subset", d, q); err != nil {
 		return nil, err
+	}
+	if d > 64 {
+		return nil, badParam("subset", "d", d, "exceeds the 64 columns a subset mask holds")
 	}
 	if t < 1 || t > d {
 		return nil, badParam("subset", "t", t, fmt.Sprintf("outside [1, %d]", d))

@@ -24,12 +24,14 @@
 // budget does a read pay the rebuild: quiesce the workers with a
 // channel barrier, merge the shard summaries into a fresh registry,
 // and publish it as the next epoch. QueryBatch answers many queries
-// at a time against one epoch: behind a generation-checked result
-// cache, misses are grouped by (target, column set) and each group is
-// answered by one of up to Config.QueryWorkers workers, so a summary
-// that builds state per column set (core.Exact's memoized frequency
-// vector) builds it once per epoch; Flush is the strict escape hatch
-// that always forces a fresh epoch through the barrier.
+// at a time against one epoch: identical queries in a batch are
+// evaluated once, the distinct ones are grouped by (target, column
+// set) and each group is answered by one of up to Config.QueryWorkers
+// workers, so a summary that builds state per column set (core.Exact's
+// memoized frequency vector) builds it once per epoch — that memo, not
+// the engine, is what makes a repeated question cheap; Flush is the
+// strict escape hatch that always forces a fresh epoch through the
+// barrier.
 //
 // # Subspaces
 //
@@ -40,9 +42,9 @@
 // query — exact-match subspace first, cheapest covering subspace
 // next, catch-all full summary otherwise — evaluating each group
 // against its planned target and falling back to the full summary
-// when a specialized one cannot answer the query's class. Results are
-// cached per (target, query), and snapshots (being merged registries)
-// serialize whole-registry blobs that Absorb accepts back.
+// when a specialized one cannot answer the query's class. Snapshots
+// (being merged registries) serialize whole-registry blobs that Absorb
+// accepts back.
 package engine
 
 import (
@@ -74,13 +76,11 @@ type Config struct {
 	// Queue is the per-shard channel depth (default 256): the slack
 	// between Observe callers and shard workers before backpressure.
 	Queue int
-	// CacheSize bounds the query result cache (default 1024 entries).
-	CacheSize int
 	// BatchChunk caps the rows per shard chunk that ObserveBatch
 	// routes in one channel send (default 256).
 	BatchChunk int
 	// QueryWorkers bounds how many (target, column set) groups of
-	// cache misses QueryBatch evaluates at a time (default
+	// queries QueryBatch evaluates at a time (default
 	// runtime.GOMAXPROCS(0)).
 	QueryWorkers int
 	// MaxStalenessRows, when positive, lets reads serve an epoch that
@@ -112,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Queue <= 0 {
 		c.Queue = 256
-	}
-	if c.CacheSize <= 0 {
-		c.CacheSize = 1024
 	}
 	if c.BatchChunk <= 0 {
 		c.BatchChunk = 256
@@ -195,7 +192,6 @@ type Sharded struct {
 	mu      sync.Mutex // serializes quiesce + epoch rebuild
 	subs    []subspaceSpec
 	absorbs int // successful Absorb calls; guards late registration
-	cache   *queryCache
 
 	// sources holds the latest summary absorbed per named source
 	// (AbsorbSource): cluster anti-entropy state, merged into every
@@ -218,13 +214,11 @@ type Sharded struct {
 	refreshStop chan struct{}
 }
 
-// epoch is one published read snapshot: the merged registry, the cache
-// generation its results key on, and the cut coordinates freshness
-// checks and staleness reporting need. Epochs are immutable after
-// publication — readers share them freely.
+// epoch is one published read snapshot: the merged registry and the
+// cut coordinates freshness checks and staleness reporting need. Epochs
+// are immutable after publication — readers share them freely.
 type epoch struct {
 	reg     *registry.Registry
-	gen     uint64 // query-cache generation for this epoch
 	seq     uint64 // monotonic build number
 	rows    int64  // accepted-rows clock read before the cut's barrier
 	built   time.Time
@@ -245,7 +239,6 @@ func NewSharded(factory Factory, cfg Config) (*Sharded, error) {
 		log:     cfg.Log,
 		shards:  make([]*registry.Registry, cfg.Shards),
 		chans:   make([]chan shardMsg, cfg.Shards),
-		cache:   newQueryCache(cfg.CacheSize),
 	}
 	for i := range s.shards {
 		reg, err := s.buildShard(i)
@@ -634,15 +627,12 @@ func (s *Sharded) mergeSourcesInto(merged *registry.Registry) (size int, rows in
 }
 
 // publishLocked seals a merged registry and installs it as the new
-// serving epoch; callers hold mu. The cache generation and the epoch
-// move together, so results computed against a superseded epoch can
-// never land in (or be served from) the new one's cache.
+// serving epoch; callers hold mu.
 func (s *Sharded) publishLocked(merged *registry.Registry, accepted int64, size int, srcRows int64) *epoch {
 	merged.Seal()
 	s.epochSeq++
 	e := &epoch{
 		reg:     merged,
-		gen:     s.cache.clear(),
 		seq:     s.epochSeq,
 		rows:    accepted,
 		built:   time.Now(),

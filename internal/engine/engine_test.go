@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -164,78 +163,6 @@ func TestShardedSampleFrequencyWithinTolerance(t *testing.T) {
 	}
 	if math.Abs(got-truth) > 0.05*float64(tb.NumRows()) {
 		t.Fatalf("sharded sample estimate %v, truth %v", got, truth)
-	}
-}
-
-func TestQueryBatchCaches(t *testing.T) {
-	tb := testTable(2000, 4)
-	eng, err := NewSharded(exactFactory(10, 2), Config{Shards: 2, CacheSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	feedEngine(t, eng, tb)
-	c := words.MustColumnSet(10, 0, 1)
-	q := []Query{{Kind: KindF0, Cols: c}, {Kind: KindFp, Cols: c, P: 2}}
-	first := eng.QueryBatch(q)
-	if first[0].Cached || first[1].Cached {
-		t.Fatal("first batch must miss")
-	}
-	second := eng.QueryBatch(q)
-	for i := range second {
-		if !second[i].Cached {
-			t.Fatalf("query %d must hit the cache", i)
-		}
-		if second[i].Value != first[i].Value {
-			t.Fatalf("query %d cached value drifted", i)
-		}
-	}
-	// New rows invalidate: the next batch recomputes.
-	eng.Observe(make(words.Word, 10))
-	third := eng.QueryBatch(q[:1])
-	if third[0].Cached {
-		t.Fatal("stale cache served after new rows")
-	}
-	// Duplicates within one cold batch share a single computation.
-	eng.Observe(make(words.Word, 10))
-	dup := eng.QueryBatch([]Query{q[0], q[1], q[0]})
-	if dup[0].Cached || dup[2].Cached {
-		t.Fatal("within-batch duplicates are answered, not cache hits")
-	}
-	if dup[0].Value != dup[2].Value {
-		t.Fatal("within-batch duplicates must agree")
-	}
-}
-
-func TestCacheEviction(t *testing.T) {
-	c := newQueryCache(2)
-	gen := c.generation()
-	c.put("a", Result{Value: 1}, gen)
-	c.put("b", Result{Value: 2}, gen)
-	c.put("c", Result{Value: 3}, gen) // evicts "a" (FIFO)
-	if _, ok := c.get([]byte("a"), gen); ok {
-		t.Fatal("a must be evicted")
-	}
-	if r, ok := c.get([]byte("c"), gen); !ok || r.Value != 3 {
-		t.Fatal("c must be cached")
-	}
-	if c.len() != 2 {
-		t.Fatalf("cache len %d, want 2", c.len())
-	}
-	// Stale-generation puts and gets are dropped.
-	c.clear()
-	c.put("d", Result{Value: 4}, gen)
-	if _, ok := c.get([]byte("d"), c.generation()); ok {
-		t.Fatal("stale-generation put must be dropped")
-	}
-	c.put("f", Result{Value: 5}, c.generation())
-	if _, ok := c.get([]byte("f"), gen); ok {
-		t.Fatal("stale-generation get must miss")
-	}
-	// Error results are never cached.
-	c.put("e", Result{Err: errors.New("boom")}, c.generation())
-	if _, ok := c.get([]byte("e"), c.generation()); ok {
-		t.Fatal("error result must not be cached")
 	}
 }
 
@@ -574,43 +501,6 @@ func TestObserveBatchInterleavedWithAbsorbAndQueryBatch(t *testing.T) {
 	}
 	if snap.Rows() != want {
 		t.Fatalf("snapshot rows %d, want %d", snap.Rows(), want)
-	}
-}
-
-// TestCacheEvictionChurnBounded is the regression test for the
-// grow-without-bound eviction bug: sustained churn at capacity must
-// keep the insertion-order ring at len == cap (same backing array)
-// while preserving FIFO eviction.
-func TestCacheEvictionChurnBounded(t *testing.T) {
-	const capacity = 8
-	c := newQueryCache(capacity)
-	gen := c.generation()
-	var ringOnce []string
-	for i := 0; i < 10_000; i++ {
-		c.put(fmt.Sprintf("k%d", i), Result{Value: float64(i)}, gen)
-		if len(c.order) > capacity || len(c.m) > capacity {
-			t.Fatalf("cache overflow at put %d: ring %d, map %d", i, len(c.order), len(c.m))
-		}
-		if i == capacity {
-			ringOnce = c.order[:capacity:capacity]
-		}
-	}
-	// The ring never regrew: the backing array is the one from the
-	// moment it first filled.
-	if &ringOnce[0] != &c.order[0] {
-		t.Fatal("eviction churn reallocated the order ring")
-	}
-	// FIFO still holds: exactly the last `capacity` keys survive.
-	for i := 10_000 - capacity; i < 10_000; i++ {
-		if _, ok := c.get([]byte(fmt.Sprintf("k%d", i)), gen); !ok {
-			t.Fatalf("recent key k%d evicted", i)
-		}
-	}
-	if _, ok := c.get([]byte(fmt.Sprintf("k%d", 10_000-capacity-1)), gen); ok {
-		t.Fatal("old key survived FIFO eviction")
-	}
-	if c.len() != capacity {
-		t.Fatalf("cache len %d, want %d", c.len(), capacity)
 	}
 }
 

@@ -48,16 +48,22 @@ func TestQueryBatchBuildsOncePerColumnSet(t *testing.T) {
 		if info.Memo.BuildTime <= 0 {
 			t.Fatalf("workers=%d: no build time recorded", workers)
 		}
+		epochSeq := info.Seq
+		// Every question again, alone, on the same epoch: each is
+		// evaluated anew — one more memo hit — and none makes a pass.
 		for i, q := range batch {
-			one := eng.QueryBatch([]Query{q})[0]
-			if got[i].Err != nil || !one.Cached || one.Value != got[i].Value || len(one.Hits) != len(got[i].Hits) {
-				t.Fatalf("workers=%d: query %d answered %+v in the batch, %+v alone", workers, i, got[i], one)
+			one, info := eng.QueryBatchInfo([]Query{q})
+			if got[i].Err != nil || one[0].Value != got[i].Value || len(one[0].Hits) != len(got[i].Hits) {
+				t.Fatalf("workers=%d: query %d answered %+v in the batch, %+v alone", workers, i, got[i], one[0])
+			}
+			if info.Seq != epochSeq || info.Memo.Builds != 3 || info.Memo.Hits != int64(9+i+1) {
+				t.Fatalf("workers=%d: query %d alone: epoch %d (batch: %d), memo %+v; want one more hit and no build",
+					workers, i, info.Seq, epochSeq, info.Memo)
 			}
 		}
-		// A new question about a known C on the same epoch: a result-cache
-		// miss, but no new pass.
+		// A new question about a known C on the same epoch: no new pass.
 		r, info := eng.QueryBatchInfo([]Query{{Kind: KindFp, Cols: sets[1], P: 2}})
-		if r[0].Err != nil || r[0].Cached || info.Memo.Builds != 3 || info.Memo.Hits != 10 {
+		if r[0].Err != nil || info.Memo.Builds != 3 || info.Memo.Hits != 22 {
 			t.Fatalf("workers=%d: %+v, memo %+v; want a memo hit and no build", workers, r[0], info.Memo)
 		}
 		// New rows make a new epoch, whose summary starts with no memo.
@@ -75,7 +81,7 @@ func TestQueryBatchBuildsOncePerColumnSet(t *testing.T) {
 // that every batch is answered from one epoch: F1 does not depend on C
 // and never falls from one batch of a reader to the next.
 func TestConcurrentQueriesShareEpochVectors(t *testing.T) {
-	eng, err := NewSharded(exactFactory(10, 2), Config{Shards: 2, QueryWorkers: 3, CacheSize: 4})
+	eng, err := NewSharded(exactFactory(10, 2), Config{Shards: 2, QueryWorkers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,19 +3,24 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/freq"
 	"repro/internal/registry"
 	"repro/internal/words"
 )
 
-// TestCacheKeyDistinguishesQueries is the collision regression test
-// for the append-based cache key: every pair of distinct
-// (target, query) identities must produce distinct keys, including
-// the digit-boundary and field-boundary shapes a textual key could
-// alias, and the same identity must reproduce the same key.
+// TestCacheKeyDistinguishesQueries pins the identity QueryBatch
+// deduplicates on. Every pair of distinct (target, query) identities
+// must produce distinct keys, including the digit-boundary and
+// field-boundary shapes a textual key could alias, and the same
+// identity must reproduce the same key. Then the same through a batch:
+// queries that differ in one field each get their own answer, and
+// identical ones share one evaluation.
 func TestCacheKeyDistinguishesQueries(t *testing.T) {
 	const d = 30
 	type keyed struct {
@@ -36,19 +41,20 @@ func TestCacheKeyDistinguishesQueries(t *testing.T) {
 		{"freq empty pattern", Query{Kind: KindFrequency, Cols: words.MustColumnSet(d, 4), Pattern: words.Word{}}, 0},
 		{"freq pattern 1,2", Query{Kind: KindFrequency, Cols: words.MustColumnSet(d, 4, 5), Pattern: words.Word{1, 2}}, 0},
 		{"freq pattern 258", Query{Kind: KindFrequency, Cols: words.MustColumnSet(d, 4, 5), Pattern: words.Word{258, 0}}, 0},
-		// The same question on different planner targets must not alias:
-		// this is the bug the target field exists to prevent.
+		// The same question on different planner targets must not alias.
+		// One batch cannot ask this (a column set plans to one target), so
+		// the key is where it is checked.
 		{"f0 {1,23} via target 1", Query{Kind: KindF0, Cols: words.MustColumnSet(d, 1, 23)}, 1},
 		{"f0 {1,23} via target 2", Query{Kind: KindF0, Cols: words.MustColumnSet(d, 1, 23)}, 2},
 	}
 	keys := make(map[string]string, len(cases))
 	for _, tc := range cases {
-		key := string(tc.q.appendCacheKey(nil, tc.target))
+		key := string(tc.q.appendKey(nil, tc.target))
 		if prev, dup := keys[key]; dup {
-			t.Errorf("cache key collision between %q and %q", prev, tc.name)
+			t.Errorf("key collision between %q and %q", prev, tc.name)
 		}
 		keys[key] = tc.name
-		if again := string(tc.q.appendCacheKey(nil, tc.target)); again != key {
+		if again := string(tc.q.appendKey(nil, tc.target)); again != key {
 			t.Errorf("%s: key not deterministic", tc.name)
 		}
 	}
@@ -56,9 +62,63 @@ func TestCacheKeyDistinguishesQueries(t *testing.T) {
 	q := Query{Kind: KindHeavyHitters, Cols: words.MustColumnSet(d, 2, 7, 19), P: 2, Phi: 0.1, Pattern: words.Word{1, 2, 3}}
 	buf := make([]byte, 0, 128)
 	if allocs := testing.AllocsPerRun(100, func() {
-		buf = q.appendCacheKey(buf[:0], 3)
+		buf = q.appendKey(buf[:0], 3)
 	}); allocs != 0 {
-		t.Errorf("appendCacheKey allocates %v times per call", allocs)
+		t.Errorf("appendKey allocates %v times per call", allocs)
+	}
+
+	tb := testTable(2000, 41)
+	eng, err := NewSharded(exactFactory(10, 2), Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	feedEngine(t, eng, tb)
+	ref, err := core.NewExact(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref.ObserveBatch(tb.Batch())
+	planted, uniform := words.MustColumnSet(10, 0, 1, 2), words.MustColumnSet(10, 6, 7, 8)
+	distinct := []Query{
+		{Kind: KindF0, Cols: planted, P: 2},
+		{Kind: KindFp, Cols: planted, P: 2},
+		{Kind: KindFp, Cols: uniform, P: 2},
+		{Kind: KindFp, Cols: planted, P: 1},
+		{Kind: KindHeavyHitters, Cols: planted, P: 1, Phi: 0.25},
+		{Kind: KindHeavyHitters, Cols: planted, P: 1, Phi: 0.01},
+		{Kind: KindFrequency, Cols: planted, Pattern: words.Word{1, 1, 1}},
+		{Kind: KindFrequency, Cols: planted, Pattern: words.Word{0, 0, 0}},
+	}
+	oneFieldApart := []struct {
+		field string
+		a, b  int
+	}{{"kind", 0, 1}, {"C", 1, 2}, {"P", 1, 3}, {"phi", 4, 5}, {"pattern", 6, 7}}
+	n := len(distinct)
+	got, info := eng.QueryBatchInfo(slices.Concat(distinct, distinct))
+	same := func(a, b Result) bool {
+		return a.Err == nil && b.Err == nil && a.Value == b.Value && reflect.DeepEqual(a.Hits, b.Hits)
+	}
+	for i, q := range distinct {
+		if want := answer(ref, q); !same(got[i], want) {
+			t.Errorf("query %d (%s %v): %+v, want %+v", i, q.Kind, q.Cols, got[i], want)
+		}
+		if !same(got[i], got[n+i]) {
+			t.Errorf("query %d and its repeat disagree: %+v vs %+v", i, got[i], got[n+i])
+		}
+	}
+	for _, p := range oneFieldApart {
+		if same(got[p.a], got[p.b]) {
+			t.Errorf("queries %d and %d differ in %s and share the answer %+v", p.a, p.b, p.field, got[p.a])
+		}
+	}
+	// One evaluation reads the vector once: two passes (two column
+	// sets), and with the hits exactly the distinct queries.
+	if info.Memo.Builds != 2 || info.Memo.Builds+info.Memo.Hits != int64(n) {
+		t.Errorf("memo %+v after %d distinct queries asked twice, want 2 builds and %d reads", info.Memo, n, n)
+	}
+	if &got[4].Hits[0] != &got[n+4].Hits[0] {
+		t.Error("identical heavy-hitter queries of one batch were evaluated separately")
 	}
 }
 
@@ -344,7 +404,7 @@ func TestFactoryProvidedRegistryComposes(t *testing.T) {
 }
 
 // TestQueryBatchOrderingUnderParallelPool issues a large mixed batch
-// (many distinct routed targets, duplicates, cache hits on repeat) and
+// (many distinct routed targets, duplicates, concurrent repeats) and
 // checks every answer lands at its own position; under -race this also
 // exercises the bounded evaluation pool.
 func TestQueryBatchOrderingUnderParallelPool(t *testing.T) {
@@ -454,11 +514,12 @@ func TestSubspaceEngineWireRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSubspaceCacheDoesNotAliasAcrossTargets reproduces the aliasing
-// the target-aware cache key prevents: two different questions that
-// the planner sends to different summaries but whose answers a
-// target-blind key would conflate are asked in one batch, and each
-// must come back from its own summary.
+// TestSubspaceCacheDoesNotAliasAcrossTargets: in-batch deduplication
+// is per (target, query), and the target is the summary that answers.
+// One batch asks about a registered column set (a Registered summary
+// answers F0 and nothing else, so the other kinds fall back to the
+// catch-all) and about an unregistered one; each answer must come back
+// from its own summary, and each repeat must share it.
 func TestSubspaceCacheDoesNotAliasAcrossTargets(t *testing.T) {
 	tb := testTable(2000, 37)
 	eng, err := NewSharded(exactFactory(10, 2), Config{Shards: 2})
@@ -466,7 +527,7 @@ func TestSubspaceCacheDoesNotAliasAcrossTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	hot := words.MustColumnSet(10, 0, 1, 2)
+	hot, cold := words.MustColumnSet(10, 0, 1, 2), words.MustColumnSet(10, 3, 4, 5)
 	err = eng.RegisterSubspace(hot, func(shard int) (core.Summary, error) {
 		return core.NewRegistered(10, 2, []words.ColumnSet{hot}, core.RegisteredConfig{Seed: 11})
 	})
@@ -474,16 +535,29 @@ func TestSubspaceCacheDoesNotAliasAcrossTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	feedEngine(t, eng, tb)
-	q := Query{Kind: KindF0, Cols: hot}
-	first := eng.QueryBatch([]Query{q})[0]
-	if first.Err != nil || first.Cached {
-		t.Fatalf("first: %+v", first)
+	distinct := []Query{
+		{Kind: KindF0, Cols: hot},
+		{Kind: KindFp, Cols: hot, P: 2},
+		{Kind: KindF0, Cols: cold},
 	}
-	second := eng.QueryBatch([]Query{q})[0]
-	if !second.Cached || second.Value != first.Value || second.Route != first.Route {
-		t.Fatalf("repeat of the routed query must hit its own cache entry: %+v vs %+v", second, first)
+	routes := []string{"subspace" + hot.String(), registry.RouteFull, registry.RouteFull}
+	n := len(distinct)
+	got, info := eng.QueryBatchInfo(slices.Concat(distinct, distinct))
+	for i, q := range distinct {
+		v := freq.FromTable(tb, q.Cols)
+		want := float64(v.Support()) // 8 patterns: the KMV is exact
+		if q.Kind == KindFp {
+			want = v.F(q.P)
+		}
+		for _, r := range []Result{got[i], got[n+i]} {
+			if r.Err != nil || r.Value != want || r.Route != routes[i] {
+				t.Errorf("query %d (%s %v): %+v, want %v via %q", i, q.Kind, q.Cols, r, want, routes[i])
+			}
+		}
 	}
-	if first.Route != "subspace"+hot.String() {
-		t.Fatalf("routed via %q", first.Route)
+	// The catch-all evaluated F2 on hot and F0 on cold, once each: F0 on
+	// hot never reached it and no repeat was evaluated.
+	if info.Memo.Builds != 2 || info.Memo.Hits != 0 {
+		t.Errorf("catch-all memo %+v, want 2 builds and no hits", info.Memo)
 	}
 }

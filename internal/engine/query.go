@@ -17,7 +17,7 @@ import (
 type Kind uint8
 
 // The supported query classes. Lp sampling is deliberately absent: a
-// random draw is neither cacheable nor batchable.
+// random draw cannot be shared between identical queries of a batch.
 const (
 	// KindF0 is a projected distinct-count query.
 	KindF0 Kind = iota
@@ -59,18 +59,18 @@ type Query struct {
 	Pattern words.Word
 }
 
-// appendCacheKey appends the query's cache identity to dst and
-// returns the extended slice: a compact binary encoding of everything
-// that fixes the answer for a given snapshot — the planner's routing
-// target, the kind, the projection, and the numeric parameters. Every
-// variable-length field is length-prefixed and the floats are
-// fixed-width bit patterns, so distinct queries cannot collide (the
-// collision regression test pins this down); building the key is
-// allocation-free once dst has capacity, unlike the fmt.Fprintf key
-// it replaced. The target sits right after the kind byte: the same
-// question routed to different summaries is a different cache entry,
-// so planner routing cannot alias results across targets.
-func (q Query) appendCacheKey(dst []byte, target int) []byte {
+// appendKey appends the query's identity to dst and returns the
+// extended slice: a compact binary encoding of everything that fixes
+// the answer for a given snapshot — the planner's routing target, the
+// kind, the projection, and the numeric parameters. QueryBatch
+// evaluates queries with equal keys once. Every variable-length field
+// is length-prefixed and the floats are fixed-width bit patterns, so
+// distinct queries cannot collide (the collision regression test pins
+// this down); building the key is allocation-free once dst has
+// capacity. The target sits right after the kind byte: the same
+// question routed to different summaries is a different key, so
+// planner routing cannot alias results across targets.
+func (q Query) appendKey(dst []byte, target int) []byte {
 	dst = append(dst, byte(q.Kind))
 	dst = binary.AppendUvarint(dst, uint64(target))
 	dst = q.Cols.AppendCanonicalKey(dst)
@@ -91,7 +91,7 @@ type Result struct {
 	// Value is the scalar answer (F0, Fp, Frequency).
 	Value float64
 	// Hits is the heavy-hitter list (KindHeavyHitters); callers must
-	// not mutate it — it may be shared through the cache.
+	// not mutate it — identical queries of one batch share it.
 	Hits []core.HeavyHitter
 	// Err is the per-query failure, core.ErrUnsupported when no
 	// candidate summary can answer this class.
@@ -101,8 +101,6 @@ type Result struct {
 	// "subspace{…}" for an exact-match subspace, "cover{…}" for a
 	// covering one.
 	Route string
-	// Cached reports that the answer was served from the result cache.
-	Cached bool
 }
 
 // QueryBatch answers a batch of queries against one consistent merged
@@ -114,10 +112,9 @@ type Result struct {
 //
 //  1. plan: each query's column set is routed by the snapshot's
 //     registry (exact subspace → cheapest covering subspace → full);
-//  2. cache probe: the per-(target, query) key is checked against the
-//     generation-checked result cache (generations advance with
-//     epochs, so cached answers never outlive their snapshot);
-//  3. evaluate: distinct missing (target, query) pairs are grouped by
+//  2. deduplicate: queries with the same (target, query) key share
+//     one evaluation;
+//  3. evaluate: the distinct (target, query) pairs are grouped by
 //     (target, column set) — the unit of work, since a summary that
 //     builds per-C state (core.Exact's memoized vector) builds it once
 //     for the whole group. One worker answers a group's queries in
@@ -126,16 +123,18 @@ type Result struct {
 //     specialized summary that cannot answer a class falls back to the
 //     full summary;
 //  4. reassemble: answers land at their original batch positions
-//     (len(out) == len(queries), position-matched) and misses are
-//     written back to the cache.
+//     (len(out) == len(queries), position-matched).
+//
+// Nothing is kept between batches: a question repeated on the same
+// epoch is evaluated again, and is cheap only where the summary
+// memoizes per column set.
 func (s *Sharded) QueryBatch(queries []Query) []Result {
 	out, _ := s.QueryBatchInfo(queries)
 	return out
 }
 
-// miss is one distinct (target, query) pair the cache did not hold.
-type miss struct {
-	key    string // its cache key
+// ask is one distinct (target, query) pair of a batch.
+type ask struct {
 	target registry.Target
 	idx    []int // the batch positions asking it
 }
@@ -156,28 +155,22 @@ func (s *Sharded) QueryBatchInfo(queries []Query) ([]Result, EpochInfo) {
 		}
 		return out, EpochInfo{}
 	}
-	snap, gen := e.reg, e.gen
+	snap := e.reg
 	// Deduplicate within the batch: identical queries planned to the
-	// same target share one computation (and one cache entry).
-	var misses []miss
-	missAt := make(map[string]int)  // cache key → index in misses
-	var groups [][]int              // indices into misses, per (target, C)
+	// same target share one computation.
+	var asks []ask
+	askAt := make(map[string]int)   // query key → index in asks
+	var groups [][]int              // indices into asks, per (target, C)
 	groupAt := make(map[string]int) // (target, C) key → index in groups
 	var kb, gb []byte
 	for i, q := range queries {
 		t := snap.Plan(q.Cols)
-		kb = q.appendCacheKey(kb[:0], t.ID)
-		if r, ok := s.cache.get(kb, gen); ok {
-			out[i] = r
-			out[i].Cached = true
+		kb = q.appendKey(kb[:0], t.ID)
+		if a, dup := askAt[string(kb)]; dup {
+			asks[a].idx = append(asks[a].idx, i)
 			continue
 		}
-		if m, dup := missAt[string(kb)]; dup {
-			misses[m].idx = append(misses[m].idx, i)
-			continue
-		}
-		key := string(kb)
-		missAt[key] = len(misses)
+		askAt[string(kb)] = len(asks)
 		gb = q.Cols.AppendCanonicalKey(binary.AppendUvarint(gb[:0], uint64(t.ID)))
 		g, ok := groupAt[string(gb)]
 		if !ok {
@@ -185,13 +178,13 @@ func (s *Sharded) QueryBatchInfo(queries []Query) ([]Result, EpochInfo) {
 			groupAt[string(gb)] = g
 			groups = append(groups, nil)
 		}
-		groups[g] = append(groups[g], len(misses))
-		misses = append(misses, miss{key: key, target: t, idx: []int{i}})
+		groups[g] = append(groups[g], len(asks))
+		asks = append(asks, ask{target: t, idx: []int{i}})
 	}
 	evaluate := func(group []int) {
-		for _, m := range group {
-			r := answerPlanned(snap, misses[m].target, queries[misses[m].idx[0]])
-			for _, i := range misses[m].idx {
+		for _, a := range group {
+			r := answerPlanned(snap, asks[a].target, queries[asks[a].idx[0]])
+			for _, i := range asks[a].idx {
 				out[i] = r
 			}
 		}
@@ -213,9 +206,6 @@ func (s *Sharded) QueryBatchInfo(queries []Query) ([]Result, EpochInfo) {
 			}()
 		}
 		wg.Wait()
-	}
-	for _, m := range misses {
-		s.cache.put(m.key, out[m.idx[0]], gen)
 	}
 	return out, s.epochInfo(e)
 }
@@ -283,17 +273,10 @@ func (s *Sharded) Frequency(c words.ColumnSet, b words.Word) (float64, error) {
 }
 
 // HeavyHitters answers a single projected heavy-hitter query
-// (core.HeavyHitterQuerier). Unlike Result.Hits, the returned slice
-// is caller-owned — matching the other implementations of the
-// interface — so mutating it cannot corrupt the result cache.
+// (core.HeavyHitterQuerier). The returned slice is caller-owned, as
+// with the other implementations of the interface: a one-query batch
+// shares its Result.Hits with nobody.
 func (s *Sharded) HeavyHitters(c words.ColumnSet, p, phi float64) ([]core.HeavyHitter, error) {
 	r := s.QueryBatch([]Query{{Kind: KindHeavyHitters, Cols: c, P: p, Phi: phi}})[0]
-	if r.Hits == nil {
-		return nil, r.Err
-	}
-	hits := make([]core.HeavyHitter, len(r.Hits))
-	for i, h := range r.Hits {
-		hits[i] = core.HeavyHitter{Pattern: h.Pattern.Clone(), Estimate: h.Estimate}
-	}
-	return hits, r.Err
+	return r.Hits, r.Err
 }

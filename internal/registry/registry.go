@@ -26,7 +26,7 @@
 //  3. Full fallback — the catch-all full-dimension summary.
 //
 // The returned Target carries a stable ID (0 for the full summary,
-// 1+i for entry i) so callers can key caches per (target, query), and
+// 1+i for entry i) so callers can tell queries apart per target, and
 // a human-readable Route label. Routing never changes an answer's
 // meaning — every summary in the registry observed the same stream —
 // it only changes which space/accuracy tradeoff serves it; if the
@@ -271,7 +271,7 @@ const RouteFull = "full"
 // Target is a planning decision: which summary serves a query and how
 // it was chosen.
 type Target struct {
-	// ID identifies the target for cache keying: 0 is the full
+	// ID identifies the target in a query key: 0 is the full
 	// summary, 1+i is the entry registered i-th. IDs are stable for
 	// the life of the registry (entries are never removed) and across
 	// the wire (entries serialize in registration order).

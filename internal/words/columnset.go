@@ -81,7 +81,7 @@ func (c ColumnSet) Len() int { return len(c.cols) }
 
 // At returns the i-th smallest member column, 0 ≤ i < Len. Unlike
 // Columns it does not allocate, which is what hot paths that walk a
-// set's members (cache-key construction, planners) need.
+// set's members (key construction, planners) need.
 func (c ColumnSet) At(i int) int { return c.cols[i] }
 
 // AppendCanonicalKey appends a canonical binary key of the set —
@@ -90,7 +90,7 @@ func (c ColumnSet) At(i int) int { return c.cols[i] }
 // keys, unequal sets cannot collide (every field is self-delimiting),
 // and appending into a caller buffer keeps key construction
 // allocation-free; it is the one encoding shared by the planner's
-// exact-match index and the engine's query cache key.
+// exact-match index and the engine's query key.
 func (c ColumnSet) AppendCanonicalKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(c.d))
 	dst = binary.AppendUvarint(dst, uint64(len(c.cols)))

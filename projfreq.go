@@ -177,10 +177,11 @@ func NewRand(seed uint64) *rng.Source { return rng.New(seed) }
 // queries are served from an on-demand merged snapshot.
 type (
 	// ShardedSummary ingests rows across N parallel shard summaries
-	// and answers queries through a merged snapshot with a result
-	// cache. It implements Summary and all scalar query interfaces.
+	// and answers queries through a merged snapshot. It implements
+	// Summary and all scalar query interfaces.
 	ShardedSummary = engine.Sharded
-	// ShardedConfig tunes shard count, queue depth, and cache size.
+	// ShardedConfig tunes shard count, queue depth, query workers, and
+	// the read-staleness budget.
 	ShardedConfig = engine.Config
 	// SummaryFactory builds the per-shard summaries (and the merge
 	// snapshot, index Shards).
