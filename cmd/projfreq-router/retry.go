@@ -144,13 +144,6 @@ func (q *retryQueue) snapshot() queueStats {
 	return st
 }
 
-// depthRows reads the current queued row count.
-func (q *retryQueue) depthRows() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.rows
-}
-
 // close stops the worker and returns the undelivered batches (used by
 // membership changes to requeue a removed node's backlog through the
 // new ring). Safe to call once.

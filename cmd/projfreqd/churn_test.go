@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 )
 
 // condGet does a conditional GET of /v1/summary and returns status,
@@ -67,24 +66,16 @@ func TestSummaryETagChurnsOnPushAbsorb(t *testing.T) {
 		t.Fatalf("pre-push revalidation: %d, want 304", status)
 	}
 
-	remote, _ := remoteWriter(t, "exact", d, q, 300, seed, 5)
-	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(remote))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("push: %d", resp.StatusCode)
-	}
+	pushRemote(t, ts.URL, d, q, seed)
 
 	// The pre-push tag must now miss, and the served blob must carry
 	// the absorbed rows.
 	status, tag2, blob2 := condGet(t, ts.URL, tag)
-	if status != http.StatusNotModified && status != http.StatusOK {
-		t.Fatalf("post-push revalidation: %d", status)
-	}
 	if status == http.StatusNotModified {
 		t.Fatal("post-push revalidation answered 304: a client would keep serving the pre-absorb blob")
+	}
+	if status != http.StatusOK {
+		t.Fatalf("post-push revalidation: %d", status)
 	}
 	if tag2 == tag {
 		t.Fatal("push absorbed but the summary ETag did not change")
@@ -94,33 +85,64 @@ func TestSummaryETagChurnsOnPushAbsorb(t *testing.T) {
 	}
 }
 
-// TestSummaryETagPushUnderStalenessBudget is the sharper variant: a
-// huge staleness budget lets the daemon keep serving an old epoch for
-// local rows, but absorbed state is never served stale — so even
-// under budget, a push must invalidate the old tag immediately and
-// the next export must carry the pushed rows.
+// TestSummaryETagPushUnderStalenessBudget pins the sharper variant
+// under the one read rule, whose staleness budget is zero: local rows
+// churn the tag as soon as they are accepted, a push on top churns it
+// again, and the export after the push carries every local and pushed
+// row, with X-Epoch-* headers naming a cut that nothing is behind.
 func TestSummaryETagPushUnderStalenessBudget(t *testing.T) {
 	const d, q, seed = 6, 3, 11
-	ts, _ := startDaemonWithConfig(t, "exact", d, q, seed, engine.Config{
-		Shards:           2,
-		MaxStalenessRows: 1 << 30,
-	})
+	ts, _ := startDaemon(t, "exact", d, q, seed)
 	observeRows(t, ts.URL, d, q, 20, 0)
 	status, tag, _ := condGet(t, ts.URL, "")
 	if status != http.StatusOK {
 		t.Fatalf("baseline export: %d", status)
 	}
 
-	// Local rows within budget do NOT churn the tag (the cached blob
-	// is still exactly what the daemon would serve) — the baseline the
-	// push case must differ from.
+	// Local rows churn the tag: every read serves a cut covering them.
 	observeRows(t, ts.URL, d, q, 30, 3)
+	status, tag, _ = condGet(t, ts.URL, tag)
+	if status != http.StatusOK {
+		t.Fatalf("revalidation after local rows: %d, want 200 with a new tag", status)
+	}
 	if status, _, _ := condGet(t, ts.URL, tag); status != http.StatusNotModified {
-		t.Fatalf("within-budget revalidation: %d, want 304", status)
+		t.Fatalf("revalidation of the post-observe tag: %d, want 304", status)
 	}
 
+	pushRemote(t, ts.URL, d, q, seed)
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
+	req.Header.Set("If-None-Match", tag)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-push revalidation: %d, want 200", resp.StatusCode)
+	}
+	if resp.Header.Get("ETag") == tag {
+		t.Fatal("push after local rows did not churn the ETag")
+	}
+	if got := blobRows(t, blob); got != 350 {
+		t.Fatalf("post-push blob has %d rows, want 350 (20+30 local, 300 pushed)", got)
+	}
+	// The row clock counts pushed rows as accepted, so the cut covers
+	// all 350 and nothing is behind it.
+	if r, s := resp.Header.Get("X-Epoch-Rows"), resp.Header.Get("X-Epoch-Staleness-Rows"); r != "350" || s != "0" {
+		t.Fatalf("X-Epoch-Rows = %q, X-Epoch-Staleness-Rows = %q, want 350 and 0", r, s)
+	}
+}
+
+// pushRemote posts a 300-row remote exact summary to /v1/push.
+func pushRemote(t *testing.T, url string, d, q int, seed uint64) {
+	t.Helper()
 	remote, _ := remoteWriter(t, "exact", d, q, 300, seed, 5)
-	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(remote))
+	resp, err := http.Post(url+"/v1/push", "application/octet-stream", bytes.NewReader(remote))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,25 +150,11 @@ func TestSummaryETagPushUnderStalenessBudget(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("push: %d", resp.StatusCode)
 	}
-
-	// The budget must not hide the absorb: old tag misses, new blob
-	// carries everything (the epoch rebuild sweeps in the budgeted
-	// local rows too).
-	status, tag2, blob := condGet(t, ts.URL, tag)
-	if status != http.StatusOK {
-		t.Fatalf("post-push revalidation under budget: %d, want 200", status)
-	}
-	if tag2 == tag {
-		t.Fatal("push under a staleness budget did not churn the ETag")
-	}
-	if got := blobRows(t, blob); got != 350 {
-		t.Fatalf("post-push blob has %d rows, want 350 (20+30 local, 300 pushed)", got)
-	}
 }
 
 // TestConcurrentPushObserveRead hammers one daemon with concurrent
-// /v1/observe batches, /v1/push absorbs, and budgeted readers
-// (summary exports + queries). It asserts only invariants that hold
+// /v1/observe batches, /v1/push absorbs, and readers (summary
+// exports). It asserts only invariants that hold
 // under any interleaving — handler status codes and the final row
 // clock — and exists chiefly as a -race target for the absorb ↔
 // epoch-publish ↔ conditional-GET interplay (CI runs this package
@@ -163,10 +171,7 @@ func TestConcurrentPushObserveRead(t *testing.T) {
 		readersEach   = 40
 		readerThreads = 2
 	)
-	ts, eng := startDaemonWithConfig(t, "exact", d, q, seed, engine.Config{
-		Shards:           2,
-		MaxStalenessRows: 100,
-	})
+	ts, eng := startDaemon(t, "exact", d, q, seed)
 
 	blob, _ := remoteWriter(t, "exact", d, q, rowsPerPush, seed, 5)
 	var wg sync.WaitGroup

@@ -4,32 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/words"
 )
-
-// startDaemonWithConfig is startDaemon with an explicit engine config,
-// for exercising the staleness budgets the flags wire in.
-func startDaemonWithConfig(t *testing.T, kind string, d, q int, seed uint64, cfg engine.Config) (*httptest.Server, *engine.Sharded) {
-	t.Helper()
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary(kind, d, q, 0.25, 0.05, 0.3, seed, shard)
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(newServer(eng, standardSubspaceBuilder(kind, d, q, 0.25, 0.05, 0.3, seed)))
-	t.Cleanup(func() {
-		ts.Close()
-		eng.Close()
-	})
-	return ts, eng
-}
 
 // observeRows streams n deterministic rows through /v1/observe.
 func observeRows(t *testing.T, url string, d, q, n, salt int) {
@@ -89,83 +68,6 @@ func TestQueryResponseCarriesEpochStrict(t *testing.T) {
 	}
 	if ep2.Seq <= ep.Seq {
 		t.Fatalf("strict rebuild must advance the epoch seq (%d then %d)", ep.Seq, ep2.Seq)
-	}
-}
-
-func TestStalenessBudgetServesBoundedStaleReads(t *testing.T) {
-	const d, q = 6, 3
-	ts, eng := startDaemonWithConfig(t, "exact", d, q, 1, engine.Config{
-		Shards:           2,
-		MaxStalenessRows: 1000,
-	})
-	observeRows(t, ts.URL, d, q, 40, 0)
-
-	ep := queryEpoch(t, ts.URL, []int{0, 1})
-	if ep.Rows != 40 || ep.StalenessRows != 0 {
-		t.Fatalf("first epoch rows=%d staleness=%d, want 40/0", ep.Rows, ep.StalenessRows)
-	}
-
-	// The summary export names the same epoch in its ETag.
-	resp, err := http.Get(ts.URL + "/v1/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	tag := resp.Header.Get("ETag")
-
-	// New rows stay within the 1000-row budget: reads keep serving the
-	// old epoch and report exactly how stale it is.
-	observeRows(t, ts.URL, d, q, 25, 9)
-	ep2 := queryEpoch(t, ts.URL, []int{0, 1})
-	if ep2.Seq != ep.Seq {
-		t.Fatalf("within budget the epoch must not rebuild (seq %d then %d)", ep.Seq, ep2.Seq)
-	}
-	if ep2.Rows != 40 || ep2.StalenessRows != 25 {
-		t.Fatalf("stale epoch rows=%d staleness=%d, want 40/25", ep2.Rows, ep2.StalenessRows)
-	}
-
-	// The ETag still validates: the blob a client cached IS the blob
-	// the stale epoch would serve, so 304 is correct — a live-counter
-	// tag would refetch an identical blob.
-	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
-	req.Header.Set("If-None-Match", tag)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified {
-		t.Fatalf("summary within budget: got %d, want 304", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Epoch-Staleness-Rows"); got != "25" {
-		t.Fatalf("X-Epoch-Staleness-Rows = %q, want 25", got)
-	}
-
-	// Flush is the strict escape hatch: it forces a fresh epoch that
-	// subsequent reads (and the export tag) pick up.
-	snap, err := eng.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Rows() != 65 {
-		t.Fatalf("flushed snapshot has %d rows, want 65", snap.Rows())
-	}
-	ep3 := queryEpoch(t, ts.URL, []int{0, 1})
-	if ep3.Rows != 65 || ep3.StalenessRows != 0 {
-		t.Fatalf("post-Flush epoch rows=%d staleness=%d, want 65/0", ep3.Rows, ep3.StalenessRows)
-	}
-	req, _ = http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
-	req.Header.Set("If-None-Match", tag)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("summary after Flush: got %d, want 200 with a new tag", resp.StatusCode)
-	}
-	if resp.Header.Get("ETag") == tag {
-		t.Fatal("a fresh epoch must mint a new summary ETag")
 	}
 }
 

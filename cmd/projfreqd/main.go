@@ -4,10 +4,8 @@
 // serialized summaries through /v1/push (merged on ingest), and
 // readers batch queries through /v1/query or export the merged
 // summary as a wire blob from /v1/summary. Reads are served from an
-// epoch snapshot; with -max-staleness / -max-staleness-rows the
-// daemon may serve a bounded-stale epoch instead of rebuilding on
-// every change, decoupling readers from ingestion (responses carry an
-// "epoch" block reporting the exact staleness).
+// epoch snapshot that covers every row accepted before the read
+// started (responses carry an "epoch" block naming the snapshot).
 //
 // Before ingestion starts, clients may provision dedicated summaries
 // for hot projections through /v1/subspaces (register with POST, list
@@ -34,7 +32,7 @@
 //	projfreqd -summary exact -d 8 -q 8 -shards 4 -data-dir /var/lib/projfreq -fsync always
 //
 // Remote writers must build their summaries with the same shape and
-// configuration the daemon was started with (for Net/Subset summaries
+// configuration the daemon was started with (for Net summaries
 // that includes the seed, so member sketches share hash functions);
 // pushes of incompatible summaries are refused with 409 and corrupt
 // blobs with 400 — and once subspaces are registered, only whole
@@ -101,8 +99,6 @@ func run() error {
 		fsyncStr = flag.String("fsync", "interval", "WAL fsync policy: always | interval | never")
 		ckRows   = flag.Int64("checkpoint-rows", 1<<20, "checkpoint after this many new rows (0 disables the row trigger)")
 		ckEvery  = flag.Duration("checkpoint-interval", 5*time.Minute, "checkpoint at least this often while data arrives (0 disables the timer)")
-		staleDur = flag.Duration("max-staleness", 0, "serve reads from a snapshot at most this old (0 = always fresh; see README for the consistency caveat)")
-		staleRow = flag.Int64("max-staleness-rows", 0, "serve reads from a snapshot missing at most this many rows (0 = always fresh)")
 		pullFrom = flag.String("pull-from", "", "comma-separated ingest-node base URLs to pull summaries from (makes this daemon an aggregator)")
 		pullIvl  = flag.Duration("pull-interval", time.Second, "anti-entropy pull cadence (aggregator only)")
 		pullTO   = flag.Duration("pull-timeout", 10*time.Second, "per-pull HTTP timeout (aggregator pulls and admin hand-offs)")
@@ -133,11 +129,7 @@ func run() error {
 		defer wal.Close()
 	}
 
-	cfg := engine.Config{
-		Shards:               *shards,
-		MaxStalenessRows:     *staleRow,
-		MaxStalenessInterval: *staleDur,
-	}
+	cfg := engine.Config{Shards: *shards}
 	if wal != nil {
 		// Assign only a live store: a typed-nil *store.Store in the
 		// Log interface field passes the engine's log == nil check and
@@ -511,11 +503,10 @@ func (s *server) ApplySource(source string, blob []byte) error {
 // fingerprint of the daemon's configuration (engine name — which
 // carries the summary kind and shard count — and shape, plus a boot
 // nonce), and the serving epoch's sequence number. The epoch seq is
-// the right validator under staleness budgets: every mutation the
-// daemon accepts (rows, pushes, subspace registrations) produces a new
-// epoch before a changed blob can be exported, while live state
-// counters would mint distinct tags for the one unchanged blob a
-// budget keeps serving — or worse, one tag for two different blobs.
+// the right validator: every mutation the daemon accepts (rows,
+// pushes, subspace registrations) produces a new epoch before a
+// changed blob can be exported, and the blob is a function of the
+// epoch alone.
 // The boot nonce keeps a restarted daemon (whose seq restarts at 1)
 // from answering 304 to a predecessor's tag.
 func (s *server) summaryETag(epochSeq uint64) string {
@@ -537,9 +528,9 @@ func etagMatch(header, tag string) bool {
 
 func (s *server) handleSummary(w http.ResponseWriter, r *http.Request) {
 	// Resolving the epoch is the cheap part (lock-free while the
-	// serving epoch is current or within budget); the conditional probe
-	// then runs before the expensive marshal, so a repeat GET with no
-	// new epoch skips serialization entirely.
+	// serving epoch is current); the conditional probe then runs
+	// before the expensive marshal, so a repeat GET with no new epoch
+	// skips serialization entirely.
 	snap, info, err := s.eng.SnapshotInfo()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, err)
@@ -696,10 +687,10 @@ type resultJSON struct {
 	Route       string    `json:"route,omitempty"`
 }
 
-// epochJSON surfaces the serving epoch's staleness to clients: which
-// snapshot build answered, the accepted-row clock it covers, how many
-// rows it is missing, and its wall-clock age. Under the default strict
-// configuration staleness_rows is always 0.
+// epochJSON surfaces the serving epoch to clients: which snapshot
+// build answered, the accepted-row clock it covers, how many rows
+// concurrent writers had added past that cut by the time the response
+// was built, and its wall-clock age.
 type epochJSON struct {
 	Seq           uint64  `json:"seq"`
 	Rows          int64   `json:"rows"`
@@ -847,7 +838,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Subspaces: s.eng.NumSubspaces(),
 		Wire:      core.WireVersion,
 	}
-	// One epoch resolution serves both the size and the staleness
+	// One epoch resolution serves both the size and the epoch
 	// block; an epoch-build failure degrades the two fields rather than
 	// failing the whole stats poll.
 	if _, info, err := s.eng.SnapshotInfo(); err == nil {

@@ -13,6 +13,9 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/registry"
+	"repro/internal/rng"
+	"repro/internal/sketch"
+	"repro/internal/wire"
 	"repro/internal/words"
 )
 
@@ -520,5 +523,54 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	respBare.Body.Close()
 	if respBare.StatusCode != http.StatusConflict {
 		t.Fatalf("bare push into subspaced daemon: %d", respBare.StatusCode)
+	}
+}
+
+// retiredSubsetBlob is a well-formed blob of wire kind 4, the retired
+// C(d, t) subset-enumeration summary, laid out as its codec wrote one:
+// d = t = 2, so a single empty KMV sketch under the enumeration's
+// first seed draw.
+func retiredSubsetBlob(t *testing.T) []byte {
+	t.Helper()
+	kmv, err := sketch.KMVForEpsilon(0.5, rng.New(1).Uint64()).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := &wire.Writer{}
+	payload.U32(2)   // t
+	payload.F64(0.5) // ε
+	payload.U32(1)   // C(2, 2) sketches
+	payload.Block(kmv)
+	w := &wire.Writer{}
+	w.Raw([]byte("PFQS"))
+	w.U8(core.WireVersion)
+	w.U8(4) // kind
+	w.U16(0)
+	w.U32(2) // d
+	w.U32(2) // q
+	w.U64(1) // seed
+	w.I64(0) // rows
+	w.U32(uint32(len(payload.Bytes())))
+	w.Raw(payload.Bytes())
+	return w.Bytes()
+}
+
+// TestRetiredSubsetKindRefused: kind byte 4 stays reserved for the
+// retired subset summary. Its blobs decode to ErrBadEncoding, and
+// /v1/push refuses them as corrupt (400), not as incompatible.
+func TestRetiredSubsetKindRefused(t *testing.T) {
+	blob := retiredSubsetBlob(t)
+	if sum, err := core.UnmarshalSummary(blob); !errors.Is(err, core.ErrBadEncoding) {
+		t.Fatalf("kind-4 blob decoded to %v, %v; want ErrBadEncoding", sum, err)
+	}
+	ts, _ := startDaemon(t, "exact", 2, 2, 1)
+	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("kind-4 push: %d, want 400", resp.StatusCode)
 	}
 }

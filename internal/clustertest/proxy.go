@@ -146,9 +146,6 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 // given in place of the backend's own URL.
 func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
-// Backend returns the proxied host:port.
-func (p *Proxy) Backend() string { return p.backend }
-
 // Accepted reports how many connections the proxy has accepted.
 func (p *Proxy) Accepted() int64 {
 	p.mu.Lock()

@@ -41,7 +41,6 @@ var goldenBatchDigests = map[string]string{
 	"sample-wr":        "28f7534ce33624a7fa3472f9f67dc56bb86f40a40804621acc147a23488c4756",
 	"sample-reservoir": "a7279b598155fab92303daa6b1dcd8606cd429f29d48744e0e74c29871db08b8",
 	"net":              "73183fe0c952af3eeb0c9903763a7c3dc40eaceb66ad093930008641e3e16d31",
-	"subset":           "5edae481b53cf169a04665776c2f639be884011ed17b2371f61296cd89d18596",
 	"registered":       "8d0879be8eabbf7fe363815037d7a8261f616513ddc39afce5513a9fa9bcb5eb",
 }
 
@@ -74,13 +73,6 @@ func batchSummaryKinds(t *testing.T, d, q int) map[string]func() Summary {
 		},
 		"net": func() Summary {
 			s, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: []float64{2}, StableReps: 12, Seed: 11})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"subset": func() Summary {
-			s, err := NewSubset(d, q, 2, 0.25, 13, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -221,7 +213,7 @@ func TestObserveBatchDimensionMismatchPanics(t *testing.T) {
 // row by row without allocating once its arenas are warm.
 func TestObserveOneRowDoesNotAllocate(t *testing.T) {
 	const d, q = 8, 4
-	s := batchSummaryKinds(t, d, q)["subset"]()
+	s := batchSummaryKinds(t, d, q)["registered"]()
 	row := batchTestRows(d, q, 1, 3)[0]
 	s.Observe(row)
 	if allocs := testing.AllocsPerRun(100, func() { s.Observe(row) }); allocs != 0 {

@@ -334,43 +334,6 @@ func TestNetSummaryConfigValidation(t *testing.T) {
 	}
 }
 
-func TestSubsetSummaryExactSize(t *testing.T) {
-	tb := testData(1000, 9)
-	s, err := NewSubset(10, 2, 3, 0.2, 11, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(s, tb)
-	if s.NumSketches() != 120 { // C(10,3)
-		t.Fatalf("NumSketches = %d, want 120", s.NumSketches())
-	}
-	c := words.MustColumnSet(10, 2, 5, 8)
-	got, err := s.F0(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth := float64(freq.FromTable(tb, c).Support())
-	if math.Abs(got-truth)/truth > 0.3 {
-		t.Fatalf("subset F0 = %v, truth %v", got, truth)
-	}
-	// Wrong-size queries are rejected with ErrUnsupported.
-	if _, err := s.F0(words.MustColumnSet(10, 1, 2)); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("wrong-size query: %v", err)
-	}
-}
-
-func TestSubsetSummaryBudget(t *testing.T) {
-	if _, err := NewSubset(20, 2, 10, 0.2, 1, 1000); err == nil {
-		t.Fatal("C(20,10) must exceed a 1000-sketch budget")
-	}
-	if _, err := NewSubset(10, 2, 0, 0.2, 1, 0); err == nil {
-		t.Fatal("t=0 must error")
-	}
-	if _, err := NewSubset(10, 2, 3, 0, 1, 0); err == nil {
-		t.Fatal("eps=0 must error")
-	}
-}
-
 func TestSummaryInterfaceCompliance(t *testing.T) {
 	// Compile-time and runtime checks that each summary implements
 	// the intended capability set.
@@ -399,15 +362,15 @@ func TestSummaryInterfaceCompliance(t *testing.T) {
 	var _ FpQuerier = nt
 	var _ Mergeable = nt
 
-	sub, err := NewSubset(6, 2, 2, 0.3, 1, 0)
+	reg, err := NewRegistered(6, 2, []words.ColumnSet{words.MustColumnSet(6, 0, 1)}, RegisteredConfig{Epsilon: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var _ Summary = sub
-	var _ F0Querier = sub
-	var _ Mergeable = sub
+	var _ Summary = reg
+	var _ F0Querier = reg
+	var _ Mergeable = reg
 
-	for _, s := range []Summary{mustExact(t, 4, 2), smp, nt, sub} {
+	for _, s := range []Summary{mustExact(t, 4, 2), smp, nt, reg} {
 		if s.Name() == "" {
 			t.Fatal("summaries must be named")
 		}

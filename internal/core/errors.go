@@ -10,19 +10,16 @@ import (
 var ErrInvalidParam = errors.New("core: invalid parameter")
 
 // ErrIncompatibleMerge is the sentinel wrapped when two summaries
-// cannot be merged — different kinds, shapes, sizes, or seeds. It is
-// also wrapped when a serialized blob of one summary kind is decoded
-// into a receiver of another kind, the wire-level flavour of the same
-// mismatch.
+// cannot be merged — different kinds, shapes, sizes, or seeds.
 var ErrIncompatibleMerge = errors.New("core: incompatible summaries")
 
 // ErrBadEncoding is the sentinel wrapped by every decode-time
 // rejection of a malformed summary blob: bad magic, unsupported
 // version, truncation, trailing bytes, or payloads whose internal
 // structure contradicts their header. Degenerate shape parameters in
-// an otherwise well-formed envelope wrap ErrInvalidParam instead, and
-// kind mismatches wrap ErrIncompatibleMerge, so decode failures land
-// in the same error taxonomy construction and merging already use.
+// an otherwise well-formed envelope wrap ErrInvalidParam instead, so
+// decode failures land in the same error taxonomy construction already
+// uses.
 var ErrBadEncoding = errors.New("core: malformed summary encoding")
 
 // ParamError reports a rejected construction parameter: which summary

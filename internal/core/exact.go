@@ -22,9 +22,8 @@ import (
 // the retained rows — is the whole cost of a query. Vector therefore
 // memoizes it per C: the first question about a C pays the pass, the
 // later ones (another kind, another pattern, another φ) read the same
-// vector. Mutation (Observe, ObserveBatch, Merge, UnmarshalBinary)
-// drops the memo; it is never serialized and never counted in
-// SizeBytes.
+// vector. Mutation (Observe, ObserveBatch, Merge) drops the memo; it
+// is never serialized and never counted in SizeBytes.
 //
 // Queries may run concurrently with each other. Mutation needs
 // exclusive access, as for every summary — which is why the mutators

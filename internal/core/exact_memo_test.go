@@ -87,11 +87,6 @@ func TestExactMutationDropsMemo(t *testing.T) {
 				t.Fatal(err)
 			}
 		},
-		"UnmarshalBinary": func(e *Exact) {
-			if err := e.UnmarshalBinary(mustMarshal(t, donor)); err != nil {
-				t.Fatal(err)
-			}
-		},
 	} {
 		e := mustExact(t, 10, 2)
 		feed(e, testData(3000, 7))

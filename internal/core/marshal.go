@@ -14,9 +14,10 @@ import (
 )
 
 // This file is the summary wire format: every core summary implements
-// encoding.BinaryMarshaler / encoding.BinaryUnmarshaler behind a
-// shared, self-describing envelope, so summaries built in one process
-// can be shipped to and merged in another (cmd/projfreqd's push path).
+// encoding.BinaryMarshaler behind a shared, self-describing envelope,
+// and UnmarshalSummary is the one decode entry, so summaries built in
+// one process can be shipped to and merged in another (cmd/projfreqd's
+// push path).
 //
 // Envelope layout (little-endian, fixed width, 36 bytes):
 //
@@ -34,9 +35,8 @@ import (
 //	36     …    kind-specific payload (see ARCHITECTURE.md)
 //
 // Decode-side failures are typed, never panics: structural damage
-// wraps ErrBadEncoding, degenerate header shapes wrap ErrInvalidParam
-// (via ParamError), and decoding a blob into a receiver of another
-// kind wraps ErrIncompatibleMerge.
+// (and a retired kind byte) wraps ErrBadEncoding, and degenerate
+// header shapes wrap ErrInvalidParam (via ParamError).
 //
 // Decoding guarantees two further invariants:
 //
@@ -53,7 +53,7 @@ import (
 //     state is touched.
 
 // WireVersion is the summary wire-format version emitted by
-// MarshalBinary and required by UnmarshalBinary.
+// MarshalBinary and required by UnmarshalSummary.
 const WireVersion = 1
 
 // envelopeSize is the fixed byte length of the wire envelope.
@@ -70,7 +70,9 @@ const (
 	KindExact SummaryKind = iota + 1
 	KindSample
 	KindNet
-	KindSubset
+	// kindRetired (4) was the C(d, t) subset-enumeration baseline. The
+	// number stays reserved: decoders refuse it and no kind reuses it.
+	kindRetired
 	KindRegistered
 )
 
@@ -83,8 +85,6 @@ func (k SummaryKind) String() string {
 		return "sample"
 	case KindNet:
 		return "net"
-	case KindSubset:
-		return "subset"
 	case KindRegistered:
 		return "registered"
 	default:
@@ -114,7 +114,7 @@ type Envelope struct {
 	Payload []byte
 }
 
-// extKinds maps wire kinds beyond the built-in five to decoders
+// extKinds maps wire kinds beyond the built-in ones to decoders
 // contributed by other packages (internal/registry's container kind).
 // It is written only during package initialization — RegisterWireKind
 // documents the init-time contract — so lock-free reads are safe.
@@ -124,7 +124,7 @@ var extKinds = map[SummaryKind]struct {
 }{}
 
 // RegisterWireKind installs a decoder for a summary kind beyond the
-// built-in five, extending parseEnvelope's kind validation and
+// built-in ones, extending parseEnvelope's kind validation and
 // UnmarshalSummary's dispatch without this package importing the
 // kind's implementation. The kind must be greater than KindRegistered
 // and not yet taken; violations panic, since registration happens from
@@ -151,7 +151,7 @@ func RegisterWireKind(kind SummaryKind, name string, dec func(Envelope) (Summary
 // kind must be built-in or registered, and the shape must pass the
 // same validation decoding applies, so every blob this emits parses.
 func AppendEnvelope(kind SummaryKind, d, q int, seed uint64, rows int64, payload []byte) ([]byte, error) {
-	if _, ok := extKinds[kind]; !ok && (kind < KindExact || kind > KindRegistered) {
+	if _, ok := extKinds[kind]; !ok && (kind < KindExact || kind > KindRegistered || kind == kindRetired) {
 		return nil, fmt.Errorf("core: cannot envelope unregistered summary kind %d", uint8(kind))
 	}
 	if err := validateShape(kind.String(), d, q); err != nil {
@@ -169,10 +169,6 @@ const maxDecodeDim = 1 << 20
 
 func badEncoding(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrBadEncoding, fmt.Sprintf(format, args...))
-}
-
-func kindMismatch(want, got SummaryKind) error {
-	return fmt.Errorf("%w: cannot decode a %s blob into a %s summary", ErrIncompatibleMerge, got, want)
 }
 
 // envelope is the decoded wire header.
@@ -217,6 +213,9 @@ func parseEnvelope(data []byte) (envelope, error) {
 		return envelope{}, badEncoding("unsupported format version %d (have %d)", v, WireVersion)
 	}
 	kind := SummaryKind(data[5])
+	if kind == kindRetired {
+		return envelope{}, badEncoding("retired summary kind %d (subset, the C(d, t) enumeration baseline)", uint8(kind))
+	}
 	if kind < KindExact || kind > KindRegistered {
 		if _, ok := extKinds[kind]; !ok {
 			return envelope{}, badEncoding("unknown summary kind %d", uint8(kind))
@@ -278,12 +277,10 @@ func UnmarshalSummary(data []byte) (Summary, error) {
 		return decodeSample(env)
 	case KindNet:
 		return decodeNet(env)
-	case KindSubset:
-		return decodeSubset(env)
 	case KindRegistered:
 		return decodeRegistered(env)
 	default:
-		// parseEnvelope only admits kinds beyond the built-in five when
+		// parseEnvelope only admits kinds beyond the built-in ones when
 		// a decoder was registered for them.
 		return extKinds[env.kind].dec(Envelope{
 			Kind: env.kind, Dim: env.d, Alphabet: env.q,
@@ -330,24 +327,6 @@ func decodeExact(env envelope) (*Exact, error) {
 	}
 	e.table.AppendBatch(b)
 	return e, r.Done()
-}
-
-// UnmarshalBinary decodes an exact summary produced by MarshalBinary,
-// replacing the receiver's state.
-func (e *Exact) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data)
-	if err != nil {
-		return err
-	}
-	if env.kind != KindExact {
-		return kindMismatch(KindExact, env.kind)
-	}
-	dec, err := decodeExact(env)
-	if err != nil {
-		return err
-	}
-	e.table, e.memo = dec.table, nil
-	return nil
 }
 
 // --- Sample ---
@@ -416,24 +395,6 @@ func decodeSample(env envelope) (*Sample, error) {
 		}
 	}
 	return s, nil
-}
-
-// UnmarshalBinary decodes a sampling summary produced by
-// MarshalBinary, replacing the receiver's state.
-func (s *Sample) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data)
-	if err != nil {
-		return err
-	}
-	if env.kind != KindSample {
-		return kindMismatch(KindSample, env.kind)
-	}
-	dec, err := decodeSample(env)
-	if err != nil {
-		return err
-	}
-	*s = *dec
-	return nil
 }
 
 // --- Net ---
@@ -583,42 +544,7 @@ func anetProbe(d int, alpha float64) (int, error) {
 	return n.MemberCount()
 }
 
-// UnmarshalBinary decodes a net summary produced by MarshalBinary,
-// replacing the receiver's state.
-func (s *Net) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data)
-	if err != nil {
-		return err
-	}
-	if env.kind != KindNet {
-		return kindMismatch(KindNet, env.kind)
-	}
-	dec, err := decodeNet(env)
-	if err != nil {
-		return err
-	}
-	*s = *dec
-	return nil
-}
-
-// --- Subset ---
-
-// MarshalBinary encodes the summary: the envelope, (t, ε), and one
-// length-prefixed KMV state per materialized subset in mask order.
-func (s *Subset) MarshalBinary() ([]byte, error) {
-	w := &wire.Writer{}
-	w.U32(uint32(s.t))
-	w.F64(s.eps)
-	w.U32(uint32(len(s.sk)))
-	for _, k := range s.sk {
-		blob, err := k.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Block(blob)
-	}
-	return appendEnvelope(KindSubset, s.d, s.q, s.seed, s.rows, w.Bytes())
-}
+// --- Registered ---
 
 // restoreKMV decodes blob and folds it into dst, which must be a
 // freshly constructed (empty) sketch: the merge validates that the
@@ -637,60 +563,6 @@ func restoreKMV(dst *sketch.KMV, blob []byte, rerr error) error {
 	}
 	return nil
 }
-
-func decodeSubset(env envelope) (*Subset, error) {
-	r := payloadReader(env)
-	t := int(r.U32())
-	eps := r.F64()
-	n := int(r.U32())
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	// Every sketch block costs at least its 4-byte length prefix, so
-	// the claimed count bounds the enumeration before it runs; legal
-	// blobs always satisfy it, so any constructible subset summary
-	// round-trips.
-	if n < 1 || 4*n > r.Remaining() {
-		return nil, badEncoding("subset sketch count %d in %d payload bytes", n, r.Remaining())
-	}
-	s, err := NewSubset(env.d, env.q, t, eps, env.seed, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: rebuilding subset enumeration: %v", ErrBadEncoding, err)
-	}
-	if len(s.sk) != n {
-		return nil, badEncoding("blob carries %d sketches, C(%d,%d) = %d", n, env.d, t, len(s.sk))
-	}
-	for i := range s.sk {
-		if err := restoreKMV(s.sk[i], r.Block(), r.Err()); err != nil {
-			return nil, badEncoding("subset sketch %d: %v", i, err)
-		}
-	}
-	if err := r.Done(); err != nil {
-		return nil, err
-	}
-	s.rows = env.rows
-	return s, nil
-}
-
-// UnmarshalBinary decodes a subset summary produced by MarshalBinary,
-// replacing the receiver's state.
-func (s *Subset) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data)
-	if err != nil {
-		return err
-	}
-	if env.kind != KindSubset {
-		return kindMismatch(KindSubset, env.kind)
-	}
-	dec, err := decodeSubset(env)
-	if err != nil {
-		return err
-	}
-	*s = *dec
-	return nil
-}
-
-// --- Registered ---
 
 // MarshalBinary encodes the summary: the envelope, the
 // RegisteredConfig, the subset masks (ascending), and per subset a
@@ -783,23 +655,5 @@ func restoreKHLL(dst *sketch.KHLL, blob []byte, rerr error) error {
 	if err := dst.Merge(&dec); err != nil {
 		return fmt.Errorf("sketch state contradicts the summary configuration: %w", err)
 	}
-	return nil
-}
-
-// UnmarshalBinary decodes a registered summary produced by
-// MarshalBinary, replacing the receiver's state.
-func (s *Registered) UnmarshalBinary(data []byte) error {
-	env, err := parseEnvelope(data)
-	if err != nil {
-		return err
-	}
-	if env.kind != KindRegistered {
-		return kindMismatch(KindRegistered, env.kind)
-	}
-	dec, err := decodeRegistered(env)
-	if err != nil {
-		return err
-	}
-	*s = *dec
 	return nil
 }

@@ -6,11 +6,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/rng"
-	"repro/internal/sketch"
+	"repro/internal/wire"
 	"repro/internal/words"
 )
 
@@ -52,10 +53,6 @@ func wireSummaries(t *testing.T) map[string]Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub, err := NewSubset(d, q, 2, 0.25, 6, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg, err := NewRegistered(d, q, []words.ColumnSet{
 		words.MustColumnSet(d, 0, 1),
 		words.MustColumnSet(d, 2, 4, 5),
@@ -68,7 +65,6 @@ func wireSummaries(t *testing.T) map[string]Summary {
 		"sample-wr":        wr,
 		"sample-reservoir": rs,
 		"net":              nt,
-		"subset":           sub,
 		"registered":       reg,
 	}
 }
@@ -214,50 +210,38 @@ func TestUnmarshalTypedReceivers(t *testing.T) {
 		}
 		return b
 	}
-	var ex Exact
-	if err := ex.UnmarshalBinary(blob("exact")); err != nil {
-		t.Fatal(err)
+	decode := func(name string) Summary {
+		dec, err := UnmarshalSummary(blob(name))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return dec
 	}
-	var smp Sample
-	if err := smp.UnmarshalBinary(blob("sample-reservoir")); err != nil {
-		t.Fatal(err)
+	// UnmarshalSummary dispatches on the kind byte to the concrete type.
+	ex, ok1 := decode("exact").(*Exact)
+	smp, ok2 := decode("sample-reservoir").(*Sample)
+	nt, ok3 := decode("net").(*Net)
+	reg, ok4 := decode("registered").(*Registered)
+	if !ok1 || !ok2 || !ok3 || !ok4 {
+		t.Fatalf("decoded types %T %T %T %T", ex, smp, nt, reg)
 	}
-	var nt Net
-	if err := nt.UnmarshalBinary(blob("net")); err != nil {
-		t.Fatal(err)
-	}
-	var sub Subset
-	if err := sub.UnmarshalBinary(blob("subset")); err != nil {
-		t.Fatal(err)
-	}
-	var reg Registered
-	if err := reg.UnmarshalBinary(blob("registered")); err != nil {
-		t.Fatal(err)
-	}
-	if ex.Rows() != 500 || smp.Rows() != 500 || nt.Rows() != 500 || sub.Rows() != 500 || reg.Rows() != 500 {
+	if ex.Rows() != 500 || smp.Rows() != 500 || nt.Rows() != 500 || reg.Rows() != 500 {
 		t.Fatal("typed decodes lost rows")
 	}
-	// A decoded summary keeps merging: the receiver is fully restored.
+	// A decoded summary keeps merging: its state is fully restored.
 	if err := nt.Merge(sums["net"]); err != nil {
 		t.Fatalf("decoded net must merge with its origin: %v", err)
-	}
-	// Kind mismatches fail typed, into the merge taxonomy.
-	if err := ex.UnmarshalBinary(blob("net")); !errors.Is(err, ErrIncompatibleMerge) {
-		t.Fatalf("exact<-net: %v", err)
-	}
-	if err := nt.UnmarshalBinary(blob("sample-wr")); !errors.Is(err, ErrIncompatibleMerge) {
-		t.Fatalf("net<-sample: %v", err)
 	}
 }
 
 // typedDecodeErr asserts the decode failure lands in the error
-// taxonomy: ErrBadEncoding, ErrInvalidParam, or ErrIncompatibleMerge.
+// taxonomy: ErrBadEncoding or ErrInvalidParam.
 func typedDecodeErr(t *testing.T, context string, err error) {
 	t.Helper()
 	if err == nil {
 		t.Fatalf("%s: decode must fail", context)
 	}
-	if !errors.Is(err, ErrBadEncoding) && !errors.Is(err, ErrInvalidParam) && !errors.Is(err, ErrIncompatibleMerge) {
+	if !errors.Is(err, ErrBadEncoding) && !errors.Is(err, ErrInvalidParam) {
 		t.Fatalf("%s: untyped decode error %v", context, err)
 	}
 }
@@ -388,28 +372,13 @@ func TestRegisteredConfigParamErrors(t *testing.T) {
 	}
 }
 
-// TestWideShapesRefusedAtConstruction: Subset and Registered look
-// subsets up by a 64-bit column mask, so d > 64 is refused by the
-// constructors (NewSubset used to build sketches under colliding masks
-// and panic on the first query) and, through them, by the decoder.
+// TestWideShapesRefusedAtConstruction: Registered looks subsets up by
+// a 64-bit column mask, so d > 64 is refused by the constructor and,
+// through it, by the decoder.
 func TestWideShapesRefusedAtConstruction(t *testing.T) {
-	if _, err := NewSubset(70, 2, 1, 0.5, 1, 0); !errors.Is(err, ErrInvalidParam) {
-		t.Errorf("NewSubset d=70: %v", err)
-	}
 	subsets := []words.ColumnSet{words.MustColumnSet(70, 0, 1)}
 	if _, err := NewRegistered(70, 2, subsets, RegisteredConfig{}); !errors.Is(err, ErrInvalidParam) {
 		t.Errorf("NewRegistered d=70: %v", err)
-	}
-	// The blob the old constructor would have accepted back: d = t = 70
-	// is one subset, so one sketch under the enumeration's first seed.
-	wide := &Subset{d: 70, q: 2, t: 70, eps: 0.5, seed: 1,
-		sk: []*sketch.KMV{sketch.KMVForEpsilon(0.5, rng.New(1).Uint64())}}
-	blob, err := wide.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum, err := UnmarshalSummary(blob); !errors.Is(err, ErrBadEncoding) {
-		t.Fatalf("wide subset blob decoded to %v, %v; want ErrBadEncoding", sum, err)
 	}
 }
 
@@ -463,10 +432,6 @@ func TestUnmarshalNaNFloatsFailTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	subBlob, err := MarshalSummary(sums["subset"])
-	if err != nil {
-		t.Fatal(err)
-	}
 	regBlob, err := MarshalSummary(sums["registered"])
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +445,6 @@ func TestUnmarshalNaNFloatsFailTyped(t *testing.T) {
 		// The net payload is alpha(8) eps(8) kind(1) reps(4) count(4),
 		// then the moment list: offset 25 is the first moment order.
 		{"net NaN moment", flip(netBlob, 25)},
-		// The subset payload is t(4), then eps.
-		{"subset NaN epsilon", flip(subBlob, 4)},
 		// The registered payload starts with eps.
 		{"registered NaN epsilon", flip(regBlob, 0)},
 	}
@@ -517,8 +480,6 @@ func TestUnmarshalResourceAttacksFailTypedAndFast(t *testing.T) {
 	}
 
 	// Denormal epsilon: 1/eps² overflows every int type.
-	sub := mustBlob("subset")
-	binary.LittleEndian.PutUint64(sub[envelopeSize+4:], math.Float64bits(1e-200))
 	reg := mustBlob("registered")
 	binary.LittleEndian.PutUint64(reg[envelopeSize:], math.Float64bits(1e-200))
 	// Huge KHLL value-sample claim in a tiny blob.
@@ -536,7 +497,6 @@ func TestUnmarshalResourceAttacksFailTypedAndFast(t *testing.T) {
 		name string
 		blob []byte
 	}{
-		{"subset denormal eps", sub},
 		{"registered denormal eps", reg},
 		{"registered huge khllvalues", regK},
 		{"net max reps without bytes", netReps},
@@ -580,5 +540,37 @@ func TestDefaultStableRepsNetRoundTrips(t *testing.T) {
 		if _, err := UnmarshalSummary(blob); err != nil {
 			t.Fatalf("eps=%v: default-reps net failed to round-trip: %v", eps, err)
 		}
+	}
+}
+
+// retiredKindBlob hand-builds an envelope of kind byte 4, the retired
+// subset-enumeration summary, over a payload shaped like its old
+// codec's: t, ε and an empty sketch list.
+func retiredKindBlob(t testing.TB, d, q int) []byte {
+	t.Helper()
+	w := &wire.Writer{}
+	w.U32(2)
+	w.F64(0.3)
+	w.U32(0)
+	blob, err := appendEnvelope(SummaryKind(4), d, q, 6, 50, w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestRetiredKindIsReserved: kind byte 4 decodes to ErrBadEncoding
+// naming the retired kind, encoding under it is refused, and the kinds
+// around it keep their numbers.
+func TestRetiredKindIsReserved(t *testing.T) {
+	_, err := UnmarshalSummary(retiredKindBlob(t, 5, 3))
+	if !errors.Is(err, ErrBadEncoding) || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("kind-4 blob: %v, want ErrBadEncoding naming the retired kind", err)
+	}
+	if _, err := AppendEnvelope(SummaryKind(4), 5, 3, 0, 0, nil); err == nil {
+		t.Fatal("AppendEnvelope accepted the retired kind")
+	}
+	if KindExact != 1 || KindSample != 2 || KindNet != 3 || KindRegistered != 5 {
+		t.Fatalf("wire kinds renumbered: %d %d %d %d", KindExact, KindSample, KindNet, KindRegistered)
 	}
 }

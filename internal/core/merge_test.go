@@ -113,35 +113,6 @@ func TestNetMergeEqualsUnionAcrossKinds(t *testing.T) {
 	}
 }
 
-func TestSubsetMergeEqualsUnion(t *testing.T) {
-	tb := testData(1500, 47)
-	mk := func() Summary {
-		s, err := NewSubset(10, 2, 3, 0.2, 49, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	whole := mk()
-	shards := []Summary{mk(), mk(), mk()}
-	splitFeed(whole, shards, tb)
-	merged := mergeAll(t, shards).(*Subset)
-	if merged.Rows() != whole.Rows() {
-		t.Fatalf("rows %d != %d", merged.Rows(), whole.Rows())
-	}
-	for _, cols := range [][]int{{0, 1, 2}, {2, 5, 8}, {7, 8, 9}} {
-		c := words.MustColumnSet(10, cols...)
-		a, err1 := merged.F0(c)
-		b, err2 := whole.(*Subset).F0(c)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		if a != b {
-			t.Fatalf("F0(%v): merged %v != whole %v", cols, a, b)
-		}
-	}
-}
-
 func TestSampleMergeFrequencyWithinTolerance(t *testing.T) {
 	// A merged k-shard sample is still a uniform sample of the whole
 	// stream, so the Theorem 5.1 guarantee applies to it: frequency
@@ -184,8 +155,9 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 	sampleC := mustSample(t, 4, 2, 16, 1)
 	sampleR := mustSample(t, 4, 2, 8, 1, WithReservoir())
 	netA, _ := NewNet(4, 2, NetConfig{Alpha: 0.3, Seed: 1})
-	subA, _ := NewSubset(4, 2, 2, 0.3, 1, 0)
-	subB, _ := NewSubset(4, 2, 2, 0.3, 2, 0)
+	pair := []words.ColumnSet{words.MustColumnSet(4, 0, 1)}
+	regA, _ := NewRegistered(4, 2, pair, RegisteredConfig{Epsilon: 0.3, Seed: 1})
+	regB, _ := NewRegistered(4, 2, pair, RegisteredConfig{Epsilon: 0.3, Seed: 2})
 
 	selfE := mustExact(t, 4, 2)
 	cases := []struct {
@@ -195,7 +167,7 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 		{"exact-self", selfE.Merge(selfE)},
 		{"sample-self", sampleA.Merge(sampleA)},
 		{"net-self", netA.Merge(netA)},
-		{"subset-self", subA.Merge(subA)},
+		{"registered-self", regA.Merge(regA)},
 		{"exact-vs-sample", mustExact(t, 4, 2).Merge(sampleA)},
 		{"exact-shape", mustExact(t, 4, 2).Merge(mustExact(t, 5, 2))},
 		{"sample-vs-net", sampleA.Merge(netA)},
@@ -208,8 +180,8 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 			b, _ := NewNet(4, 2, NetConfig{Alpha: 0.3, Seed: 1})
 			return a.Merge(b)
 		}()},
-		{"subset-vs-exact", subA.Merge(mustExact(t, 4, 2))},
-		{"subset-seed", subA.Merge(subB)},
+		{"registered-vs-exact", regA.Merge(mustExact(t, 4, 2))},
+		{"registered-seed", regA.Merge(regB)},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.got, ErrIncompatibleMerge) {
@@ -234,10 +206,6 @@ func TestConstructionValidation(t *testing.T) {
 		{"net-alpha", errOfNet(NewNet(4, 2, NetConfig{Alpha: 0.7}))},
 		{"net-eps", errOfNet(NewNet(4, 2, NetConfig{Alpha: 0.3, Epsilon: 2}))},
 		{"net-moment", errOfNet(NewNet(4, 2, NetConfig{Alpha: 0.3, Moments: []float64{3}}))},
-		{"subset-d", errOfSubset(NewSubset(0, 2, 1, 0.3, 1, 0))},
-		{"subset-q", errOfSubset(NewSubset(4, 1, 2, 0.3, 1, 0))},
-		{"subset-t", errOfSubset(NewSubset(4, 2, 5, 0.3, 1, 0))},
-		{"subset-eps", errOfSubset(NewSubset(4, 2, 2, 7, 1, 0))},
 	}
 	for _, tc := range bad {
 		if !errors.Is(tc.err, ErrInvalidParam) {
@@ -257,6 +225,5 @@ func TestConstructionValidation(t *testing.T) {
 	}
 }
 
-func errOf(_ *Sample, err error) error       { return err }
-func errOfNet(_ *Net, err error) error       { return err }
-func errOfSubset(_ *Subset, err error) error { return err }
+func errOf(_ *Sample, err error) error { return err }
+func errOfNet(_ *Net, err error) error { return err }

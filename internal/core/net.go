@@ -343,12 +343,6 @@ func (s *Net) FpAnswer(c words.ColumnSet, p float64) (anet.Answer, error) {
 	return ans, nil
 }
 
-// MarshalF0Sketches serializes the F0 member sketches (Alice's
-// message in the E9 communication experiment).
-func (s *Net) MarshalF0Sketches() ([]byte, error) {
-	return s.f0.MarshalSketches()
-}
-
 // Merge implements Mergeable: it folds another Net summary into s,
 // enabling shard-and-merge ingestion of partitioned streams. Both
 // summaries must have been built with identical (d, q, config) — in

@@ -140,14 +140,6 @@ func (s *Sample) Rows() int64 {
 	return s.wr.Seen()
 }
 
-// SampleSize returns t.
-func (s *Sample) SampleSize() int {
-	if s.reservoir {
-		return len(s.rs.Rows())
-	}
-	return s.wr.Size()
-}
-
 // SizeBytes counts the stored rows plus counters.
 func (s *Sample) SizeBytes() int {
 	rows := s.rows()

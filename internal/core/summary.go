@@ -3,7 +3,7 @@
 // the data, that answer projected frequency queries for column sets
 // revealed only after observation (Section 2's computational model).
 //
-// Five summaries cover the paper's upper-bound landscape and the
+// Four summaries cover the paper's upper-bound landscape and the
 // baselines its lower bounds are measured against:
 //
 //   - Exact: retains every row — the Θ(nd) naïve solution of
@@ -13,11 +13,11 @@
 //     guarantees for 0 < p ≤ 1 in O(ε⁻² log 1/δ) space.
 //   - Net: Algorithm 1 over an α-net — Theorem 6.5; answers F0/Fp
 //     within β·2^{O(αd)} using 2^{H(1/2−α)d} sketches.
-//   - Subset: per-subset sketches for a known query size t — the
-//     Ω(d^t) enumeration baseline of Section 3.1.
 //   - Registered: per-subset sketches for query sets known before the
 //     data — the KHyperLogLog deployment regime the paper's
-//     introduction contrasts with.
+//     introduction contrasts with. Registered over the t-subsets that
+//     combin.Combinations enumerates is Section 3.1's Ω(d^t)
+//     enumeration baseline for a known query size t.
 //
 // Every summary is mergeable (Mergeable) and serializable to a
 // versioned wire format (marshal.go, specified in ARCHITECTURE.md),
@@ -74,7 +74,7 @@ func ObserveAll(s Summary, b *words.Batch) { s.ObserveBatch(b) }
 // Mergeable is the distributed-ingestion capability: a summary that
 // can fold a peer built over a disjoint part of the stream into
 // itself, so that the merged summary answers every query as if it had
-// observed the concatenated stream. All five core summaries implement
+// observed the concatenated stream. All four core summaries implement
 // it (the sketches underneath — KMV/HLL/BJKST/KHLL, the p-stable
 // moment sketch, and the row samplers — are all mergeable); merging
 // requires compatible shape and, for seeded sketch summaries,

@@ -17,21 +17,18 @@
 //
 // Reads are served from epochs: immutable merged snapshots published
 // behind an atomic pointer. A query that finds the current epoch
-// within its staleness budget (Config.MaxStalenessRows /
-// MaxStalenessInterval; the zero budget means "always fresh") serves
-// it without touching the workers at all — no barrier, no merge, no
-// lock on the ingest path. Only when the epoch has aged past the
-// budget does a read pay the rebuild: quiesce the workers with a
-// channel barrier, merge the shard summaries into a fresh registry,
-// and publish it as the next epoch. QueryBatch answers many queries
-// at a time against one epoch: identical queries in a batch are
+// covering every accepted row serves it without touching the workers
+// at all — no barrier, no merge, no lock on the ingest path. Otherwise
+// the read pays the rebuild: quiesce the workers with a channel
+// barrier, merge the shard summaries into a fresh registry, and
+// publish it as the next epoch. Every read therefore reflects every
+// row accepted before it started. QueryBatch answers many queries at
+// a time against one epoch: identical queries in a batch are
 // evaluated once, the distinct ones are grouped by (target, column
 // set) and each group is answered by one of up to Config.QueryWorkers
 // workers, so a summary that builds state per column set (core.Exact's
 // memoized frequency vector) builds it once per epoch — that memo, not
-// the engine, is what makes a repeated question cheap; Flush is the
-// strict escape hatch that always forces a fresh epoch through the
-// barrier.
+// the engine, is what makes a repeated question cheap.
 //
 // # Subspaces
 //
@@ -65,8 +62,8 @@ import (
 // indices 0..Shards-1 for the ingest shards and with index Shards for
 // each merge snapshot. All returned summaries must share (d, q) and
 // implement core.Mergeable; summary kinds whose Merge requires equal
-// seeds (Net, Subset) must ignore the shard index when seeding, while
-// kinds that sample independently (Sample) should fold it in.
+// seeds (Net, Registered) must ignore the shard index when seeding,
+// while kinds that sample independently (Sample) should fold it in.
 type Factory func(shard int) (core.Summary, error)
 
 // Config tunes the engine; zero values select defaults.
@@ -83,19 +80,6 @@ type Config struct {
 	// queries QueryBatch evaluates at a time (default
 	// runtime.GOMAXPROCS(0)).
 	QueryWorkers int
-	// MaxStalenessRows, when positive, lets reads serve an epoch that
-	// is up to this many accepted rows behind the ingest clock before
-	// paying a rebuild. Zero (with a zero MaxStalenessInterval) keeps
-	// the strict contract: every read reflects every row accepted
-	// before it started.
-	MaxStalenessRows int64
-	// MaxStalenessInterval, when positive, lets reads serve an epoch
-	// cut up to this long ago. When set, a background refresher
-	// rebuilds aging epochs off the read path. An epoch that already
-	// covers every accepted row is fresh at any age under either
-	// budget; when both budgets are set, exceeding either one forces a
-	// rebuild.
-	MaxStalenessInterval time.Duration
 	// Log, when non-nil, is the durability tee: every accepted batch
 	// and absorbed summary is appended to it before it is routed
 	// to a shard, so a crashed process can be rebuilt by replaying the
@@ -164,7 +148,7 @@ type Sharded struct {
 	workers sync.WaitGroup
 
 	next     atomic.Uint64 // round-robin routing counter
-	enqueued atomic.Int64  // rows accepted (the staleness clock)
+	enqueued atomic.Int64  // rows accepted (the freshness clock)
 	closed   atomic.Bool
 
 	// arenaFree recycles chunk arenas between routeBatch (producer) and
@@ -208,10 +192,6 @@ type Sharded struct {
 	// epochSeq (also under mu) numbers the builds.
 	cur      atomic.Pointer[epoch]
 	epochSeq uint64
-
-	// refreshStop stops the background epoch refresher (started only
-	// when Config.MaxStalenessInterval > 0); nil otherwise.
-	refreshStop chan struct{}
 }
 
 // epoch is one published read snapshot: the merged registry and the
@@ -283,36 +263,7 @@ func NewSharded(factory Factory, cfg Config) (*Sharded, error) {
 	for i := range s.shards {
 		go s.worker(i)
 	}
-	if cfg.MaxStalenessInterval > 0 {
-		s.refreshStop = make(chan struct{})
-		go s.refresher()
-	}
 	return s, nil
-}
-
-// refresher keeps wall-clock staleness off the read path: it ticks at
-// half the interval budget and rebuilds the epoch whenever state has
-// changed since the last cut, so readers under a time budget almost
-// never find an expired epoch. Rebuild failures are dropped here —
-// the next read retries and surfaces them.
-func (s *Sharded) refresher() {
-	ivl := s.cfg.MaxStalenessInterval / 2
-	if ivl < time.Millisecond {
-		ivl = time.Millisecond
-	}
-	tick := time.NewTicker(ivl)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.refreshStop:
-			return
-		case <-tick.C:
-			if e := s.cur.Load(); e != nil && e.rows == s.enqueued.Load() {
-				continue // nothing new since the cut
-			}
-			_, _ = s.refreshEpoch(false)
-		}
-	}
 }
 
 // buildShard constructs the registry for one shard (or merge
@@ -502,56 +453,23 @@ func (s *Sharded) quiesceChans(chans []chan shardMsg, f func() error) error {
 	return err
 }
 
-// withinBudget reports whether the epoch may still be served under
-// the configured staleness budget. An epoch that covers every
-// accepted row is fresh at any age (and under any budget); otherwise
-// the strict (zero) budget always forces a rebuild, a positive row
-// budget tolerates that many accepted-but-unmerged rows, and a
-// positive interval budget tolerates that much wall-clock age —
-// exceeding either configured budget expires the epoch.
-func (s *Sharded) withinBudget(e *epoch) bool {
-	if e == nil {
-		return false
-	}
-	rows := s.enqueued.Load()
-	if e.rows == rows {
-		return true
-	}
-	if s.cfg.MaxStalenessRows <= 0 && s.cfg.MaxStalenessInterval <= 0 {
-		return false
-	}
-	if s.cfg.MaxStalenessRows > 0 && rows-e.rows > s.cfg.MaxStalenessRows {
-		return false
-	}
-	if s.cfg.MaxStalenessInterval > 0 && time.Since(e.built) > s.cfg.MaxStalenessInterval {
-		return false
-	}
-	return true
-}
-
-// currentEpoch is the read path's entry point: serve the published
-// epoch lock-free when it is within budget, rebuild otherwise.
+// currentEpoch is the read path's one entry point: the published
+// epoch is served lock-free iff it covers every accepted row, and
+// rebuilt otherwise.
 func (s *Sharded) currentEpoch() (*epoch, error) {
-	if e := s.cur.Load(); s.withinBudget(e) {
+	if e := s.cur.Load(); e != nil && e.rows == s.enqueued.Load() {
 		return e, nil
 	}
-	return s.refreshEpoch(false)
+	return s.refreshEpoch()
 }
 
-// refreshEpoch rebuilds the serving epoch under mu, double-checking
-// first (a concurrent caller may have just rebuilt): with strict set
-// the epoch must cover every accepted row, otherwise the configured
-// budget decides.
-func (s *Sharded) refreshEpoch(strict bool) (*epoch, error) {
+// refreshEpoch rebuilds the serving epoch under mu, checking again
+// first: a concurrent caller may have just rebuilt it.
+func (s *Sharded) refreshEpoch() (*epoch, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.cur.Load(); e != nil {
-		if e.rows == s.enqueued.Load() {
-			return e, nil
-		}
-		if !strict && s.withinBudget(e) {
-			return e, nil
-		}
+	if e := s.cur.Load(); e != nil && e.rows == s.enqueued.Load() {
+		return e, nil
 	}
 	return s.rebuildLocked()
 }
@@ -563,7 +481,7 @@ func (s *Sharded) refreshEpoch(strict bool) (*epoch, error) {
 // shard queue ahead of the barrier and lands in this merge. The merge
 // may additionally pick up rows whose Observe has sent but not yet
 // counted; recording the pre-barrier clock (rather than the merge's
-// own row count) keeps the staleness check sound — when a later load
+// own row count) keeps the freshness check sound — when a later load
 // matches the epoch's rows, the accepted set is unchanged and fully
 // contained in the snapshot. Counting merged rows instead would let a
 // sent-but-uncounted row masquerade as a later accepted one and serve
@@ -644,10 +562,9 @@ func (s *Sharded) publishLocked(merged *registry.Registry, accepted int64, size 
 }
 
 // Snapshot returns the merged view of all shards from the serving
-// epoch, rebuilding it only when the epoch has expired its staleness
-// budget (with the default zero budget: whenever rows have arrived
-// since the last build). The returned summary is never mutated again,
-// so callers may query it concurrently.
+// epoch, rebuilding it whenever rows have arrived since the last
+// build. The returned summary is never mutated again, so callers may
+// query it concurrently.
 func (s *Sharded) Snapshot() (core.Summary, error) {
 	e, err := s.currentEpoch()
 	if err != nil {
@@ -667,9 +584,9 @@ type EpochInfo struct {
 	// Rows is the accepted-rows clock at the epoch's cut: every row
 	// accepted before it is reflected in served answers.
 	Rows int64
-	// StalenessRows counts the rows accepted after the cut and not yet
-	// visible to readers; bounded by Config.MaxStalenessRows when that
-	// budget is set.
+	// StalenessRows counts the rows accepted after the cut by the time
+	// the info was captured: writers concurrent with the read, never
+	// rows accepted before it started.
 	StalenessRows int64
 	// Age is the wall-clock time since the cut.
 	Age time.Duration
@@ -727,15 +644,11 @@ func (s *Sharded) SnapshotInfo() (core.Summary, EpochInfo, error) {
 }
 
 // Flush blocks until every row accepted so far is reflected in the
-// merged snapshot, and returns that snapshot: the strict escape hatch
-// that bypasses any staleness budget and forces a fresh epoch through
-// the worker barrier when needed.
+// merged snapshot, and returns that snapshot. Every read already does
+// this: Flush is Snapshot, kept for callers that wait for ingestion to
+// land.
 func (s *Sharded) Flush() (core.Summary, error) {
-	e, err := s.refreshEpoch(true)
-	if err != nil {
-		return nil, err
-	}
-	return e.reg, nil
+	return s.Snapshot()
 }
 
 // Absorb folds an externally built summary — typically one decoded
@@ -823,10 +736,9 @@ func (s *Sharded) absorb(sum core.Summary, tee bool) error {
 	s.absorbs++
 	s.enqueued.Add(sum.Rows())
 	// Drop the serving epoch outright rather than trusting the donor's
-	// self-reported row count to advance the staleness clock: a blob
+	// self-reported row count to advance the freshness clock: a blob
 	// may carry sketch state with rows = 0, which would otherwise
-	// leave a prior epoch looking fresh — and absorbed state is never
-	// served stale, not even under a staleness budget.
+	// leave a prior epoch looking fresh.
 	s.cur.Store(nil)
 	if teeErr != nil {
 		return fmt.Errorf("engine: logging absorb: %w", teeErr)
@@ -848,8 +760,7 @@ func (s *Sharded) absorb(sum core.Summary, tee bool) error {
 // structure is refused (wrapping core.ErrIncompatibleMerge where the
 // merge rules do) and the engine is unchanged. On success the previous
 // summary for name (if any) is dropped, the serving epoch is
-// invalidated — absorbed state is never served stale, not even under a
-// staleness budget — and late subspace registration is blocked exactly
+// invalidated, and late subspace registration is blocked exactly
 // as it is after Absorb. The donor must not be mutated by the caller
 // afterwards; the engine re-merges it into every epoch it serves.
 //
@@ -1112,9 +1023,6 @@ func (s *Sharded) MarshalBinary() ([]byte, error) {
 func (s *Sharded) Close() {
 	if s.closed.Swap(true) {
 		return
-	}
-	if s.refreshStop != nil {
-		close(s.refreshStop)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

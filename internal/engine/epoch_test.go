@@ -4,29 +4,27 @@ import (
 	"bytes"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/words"
 )
 
-// TestEpochMixedStress hammers one budgeted engine with concurrent
-// batch writers, query readers, snapshot pollers, and checkpoint
-// cuts — the full mixed workload the epoch read path decouples. It
-// exists to run under -race: correctness here is "no data race, no
-// error, and the strict escape hatch still reflects every accepted
-// row once the writers stop".
+// TestEpochMixedStress hammers one engine with concurrent batch
+// writers, query readers, snapshot pollers, and checkpoint cuts — the
+// full mixed workload the epoch read path serves. It exists to run
+// under -race: correctness here is "no data race, no error, every read
+// reflects every row accepted before it started, and Flush reflects
+// every accepted row once the writers stop".
 func TestEpochMixedStress(t *testing.T) {
 	const d, q = 6, 3
 	dir := t.TempDir()
 	log := openLog(t, dir, d, q)
 	defer log.Close()
 	eng, err := NewSharded(exactFactory(d, q), Config{
-		Shards:           3,
-		Queue:            8,
-		MaxStalenessRows: 64,
-		Log:              log,
+		Shards: 3,
+		Queue:  8,
+		Log:    log,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -67,6 +65,7 @@ func TestEpochMixedStress(t *testing.T) {
 			c := words.MustColumnSet(d, g, g+1)
 			var lastSeq uint64
 			for i := 0; i < readsPerR; i++ {
+				before := eng.Rows()
 				res, info := eng.QueryBatchInfo([]Query{
 					{Kind: KindF0, Cols: c},
 					{Kind: KindFrequency, Cols: c, Pattern: words.Word{1, 1}},
@@ -85,6 +84,12 @@ func TestEpochMixedStress(t *testing.T) {
 				lastSeq = info.Seq
 				if info.StalenessRows < 0 {
 					t.Errorf("negative staleness %d", info.StalenessRows)
+					return
+				}
+				// The one read contract: the serving cut covers every row
+				// accepted before the read started.
+				if info.Rows < before {
+					t.Errorf("read served a cut of %d rows, %d were accepted before it started", info.Rows, before)
 					return
 				}
 			}
@@ -128,171 +133,26 @@ func TestEpochMixedStress(t *testing.T) {
 	if info.Rows != want || info.StalenessRows != 0 {
 		t.Fatalf("post-Flush epoch rows=%d staleness=%d, want %d/0", info.Rows, info.StalenessRows, want)
 	}
-}
-
-// TestStalenessBudgetNeverExceeded drives a budgeted engine from a
-// single goroutine (so the staleness arithmetic is deterministic) and
-// checks the serving contract after every write: a read either keeps
-// the old epoch with its staleness within the row budget, or lands on
-// a freshly rebuilt epoch covering everything — never an epoch older
-// than the budget allows. Flush must always produce the fresh case.
-func TestStalenessBudgetNeverExceeded(t *testing.T) {
-	const (
-		d, q    = 6, 3
-		budget  = 100
-		perStep = 7
-		steps   = 60
-	)
-	eng, err := NewSharded(exactFactory(d, q), Config{
-		Shards:           2,
-		Queue:            4,
-		MaxStalenessRows: budget,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-
-	var total int64
-	var prev EpochInfo
-	rebuilds := 0
-	for i := 0; i < steps; i++ {
-		b := words.NewBatch(d, perStep)
-		for r := 0; r < perStep; r++ {
-			row := b.AppendRow()
-			for j := range row {
-				row[j] = uint16((i + r + j) % q)
-			}
-		}
-		eng.ObserveBatch(b)
-		total += perStep
-
-		_, info, err := eng.SnapshotInfo()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.StalenessRows > budget {
-			t.Fatalf("step %d: served epoch is %d rows stale, budget is %d", i, info.StalenessRows, budget)
-		}
-		if info.Rows+info.StalenessRows != total {
-			t.Fatalf("step %d: epoch rows %d + staleness %d != accepted %d", i, info.Rows, info.StalenessRows, total)
-		}
-		switch {
-		case info.Seq == prev.Seq:
-			// Same epoch served: it must be exactly the old cut, now
-			// perStep rows staler.
-			if info.Rows != prev.Rows {
-				t.Fatalf("step %d: epoch seq %d changed its cut from %d to %d rows", i, info.Seq, prev.Rows, info.Rows)
-			}
-		case info.Seq > prev.Seq:
-			// Rebuilt: the new cut covers every accepted row.
-			if info.StalenessRows != 0 {
-				t.Fatalf("step %d: rebuilt epoch born %d rows stale", i, info.StalenessRows)
-			}
-			rebuilds++
-		default:
-			t.Fatalf("step %d: epoch seq went backwards (%d after %d)", i, info.Seq, prev.Seq)
-		}
-		prev = info
-
-		// The strict escape hatch mid-stream: always fresh, and the
-		// next budgeted read serves the epoch Flush just cut.
-		if i%20 == 10 {
-			snap, err := eng.Flush()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if snap.Rows() != total {
-				t.Fatalf("step %d: Flush snapshot rows %d, want %d", i, snap.Rows(), total)
-			}
-			_, info, err := eng.SnapshotInfo()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.StalenessRows != 0 || info.Rows != total {
-				t.Fatalf("step %d: post-Flush epoch rows=%d staleness=%d, want %d/0", i, info.Rows, info.StalenessRows, total)
-			}
-			prev = info
-		}
-	}
-	// With perStep << budget the budget must actually defer rebuilds:
-	// far fewer epochs than writes, but at least the forced ones.
-	if rebuilds >= steps/2 {
-		t.Fatalf("budget did not amortize rebuilds: %d rebuilds in %d steps", rebuilds, steps)
-	}
-
-	// An epoch covering every accepted row is fresh forever: polling
-	// without new writes must never rebuild.
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	_, first, err := eng.SnapshotInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		_, again, err := eng.SnapshotInfo()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if again.Seq != first.Seq {
-			t.Fatalf("idle poll rebuilt the epoch (seq %d then %d)", first.Seq, again.Seq)
-		}
-	}
-}
-
-// TestIntervalBudgetFullEpochIsFreshAtAnyAge pins the age
-// short-circuit: under a wall-clock budget, an epoch that already
-// covers every accepted row is served at any age instead of being
-// rebuilt into an identical copy.
-func TestIntervalBudgetFullEpochIsFreshAtAnyAge(t *testing.T) {
-	const d, q = 6, 3
-	eng, err := NewSharded(exactFactory(d, q), Config{
-		Shards:               2,
-		MaxStalenessInterval: time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	b := words.NewBatch(d, 10)
-	for r := 0; r < 10; r++ {
-		row := b.AppendRow()
-		for j := range row {
-			row[j] = uint16((r + j) % q)
-		}
-	}
-	eng.ObserveBatch(b)
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	_, first, err := eng.SnapshotInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
+	// An epoch covering every accepted row is served as long as no row
+	// arrives: idle polls never rebuild.
 	_, again, err := eng.SnapshotInfo()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Seq != first.Seq {
-		t.Fatalf("aged-out but fully-covering epoch was rebuilt (seq %d then %d)", first.Seq, again.Seq)
-	}
-	if again.Age < 5*time.Millisecond {
-		t.Fatalf("epoch age %v, want at least the sleep", again.Age)
+	if again.Seq != info.Seq {
+		t.Fatalf("idle poll rebuilt the epoch (seq %d then %d)", info.Seq, again.Seq)
 	}
 }
 
 // TestCheckpointCutExactUnderEpochReads is the durable regression for
-// the epoch refactor: checkpoints cut while writers hammer the engine
-// AND budgeted readers serve (possibly stale) epochs must still
-// restore + replay to the exact final state. The epoch path must not
-// leak into the cut — stale served reads are a read-side contract,
-// the log cut stays exact.
+// the epoch read path: checkpoints cut while writers hammer the engine
+// AND readers rebuild and serve epochs must still restore + replay to
+// the exact final state. The epoch path must not leak into the cut —
+// reads publish epochs, the log cut stays exact.
 func TestCheckpointCutExactUnderEpochReads(t *testing.T) {
 	const d, q = 4, 3
 	dir := t.TempDir()
-	cfg := Config{Shards: 3, BatchChunk: 2, Queue: 4, MaxStalenessRows: 50}
+	cfg := Config{Shards: 3, BatchChunk: 2, Queue: 4}
 	log := openLog(t, dir, d, q)
 	cfgA := cfg
 	cfgA.Log = log
@@ -364,12 +224,6 @@ func TestCheckpointCutExactUnderEpochReads(t *testing.T) {
 		t.Fatalf("read after checkpoint rebuilt instead of serving the piggybacked epoch (seq %d then %d)", info.Seq, again.Seq)
 	}
 
-	// Flush both sides before marshaling: under a budget, MarshalBinary
-	// serves the epoch, and byte-compare needs both engines on their
-	// final cut.
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	want := engineBytes(t, eng)
 	if eng.Rows() != 300 {
 		t.Fatalf("engine rows %d", eng.Rows())
@@ -382,9 +236,6 @@ func TestCheckpointCutExactUnderEpochReads(t *testing.T) {
 	defer log2.Close()
 	if eng2.Rows() != 300 {
 		t.Fatalf("recovered rows %d", eng2.Rows())
-	}
-	if _, err := eng2.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	if got := engineBytes(t, eng2); !bytes.Equal(got, want) {
 		t.Fatal("checkpoint cut under epoch reads lost or duplicated records")

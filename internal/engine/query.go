@@ -104,11 +104,9 @@ type Result struct {
 }
 
 // QueryBatch answers a batch of queries against one consistent merged
-// snapshot: the current epoch. Under the default strict configuration
-// the epoch is rebuilt (one quiesce + merge) whenever rows have
-// arrived since the last build; under a staleness budget
-// (Config.MaxStalenessRows / MaxStalenessInterval) an in-budget epoch
-// is served as-is, without posting a barrier. The batch then runs —
+// snapshot: the current epoch, rebuilt (one quiesce + merge) whenever
+// rows have arrived since the last build and served as-is, without
+// posting a barrier, otherwise. The batch then runs —
 //
 //  1. plan: each query's column set is routed by the snapshot's
 //     registry (exact subspace → cheapest covering subspace → full);

@@ -123,11 +123,12 @@ func TestAbsorbSourceRefusesBadDonor(t *testing.T) {
 	}
 }
 
-// TestAbsorbSourceNeverServedStale checks a staleness budget cannot
-// hide a source absorb: the epoch drops on absorb, so the very next
-// read reflects the new source state.
+// TestAbsorbSourceNeverServedStale checks that source changes cannot
+// hide behind an epoch that still covers every accepted row: sources
+// do not move the row clock, so the epoch drops on AbsorbSource and on
+// RemoveSource, and the very next read reflects the change.
 func TestAbsorbSourceNeverServedStale(t *testing.T) {
-	eng := sourceTestEngine(t, Config{MaxStalenessRows: 1 << 30})
+	eng := sourceTestEngine(t, Config{})
 	w := words.Word{0, 1, 2, 0}
 	eng.Observe(w)
 	if got, err := eng.Frequency(words.FullColumnSet(4), w); err != nil || got != 1 {
@@ -137,7 +138,13 @@ func TestAbsorbSourceNeverServedStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, err := eng.Frequency(words.FullColumnSet(4), words.Word{1, 1, 1, 1}); err != nil || got != 9 {
-		t.Fatalf("read after absorb under budget: freq %v, err %v (want 9)", got, err)
+		t.Fatalf("read after absorb: freq %v, err %v (want 9)", got, err)
+	}
+	if !eng.RemoveSource("peer-a") {
+		t.Fatal("RemoveSource of present source reported absent")
+	}
+	if got, err := eng.Frequency(words.FullColumnSet(4), words.Word{1, 1, 1, 1}); err != nil || got != 0 {
+		t.Fatalf("read after removal: freq %v, err %v (want 0)", got, err)
 	}
 }
 

@@ -319,9 +319,6 @@ func (v *Vector) NewSampler(p float64) *Sampler {
 	return s
 }
 
-// Mass returns F_p, the normalizing constant.
-func (s *Sampler) Mass() float64 { return s.fp }
-
 // Sample returns the key of a pattern drawn with probability
 // f_i^p / F_p.
 func (s *Sampler) Sample(r *rng.Source) string {

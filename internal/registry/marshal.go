@@ -70,27 +70,6 @@ func (r *Registry) MarshalBinary() ([]byte, error) {
 	return core.AppendEnvelope(KindRegistry, r.Dim(), r.Alphabet(), 0, r.Rows(), w.Bytes())
 }
 
-// UnmarshalBinary implements encoding.BinaryUnmarshaler, replacing
-// the receiver's state. It accepts both container blobs
-// (KindRegistry) and the bare summary blobs a subspace-free registry
-// emits — the latter decode into a transparent registry around the
-// bare summary, so Unmarshal(Marshal(r)) round-trips for every
-// registry, subspaces or not.
-func (r *Registry) UnmarshalBinary(data []byte) error {
-	dec, err := core.UnmarshalSummary(data)
-	if err != nil {
-		return err
-	}
-	reg, ok := dec.(*Registry)
-	if !ok {
-		if reg, err = New(dec); err != nil {
-			return err
-		}
-	}
-	*r = *reg
-	return nil
-}
-
 // innerBlobKind peeks a contained blob's envelope kind byte without
 // decoding it, so nested registries are refused before any recursion.
 func innerBlobKind(blob []byte) (core.SummaryKind, error) {

@@ -404,25 +404,28 @@ func TestWireRoundTrip(t *testing.T) {
 	if !bytes.Equal(blob, again) {
 		t.Fatal("re-encoding a decoded registry changed bytes")
 	}
-	// UnmarshalBinary on a receiver works too.
-	var rt Registry
-	if err := rt.UnmarshalBinary(blob); err != nil {
-		t.Fatal(err)
-	}
-	if rt.NumSubspaces() != 2 {
-		t.Fatalf("receiver decode: %d subspaces", rt.NumSubspaces())
-	}
-	// ... and bare summary blobs — what a subspace-free registry emits
-	// — decode into a transparent registry, so Unmarshal(Marshal(r))
-	// round-trips regardless of subspace count.
+	// A subspace-free registry emits its bare summary's blob, which
+	// decodes to that bare summary; New wraps it back into a
+	// transparent registry of the same rows.
 	bareSum := newExact(t)
 	testRows(5, bareSum)
-	bare, err := core.MarshalSummary(bareSum)
+	bareReg, err := New(bareSum)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var transparent Registry
-	if err := transparent.UnmarshalBinary(bare); err != nil {
+	bare, err := core.MarshalSummary(bareReg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decBare, err := core.UnmarshalSummary(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, isReg := decBare.(*Registry); isReg {
+		t.Fatal("a subspace-free registry blob decoded to a registry, want the bare summary")
+	}
+	transparent, err := New(decBare)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if transparent.NumSubspaces() != 0 || transparent.Rows() != 5 {

@@ -117,8 +117,7 @@ var ErrUnsupported = core.ErrUnsupported
 // ErrInvalidParam reports a rejected construction parameter.
 var ErrInvalidParam = core.ErrInvalidParam
 
-// ErrIncompatibleMerge reports a merge between incompatible summaries,
-// or a serialized blob of one kind decoded into a receiver of another.
+// ErrIncompatibleMerge reports a merge between incompatible summaries.
 var ErrIncompatibleMerge = core.ErrIncompatibleMerge
 
 // ErrBadEncoding reports a malformed serialized summary blob.
@@ -180,8 +179,8 @@ type (
 	// and answers queries through a merged snapshot. It implements
 	// Summary and all scalar query interfaces.
 	ShardedSummary = engine.Sharded
-	// ShardedConfig tunes shard count, queue depth, query workers, and
-	// the read-staleness budget.
+	// ShardedConfig tunes shard count, queue depth, chunk size, query
+	// workers, and the durability log.
 	ShardedConfig = engine.Config
 	// SummaryFactory builds the per-shard summaries (and the merge
 	// snapshot, index Shards).
