@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/router"
 )
 
 // observeRequest is the /v1/observe body as a client (or a test's
@@ -51,14 +52,30 @@ func (f *fakeIngest) handler() http.Handler {
 	return mux
 }
 
-func testRows(n, d int) [][]uint16 {
-	rows := make([][]uint16, n)
-	for i := range rows {
-		row := make([]uint16, d)
-		for j := range row {
-			row[j] = uint16((i*(j+3) + j) % 7)
+// ringRows builds n 4-column rows of which every node in urls owns at
+// least one under the ring the router builds over urls, so a test that
+// faults one node always has rows on both sides of the fault, whatever
+// ports the test servers drew: one row per node first, found by
+// ring.OwnerOfRow, then distinct rows in a fixed order.
+func ringRows(t *testing.T, urls []string, n int) [][]uint16 {
+	t.Helper()
+	ring, err := cluster.NewRing(urls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func(i int) []uint16 { return []uint16{uint16(i % 7), uint16(i / 7 % 7), uint16(i / 49), 3} }
+	var rows [][]uint16
+	for _, u := range urls {
+		i := 0
+		for ; ring.OwnerOfRow(row(i)) != u; i++ {
+			if i == 1<<16 {
+				t.Fatalf("ring assigns %s no row", u)
+			}
 		}
-		rows[i] = row
+		rows = append(rows, row(i))
+	}
+	for i := 0; len(rows) < n; i++ {
+		rows = append(rows, row(i))
 	}
 	return rows
 }
@@ -82,25 +99,27 @@ func startRouterTier(t *testing.T, n int) (*httptest.Server, []*fakeIngest, []st
 		_, _ = w.Write([]byte(`{"ok":true}`))
 	}))
 	t.Cleanup(agg.Close)
-	r := newTestRouter(t, urls, []string{agg.URL}, routerConfig{timeout: 5 * time.Second})
+	r := newTestRouter(t, urls, []string{agg.URL}, router.Config{Timeout: 5 * time.Second})
 	rs := httptest.NewServer(r)
 	t.Cleanup(rs.Close)
 	return rs, ingests, urls
 }
 
-// newTestRouter builds a router — with the -retry-queue-rows flag's
-// default when cfg leaves the bound unset — and ties its background
-// goroutines to the test's lifetime.
-func newTestRouter(t *testing.T, ingest, aggs []string, cfg routerConfig) *router {
+// newTestRouter builds a router over the given tiers through
+// router.New — with the -retry-queue-rows flag's default when cfg
+// leaves the bound unset — and ties its background goroutines to the
+// test's lifetime.
+func newTestRouter(t *testing.T, ingest, aggs []string, cfg router.Config) *router.Router {
 	t.Helper()
-	if cfg.retryCapRows == 0 {
-		cfg.retryCapRows = 1 << 16
+	cfg.Ingest, cfg.Aggregators = ingest, aggs
+	if cfg.RetryQueueRows == 0 {
+		cfg.RetryQueueRows = 1 << 16
 	}
-	r, err := newRouter(ingest, aggs, cfg)
+	r, err := router.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(r.Close)
+	t.Cleanup(func() { r.Close() })
 	return r
 }
 
@@ -108,7 +127,7 @@ func newTestRouter(t *testing.T, ingest, aggs []string, cfg routerConfig) *route
 // exactly the node the ring assigns it, and the ack totals add up.
 func TestRouterPartitionsByRing(t *testing.T) {
 	rs, ingests, urls := startRouterTier(t, 3)
-	rows := testRows(300, 4)
+	rows := ringRows(t, urls, 300)
 	blob, _ := json.Marshal(observeRequest{Rows: rows})
 	resp, err := http.Post(rs.URL+"/v1/observe", "application/json", bytes.NewReader(blob))
 	if err != nil {
@@ -119,7 +138,7 @@ func TestRouterPartitionsByRing(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe: %d %s", resp.StatusCode, body)
 	}
-	var ack observeResponse
+	var ack router.ObserveResponse
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +186,7 @@ func TestRouterReportsPartialIngest(t *testing.T) {
 	ingests[1].refusing = true
 	ingests[1].mu.Unlock()
 
-	rows := testRows(200, 4)
+	rows := ringRows(t, urls, 200)
 	blob, _ := json.Marshal(observeRequest{Rows: rows})
 	resp, err := http.Post(rs.URL+"/v1/observe", "application/json", bytes.NewReader(blob))
 	if err != nil {
@@ -178,7 +197,7 @@ func TestRouterReportsPartialIngest(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("partial ingest returned %d, want 502: %s", resp.StatusCode, body)
 	}
-	var ack observeResponse
+	var ack router.ObserveResponse
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +261,7 @@ func TestRouterFailsOverAcrossAggregators(t *testing.T) {
 
 	ing := httptest.NewServer((&fakeIngest{}).handler())
 	defer ing.Close()
-	r := newTestRouter(t, []string{ing.URL}, []string{deadURL, live.URL}, routerConfig{timeout: time.Second})
+	r := newTestRouter(t, []string{ing.URL}, []string{deadURL, live.URL}, router.Config{Timeout: time.Second})
 	rs := httptest.NewServer(r)
 	defer rs.Close()
 
@@ -263,7 +282,7 @@ func TestRouterFailsOverAcrossAggregators(t *testing.T) {
 	}
 
 	// All aggregators down: 502.
-	r2 := newTestRouter(t, []string{ing.URL}, []string{deadURL}, routerConfig{timeout: time.Second})
+	r2 := newTestRouter(t, []string{ing.URL}, []string{deadURL}, router.Config{Timeout: time.Second})
 	rs2 := httptest.NewServer(r2)
 	defer rs2.Close()
 	resp, err := http.Post(rs2.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{}`)))
@@ -284,7 +303,7 @@ func TestRouterStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st router.TierStats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +316,7 @@ func TestRouterStats(t *testing.T) {
 // -retry-queue-rows below 1 is a usage error at start-up.
 func TestRouterRequiresRetryQueue(t *testing.T) {
 	for _, rows := range []int{0, -1} {
-		r, err := newRouter([]string{"http://n1"}, []string{"http://agg"}, routerConfig{retryCapRows: rows})
+		r, err := router.New(router.Config{Ingest: []string{"http://n1"}, Aggregators: []string{"http://agg"}, RetryQueueRows: rows})
 		if err == nil {
 			r.Close()
 			t.Fatalf("-retry-queue-rows %d started a router", rows)
@@ -305,5 +324,36 @@ func TestRouterRequiresRetryQueue(t *testing.T) {
 		if !strings.Contains(err.Error(), "-retry-queue-rows") {
 			t.Fatalf("-retry-queue-rows %d: error does not name the flag: %v", rows, err)
 		}
+	}
+}
+
+// TestRouterRefusesRetryCeilingBelowBase: a -retry-max below
+// -retry-base would make the backoff shrink from its first step, so
+// New refuses it naming both flags — including the flag default
+// ceiling (5s) under a larger -retry-base — while zero backoffs still
+// take their defaults.
+func TestRouterRefusesRetryCeilingBelowBase(t *testing.T) {
+	for _, c := range []struct{ base, max time.Duration }{
+		{10 * time.Second, 2 * time.Second},
+		{10 * time.Second, 5 * time.Second},
+		{10 * time.Second, 0},
+	} {
+		r, err := router.New(router.Config{Ingest: []string{"http://n1"}, Aggregators: []string{"http://agg"},
+			RetryQueueRows: 1, RetryBase: c.base, RetryMax: c.max})
+		if err == nil {
+			r.Close()
+			t.Fatalf("-retry-base %v -retry-max %v started a router", c.base, c.max)
+		}
+		if !strings.Contains(err.Error(), "-retry-max") || !strings.Contains(err.Error(), "-retry-base") {
+			t.Fatalf("-retry-base %v -retry-max %v: error does not name both flags: %v", c.base, c.max, err)
+		}
+	}
+	for _, c := range []struct{ base, max time.Duration }{{0, 0}, {time.Second, 0}, {time.Second, time.Second}} {
+		r, err := router.New(router.Config{Ingest: []string{"http://n1"}, Aggregators: []string{"http://agg"},
+			RetryQueueRows: 1, RetryBase: c.base, RetryMax: c.max})
+		if err != nil {
+			t.Fatalf("-retry-base %v -retry-max %v refused: %v", c.base, c.max, err)
+		}
+		r.Close()
 	}
 }

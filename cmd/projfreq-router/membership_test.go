@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/router"
 )
 
 // adminDaemon is a fake projfreqd with the observe endpoint plus the
@@ -88,16 +89,16 @@ func (a *adminAgg) handler() http.Handler {
 }
 
 // postMembership swaps the router's ingest list.
-func postMembership(t *testing.T, routerURL string, ingest []string) (int, membershipResponse) {
+func postMembership(t *testing.T, routerURL string, ingest []string) (int, router.MembershipResponse) {
 	t.Helper()
-	blob, _ := json.Marshal(membershipRequest{Ingest: ingest})
+	blob, _ := json.Marshal(router.MembershipRequest{Ingest: ingest})
 	resp, err := http.Post(routerURL+"/v1/admin/membership", "application/json", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var out membershipResponse
+	var out router.MembershipResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatalf("decoding membership response %s: %v", body, err)
 	}
@@ -122,17 +123,17 @@ func TestMembershipChangeOrchestratesHandoff(t *testing.T) {
 	ats := httptest.NewServer(agg.handler())
 	t.Cleanup(ats.Close)
 
-	r := newTestRouter(t, urls, []string{ats.URL}, routerConfig{
-		timeout:      time.Second,
-		retryCapRows: 1 << 16,
-		retryBase:    2 * time.Millisecond,
-		retryMax:     20 * time.Millisecond,
+	r := newTestRouter(t, urls, []string{ats.URL}, router.Config{
+		Timeout:        time.Second,
+		RetryQueueRows: 1 << 16,
+		RetryBase:      2 * time.Millisecond,
+		RetryMax:       20 * time.Millisecond,
 	})
 	rs := httptest.NewServer(r)
 	t.Cleanup(rs.Close)
 
 	// Healthy warm-up batch: all routed.
-	status, ack1 := postObserveJSON(t, rs.URL, testRows(200, 4))
+	status, ack1 := postObserveJSON(t, rs.URL, ringRows(t, urls, 200))
 	if status != http.StatusOK || ack1.Routed != 200 {
 		t.Fatalf("warm-up: status %d ack %+v", status, ack1)
 	}
@@ -203,7 +204,7 @@ func TestMembershipChangeOrchestratesHandoff(t *testing.T) {
 	waitUntil(t, 5*time.Second, "requeued backlog delivered", func() bool {
 		return daemons[0].rowCount()+daemons[1].rowCount() == 300-removedDirect
 	})
-	status, ack3 := postObserveJSON(t, rs.URL, testRows(50, 4))
+	status, ack3 := postObserveJSON(t, rs.URL, ringRows(t, urls, 50))
 	if status != http.StatusOK || ack3.Routed != 50 {
 		t.Fatalf("post-swap batch: status %d ack %+v", status, ack3)
 	}
@@ -237,7 +238,7 @@ func TestMembershipReportsHandoffFailure(t *testing.T) {
 	agg := &adminAgg{}
 	ats := httptest.NewServer(agg.handler())
 	t.Cleanup(ats.Close)
-	r := newTestRouter(t, urls, []string{ats.URL}, routerConfig{timeout: time.Second})
+	r := newTestRouter(t, urls, []string{ats.URL}, router.Config{Timeout: time.Second})
 	rs := httptest.NewServer(r)
 	t.Cleanup(rs.Close)
 

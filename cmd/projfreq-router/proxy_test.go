@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/router"
 )
 
 // TestProxyPassesConditionalGetThrough pins the anti-entropy hop: an
@@ -26,7 +28,7 @@ func TestProxyPassesConditionalGetThrough(t *testing.T) {
 	t.Cleanup(agg.Close)
 	ing := httptest.NewServer((&fakeIngest{}).handler())
 	t.Cleanup(ing.Close)
-	r := newTestRouter(t, []string{ing.URL}, []string{agg.URL}, routerConfig{timeout: time.Second})
+	r := newTestRouter(t, []string{ing.URL}, []string{agg.URL}, router.Config{Timeout: time.Second})
 	rs := httptest.NewServer(r)
 	t.Cleanup(rs.Close)
 
@@ -86,7 +88,7 @@ func TestProxyDoesNotLeakOnMidStreamFailure(t *testing.T) {
 	t.Cleanup(broken.Close)
 	ing := httptest.NewServer((&fakeIngest{}).handler())
 	t.Cleanup(ing.Close)
-	r := newTestRouter(t, []string{ing.URL}, []string{broken.URL}, routerConfig{timeout: time.Second})
+	r := newTestRouter(t, []string{ing.URL}, []string{broken.URL}, router.Config{Timeout: time.Second})
 	rs := httptest.NewServer(r)
 	t.Cleanup(rs.Close)
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/router"
 )
 
 // flakyIngest is a fake projfreqd observe endpoint whose failure mode
@@ -81,7 +82,7 @@ func quietAgg(t *testing.T) string {
 }
 
 // postObserveJSON posts rows through the router and decodes the ack.
-func postObserveJSON(t *testing.T, routerURL string, rows [][]uint16) (int, observeResponse) {
+func postObserveJSON(t *testing.T, routerURL string, rows [][]uint16) (int, router.ObserveResponse) {
 	t.Helper()
 	blob, _ := json.Marshal(observeRequest{Rows: rows})
 	resp, err := http.Post(routerURL+"/v1/observe", "application/json", bytes.NewReader(blob))
@@ -90,7 +91,7 @@ func postObserveJSON(t *testing.T, routerURL string, rows [][]uint16) (int, obse
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	var ack observeResponse
+	var ack router.ObserveResponse
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatalf("decoding ack %s: %v", body, err)
 	}
@@ -98,27 +99,27 @@ func postObserveJSON(t *testing.T, routerURL string, rows [][]uint16) (int, obse
 }
 
 // routerStats fetches /v1/router/stats.
-func routerStats(t *testing.T, routerURL string) routerStatsResponse {
+func routerStats(t *testing.T, routerURL string) router.Stats {
 	t.Helper()
 	resp, err := http.Get(routerURL + "/v1/router/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st routerStatsResponse
+	var st router.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
 }
 
-func queueFor(st routerStatsResponse, node string) (queueStats, bool) {
+func queueFor(st router.Stats, node string) (router.QueueStats, bool) {
 	for _, q := range st.Queues {
 		if q.Node == node {
 			return q, true
 		}
 	}
-	return queueStats{}, false
+	return router.QueueStats{}, false
 }
 
 // startRetryTier builds two flaky ingest nodes and a queue-enabled
@@ -132,11 +133,11 @@ func startRetryTier(t *testing.T, capRows int) (*httptest.Server, []*flakyIngest
 		t.Cleanup(ts.Close)
 		urls[i] = ts.URL
 	}
-	r := newTestRouter(t, urls, []string{quietAgg(t)}, routerConfig{
-		timeout:      time.Second,
-		retryCapRows: capRows,
-		retryBase:    2 * time.Millisecond,
-		retryMax:     20 * time.Millisecond,
+	r := newTestRouter(t, urls, []string{quietAgg(t)}, router.Config{
+		Timeout:        time.Second,
+		RetryQueueRows: capRows,
+		RetryBase:      2 * time.Millisecond,
+		RetryMax:       20 * time.Millisecond,
 	})
 	rs := httptest.NewServer(r)
 	t.Cleanup(rs.Close)
@@ -150,7 +151,7 @@ func TestRetryQueueAbsorbsOutageAndDrains(t *testing.T) {
 	rs, ingests, urls := startRetryTier(t, 1<<16)
 	ingests[1].setStatus(http.StatusServiceUnavailable)
 
-	rows := testRows(300, 4)
+	rows := ringRows(t, urls, 300)
 	ring, err := cluster.NewRing(urls)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +262,7 @@ func TestRetryQueueDropsTerminalBatches(t *testing.T) {
 	rs, ingests, urls := startRetryTier(t, 1<<16)
 	ingests[1].setStatus(http.StatusServiceUnavailable)
 
-	_, ack := postObserveJSON(t, rs.URL, testRows(200, 4))
+	_, ack := postObserveJSON(t, rs.URL, ringRows(t, urls, 200))
 	if ack.Queued == 0 {
 		t.Fatalf("nothing queued: %+v", ack)
 	}
@@ -282,7 +283,7 @@ func TestObserveFirstAttempt4xxIsTerminal(t *testing.T) {
 	rs, ingests, urls := startRetryTier(t, 1<<16)
 	ingests[1].setStatus(http.StatusUnprocessableEntity)
 
-	status, ack := postObserveJSON(t, rs.URL, testRows(200, 4))
+	status, ack := postObserveJSON(t, rs.URL, ringRows(t, urls, 200))
 	if status != http.StatusBadGateway || !ack.Partial || ack.Queued != 0 || ack.Shed != 0 {
 		t.Fatalf("status %d, ack %+v", status, ack)
 	}

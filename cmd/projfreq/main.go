@@ -149,7 +149,7 @@ func run() error {
 		var err2 error
 		if *shards > 0 {
 			eng, err2 = engine.NewSharded(func(shard int) (core.Summary, error) {
-				return buildSummary(*kind, d, table.Alphabet(), *eps, *delta, *alpha, *seed, shard)
+				return engine.StandardSummary(*kind, d, table.Alphabet(), *eps, *delta, *alpha, *seed, shard)
 			}, engine.Config{Shards: *shards})
 			if err2 != nil {
 				return err2
@@ -160,7 +160,7 @@ func run() error {
 				return err
 			}
 		} else {
-			sum, err2 = buildSummary(*kind, d, table.Alphabet(), *eps, *delta, *alpha, *seed, 0)
+			sum, err2 = engine.StandardSummary(*kind, d, table.Alphabet(), *eps, *delta, *alpha, *seed, 0)
 			if err2 != nil {
 				return err2
 			}
@@ -309,7 +309,7 @@ func registerSubspaces(eng *engine.Sharded, d, q int, spec, kind string, eps, de
 			return err
 		}
 		err = eng.RegisterSubspace(c, func(shard int) (core.Summary, error) {
-			return buildSummary(kind, d, q, eps, delta, alpha, seed, shard)
+			return engine.StandardSummary(kind, d, q, eps, delta, alpha, seed, shard)
 		})
 		if err != nil {
 			return err
@@ -373,14 +373,6 @@ func loadData(path string, demo bool, q int, seed uint64) (*words.Table, error) 
 	}
 	defer f.Close()
 	return words.ReadCSV(f, q)
-}
-
-// buildSummary constructs the summary via the configuration
-// cmd/projfreqd shares (engine.StandardSummary), so summaries this
-// tool saves or pushes always merge into a daemon started with the
-// same flags. shard is the ingest-shard index (0 when unsharded).
-func buildSummary(kind string, d, q int, eps, delta, alpha float64, seed uint64, shard int) (core.Summary, error) {
-	return engine.StandardSummary(kind, d, q, eps, delta, alpha, seed, shard)
 }
 
 // supported classifies a query error: ok means the answer may be

@@ -62,7 +62,7 @@ func TestLoadDataDemo(t *testing.T) {
 
 func TestBuildSummaryKinds(t *testing.T) {
 	for _, kind := range []string{"exact", "sample", "net"} {
-		s, err := buildSummary(kind, 8, 2, 0.2, 0.05, 0.3, 1, 0)
+		s, err := engine.StandardSummary(kind, 8, 2, 0.2, 0.05, 0.3, 1, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
@@ -70,7 +70,7 @@ func TestBuildSummaryKinds(t *testing.T) {
 			t.Fatalf("%s: dim %d", kind, s.Dim())
 		}
 	}
-	if _, err := buildSummary("bogus", 8, 2, 0.2, 0.05, 0.3, 1, 0); err == nil {
+	if _, err := engine.StandardSummary("bogus", 8, 2, 0.2, 0.05, 0.3, 1, 0); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 }
@@ -78,7 +78,7 @@ func TestBuildSummaryKinds(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	// A summary saved by one invocation answers identically when
 	// loaded by another — the CLI's half of the wire-format contract.
-	sum, err := buildSummary("net", 6, 3, 0.25, 0.05, 0.3, 9, 0)
+	sum, err := engine.StandardSummary("net", 6, 3, 0.25, 0.05, 0.3, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestIngestFeedsEveryRowInOrder(t *testing.T) {
 		t.Fatalf("demo table of %d rows has no ragged last batch", tb.NumRows())
 	}
 	build := func() core.Summary {
-		s, err := buildSummary("exact", tb.Dim(), tb.Alphabet(), 0.2, 0.05, 0.3, 1, 0)
+		s, err := engine.StandardSummary("exact", tb.Dim(), tb.Alphabet(), 0.2, 0.05, 0.3, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestRegisterSubspacesRoutesBatch(t *testing.T) {
 	}
 	d, q := tb.Dim(), tb.Alphabet()
 	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary("exact", d, q, 0.2, 0.05, 0.3, 1, shard)
+		return engine.StandardSummary("exact", d, q, 0.2, 0.05, 0.3, 1, shard)
 	}, engine.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)

@@ -4,15 +4,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/engine"
+	"repro/internal/node"
 )
 
-// observeRows feeds rows to a daemon over the wire.
+// adminObserveRows feeds rows to a daemon over the wire.
 func adminObserveRows(t *testing.T, url string, rows [][]uint16) {
 	t.Helper()
 	resp, body := postJSON(t, url+"/v1/observe", observeRequest{Rows: rows})
@@ -28,13 +27,13 @@ func queryFreq(t *testing.T, url string, pattern []uint16) float64 {
 	for i := range cols {
 		cols[i] = i
 	}
-	resp, body := postJSON(t, url+"/v1/query", queryRequest{Queries: []querySpec{
+	resp, body := postJSON(t, url+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{
 		{Kind: "freq", Cols: cols, Pattern: pattern},
 	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	var out queryResponse
+	var out node.QueryResponse
 	if err := json.Unmarshal(body, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -45,18 +44,31 @@ func queryFreq(t *testing.T, url string, pattern []uint16) float64 {
 }
 
 // daemonStats fetches and decodes /v1/stats.
-func daemonStats(t *testing.T, url string) statsResponse {
+func daemonStats(t *testing.T, url string) node.Stats {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statsResponse
+	var st node.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// waitFreq polls one daemon until its full-projection frequency of
+// pattern reaches want.
+func waitFreq(t *testing.T, url string, pattern []uint16, want float64, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for queryFreq(t, url, pattern) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestAdminHandoffAbsorbsPeer drives the ingest half of a membership
@@ -66,18 +78,18 @@ func daemonStats(t *testing.T, url string) statsResponse {
 // the orchestrator to verify.
 func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 	const d, q, seed = 4, 3, 7
-	peer, _ := startDaemon(t, "exact", d, q, seed)
-	succ, _ := startDaemon(t, "exact", d, q, seed)
+	peer := startDaemon(t, "exact", d, q, seed)
+	succ := startDaemon(t, "exact", d, q, seed)
 
 	row := []uint16{1, 2, 0, 1}
 	adminObserveRows(t, peer.URL, [][]uint16{row, row, row})
 	adminObserveRows(t, succ.URL, [][]uint16{row})
 
-	resp, body := postJSON(t, succ.URL+"/v1/admin/handoff", handoffRequest{Source: peer.URL})
+	resp, body := postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: peer.URL})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("handoff: %d %s", resp.StatusCode, body)
 	}
-	var ack handoffResponse
+	var ack node.HandoffResponse
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +103,7 @@ func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 	// The peer keeps ingesting before decommission; re-issuing the
 	// hand-off replaces the absorbed snapshot (4 peer rows, not 3+4).
 	adminObserveRows(t, peer.URL, [][]uint16{row})
-	resp, body = postJSON(t, succ.URL+"/v1/admin/handoff", handoffRequest{Source: peer.URL})
+	resp, body = postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: peer.URL})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("re-handoff: %d %s", resp.StatusCode, body)
 	}
@@ -113,7 +125,7 @@ func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 	gone := httptest.NewServer(http.NotFoundHandler())
 	goneURL := gone.URL
 	gone.Close()
-	resp, _ = postJSON(t, succ.URL+"/v1/admin/handoff", handoffRequest{Source: goneURL})
+	resp, _ = postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: goneURL})
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("handoff from dead peer: %d, want 502", resp.StatusCode)
 	}
@@ -122,7 +134,7 @@ func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 	}
 
 	// Refusals: empty and malformed sources.
-	resp, _ = postJSON(t, succ.URL+"/v1/admin/handoff", handoffRequest{Source: "  "})
+	resp, _ = postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: "  "})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("blank source: %d, want 400", resp.StatusCode)
 	}
@@ -133,48 +145,38 @@ func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 // absorbed rows from served answers.
 func TestAdminSourcesRetargetsAggregator(t *testing.T) {
 	const d, q, seed = 4, 3, 7
-	src1, _ := startDaemon(t, "exact", d, q, seed)
-	src2, _ := startDaemon(t, "exact", d, q, seed)
+	src1 := startDaemon(t, "exact", d, q, seed)
+	// src2 refuses summary exports until the test opens it, so the
+	// aggregator provably cannot hold its rows before the swap below.
+	var src2Open atomic.Bool
+	src2Node := newNode(t, testConfig("exact", d, q, seed))
+	src2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/summary" && !src2Open.Load() {
+			http.Error(w, "not open yet", http.StatusServiceUnavailable)
+			return
+		}
+		src2Node.ServeHTTP(w, r)
+	}))
+	t.Cleanup(src2.Close)
 	row := []uint16{0, 1, 2, 0}
 	adminObserveRows(t, src1.URL, [][]uint16{row, row})
 	adminObserveRows(t, src2.URL, [][]uint16{row, row, row})
 
-	// An aggregator is a daemon with a puller wired in; build one the
-	// way run() does, against src1 only.
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary("exact", d, q, 0.25, 0.05, 0.3, seed, shard)
-	}, engine.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(eng, standardSubspaceBuilder("exact", d, q, 0.25, 0.05, 0.3, seed))
-	srv.pullTimeout = time.Second
-	p, err := cluster.NewPuller([]string{src1.URL}, srv, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.puller = p
-	agg := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		agg.Close()
-		eng.Close()
-	})
-	if err := p.PullOnce(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if got := queryFreq(t, agg.URL, row); got != 2 {
-		t.Fatalf("aggregator serves %v, want src1's 2", got)
-	}
+	// An aggregator is a daemon with pull sources: src1 only, for now.
+	cfg := testConfig("exact", d, q, seed)
+	cfg.PullFrom, cfg.PullInterval, cfg.PullTimeout = []string{src1.URL}, 10*time.Millisecond, time.Second
+	agg := startNode(t, cfg)
+	waitFreq(t, agg.URL, row, 2, "the aggregator to serve src1's 2 rows")
 
 	// Swap src1 for src2: src1's absorbed rows disappear with it.
-	resp, body := postJSON(t, agg.URL+"/v1/admin/sources", sourcesRequest{
+	resp, body := postJSON(t, agg.URL+"/v1/admin/sources", node.SourcesRequest{
 		Add:    []string{src2.URL},
 		Remove: []string{src1.URL},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("sources update: %d %s", resp.StatusCode, body)
 	}
-	var ack sourcesResponse
+	var ack node.SourcesResponse
 	if err := json.Unmarshal(body, &ack); err != nil {
 		t.Fatal(err)
 	}
@@ -185,19 +187,15 @@ func TestAdminSourcesRetargetsAggregator(t *testing.T) {
 	if got := queryFreq(t, agg.URL, row); got != 0 {
 		t.Fatalf("aggregator serves %v right after removal, want 0 (src2 not pulled yet)", got)
 	}
-	if err := p.PullOnce(t.Context()); err != nil {
-		t.Fatal(err)
-	}
-	if got := queryFreq(t, agg.URL, row); got != 3 {
-		t.Fatalf("aggregator serves %v after pulling src2, want 3", got)
-	}
+	src2Open.Store(true)
+	waitFreq(t, agg.URL, row, 3, "the aggregator to serve src2's 3 rows")
 
 	// Refusals: empty update, and the endpoint on a non-aggregator.
-	resp, _ = postJSON(t, agg.URL+"/v1/admin/sources", sourcesRequest{})
+	resp, _ = postJSON(t, agg.URL+"/v1/admin/sources", node.SourcesRequest{})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty update: %d, want 400", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, src1.URL+"/v1/admin/sources", sourcesRequest{Add: []string{src2.URL}})
+	resp, _ = postJSON(t, src1.URL+"/v1/admin/sources", node.SourcesRequest{Add: []string{src2.URL}})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("sources update on ingest daemon: %d, want 409", resp.StatusCode)
 	}

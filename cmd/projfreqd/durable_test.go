@@ -3,70 +3,36 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"fmt"
 	"io"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/clustertest"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/store"
+	"repro/internal/node"
 	"repro/internal/words"
 )
 
-// TestMain doubles as the daemon entry point for the kill-and-recover
-// test: when PROJFREQD_CHILD_ARGS is set, the test binary runs the
-// real daemon main loop (run()) with those flags instead of the test
-// suite — so the SIGKILL in TestDaemonKillAndRecover lands on a real
-// process with a real signal handler, listener, and WAL.
+// TestMain removes the binaries TestDaemonKillAndRecover builds.
 func TestMain(m *testing.M) {
-	if args := os.Getenv("PROJFREQD_CHILD_ARGS"); args != "" {
-		flag.CommandLine = flag.NewFlagSet("projfreqd", flag.ExitOnError)
-		os.Args = append([]string{"projfreqd"}, strings.Fields(args)...)
-		if err := run(); err != nil {
-			fmt.Fprintln(os.Stderr, "projfreqd child:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
+	code := m.Run()
+	clustertest.CleanupBinaries()
+	os.Exit(code)
 }
 
-// startDurableDaemon builds the in-process durable daemon stack the
-// way run() does: store, engine teeing into it, server, recovery.
-func startDurableDaemon(t *testing.T, dir, kind string, d, q int, seed uint64) (*httptest.Server, *server) {
-	t.Helper()
-	wal, err := store.Open(store.Options{Dir: dir, Dim: d, Alphabet: q, Fsync: store.FsyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary(kind, d, q, 0.25, 0.05, 0.3, seed, shard)
-	}, engine.Config{Shards: 2, Log: wal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(eng, standardSubspaceBuilder(kind, d, q, 0.25, 0.05, 0.3, seed))
-	srv.wal = wal
-	if err := srv.recover(); err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		wal.Close()
-		eng.Close()
-	})
-	return ts, srv
+// durableConfig is testConfig with a data directory (fsync never) and
+// no automatic checkpoints, so only the admin endpoint and Close cut
+// them.
+func durableConfig(dir, kind string, d, q int, seed uint64) node.Config {
+	cfg := testConfig(kind, d, q, seed)
+	cfg.DataDir, cfg.Fsync = dir, "never"
+	return cfg
 }
 
 // getBlob GETs a URL and returns status and body.
@@ -92,14 +58,14 @@ func getBlob(t *testing.T, url string) (int, []byte) {
 func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	const d, q, seed = 5, 3, 11
 	dir := t.TempDir()
-	ts, _ := startDurableDaemon(t, dir, "exact", d, q, seed)
+	ts := startNode(t, durableConfig(dir, "exact", d, q, seed))
 
 	// Register subspaces before ingestion (one survives via the WAL
 	// only, one via checkpoint metadata after the admin checkpoint).
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{2, 3}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{2, 3}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
 	rows := func(salt, n int) [][]uint16 {
@@ -135,11 +101,11 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	// A push: the daemon exports a registry blob, so the donor must be
 	// a matching registry — easiest is another daemon with the same
 	// registrations.
-	tsDonor, _ := startDaemon(t, "exact", d, q, seed)
-	if resp, body := postJSON(t, tsDonor.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
+	tsDonor := startDaemon(t, "exact", d, q, seed)
+	if resp, body := postJSON(t, tsDonor.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("donor register: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, tsDonor.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{2, 3}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, tsDonor.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{2, 3}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("donor register: %d %s", resp.StatusCode, body)
 	}
 	if resp, body := postJSON(t, tsDonor.URL+"/v1/observe", observeRequest{Rows: rows(5, 15)}); resp.StatusCode != http.StatusOK {
@@ -163,12 +129,7 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatal("summary failed")
 	}
-	var statsBefore statsResponse
-	if st, body := getBlob(t, ts.URL+"/v1/stats"); st != http.StatusOK {
-		t.Fatal("stats failed")
-	} else if err := json.Unmarshal(body, &statsBefore); err != nil {
-		t.Fatal(err)
-	}
+	statsBefore := daemonStats(t, ts.URL)
 	if statsBefore.Store == nil || statsBefore.Store.Checkpoints == 0 || statsBefore.Store.CheckpointLSN == 0 {
 		t.Fatalf("store stats missing: %+v", statsBefore.Store)
 	}
@@ -176,17 +137,14 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 		t.Fatalf("rows %d, want 80", statsBefore.Rows)
 	}
 
-	// "Crash": drop the whole stack without a shutdown checkpoint,
-	// then recover a fresh one over the same directory.
+	// "Crash": stop serving without closing the daemon (no shutdown
+	// checkpoint), then recover a fresh one over the same directory.
 	ts.CloseClientConnections()
 	ts.Close()
 
-	ts2, srv2 := startDurableDaemon(t, dir, "exact", d, q, seed)
-	if got := srv2.eng.Rows(); got != 80 {
-		t.Fatalf("recovered rows %d, want 80", got)
-	}
-	if srv2.eng.NumSubspaces() != 2 {
-		t.Fatalf("recovered %d subspaces", srv2.eng.NumSubspaces())
+	ts2 := startNode(t, durableConfig(dir, "exact", d, q, seed))
+	if st := daemonStats(t, ts2.URL); st.Rows != 80 || st.Subspaces != 2 {
+		t.Fatalf("recovered %d rows and %d subspaces, want 80 and 2", st.Rows, st.Subspaces)
 	}
 	status, got := getBlob(t, ts2.URL+"/v1/summary")
 	if status != http.StatusOK {
@@ -196,7 +154,7 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 		t.Fatalf("recovered summary blob differs: %d vs %d bytes", len(got), len(want))
 	}
 	// Every query class still answers identically through the planner.
-	respQ, qbody := postJSON(t, ts2.URL+"/v1/query", queryRequest{Queries: []querySpec{
+	respQ, qbody := postJSON(t, ts2.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{
 		{Kind: "f0", Cols: []int{0, 1}},
 		{Kind: "f0", Cols: []int{2, 3}},
 		{Kind: "freq", Cols: []int{0, 4}, Pattern: []uint16{1, 2}},
@@ -205,7 +163,7 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	if respQ.StatusCode != http.StatusOK {
 		t.Fatalf("recovered query: %d %s", respQ.StatusCode, qbody)
 	}
-	var qresp queryResponse
+	var qresp node.QueryResponse
 	if err := json.Unmarshal(qbody, &qresp); err != nil {
 		t.Fatal(err)
 	}
@@ -219,14 +177,14 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	}
 	// Registration after recovery stays refused — the absorb/row
 	// clocks were restored.
-	if resp, _ := postJSON(t, ts2.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{4}}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, ts2.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{4}}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("late registration after recovery: %d", resp.StatusCode)
 	}
 }
 
 func TestSummaryETagSkipsRemarshal(t *testing.T) {
 	const d, q, seed = 5, 2, 3
-	ts, _ := startDaemon(t, "exact", d, q, seed)
+	ts := startDaemon(t, "exact", d, q, seed)
 	if resp, body := postJSON(t, ts.URL+"/v1/observe", observeRequest{Rows: [][]uint16{{0, 1, 0, 1, 0}, {1, 1, 1, 1, 1}}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe: %d %s", resp.StatusCode, body)
 	}
@@ -298,7 +256,7 @@ func TestSummaryETagSkipsRemarshal(t *testing.T) {
 }
 
 func TestAdminCheckpointWithoutDataDirConflicts(t *testing.T) {
-	ts, _ := startDaemon(t, "exact", 5, 2, 3)
+	ts := startDaemon(t, "exact", 5, 2, 3)
 	resp, err := http.Post(ts.URL+"/v1/admin/checkpoint", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -311,92 +269,6 @@ func TestAdminCheckpointWithoutDataDirConflicts(t *testing.T) {
 }
 
 // --- kill -9 and recover ---
-
-// freeAddr reserves a localhost port long enough to hand it to a
-// child process.
-func freeAddr(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
-	return addr
-}
-
-// startChildDaemon execs this test binary as a real projfreqd process
-// (see TestMain) with a durable data dir and waits until it serves
-// /v1/stats.
-func startChildDaemon(t *testing.T, addr, dir string, extra string) *exec.Cmd {
-	t.Helper()
-	args := fmt.Sprintf("-addr %s -summary exact -d 5 -q 3 -shards 2 -data-dir %s -fsync always %s", addr, dir, extra)
-	return startChildDaemonArgs(t, addr, args)
-}
-
-// startChildDaemonArgs is startChildDaemon with a caller-built flag
-// string, for modes the durable default doesn't cover (in-memory).
-func startChildDaemonArgs(t *testing.T, addr, args string) *exec.Cmd {
-	t.Helper()
-	cmd := exec.Command(os.Args[0])
-	cmd.Env = append(os.Environ(), "PROJFREQD_CHILD_ARGS="+args)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get("http://" + addr + "/v1/stats")
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return cmd
-			}
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	t.Fatal("child daemon did not come up")
-	return nil
-}
-
-// TestDaemonInMemoryObserve pins the -data-dir-less mode end-to-end
-// through the real process wiring: run() once assigned its typed-nil
-// *store.Store into engine.Config.Log, which passes the engine's
-// log == nil check and panicked /v1/observe on the first request.
-// Handler-level tests never catch this shape — they build engines
-// without touching the flag plumbing — so this one execs the daemon.
-func TestDaemonInMemoryObserve(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns a real daemon process")
-	}
-	addr := freeAddr(t)
-	child := startChildDaemonArgs(t, addr,
-		fmt.Sprintf("-addr %s -summary exact -d 5 -q 3 -shards 2", addr))
-	defer func() {
-		child.Process.Kill()
-		child.Wait()
-	}()
-
-	blob, err := json.Marshal(observeRequest{Rows: killBatch(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post("http://"+addr+"/v1/observe", "application/json", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatalf("in-memory observe: %v", err)
-	}
-	var or observeResponse
-	if err := json.NewDecoder(resp.Body).Decode(&or); err != nil {
-		t.Fatalf("decoding observe response (status %d): %v", resp.StatusCode, err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || or.Accepted != len(killBatch(0)) {
-		t.Fatalf("in-memory observe: status %d, accepted %d", resp.StatusCode, or.Accepted)
-	}
-}
 
 // killBatch builds the deterministic i-th batch of the kill test.
 func killBatch(i int) [][]uint16 {
@@ -413,7 +285,9 @@ func killBatch(i int) [][]uint16 {
 }
 
 // TestDaemonKillAndRecover is the crash-recovery property test the
-// subsystem is pinned by: a real daemon process ingests batches with
+// subsystem is pinned by: a real projfreqd process (the built binary,
+// spawned through clustertest on a portfile-announced port) ingests
+// batches with
 // -fsync always, takes a mid-stream checkpoint, is SIGKILLed while
 // writes are in flight, gets its WAL tail torn for good measure, and
 // restarts — after which it must serve exactly some prefix of the
@@ -425,8 +299,11 @@ func TestDaemonKillAndRecover(t *testing.T) {
 		t.Skip("spawns real daemon processes")
 	}
 	dir := t.TempDir()
-	addr := freeAddr(t)
-	child := startChildDaemon(t, addr, dir, "-checkpoint-rows 0 -checkpoint-interval 0")
+	daemon := clustertest.NewNode(t, "projfreqd", filepath.Join(clustertest.EnsureBinaries(t), "projfreqd"),
+		"-summary", "exact", "-d", "5", "-q", "3", "-shards", "2", "-data-dir", dir, "-fsync", "always",
+		"-checkpoint-rows", "0", "-checkpoint-interval", "0")
+	daemon.Start(t)
+	url := daemon.URL()
 
 	var acked atomic.Int64
 	done := make(chan struct{})
@@ -437,7 +314,7 @@ func TestDaemonKillAndRecover(t *testing.T) {
 			if err != nil {
 				return
 			}
-			resp, err := http.Post("http://"+addr+"/v1/observe", "application/json", bytes.NewReader(blob))
+			resp, err := http.Post(url+"/v1/observe", "application/json", bytes.NewReader(blob))
 			if err != nil {
 				return // the kill landed
 			}
@@ -455,7 +332,7 @@ func TestDaemonKillAndRecover(t *testing.T) {
 	for acked.Load() < 8 {
 		time.Sleep(5 * time.Millisecond)
 	}
-	respC, err := http.Post("http://"+addr+"/v1/admin/checkpoint", "application/json", nil)
+	respC, err := http.Post(url+"/v1/admin/checkpoint", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,10 +345,7 @@ func TestDaemonKillAndRecover(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	// kill -9, mid-stream: no drain, no shutdown checkpoint.
-	if err := child.Process.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	child.Wait()
+	daemon.Kill(t)
 	<-done
 	ackedBatches := acked.Load()
 
@@ -490,18 +364,8 @@ func TestDaemonKillAndRecover(t *testing.T) {
 	}
 	f.Close()
 
-	addr2 := freeAddr(t)
-	child2 := startChildDaemon(t, addr2, dir, "")
-	defer func() {
-		child2.Process.Kill()
-		child2.Wait()
-	}()
-	var stats statsResponse
-	if status, body := getBlob(t, "http://"+addr2+"/v1/stats"); status != http.StatusOK {
-		t.Fatalf("recovered stats: %d", status)
-	} else if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
+	daemon.Restart(t)
+	stats := daemonStats(t, url)
 	const batchRows = 10
 	if stats.Rows%batchRows != 0 {
 		t.Fatalf("recovered %d rows: not whole batches", stats.Rows)
@@ -514,14 +378,14 @@ func TestDaemonKillAndRecover(t *testing.T) {
 		t.Fatalf("recovered %d batches, only %d were ever sent", k, ackedBatches+1)
 	}
 
-	status, got := getBlob(t, "http://"+addr2+"/v1/summary")
+	status, got := getBlob(t, url+"/v1/summary")
 	if status != http.StatusOK {
 		t.Fatal("recovered summary failed")
 	}
 	// The uninterrupted reference: the same engine configuration fed
 	// the same accepted prefix, in process.
 	ref, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary("exact", 5, 3, 0.05, 0.01, 0.3, 1, shard)
+		return engine.StandardSummary("exact", 5, 3, 0.05, 0.01, 0.3, 1, shard)
 	}, engine.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -549,12 +413,12 @@ func TestWideDaemonSubspaceRegistration(t *testing.T) {
 	// (no mask is ever built); a durable one must refuse cleanly
 	// instead of panicking in ColumnSet.Mask.
 	const d, q, seed = 65, 2, 3
-	ts, _ := startDaemon(t, "exact", d, q, seed)
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 64}}); resp.StatusCode != http.StatusOK {
+	ts := startDaemon(t, "exact", d, q, seed)
+	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 64}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-memory wide registration: %d %s", resp.StatusCode, body)
 	}
-	tsD, _ := startDurableDaemon(t, t.TempDir(), "exact", d, q, seed)
-	resp, body := postJSON(t, tsD.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 64}})
+	tsD := startNode(t, durableConfig(t.TempDir(), "exact", d, q, seed))
+	resp, body := postJSON(t, tsD.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 64}})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("durable wide registration: %d %s", resp.StatusCode, body)
 	}

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/node"
 	"repro/internal/words"
 )
 
@@ -28,15 +29,15 @@ func observeRows(t *testing.T, url string, d, q, n, salt int) {
 }
 
 // queryEpoch runs one f0 query and returns the response's epoch block.
-func queryEpoch(t *testing.T, url string, cols []int) *epochJSON {
+func queryEpoch(t *testing.T, url string, cols []int) *node.Epoch {
 	t.Helper()
-	resp, body := postJSON(t, url+"/v1/query", queryRequest{
-		Queries: []querySpec{{Kind: "f0", Cols: cols}},
+	resp, body := postJSON(t, url+"/v1/query", node.QueryRequest{
+		Queries: []node.QuerySpec{{Kind: "f0", Cols: cols}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp.StatusCode, body)
 	}
-	var qr queryResponse
+	var qr node.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func queryEpoch(t *testing.T, url string, cols []int) *epochJSON {
 
 func TestQueryResponseCarriesEpochStrict(t *testing.T) {
 	const d, q = 6, 3
-	ts, _ := startDaemon(t, "exact", d, q, 1)
+	ts := startDaemon(t, "exact", d, q, 1)
 	observeRows(t, ts.URL, d, q, 40, 0)
 
 	ep := queryEpoch(t, ts.URL, []int{0, 1})
@@ -73,18 +74,10 @@ func TestQueryResponseCarriesEpochStrict(t *testing.T) {
 
 func TestStatsServedFromEpoch(t *testing.T) {
 	const d, q = 6, 3
-	ts, _ := startDaemon(t, "exact", d, q, 1)
+	ts := startDaemon(t, "exact", d, q, 1)
 	observeRows(t, ts.URL, d, q, 30, 0)
 
-	resp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
+	st := daemonStats(t, ts.URL)
 	if st.Rows != 30 {
 		t.Fatalf("stats rows %d, want 30", st.Rows)
 	}
@@ -107,37 +100,32 @@ func TestStatsServedFromEpoch(t *testing.T) {
 // starts over on the next epoch.
 func TestStatsReportVectorMemo(t *testing.T) {
 	const d, q = 6, 3
-	ts, _ := startDaemon(t, "exact", d, q, 1)
+	ts := startDaemon(t, "exact", d, q, 1)
 	observeRows(t, ts.URL, d, q, 400, 0)
-	stats := func() *epochJSON {
+	stats := func() *node.Epoch {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var sr statsResponse
-		if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil || sr.Epoch == nil {
-			t.Fatalf("stats: %v, epoch %v", err, sr.Epoch)
+		sr := daemonStats(t, ts.URL)
+		if sr.Epoch == nil {
+			t.Fatal("stats response missing the epoch block")
 		}
 		return sr.Epoch
 	}
-	for _, spec := range []querySpec{
+	for _, spec := range []node.QuerySpec{
 		{Kind: "f0", Cols: []int{0, 1}},
 		{Kind: "fp", Cols: []int{0, 1}, P: 2},
 		{Kind: "hh", Cols: []int{0, 1}, P: 1, Phi: 0.1},
 		{Kind: "f0", Cols: []int{2, 3, 4}},
 	} {
-		if resp, body := postJSON(t, ts.URL+"/v1/query", queryRequest{Queries: []querySpec{spec}}); resp.StatusCode != http.StatusOK {
+		if resp, body := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{spec}}); resp.StatusCode != http.StatusOK {
 			t.Fatalf("query: %d %s", resp.StatusCode, body)
 		}
 	}
 	if ep := stats(); ep.MemoBuilds != 2 || ep.MemoHits != 2 || ep.MemoEvictions != 0 || ep.MemoBuildMS <= 0 {
 		t.Fatalf("memo block %+v, want 2 builds and 2 hits", ep)
 	}
-	repeat := queryRequest{Queries: []querySpec{{Kind: "hh", Cols: []int{0, 1}, P: 1, Phi: 0.1}}}
-	var first, second queryResponse
-	for _, out := range []*queryResponse{&first, &second} {
+	repeat := node.QueryRequest{Queries: []node.QuerySpec{{Kind: "hh", Cols: []int{0, 1}, P: 1, Phi: 0.1}}}
+	var first, second node.QueryResponse
+	for _, out := range []*node.QueryResponse{&first, &second} {
 		resp, body := postJSON(t, ts.URL+"/v1/query", repeat)
 		if resp.StatusCode != http.StatusOK || bytes.Contains(body, []byte("cached")) {
 			t.Fatalf("repeated query: %d %s", resp.StatusCode, body)

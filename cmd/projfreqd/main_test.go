@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/node"
 	"repro/internal/registry"
 	"repro/internal/rng"
 	"repro/internal/sketch"
@@ -19,21 +20,36 @@ import (
 	"repro/internal/words"
 )
 
-// startDaemon spins up a test server over a fresh net-summary engine.
-func startDaemon(t *testing.T, kind string, d, q int, seed uint64) (*httptest.Server, *engine.Sharded) {
+// testConfig is the daemon configuration the tests share: the given
+// summary and shape on two shards, with the accuracy parameters
+// remoteWriter builds its summaries with.
+func testConfig(kind string, d, q int, seed uint64) node.Config {
+	return node.Config{Summary: kind, D: d, Q: q, Eps: 0.25, Delta: 0.05, Alpha: 0.3, Seed: seed, Shards: 2}
+}
+
+// newNode boots a daemon through node.New and closes it with the test.
+func newNode(t *testing.T, cfg node.Config) *node.Node {
 	t.Helper()
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary(kind, d, q, 0.25, 0.05, 0.3, seed, shard)
-	}, engine.Config{Shards: 2})
+	n, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(eng, standardSubspaceBuilder(kind, d, q, 0.25, 0.05, 0.3, seed)))
-	t.Cleanup(func() {
-		ts.Close()
-		eng.Close()
-	})
-	return ts, eng
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+// startNode serves a daemon booted from cfg on a loopback test server.
+func startNode(t *testing.T, cfg node.Config) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(newNode(t, cfg))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// startDaemon serves an in-memory daemon of the given summary and shape.
+func startDaemon(t *testing.T, kind string, d, q int, seed uint64) *httptest.Server {
+	t.Helper()
+	return startNode(t, testConfig(kind, d, q, seed))
 }
 
 // observeRequest is the /v1/observe body as a client outside this
@@ -65,7 +81,7 @@ func postJSON(t *testing.T, url string, body interface{}) (*http.Response, []byt
 // does, feeds it rows, and returns its wire form.
 func remoteWriter(t *testing.T, kind string, d, q, n int, seed, streamSeed uint64) ([]byte, core.Summary) {
 	t.Helper()
-	sum, err := buildSummary(kind, d, q, 0.25, 0.05, 0.3, seed, 0)
+	sum, err := engine.StandardSummary(kind, d, q, 0.25, 0.05, 0.3, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,12 +101,12 @@ func remoteWriter(t *testing.T, kind string, d, q, n int, seed, streamSeed uint6
 
 func TestDaemonObservePushQueryMatchesInProcessMerge(t *testing.T) {
 	const d, q, seed = 6, 3, 11
-	ts, _ := startDaemon(t, "net", d, q, seed)
+	ts := startDaemon(t, "net", d, q, seed)
 
 	// A reference summary follows every row the daemon sees, via the
 	// in-process merge path, so the daemon's answers must match it
 	// exactly (Net merges are exact for same-seed shards).
-	ref, err := buildSummary("net", d, q, 0.25, 0.05, 0.3, seed, 0)
+	ref, err := engine.StandardSummary("net", d, q, 0.25, 0.05, 0.3, seed, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +152,7 @@ func TestDaemonObservePushQueryMatchesInProcessMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp3, qbody := postJSON(t, ts.URL+"/v1/query", queryRequest{Queries: []querySpec{
+	resp3, qbody := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{
 		{Kind: "f0", Cols: cols},
 		{Kind: "fp", Cols: cols, P: 2},
 		{Kind: "f0", Cols: cols},
@@ -144,7 +160,7 @@ func TestDaemonObservePushQueryMatchesInProcessMerge(t *testing.T) {
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", resp3.StatusCode, qbody)
 	}
-	var qresp queryResponse
+	var qresp node.QueryResponse
 	if err := json.Unmarshal(qbody, &qresp); err != nil {
 		t.Fatal(err)
 	}
@@ -162,23 +178,14 @@ func TestDaemonObservePushQueryMatchesInProcessMerge(t *testing.T) {
 	}
 
 	// Stats reflect both ingestion paths.
-	resp4, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stats statsResponse
-	if err := json.NewDecoder(resp4.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	resp4.Body.Close()
-	if stats.Rows != 700 || stats.Dim != d || stats.Alphabet != q {
+	if stats := daemonStats(t, ts.URL); stats.Rows != 700 || stats.Dim != d || stats.Alphabet != q {
 		t.Fatalf("stats %+v", stats)
 	}
 }
 
 func TestDaemonSummaryExportRoundTrips(t *testing.T) {
 	const d, q, seed = 5, 2, 3
-	ts, eng := startDaemon(t, "exact", d, q, seed)
+	ts := startDaemon(t, "exact", d, q, seed)
 	var rows [][]uint16
 	for i := 0; i < 120; i++ {
 		row := make([]uint16, d)
@@ -206,23 +213,24 @@ func TestDaemonSummaryExportRoundTrips(t *testing.T) {
 	if dec.Rows() != 120 {
 		t.Fatalf("exported snapshot has %d rows", dec.Rows())
 	}
-	c := words.MustColumnSet(d, 0, 1, 2)
-	wantF0, err := eng.F0(c)
+	cols := []int{0, 1, 2}
+	resp2, body := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{{Kind: "f0", Cols: cols}}})
+	var qresp node.QueryResponse
+	if err := json.Unmarshal(body, &qresp); resp2.StatusCode != http.StatusOK || err != nil {
+		t.Fatalf("query: %d %s", resp2.StatusCode, body)
+	}
+	gotF0, err := dec.(core.F0Querier).F0(words.MustColumnSet(d, cols...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotF0, err := dec.(core.F0Querier).F0(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotF0 != wantF0 {
-		t.Fatalf("exported snapshot F0 %v != engine %v", gotF0, wantF0)
+	if wantF0 := qresp.Results[0].Value; gotF0 != wantF0 {
+		t.Fatalf("exported snapshot F0 %v != daemon %v", gotF0, wantF0)
 	}
 }
 
 func TestDaemonRejectsBadInput(t *testing.T) {
 	const d, q, seed = 5, 2, 3
-	ts, _ := startDaemon(t, "net", d, q, seed)
+	ts := startDaemon(t, "net", d, q, seed)
 
 	// Corrupt push blob → 400.
 	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader([]byte("not a summary")))
@@ -256,20 +264,20 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 	}
 
 	// Unknown query kind and bad columns → 400.
-	if resp, _ := postJSON(t, ts.URL+"/v1/query", queryRequest{Queries: []querySpec{{Kind: "median", Cols: []int{0}}}}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{{Kind: "median", Cols: []int{0}}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown kind: %d", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/query", queryRequest{Queries: []querySpec{{Kind: "f0", Cols: []int{99}}}}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{{Kind: "f0", Cols: []int{99}}}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad columns: %d", resp.StatusCode)
 	}
 
 	// Per-query capability gaps surface in-band, not as HTTP errors.
-	tsSample, _ := startDaemon(t, "sample", d, q, seed)
-	resp2, body := postJSON(t, tsSample.URL+"/v1/query", queryRequest{Queries: []querySpec{{Kind: "f0", Cols: []int{0}}}})
+	tsSample := startDaemon(t, "sample", d, q, seed)
+	resp2, body := postJSON(t, tsSample.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{{Kind: "f0", Cols: []int{0}}}})
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("capability gap must be 200: %d %s", resp2.StatusCode, body)
 	}
-	var qresp queryResponse
+	var qresp node.QueryResponse
 	if err := json.Unmarshal(body, &qresp); err != nil {
 		t.Fatal(err)
 	}
@@ -280,19 +288,11 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 
 func TestDaemonOversizedBodyReturns413(t *testing.T) {
 	const d, q, seed = 5, 2, 3
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary("exact", d, q, 0.25, 0.05, 0.3, seed, shard)
-	}, engine.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := newServer(eng, standardSubspaceBuilder("exact", d, q, 0.25, 0.05, 0.3, seed))
-	srv.maxBody = 64
-	ts := httptest.NewServer(srv)
-	t.Cleanup(func() {
-		ts.Close()
-		eng.Close()
-	})
+	// The daemon's own bound is node.MaxBody (256 MiB); an outer
+	// 64-byte MaxBytesHandler makes the same body-read failure cheap to
+	// provoke.
+	ts := httptest.NewServer(http.MaxBytesHandler(newNode(t, testConfig("exact", d, q, seed)), 64))
+	t.Cleanup(ts.Close)
 
 	var rows [][]uint16
 	for i := 0; i < 64; i++ {
@@ -302,8 +302,8 @@ func TestDaemonOversizedBodyReturns413(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized observe: %d %s", resp.StatusCode, body)
 	}
-	if eng.Rows() != 0 {
-		t.Fatalf("oversized observe ingested %d rows", eng.Rows())
+	if rows := daemonStats(t, ts.URL).Rows; rows != 0 {
+		t.Fatalf("oversized observe ingested %d rows", rows)
 	}
 	resp2, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(make([]byte, 4096)))
 	if err != nil {
@@ -322,45 +322,36 @@ func TestDaemonOversizedBodyReturns413(t *testing.T) {
 }
 
 func TestAbsorbKeepsEngineConsistent(t *testing.T) {
-	// Absorb's staleness-clock bookkeeping: a snapshot taken after a
-	// push must include the pushed rows even with no new Observe calls.
+	// Absorb's staleness-clock bookkeeping: an export after a push must
+	// include the pushed rows even with no new observes since the last
+	// epoch was cut.
 	const d, q, seed = 5, 2, 3
-	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return buildSummary("exact", d, q, 0.25, 0.05, 0.3, seed, shard)
-	}, engine.Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	eng.Observe(make(words.Word, d))
-	if _, err := eng.Flush(); err != nil {
-		t.Fatal(err)
+	ts := startDaemon(t, "exact", d, q, seed)
+	adminObserveRows(t, ts.URL, [][]uint16{make([]uint16, d)})
+	if status, _, blob := condGet(t, ts.URL, ""); status != http.StatusOK || blobRows(t, blob) != 1 {
+		t.Fatalf("export before the push: %d", status)
 	}
 	blob, _ := remoteWriter(t, "exact", d, q, 40, seed, 1)
-	dec, err := core.UnmarshalSummary(blob)
-	if err != nil {
-		t.Fatal(err)
+	if resp, body := pushBlob(t, ts.URL, blob); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %d %s", resp.StatusCode, body)
 	}
-	if err := eng.Absorb(dec); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := eng.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Rows() != 41 {
-		t.Fatalf("snapshot rows %d, want 41", snap.Rows())
+	if _, _, snap := condGet(t, ts.URL, ""); blobRows(t, snap) != 41 {
+		t.Fatalf("export rows %d, want 41", blobRows(t, snap))
 	}
 	// Absorbing an incompatible donor fails typed and changes nothing.
 	other, err := core.NewExact(d+1, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Absorb(other); !errors.Is(err, core.ErrIncompatibleMerge) {
-		t.Fatalf("mismatched absorb: %v", err)
+	otherBlob, err := core.MarshalSummary(other)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if eng.Rows() != 41 {
-		t.Fatalf("failed absorb advanced the row clock to %d", eng.Rows())
+	if resp, body := pushBlob(t, ts.URL, otherBlob); resp.StatusCode != http.StatusConflict {
+		t.Fatalf("mismatched push: %d %s", resp.StatusCode, body)
+	}
+	if rows := daemonStats(t, ts.URL).Rows; rows != 41 {
+		t.Fatalf("failed absorb advanced the row clock to %d", rows)
 	}
 }
 
@@ -370,23 +361,23 @@ func TestAbsorbKeepsEngineConsistent(t *testing.T) {
 // or duplicate registrations.
 func TestDaemonSubspaceLifecycle(t *testing.T) {
 	const d, q, seed = 6, 3, 11
-	ts, eng := startDaemon(t, "exact", d, q, seed)
+	ts := startDaemon(t, "exact", d, q, seed)
 
 	// Register one mirror and one sketch-backed subspace.
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register mirror: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{2, 3, 4}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{2, 3, 4}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register sketch: %d %s", resp.StatusCode, body)
 	}
 	// Duplicates conflict; bad columns and unknown kinds are bad requests.
-	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{1, 0}}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{1, 0}}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate subspace: %d", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{99}}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{99}}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad columns: %d", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{5}, Summary: "bogus"}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{5}, Summary: "bogus"}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown summary kind: %d", resp.StatusCode)
 	}
 
@@ -395,7 +386,7 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var list subspacesResponse
+	var list node.SubspacesResponse
 	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
 		t.Fatal(err)
 	}
@@ -416,28 +407,19 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/observe", observeRequest{Rows: rows}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("observe: %d %s", resp.StatusCode, body)
 	}
-	var stats statsResponse
-	respS, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(respS.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	respS.Body.Close()
-	if stats.Subspaces != 2 || stats.Rows != 300 {
+	if stats := daemonStats(t, ts.URL); stats.Subspaces != 2 || stats.Rows != 300 {
 		t.Fatalf("stats %+v", stats)
 	}
 
 	// Registration after ingestion conflicts.
-	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{5}}); resp.StatusCode != http.StatusConflict {
+	if resp, _ := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{5}}); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("late registration: %d", resp.StatusCode)
 	}
 
 	// Queries report their route: mirror exact-match, covering via the
 	// sketch subspace's F0, full fallback for uncovered sets and for
 	// classes the sketch cannot serve.
-	respQ, body := postJSON(t, ts.URL+"/v1/query", queryRequest{Queries: []querySpec{
+	respQ, body := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{
 		{Kind: "f0", Cols: []int{0, 1}},
 		{Kind: "f0", Cols: []int{2, 3, 4}},
 		{Kind: "f0", Cols: []int{5}},
@@ -446,7 +428,7 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	if respQ.StatusCode != http.StatusOK {
 		t.Fatalf("query: %d %s", respQ.StatusCode, body)
 	}
-	var qresp queryResponse
+	var qresp node.QueryResponse
 	if err := json.Unmarshal(body, &qresp); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +442,8 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 		}
 	}
 	// The mirror's answer matches the catch-all exactly.
-	truth, err := eng.Snapshot()
+	_, _, blob := condGet(t, ts.URL, "")
+	truth, err := core.UnmarshalSummary(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,24 +465,14 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 
 	// The exported blob is a whole registry that an identically
 	// configured daemon absorbs; bare pushes now conflict.
-	respB, err := http.Get(ts.URL + "/v1/summary")
-	if err != nil {
-		t.Fatal(err)
+	if reg, ok := truth.(*registry.Registry); !ok || reg.NumSubspaces() != 2 {
+		t.Fatalf("exported %T", truth)
 	}
-	blob, _ := io.ReadAll(respB.Body)
-	respB.Body.Close()
-	dec, err := core.UnmarshalSummary(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reg, ok := dec.(*registry.Registry); !ok || reg.NumSubspaces() != 2 {
-		t.Fatalf("exported %T", dec)
-	}
-	ts2, eng2 := startDaemon(t, "exact", d, q, seed)
-	if resp, body := postJSON(t, ts2.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
+	ts2 := startDaemon(t, "exact", d, q, seed)
+	if resp, body := postJSON(t, ts2.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer register: %d %s", resp.StatusCode, body)
 	}
-	if resp, body := postJSON(t, ts2.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{2, 3, 4}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
+	if resp, body := postJSON(t, ts2.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{2, 3, 4}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer register: %d %s", resp.StatusCode, body)
 	}
 	respP, err := http.Post(ts2.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
@@ -511,8 +484,8 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	if respP.StatusCode != http.StatusOK {
 		t.Fatalf("registry push: %d %s", respP.StatusCode, pushBody)
 	}
-	if eng2.Rows() != 300 {
-		t.Fatalf("peer rows %d", eng2.Rows())
+	if rows := daemonStats(t, ts2.URL).Rows; rows != 300 {
+		t.Fatalf("peer rows %d", rows)
 	}
 	bare, _ := remoteWriter(t, "exact", d, q, 10, seed, 1)
 	respBare, err := http.Post(ts2.URL+"/v1/push", "application/octet-stream", bytes.NewReader(bare))
@@ -563,7 +536,7 @@ func TestRetiredSubsetKindRefused(t *testing.T) {
 	if sum, err := core.UnmarshalSummary(blob); !errors.Is(err, core.ErrBadEncoding) {
 		t.Fatalf("kind-4 blob decoded to %v, %v; want ErrBadEncoding", sum, err)
 	}
-	ts, _ := startDaemon(t, "exact", 2, 2, 1)
+	ts := startDaemon(t, "exact", 2, 2, 1)
 	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)

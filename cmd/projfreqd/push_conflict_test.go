@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/node"
 	"repro/internal/registry"
 	"repro/internal/words"
 )
@@ -42,8 +43,8 @@ func pushBlob(t *testing.T, url string, blob []byte) (*http.Response, []byte) {
 // prose.
 func TestPushSubspaceMismatchTypedError(t *testing.T) {
 	const d, q, seed = 6, 3, 11
-	ts, _ := startDaemon(t, "exact", d, q, seed)
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", registerSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
+	ts := startDaemon(t, "exact", d, q, seed)
+	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register: %d %s", resp.StatusCode, body)
 	}
 
@@ -118,7 +119,7 @@ func TestPushSubspaceMismatchTypedError(t *testing.T) {
 	// envelope: 409 with an error string and no mismatch code. This
 	// needs a subspace-free daemon — with subspaces registered, the
 	// structural refusal fires before any shape check.
-	tsPlain, _ := startDaemon(t, "exact", d, q, seed)
+	tsPlain := startDaemon(t, "exact", d, q, seed)
 	wrongDim, err := core.NewExact(d+1, q)
 	if err != nil {
 		t.Fatal(err)

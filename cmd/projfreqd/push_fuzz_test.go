@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -9,31 +10,39 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/node"
 )
 
-// fuzzServer is one shared daemon for the whole fuzz run: rebuilding
-// an engine per input would dominate the fuzz loop, and sharing it is
-// itself part of the property — thousands of hostile inputs against
-// one live engine must leave it consistent.
+// fuzzNode is one shared daemon for the whole fuzz run: rebuilding
+// one per input would dominate the fuzz loop, and sharing it is itself
+// part of the property — thousands of hostile inputs against one live
+// engine must leave it consistent.
 var (
 	fuzzOnce sync.Once
-	fuzzSrv  *server
-	fuzzEng  *engine.Sharded
+	fuzzNode *node.Node
 )
 
-func fuzzDaemon(f *testing.F) *server {
+func fuzzDaemon(f *testing.F) *node.Node {
 	f.Helper()
 	fuzzOnce.Do(func() {
-		eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-			return buildSummary("exact", 6, 3, 0.25, 0.05, 0.3, 11, shard)
-		}, engine.Config{Shards: 2})
+		n, err := node.New(testConfig("exact", 6, 3, 11))
 		if err != nil {
 			f.Fatal(err)
 		}
-		fuzzEng = eng
-		fuzzSrv = newServer(eng, standardSubspaceBuilder("exact", 6, 3, 0.25, 0.05, 0.3, 11))
+		fuzzNode = n
 	})
-	return fuzzSrv
+	return fuzzNode
+}
+
+// fuzzRows reads the daemon's row clock off its /v1/stats.
+func fuzzRows(t *testing.T, h http.Handler) int64 {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
+	var st node.Stats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("stats: %d %v", rec.Code, err)
+	}
+	return st.Rows
 }
 
 // FuzzHandlePush drives arbitrary bytes through the full /v1/push
@@ -63,7 +72,7 @@ func FuzzHandlePush(f *testing.F) {
 	f.Add([]byte("not a summary envelope at all"))
 
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		before := fuzzEng.Rows()
+		before := fuzzRows(t, srv)
 		req := httptest.NewRequest(http.MethodPost, "/v1/push", bytes.NewReader(blob))
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
@@ -72,9 +81,9 @@ func FuzzHandlePush(f *testing.F) {
 		default:
 			t.Fatalf("push of %d bytes: status %d %s", len(blob), rec.Code, rec.Body.Bytes())
 		}
-		if rec.Code != http.StatusOK && fuzzEng.Rows() != before {
+		if after := fuzzRows(t, srv); rec.Code != http.StatusOK && after != before {
 			t.Fatalf("refused push (status %d) moved the row clock %d -> %d: partial absorb",
-				rec.Code, before, fuzzEng.Rows())
+				rec.Code, before, after)
 		}
 		// The engine must stay able to serve after every input.
 		sreq := httptest.NewRequest(http.MethodGet, "/v1/summary", nil)
@@ -90,7 +99,7 @@ func FuzzHandlePush(f *testing.F) {
 // *testing.T the helper takes).
 func remoteWriterF(f *testing.F, kind string, d, q, n int, seed uint64) ([]byte, core.Summary) {
 	f.Helper()
-	sum, err := buildSummary(kind, d, q, 0.25, 0.05, 0.3, seed, 0)
+	sum, err := engine.StandardSummary(kind, d, q, 0.25, 0.05, 0.3, seed, 0)
 	if err != nil {
 		f.Fatal(err)
 	}

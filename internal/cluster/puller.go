@@ -106,6 +106,13 @@ type Puller struct {
 	apply  Applier
 	client *http.Client
 
+	// applyMu makes applying a source's blob and removing the source
+	// mutually exclusive: an apply runs only while its source is still
+	// registered, and Remove waits out an apply in flight. So once
+	// Remove returns, nothing fetched from the source can land in the
+	// Applier, and the caller's drop of its state is final.
+	applyMu sync.Mutex
+
 	mu      sync.Mutex
 	sources []string // sorted
 	state   map[string]*sourceState
@@ -162,10 +169,13 @@ func (p *Puller) Add(src string) error {
 
 // Remove forgets a source — its counters, ETag, and any stashed blob —
 // and reports whether it was present. The caller owns removing the
-// source's absorbed state from the engine (engine.RemoveSource);
-// the puller only stops asking.
+// source's absorbed state from the engine (engine.RemoveSource); the
+// puller only stops asking, and applies no blob for the source once
+// Remove has returned.
 func (p *Puller) Remove(src string) bool {
 	src = strings.TrimRight(strings.TrimSpace(src), "/")
+	p.applyMu.Lock()
+	defer p.applyMu.Unlock()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.state[src] == nil {
@@ -305,13 +315,17 @@ func (p *Puller) pullSource(ctx context.Context, src string) error {
 // failure stashes the blob for retry (fresh fetch) or counts the
 // retry and drops the stash once the cap is reached.
 func (p *Puller) applyBlob(src string, b *pendingBlob, retry bool) error {
+	p.applyMu.Lock()
+	defer p.applyMu.Unlock()
+	p.mu.Lock()
+	st := p.state[src]
+	p.mu.Unlock()
+	if st == nil {
+		return nil // removed since the fetch: its state must not come back
+	}
 	err := p.apply.ApplySource(src, b.blob)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	st := p.state[src]
-	if st == nil {
-		return err // source removed mid-apply; nothing to record
-	}
 	if retry {
 		st.stats.ApplyRetries++
 	}

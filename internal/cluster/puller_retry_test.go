@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -197,5 +198,36 @@ func TestPullerAddRemoveSources(t *testing.T) {
 		if st.URL == tsA.URL && (st.ETag != "" || st.Pulls != 0) {
 			t.Fatalf("re-added source kept state: %+v", st)
 		}
+	}
+}
+
+// TestPullerRemoveWinsOverFetchedBlob: a blob fetched from a source
+// that is removed before the blob is applied must never reach the
+// Applier — otherwise the caller's drop of the source's state (an
+// aggregator's RemoveSource during a membership change) is undone and
+// the departed slice counts twice.
+func TestPullerRemoveWinsOverFetchedBlob(t *testing.T) {
+	src := &fakeSource{}
+	src.set([]byte("state-1"))
+	rec := &recorder{}
+	var p *Puller
+	// The source is removed while it serves the very GET whose blob the
+	// round then goes on to apply.
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.Remove("http://" + r.Host)
+		src.handler().ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	var err error
+	if p, err = NewPuller([]string{ts.URL}, rec, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.PullOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.applied) != 0 {
+		t.Fatalf("a removed source's blob was applied: %q", rec.applied)
 	}
 }

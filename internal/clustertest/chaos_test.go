@@ -10,17 +10,19 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/node"
+	"repro/internal/router"
 	"repro/internal/words"
 )
 
 // queueByNode indexes the router's queue stats.
-func queueByNode(st RouterStats, node string) (QueueStats, bool) {
+func queueByNode(st router.Stats, node string) (router.QueueStats, bool) {
 	for _, q := range st.Queues {
 		if q.Node == node {
 			return q, true
 		}
 	}
-	return QueueStats{}, false
+	return router.QueueStats{}, false
 }
 
 // queryViaRouter posts queries through the router and returns the
@@ -36,12 +38,7 @@ func queryViaRouter(t *testing.T, routerURL string, queries []map[string]interfa
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var qr struct {
-		Results []struct {
-			Value float64 `json:"value"`
-			Error string  `json:"error"`
-		} `json:"results"`
-	}
+	var qr node.QueryResponse
 	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +153,7 @@ func TestClusterChaosConvergence(t *testing.T) {
 			// Membership change mid-stream: drain, then drop ingest2. The
 			// router orchestrates the hand-off and aggregator retargeting.
 			WaitQueuesDrained(t, c.Router.URL(), 60*time.Second)
-			c.removeIngest2(t, ring, node2Direct)
+			removeIngest2(t, c.Router.URL(), ingestURLs, ring, node2Direct)
 			next, err := cluster.NewRingEpoch(ingestURLs[:2], 1)
 			if err != nil {
 				t.Fatal(err)
@@ -300,41 +297,24 @@ func TestClusterChaosConvergence(t *testing.T) {
 }
 
 // removeIngest2 drives the router's membership endpoint to drop the
-// third ingest node and asserts the orchestration report: the
-// hand-off went to the ring-predicted successor and carried exactly
-// the rows the ring ever routed to the removed node.
-func (c *Cluster) removeIngest2(t *testing.T, ring *cluster.Ring, node2Direct int) {
+// third of urls (the ingest tier as the router addresses it) and
+// asserts the orchestration report: the hand-off went to the
+// ring-predicted successor and carried exactly the rows the ring ever
+// routed to the removed node, and every aggregator was retargeted.
+func removeIngest2(t *testing.T, routerURL string, urls []string, ring *cluster.Ring, node2Direct int) {
 	t.Helper()
-	urls := c.IngestURLs()
 	next, err := cluster.NewRingEpoch(urls[:2], 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantSuccessor := ring.Diff(next).Successors[urls[2]]
 
-	status, body := PostJSON(t, c.Router.URL()+"/v1/admin/membership",
-		map[string][]string{"ingest": urls[:2]})
+	status, body := PostJSON(t, routerURL+"/v1/admin/membership",
+		router.MembershipRequest{Ingest: urls[:2]})
 	if status != http.StatusOK {
 		t.Fatalf("membership change: %d %s", status, body)
 	}
-	var resp struct {
-		Unchanged bool     `json:"unchanged"`
-		FromEpoch uint64   `json:"from_epoch"`
-		ToEpoch   uint64   `json:"to_epoch"`
-		Removed   []string `json:"removed"`
-		Handoffs  []struct {
-			From  string  `json:"from"`
-			To    string  `json:"to"`
-			Rows  int64   `json:"rows"`
-			Share float64 `json:"share"`
-			Error string  `json:"error"`
-		} `json:"handoffs"`
-		SourceUpdates []struct {
-			Aggregator string   `json:"aggregator"`
-			Sources    []string `json:"sources"`
-			Error      string   `json:"error"`
-		} `json:"source_updates"`
-	}
+	var resp router.MembershipResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("decoding membership response %s: %v", body, err)
 	}

@@ -9,6 +9,8 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/node"
+	"repro/internal/router"
 	"repro/internal/words"
 	"repro/internal/workload"
 )
@@ -17,24 +19,6 @@ func TestMain(m *testing.M) {
 	code := m.Run()
 	CleanupBinaries()
 	os.Exit(code)
-}
-
-// Wire shapes of the router's /v1/observe fan-out report.
-type routerNodeResult struct {
-	Node     string `json:"node"`
-	Rows     int    `json:"rows"`
-	Accepted int    `json:"accepted"`
-	Error    string `json:"error"`
-}
-
-type routerObserveResponse struct {
-	Rows     int                `json:"rows"`
-	Accepted int                `json:"accepted"`
-	Routed   int                `json:"routed"`
-	Queued   int                `json:"queued"`
-	Shed     int                `json:"shed"`
-	Partial  bool               `json:"partial"`
-	Results  []routerNodeResult `json:"results"`
 }
 
 // workloadRows materializes n deterministic rows (Zipf-distributed
@@ -58,10 +42,10 @@ func workloadRows(t *testing.T, d, q, n int, seed uint64) [][]uint16 {
 
 // sendBatch streams one batch through the router and returns the
 // fan-out report.
-func sendBatch(t *testing.T, routerURL string, rows [][]uint16) (int, routerObserveResponse) {
+func sendBatch(t *testing.T, routerURL string, rows [][]uint16) (int, router.ObserveResponse) {
 	t.Helper()
 	status, body := PostJSON(t, routerURL+"/v1/observe", map[string][][]uint16{"rows": rows})
-	var resp routerObserveResponse
+	var resp router.ObserveResponse
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatalf("decoding observe response %s: %v", body, err)
 	}
@@ -69,15 +53,17 @@ func sendBatch(t *testing.T, routerURL string, rows [][]uint16) (int, routerObse
 }
 
 // sourceByURL indexes the aggregator's anti-entropy counters.
-func sourceByURL(t *testing.T, st Stats, url string) SourceStats {
+func sourceByURL(t *testing.T, st node.Stats, url string) cluster.SourceStats {
 	t.Helper()
-	for _, src := range st.Cluster.Sources {
-		if src.URL == url {
-			return src
+	if st.Cluster != nil {
+		for _, src := range st.Cluster.Sources {
+			if src.URL == url {
+				return src
+			}
 		}
 	}
-	t.Fatalf("no source %s in %+v", url, st.Cluster.Sources)
-	return SourceStats{}
+	t.Fatalf("no source %s in %+v", url, st.Cluster)
+	return cluster.SourceStats{}
 }
 
 // TestClusterKillAndRecover is the tentpole integration property: a
@@ -175,7 +161,7 @@ func TestClusterKillAndRecover(t *testing.T) {
 		}
 	}
 	aggStats := GetStats(t, c.Aggregator.URL())
-	if aggStats.Cluster.Role != "aggregator" || aggStats.Rows != 0 {
+	if aggStats.Cluster == nil || aggStats.Cluster.Role != "aggregator" || aggStats.Rows != 0 {
 		t.Fatalf("aggregator stats: %+v", aggStats)
 	}
 	restarted := sourceByURL(t, aggStats, c.Ingest[0].URL())
@@ -218,12 +204,7 @@ func TestClusterKillAndRecover(t *testing.T) {
 	if status != 200 {
 		t.Fatalf("query through router: %d %s", status, body)
 	}
-	var qr struct {
-		Results []struct {
-			Value float64 `json:"value"`
-			Error string  `json:"error"`
-		} `json:"results"`
-	}
+	var qr node.QueryResponse
 	if err := json.Unmarshal(body, &qr); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +244,7 @@ func TestClusterKillAndRecover(t *testing.T) {
 	// provably been probed again — its 304 counter advanced — then
 	// check no blob shipped for it while node 1's did.
 	idleBefore := sourceByURL(t, before, c.Ingest[0].URL())
-	var after Stats
+	var after node.Stats
 	Poll(t, 10*time.Second, "an idle-node 304 probe", func() bool {
 		after = GetStats(t, c.Aggregator.URL())
 		return sourceByURL(t, after, c.Ingest[0].URL()).NotModified > idleBefore.NotModified
@@ -286,11 +267,7 @@ func TestClusterKillAndRecover(t *testing.T) {
 	if statusF != 200 {
 		t.Fatalf("final f0: %d %s", statusF, bodyF)
 	}
-	var fr struct {
-		Results []struct {
-			Value float64 `json:"value"`
-		} `json:"results"`
-	}
+	var fr node.QueryResponse
 	if err := json.Unmarshal(bodyF, &fr); err != nil {
 		t.Fatal(err)
 	}

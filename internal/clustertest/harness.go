@@ -1,9 +1,16 @@
 // Package clustertest is a reusable harness for integration tests of
-// the two-tier projfreq cluster: it builds the real projfreqd and
-// projfreq-router binaries once per test process, spawns them as
-// subprocesses with scratch data directories, and exposes the
-// membership to the test so it can kill, restart, and interrogate
-// individual nodes.
+// the two-tier projfreq cluster. It runs the cluster two ways:
+//
+//   - As processes (StartCluster, NewNode): it builds the real projfreqd
+//     and projfreq-router binaries once per test process, spawns them
+//     with scratch data directories, and exposes the membership to the
+//     test so it can SIGKILL, restart, and interrogate individual
+//     nodes. TestClusterKillAndRecover and TestClusterChaosConvergence
+//     run this way — a true SIGKILL needs a process.
+//   - In process (TestInProcessClusterConverges): node.New and
+//     router.New handlers on loopback listeners, every ingest edge
+//     behind the same fault Proxy — the same convergence property at
+//     unit-test speed, with Close standing in for the kill.
 //
 // Node logs go to one file per process lifetime. By default they land
 // in the test's temp directory; set CLUSTERTEST_LOGDIR to a path to
@@ -25,6 +32,9 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/node"
+	"repro/internal/router"
 )
 
 // binDir holds the built binaries for this test process; see
@@ -370,43 +380,15 @@ func (c *Cluster) IngestURLs() []string {
 	return out
 }
 
-// ---- wire types the harness reads back (subset of the daemons') ----
-
-// SourceStats mirrors the aggregator's per-source anti-entropy
-// counters.
-type SourceStats struct {
-	URL         string `json:"url"`
-	ETag        string `json:"etag"`
-	Pulls       int64  `json:"pulls"`
-	Changed     int64  `json:"changed"`
-	NotModified int64  `json:"not_modified"`
-	Errors      int64  `json:"errors"`
-	Rows        int64  `json:"rows"`
-}
-
-// Stats is the slice of a daemon's /v1/stats the cluster tests read.
-type Stats struct {
-	Rows  int64 `json:"rows"`
-	Epoch struct {
-		Seq        uint64 `json:"seq"`
-		Rows       int64  `json:"rows"`
-		MergedRows int64  `json:"merged_rows"`
-	} `json:"epoch"`
-	Cluster struct {
-		Role    string        `json:"role"`
-		Sources []SourceStats `json:"sources"`
-	} `json:"cluster"`
-}
-
 // GetStats fetches and decodes a daemon's /v1/stats.
-func GetStats(t *testing.T, url string) Stats {
+func GetStats(t *testing.T, url string) node.Stats {
 	t.Helper()
 	resp, err := http.Get(url + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st Stats
+	var st node.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -419,16 +401,16 @@ func GetStats(t *testing.T, url string) Stats {
 func WaitConverged(t *testing.T, aggURL string, want int64, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	var last Stats
+	var last node.Stats
 	for time.Now().Before(deadline) {
 		last = GetStats(t, aggURL)
-		if last.Epoch.MergedRows == want {
+		if last.Epoch != nil && last.Epoch.MergedRows == want {
 			return
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	t.Fatalf("aggregator serves %d merged rows after %v, want %d (sources: %+v)",
-		last.Epoch.MergedRows, timeout, want, last.Cluster.Sources)
+	t.Fatalf("aggregator serves epoch %+v after %v, want %d merged rows (cluster: %+v)",
+		last.Epoch, timeout, want, last.Cluster)
 }
 
 // Poll retries cond every 20ms until it returns true or the deadline
@@ -447,50 +429,15 @@ func Poll(t *testing.T, timeout time.Duration, what string, cond func() bool) {
 	t.Fatalf("gave up after %v waiting for %s", timeout, what)
 }
 
-// QueueStats mirrors the router's per-node retry-queue counters.
-type QueueStats struct {
-	Node         string  `json:"node"`
-	DepthRows    int     `json:"depth_rows"`
-	DepthBatches int     `json:"depth_batches"`
-	OldestAgeMS  float64 `json:"oldest_age_ms"`
-	CapRows      int     `json:"cap_rows"`
-	Enqueued     int64   `json:"enqueued"`
-	Delivered    int64   `json:"delivered"`
-	Shed         int64   `json:"shed"`
-	Rejected     int64   `json:"rejected"`
-	Attempts     int64   `json:"attempts"`
-	Failures     int64   `json:"failures"`
-	LastError    string  `json:"last_error"`
-}
-
-// AggHealth mirrors the router's per-aggregator health state.
-type AggHealth struct {
-	URL            string `json:"url"`
-	Healthy        bool   `json:"healthy"`
-	ConsecFailures int    `json:"consec_failures"`
-	Ejections      int64  `json:"ejections"`
-	Probes         int64  `json:"probes"`
-	LastError      string `json:"last_error"`
-}
-
-// RouterStats is the router's /v1/router/stats fault-tolerance view.
-type RouterStats struct {
-	Role        string       `json:"role"`
-	Epoch       uint64       `json:"epoch"`
-	Ingest      []string     `json:"ingest"`
-	Queues      []QueueStats `json:"queues"`
-	Aggregators []AggHealth  `json:"aggregators"`
-}
-
 // GetRouterStats fetches and decodes /v1/router/stats.
-func GetRouterStats(t *testing.T, routerURL string) RouterStats {
+func GetRouterStats(t *testing.T, routerURL string) router.Stats {
 	t.Helper()
 	resp, err := http.Get(routerURL + "/v1/router/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st RouterStats
+	var st router.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +453,7 @@ func GetRouterStats(t *testing.T, routerURL string) RouterStats {
 func WaitQueuesDrained(t *testing.T, routerURL string, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
-	var last RouterStats
+	var last router.Stats
 	for time.Now().Before(deadline) {
 		last = GetRouterStats(t, routerURL)
 		drained := true

@@ -1,3 +1,5 @@
+package node
+
 // Cluster-membership admin endpoints: slice hand-off on ingest nodes
 // and dynamic pull-source management on aggregators. Both exist for
 // one invariant — across a membership change, every accepted row stays
@@ -16,7 +18,6 @@
 //
 // The router's /v1/admin/membership endpoint drives both in order
 // (hand-off first, then source updates) when its -ingest list changes.
-package main
 
 import (
 	"context"
@@ -31,14 +32,14 @@ import (
 	"repro/internal/cluster"
 )
 
-// handoffRequest is the POST /v1/admin/handoff body: the base URL of
+// HandoffRequest is the POST /v1/admin/handoff body: the base URL of
 // the departing peer whose summary this daemon should absorb.
-type handoffRequest struct {
+type HandoffRequest struct {
 	Source string `json:"source"`
 }
 
-// handoffResponse reports one completed hand-off.
-type handoffResponse struct {
+// HandoffResponse reports one completed hand-off.
+type HandoffResponse struct {
 	Source string `json:"source"`
 	// Rows is the row count the peer's summary reported (its
 	// X-Epoch-Rows header).
@@ -56,27 +57,27 @@ type handoffResponse struct {
 // the departing peer must stay decommission-able (its durable store
 // intact) until the cluster has converged; /v1/stats lists completed
 // hand-offs so an orchestrator can verify before decommissioning.
-func (s *server) handleAdminHandoff(w http.ResponseWriter, r *http.Request) {
-	var req handoffRequest
+func (n *Node) handleAdminHandoff(w http.ResponseWriter, r *http.Request) {
+	var req HandoffRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		bodyError(w, fmt.Errorf("decoding handoff request: %w", err))
+		BodyError(w, fmt.Errorf("decoding handoff request: %w", err))
 		return
 	}
 	src := strings.TrimRight(strings.TrimSpace(req.Source), "/")
 	if src == "" {
-		httpError(w, http.StatusBadRequest, errors.New("handoff needs a source URL"))
+		HTTPError(w, http.StatusBadRequest, errors.New("handoff needs a source URL"))
 		return
 	}
 	// A one-shot puller reuses the anti-entropy machinery (conditional
 	// GET, apply-before-ETag-advance) for a single round against a
 	// single source.
-	to := s.pullTimeout
+	to := n.cfg.PullTimeout
 	if to <= 0 {
 		to = 30 * time.Second
 	}
-	p, err := cluster.NewPuller([]string{src}, s, to)
+	p, err := cluster.NewPuller([]string{src}, n, to)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), to)
@@ -85,42 +86,42 @@ func (s *server) handleAdminHandoff(w http.ResponseWriter, r *http.Request) {
 		// The peer is unreachable or its blob did not apply: nothing was
 		// absorbed (the ETag never advances past a failed apply), so the
 		// orchestrator can retry the identical request.
-		httpError(w, http.StatusBadGateway, fmt.Errorf("handoff from %s: %w", src, err))
+		HTTPError(w, http.StatusBadGateway, fmt.Errorf("handoff from %s: %w", src, err))
 		return
 	}
 	st := p.Stats()[0]
-	s.handoffMu.Lock()
-	if s.handoffs == nil {
-		s.handoffs = make(map[string]cluster.SourceStats)
+	n.handoffMu.Lock()
+	if n.handoffs == nil {
+		n.handoffs = make(map[string]cluster.SourceStats)
 	}
-	s.handoffs[st.URL] = st
-	s.handoffMu.Unlock()
-	writeJSON(w, handoffResponse{Source: st.URL, Rows: st.Rows, ETag: st.ETag})
+	n.handoffs[st.URL] = st
+	n.handoffMu.Unlock()
+	WriteJSON(w, http.StatusOK, HandoffResponse{Source: st.URL, Rows: st.Rows, ETag: st.ETag})
 }
 
 // handoffStats lists completed hand-offs, sorted by source URL.
-func (s *server) handoffStats() []cluster.SourceStats {
-	s.handoffMu.Lock()
-	defer s.handoffMu.Unlock()
-	out := make([]cluster.SourceStats, 0, len(s.handoffs))
-	for _, st := range s.handoffs {
+func (n *Node) handoffStats() []cluster.SourceStats {
+	n.handoffMu.Lock()
+	defer n.handoffMu.Unlock()
+	out := make([]cluster.SourceStats, 0, len(n.handoffs))
+	for _, st := range n.handoffs {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
 	return out
 }
 
-// sourcesRequest is the POST /v1/admin/sources body: pull sources to
+// SourcesRequest is the POST /v1/admin/sources body: pull sources to
 // add and to remove. Removal also drops the source's absorbed state
 // from the engine.
-type sourcesRequest struct {
+type SourcesRequest struct {
 	Add    []string `json:"add,omitempty"`
 	Remove []string `json:"remove,omitempty"`
 }
 
-// sourcesResponse reports the aggregator's source list after the
+// SourcesResponse reports the aggregator's source list after the
 // update.
-type sourcesResponse struct {
+type SourcesResponse struct {
 	Sources []string `json:"sources"`
 	// Removed lists the removed URLs whose absorbed engine state was
 	// actually dropped (a URL never pulled has no state to drop).
@@ -132,37 +133,37 @@ type sourcesResponse struct {
 // aggregators have a puller; on any other daemon the endpoint answers
 // 409 so a misdirected membership update fails loudly instead of
 // silently doing nothing.
-func (s *server) handleAdminSources(w http.ResponseWriter, r *http.Request) {
-	if s.puller == nil {
-		httpError(w, http.StatusConflict, errors.New("not an aggregator: no -pull-from sources to update"))
+func (n *Node) handleAdminSources(w http.ResponseWriter, r *http.Request) {
+	if n.puller == nil {
+		HTTPError(w, http.StatusConflict, errors.New("not an aggregator: no -pull-from sources to update"))
 		return
 	}
-	var req sourcesRequest
+	var req SourcesRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		bodyError(w, fmt.Errorf("decoding sources update: %w", err))
+		BodyError(w, fmt.Errorf("decoding sources update: %w", err))
 		return
 	}
 	if len(req.Add) == 0 && len(req.Remove) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty sources update"))
+		HTTPError(w, http.StatusBadRequest, errors.New("empty sources update"))
 		return
 	}
 	for _, u := range req.Add {
-		if err := s.puller.Add(u); err != nil {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("adding %q: %w", u, err))
+		if err := n.puller.Add(u); err != nil {
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("adding %q: %w", u, err))
 			return
 		}
 	}
-	resp := sourcesResponse{}
+	resp := SourcesResponse{}
 	for _, u := range req.Remove {
 		u = strings.TrimRight(strings.TrimSpace(u), "/")
-		s.puller.Remove(u)
+		n.puller.Remove(u)
 		// Drop the absorbed state too: from this update on, the removed
 		// peer's rows must reach this aggregator only through whichever
 		// successor absorbed them.
-		if s.eng.RemoveSource(u) {
+		if n.eng.RemoveSource(u) {
 			resp.Removed = append(resp.Removed, u)
 		}
 	}
-	resp.Sources = s.puller.Sources()
-	writeJSON(w, resp)
+	resp.Sources = n.puller.Sources()
+	WriteJSON(w, http.StatusOK, resp)
 }

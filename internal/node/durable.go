@@ -1,4 +1,4 @@
-package main
+package node
 
 import (
 	"context"
@@ -20,7 +20,7 @@ import (
 // owns the consistent cut (CheckpointState/Restore/Replay*), and this
 // file maps between them — including the one piece of state only the
 // daemon knows, the subspace registrations' provisioning kind strings
-// (subspaceBuilder input), which ride the WAL as registration records
+// (subspaceFactory input), which ride the WAL as registration records
 // and every checkpoint as SubspaceMeta.
 
 // errSubspaceNotLogged marks a registration that mutated the engine
@@ -44,8 +44,8 @@ var errNotDurable = errors.New("daemon runs without -data-dir")
 // re-establishes full durability for the registration; until then a
 // crash recovers to the registration-free prefix — which matches what
 // the client was told, since this path still returns an error.
-func (s *server) recordSubspace(c words.ColumnSet, summary string) error {
-	if s.wal == nil {
+func (n *Node) recordSubspace(c words.ColumnSet, summary string) error {
+	if n.wal == nil {
 		// Nothing to record: without a store there are no checkpoints
 		// to embed the meta list in and no replay to re-register from —
 		// and ColumnSet.Mask (the record format) caps d at 64, a limit
@@ -56,8 +56,8 @@ func (s *server) recordSubspace(c words.ColumnSet, summary string) error {
 		summary = "mirror"
 	}
 	meta := store.SubspaceMeta{Mask: c.Mask(), Summary: summary}
-	s.subMeta = append(s.subMeta, meta)
-	if err := s.wal.AppendSubspace(meta.Mask, meta.Summary); err != nil {
+	n.subMeta = append(n.subMeta, meta)
+	if err := n.wal.AppendSubspace(meta.Mask, meta.Summary); err != nil {
 		return fmt.Errorf("%w: %v", errSubspaceNotLogged, err)
 	}
 	return nil
@@ -66,19 +66,19 @@ func (s *server) recordSubspace(c words.ColumnSet, summary string) error {
 // applySubspaceMeta re-registers one recovered subspace registration
 // (from a checkpoint's metadata or a WAL record) through the same
 // builder live registrations use.
-func (s *server) applySubspaceMeta(meta store.SubspaceMeta) error {
-	c, err := words.ColumnSetFromMask(meta.Mask, s.eng.Dim())
+func (n *Node) applySubspaceMeta(meta store.SubspaceMeta) error {
+	c, err := words.ColumnSetFromMask(meta.Mask, n.eng.Dim())
 	if err != nil {
 		return fmt.Errorf("subspace mask %#x: %w", meta.Mask, err)
 	}
-	factory, err := s.subBuild(c, meta.Summary)
+	factory, err := n.subspaceFactory(c, meta.Summary)
 	if err != nil {
 		return fmt.Errorf("subspace %v: %w", c, err)
 	}
-	if err := s.eng.RegisterSubspace(c, factory); err != nil {
+	if err := n.eng.RegisterSubspace(c, factory); err != nil {
 		return err
 	}
-	s.subMeta = append(s.subMeta, meta)
+	n.subMeta = append(n.subMeta, meta)
 	return nil
 }
 
@@ -90,15 +90,15 @@ func (s *server) applySubspaceMeta(meta store.SubspaceMeta) error {
 // into the log. Runs single-threaded at boot; any failure is fatal,
 // because serving from a partially recovered state would silently
 // drop acknowledged data.
-func (s *server) recover() error {
+func (n *Node) recover() error {
 	start := time.Now()
-	info, err := s.wal.Recover(func(ck *store.Checkpoint) error {
+	info, err := n.wal.Recover(func(ck *store.Checkpoint) error {
 		for _, meta := range ck.Subspaces {
-			if err := s.applySubspaceMeta(meta); err != nil {
+			if err := n.applySubspaceMeta(meta); err != nil {
 				return fmt.Errorf("re-registering checkpoint subspace: %w", err)
 			}
 		}
-		return s.eng.Restore(engine.CheckpointState{
+		return n.eng.Restore(engine.CheckpointState{
 			Next:    ck.Next,
 			Rows:    ck.Rows,
 			Absorbs: int(ck.Absorbs),
@@ -107,15 +107,15 @@ func (s *server) recover() error {
 	}, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
-			return s.eng.ReplayBatch(words.BatchOf(s.eng.Dim(), rec.Rows))
+			return n.eng.ReplayBatch(words.BatchOf(n.eng.Dim(), rec.Rows))
 		case store.RecordSummary:
 			sum, err := core.UnmarshalSummary(rec.Blob)
 			if err != nil {
 				return fmt.Errorf("decoding absorbed summary: %w", err)
 			}
-			return s.eng.ReplayAbsorb(sum)
+			return n.eng.ReplayAbsorb(sum)
 		case store.RecordSubspace:
-			return s.applySubspaceMeta(store.SubspaceMeta{Mask: rec.Mask, Summary: rec.Summary})
+			return n.applySubspaceMeta(store.SubspaceMeta{Mask: rec.Mask, Summary: rec.Summary})
 		default:
 			return fmt.Errorf("unknown WAL record kind %v", rec.Kind)
 		}
@@ -125,15 +125,15 @@ func (s *server) recover() error {
 	}
 	if info.Checkpoint {
 		log.Printf("projfreqd: recovered checkpoint at LSN %d, replayed %d WAL records (%d rows) in %v; serving %d rows",
-			info.CheckpointLSN, info.Records, info.Rows, time.Since(start).Round(time.Millisecond), s.eng.Rows())
+			info.CheckpointLSN, info.Records, info.Rows, time.Since(start).Round(time.Millisecond), n.eng.Rows())
 	} else if info.Records > 0 {
 		log.Printf("projfreqd: no checkpoint; replayed %d WAL records (%d rows) in %v; serving %d rows",
-			info.Records, info.Rows, time.Since(start).Round(time.Millisecond), s.eng.Rows())
+			info.Records, info.Rows, time.Since(start).Round(time.Millisecond), n.eng.Rows())
 	} else {
 		log.Printf("projfreqd: empty data directory; starting fresh")
 	}
-	s.lastCkptRows = s.eng.Rows()
-	s.lastCkptTime = time.Now()
+	n.lastCkptRows = n.eng.Rows()
+	n.lastCkptTime = time.Now()
 	// Heal the directory before serving: if records had to replay (the
 	// next boot would repeat that work) or the newest checkpoint file
 	// is not the one recovery restored (it is rotten — and its name
@@ -141,13 +141,8 @@ func (s *server) recover() error {
 	// log end against the newest checkpoint's named cut), cut a fresh
 	// checkpoint now. It lands at the current log end, compacting the
 	// replayed tail and overwriting a rotten same-cut file.
-	if stats := s.wal.Stats(); info.Records > 0 || (stats.Checkpoints > 0 && stats.CheckpointLSN != info.CheckpointLSN) {
-		healed, err := s.checkpoint()
-		if err != nil {
-			return fmt.Errorf("boot checkpoint: %w", err)
-		}
-		log.Printf("projfreqd: boot checkpoint at LSN %d (%d segments, %d log bytes)",
-			healed.CheckpointLSN, healed.Segments, healed.LogBytes)
+	if stats := n.wal.Stats(); info.Records > 0 || (stats.Checkpoints > 0 && stats.CheckpointLSN != info.CheckpointLSN) {
+		return n.cutCheckpoint("boot")
 	}
 	return nil
 }
@@ -155,26 +150,26 @@ func (s *server) recover() error {
 // checkpoint cuts a consistent engine image and writes it durably,
 // compacting the WAL behind it. Safe for concurrent callers; only one
 // checkpoint runs at a time.
-func (s *server) checkpoint() (store.Stats, error) {
-	if s.wal == nil {
+func (n *Node) checkpoint() (store.Stats, error) {
+	if n.wal == nil {
 		return store.Stats{}, errNotDurable
 	}
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
 	// regMu spans the cut and the metadata copy: a registration is
 	// either in both the shard blobs and the subspace list, or in
 	// neither.
-	s.regMu.Lock()
-	cs, err := s.eng.CheckpointState()
+	n.regMu.Lock()
+	cs, err := n.eng.CheckpointState()
 	var metas []store.SubspaceMeta
 	if err == nil {
-		metas = append(metas, s.subMeta...)
+		metas = append(metas, n.subMeta...)
 	}
-	s.regMu.Unlock()
+	n.regMu.Unlock()
 	if err != nil {
 		return store.Stats{}, err
 	}
-	err = s.wal.WriteCheckpoint(&store.Checkpoint{
+	err = n.wal.WriteCheckpoint(&store.Checkpoint{
 		LSN:       cs.LSN,
 		Next:      cs.Next,
 		Rows:      cs.Rows,
@@ -185,33 +180,46 @@ func (s *server) checkpoint() (store.Stats, error) {
 	if err != nil {
 		return store.Stats{}, err
 	}
-	s.lastCkptRows = cs.Rows
-	s.lastCkptTime = time.Now()
-	return s.wal.Stats(), nil
+	n.lastCkptRows = cs.Rows
+	n.lastCkptTime = time.Now()
+	return n.wal.Stats(), nil
+}
+
+// cutCheckpoint cuts a checkpoint and logs it as the given kind (boot,
+// automatic, shutdown).
+func (n *Node) cutCheckpoint(kind string) error {
+	stats, err := n.checkpoint()
+	if err != nil {
+		return fmt.Errorf("%s checkpoint: %w", kind, err)
+	}
+	log.Printf("projfreqd: %s checkpoint at LSN %d (%d segments, %d log bytes)",
+		kind, stats.CheckpointLSN, stats.Segments, stats.LogBytes)
+	return nil
 }
 
 // checkpointDue reports whether the automatic triggers fire: enough
 // new rows since the last cut, or enough time with any new records at
 // all. Holding ckptMu keeps the last-cut bookkeeping stable.
-func (s *server) checkpointDue(rowsTrigger int64, interval time.Duration) bool {
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
-	stats := s.wal.Stats()
+func (n *Node) checkpointDue() bool {
+	rowsTrigger, interval := n.cfg.CheckpointRows, n.cfg.CheckpointInterval
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
+	stats := n.wal.Stats()
 	if stats.LSN == stats.CheckpointLSN && stats.Checkpoints > 0 {
 		return false // nothing new since the last cut
 	}
-	if rowsTrigger > 0 && s.eng.Rows()-s.lastCkptRows >= rowsTrigger {
+	if rowsTrigger > 0 && n.eng.Rows()-n.lastCkptRows >= rowsTrigger {
 		return true
 	}
-	return interval > 0 && time.Since(s.lastCkptTime) >= interval && stats.LSN > stats.CheckpointLSN
+	return interval > 0 && time.Since(n.lastCkptTime) >= interval && stats.LSN > stats.CheckpointLSN
 }
 
 // checkpointLoop is the automatic checkpointer: a coarse 1-second
 // poll of the cheap trigger predicate, cutting a checkpoint when it
-// fires. It exits with the serve context; the shutdown path then cuts
-// the final checkpoint itself.
-func (s *server) checkpointLoop(ctx context.Context, rowsTrigger int64, interval time.Duration) {
-	if rowsTrigger <= 0 && interval <= 0 {
+// fires. It exits when Close cancels ctx; Close then cuts the final
+// checkpoint itself.
+func (n *Node) checkpointLoop(ctx context.Context) {
+	if n.cfg.CheckpointRows <= 0 && n.cfg.CheckpointInterval <= 0 {
 		return
 	}
 	tick := time.NewTicker(time.Second)
@@ -221,22 +229,19 @@ func (s *server) checkpointLoop(ctx context.Context, rowsTrigger int64, interval
 		case <-ctx.Done():
 			return
 		case <-tick.C:
-			if !s.checkpointDue(rowsTrigger, interval) {
+			if !n.checkpointDue() {
 				continue
 			}
-			if stats, err := s.checkpoint(); err != nil {
-				log.Printf("projfreqd: automatic checkpoint failed: %v", err)
-			} else {
-				log.Printf("projfreqd: checkpoint at LSN %d (%d segments, %d log bytes)",
-					stats.CheckpointLSN, stats.Segments, stats.LogBytes)
+			if err := n.cutCheckpoint("automatic"); err != nil {
+				log.Printf("projfreqd: %v", err)
 			}
 		}
 	}
 }
 
-// checkpointResponse is the POST /v1/admin/checkpoint body: the
+// CheckpointResponse is the POST /v1/admin/checkpoint body: the
 // store's shape after the cut.
-type checkpointResponse struct {
+type CheckpointResponse struct {
 	CheckpointLSN uint64 `json:"checkpoint_lsn"`
 	Rows          int64  `json:"rows"`
 	Segments      int    `json:"segments"`
@@ -246,19 +251,19 @@ type checkpointResponse struct {
 
 // handleAdminCheckpoint cuts a checkpoint on demand. 409 when the
 // daemon runs without -data-dir (there is nothing to checkpoint).
-func (s *server) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
-	stats, err := s.checkpoint()
+func (n *Node) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
+	stats, err := n.checkpoint()
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, errNotDurable) {
 			status = http.StatusConflict
 		}
-		httpError(w, status, err)
+		HTTPError(w, status, err)
 		return
 	}
-	writeJSON(w, checkpointResponse{
+	WriteJSON(w, http.StatusOK, CheckpointResponse{
 		CheckpointLSN: stats.CheckpointLSN,
-		Rows:          s.eng.Rows(),
+		Rows:          n.eng.Rows(),
 		Segments:      stats.Segments,
 		LogBytes:      stats.LogBytes,
 		Checkpoints:   stats.Checkpoints,

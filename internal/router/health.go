@@ -1,3 +1,5 @@
+package router
+
 // Aggregator health tracking: the router probes each aggregator's
 // /v1/stats on an interval and also feeds in the outcome of every
 // proxied read. An aggregator that fails `threshold` consecutive
@@ -6,7 +8,6 @@
 // ordering hint, not a hard ban: when every aggregator looks dead the
 // proxy still walks the full list, so reads recover as soon as any
 // aggregator does even if the probe loop hasn't noticed yet.
-package main
 
 import (
 	"net/http"
@@ -15,8 +16,8 @@ import (
 	"time"
 )
 
-// aggHealth is one aggregator's health snapshot on /v1/router/stats.
-type aggHealth struct {
+// AggHealth is one aggregator's health snapshot on /v1/router/stats.
+type AggHealth struct {
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`
 	// ConsecFailures counts failed checks since the last success; the
@@ -55,11 +56,8 @@ type healthChecker struct {
 }
 
 // newHealthChecker builds the tracker with every aggregator presumed
-// healthy; threshold < 1 is clamped to 1.
+// healthy.
 func newHealthChecker(urls []string, threshold int, client *http.Client) *healthChecker {
-	if threshold < 1 {
-		threshold = 1
-	}
 	h := &healthChecker{
 		urls:      urls,
 		threshold: threshold,
@@ -169,13 +167,13 @@ func (h *healthChecker) pick() []string {
 }
 
 // snapshot reports every aggregator's health, in URL order.
-func (h *healthChecker) snapshot() []aggHealth {
+func (h *healthChecker) snapshot() []AggHealth {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]aggHealth, 0, len(h.urls))
+	out := make([]AggHealth, 0, len(h.urls))
 	for _, u := range h.urls {
 		st := h.state[u]
-		out = append(out, aggHealth{
+		out = append(out, AggHealth{
 			URL:            u,
 			Healthy:        st.healthy,
 			ConsecFailures: st.consec,

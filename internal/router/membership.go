@@ -1,3 +1,5 @@
+package router
+
 // Membership changes as a router-orchestrated transaction. POSTing a
 // new -ingest list to /v1/admin/membership runs, in order:
 //
@@ -30,7 +32,6 @@
 // fails and is re-issued when (if) the node's durable store is
 // brought back up. Until then the cluster under-counts the dead
 // node's slice — exactly the rows only that node's WAL holds.
-package main
 
 import (
 	"bytes"
@@ -42,17 +43,18 @@ import (
 	"strings"
 
 	"repro/internal/cluster"
+	"repro/internal/node"
 	"repro/internal/words"
 )
 
-// membershipRequest is the POST /v1/admin/membership body: the full
+// MembershipRequest is the POST /v1/admin/membership body: the full
 // new ingest membership (not a delta).
-type membershipRequest struct {
+type MembershipRequest struct {
 	Ingest []string `json:"ingest"`
 }
 
-// handoffReport is one removed node's hand-off outcome.
-type handoffReport struct {
+// HandoffReport is one removed node's hand-off outcome.
+type HandoffReport struct {
 	// From is the removed node, To its ring successor doing the absorb.
 	From string `json:"from"`
 	To   string `json:"to"`
@@ -64,16 +66,16 @@ type handoffReport struct {
 	Error string  `json:"error,omitempty"`
 }
 
-// sourceUpdateReport is one aggregator's pull-source retarget outcome.
-type sourceUpdateReport struct {
+// SourceUpdateReport is one aggregator's pull-source retarget outcome.
+type SourceUpdateReport struct {
 	Aggregator string `json:"aggregator"`
 	// Sources is the aggregator's pull list after the update.
 	Sources []string `json:"sources,omitempty"`
 	Error   string   `json:"error,omitempty"`
 }
 
-// membershipResponse reports the whole transaction.
-type membershipResponse struct {
+// MembershipResponse reports the whole transaction.
+type MembershipResponse struct {
 	Unchanged bool     `json:"unchanged,omitempty"`
 	FromEpoch uint64   `json:"from_epoch"`
 	ToEpoch   uint64   `json:"to_epoch"`
@@ -85,19 +87,19 @@ type membershipResponse struct {
 	// loudly — the response is the only record).
 	RequeuedRows    int                  `json:"requeued_rows,omitempty"`
 	RequeueShedRows int                  `json:"requeue_shed_rows,omitempty"`
-	Handoffs        []handoffReport      `json:"handoffs,omitempty"`
-	SourceUpdates   []sourceUpdateReport `json:"source_updates,omitempty"`
+	Handoffs        []HandoffReport      `json:"handoffs,omitempty"`
+	SourceUpdates   []SourceUpdateReport `json:"source_updates,omitempty"`
 }
 
-func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request) {
-	var body membershipRequest
+func (r *Router) handleAdminMembership(w http.ResponseWriter, req *http.Request) {
+	var body MembershipRequest
 	if err := json.NewDecoder(req.Body).Decode(&body); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding membership: %w", err))
+		node.HTTPError(w, http.StatusBadRequest, fmt.Errorf("decoding membership: %w", err))
 		return
 	}
 	urls := normalize(body.Ingest)
 	if len(urls) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("empty ingest membership"))
+		node.HTTPError(w, http.StatusBadRequest, errors.New("empty ingest membership"))
 		return
 	}
 
@@ -110,11 +112,11 @@ func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request)
 
 	next, err := cluster.NewRingEpoch(urls, cur.Epoch()+1)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		node.HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
 	diff := cur.Diff(next)
-	resp := membershipResponse{
+	resp := MembershipResponse{
 		FromEpoch: diff.FromEpoch,
 		ToEpoch:   diff.ToEpoch,
 		Added:     diff.Added,
@@ -123,7 +125,7 @@ func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request)
 	if !diff.Changed() {
 		resp.Unchanged = true
 		resp.ToEpoch = cur.Epoch()
-		writeJSON(w, resp)
+		node.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 
@@ -159,14 +161,14 @@ func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request)
 	// Step 3: hand each removed node's slice to its ring successor.
 	failed := false
 	for _, gone := range diff.Removed {
-		rep := handoffReport{From: gone, To: diff.Successors[gone]}
+		rep := HandoffReport{From: gone, To: diff.Successors[gone]}
 		for _, m := range diff.Moved {
 			if m.From == gone && m.To == rep.To {
 				rep.Share = m.Share
 			}
 		}
-		var out handoffAck
-		if err := r.postJSON(rep.To+"/v1/admin/handoff", map[string]string{"source": gone}, &out); err != nil {
+		var out node.HandoffResponse
+		if err := r.postJSON(rep.To+"/v1/admin/handoff", node.HandoffRequest{Source: gone}, &out); err != nil {
 			rep.Error = err.Error()
 			failed = true
 		} else {
@@ -177,10 +179,10 @@ func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request)
 
 	// Step 4: retarget every aggregator's pull sources.
 	for _, agg := range r.aggs {
-		rep := sourceUpdateReport{Aggregator: agg}
-		var out sourcesAck
+		rep := SourceUpdateReport{Aggregator: agg}
+		var out node.SourcesResponse
 		err := r.postJSON(agg+"/v1/admin/sources",
-			map[string][]string{"add": diff.Added, "remove": diff.Removed}, &out)
+			node.SourcesRequest{Add: diff.Added, Remove: diff.Removed}, &out)
 		if err != nil {
 			rep.Error = err.Error()
 			failed = true
@@ -190,18 +192,16 @@ func (r *router) handleAdminMembership(w http.ResponseWriter, req *http.Request)
 		resp.SourceUpdates = append(resp.SourceUpdates, rep)
 	}
 
+	status := http.StatusOK
 	if failed {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusBadGateway)
-		_ = json.NewEncoder(w).Encode(resp)
-		return
+		status = http.StatusBadGateway
 	}
-	writeJSON(w, resp)
+	node.WriteJSON(w, status, resp)
 }
 
 // requeue partitions one backlog batch by the current ring and
 // enqueues the parts, returning (requeued, shed) row counts.
-func (r *router) requeue(b *words.Batch) (int, int) {
+func (r *Router) requeue(b *words.Batch) (int, int) {
 	r.ringMu.RLock()
 	parts := r.ring.PartitionBatch(b)
 	queues := r.queues
@@ -217,19 +217,9 @@ func (r *router) requeue(b *words.Batch) (int, int) {
 	return requeued, shed
 }
 
-// handoffAck mirrors projfreqd's /v1/admin/handoff response.
-type handoffAck struct {
-	Rows int64 `json:"rows"`
-}
-
-// sourcesAck mirrors projfreqd's /v1/admin/sources response.
-type sourcesAck struct {
-	Sources []string `json:"sources"`
-}
-
 // postJSON POSTs a JSON body and decodes a JSON answer, folding
 // non-2xx statuses into the error.
-func (r *router) postJSON(url string, in, out any) error {
+func (r *Router) postJSON(url string, in, out any) error {
 	blob, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -249,10 +239,4 @@ func (r *router) postJSON(url string, in, out any) error {
 		}
 	}
 	return nil
-}
-
-// writeJSON answers 200 with a JSON body.
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
 }

@@ -1,3 +1,5 @@
+package router
+
 // The router's redelivery layer: one bounded in-memory queue per
 // ingest node holding sub-batches whose forward failed retryably. A
 // per-queue worker redelivers with exponential backoff plus jitter
@@ -18,7 +20,6 @@
 // state, so the chaos harness constrains its faults to whole-request
 // blackholes and crashes, and the limitation is documented in
 // ARCHITECTURE.md.
-package main
 
 import (
 	"math/rand"
@@ -34,10 +35,10 @@ type queuedBatch struct {
 	at    time.Time // enqueue time, for the stats age gauge
 }
 
-// queueStats are one retry queue's lifetime counters plus its current
+// QueueStats are one retry queue's lifetime counters plus its current
 // depth, reported on /v1/router/stats. Row counts, not batch counts:
 // the bound and the shed accounting are about memory and client rows.
-type queueStats struct {
+type QueueStats struct {
 	Node string `json:"node"`
 	// DepthRows and DepthBatches gauge the queue right now.
 	DepthRows    int `json:"depth_rows"`
@@ -63,13 +64,10 @@ type queueStats struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-// deliverFunc posts one batch to one node and classifies the outcome;
-// see router.deliverBatch.
-type deliverFunc func(node string, b *words.Batch) deliverResult
-
 // deliverResult classifies one delivery attempt.
 type deliverResult struct {
 	ok       bool
+	accepted int  // rows the node acked, when ok
 	terminal bool // a 4xx: retrying the same bytes can never succeed
 	err      error
 }
@@ -80,12 +78,14 @@ type retryQueue struct {
 	capRows int
 	base    time.Duration // first backoff
 	max     time.Duration // backoff ceiling
-	deliver deliverFunc
+	// deliver posts one batch to one node and classifies the outcome
+	// (Router.postObserve).
+	deliver func(node string, b *words.Batch) deliverResult
 
 	mu    sync.Mutex
 	items []queuedBatch
 	rows  int
-	stats queueStats
+	stats QueueStats
 
 	wake chan struct{} // 1-buffered enqueue signal
 	stop chan struct{}
@@ -93,7 +93,7 @@ type retryQueue struct {
 }
 
 // newRetryQueue builds and starts one node's queue worker.
-func newRetryQueue(node string, capRows int, base, max time.Duration, deliver deliverFunc) *retryQueue {
+func newRetryQueue(node string, capRows int, base, max time.Duration, deliver func(string, *words.Batch) deliverResult) *retryQueue {
 	q := &retryQueue{
 		node:    node,
 		capRows: capRows,
@@ -132,7 +132,7 @@ func (q *retryQueue) enqueue(b *words.Batch) bool {
 }
 
 // snapshot reads the stats gauge.
-func (q *retryQueue) snapshot() queueStats {
+func (q *retryQueue) snapshot() QueueStats {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	st := q.stats
