@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/anet"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/experiments"
 	"repro/internal/freq"
 	"repro/internal/hashing"
@@ -87,14 +88,7 @@ func BenchmarkFigure1_EmpiricalNetBuild(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		src := table.Source()
-		for {
-			w, ok := src.Next()
-			if !ok {
-				break
-			}
-			net.Observe(w)
-		}
+		net.ObserveBatch(table.Batch())
 	}
 }
 
@@ -243,6 +237,30 @@ func BenchmarkNetObserve_Alpha40(b *testing.B) { benchNetObserve(b, 0.4, core.F0
 func BenchmarkNetObserve_AblationKMV(b *testing.B)   { benchNetObserve(b, 0.3, core.F0KMV) }
 func BenchmarkNetObserve_AblationHLL(b *testing.B)   { benchNetObserve(b, 0.3, core.F0HLL) }
 func BenchmarkNetObserve_AblationBJKST(b *testing.B) { benchNetObserve(b, 0.3, core.F0BJKST) }
+
+// BenchmarkNetObserveBatch times the α-net ingest at the net-ingest
+// workload's shape: the daemons' StandardSummary("net") at d = 8,
+// q = 4 fed 256-row batches drawn from a 4096-pattern Zipf(1.1)
+// catalog. One iteration is one batch.
+func BenchmarkNetObserveBatch(b *testing.B) {
+	const d, q, rows = 8, 4, 256
+	sum, err := engine.StandardSummary("net", d, q, 0.05, 0.01, 0.3, 1, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := words.Collect(workload.ZipfPatterns(d, q, 16*rows, 4096, 1.1, 1), -1).Batch()
+	batches := make([]*words.Batch, 16)
+	for i := range batches {
+		batches[i] = all.Slice(i*rows, (i+1)*rows)
+		sum.ObserveBatch(batches[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sum.ObserveBatch(batches[i%len(batches)])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
 
 func BenchmarkNetF0Query(b *testing.B) {
 	net, err := core.NewNet(12, 2, core.NetConfig{Alpha: 0.3, Epsilon: 0.25, Seed: 23})
@@ -410,7 +428,7 @@ func (benchNet) Encode(src words.RowSource) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	words.Drain(src, m.Observe)
+	m.ObserveBatch(words.Collect(src, -1).Batch())
 	return m.MarshalSketches()
 }
 

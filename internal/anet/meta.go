@@ -11,8 +11,8 @@ import (
 
 // Estimator is the sketch contract Algorithm 1 requires: a
 // β-approximate estimator of one projected frequency statistic fed
-// with pattern fingerprints. KMV/HLL/BJKST satisfy it for F0 and the
-// stable and CountSketch-based adapters satisfy it for F_p.
+// with pattern fingerprints. KMV/HLL/BJKST satisfy it for F0, and
+// core's adapter over sketch.Stable, the only F_p estimator, for F_p.
 type Estimator interface {
 	// AddBatch observes every fingerprint of items in order; the state
 	// afterwards must not depend on how a stream is cut into calls.

@@ -133,13 +133,7 @@ func (p Net) Encode(src words.RowSource) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
-		w, ok := src.Next()
-		if !ok {
-			break
-		}
-		m.Observe(w)
-	}
+	m.ObserveBatch(words.Collect(src, -1).Batch())
 	return m.MarshalSketches()
 }
 

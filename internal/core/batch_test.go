@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/rng"
 	"repro/internal/words"
+	"repro/internal/workload"
 )
 
 // batchTestRows generates n deterministic skewed rows over [q]^d.
@@ -205,6 +206,43 @@ func TestObserveBatchDimensionMismatchPanics(t *testing.T) {
 			b.Append(make(words.Word, d+1))
 			ObserveAll(fresh(), b)
 		}()
+	}
+}
+
+// netIngestBatches returns count 256-row batches of the load the
+// net-ingest benchmark workload sends: draws from a catalog of 4096
+// random patterns over [q]^d with Zipf(1.1) frequencies.
+func netIngestBatches(d, q, count int, seed uint64) []*words.Batch {
+	rows := words.Collect(workload.ZipfPatterns(d, q, count*256, 4096, 1.1, seed), -1).Batch()
+	out := make([]*words.Batch, count)
+	for i := range out {
+		out[i] = rows.Slice(i*256, (i+1)*256)
+	}
+	return out
+}
+
+// TestNetObserveBatchDoesNotAllocate pins the α-net ingest path at the
+// net-ingest workload's shape (the daemons' StandardSummary("net") at
+// d = 8, q = 4, ε = 0.05, α = 0.3: 18 members, each with a KMV and a
+// 60-rep p-stable sketch): once the arenas and the stable sketch's
+// pooled scratch are warm, a 256-row batch allocates nothing.
+func TestNetObserveBatchDoesNotAllocate(t *testing.T) {
+	const d, q = 8, 4
+	s, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.05, Moments: []float64{2}, StableReps: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := netIngestBatches(d, q, 4, 1)
+	for _, b := range batches {
+		s.ObserveBatch(b)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(8, func() {
+		s.ObserveBatch(batches[i%len(batches)])
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("ObserveBatch of one 256-row batch allocates %v times, want 0", allocs)
 	}
 }
 

@@ -69,14 +69,7 @@ func RunFigure1(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		tsrc := exactRef.Source()
-		for {
-			w, ok := tsrc.Next()
-			if !ok {
-				break
-			}
-			sum.Observe(w)
-		}
+		sum.ObserveBatch(exactRef.Batch())
 		// Query random mid-band subsets (worst-case rounding distance).
 		ratios := make([]float64, 0, queries)
 		worst := 0.0

@@ -41,14 +41,7 @@ func RunRounding(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := table.Source()
-	for {
-		w, ok := src.Next()
-		if !ok {
-			break
-		}
-		sum.Observe(w)
-	}
+	sum.ObserveBatch(table.Batch())
 
 	qsrc := rng.New(opt.Seed ^ 0xe101)
 	probes := make([]words.ColumnSet, queries)

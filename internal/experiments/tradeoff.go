@@ -41,16 +41,7 @@ func RunTradeoff(opt Options) (*Report, error) {
 	rep := &Report{ID: "E8", Title: "Theorem 6.5 — Algorithm 1 space/approximation", Tables: []*Table{sweep, ablation}}
 
 	table := words.Collect(workload.Uniform(d, 2, n, opt.Seed^0xe8), -1)
-	feed := func(s *core.Net) {
-		src := table.Source()
-		for {
-			w, ok := src.Next()
-			if !ok {
-				return
-			}
-			s.Observe(w)
-		}
-	}
+	feed := func(s *core.Net) { s.ObserveBatch(table.Batch()) }
 	type qres struct {
 		c  words.ColumnSet
 		f0 float64

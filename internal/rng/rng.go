@@ -50,17 +50,24 @@ type Source struct {
 
 // New returns a Source derived from seed.
 func New(seed uint64) *Source {
-	sm := NewSplitMix64(seed)
 	src := &Source{}
-	for i := range src.s {
-		src.s[i] = sm.Uint64()
+	src.Seed(seed)
+	return src
+}
+
+// Seed resets r in place to exactly the state New(seed) returns, so a
+// caller deriving many short streams can keep its Source on the stack
+// instead of allocating one per stream.
+func (r *Source) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
+	for i := range r.s {
+		r.s[i] = sm.Uint64()
 	}
 	// A xoshiro state of all zeros is a fixed point; splitmix64 cannot
 	// produce four consecutive zeros, but keep the guard explicit.
-	if src.s[0]|src.s[1]|src.s[2]|src.s[3] == 0 {
-		src.s[0] = 0x9e3779b97f4a7c15
+	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
+		r.s[0] = 0x9e3779b97f4a7c15
 	}
-	return src
 }
 
 // Fork derives an independent stream labelled by id, so that parallel

@@ -27,6 +27,27 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSeedMatchesNew: re-seeding in place, including a Source that
+// has already drawn, yields exactly New's stream, and the Stable
+// draws a sketch derives from it match too.
+func TestSeedMatchesNew(t *testing.T) {
+	var src Source
+	for _, seed := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, ^uint64(0)} {
+		src.Seed(seed)
+		ref := New(seed)
+		for i := 0; i < 64; i++ {
+			if got, want := src.Uint64(), ref.Uint64(); got != want {
+				t.Fatalf("seed %#x draw %d: Seed stream %#x, New stream %#x", seed, i, got, want)
+			}
+		}
+		src.Seed(seed)
+		ref = New(seed)
+		if got, want := src.Stable(0.5), ref.Stable(0.5); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("seed %#x: Stable %v after Seed, %v after New", seed, got, want)
+		}
+	}
+}
+
 func TestForkDecorrelates(t *testing.T) {
 	base := New(7)
 	a := base.Fork(1)

@@ -3,6 +3,7 @@ package sketch
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -51,30 +52,111 @@ func (s *Stable) P() float64 { return s.p }
 // Reps returns the repetition count.
 func (s *Stable) Reps() int { return s.reps }
 
-// variate returns the deterministic p-stable X_{item,j}.
-func (s *Stable) variate(item uint64, j int) float64 {
-	src := rng.New(s.seed ^ rng.Mix64(item) ^ rng.Mix64(uint64(j)*0x9e3779b97f4a7c15+1))
+// variate returns the deterministic p-stable X_{item,j}, given
+// mixed = rng.Mix64(item): the Stable draw of a Source seeded, on the
+// stack, as rng.New(seed ^ Mix64(item) ^ Mix64(j·φ + 1)) would be.
+func (s *Stable) variate(mixed uint64, j int) float64 {
+	var src rng.Source
+	src.Seed(s.seed ^ mixed ^ rng.Mix64(uint64(j)*0x9e3779b97f4a7c15+1))
 	return src.Stable(s.p)
 }
 
 // AddCount adds count occurrences of item (negative counts allowed:
 // the sketch is linear).
 func (s *Stable) AddCount(item uint64, count int64) {
+	mixed := rng.Mix64(item)
 	for j := range s.sums {
-		s.sums[j] += float64(count) * s.variate(item, j)
+		s.sums[j] += float64(count) * s.variate(mixed, j)
 	}
 }
 
 // Add observes a single occurrence of item.
 func (s *Stable) Add(item uint64) { s.AddCount(item, 1) }
 
-// AddBatch observes every item of items in order, equivalent to
-// calling Add per item. The variate derivation dominates, so batching
-// buys no amortization here — this exists so the batched key pipeline
-// has a uniform entry point across the sketch substrate.
+// AddBatch observes every item of items in order and leaves the
+// counters bit-for-bit as Add per item would. It derives each distinct
+// item's reps variates once per chunk of at most stableChunk items and
+// adds them to the counters on every occurrence, in stream order: the
+// same additions in the same order as the per-item loop. (Adding
+// count·X once per distinct item instead would reassociate the float
+// sums and change the state.)
 func (s *Stable) AddBatch(items []uint64) {
+	chunk := min(stableChunk, max(1, stableScratchFloats/s.reps))
+	var sc *stableScratch
+	select {
+	case sc = <-stableScratchFree:
+	default:
+		sc = new(stableScratch)
+	}
+	for len(items) > 0 {
+		n := min(len(items), chunk)
+		s.addChunk(sc, items[:n])
+		items = items[n:]
+	}
+	select {
+	case stableScratchFree <- sc:
+	default:
+	}
+}
+
+// stableChunk caps the items one AddBatch table covers, and
+// stableScratchFloats the variates it holds, so the scratch stays
+// bounded whatever the batch length and repetition count.
+const (
+	stableChunk         = 512
+	stableScratchFloats = 1 << 16
+)
+
+// stableScratch is AddBatch's working set: an open-addressing table
+// from each distinct item of a chunk to its row of variates. It is
+// shared rather than kept per sketch, because an α-net's members
+// ingest one after another.
+type stableScratch struct {
+	keys []uint64  // slot → item
+	rows []int32   // slot → 1 + the item's row of vars; 0 is an empty slot
+	vars []float64 // row r: the reps variates of the chunk's r-th distinct item
+}
+
+// stableScratchFree holds idle scratch, one per P, about as many as
+// there are AddBatch calls running at once: a warm process allocates
+// none, and the idle memory stays bounded. (A sync.Pool would hand
+// its scratch to the collector at every GC, and under the race
+// detector it drops a share of its puts on purpose.)
+var stableScratchFree = make(chan *stableScratch, runtime.GOMAXPROCS(0))
+
+// addChunk feeds one chunk of AddBatch through sc.
+func (s *Stable) addChunk(sc *stableScratch, items []uint64) {
+	size := 2
+	for size < 2*len(items) {
+		size <<= 1
+	}
+	if len(sc.keys) < size {
+		sc.keys, sc.rows = make([]uint64, size), make([]int32, size)
+	}
+	if need := len(items) * s.reps; len(sc.vars) < need {
+		sc.vars = make([]float64, need)
+	}
+	keys, rows, mask := sc.keys[:size], sc.rows[:size], uint64(size-1)
+	clear(rows)
+	distinct := 0
 	for _, item := range items {
-		s.AddCount(item, 1)
+		mixed := rng.Mix64(item)
+		h := mixed & mask
+		for rows[h] != 0 && keys[h] != item {
+			h = (h + 1) & mask
+		}
+		if rows[h] == 0 {
+			xs := sc.vars[distinct*s.reps : (distinct+1)*s.reps]
+			for j := range xs {
+				xs[j] = s.variate(mixed, j)
+			}
+			distinct++
+			keys[h], rows[h] = item, int32(distinct)
+		}
+		r := int(rows[h]) - 1
+		for j, x := range sc.vars[r*s.reps : (r+1)*s.reps] {
+			s.sums[j] += x
+		}
 	}
 }
 

@@ -1,9 +1,11 @@
 package sketch
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/rng"
@@ -33,6 +35,121 @@ func TestStableNormEstimates(t *testing.T) {
 		normTruth := math.Pow(truth, 1/p)
 		if gotN := s.EstimateNorm(); math.Abs(gotN-normTruth)/normTruth > 0.15 {
 			t.Fatalf("p=%v: norm %v, truth %v", p, gotN, normTruth)
+		}
+	}
+}
+
+// stableBatchStream is a skewed item stream: few distinct items, item
+// 0 among them, most repeated many times.
+func stableBatchStream(n int, seed uint64) []uint64 {
+	src := rng.New(seed)
+	items := make([]uint64, n)
+	for i := range items {
+		if src.Float64() < 0.7 {
+			items[i] = uint64(src.Intn(8)) // heavy repeats, item 0 included
+		} else {
+			items[i] = src.Uint64()
+		}
+	}
+	return items
+}
+
+// stableBlob feeds items to a fresh sketch through feed and returns
+// its wire bytes.
+func stableBlob(t *testing.T, p float64, reps int, feed func(*Stable)) []byte {
+	t.Helper()
+	s := NewStable(p, reps, 77)
+	feed(s)
+	blob, err := s.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// stableAddLoop is the reference AddBatch must match: Add per item.
+func stableAddLoop(items []uint64) func(*Stable) {
+	return func(s *Stable) {
+		for _, item := range items {
+			s.Add(item)
+		}
+	}
+}
+
+// TestStableAddBatchMatchesAdd pins AddBatch's reuse of variates
+// within a chunk: whatever the split, the wire bytes equal those of
+// the per-item Add loop, for every p branch of the variate.
+func TestStableAddBatchMatchesAdd(t *testing.T) {
+	// A repeat on each side of the first chunk boundary.
+	long := stableBatchStream(3*stableChunk+17, 5)
+	long[stableChunk-1], long[stableChunk] = 12345, 12345
+	long[stableChunk-2], long[stableChunk+1] = 0, 0
+	distinct := make([]uint64, 200)
+	for i := range distinct {
+		distinct[i] = uint64(i) * 0x9e3779b97f4a7c15
+	}
+	cases := map[string]struct {
+		items  []uint64
+		reps   int
+		splits []int // batch lengths; the remainder goes in one last batch
+	}{
+		"heavy-repeats": {items: stableBatchStream(300, 1), reps: 7},
+		"item-zero":     {items: []uint64{0, 0, 1, 0, 0}, reps: 7},
+		"all-distinct":  {items: distinct, reps: 7},
+		"chunk-edge":    {items: long, reps: 7},
+		"uneven":        {items: long, reps: 7, splits: []int{1, 0, 3, stableChunk - 1, 2, 700, 0, stableChunk + 1}},
+		// Enough repetitions that the scratch bound shortens the chunk.
+		"short-chunk": {items: stableBatchStream(300, 3), reps: stableScratchFloats / 100},
+	}
+	for name, c := range cases {
+		for _, p := range []float64{0.5, 1, 1.5, 2} {
+			want := stableBlob(t, p, c.reps, stableAddLoop(c.items))
+			got := stableBlob(t, p, c.reps, func(s *Stable) {
+				rest := c.items
+				for _, n := range c.splits {
+					n = min(n, len(rest))
+					s.AddBatch(rest[:n])
+					rest = rest[n:]
+				}
+				s.AddBatch(rest)
+			})
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s p=%v: AddBatch state differs from the Add loop", name, p)
+			}
+		}
+	}
+}
+
+// TestStableAddBatchConcurrent: sketches ingesting at once share the
+// pooled scratch and must not see each other's variates (run with
+// -race).
+func TestStableAddBatchConcurrent(t *testing.T) {
+	const workers = 4
+	items := make([][]uint64, workers)
+	want := make([][]byte, workers)
+	for w := range items {
+		items[w] = stableBatchStream(2*stableChunk+50, uint64(w)+10)
+		want[w] = stableBlob(t, 1.5, 9, stableAddLoop(items[w]))
+	}
+	sketches := make([]*Stable, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		sketches[w] = NewStable(1.5, 9, 77)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sketches[w].AddBatch(items[w][:100])
+			sketches[w].AddBatch(items[w][100:])
+		}()
+	}
+	wg.Wait()
+	for w, s := range sketches {
+		got, err := s.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[w]) {
+			t.Fatalf("worker %d: concurrent AddBatch state differs from the Add loop", w)
 		}
 	}
 }
