@@ -310,7 +310,6 @@ func BenchmarkSketchAdd(b *testing.B) {
 		"kmv":         sketch.NewKMV(1024, 1),
 		"hll":         sketch.NewHLL(12, 1),
 		"bjkst":       sketch.NewBJKST(1024, 1),
-		"countmin":    sketch.NewCountMin(272, 5, 1, false),
 		"countsketch": sketch.NewCountSketch(256, 5, 1),
 	}
 	for name, s := range sketches {

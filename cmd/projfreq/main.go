@@ -13,12 +13,6 @@
 // across an N-shard parallel engine; -batch answers a semicolon-
 // separated list of extra F0 projections as one batched query. Rows
 // are always ingested in flat 512-row batches (words.Batch).
-// -subspace registers dedicated summaries for hot projections before
-// ingestion (one mirror of the main summary kind per listed column
-// set); batched queries then show which summary the planner served
-// them from:
-//
-//	projfreq -demo -summary exact -shards 4 -subspace "0,1;2,3" -query 0,1 -batch "0,1;1;4,5"
 //
 // The tool is also the remote writer of the projfreqd deployment
 // model (ARCHITECTURE.md): -save writes the built summary's wire form
@@ -81,7 +75,6 @@ func run() error {
 		phi        = flag.Float64("phi", 0.1, "heavy hitter threshold")
 		shards     = flag.Int("shards", 0, "ingest through an N-shard parallel engine (0 = direct)")
 		batchStr   = flag.String("batch", "", "semicolon-separated column lists answered as one F0 query batch (requires -shards)")
-		subspace   = flag.String("subspace", "", "semicolon-separated column lists to register dedicated subspace summaries for before ingestion (requires -shards)")
 		savePath   = flag.String("save", "", "write the built summary's wire form to this file")
 		pushURL    = flag.String("push", "", "POST the built summary's wire form to this projfreqd base URL")
 		loadPath   = flag.String("load", "", "answer queries from a saved summary blob instead of building one")
@@ -91,8 +84,8 @@ func run() error {
 
 	if *inspectDir != "" {
 		if *dataPath != "" || *demo || *loadPath != "" || *queryStr != "" ||
-			*savePath != "" || *pushURL != "" || *shards > 0 || *batchStr != "" || *subspace != "" {
-			return fmt.Errorf("-inspect-dir only inspects; it cannot be combined with -data, -demo, -load, -query, -save, -push, -shards, -batch, or -subspace")
+			*savePath != "" || *pushURL != "" || *shards > 0 || *batchStr != "" {
+			return fmt.Errorf("-inspect-dir only inspects; it cannot be combined with -data, -demo, -load, -query, -save, -push, -shards, or -batch")
 		}
 		return inspect(*inspectDir, os.Stdout)
 	}
@@ -142,9 +135,6 @@ func run() error {
 	if *batchStr != "" && *shards <= 0 {
 		return fmt.Errorf("-batch requires -shards")
 	}
-	if *subspace != "" && *shards <= 0 {
-		return fmt.Errorf("-subspace requires -shards")
-	}
 	if table != nil {
 		var err2 error
 		if *shards > 0 {
@@ -156,9 +146,6 @@ func run() error {
 			}
 			defer eng.Close()
 			sum = eng
-			if err := registerSubspaces(eng, d, table.Alphabet(), *subspace, *kind, *eps, *delta, *alpha, *seed); err != nil {
-				return err
-			}
 		} else {
 			sum, err2 = engine.StandardSummary(*kind, d, table.Alphabet(), *eps, *delta, *alpha, *seed, 0)
 			if err2 != nil {
@@ -291,37 +278,8 @@ func pushSummary(baseURL string, blob []byte) error {
 	return nil
 }
 
-// registerSubspaces registers one mirror subspace summary (same kind
-// and configuration as the engine's catch-all, so routed answers are
-// bit-identical) per semicolon-separated column list, before any row
-// is ingested.
-func registerSubspaces(eng *engine.Sharded, d, q int, spec, kind string, eps, delta, alpha float64, seed uint64) error {
-	if spec == "" {
-		return nil
-	}
-	for _, part := range strings.Split(spec, ";") {
-		cols, err := parseInts(strings.TrimSpace(part))
-		if err != nil {
-			return err
-		}
-		c, err := words.NewColumnSet(d, cols...)
-		if err != nil {
-			return err
-		}
-		err = eng.RegisterSubspace(c, func(shard int) (core.Summary, error) {
-			return engine.StandardSummary(kind, d, q, eps, delta, alpha, seed, shard)
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Printf("registered subspace %v (%s mirror)\n", c, kind)
-	}
-	return nil
-}
-
 // runBatch answers a semicolon-separated list of F0 projections as
-// one QueryBatch against the sharded engine's merged snapshot,
-// reporting which summary the planner served each from.
+// one QueryBatch against the sharded engine's merged snapshot.
 func runBatch(eng *engine.Sharded, d int, spec string) error {
 	var queries []engine.Query
 	for _, part := range strings.Split(spec, ";") {
@@ -343,11 +301,7 @@ func runBatch(eng *engine.Sharded, d int, spec string) error {
 		case r.Err != nil:
 			return r.Err
 		default:
-			note := ""
-			if r.Route != "" && r.Route != "full" {
-				note = "  [" + r.Route + "]"
-			}
-			fmt.Printf("  F0%v = %.1f%s\n", queries[i].Cols, r.Value, note)
+			fmt.Printf("  F0%v = %.1f\n", queries[i].Cols, r.Value)
 		}
 	}
 	return nil

@@ -182,58 +182,26 @@ func TestPushSummaryAgainstStubDaemon(t *testing.T) {
 	}
 }
 
-// TestRegisterSubspacesRoutesBatch: -subspace registers mirror
-// summaries before ingestion and -batch answers are then planner-
-// routed — bit-identical to the catch-all's, since mirrors share
-// kind, configuration, and seed.
-func TestRegisterSubspacesRoutesBatch(t *testing.T) {
+// TestRunBatch: -batch answers its F0 projections as one QueryBatch
+// against the sharded engine; a malformed list is an error.
+func TestRunBatch(t *testing.T) {
 	tb, err := loadData("", true, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, q := tb.Dim(), tb.Alphabet()
 	eng, err := engine.NewSharded(func(shard int) (core.Summary, error) {
-		return engine.StandardSummary("exact", d, q, 0.2, 0.05, 0.3, 1, shard)
+		return engine.StandardSummary("exact", tb.Dim(), tb.Alphabet(), 0.2, 0.05, 0.3, 1, shard)
 	}, engine.Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	if err := registerSubspaces(eng, d, q, "0,1; 2,3", "exact", 0.2, 0.05, 0.3, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := registerSubspaces(eng, d, q, "0,x", "exact", 0.2, 0.05, 0.3, 1); err == nil {
-		t.Fatal("malformed -subspace must error")
-	}
 	ingest(eng, tb)
-	// Registration after ingestion is refused.
-	if err := registerSubspaces(eng, d, q, "4,5", "exact", 0.2, 0.05, 0.3, 1); err == nil {
-		t.Fatal("post-ingest -subspace must error")
-	}
-	c := words.MustColumnSet(d, 0, 1)
-	res := eng.QueryBatch([]engine.Query{
-		{Kind: engine.KindF0, Cols: c},
-		{Kind: engine.KindF0, Cols: words.MustColumnSet(d, 4, 5)},
-	})
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatal(res[0].Err, res[1].Err)
-	}
-	if res[0].Route != "subspace"+c.String() || res[1].Route != "full" {
-		t.Fatalf("routes %q / %q", res[0].Route, res[1].Route)
-	}
-	want, err := eng.Snapshot()
-	if err != nil {
+	if err := runBatch(eng, tb.Dim(), "0,1; 4,5"); err != nil {
 		t.Fatal(err)
 	}
-	truth, err := want.(core.F0Querier).F0(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Value != truth {
-		t.Fatalf("mirror-routed F0 %v != catch-all %v", res[0].Value, truth)
-	}
-	if err := runBatch(eng, d, "0,1;4,5"); err != nil {
-		t.Fatal(err)
+	if err := runBatch(eng, tb.Dim(), "0,x"); err == nil {
+		t.Fatal("malformed -batch must error")
 	}
 }
 

@@ -407,22 +407,33 @@ func TestDaemonKillAndRecover(t *testing.T) {
 	}
 }
 
+// TestWideDaemonSubspaceRegistration: at d = 70 no subspace can be
+// provisioned (core.Registered looks subsets up by a 64-bit column
+// mask), so an in-memory and a durable daemon both answer 400 to a
+// registration, naming the limit, and keep ingesting and answering
+// from the catch-all.
 func TestWideDaemonSubspaceRegistration(t *testing.T) {
-	// d=65 exceeds the 64-bit column-mask format the durable
-	// registration record uses. An in-memory daemon must keep working
-	// (no mask is ever built); a durable one must refuse cleanly
-	// instead of panicking in ColumnSet.Mask.
-	const d, q, seed = 65, 2, 3
-	ts := startDaemon(t, "exact", d, q, seed)
-	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 64}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("in-memory wide registration: %d %s", resp.StatusCode, body)
-	}
-	tsD := startNode(t, durableConfig(t.TempDir(), "exact", d, q, seed))
-	resp, body := postJSON(t, tsD.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 64}})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("durable wide registration: %d %s", resp.StatusCode, body)
-	}
-	if !strings.Contains(string(body), "64-bit column masks") {
-		t.Fatalf("unhelpful refusal: %s", body)
+	const d, q, seed = 70, 2, 3
+	for _, daemon := range []struct {
+		name, url string
+	}{
+		{"in-memory", startDaemon(t, "exact", d, q, seed).URL},
+		{"durable", startNode(t, durableConfig(t.TempDir(), "exact", d, q, seed)).URL},
+	} {
+		resp, body := postJSON(t, daemon.url+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 69}})
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "64 columns") {
+			t.Fatalf("%s wide registration: %d %s", daemon.name, resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, daemon.url+"/v1/observe", observeRequest{Rows: [][]uint16{make([]uint16, d)}}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s observe: %d %s", daemon.name, resp.StatusCode, body)
+		}
+		resp, body = postJSON(t, daemon.url+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{{Kind: "f0", Cols: []int{0, 69}}}})
+		var qr node.QueryResponse
+		if err := json.Unmarshal(body, &qr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s query: %d %s", daemon.name, resp.StatusCode, body)
+		}
+		if r := qr.Results[0]; r.Error != "" || r.Value != 1 || r.Route != "full" {
+			t.Fatalf("%s f0 after a refused registration: %+v", daemon.name, r)
+		}
 	}
 }

@@ -356,16 +356,16 @@ func TestAbsorbKeepsEngineConsistent(t *testing.T) {
 }
 
 // TestDaemonSubspaceLifecycle drives the /v1/subspaces endpoints:
-// register (mirror + registered kinds), list, planner-routed queries
+// register (kind omitted and named), list, planner-routed queries
 // with the route reported in-band, and the conflict statuses for late
 // or duplicate registrations.
 func TestDaemonSubspaceLifecycle(t *testing.T) {
 	const d, q, seed = 6, 3, 11
 	ts := startDaemon(t, "exact", d, q, seed)
 
-	// Register one mirror and one sketch-backed subspace.
+	// Register two sketch-backed subspaces: the kind omitted, then named.
 	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{0, 1}}); resp.StatusCode != http.StatusOK {
-		t.Fatalf("register mirror: %d %s", resp.StatusCode, body)
+		t.Fatalf("register default: %d %s", resp.StatusCode, body)
 	}
 	if resp, body := postJSON(t, ts.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{2, 3, 4}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register sketch: %d %s", resp.StatusCode, body)
@@ -391,7 +391,7 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(list.Subspaces) != 2 || list.Subspaces[0].Summary != "exact" || list.Subspaces[1].Summary != "registered(1 subsets)" {
+	if len(list.Subspaces) != 2 || list.Subspaces[0].Summary != "registered(1 subsets)" || list.Subspaces[1].Summary != "registered(1 subsets)" {
 		t.Fatalf("listing %+v", list.Subspaces)
 	}
 
@@ -416,9 +416,9 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 		t.Fatalf("late registration: %d", resp.StatusCode)
 	}
 
-	// Queries report their route: mirror exact-match, covering via the
-	// sketch subspace's F0, full fallback for uncovered sets and for
-	// classes the sketch cannot serve.
+	// Queries report their route: F0 on a registered set exact-match,
+	// full fallback for other sets and for classes the sketch cannot
+	// serve.
 	respQ, body := postJSON(t, ts.URL+"/v1/query", node.QueryRequest{Queries: []node.QuerySpec{
 		{Kind: "f0", Cols: []int{0, 1}},
 		{Kind: "f0", Cols: []int{2, 3, 4}},
@@ -441,26 +441,20 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 			t.Fatalf("query %d routed %q, want %q", i, qresp.Results[i].Route, want)
 		}
 	}
-	// The mirror's answer matches the catch-all exactly.
+	// Both sketch-backed subspaces answer within their (1±ε) bound.
 	_, _, blob := condGet(t, ts.URL, "")
 	truth, err := core.UnmarshalSummary(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantF0, err := truth.(*registry.Registry).Full().(core.F0Querier).F0(words.MustColumnSet(d, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wantF0 == 0 || qresp.Results[0].Value != wantF0 {
-		t.Fatalf("mirror-routed F0 %v != catch-all %v", qresp.Results[0].Value, wantF0)
-	}
-	// The sketch-backed subspace answers within its (1±ε) bound.
-	sketchTruth, err := truth.(*registry.Registry).Full().(core.F0Querier).F0(words.MustColumnSet(d, 2, 3, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sketchTruth == 0 || qresp.Results[1].Value < 0.7*sketchTruth || qresp.Results[1].Value > 1.3*sketchTruth {
-		t.Fatalf("sketch-routed F0 %v outside bounds of exact %v", qresp.Results[1].Value, sketchTruth)
+	for i, cols := range [][]int{{0, 1}, {2, 3, 4}} {
+		exact, err := truth.(*registry.Registry).Full().(core.F0Querier).F0(words.MustColumnSet(d, cols...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := qresp.Results[i].Value; exact == 0 || got < 0.7*exact || got > 1.3*exact {
+			t.Fatalf("subspace-routed F0%v %v outside bounds of exact %v", cols, got, exact)
+		}
 	}
 
 	// The exported blob is a whole registry that an identically

@@ -151,13 +151,6 @@ func (s *Registered) Rows() int64 { return s.rows }
 // NumSubsets returns the number of registered subsets.
 func (s *Registered) NumSubsets() int { return len(s.subsets) }
 
-// ExactSubsetsOnly reports that this summary answers queries only for
-// its pre-registered column sets, never for strict subsets of them
-// (lookup is mask-exact). Planners use it to skip the summary when
-// considering covering routes, where it could only ever answer
-// ErrUnsupported.
-func (s *Registered) ExactSubsetsOnly() bool { return true }
-
 // SizeBytes totals the sketch footprints.
 func (s *Registered) SizeBytes() int {
 	total := 0

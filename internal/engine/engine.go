@@ -36,10 +36,10 @@
 // engine can serve hot projections from dedicated per-columnset
 // summaries: RegisterSubspace provisions one subspace summary per
 // shard (before ingestion starts), and QueryBatch then plans each
-// query — exact-match subspace first, cheapest covering subspace
-// next, catch-all full summary otherwise — evaluating each group
-// against its planned target and falling back to the full summary
-// when a specialized one cannot answer the query's class. Snapshots
+// query — the subspace registered for exactly its column set, else
+// the catch-all full summary — evaluating each group against its
+// planned target and falling back to the full summary when a
+// specialized one cannot answer the query's class. Snapshots
 // (being merged registries) serialize whole-registry blobs that Absorb
 // accepts back.
 package engine
@@ -208,9 +208,9 @@ type epoch struct {
 
 // NewSharded builds the engine and starts its shard workers. The
 // factory is probed immediately: every shard summary must be mergeable
-// and share the same shape. A factory may return a ready-made
-// *registry.Registry per shard (with the same subspace structure on
-// every shard); a bare summary is wrapped in a subspace-free registry.
+// and share the same shape, and is wrapped in a subspace-free
+// registry — so it must not itself be a *registry.Registry. Subspaces
+// join only through RegisterSubspace.
 func NewSharded(factory Factory, cfg Config) (*Sharded, error) {
 	cfg = cfg.withDefaults()
 	s := &Sharded{
@@ -228,23 +228,6 @@ func NewSharded(factory Factory, cfg Config) (*Sharded, error) {
 		if i > 0 && (reg.Dim() != s.shards[0].Dim() || reg.Alphabet() != s.shards[0].Alphabet()) {
 			return nil, fmt.Errorf("engine: shard %d shape %d/[%d] differs from shard 0 %d/[%d]",
 				i, reg.Dim(), reg.Alphabet(), s.shards[0].Dim(), s.shards[0].Alphabet())
-		}
-		// Factory-provided registries must agree on subspace structure
-		// across shards, like they must on shape: RegisterSubspace's
-		// all-or-nothing pass and Subspaces' trailing-entry indexing
-		// both rely on every shard holding the same entry list.
-		if i > 0 {
-			if reg.NumSubspaces() != s.shards[0].NumSubspaces() {
-				return nil, fmt.Errorf("engine: shard %d registry holds %d subspaces, shard 0 holds %d",
-					i, reg.NumSubspaces(), s.shards[0].NumSubspaces())
-			}
-			for j := 0; j < reg.NumSubspaces(); j++ {
-				c0, _ := s.shards[0].Subspace(j)
-				cj, _ := reg.Subspace(j)
-				if !c0.Equal(cj) {
-					return nil, fmt.Errorf("engine: shard %d subspace %d is %v, shard 0 has %v", i, j, cj, c0)
-				}
-			}
 		}
 		s.shards[i] = reg
 		s.chans[i] = make(chan shardMsg, cfg.Queue)
@@ -267,36 +250,20 @@ func NewSharded(factory Factory, cfg Config) (*Sharded, error) {
 }
 
 // buildShard constructs the registry for one shard (or merge
-// snapshot) index: the factory's base summary — wrapped in a registry
-// unless it already is one — plus one summary per registered
-// subspace. Every member must be mergeable, or snapshots could not be
-// built.
+// snapshot) index: the factory's base summary wrapped in a registry,
+// plus one summary per registered subspace. Every member must be
+// mergeable, or snapshots could not be built.
 func (s *Sharded) buildShard(idx int) (*registry.Registry, error) {
 	base, err := s.factory(idx)
 	if err != nil {
 		return nil, fmt.Errorf("engine: shard %d factory: %w", idx, err)
 	}
-	reg, ok := base.(*registry.Registry)
-	if !ok {
-		if _, ok := base.(core.Mergeable); !ok {
-			return nil, fmt.Errorf("engine: %s summary is not mergeable", base.Name())
-		}
-		if reg, err = registry.New(base); err != nil {
-			return nil, fmt.Errorf("engine: shard %d: %w", idx, err)
-		}
-	} else {
-		// Probe every member of a factory-provided registry now, so a
-		// non-mergeable subspace summary fails construction instead of
-		// the first snapshot (NewSharded's "probed immediately" rule).
-		if _, ok := reg.Full().(core.Mergeable); !ok {
-			return nil, fmt.Errorf("engine: %s summary is not mergeable", reg.Full().Name())
-		}
-		for i := 0; i < reg.NumSubspaces(); i++ {
-			cols, sum := reg.Subspace(i)
-			if _, ok := sum.(core.Mergeable); !ok {
-				return nil, fmt.Errorf("engine: subspace %v %s summary is not mergeable", cols, sum.Name())
-			}
-		}
+	if _, ok := base.(core.Mergeable); !ok {
+		return nil, fmt.Errorf("engine: %s summary is not mergeable", base.Name())
+	}
+	reg, err := registry.New(base)
+	if err != nil {
+		return nil, fmt.Errorf("engine: shard %d: %w", idx, err)
 	}
 	for _, sp := range s.subs {
 		sub, err := sp.factory(idx)
@@ -544,10 +511,9 @@ func (s *Sharded) mergeSourcesInto(merged *registry.Registry) (size int, rows in
 	return size, rows, nil
 }
 
-// publishLocked seals a merged registry and installs it as the new
-// serving epoch; callers hold mu.
+// publishLocked installs a merged registry as the new serving epoch;
+// callers hold mu.
 func (s *Sharded) publishLocked(merged *registry.Registry, accepted int64, size int, srcRows int64) *epoch {
-	merged.Seal()
 	s.epochSeq++
 	e := &epoch{
 		reg:     merged,
@@ -846,9 +812,8 @@ var ErrRowsAccepted = errors.New("engine: rows already accepted; register subspa
 // like the engine's own factory, with shard indices 0..Shards-1 and
 // with index Shards per snapshot, and every summary it returns must
 // be mergeable and share the engine's shape. After registration the
-// query planner routes queries whose column set equals (or is covered
-// by) c to the subspace summary; see Plan in internal/registry for
-// the decision order.
+// query planner routes queries whose column set equals c to the
+// subspace summary; see Plan in internal/registry.
 //
 // Registration must happen before ingestion: once the engine has
 // accepted rows (Observe, ObserveBatch, or Absorb), RegisterSubspace
@@ -961,23 +926,17 @@ type SubspaceInfo struct {
 	SizeBytes int
 }
 
-// NumSubspaces returns the number of subspaces registered through
-// RegisterSubspace, without quiescing the workers — the cheap form
-// for stats endpoints that only need the count. Subspaces baked into
-// factory-provided registries are not counted (nor listed by
-// Subspaces).
+// NumSubspaces returns the number of registered subspaces, without
+// quiescing the workers — the cheap form for stats endpoints that
+// only need the count.
 func (s *Sharded) NumSubspaces() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.subs)
 }
 
-// Subspaces lists the subspaces registered through RegisterSubspace
-// in registration order. The walk quiesces the workers so sizes do
-// not race ingestion. Subspaces a factory baked into its own
-// registries are not listed: the engine tracks only its own
-// registrations (which occupy the trailing registry entries, after
-// any factory-provided ones).
+// Subspaces lists the registered subspaces in registration order. The
+// walk quiesces the workers so sizes do not race ingestion.
 func (s *Sharded) Subspaces() []SubspaceInfo {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -985,15 +944,12 @@ func (s *Sharded) Subspaces() []SubspaceInfo {
 	if len(infos) == 0 {
 		return infos
 	}
-	// buildShard appends engine registrations after whatever the
-	// factory pre-registered, identically on every shard.
-	off := s.shards[0].NumSubspaces() - len(s.subs)
 	_ = s.quiesce(func() error {
 		for i, sp := range s.subs {
-			_, first := s.shards[0].Subspace(off + i)
+			_, first := s.shards[0].Subspace(i)
 			infos[i] = SubspaceInfo{Cols: sp.cols, Name: first.Name()}
 			for _, reg := range s.shards {
-				_, sum := reg.Subspace(off + i)
+				_, sum := reg.Subspace(i)
 				infos[i].SizeBytes += sum.SizeBytes()
 			}
 		}

@@ -122,23 +122,31 @@ func TestCacheKeyDistinguishesQueries(t *testing.T) {
 	}
 }
 
-// mirrorSub registers a subspace whose summary is built by the same
-// factory as the engine's catch-all — the specialization that makes
-// routed answers bit-identical to full-summary answers.
-func mirrorSub(t *testing.T, eng *Sharded, f Factory, cols ...int) words.ColumnSet {
+// registeredFactory builds the per-shard core.Registered for c, the
+// one subspace kind the daemon provisions.
+func registeredFactory(c words.ColumnSet) Factory {
+	return func(int) (core.Summary, error) {
+		return core.NewRegistered(10, 2, []words.ColumnSet{c}, core.RegisteredConfig{Seed: 3})
+	}
+}
+
+// registeredSub registers a core.Registered subspace for cols.
+func registeredSub(t *testing.T, eng *Sharded, cols ...int) words.ColumnSet {
 	t.Helper()
 	c := words.MustColumnSet(10, cols...)
-	if err := eng.RegisterSubspace(c, f); err != nil {
+	if err := eng.RegisterSubspace(c, registeredFactory(c)); err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
 // TestPlannedAnswersEquivalentToFullSummary is the planner
-// correctness property test: for every query kind, answers routed
-// through registered subspace summaries equal the answers of an
-// identical engine with no subspaces — bit-identical, since mirror
-// subspaces share kind, configuration, seed, and stream.
+// correctness property test. With registered subspaces on {0,1,2} and
+// {4,5,6,7}, every query on any other column set — strict subsets and
+// supersets of the registered sets included — is bit-identical to a
+// subspace-free engine's answer and reports "full". F0 on a
+// registered set is bit-equal to a directly fed core.Registered, and
+// every other kind on a registered set falls back to the catch-all.
 func TestPlannedAnswersEquivalentToFullSummary(t *testing.T) {
 	netCfg := core.NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: []float64{2}, StableReps: 20, Seed: 7}
 	for _, tc := range []struct {
@@ -163,33 +171,38 @@ func TestPlannedAnswersEquivalentToFullSummary(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer routed.Close()
-			exactC := mirrorSub(t, routed, tc.factory, 0, 1, 2)
-			coverC := mirrorSub(t, routed, tc.factory, 4, 5, 6, 7)
+			a := registeredSub(t, routed, 0, 1, 2)
+			b := registeredSub(t, routed, 4, 5, 6, 7)
 			feedEngine(t, plain, tb)
 			feedEngine(t, routed, tb)
 
-			queries := []Query{
-				{Kind: KindF0, Cols: exactC},                                      // exact-match route
-				{Kind: KindF0, Cols: words.MustColumnSet(10, 4, 5)},               // covering route
-				{Kind: KindF0, Cols: words.MustColumnSet(10, 8, 9)},               // uncovered → full
-				{Kind: KindFp, Cols: exactC, P: 2},                                // exact-match route
-				{Kind: KindFp, Cols: words.MustColumnSet(10, 5, 7), P: 2},         // covering route
-				{Kind: KindFrequency, Cols: exactC, Pattern: words.Word{1, 1, 1}}, // exact-match route
-				{Kind: KindHeavyHitters, Cols: exactC, P: 1, Phi: 0.2},            // exact-match route
-				{Kind: KindHeavyHitters, Cols: coverC, P: 1, Phi: 0.2},            // exact-match route
-				{Kind: KindF0, Cols: words.FullColumnSet(10)},                     // full projection → full
+			var queries []Query
+			for _, c := range []words.ColumnSet{
+				a, b,
+				words.MustColumnSet(10, 0, 1),          // strict subset of a
+				words.MustColumnSet(10, 5, 7),          // strict subset of b
+				words.MustColumnSet(10, 0, 1, 2, 3),    // strict superset of a
+				words.MustColumnSet(10, 4, 5, 6, 7, 8), // strict superset of b
+				words.MustColumnSet(10, 8, 9),
+				words.FullColumnSet(10),
+			} {
+				queries = append(queries,
+					Query{Kind: KindF0, Cols: c},
+					Query{Kind: KindFp, Cols: c, P: 2},
+					Query{Kind: KindFrequency, Cols: c, Pattern: slices.Repeat(words.Word{1}, c.Len())},
+					Query{Kind: KindHeavyHitters, Cols: c, P: 1, Phi: 0.2})
 			}
 			want := plain.QueryBatch(queries)
 			got := routed.QueryBatch(queries)
-			wantRoutes := []string{
-				"subspace" + exactC.String(), "cover" + coverC.String(), "full",
-				"subspace" + exactC.String(), "cover" + coverC.String(),
-				"subspace" + exactC.String(), "subspace" + exactC.String(),
-				"subspace" + coverC.String(), "full",
-			}
-			for i := range queries {
+			for i, q := range queries {
+				if q.Kind == KindF0 && (q.Cols.Equal(a) || q.Cols.Equal(b)) {
+					continue // served by its subspace: checked below
+				}
+				if got[i].Route != "full" || want[i].Route != "full" {
+					t.Errorf("query %d (%s %v) routed via %q / %q, want full", i, q.Kind, q.Cols, got[i].Route, want[i].Route)
+				}
 				if (want[i].Err == nil) != (got[i].Err == nil) {
-					t.Fatalf("query %d (%s): errors diverge: %v vs %v", i, queries[i].Kind, want[i].Err, got[i].Err)
+					t.Fatalf("query %d (%s %v): errors diverge: %v vs %v", i, q.Kind, q.Cols, want[i].Err, got[i].Err)
 				}
 				if want[i].Err != nil {
 					if !errors.Is(got[i].Err, core.ErrUnsupported) || !errors.Is(want[i].Err, core.ErrUnsupported) {
@@ -197,25 +210,24 @@ func TestPlannedAnswersEquivalentToFullSummary(t *testing.T) {
 					}
 					continue
 				}
-				if got[i].Value != want[i].Value {
-					t.Errorf("query %d (%s %v): routed %v != full %v", i, queries[i].Kind, queries[i].Cols, got[i].Value, want[i].Value)
+				if got[i].Value != want[i].Value || !reflect.DeepEqual(got[i].Hits, want[i].Hits) {
+					t.Errorf("query %d (%s %v): routed %v %v != full %v %v", i, q.Kind, q.Cols,
+						got[i].Value, got[i].Hits, want[i].Value, want[i].Hits)
 				}
-				if len(got[i].Hits) != len(want[i].Hits) {
-					t.Errorf("query %d: %d hits routed, %d full", i, len(got[i].Hits), len(want[i].Hits))
-				} else {
-					for j := range got[i].Hits {
-						if !got[i].Hits[j].Pattern.Equal(want[i].Hits[j].Pattern) || got[i].Hits[j].Estimate != want[i].Hits[j].Estimate {
-							t.Errorf("query %d hit %d: %v/%v != %v/%v", i, j,
-								got[i].Hits[j].Pattern, got[i].Hits[j].Estimate,
-								want[i].Hits[j].Pattern, want[i].Hits[j].Estimate)
-						}
-					}
+			}
+			for _, c := range []words.ColumnSet{a, b} {
+				ref, err := registeredFactory(c)(0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got[i].Route != wantRoutes[i] {
-					t.Errorf("query %d routed via %q, want %q", i, got[i].Route, wantRoutes[i])
+				ref.ObserveBatch(tb.Batch())
+				wantF0, err := ref.(core.F0Querier).F0(c)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if want[i].Route != "full" {
-					t.Errorf("query %d on the plain engine routed via %q", i, want[i].Route)
+				r := routed.QueryBatch([]Query{{Kind: KindF0, Cols: c}})[0]
+				if r.Err != nil || r.Value != wantF0 || r.Route != "subspace"+c.String() {
+					t.Errorf("F0%v: %v (%v) via %q, want %v via the subspace", c, r.Value, r.Err, r.Route, wantF0)
 				}
 			}
 		})
@@ -273,6 +285,17 @@ func TestPlannerCapabilityFallback(t *testing.T) {
 }
 
 func TestRegisterSubspaceEngineRules(t *testing.T) {
+	// The factory's summary is the catch-all: subspaces join only
+	// through RegisterSubspace, so a factory-built registry is refused.
+	if _, err := NewSharded(func(int) (core.Summary, error) {
+		base, err := core.NewExact(10, 2)
+		if err != nil {
+			return nil, err
+		}
+		return registry.New(base)
+	}, Config{Shards: 2}); err == nil {
+		t.Fatal("NewSharded accepted a factory that returns a registry")
+	}
 	eng, err := NewSharded(exactFactory(10, 2), Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +328,7 @@ func TestRegisterSubspaceEngineRules(t *testing.T) {
 	}
 	subs := eng.Subspaces()
 	// The observed row has drained by the time Subspaces quiesces, so
-	// the mirror's exact summary reports non-zero size.
+	// the subspace's exact summary reports non-zero size.
 	if len(subs) != 1 || !subs[0].Cols.Equal(c) || subs[0].SizeBytes == 0 {
 		t.Fatalf("subspace listing %+v", subs)
 	}
@@ -351,58 +374,6 @@ func TestRegisterSubspaceRefusedAfterZeroRowAbsorb(t *testing.T) {
 	}
 }
 
-// TestFactoryProvidedRegistryComposes: a factory may hand the engine
-// ready-made registries; engine-level registrations stack on top, and
-// Subspaces() must attribute names and sizes to the engine's own
-// registrations (the trailing entries), not the factory's.
-func TestFactoryProvidedRegistryComposes(t *testing.T) {
-	pre := words.MustColumnSet(10, 6, 7)
-	eng, err := NewSharded(func(shard int) (core.Summary, error) {
-		base, err := core.NewExact(10, 2)
-		if err != nil {
-			return nil, err
-		}
-		reg, err := registry.New(base)
-		if err != nil {
-			return nil, err
-		}
-		sub, err := core.NewExact(10, 2)
-		if err != nil {
-			return nil, err
-		}
-		return reg, reg.RegisterSubspace(pre, sub)
-	}, Config{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	mine := words.MustColumnSet(10, 0, 1)
-	if err := eng.RegisterSubspace(mine, func(int) (core.Summary, error) {
-		return core.NewRegistered(10, 2, []words.ColumnSet{mine}, core.RegisteredConfig{Seed: 5})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := eng.NumSubspaces(); n != 1 {
-		t.Fatalf("engine counts %d subspaces, want its own 1", n)
-	}
-	subs := eng.Subspaces()
-	if len(subs) != 1 || !subs[0].Cols.Equal(mine) || subs[0].Name != "registered(1 subsets)" {
-		t.Fatalf("listing attributes the wrong entry: %+v", subs)
-	}
-	feedEngine(t, eng, testTable(500, 41))
-	// Both the factory's and the engine's subspaces serve their routes.
-	res := eng.QueryBatch([]Query{
-		{Kind: KindF0, Cols: pre},
-		{Kind: KindF0, Cols: mine},
-	})
-	if res[0].Err != nil || res[1].Err != nil {
-		t.Fatal(res[0].Err, res[1].Err)
-	}
-	if res[0].Route != "subspace"+pre.String() || res[1].Route != "subspace"+mine.String() {
-		t.Fatalf("routes %q / %q", res[0].Route, res[1].Route)
-	}
-}
-
 // TestQueryBatchOrderingUnderParallelPool issues a large mixed batch
 // (many distinct routed targets, duplicates, concurrent repeats) and
 // checks every answer lands at its own position; under -race this also
@@ -415,7 +386,7 @@ func TestQueryBatchOrderingUnderParallelPool(t *testing.T) {
 	}
 	defer eng.Close()
 	for _, cols := range [][]int{{0, 1, 2}, {3, 4}, {5, 6, 7}} {
-		mirrorSub(t, eng, exactFactory(10, 2), cols...)
+		registeredSub(t, eng, cols...)
 	}
 	feedEngine(t, eng, tb)
 
@@ -465,7 +436,7 @@ func TestSubspaceEngineWireRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mirrorSub(t, eng, netFactory(10, 2, netCfg), 0, 1, 2)
+		registeredSub(t, eng, 0, 1, 2)
 		return eng
 	}
 	a, b := build(), build()

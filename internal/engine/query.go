@@ -98,8 +98,7 @@ type Result struct {
 	Err error
 	// Route says which summary served the query: "full" for the
 	// catch-all (whether planned or reached by capability fallback),
-	// "subspace{…}" for an exact-match subspace, "cover{…}" for a
-	// covering one.
+	// "subspace{…}" for an exact-match subspace.
 	Route string
 }
 
@@ -109,7 +108,7 @@ type Result struct {
 // posting a barrier, otherwise. The batch then runs —
 //
 //  1. plan: each query's column set is routed by the snapshot's
-//     registry (exact subspace → cheapest covering subspace → full);
+//     registry (exact-match subspace → full);
 //  2. deduplicate: queries with the same (target, query) key share
 //     one evaluation;
 //  3. evaluate: the distinct (target, query) pairs are grouped by

@@ -47,13 +47,11 @@ var errNotDurable = errors.New("daemon runs without -data-dir")
 func (n *Node) recordSubspace(c words.ColumnSet, summary string) error {
 	if n.wal == nil {
 		// Nothing to record: without a store there are no checkpoints
-		// to embed the meta list in and no replay to re-register from —
-		// and ColumnSet.Mask (the record format) caps d at 64, a limit
-		// in-memory daemons need not inherit.
+		// to embed the meta list in and no replay to re-register from.
 		return nil
 	}
 	if summary == "" {
-		summary = "mirror"
+		summary = "registered"
 	}
 	meta := store.SubspaceMeta{Mask: c.Mask(), Summary: summary}
 	n.subMeta = append(n.subMeta, meta)

@@ -15,9 +15,9 @@
 // Before ingestion starts, clients may provision dedicated summaries
 // for hot projections through /v1/subspaces (register with POST, list
 // with GET); /v1/query then routes each query through the planner —
-// exact-match subspace, cheapest covering subspace, full fallback —
-// and reports the chosen route per result. See the "Querying
-// subspaces" cookbook in the README for curl examples.
+// exact-match subspace, else full fallback — and reports the chosen
+// route per result. See the "Querying subspaces" cookbook in the
+// README for curl examples.
 //
 // With Config.DataDir the daemon is durable: every accepted observe,
 // push, and subspace registration is written to a write-ahead log
@@ -254,28 +254,35 @@ func (n *Node) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n.mux.ServeHTTP(w, r)
 }
 
-// subspaceFactory turns one /v1/subspaces registration (live or
-// replayed) into the per-shard factory the engine needs, built against
-// the daemon's own configuration so registered summaries always merge
-// with the catch-all shards and with identically configured peers:
-// "mirror" (the default) replicates the daemon's summary kind — routed
-// answers are bit-identical to full-summary answers — while
-// "registered" provisions the cheap per-subset KMV+KHLL sketch pair
-// (F0 only; other classes fall back to the catch-all).
-func (n *Node) subspaceFactory(c words.ColumnSet, summary string) (engine.Factory, error) {
-	cfg := n.cfg
-	switch summary {
-	case "", "mirror":
-		return func(shard int) (core.Summary, error) {
-			return engine.StandardSummary(cfg.Summary, cfg.D, cfg.Q, cfg.Eps, cfg.Delta, cfg.Alpha, cfg.Seed, shard)
-		}, nil
-	case "registered":
-		return func(shard int) (core.Summary, error) {
-			return core.NewRegistered(cfg.D, cfg.Q, []words.ColumnSet{c}, core.RegisteredConfig{Epsilon: cfg.Eps, Seed: cfg.Seed})
-		}, nil
-	default:
-		return nil, fmt.Errorf("unknown subspace summary %q (want mirror or registered)", summary)
+// SubspaceKindError refuses a subspace registration — a live
+// /v1/subspaces request or one recovered from the data directory —
+// whose provisioning kind is not "registered", the one kind.
+type SubspaceKindError struct {
+	// Kind is the refused kind string.
+	Kind string
+}
+
+// Error names the one kind, and says why "mirror" is gone.
+func (e *SubspaceKindError) Error() string {
+	if e.Kind == "mirror" {
+		return `subspace summary "mirror" was retired: it duplicated the catch-all summary; the one kind is "registered"`
 	}
+	return fmt.Sprintf(`unknown subspace summary %q (the one kind is "registered")`, e.Kind)
+}
+
+// subspaceFactory turns one /v1/subspaces registration (live or
+// replayed) into the per-shard factory the engine needs: the cheap
+// per-subset KMV+KHLL sketch pair (core.Registered; F0 only, other
+// classes fall back to the catch-all), built from the daemon's own
+// epsilon and seed so it merges with identically configured peers.
+func (n *Node) subspaceFactory(c words.ColumnSet, summary string) (engine.Factory, error) {
+	if summary != "" && summary != "registered" {
+		return nil, &SubspaceKindError{Kind: summary}
+	}
+	cfg := n.cfg
+	return func(int) (core.Summary, error) {
+		return core.NewRegistered(cfg.D, cfg.Q, []words.ColumnSet{c}, core.RegisteredConfig{Epsilon: cfg.Eps, Seed: cfg.Seed})
+	}, nil
 }
 
 // WriteJSON answers status with v as a JSON body.
@@ -481,10 +488,9 @@ type SubspacesResponse struct {
 }
 
 // RegisterSubspaceRequest is the POST /v1/subspaces body. Summary
-// selects the provisioned kind: "mirror" (default — replicate the
-// daemon's summary kind; routed answers bit-identical to the
-// catch-all's) or "registered" (cheap per-subset F0/KHLL sketches;
-// other query classes fall back to the catch-all).
+// names the provisioned kind and may be omitted: "registered" (cheap
+// per-subset F0/KHLL sketches; other query classes fall back to the
+// catch-all) is the one kind, and any other value answers 400.
 type RegisterSubspaceRequest struct {
 	Cols    []int  `json:"cols"`
 	Summary string `json:"summary,omitempty"`
@@ -516,15 +522,6 @@ func (n *Node) handleSubspacesRegister(w http.ResponseWriter, r *http.Request) {
 	c, err := words.NewColumnSet(n.eng.Dim(), req.Cols...)
 	if err != nil {
 		HTTPError(w, http.StatusBadRequest, err)
-		return
-	}
-	// The durable registration record stores the column set as a
-	// 64-bit mask (words.ColumnSet.Mask, which panics beyond d=64), so
-	// a durable daemon must refuse what it cannot make durable.
-	// In-memory daemons carry no such limit.
-	if n.wal != nil && n.eng.Dim() > 64 {
-		HTTPError(w, http.StatusBadRequest,
-			fmt.Errorf("subspace registration with -data-dir requires d <= 64 (registrations ride the WAL as 64-bit column masks); daemon has d=%d", n.eng.Dim()))
 		return
 	}
 	factory, err := n.subspaceFactory(c, req.Summary)
@@ -589,8 +586,7 @@ type Hit struct {
 
 // Result is the answer to one query. Value is always emitted — a
 // legitimate answer of 0 must stay distinguishable from no answer.
-// Route reports the planner's decision: "full", "subspace{…}", or
-// "cover{…}".
+// Route reports the planner's decision: "full" or "subspace{…}".
 type Result struct {
 	Value       float64 `json:"value"`
 	Hits        []Hit   `json:"hits,omitempty"`

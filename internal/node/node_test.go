@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/store"
 )
 
 // serve boots a daemon through New, serves it on a loopback test
@@ -143,5 +147,92 @@ func TestModeMatrix(t *testing.T) {
 				servedRows(t, ts.URL, want)
 			})
 		}
+	}
+}
+
+// post POSTs body as JSON and returns the status and the raw answer.
+func post(t *testing.T, url string, body any) (int, string) {
+	t.Helper()
+	blob, _ := json.Marshal(body)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(raw)
+}
+
+// TestRetiredSubspaceKindRefused: "registered" is the one subspace
+// kind. A registration naming "mirror", or any other kind, answers 400
+// naming it and leaves the engine without a subspace, so the same
+// column set still registers afterwards with the kind omitted.
+func TestRetiredSubspaceKindRefused(t *testing.T) {
+	ts, _ := serve(t, Config{Summary: "exact", D: 4, Q: 3, Eps: 0.05, Seed: 1, Shards: 2})
+	for kind, why := range map[string]string{"mirror": "retired", "bogus": "unknown"} {
+		status, body := post(t, ts.URL+"/v1/subspaces", RegisterSubspaceRequest{Cols: []int{0, 1}, Summary: kind})
+		if status != http.StatusBadRequest || !strings.Contains(body, kind) || !strings.Contains(body, why) || !strings.Contains(body, "registered") {
+			t.Fatalf("%q registration: %d %s", kind, status, body)
+		}
+	}
+	var st Stats
+	call(t, ts.URL+"/v1/stats", nil, &st)
+	if st.Subspaces != 0 {
+		t.Fatalf("refused registrations left %d subspaces", st.Subspaces)
+	}
+	var list SubspacesResponse
+	call(t, ts.URL+"/v1/subspaces", RegisterSubspaceRequest{Cols: []int{0, 1}}, &list)
+	if len(list.Subspaces) != 1 || list.Subspaces[0].Summary != "registered(1 subsets)" {
+		t.Fatalf("registration with the kind omitted: %+v", list.Subspaces)
+	}
+}
+
+// TestRecoveryRefusesRetiredSubspaceKind: a data directory whose WAL
+// or checkpoint records a subspace of the retired "mirror" kind does
+// not boot. New fails naming the kind rather than serving a registry
+// without the subspace the shards were built with; a valid
+// registration sits ahead of the retired one, so recovery is part way
+// through rebuilding the registry when it refuses.
+func TestRecoveryRefusesRetiredSubspaceKind(t *testing.T) {
+	metas := []store.SubspaceMeta{{Mask: 0b0011, Summary: "registered"}, {Mask: 0b1100, Summary: "mirror"}}
+	for _, where := range []string{"wal", "checkpoint"} {
+		t.Run(where, func(t *testing.T) {
+			cfg := Config{Summary: "exact", D: 4, Q: 3, Eps: 0.05, Seed: 1, Shards: 2, DataDir: t.TempDir(), Fsync: "never"}
+			st, err := store.Open(store.Options{Dir: cfg.DataDir, Dim: cfg.D, Alphabet: cfg.Q, Fsync: store.FsyncNever})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if where == "wal" {
+				for _, m := range metas {
+					if err := st.AppendSubspace(m.Mask, m.Summary); err != nil {
+						t.Fatal(err)
+					}
+				}
+			} else {
+				empty, err := core.NewExact(cfg.D, cfg.Q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shard, err := core.MarshalSummary(empty)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.WriteCheckpoint(&store.Checkpoint{Subspaces: metas, Shards: [][]byte{shard, shard}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			n, err := New(cfg)
+			if err == nil {
+				n.Close()
+				t.Fatal("a data directory holding a mirror subspace booted")
+			}
+			var kindErr *SubspaceKindError
+			if !errors.As(err, &kindErr) || kindErr.Kind != "mirror" || !strings.Contains(err.Error(), `"mirror" was retired`) {
+				t.Fatalf("recovery refused with %v", err)
+			}
+		})
 	}
 }

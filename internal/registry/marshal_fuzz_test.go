@@ -9,7 +9,7 @@ import (
 )
 
 // fuzzSeedBlob builds a valid kind-6 container blob (exact catch-all,
-// one sketch-backed and one mirror subspace, a few rows) to seed the
+// one sketch-backed and one exact subspace, a few rows) to seed the
 // fuzzer with reachable structure.
 func fuzzSeedBlob() []byte {
 	full, err := core.NewExact(testDim, testQ)
@@ -28,11 +28,11 @@ func fuzzSeedBlob() []byte {
 	if err := reg.RegisterSubspace(hot, sub); err != nil {
 		panic(err)
 	}
-	mirror, err := core.NewExact(testDim, testQ)
+	exact, err := core.NewExact(testDim, testQ)
 	if err != nil {
 		panic(err)
 	}
-	if err := reg.RegisterSubspace(words.MustColumnSet(testDim, 2, 3), mirror); err != nil {
+	if err := reg.RegisterSubspace(words.MustColumnSet(testDim, 2, 3), exact); err != nil {
 		panic(err)
 	}
 	testRows(16, reg)

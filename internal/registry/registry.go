@@ -2,7 +2,8 @@
 // subspace registry that holds many summaries keyed by the column set
 // they were provisioned for, plus the catch-all full-dimension
 // summary, and a planner that routes each projection query to the
-// cheapest registered summary able to serve it.
+// summary registered for exactly its column set, or else to the
+// catch-all.
 //
 // The paper's cost landscape motivates the shape. A summary built for
 // arbitrary post-hoc column sets pays 2^Ω(d) (Sections 4–5), while a
@@ -16,14 +17,10 @@
 //
 // # Planning
 //
-// Plan resolves a query's column set C against the registered
-// subspaces in a fixed priority order:
-//
-//  1. Exact match — an entry registered for exactly C.
-//  2. Covering — among entries whose column set is a superset of C,
-//     the cheapest: fewest columns first (the tightest specialization),
-//     then smallest summary by SizeBytes, then registration order.
-//  3. Full fallback — the catch-all full-dimension summary.
+// Plan resolves a query's column set C with one map lookup: an entry
+// registered for exactly C serves it (MatchExact), and every other C —
+// strict subsets and supersets of registered sets included — goes to
+// the catch-all full-dimension summary (MatchFull).
 //
 // The returned Target carries a stable ID (0 for the full summary,
 // 1+i for entry i) so callers can tell queries apart per target, and
@@ -42,8 +39,9 @@
 // registration the registry fans every row out to the full summary
 // and all entries — Observe, ObserveBatch, Merge, and the wire codec
 // (marshal.go) keep the members in lockstep, so a registry is itself
-// a core.Summary and drops in anywhere one is accepted, including as
-// the per-shard summary of engine.Sharded.
+// a core.Summary. engine.Sharded builds one per shard around its
+// factory's summary; subspaces reach an engine only through its
+// RegisterSubspace.
 package registry
 
 import (
@@ -121,13 +119,12 @@ func (r *Registry) subspaceCols() []words.ColumnSet {
 var ErrRowsObserved = errors.New("registry: rows already observed; register subspaces before observation")
 
 // entry is one registered subspace: the column set it serves and the
-// summary provisioned for it, plus the precomputed route labels Plan
+// summary provisioned for it, plus the precomputed route label Plan
 // hands out (computed once so planning stays allocation-free).
 type entry struct {
-	cols       words.ColumnSet
-	sum        core.Summary
-	routeExact string
-	routeCover string
+	cols  words.ColumnSet
+	sum   core.Summary
+	route string
 }
 
 // Registry holds the catch-all full-dimension summary and any number
@@ -143,15 +140,6 @@ type Registry struct {
 	full    core.Summary
 	entries []entry
 	index   map[string]int // canonical ColumnSet key → entry position
-
-	// Seal() freezes these; any mutation clears them (see unseal). A
-	// sealed registry serves SizeBytes and the planner's covering-scan
-	// size comparisons from the frozen values instead of walking every
-	// member — the engine seals each published epoch snapshot so that
-	// read-path planning and size reporting cost O(1) per call.
-	sealedSizes []int // per-entry SizeBytes, index-aligned with entries
-	sealedTotal int   // catch-all + all entries
-	sealed      bool
 }
 
 // New wraps the catch-all summary in a registry with no subspaces. A
@@ -211,43 +199,22 @@ func (r *Registry) RegisterSubspace(c words.ColumnSet, sum core.Summary) error {
 // add appends an entry without the pre-observation checks; the wire
 // decoder uses it to rebuild registries that legitimately carry rows.
 func (r *Registry) add(c words.ColumnSet, sum core.Summary) {
-	r.unseal()
 	r.index[colsKey(c)] = len(r.entries)
-	r.entries = append(r.entries, entry{
-		cols:       c,
-		sum:        sum,
-		routeExact: "subspace" + c.String(),
-		routeCover: "cover" + c.String(),
-	})
-}
-
-// ExactOnlyAnswerer is the optional capability summaries implement to
-// tell the planner they answer queries only for the exact column sets
-// they were provisioned for (core.Registered's mask-exact lookup).
-// Such summaries are still exact-match targets but are skipped during
-// the covering scan, where they could only answer ErrUnsupported.
-type ExactOnlyAnswerer interface {
-	// ExactSubsetsOnly reports that strict subsets of the provisioned
-	// column sets are never answerable.
-	ExactSubsetsOnly() bool
+	r.entries = append(r.entries, entry{cols: c, sum: sum, route: "subspace" + c.String()})
 }
 
 // Match classifies how a planned target relates to the query's column
 // set.
 type Match uint8
 
-// The planner outcomes. Routing priority is exact → covering → full
-// (see Plan); MatchFull is the zero value so an unset Target reads as
-// the catch-all fallback.
+// The planner outcomes (see Plan); MatchFull is the zero value so an
+// unset Target reads as the catch-all fallback.
 const (
 	// MatchFull is the catch-all fallback: no registered subspace
-	// equals or covers the query.
+	// equals the query's C.
 	MatchFull Match = iota
 	// MatchExact is a subspace registered for exactly the query's C.
 	MatchExact
-	// MatchCovering is the cheapest subspace whose column set strictly
-	// contains the query's C.
-	MatchCovering
 )
 
 // String names the match class.
@@ -257,8 +224,6 @@ func (m Match) String() string {
 		return "full"
 	case MatchExact:
 		return "exact"
-	case MatchCovering:
-		return "covering"
 	default:
 		return fmt.Sprintf("Match(%d)", uint8(m))
 	}
@@ -283,17 +248,13 @@ type Target struct {
 	Cols words.ColumnSet
 	// Summary is the summary that should answer the query.
 	Summary core.Summary
-	// Route is a stable human-readable label ("full", "subspace{0,1}/8",
-	// "cover{0,1,2}/8") surfaced in query results and the daemon API.
+	// Route is a stable human-readable label ("full" or
+	// "subspace{0,1}/8") surfaced in query results and the daemon API.
 	Route string
 }
 
-// Plan routes the column set c: an exact-match subspace first, else
-// the cheapest covering subspace (fewest columns, then smallest
-// SizeBytes, then registration order), else the full summary. Planning
-// is deterministic for a registry that is no longer ingesting — which
-// is what the engine guarantees by planning only against immutable
-// merged snapshots. Degenerate sets (empty, or of a foreign
+// Plan routes the column set c to the subspace registered for exactly
+// c, else to the full summary. Degenerate sets (empty, or of a foreign
 // dimension) route to the full summary, whose validation produces the
 // caller-facing error.
 func (r *Registry) Plan(c words.ColumnSet) Target {
@@ -305,38 +266,7 @@ func (r *Registry) Plan(c words.ColumnSet) Target {
 	var kb [64]byte
 	if i, ok := r.index[string(c.AppendCanonicalKey(kb[:0]))]; ok {
 		e := &r.entries[i]
-		return Target{ID: i + 1, Match: MatchExact, Cols: e.cols, Summary: e.sum, Route: e.routeExact}
-	}
-	best := -1
-	bestSize := 0
-	for i := range r.entries {
-		e := &r.entries[i]
-		if !c.IsSubsetOf(e.cols) {
-			continue
-		}
-		// Summaries that only answer their exact registered sets
-		// (core.Registered) can never serve a covering route — probing
-		// them would be a guaranteed ErrUnsupported plus a catch-all
-		// re-evaluation.
-		if eo, ok := e.sum.(ExactOnlyAnswerer); ok && eo.ExactSubsetsOnly() {
-			continue
-		}
-		if best == -1 {
-			best, bestSize = i, r.entrySize(i)
-			continue
-		}
-		switch b := &r.entries[best]; {
-		case e.cols.Len() < b.cols.Len():
-			best, bestSize = i, r.entrySize(i)
-		case e.cols.Len() == b.cols.Len():
-			if sz := r.entrySize(i); sz < bestSize {
-				best, bestSize = i, sz
-			}
-		}
-	}
-	if best >= 0 {
-		e := &r.entries[best]
-		return Target{ID: best + 1, Match: MatchCovering, Cols: e.cols, Summary: e.sum, Route: e.routeCover}
+		return Target{ID: i + 1, Match: MatchExact, Cols: e.cols, Summary: e.sum, Route: e.route}
 	}
 	return r.fullTarget()
 }
@@ -365,7 +295,6 @@ func (r *Registry) Observe(w words.Word) {
 // ObserveBatch fans the whole batch out to the full summary and every
 // subspace summary, keeping all members over the identical stream.
 func (r *Registry) ObserveBatch(b *words.Batch) {
-	r.unseal()
 	r.full.ObserveBatch(b)
 	for i := range r.entries {
 		r.entries[i].sum.ObserveBatch(b)
@@ -382,57 +311,13 @@ func (r *Registry) Alphabet() int { return r.full.Alphabet() }
 // catch-all's count is the registry's.
 func (r *Registry) Rows() int64 { return r.full.Rows() }
 
-// SizeBytes totals the catch-all and every subspace summary. On a
-// sealed registry it returns the frozen total without walking the
-// members.
+// SizeBytes totals the catch-all and every subspace summary.
 func (r *Registry) SizeBytes() int {
-	if r.sealed {
-		return r.sealedTotal
-	}
 	total := r.full.SizeBytes()
 	for i := range r.entries {
 		total += r.entries[i].sum.SizeBytes()
 	}
 	return total
-}
-
-// Seal freezes the registry's size accounting for read-only use: the
-// per-entry and total SizeBytes are computed once and served from the
-// cache by SizeBytes and the planner's covering scan, so repeated
-// planning against an immutable snapshot never re-walks sketch state.
-// Sealing asserts nothing about the members themselves — any later
-// mutation (Observe, Merge, RegisterSubspace, ...) silently unseals
-// and correctness falls back to live walks. The engine seals each
-// epoch snapshot it publishes.
-func (r *Registry) Seal() {
-	sizes := make([]int, len(r.entries))
-	total := r.full.SizeBytes()
-	for i := range r.entries {
-		sizes[i] = r.entries[i].sum.SizeBytes()
-		total += sizes[i]
-	}
-	r.sealedSizes, r.sealedTotal, r.sealed = sizes, total, true
-}
-
-// Sealed reports whether size accounting is currently frozen (Seal
-// called with no mutation since).
-func (r *Registry) Sealed() bool { return r.sealed }
-
-// unseal drops the frozen size accounting; every mutating entry point
-// calls it so a stale seal can never misprice the planner.
-func (r *Registry) unseal() {
-	if r.sealed {
-		r.sealedSizes, r.sealedTotal, r.sealed = nil, 0, false
-	}
-}
-
-// entrySize is the planner's size oracle for entry i: the frozen value
-// when sealed, a live walk otherwise.
-func (r *Registry) entrySize(i int) int {
-	if r.sealed {
-		return r.sealedSizes[i]
-	}
-	return r.entries[i].sum.SizeBytes()
 }
 
 // Name identifies the registry; with no subspaces it is transparent
@@ -476,7 +361,6 @@ func (r *Registry) MergeTrusted(other core.Summary) error {
 }
 
 func (r *Registry) merge(other core.Summary, validate bool) error {
-	r.unseal()
 	o, ok := other.(*Registry)
 	if !ok {
 		if len(r.entries) > 0 {
@@ -577,7 +461,7 @@ func (r *Registry) unsupported(class string) error {
 
 // F0 answers a projected distinct-count query through the planner:
 // the serving summary is the exact-match subspace if one is
-// registered, else the cheapest covering subspace, else the catch-all.
+// registered, else the catch-all.
 func (r *Registry) F0(c words.ColumnSet) (float64, error) {
 	var v float64
 	err := r.answerVia(c, func(s core.Summary) error {

@@ -152,10 +152,12 @@ func TestPlanDecisionOrder(t *testing.T) {
 		match Match
 		id    int
 	}{
-		{"exact over covering", tight, MatchExact, 2},
+		{"exact wide", wide, MatchExact, 1},
+		{"exact tight", tight, MatchExact, 2},
 		{"exact pair", pair, MatchExact, 3},
-		{"tightest cover wins", words.MustColumnSet(testDim, 1, 2), MatchCovering, 2},
-		{"only wide covers", words.MustColumnSet(testDim, 2, 3), MatchCovering, 1},
+		{"strict subset of two entries routes full", words.MustColumnSet(testDim, 1, 2), MatchFull, 0},
+		{"strict subset of one entry routes full", words.MustColumnSet(testDim, 2, 3), MatchFull, 0},
+		{"strict superset routes full", words.MustColumnSet(testDim, 0, 1, 2, 3, 4), MatchFull, 0},
 		{"uncovered falls through", words.MustColumnSet(testDim, 6, 7), MatchFull, 0},
 		{"partial overlap is not coverage", words.MustColumnSet(testDim, 0, 7), MatchFull, 0},
 		{"empty set routes full", words.ColumnSet{}, MatchFull, 0},
@@ -166,35 +168,26 @@ func TestPlanDecisionOrder(t *testing.T) {
 		if got.Match != tc.match || got.ID != tc.id {
 			t.Errorf("%s: planned %v/ID %d, want %v/ID %d", tc.name, got.Match, got.ID, tc.match, tc.id)
 		}
+		wantRoute := RouteFull
+		if tc.match == MatchExact {
+			wantRoute = "subspace" + tc.c.String()
+		}
+		if got.Route != wantRoute {
+			t.Errorf("%s: route %q, want %q", tc.name, got.Route, wantRoute)
+		}
 	}
-	// Equal-width covers tie-break on size, then registration order:
-	// the bounded sampler stays far smaller than 200 retained exact
-	// rows, so it wins the {4,5} cover despite registering first.
-	small, err := core.NewSample(testDim, testQ, 16, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterSubspace(words.MustColumnSet(testDim, 4, 5, 6), small); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterSubspace(words.MustColumnSet(testDim, 4, 5, 7), newExact(t)); err != nil {
-		t.Fatal(err)
-	}
-	// Exact-only summaries (core.Registered) are skipped by the
-	// covering scan — they could only answer ErrUnsupported there —
-	// but still serve their exact set.
-	exactOnly := words.MustColumnSet(testDim, 4, 5)
-	if err := reg.RegisterSubspace(exactOnly, newRegisteredFor(t, exactOnly)); err != nil {
+	// Any summary kind serves exactly its own set: a core.Registered
+	// entry wins {4,5}, and {4} still goes to the catch-all.
+	sketched := words.MustColumnSet(testDim, 4, 5)
+	if err := reg.RegisterSubspace(sketched, newRegisteredFor(t, sketched)); err != nil {
 		t.Fatal(err)
 	}
 	testRows(200, reg)
-	got := reg.Plan(words.MustColumnSet(testDim, 4, 5))
-	if got.Match != MatchExact || got.ID != 6 {
-		t.Fatalf("exact-only entry must still win its exact set: %v/ID %d", got.Match, got.ID)
+	if got := reg.Plan(sketched); got.Match != MatchExact || got.ID != 4 {
+		t.Fatalf("registered entry must win its exact set: %v/ID %d", got.Match, got.ID)
 	}
-	got = reg.Plan(words.MustColumnSet(testDim, 4))
-	if got.Match != MatchCovering || got.ID != 4 {
-		t.Fatalf("size tie-break: planned %v/ID %d, want covering/ID 4 (the sampler is smaller than 200 exact rows, and the exact-only {4,5} entry is skipped)", got.Match, got.ID)
+	if got := reg.Plan(words.MustColumnSet(testDim, 4)); got.Match != MatchFull || got.ID != 0 {
+		t.Fatalf("strict subset of a registered set: planned %v/ID %d, want full", got.Match, got.ID)
 	}
 }
 
@@ -205,8 +198,8 @@ func TestRoutedAnswersMatchDirectOnes(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot := words.MustColumnSet(testDim, 0, 1, 2)
-	mirror := newExact(t) // same-kind subspace: answers must be bit-identical
-	if err := reg.RegisterSubspace(hot, mirror); err != nil {
+	sameKind := newExact(t) // answers must be bit-identical
+	if err := reg.RegisterSubspace(hot, sameKind); err != nil {
 		t.Fatal(err)
 	}
 	sketched := words.MustColumnSet(testDim, 3, 4)
@@ -345,7 +338,7 @@ func TestMergeIsAtomicAcrossMembers(t *testing.T) {
 }
 
 // buildWireRegistry assembles a registry with one sketch-backed and
-// one mirror subspace and streams rows through it.
+// one exact subspace and streams rows through it.
 func buildWireRegistry(t *testing.T, rows int) *Registry {
 	t.Helper()
 	reg, err := New(newExact(t))

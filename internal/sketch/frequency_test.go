@@ -29,84 +29,6 @@ func feedFreq(s FrequencyEstimator, freqs map[uint64]int64) (n int64) {
 	return
 }
 
-func TestCountMinGuarantee(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		freqs := zipfStream(2000, 100000, 11)
-		s := CountMinForError(0.01, 0.01, 21, conservative)
-		n := feedFreq(s, freqs)
-		bound := 0.01 * float64(n)
-		for item, truth := range freqs {
-			est := s.EstimateCount(item)
-			if est < float64(truth) {
-				t.Fatalf("CountMin(conservative=%v) underestimated: %v < %d", conservative, est, truth)
-			}
-			if est-float64(truth) > bound {
-				t.Fatalf("CountMin(conservative=%v) overshoot %v for truth %d (bound %v)",
-					conservative, est-float64(truth), truth, bound)
-			}
-		}
-	}
-}
-
-func TestCountMinConservativeNoWorse(t *testing.T) {
-	freqs := zipfStream(500, 50000, 13)
-	plain := NewCountMin(200, 4, 7, false)
-	cons := NewCountMin(200, 4, 7, true)
-	// Feed as singleton updates so conservative update has bite.
-	for item, c := range freqs {
-		for i := int64(0); i < c; i++ {
-			plain.AddCount(item, 1)
-			cons.AddCount(item, 1)
-		}
-	}
-	for item := range freqs {
-		if cons.EstimateCount(item) > plain.EstimateCount(item)+1e-9 {
-			t.Fatal("conservative update must never exceed the plain estimate")
-		}
-	}
-}
-
-func TestCountMinMerge(t *testing.T) {
-	freqs := zipfStream(300, 30000, 17)
-	a := NewCountMin(300, 4, 3, false)
-	b := NewCountMin(300, 4, 3, false)
-	whole := NewCountMin(300, 4, 3, false)
-	i := 0
-	for item, c := range freqs {
-		whole.AddCount(item, c)
-		if i%2 == 0 {
-			a.AddCount(item, c)
-		} else {
-			b.AddCount(item, c)
-		}
-		i++
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total() != whole.Total() {
-		t.Fatalf("merged total %d != %d", a.Total(), whole.Total())
-	}
-	for item := range freqs {
-		if a.EstimateCount(item) != whole.EstimateCount(item) {
-			t.Fatal("merge must equal whole-stream sketch")
-		}
-	}
-	// Conservative sketches must refuse to merge.
-	if err := NewCountMin(10, 2, 1, true).Merge(NewCountMin(10, 2, 1, true)); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("conservative merge: %v", err)
-	}
-}
-
-func TestCountMinPanicsOnNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCountMin(8, 2, 1, false).AddCount(1, 0)
-}
-
 func TestCountSketchPointEstimates(t *testing.T) {
 	freqs := zipfStream(2000, 100000, 19)
 	s := CountSketchForError(0.02, 0.01, 23)
@@ -188,26 +110,21 @@ func TestAMSMerge(t *testing.T) {
 
 func TestFreqSerializationRoundTrip(t *testing.T) {
 	f := func(seed uint64, items []uint64) bool {
-		cm := NewCountMin(64, 3, seed, false)
 		cs := NewCountSketch(64, 3, seed)
 		ams := NewAMS(3, 8, seed)
 		for _, it := range items {
-			cm.AddCount(it, 2)
 			cs.AddCount(it, 2)
 			ams.AddCount(it, 2)
 		}
-		cmB, _ := cm.MarshalBinary()
 		csB, _ := cs.MarshalBinary()
 		amsB, _ := ams.MarshalBinary()
-		var cm2 CountMin
 		var cs2 CountSketch
 		var ams2 AMS
-		if cm2.UnmarshalBinary(cmB) != nil || cs2.UnmarshalBinary(csB) != nil || ams2.UnmarshalBinary(amsB) != nil {
+		if cs2.UnmarshalBinary(csB) != nil || ams2.UnmarshalBinary(amsB) != nil {
 			return false
 		}
 		probe := uint64(12345)
-		return cm2.EstimateCount(probe) == cm.EstimateCount(probe) &&
-			cs2.EstimateCount(probe) == cs.EstimateCount(probe) &&
+		return cs2.EstimateCount(probe) == cs.EstimateCount(probe) &&
 			ams2.EstimateMoment() == ams.EstimateMoment()
 	}
 	cfg := &quick.Config{MaxCount: 25}
@@ -217,7 +134,7 @@ func TestFreqSerializationRoundTrip(t *testing.T) {
 }
 
 func TestFreqUnmarshalCorrupt(t *testing.T) {
-	for _, s := range []interface{ UnmarshalBinary([]byte) error }{&CountMin{}, &CountSketch{}, &AMS{}} {
+	for _, s := range []interface{ UnmarshalBinary([]byte) error }{&CountSketch{}, &AMS{}} {
 		if err := s.UnmarshalBinary([]byte{0x00}); err == nil {
 			t.Fatalf("%T must reject corrupt data", s)
 		}

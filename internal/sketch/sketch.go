@@ -1,7 +1,7 @@
 // Package sketch implements the streaming summaries the paper's upper
 // bounds consume: (1±ε) distinct-count sketches (KMV, HyperLogLog,
 // BJKST) standing in for the optimal F0 sketch of [11] referenced in
-// Section 6, point-frequency sketches (CountMin, CountSketch), and
+// Section 6, a point-frequency sketch (CountSketch), and
 // frequency-moment sketches (fast-AMS F2, Indyk p-stable F_p for
 // 0 < p ≤ 2). Every sketch is deterministic given its seed, mergeable
 // where the algorithm admits it, and binary-serializable so the
@@ -70,7 +70,7 @@ const (
 	tagKMV uint8 = iota + 1
 	tagHLL
 	tagBJKST
-	tagCountMin
+	_ // retired CountMin; its byte stays reserved so later tags keep theirs
 	tagCountSketch
 	tagAMS
 	tagStable

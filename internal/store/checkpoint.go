@@ -57,7 +57,7 @@ type SubspaceMeta struct {
 	// Mask is the registered column set as a bitmask (words.ColumnSet.Mask).
 	Mask uint64
 	// Summary is the provisioning kind string the daemon's subspace
-	// builder understands ("mirror", "registered", …).
+	// builder understands ("registered"; the daemon refuses any other).
 	Summary string
 }
 

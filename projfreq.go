@@ -213,13 +213,12 @@ func NewShardedSummary(factory SummaryFactory, cfg ShardedConfig) (*ShardedSumma
 type (
 	// SubspaceRegistry holds a catch-all full-dimension summary plus
 	// any number of per-columnset subspace summaries, and routes each
-	// projection query to the cheapest one able to serve it
-	// (exact-match subspace → cheapest covering subspace → full
-	// fallback). It implements Summary, Mergeable, the batched query
-	// interfaces, and the wire codec, so it drops in anywhere a
-	// summary does — including as the per-shard summary of
-	// NewShardedSummary, whose RegisterSubspace method is the engine
-	// form of the same registration.
+	// projection query to the subspace registered for exactly its
+	// column set, else to the catch-all. It implements Summary,
+	// Mergeable, the batched query interfaces, and the wire codec, so
+	// it drops in anywhere a summary does. ShardedSummary's
+	// RegisterSubspace method is the engine form of the same
+	// registration.
 	SubspaceRegistry = registry.Registry
 	// SubspaceInfo describes one subspace registered on a sharded
 	// engine (ShardedSummary.Subspaces).
