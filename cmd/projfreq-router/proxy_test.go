@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -60,6 +61,59 @@ func TestProxyPassesConditionalGetThrough(t *testing.T) {
 	if resp.Header.Get("X-Routed-To") != agg.URL {
 		t.Fatalf("304 X-Routed-To = %q", resp.Header.Get("X-Routed-To"))
 	}
+}
+
+// TestProxyForwardsLongPoll pins the long-poll hop: the router must
+// forward the query string (?wait=) and If-None-Match, or a held pull
+// through it would degrade into back-to-back 304s, and must cancel the
+// upstream request when its own caller leaves, or a hold would outlive
+// the client that asked for it.
+func TestProxyForwardsLongPoll(t *testing.T) {
+	type seen struct{ wait, inm string }
+	got := make(chan seen, 1)
+	cancelled := make(chan struct{})
+	agg := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got <- seen{r.URL.Query().Get("wait"), r.Header.Get("If-None-Match")}
+		select {
+		case <-r.Context().Done():
+			close(cancelled)
+		case <-time.After(10 * time.Second):
+		}
+		w.WriteHeader(http.StatusNotModified)
+	}))
+	t.Cleanup(agg.Close)
+	ing := httptest.NewServer((&fakeIngest{}).handler())
+	t.Cleanup(ing.Close)
+	r := newTestRouter(t, []string{ing.URL}, []string{agg.URL}, router.Config{Timeout: 20 * time.Second})
+	rs := httptest.NewServer(r)
+	t.Cleanup(rs.Close)
+
+	ctx, leave := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, rs.URL+"/v1/summary?wait=5s", nil)
+	req.Header.Set("If-None-Match", `"pfqs-1"`)
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	select {
+	case s := <-got:
+		if s.wait != "5s" || s.inm != `"pfqs-1"` {
+			t.Fatalf("aggregator saw wait=%q If-None-Match=%q", s.wait, s.inm)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the request never reached the aggregator")
+	}
+	leave()
+	select {
+	case <-cancelled:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the upstream hold outlived the caller")
+	}
+	<-errc
 }
 
 // TestProxyDoesNotLeakOnMidStreamFailure hammers the proxy against an

@@ -437,3 +437,41 @@ func TestWideDaemonSubspaceRegistration(t *testing.T) {
 		}
 	}
 }
+
+// TestSIGTERMReleasesHeldSummaryGET: a /v1/summary long-poll must not
+// hold up shutdown. Serve releases every hold as its drain starts, so
+// a daemon with a 30s hold in flight exits on SIGTERM at once, and the
+// held client gets its answer (304: nothing changed) instead of a
+// severed connection.
+func TestSIGTERMReleasesHeldSummaryGET(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a real daemon process")
+	}
+	daemon := clustertest.NewNode(t, "projfreqd", filepath.Join(clustertest.EnsureBinaries(t), "projfreqd"),
+		"-summary", "exact", "-d", "4", "-q", "3", "-shards", "2")
+	daemon.Start(t)
+	resp, err := http.Get(daemon.URL() + "/v1/summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	req, _ := http.NewRequest(http.MethodGet, daemon.URL()+"/v1/summary?wait=30s", nil)
+	req.Header.Set("If-None-Match", resp.Header.Get("ETag"))
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	time.Sleep(100 * time.Millisecond) // let the GET reach its hold
+	if took := daemon.Term(t, 5*time.Second); took > 2*time.Second {
+		t.Fatalf("SIGTERM with a 30s hold in flight took %v to exit", took)
+	}
+	if got := <-status; got != http.StatusNotModified {
+		t.Fatalf("the held GET answered %d, want 304", got)
+	}
+}

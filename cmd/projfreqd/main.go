@@ -45,7 +45,7 @@ func run() error {
 	flag.StringVar(&cfg.Fsync, "fsync", "interval", "WAL fsync policy: always | interval | never")
 	flag.Int64Var(&cfg.CheckpointRows, "checkpoint-rows", 1<<20, "checkpoint after this many new rows (0 disables the row trigger)")
 	flag.DurationVar(&cfg.CheckpointInterval, "checkpoint-interval", 5*time.Minute, "checkpoint at least this often while data arrives (0 disables the timer)")
-	flag.DurationVar(&cfg.PullInterval, "pull-interval", time.Second, "anti-entropy pull cadence (aggregator only)")
+	flag.DurationVar(&cfg.PullInterval, "pull-interval", time.Second, "longest hold of an unchanged pull, and back-off after a failed one (aggregator only)")
 	flag.DurationVar(&cfg.PullTimeout, "pull-timeout", 10*time.Second, "per-pull HTTP timeout (aggregator pulls and admin hand-offs)")
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")

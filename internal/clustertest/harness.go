@@ -237,6 +237,27 @@ func (n *Node) Kill(t *testing.T) {
 	n.waitC = nil
 }
 
+// Term sends SIGTERM — an operator's shutdown — and returns how long
+// the process took to exit, failing after timeout.
+func (n *Node) Term(t *testing.T, timeout time.Duration) time.Duration {
+	t.Helper()
+	if n.cmd == nil {
+		t.Fatalf("node %s not running", n.Name)
+	}
+	start := time.Now()
+	if err := n.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("terminating %s: %v", n.Name, err)
+	}
+	select {
+	case <-n.waitC:
+	case <-time.After(timeout):
+		t.Fatalf("node %s still running %v after SIGTERM (log: %s)", n.Name, timeout, n.logDir)
+	}
+	n.cmd = nil
+	n.waitC = nil
+	return time.Since(start)
+}
+
 // Stop terminates the process if it is still running (cleanup path;
 // errors ignored).
 func (n *Node) Stop() {
@@ -280,7 +301,7 @@ type Config struct {
 	Alphabet     int
 	Seed         uint64
 	Summary      string        // daemon -summary; default "exact"
-	PullInterval time.Duration // aggregator cadence; default 100ms
+	PullInterval time.Duration // aggregator -pull-interval (longest hold); default 100ms
 	// Faults fronts every ingest node with a fault proxy; the ring's
 	// node set becomes the proxy URLs.
 	Faults bool

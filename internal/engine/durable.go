@@ -187,7 +187,7 @@ func (s *Sharded) Restore(st CheckpointState) error {
 	s.next.Store(st.Next)
 	s.enqueued.Store(st.Rows)
 	s.absorbs = st.Absorbs
-	s.cur.Store(nil)
+	s.invalidateLocked()
 	return nil
 }
 

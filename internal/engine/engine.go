@@ -29,6 +29,8 @@
 // workers, so a summary that builds state per column set (core.Exact's
 // memoized frequency vector) builds it once per epoch — that memo, not
 // the engine, is what makes a repeated question cheap.
+// AwaitChange blocks until the epoch a caller last saw would no longer
+// be served — the change signal behind the daemon's held summary GET.
 //
 // # Subspaces
 //
@@ -45,6 +47,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -192,6 +195,14 @@ type Sharded struct {
 	// epochSeq (also under mu) numbers the builds.
 	cur      atomic.Pointer[epoch]
 	epochSeq uint64
+
+	// waiters counts AwaitChange callers, and changed is the channel
+	// they block on: wake closes it (and clears it for the next waiter)
+	// under changeMu. While no one waits, a routed batch pays one load
+	// of waiters and nothing else.
+	waiters  atomic.Int32
+	changeMu sync.Mutex
+	changed  chan struct{}
 }
 
 // epoch is one published read snapshot: the merged registry and the
@@ -390,6 +401,55 @@ func (s *Sharded) routeBatch(b *words.Batch) {
 		s.chans[i] <- shardMsg{chunk: ch}
 		s.enqueued.Add(int64(hi - lo))
 	}
+	s.wake()
+}
+
+// wake releases every AwaitChange caller so each re-checks its epoch.
+// It runs after each change to the accepted-rows clock or the serving
+// epoch, and costs one atomic load when no one waits.
+func (s *Sharded) wake() {
+	if s.waiters.Load() == 0 {
+		return
+	}
+	s.changeMu.Lock()
+	if s.changed != nil {
+		close(s.changed)
+		s.changed = nil
+	}
+	s.changeMu.Unlock()
+}
+
+// AwaitChange blocks until the epoch numbered seq would no longer be
+// served — no epoch is published, a different one is, or rows were
+// accepted past its cut — and then returns nil at once; if ctx ends
+// first it returns ctx.Err(). A caller that saw epoch seq (through
+// SnapshotInfo) uses it to wait for the next answer to differ instead
+// of polling.
+//
+// Waking is ordered against the change it signals: a writer bumps the
+// row clock (or stores the epoch) before it reads the waiter count,
+// and a waiter counts itself and takes the channel before it reads the
+// clock, so either the writer sees the waiter and closes its channel
+// or the waiter sees the change.
+func (s *Sharded) AwaitChange(ctx context.Context, seq uint64) error {
+	s.waiters.Add(1)
+	defer s.waiters.Add(-1)
+	for {
+		s.changeMu.Lock()
+		if s.changed == nil {
+			s.changed = make(chan struct{})
+		}
+		ch := s.changed
+		s.changeMu.Unlock()
+		if e := s.cur.Load(); e == nil || e.seq != seq || e.rows != s.enqueued.Load() {
+			return nil
+		}
+		select {
+		case <-ch:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
 }
 
 // quiesce pauses every worker at a channel barrier (all previously
@@ -524,7 +584,15 @@ func (s *Sharded) publishLocked(merged *registry.Registry, accepted int64, size 
 		srcRows: srcRows,
 	}
 	s.cur.Store(e)
+	s.wake()
 	return e
+}
+
+// invalidateLocked drops the serving epoch, so the next read rebuilds
+// it, and wakes AwaitChange callers; callers hold mu.
+func (s *Sharded) invalidateLocked() {
+	s.cur.Store(nil)
+	s.wake()
 }
 
 // Snapshot returns the merged view of all shards from the serving
@@ -705,7 +773,7 @@ func (s *Sharded) absorb(sum core.Summary, tee bool) error {
 	// self-reported row count to advance the freshness clock: a blob
 	// may carry sketch state with rows = 0, which would otherwise
 	// leave a prior epoch looking fresh.
-	s.cur.Store(nil)
+	s.invalidateLocked()
 	if teeErr != nil {
 		return fmt.Errorf("engine: logging absorb: %w", teeErr)
 	}
@@ -754,7 +822,7 @@ func (s *Sharded) AbsorbSource(name string, sum core.Summary) error {
 	// registerSubspaceLocked), and the epoch drops outright so the new
 	// source state can never be hidden behind a fresh-looking epoch.
 	s.absorbs++
-	s.cur.Store(nil)
+	s.invalidateLocked()
 	return nil
 }
 
@@ -776,7 +844,7 @@ func (s *Sharded) RemoveSource(name string) bool {
 	// bump the absorb clock (it versions state, not a direction) and
 	// drop the epoch so no reader sees the removed source again.
 	s.absorbs++
-	s.cur.Store(nil)
+	s.invalidateLocked()
 	return true
 }
 
@@ -912,7 +980,7 @@ func (s *Sharded) registerSubspaceLocked(c words.ColumnSet, sub Factory) error {
 	}
 	s.subs = append(s.subs, subspaceSpec{cols: c, factory: sub})
 	// The next epoch must carry the new registry structure.
-	s.cur.Store(nil)
+	s.invalidateLocked()
 	return nil
 }
 

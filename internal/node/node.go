@@ -83,7 +83,7 @@ type Config struct {
 	CheckpointInterval time.Duration // -checkpoint-interval (0 disables the timer)
 
 	PullFrom     []string      // -pull-from: ingest-node base URLs; non-empty makes an aggregator
-	PullInterval time.Duration // -pull-interval
+	PullInterval time.Duration // -pull-interval: longest hold of an unchanged pull, and back-off after a failed one
 	PullTimeout  time.Duration // -pull-timeout: per pull and per admin hand-off
 }
 
@@ -129,7 +129,10 @@ type Node struct {
 	handoffMu sync.Mutex
 	handoffs  map[string]cluster.SourceStats
 
-	// stop ends the checkpointer and the puller; wg waits for them.
+	// ctx is the node's lifetime: stop cancels it, which ends the
+	// checkpointer, the puller and every held /v1/summary GET; wg waits
+	// for the first two.
+	ctx       context.Context
 	stop      context.CancelFunc
 	wg        sync.WaitGroup
 	closeOnce sync.Once
@@ -149,6 +152,12 @@ func New(cfg Config) (*Node, error) {
 		// operator noticed. Re-pulling after a restart is the recovery
 		// path; refuse the combination instead of half-honoring it.
 		return nil, errors.New("-pull-from and -data-dir are mutually exclusive: aggregator state is re-pulled on restart, not recovered from disk")
+	}
+	if len(cfg.PullFrom) > 0 && (cfg.PullInterval <= 0 || cfg.PullTimeout > 0 && cfg.PullInterval >= cfg.PullTimeout) {
+		// A source holds an unchanged pull for up to -pull-interval, so
+		// the client must wait longer than that or every idle hold ends
+		// as a timeout error.
+		return nil, fmt.Errorf("-pull-interval %v must be positive and below -pull-timeout %v: an unchanged pull is held for up to -pull-interval", cfg.PullInterval, cfg.PullTimeout)
 	}
 	var wal *store.Store
 	if cfg.DataDir != "" {
@@ -212,25 +221,25 @@ func New(cfg Config) (*Node, error) {
 	n.mux.HandleFunc("POST /v1/admin/handoff", n.handleAdminHandoff)
 	n.mux.HandleFunc("POST /v1/admin/sources", n.handleAdminSources)
 
-	ctx, stop := context.WithCancel(context.Background())
-	n.stop = stop
+	n.ctx, n.stop = context.WithCancel(context.Background())
 	if wal != nil {
 		n.wg.Add(1)
-		go func() { defer n.wg.Done(); n.checkpointLoop(ctx) }()
+		go func() { defer n.wg.Done(); n.checkpointLoop(n.ctx) }()
 	}
 	if n.puller != nil {
 		n.wg.Add(1)
-		go func() { defer n.wg.Done(); n.puller.Run(ctx, cfg.PullInterval) }()
-		log.Printf("projfreqd: aggregator pulling from %v every %v", n.puller.Sources(), cfg.PullInterval)
+		go func() { defer n.wg.Done(); n.puller.Run(n.ctx, cfg.PullInterval) }()
+		log.Printf("projfreqd: aggregator long-polling %v (holds of up to %v)", n.puller.Sources(), cfg.PullInterval)
 	}
 	return n, nil
 }
 
-// Close stops the checkpointer and the puller, cuts a final checkpoint
-// (when durable), closes the store, then stops the engine. Callers stop
-// sending requests first — Serve drains the HTTP server before calling
-// it — because handlers call into the engine, and Sharded.Close must
-// not run concurrently with ObserveBatch. Close is idempotent.
+// Close stops the checkpointer and the puller and releases every held
+// summary GET, cuts a final checkpoint (when durable), closes the
+// store, then stops the engine. Callers stop sending requests first —
+// Serve drains the HTTP server before calling it — because handlers
+// call into the engine, and Sharded.Close must not run concurrently
+// with ObserveBatch. Close is idempotent.
 func (n *Node) Close() error {
 	n.closeOnce.Do(func() {
 		n.stop()
@@ -446,7 +455,22 @@ func etagMatch(header, tag string) bool {
 	return false
 }
 
+// handleSummary exports the serving epoch's blob. A conditional GET
+// with ?wait=<duration> whose If-None-Match names the current epoch is
+// held — long-polled — until the epoch moves, the wait runs out, the
+// client leaves or the node closes, and then answered against the
+// epoch as it stands: 200 with the new blob, or 304. Every answer says
+// how long it was held in a "Server-Timing: hold;dur=<ms>" header, so a
+// client can tell the source's hold from its own cost.
 func (n *Node) handleSummary(w http.ResponseWriter, r *http.Request) {
+	var wait time.Duration
+	if q := r.URL.Query(); q.Has("wait") {
+		var err error
+		if wait, err = time.ParseDuration(q.Get("wait")); err != nil || wait < 0 {
+			HTTPError(w, http.StatusBadRequest, fmt.Errorf("wait=%q: want a non-negative duration such as 500ms", q.Get("wait")))
+			return
+		}
+	}
 	// Resolving the epoch is the cheap part (lock-free while the
 	// serving epoch is current); the conditional probe then runs
 	// before the expensive marshal, so a repeat GET with no new epoch
@@ -457,10 +481,23 @@ func (n *Node) handleSummary(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	tag := n.summaryETag(info.Seq)
+	inm := r.Header.Get("If-None-Match")
+	var hold time.Duration
+	if wait > 0 && inm != "" && etagMatch(inm, tag) {
+		start := time.Now()
+		n.hold(r.Context(), info.Seq, wait)
+		hold = time.Since(start)
+		if snap, info, err = n.eng.SnapshotInfo(); err != nil {
+			HTTPError(w, http.StatusInternalServerError, err)
+			return
+		}
+		tag = n.summaryETag(info.Seq)
+	}
+	w.Header().Set("Server-Timing", fmt.Sprintf("hold;dur=%.3f", float64(hold)/float64(time.Millisecond)))
 	w.Header().Set("ETag", tag)
 	w.Header().Set("X-Epoch-Rows", fmt.Sprint(info.Rows))
 	w.Header().Set("X-Epoch-Staleness-Rows", fmt.Sprint(info.StalenessRows))
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, tag) {
+	if inm != "" && etagMatch(inm, tag) {
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
@@ -472,6 +509,15 @@ func (n *Node) handleSummary(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", fmt.Sprint(len(blob)))
 	_, _ = w.Write(blob)
+}
+
+// hold blocks until epoch seq stops being served, wait elapses, ctx
+// ends or the node closes, whichever comes first.
+func (n *Node) hold(ctx context.Context, seq uint64, wait time.Duration) {
+	ctx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
+	defer context.AfterFunc(n.ctx, cancel)()
+	_ = n.eng.AwaitChange(ctx, seq)
 }
 
 // Subspace is one registered subspace in the /v1/subspaces listing.

@@ -236,3 +236,138 @@ func TestRecoveryRefusesRetiredSubspaceKind(t *testing.T) {
 		})
 	}
 }
+
+// TestPullIntervalMustBeBelowTimeout: an aggregator's source holds an
+// unchanged pull for up to -pull-interval, so an interval at or above
+// -pull-timeout would end every idle hold as a client timeout. New
+// refuses it, naming both flags.
+func TestPullIntervalMustBeBelowTimeout(t *testing.T) {
+	for _, iv := range []time.Duration{time.Second, 2 * time.Second, 0} {
+		cfg := Config{Summary: "exact", D: 4, Q: 3, Eps: 0.05, Seed: 1, Shards: 1,
+			PullFrom: []string{"http://127.0.0.1:1"}, PullInterval: iv, PullTimeout: time.Second}
+		n, err := New(cfg)
+		if err == nil {
+			n.Close()
+			t.Fatalf("-pull-interval %v with -pull-timeout 1s booted", iv)
+		}
+		if !strings.Contains(err.Error(), "-pull-interval") || !strings.Contains(err.Error(), "-pull-timeout") {
+			t.Fatalf("-pull-interval %v refused with %q", iv, err)
+		}
+	}
+}
+
+// getSummary sends one GET /v1/summary with the given If-None-Match
+// and raw query, and returns the response (body drained and closed)
+// and its round trip.
+func getSummary(t *testing.T, url, etag, query string) (*http.Response, time.Duration) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url+"/v1/summary"+query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if etag != "" {
+		req.Header.Set("If-None-Match", etag)
+	}
+	start := time.Now()
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return resp, time.Since(start)
+}
+
+// TestSummaryHold pins the long-poll contract of GET /v1/summary: a
+// conditional GET with ?wait= whose tag is current is held until the
+// epoch moves (200 with the new blob) or the wait runs out (304), every
+// answer reports its hold in Server-Timing, Close releases a hold at
+// once, and a bad wait is refused naming the parameter.
+func TestSummaryHold(t *testing.T) {
+	cfg := Config{Summary: "exact", D: 4, Q: 3, Eps: 0.05, Seed: 1, Shards: 2}
+	ts, _ := serve(t, cfg)
+	cold, _ := getSummary(t, ts.URL, "", "")
+	tag := cold.Header.Get("ETag")
+	if cold.StatusCode != http.StatusOK || tag == "" || cold.Header.Get("Server-Timing") != "hold;dur=0.000" {
+		t.Fatalf("cold GET: %d, ETag %q, Server-Timing %q", cold.StatusCode, tag, cold.Header.Get("Server-Timing"))
+	}
+
+	t.Run("expires", func(t *testing.T) {
+		resp, took := getSummary(t, ts.URL, tag, "?wait=100ms")
+		if resp.StatusCode != http.StatusNotModified || took < 100*time.Millisecond {
+			t.Fatalf("idle hold answered %d after %v, want 304 after >= 100ms", resp.StatusCode, took)
+		}
+		if st := resp.Header.Get("Server-Timing"); !strings.HasPrefix(st, "hold;dur=") || st == "hold;dur=0.000" {
+			t.Fatalf("held 304 carries Server-Timing %q", st)
+		}
+	})
+
+	t.Run("wakes", func(t *testing.T) {
+		posted := make(chan time.Time, 1)
+		go func() {
+			time.Sleep(50 * time.Millisecond)
+			resp, err := http.Post(ts.URL+"/v1/observe", "application/json", strings.NewReader(`{"rows": [[0, 1, 2, 0]]}`))
+			if err != nil || resp.StatusCode != http.StatusOK {
+				t.Errorf("observe: %v %v", resp, err)
+			}
+			if err == nil {
+				resp.Body.Close()
+			}
+			posted <- time.Now()
+		}()
+		resp, _ := getSummary(t, ts.URL, tag, "?wait=2s")
+		answered := time.Now()
+		at := <-posted
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == tag {
+			t.Fatalf("held GET answered %d with ETag %q after a POST", resp.StatusCode, resp.Header.Get("ETag"))
+		}
+		if lag := answered.Sub(at); lag > 100*time.Millisecond {
+			t.Fatalf("held GET answered %v after the POST, want < 100ms", lag)
+		}
+		tag = resp.Header.Get("ETag")
+	})
+
+	t.Run("bad wait", func(t *testing.T) {
+		for _, q := range []string{"?wait=soon", "?wait=-1s", "?wait="} {
+			resp, err := http.Get(ts.URL + "/v1/summary" + q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "wait") {
+				t.Fatalf("%s: %d %s", q, resp.StatusCode, body)
+			}
+		}
+	})
+
+	t.Run("close releases", func(t *testing.T) {
+		n, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(n)
+		defer ts.Close()
+		cold, _ := getSummary(t, ts.URL, "", "")
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/summary?wait=10s", nil)
+		req.Header.Set("If-None-Match", cold.Header.Get("ETag"))
+		done := make(chan time.Duration, 1)
+		go func() {
+			start := time.Now()
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+			done <- time.Since(start)
+		}()
+		time.Sleep(50 * time.Millisecond)
+		n.Close()
+		select {
+		case took := <-done:
+			if took >= time.Second {
+				t.Fatalf("Close released the hold after %v", took)
+			}
+		case <-time.After(time.Second):
+			t.Fatal("Close did not release a 10s hold within 1s")
+		}
+	})
+}

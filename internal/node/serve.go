@@ -46,6 +46,11 @@ func Serve(name, addr, portfile string, h http.Handler, c io.Closer) error {
 		ReadTimeout:       5 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
+	if n, ok := c.(*Node); ok {
+		// A held /v1/summary GET ends with the node's context. Cancel
+		// it as the drain starts, or Shutdown would wait out every hold.
+		srv.RegisterOnShutdown(n.stop)
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -373,9 +373,12 @@ func (r *Router) postObserve(to string, part *words.Batch) deliverResult {
 
 // proxyToAggregator forwards a read (/v1/query, /v1/summary) to an
 // aggregator in health order — healthy ones first, ejected ones as a
-// last resort — failing over on transport errors. Upstream HTTP
+// last resort — failing over on transport errors. The query string
+// (a summary long-poll's ?wait=) and the caller's context go with it,
+// so a held upstream GET ends when the caller leaves. Upstream HTTP
 // statuses (including 304 for conditional summary GETs) pass through
-// verbatim; every outcome feeds the health tracker.
+// verbatim; every outcome but the caller's own departure feeds the
+// health tracker.
 func (r *Router) proxyToAggregator(w http.ResponseWriter, req *http.Request) {
 	body, err := io.ReadAll(req.Body)
 	if err != nil {
@@ -384,7 +387,7 @@ func (r *Router) proxyToAggregator(w http.ResponseWriter, req *http.Request) {
 	}
 	var lastErr error
 	for _, agg := range r.health.pick() {
-		out, err := http.NewRequest(req.Method, agg+req.URL.Path, bytes.NewReader(body))
+		out, err := http.NewRequestWithContext(req.Context(), req.Method, agg+req.URL.RequestURI(), bytes.NewReader(body))
 		if err != nil {
 			lastErr = err
 			continue
@@ -397,6 +400,9 @@ func (r *Router) proxyToAggregator(w http.ResponseWriter, req *http.Request) {
 			}
 		}
 		resp, err := r.client.Do(out)
+		if err != nil && req.Context().Err() != nil {
+			return // the caller left; the aggregator is not at fault
+		}
 		if err != nil {
 			lastErr = err
 			r.count(agg, true)
