@@ -390,6 +390,38 @@ func BenchmarkExactF0Query(b *testing.B) {
 	}
 }
 
+// BenchmarkExactWire times the exact summary's wire codec at the
+// exact-coldquery workload's final shape: 237,568 rows of d = 16 over
+// [4] (a 7.6 MB blob), encoded and decoded once per iteration.
+func BenchmarkExactWire(b *testing.B) {
+	const d, q, rows = 16, 4, 237_568
+	ex, err := core.NewExact(d, q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ex.ObserveBatch(words.Collect(workload.ZipfPatterns(d, q, rows, 4096, 1.1, 1), -1).Batch())
+	blob, err := ex.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("marshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ex.MarshalBinary(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("unmarshal", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.UnmarshalSummary(blob); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkExperimentQuick runs each experiment driver end-to-end in
 // quick mode — the "regenerate everything" cost.
 func BenchmarkExperimentQuick(b *testing.B) {

@@ -28,16 +28,29 @@ import (
 // Queries may run concurrently with each other. Mutation needs
 // exclusive access, as for every summary — which is why the mutators
 // drop the memo with a plain store and take no lock.
+//
+// The rows are stored as an ordered list of row-major runs, and Merge
+// adopts the donor's runs by reference instead of copying them: an
+// exact summary never rewrites a row, so a merged snapshot can share
+// every row the donors had written. Only the last run may be the
+// summary's own growing tail; every other run is sealed (len == cap),
+// so an append by the receiver always reallocates and never writes
+// into a donor's array, while a donor's own appends land past the
+// length the receiver shares. A donor may therefore keep ingesting
+// while the merged summary is read.
 type Exact struct {
-	table *words.Table
+	d, q int
+	runs [][]uint16 // row-major symbol runs in row order
+	own  bool       // the last run is this summary's own, growable tail
+	n    int        // rows retained across all runs
 
 	mu   sync.Mutex  // guards memo and everything in it but the vectors
 	memo *vectorMemo // nil until the first Vector call after a mutation
 }
 
 // maxMemoSets bounds how many column sets' vectors an Exact keeps. The
-// memo is also bounded in bytes, by the size of the table it is
-// derived from: memoized state never more than doubles the summary.
+// memo is also bounded in bytes, by the size of the rows it is derived
+// from: memoized state never more than doubles the summary.
 const maxMemoSets = 64
 
 // vectorMemo holds the memoized vectors, oldest first.
@@ -101,7 +114,7 @@ func NewExact(d, q int) (*Exact, error) {
 	if q > words.MaxAlphabet {
 		return nil, badParam("exact", "q", q, "exceeds words.MaxAlphabet")
 	}
-	return &Exact{table: words.NewTable(d, q)}, nil
+	return &Exact{d: d, q: q}, nil
 }
 
 // Observe appends a copy of the row.
@@ -109,33 +122,58 @@ func (e *Exact) Observe(w words.Word) {
 	e.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch retains the whole batch with a single flat append.
+// ObserveBatch retains the whole batch with a single flat append to
+// the summary's own tail run, starting one if the last run is sealed.
+// It panics if b's dimension differs from the summary's.
 func (e *Exact) ObserveBatch(b *words.Batch) {
+	if b.Dim() != e.d {
+		panic(fmt.Sprintf("core: batch dimension %d != exact summary dimension %d", b.Dim(), e.d))
+	}
 	e.memo = nil
-	e.table.AppendBatch(b)
+	if b.Len() == 0 {
+		return
+	}
+	if !e.own {
+		e.runs = append(e.runs, nil)
+		e.own = true
+	}
+	tail := &e.runs[len(e.runs)-1]
+	*tail = append(*tail, b.Symbols()...)
+	e.n += b.Len()
 }
 
 // Dim returns d.
-func (e *Exact) Dim() int { return e.table.Dim() }
+func (e *Exact) Dim() int { return e.d }
 
 // Alphabet returns Q.
-func (e *Exact) Alphabet() int { return e.table.Alphabet() }
+func (e *Exact) Alphabet() int { return e.q }
 
 // Rows returns n.
-func (e *Exact) Rows() int64 { return int64(e.table.NumRows()) }
+func (e *Exact) Rows() int64 { return int64(e.n) }
 
 // SizeBytes returns the Θ(nd) storage cost.
-func (e *Exact) SizeBytes() int { return e.table.SizeBytes() }
+func (e *Exact) SizeBytes() int { return 2 * e.n * e.d }
 
 // Name identifies the summary.
 func (e *Exact) Name() string { return "exact" }
 
-// Table exposes the retained rows for experiment drivers.
-func (e *Exact) Table() *words.Table { return e.table }
+// Table returns a freshly built copy of the retained rows, in row
+// order, for experiment drivers that replay them. It costs Θ(nd) per
+// call, and the copy shares no storage with the summary.
+func (e *Exact) Table() *words.Table {
+	t := words.NewTable(e.d, e.q)
+	for _, r := range e.runs {
+		t.AppendBatch(words.BatchOf(e.d, r))
+	}
+	return t
+}
 
 // Merge implements Mergeable: it appends every row retained by the
 // other exact summary, so the result is exactly the summary of the
-// concatenated streams. The peer is left intact.
+// concatenated streams. The rows are not copied: the receiver seals
+// its own tail and adopts each of the donor's runs, capped to its
+// length, by reference. The peer is left intact and may keep
+// observing rows afterwards.
 func (e *Exact) Merge(other Summary) error {
 	o, ok := other.(*Exact)
 	if !ok {
@@ -149,11 +187,25 @@ func (e *Exact) Merge(other Summary) error {
 			e.Dim(), e.Alphabet(), o.Dim(), o.Alphabet())
 	}
 	e.memo = nil
-	if o.table.NumRows() > 0 {
-		e.table.AppendBatch(o.table.Batch())
+	if o.n == 0 {
+		return nil
 	}
+	if e.own {
+		last := len(e.runs) - 1
+		e.runs[last] = sealed(e.runs[last])
+		e.own = false
+	}
+	for _, r := range o.runs {
+		if len(r) > 0 {
+			e.runs = append(e.runs, sealed(r))
+		}
+	}
+	e.n += o.n
 	return nil
 }
+
+// sealed caps a run to its length, so appending to it reallocates.
+func sealed(r []uint16) []uint16 { return r[:len(r):len(r)] }
 
 // Vector returns the exact frequency vector f(A, C), memoized per
 // column set. The vector is shared with every other caller asking
@@ -191,7 +243,12 @@ func (e *Exact) Vector(c words.ColumnSet) *freq.Vector {
 
 	ent.once.Do(func() {
 		start := time.Now()
-		ent.vec = freq.FromTable(e.table, c)
+		ent.vec = freq.NewVector()
+		var b words.Batch
+		for _, r := range e.runs {
+			b.Bind(e.d, r)
+			ent.vec.AddBatch(&b, c)
+		}
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		m.stats.Builds++
@@ -201,7 +258,7 @@ func (e *Exact) Vector(c words.ColumnSet) *freq.Vector {
 		}
 		ent.bytes = ent.vec.SizeBytes()
 		m.bytes += ent.bytes
-		for m.bytes > e.table.SizeBytes() {
+		for m.bytes > e.SizeBytes() {
 			m.evictOldest()
 		}
 	})

@@ -117,9 +117,9 @@ func memoInvariant(t *testing.T, e *Exact) {
 	if sum != e.memo.bytes {
 		t.Fatalf("memo accounts %d bytes, entries hold %d", e.memo.bytes, sum)
 	}
-	if len(e.memo.entries) > maxMemoSets || e.memo.bytes > e.table.SizeBytes() {
+	if len(e.memo.entries) > maxMemoSets || e.memo.bytes > e.SizeBytes() {
 		t.Fatalf("memo holds %d sets and %d bytes; bounds are %d sets and %d bytes",
-			len(e.memo.entries), e.memo.bytes, maxMemoSets, e.table.SizeBytes())
+			len(e.memo.entries), e.memo.bytes, maxMemoSets, e.SizeBytes())
 	}
 }
 

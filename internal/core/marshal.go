@@ -184,10 +184,22 @@ type envelope struct {
 // payload length must fit the envelope's u32 length field; callers
 // surface the error instead of emitting a silently truncated blob.
 func appendEnvelope(kind SummaryKind, d, q int, seed uint64, rows int64, payload []byte) ([]byte, error) {
-	if int64(len(payload)) > int64(^uint32(0)) {
-		return nil, fmt.Errorf("core: %s summary payload of %d bytes exceeds the wire format's 4 GiB limit", kind, len(payload))
+	w, err := envelopeWriter(kind, d, q, seed, rows, len(payload))
+	if err != nil {
+		return nil, err
 	}
-	w := wire.NewWriter(envelopeSize + len(payload))
+	w.Raw(payload)
+	return w.Bytes(), nil
+}
+
+// envelopeWriter writes the 36-byte header for a payload of plen bytes
+// into a writer with room for the payload too, so a kind can encode
+// its payload in place instead of copying it in after the header.
+func envelopeWriter(kind SummaryKind, d, q int, seed uint64, rows int64, plen int) (*wire.Writer, error) {
+	if int64(plen) > int64(^uint32(0)) {
+		return nil, fmt.Errorf("core: %s summary payload of %d bytes exceeds the wire format's 4 GiB limit", kind, plen)
+	}
+	w := wire.NewWriter(envelopeSize + plen)
 	w.Raw(wireMagic[:])
 	w.U8(WireVersion)
 	w.U8(uint8(kind))
@@ -196,9 +208,8 @@ func appendEnvelope(kind SummaryKind, d, q int, seed uint64, rows int64, payload
 	w.U32(uint32(q))
 	w.U64(seed)
 	w.I64(rows)
-	w.U32(uint32(len(payload)))
-	w.Raw(payload)
-	return w.Bytes(), nil
+	w.U32(uint32(plen))
+	return w, nil
 }
 
 // parseEnvelope validates the header and returns it with the payload.
@@ -292,19 +303,26 @@ func UnmarshalSummary(data []byte) (Summary, error) {
 // --- Exact ---
 
 // MarshalBinary encodes the summary: the envelope followed by the
-// retained rows, row-major, one u16 per symbol.
+// retained rows, row-major, one u16 per symbol, written run by run
+// into the one buffer that holds the header.
 func (e *Exact) MarshalBinary() ([]byte, error) {
-	d := e.Dim()
-	n := e.table.NumRows()
-	w := wire.NewWriter(2 * d * n)
-	for i := 0; i < n; i++ {
-		for _, x := range e.table.Row(i) {
-			w.U16(x)
+	w, err := envelopeWriter(KindExact, e.d, e.q, 0, e.Rows(), 2*e.n*e.d)
+	if err != nil {
+		return nil, err
+	}
+	buf := w.Bytes()
+	for _, r := range e.runs {
+		off := len(buf)
+		buf = buf[:off+2*len(r)]
+		for i, x := range r {
+			binary.LittleEndian.PutUint16(buf[off+2*i:], x)
 		}
 	}
-	return appendEnvelope(KindExact, d, e.Alphabet(), 0, e.Rows(), w.Bytes())
+	return buf, nil
 }
 
+// decodeExact reads the rows straight into one owned run, checking
+// each symbol against the alphabet as it goes.
 func decodeExact(env envelope) (*Exact, error) {
 	// Division-based check: rows × d × 2 must equal the payload length
 	// exactly, with no way for a huge claimed row count to overflow.
@@ -316,17 +334,19 @@ func decodeExact(env envelope) (*Exact, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := payloadReader(env)
-	flat := make([]uint16, len(env.payload)/2)
-	for i := range flat {
-		flat[i] = r.U16()
+	if env.rows == 0 {
+		return e, nil
 	}
-	b := words.BatchOf(env.d, flat)
-	if err := b.Validate(env.q); err != nil {
-		return nil, badEncoding("exact payload: %v", err)
+	run := make([]uint16, len(env.payload)/2)
+	for i := range run {
+		x := binary.LittleEndian.Uint16(env.payload[2*i:])
+		if int(x) >= env.q {
+			return nil, badEncoding("exact payload: row %d symbol %d outside alphabet [%d]", i/env.d, x, env.q)
+		}
+		run[i] = x
 	}
-	e.table.AppendBatch(b)
-	return e, r.Done()
+	e.runs, e.own, e.n = [][]uint16{run}, true, int(env.rows)
+	return e, nil
 }
 
 // --- Sample ---

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -9,11 +10,11 @@ import (
 	"repro/internal/workload"
 )
 
-// The two hot paths whose allocation counts are pinned, each as a
-// fixture shared by a test (the gate, part of go test ./...) and a
-// benchmark (the profiling entry point):
+// The three hot paths whose allocations are pinned, each as a fixture
+// shared by a test (the gate, part of go test ./...) and a benchmark
+// (the profiling entry point):
 //
-//	go test ./internal/engine -run '^$' -bench 'ObserveBatch|ExactWarm' -cpuprofile cpu.pb.gz
+//	go test ./internal/engine -run '^$' -bench 'ObserveBatch|ExactWarm|EpochRebuild' -cpuprofile cpu.pb.gz
 
 // observeBatchFixture builds the ingest fixture: 4 shards of bounded
 // reservoir samples — per-row work is one RNG draw and the state does
@@ -119,5 +120,92 @@ func BenchmarkExactWarmQuery(b *testing.B) {
 		if res := eng.QueryBatch(qs); res[3].Err != nil {
 			b.Fatal(res[3].Err)
 		}
+	}
+}
+
+// exactEpochRows is the row count of each shard (or source) of the
+// epoch-cut fixture: 100k rows of d = 16 are 3.2 MB apiece.
+const exactEpochRows = 100_000
+
+// exactEpochFixture builds an exact engine of 2 shards whose rows an
+// epoch cut must cover: 2 × exactEpochRows ingested rows, or with
+// sources set, empty shards plus 2 absorbed exact sources of
+// exactEpochRows rows each (an aggregator).
+func exactEpochFixture(tb testing.TB, sources bool) *Sharded {
+	tb.Helper()
+	eng, err := NewSharded(exactFactory(16, 4), Config{Shards: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	for s := range 2 {
+		rows := distinctRows(s, 0, exactEpochRows)
+		if !sources {
+			eng.ObserveBatch(rows)
+			continue
+		}
+		donor, err := core.NewExact(16, 4)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		donor.ObserveBatch(rows)
+		if err := eng.AbsorbSource(string(rune('a'+s)), donor); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if snap, err := eng.Flush(); err != nil || snap.Rows() != 2*exactEpochRows {
+		tb.Fatalf("fixture epoch: %v rows, %v", snap.Rows(), err)
+	}
+	return eng
+}
+
+// rebuild cuts one epoch, as the first read after a write does.
+func (s *Sharded) rebuild(tb testing.TB) *epoch {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.rebuildLocked()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e
+}
+
+// exactEpochCutLimit bounds the bytes one cut of the fixture may
+// allocate: a fresh registry and a slice header per run. Copying the
+// rows, as a Merge that appends them does, allocates the 6.4 MB table.
+const exactEpochCutLimit = 64 << 10
+
+// TestExactEpochCutDoesNotCopyRows gates the cost of an epoch cut on
+// an exact engine: exact shards' and sources' rows are shared by the
+// epoch, so a cut allocates far less than the rows it covers.
+func TestExactEpochCutDoesNotCopyRows(t *testing.T) {
+	for _, sources := range []bool{false, true} {
+		eng := exactEpochFixture(t, sources)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e := eng.rebuild(t)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= exactEpochCutLimit {
+			t.Fatalf("sources=%v: one epoch cut allocated %d bytes, limit %d (the rows are %d bytes)",
+				sources, got, exactEpochCutLimit, e.size)
+		}
+	}
+}
+
+// BenchmarkEpochRebuildExact times one epoch cut over the same
+// fixtures: shards=2 is a node's cut, sources=2 an aggregator's.
+func BenchmarkEpochRebuildExact(b *testing.B) {
+	for _, v := range []struct {
+		name    string
+		sources bool
+	}{{"shards=2", false}, {"sources=2", true}} {
+		b.Run(v.name, func(b *testing.B) {
+			eng := exactEpochFixture(b, v.sources)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eng.rebuild(b)
+			}
+		})
 	}
 }

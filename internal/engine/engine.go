@@ -524,7 +524,10 @@ func (s *Sharded) rebuildLocked() (*epoch, error) {
 		for i, sh := range s.shards {
 			// Trusted path: the snapshot and the shards came from the
 			// same factories, so the clone-validating Merge would only
-			// tax every rebuild with a wire round trip per shard.
+			// tax every rebuild with a wire round trip per shard. An
+			// exact shard's rows are adopted by reference, not copied:
+			// once the barrier releases, its worker appends past the
+			// prefix this epoch reads.
 			if err := merged.MergeTrusted(sh); err != nil {
 				return fmt.Errorf("engine: merging shard %d: %w", i, err)
 			}
@@ -548,9 +551,13 @@ func (s *Sharded) rebuildLocked() (*epoch, error) {
 // mergeSourcesInto folds the latest summary of every absorbed source
 // into a freshly merged registry, in sorted name order so rebuilds are
 // deterministic, and reports the donors' total size and row count.
-// Callers hold mu. The validating Merge runs — donors came off the
-// wire — and never mutates the stored donor, so the same summary can
-// be re-merged into every subsequent epoch.
+// Callers hold mu. Each donor was validated once, when AbsorbSource
+// merged it into a probe, so the trusted merge runs here: no wire
+// clone per source per epoch. A failed trusted merge can leave the
+// registry partially merged, and rebuildLocked then returns before
+// publishing it. The merge never mutates the stored donor (an exact
+// donor's rows are shared read-only), so the same summary can be
+// re-merged into every subsequent epoch.
 func (s *Sharded) mergeSourcesInto(merged *registry.Registry) (size int, rows int64, err error) {
 	if len(s.sources) == 0 {
 		return 0, 0, nil
@@ -562,7 +569,7 @@ func (s *Sharded) mergeSourcesInto(merged *registry.Registry) (size int, rows in
 	sort.Strings(names)
 	for _, name := range names {
 		donor := s.sources[name]
-		if err := merged.Merge(donor); err != nil {
+		if err := merged.MergeTrusted(donor); err != nil {
 			return 0, 0, fmt.Errorf("engine: merging source %q: %w", name, err)
 		}
 		size += donor.SizeBytes()
@@ -792,7 +799,9 @@ func (s *Sharded) absorb(sum core.Summary, tee bool) error {
 // The donor is validated against a factory-fresh registry before any
 // state changes: a blob of the wrong shape, configuration, or subspace
 // structure is refused (wrapping core.ErrIncompatibleMerge where the
-// merge rules do) and the engine is unchanged. On success the previous
+// merge rules do) and the engine is unchanged. The probe is discarded
+// either way, so it takes the trusted merge: a partial merge into it
+// is harmless, and the donor is not cloned through the wire. On success the previous
 // summary for name (if any) is dropped, the serving epoch is
 // invalidated, and late subspace registration is blocked exactly
 // as it is after Absorb. The donor must not be mutated by the caller
@@ -811,7 +820,7 @@ func (s *Sharded) AbsorbSource(name string, sum core.Summary) error {
 	if err != nil {
 		return fmt.Errorf("engine: probe for source %q: %w", name, err)
 	}
-	if err := probe.Merge(sum); err != nil {
+	if err := probe.MergeTrusted(sum); err != nil {
 		return fmt.Errorf("engine: absorbing source %q: %w", name, err)
 	}
 	if s.sources == nil {
