@@ -107,6 +107,26 @@ func BenchmarkSampleObserve(b *testing.B) {
 	}
 }
 
+// BenchmarkSampleObserveBatch feeds 256-row Zipf batches into a
+// sampler of the benchmark workloads' size (ε = 0.2, δ = 0.1, so
+// t = 150; d = 16 over [4]), the shape a durable sample node replays
+// its log tail in.
+func BenchmarkSampleObserveBatch(b *testing.B) {
+	const d, q, batchRows = 16, 4, 256
+	s, err := core.NewSampleForError(d, q, 0.2, 0.1, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	table := words.Collect(workload.ZipfPatterns(d, q, 64*batchRows, 1000, 1.1, 7), -1).Batch()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 64 * batchRows
+		s.ObserveBatch(table.Slice(lo, lo+batchRows))
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchRows), "ns/row")
+}
+
 func BenchmarkSampleFrequencyQuery(b *testing.B) {
 	src := workload.ZipfPatterns(16, 4, 50000, 100, 1.2, 7)
 	s, err := core.NewSampleForError(16, 4, 0.05, 0.01, 5)
