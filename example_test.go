@@ -37,7 +37,7 @@ func Example() {
 	est, _ := sum.Frequency(c, projfreq.Word{2, 1})
 	fmt.Printf("estimated share of (2,1): %.0f%%\n", 100*est/float64(sum.Rows()))
 	// Output:
-	// estimated share of (2,1): 37%
+	// estimated share of (2,1): 32%
 }
 
 // ExampleNewNetSummary shows Algorithm 1 (Theorem 6.5): projected F0

@@ -353,8 +353,12 @@ func decodeExact(env envelope) (*Exact, error) {
 
 // Sampler mode bytes on the wire.
 const (
-	wireSampleWR        = 0
+	// wireSampleWRRetired (0) was the with-replacement sampler that
+	// drew once per slot and row, with a 32-byte xoshiro state per
+	// slot and no next acceptance position. Decoders refuse it.
+	wireSampleWRRetired = 0
 	wireSampleReservoir = 1
+	wireSampleWR        = 2
 )
 
 // MarshalBinary encodes the summary: the envelope, a sampler-mode
@@ -387,6 +391,8 @@ func decodeSample(env envelope) (*Sample, error) {
 	s := &Sample{d: env.d, q: env.q}
 	var err error
 	switch mode {
+	case wireSampleWRRetired:
+		return nil, badEncoding("retired sampler mode %d (with-replacement slots that drew once per row, before skip-ahead slots)", mode)
 	case wireSampleWR:
 		s.wr = &sample.WithReplacement{}
 		err = s.wr.UnmarshalBinary(blob)

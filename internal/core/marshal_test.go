@@ -559,6 +559,55 @@ func retiredKindBlob(t testing.TB, d, q int) []byte {
 	return blob
 }
 
+// retiredSampleModeBlob hand-builds a sample blob under sampler mode
+// 0, the with-replacement layout before skip-ahead slots: t slots of
+// 32-byte xoshiro state and no next acceptance position, then t rows.
+func retiredSampleModeBlob(t testing.TB, d, q int) []byte {
+	t.Helper()
+	const slots, seen = 3, 1
+	w := &wire.Writer{}
+	w.U8(0)
+	w.U32(slots)
+	w.I64(seen)
+	for i := 0; i < 4*slots; i++ {
+		w.U64(uint64(i + 1))
+	}
+	for i := 0; i < slots; i++ {
+		w.U32(uint32(d))
+		for j := 0; j < d; j++ {
+			w.U16(uint16(j % q))
+		}
+	}
+	blob, err := AppendEnvelope(KindSample, d, q, 0, seen, w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestRetiredSampleModeRefused: sampler mode 0 decodes to
+// ErrBadEncoding naming the retired mode, the with-replacement sampler
+// encodes under mode 2, and the reservoir keeps mode 1.
+func TestRetiredSampleModeRefused(t *testing.T) {
+	_, err := UnmarshalSummary(retiredSampleModeBlob(t, 5, 3))
+	if !errors.Is(err, ErrBadEncoding) || !strings.Contains(err.Error(), "retired sampler mode 0") {
+		t.Fatalf("mode-0 blob: %v, want ErrBadEncoding naming the retired mode", err)
+	}
+	for mode, opts := range map[byte][]SampleOption{2: nil, 1: {WithReservoir()}} {
+		s, err := NewSample(5, 3, 4, 1, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := MarshalSummary(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if blob[envelopeSize] != mode {
+			t.Fatalf("%s encodes under sampler mode %d, want %d", s.Name(), blob[envelopeSize], mode)
+		}
+	}
+}
+
 // TestRetiredKindIsReserved: kind byte 4 decodes to ErrBadEncoding
 // naming the retired kind, encoding under it is refused, and the kinds
 // around it keep their numbers.

@@ -13,7 +13,9 @@ import (
 // Sample is the uniform-row-sampling summary of Theorem 5.1 and
 // Corollary 5.2: t with-replacement uniform row samples (or a
 // t-element reservoir, an ablation option) kept while streaming,
-// independent of any future query C.
+// independent of any future query C. Each with-replacement slot draws
+// only when it accepts a row, about ln n times over n rows, and a
+// batch in which no slot accepts costs O(1).
 //
 // Guarantees (from the paper):
 //   - Frequency: additive error ε‖f‖₁ ≤ ε‖f‖_p for 0 < p ≤ 1 with
@@ -112,9 +114,10 @@ func (s *Sample) Observe(w words.Word) {
 	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch lets the underlying sampler replay its draws over the
-// whole batch and clone at most one row per sample slot, instead of
-// one per acceptance.
+// ObserveBatch feeds the batch to the underlying sampler. The
+// with-replacement sampler only counts a batch in which no slot's next
+// acceptance falls, and otherwise clones at most one row per slot that
+// accepts; the reservoir clones at most one row per slot it touches.
 func (s *Sample) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))

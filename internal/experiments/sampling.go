@@ -20,7 +20,7 @@ func init() { register("E3", RunSampling) }
 // measures the worst and 95th-percentile additive error over many
 // (pattern, query) pairs on a skewed stream, and reports the fraction
 // of estimates within the bound (which must be ≥ 1−δ). The reservoir
-// ablation (DESIGN.md §5) runs alongside.
+// ablation (core.WithReservoir) runs alongside.
 func RunSampling(opt Options) (*Report, error) {
 	d, q := 16, 4
 	n := 40000

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/wire"
 )
 
 // serve boots a daemon through New, serves it on a loopback test
@@ -234,6 +235,52 @@ func TestRecoveryRefusesRetiredSubspaceKind(t *testing.T) {
 				t.Fatalf("recovery refused with %v", err)
 			}
 		})
+	}
+}
+
+// TestRecoveryRefusesRetiredSampleMode: a data directory whose
+// checkpoint holds a sample shard under sampler mode 0 (with-replacement
+// slots that drew once per row, before skip-ahead slots) does not boot.
+// New fails with the decoder's ErrBadEncoding naming the retired mode,
+// rather than serving a summary that lost the checkpointed rows.
+func TestRecoveryRefusesRetiredSampleMode(t *testing.T) {
+	cfg := Config{Summary: "sample", D: 4, Q: 3, Eps: 0.2, Delta: 0.1, Seed: 1, Shards: 2, DataDir: t.TempDir(), Fsync: "never"}
+	st, err := store.Open(store.Options{Dir: cfg.DataDir, Dim: cfg.D, Alphabet: cfg.Q, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The mode-0 body: u32 t | i64 seen | t×(4×u64 xoshiro state) | t×row.
+	const slots, seen = 2, 1
+	w := &wire.Writer{}
+	w.U8(0)
+	w.U32(slots)
+	w.I64(seen)
+	for i := 0; i < 4*slots; i++ {
+		w.U64(uint64(i + 1))
+	}
+	for i := 0; i < slots; i++ {
+		w.U32(uint32(cfg.D))
+		for j := 0; j < cfg.D; j++ {
+			w.U16(1)
+		}
+	}
+	shard, err := core.AppendEnvelope(core.KindSample, cfg.D, cfg.Q, 0, seen, w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteCheckpoint(&store.Checkpoint{Shards: [][]byte{shard, shard}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	n, err := New(cfg)
+	if err == nil {
+		n.Close()
+		t.Fatal("a data directory holding a mode-0 sample checkpoint booted")
+	}
+	if !errors.Is(err, core.ErrBadEncoding) || !strings.Contains(err.Error(), "retired sampler mode 0") {
+		t.Fatalf("recovery refused with %v, want ErrBadEncoding naming the retired sampler mode", err)
 	}
 }
 

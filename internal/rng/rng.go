@@ -24,6 +24,10 @@ func NewSplitMix64(seed uint64) *SplitMix64 {
 	return &SplitMix64{state: seed}
 }
 
+// State returns the generator's 64-bit state; NewSplitMix64(State())
+// resumes the stream exactly where it stands.
+func (s *SplitMix64) State() uint64 { return s.state }
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (s *SplitMix64) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15

@@ -48,6 +48,21 @@ func TestSeedMatchesNew(t *testing.T) {
 	}
 }
 
+// TestSplitMix64StateResumes: a generator rebuilt from State continues
+// the stream where the original stands.
+func TestSplitMix64StateResumes(t *testing.T) {
+	a := NewSplitMix64(17)
+	for i := 0; i < 5; i++ {
+		a.Uint64()
+	}
+	b := NewSplitMix64(a.State())
+	for i := 0; i < 100; i++ {
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("resumed stream diverged at draw %d", i)
+		}
+	}
+}
+
 func TestForkDecorrelates(t *testing.T) {
 	base := New(7)
 	a := base.Fork(1)

@@ -1,8 +1,9 @@
 // Package sample implements the row-sampling primitives behind the
 // paper's upper bounds: the with-replacement uniform sampler of
-// Theorem 5.1 (uSample) and classical reservoir sampling. Both
-// samplers store words.Word rows and are deterministic given their
-// seed.
+// Theorem 5.1 (uSample), whose slots skip ahead to their next
+// acceptance and so draw once per acceptance rather than once per row,
+// and classical reservoir sampling. Both samplers store words.Word
+// rows and are deterministic given their seed.
 package sample
 
 import (
@@ -19,11 +20,42 @@ import (
 // Each of the t slots runs an independent reservoir of size one, which
 // is exactly a uniform draw from the stream; the slots are mutually
 // independent, so the Chernoff argument of Appendix A.1 applies.
+//
+// A slot does not draw per row. It keeps the stream position of its
+// next acceptance and draws once per acceptance (Vitter 1985; Li 1994,
+// Algorithm L): about ln n draws per slot over n rows.
 type WithReplacement struct {
-	t    int
-	seen int64
-	rows []words.Word
-	srcs []*rng.Source
+	t     int
+	seen  int64
+	rows  []words.Word
+	slots []slot
+	// minNext is the smallest slots[i].next: a batch that ends before
+	// it accepts in no slot.
+	minNext uint64
+}
+
+// slot is one size-one reservoir: its private SplitMix64 stream and
+// the 1-based stream position of its next acceptance. next > seen
+// always holds, and a fresh slot accepts the first row.
+type slot struct {
+	src  rng.SplitMix64
+	next uint64
+}
+
+// skip draws the slot's next acceptance after one at stream position
+// m ≥ 1: next = ⌊m/U⌋ + 1 for U = k/2⁵³ uniform on (0, 1], so that
+// P(next > m′) = m/m′ for every m′ ≥ m — the chance that a uniform
+// draw from the first m′ rows lies among the first m. Positions past
+// 2⁶⁴ − 1 saturate there; no row count reaches them.
+func (sl *slot) skip(m uint64) {
+	k := sl.src.Uint64()>>11 + 1
+	hi, lo := bits.Mul64(m, 1<<53)
+	sl.next = math.MaxUint64
+	if hi < k {
+		if q, _ := bits.Div64(hi, lo, k); q < math.MaxUint64 {
+			sl.next = q + 1
+		}
+	}
 }
 
 // NewWithReplacement returns a sampler with t slots.
@@ -33,12 +65,13 @@ func NewWithReplacement(t int, seed uint64) *WithReplacement {
 	}
 	master := rng.New(seed)
 	s := &WithReplacement{
-		t:    t,
-		rows: make([]words.Word, t),
-		srcs: make([]*rng.Source, t),
+		t:       t,
+		rows:    make([]words.Word, t),
+		slots:   make([]slot, t),
+		minNext: 1,
 	}
-	for i := range s.srcs {
-		s.srcs[i] = master.Fork(uint64(i))
+	for i := range s.slots {
+		s.slots[i] = slot{src: *rng.NewSplitMix64(master.Uint64()), next: 1}
 	}
 	return s
 }
@@ -58,47 +91,45 @@ func (s *WithReplacement) Observe(w words.Word) {
 	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch feeds every row of b, slot-major: each slot replays its
-// private reservoir draws over the whole batch — the row at stream
-// position n is kept with probability 1/n — and only the last accepted
-// row (if any) is cloned, so a batch costs at most one clone per slot
-// instead of one per acceptance. A slot's draw sequence depends on the
+// ObserveBatch feeds every row of b. A batch that ends before the
+// earliest pending acceptance only advances the row count, and
+// allocates nothing. Otherwise each slot whose next acceptance falls
+// inside the batch accepts and redraws until it passes the batch's
+// end, and clones only the last row it accepted. Draws depend on the
 // stream positions only, not on where batches are cut.
 func (s *WithReplacement) ObserveBatch(b *words.Batch) {
-	n := b.Len()
-	if n == 0 {
+	base := uint64(s.seen)
+	end := base + uint64(b.Len())
+	s.seen = int64(end)
+	if s.minNext > end {
 		return
 	}
-	base := uint64(s.seen)
-	for i := range s.rows {
-		src := s.srcs[i]
-		keep := -1
-		for r := 0; r < n; r++ {
-			// Manually inlined Uint64n fast path (see rng.Uint64nSlow):
-			// one inlined xoshiro draw per row, no call in the common
-			// case, bit-identical draw stream.
-			cnt := base + uint64(r) + 1
-			hi, lo := bits.Mul64(src.Uint64(), cnt)
-			if lo < cnt {
-				hi = src.Uint64nSlow(hi, lo, cnt)
+	minNext := uint64(math.MaxUint64)
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.next <= end {
+			var kept uint64
+			for sl.next <= end {
+				kept = sl.next
+				sl.skip(kept)
 			}
-			if hi == 0 {
-				keep = r
-			}
+			s.rows[i] = b.Row(int(kept - base - 1)).Clone()
 		}
-		if keep >= 0 {
-			s.rows[i] = b.Row(keep).Clone()
-		}
+		minNext = min(minNext, sl.next)
 	}
-	s.seen += int64(n)
+	s.minNext = minNext
 }
 
 // Merge folds another with-replacement sampler built over a disjoint
 // segment of the stream into s. Slot i keeps its own row with
 // probability seen/(seen+other.seen) and takes the peer's otherwise,
-// drawn from the slot's private source — exactly the reservoir step,
-// so each slot remains a uniform draw from the concatenated stream
-// and the slots stay mutually independent. The peer is left intact.
+// which is exactly the reservoir step, so each slot remains a uniform
+// draw from the concatenated stream and the slots stay mutually
+// independent. The slot's pending acceptance is that draw: it lies
+// past the merged count with exactly the keep probability, and then it
+// is still a valid next acceptance for the merged stream, because the
+// skip is memoryless. A slot that takes the peer's row redraws its
+// next acceptance from the merged count. The peer is left intact.
 func (s *WithReplacement) Merge(o *WithReplacement) error {
 	if o.t != s.t {
 		return fmt.Errorf("sample: merging samplers of different size (%d vs %d)", s.t, o.t)
@@ -106,13 +137,18 @@ func (s *WithReplacement) Merge(o *WithReplacement) error {
 	if o.seen == 0 {
 		return nil
 	}
-	total := s.seen + o.seen
-	for i := range s.rows {
-		if s.srcs[i].Uint64n(uint64(total)) >= uint64(s.seen) {
+	total := uint64(s.seen + o.seen)
+	minNext := uint64(math.MaxUint64)
+	for i := range s.slots {
+		sl := &s.slots[i]
+		if sl.next <= total {
 			s.rows[i] = o.rows[i].Clone()
+			sl.skip(total)
 		}
+		minNext = min(minNext, sl.next)
 	}
-	s.seen = total
+	s.seen = int64(total)
+	s.minNext = minNext
 	return nil
 }
 
@@ -168,8 +204,10 @@ func (s *WithReplacement) ProjectedCounts(c words.ColumnSet) map[string]int {
 }
 
 // Reservoir is classical Algorithm-R reservoir sampling: a uniform
-// sample of size t without replacement. Used as the ablation partner
-// of WithReplacement in DESIGN.md §5.
+// sample of size t without replacement. It is the ablation partner of
+// WithReplacement: core.WithReservoir selects it, and experiment E3
+// (internal/experiments, RunSampling) runs it beside the
+// with-replacement sampler.
 type Reservoir struct {
 	t    int
 	seen int64
