@@ -74,13 +74,6 @@ func (r *Source) Seed(seed uint64) {
 	}
 }
 
-// Fork derives an independent stream labelled by id, so that parallel
-// components (sketch repetitions, trials) get decorrelated randomness
-// from a single master seed.
-func (r *Source) Fork(id uint64) *Source {
-	return New(r.Uint64() ^ Mix64(id^0xa0761d6478bd642f))
-}
-
 // State returns the generator's full 256-bit internal state, so a
 // Source can be serialized mid-stream and later resumed with Restore.
 func (r *Source) State() [4]uint64 { return r.s }

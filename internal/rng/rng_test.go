@@ -63,21 +63,6 @@ func TestSplitMix64StateResumes(t *testing.T) {
 	}
 }
 
-func TestForkDecorrelates(t *testing.T) {
-	base := New(7)
-	a := base.Fork(1)
-	b := base.Fork(2)
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 2 {
-		t.Fatalf("forked streams collide %d/100 times", same)
-	}
-}
-
 func TestMix64Bijective(t *testing.T) {
 	// Spot-check injectivity on a sample; Mix64 is a known bijection.
 	seen := map[uint64]uint64{}
