@@ -262,3 +262,39 @@ func TestObserveOneRowDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Observe allocates %v times per row", allocs)
 	}
 }
+
+// TestNetServingShapeGolden pins the α-net's wire form at the serving
+// shape — the daemons' StandardSummary("net", 8, 4, 0.05, 0.01, 0.3,
+// 1, 0), 18 members each with a 60-rep p-stable sketch — after the
+// end-to-end benchmark's load (64 Zipf(1.1) batches of 256 rows over a
+// 4096-pattern catalog), and at d = 12 (158 members), whose distinct
+// (member, pattern) keys outgrow the stable sketches' shared variate
+// table, so the table evicts. Both digests were generated at commit
+// e64f811, before the table existed, when AddBatch derived every
+// distinct item's variates once per 512-item chunk: matching them
+// proves the table changes when a variate is derived, never its value.
+func TestNetServingShapeGolden(t *testing.T) {
+	for _, c := range []struct {
+		d, batches int
+		digest     string
+	}{
+		{8, 64, "777cfd7a326229b1f4d3cc82ff9efdf4abd336ad6b8f252666fe8a0dae5897bf"},
+		{12, 8, "a0fd231e7a0e4b6dffd63e506772784bb0e0febcbb7b752b8eb6e2557e11d1f2"},
+	} {
+		s, err := NewNet(c.d, 4, NetConfig{Alpha: 0.3, Epsilon: 0.05, Moments: []float64{2}, StableReps: 60, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range workload.ZipfCatalogBatches(c.d, 4, c.batches, 256, 4096, 1.1, 1) {
+			s.ObserveBatch(b)
+		}
+		blob, err := MarshalSummary(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if digest := hex.EncodeToString(sum[:]); digest != c.digest {
+			t.Fatalf("d=%d: wire form digest %s, golden %s", c.d, digest, c.digest)
+		}
+	}
+}

@@ -278,3 +278,32 @@ func Linkability(cfg LinkabilityConfig) (words.RowSource, error) {
 		copy(w, p)
 	}), nil
 }
+
+// ZipfCatalogBatches returns count batches of rows rows each: draws
+// from a catalog of m random patterns over [q]^d with Zipf(s)
+// frequencies, built as the end-to-end benchmark builds its load
+// (benchmark/gen.go) — the catalog from a master source seeded with
+// seed, the ranks from rng.Zipf over the master's next draw. It is the
+// distribution of ZipfPatterns at a fraction of the generation cost,
+// for callers that want workload-sized pools.
+func ZipfCatalogBatches(d, q, count, rows, m int, s float64, seed uint64) []*words.Batch {
+	master := rng.New(seed)
+	catalog := make([]words.Word, m)
+	for i := range catalog {
+		row := make(words.Word, d)
+		for j := range row {
+			row[j] = uint16(master.Intn(q))
+		}
+		catalog[i] = row
+	}
+	zipf := rng.NewZipf(rng.New(master.Uint64()), m, s)
+	all := words.NewBatch(d, count*rows)
+	for range count * rows {
+		all.Append(catalog[zipf.Next()])
+	}
+	out := make([]*words.Batch, count)
+	for i := range out {
+		out[i] = all.Slice(i*rows, (i+1)*rows)
+	}
+	return out
+}
