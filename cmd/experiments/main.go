@@ -1,6 +1,7 @@
 // Command experiments runs the paper-reproduction experiment suite
-// (Table 1, Figure 1, and the per-theorem validations E1–E9 indexed
-// in DESIGN.md) and renders the reports as text or CSV.
+// (Table 1, Figure 1, the per-theorem validations E1–E9 and the E10
+// rounding ablation; -list prints the IDs) and renders the reports as
+// text or CSV.
 //
 // Usage:
 //

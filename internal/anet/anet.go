@@ -20,7 +20,7 @@ import (
 // Net is an α-net over P([d]): the family of subsets U with
 // |U| ≤ d/2 − αd or |U| ≥ d/2 + αd. Every query C has a neighbour
 // C′ in the net with |C Δ C′| ≤ ⌈αd⌉ (the ceiling is the integer-
-// rounding cost discussed in DESIGN.md §6).
+// rounding cost when αd is fractional).
 type Net struct {
 	d     int
 	alpha float64
@@ -91,7 +91,7 @@ func (n *Net) MaxNeighborDistance() int {
 }
 
 // RoundingMode selects which net boundary an in-band query is rounded
-// to — the ablation axis called out in DESIGN.md §5. Shrinking yields
+// to — the ablation axis of experiment E10. Shrinking yields
 // an under-approximation of F0 (patterns merge), growing an
 // over-approximation (patterns split); RoundNearest minimizes the
 // distortion exponent.

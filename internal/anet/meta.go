@@ -123,7 +123,7 @@ func (m *MetaSummary) Query(c words.ColumnSet, p float64) (Answer, error) {
 }
 
 // QueryMode is Query with an explicit neighbour rounding mode (the
-// DESIGN.md §5 ablation).
+// ablation of experiment E10).
 func (m *MetaSummary) QueryMode(c words.ColumnSet, p float64, mode RoundingMode) (Answer, error) {
 	if c.Dim() != m.net.Dim() {
 		return Answer{}, fmt.Errorf("anet: query dimension %d != net dimension %d", c.Dim(), m.net.Dim())

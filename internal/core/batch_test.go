@@ -228,8 +228,8 @@ func netIngestBatches(d, q, count int, seed uint64) []*words.Batch {
 // TestNetObserveBatchDoesNotAllocate pins the α-net ingest path at the
 // net-ingest workload's shape (the daemons' StandardSummary("net") at
 // d = 8, q = 4, ε = 0.05, α = 0.3: 18 members, each with a KMV and a
-// 60-rep p-stable sketch): once the arenas and the stable sketch's
-// pooled scratch are warm, a 256-row batch allocates nothing.
+// 60-rep p-stable sketch): once the arenas and the moment's variate
+// table are warm, a 256-row batch allocates nothing.
 func TestNetObserveBatchDoesNotAllocate(t *testing.T) {
 	const d, q = 8, 4
 	s, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.05, Moments: []float64{2}, StableReps: 60, Seed: 1})
@@ -247,6 +247,42 @@ func TestNetObserveBatchDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ObserveBatch of one 256-row batch allocates %v times, want 0", allocs)
+	}
+}
+
+// TestNetObserveBatchAtBudgetDoesNotAllocate: once the moment's variate
+// table is at its budget (and the F0 sketches are full), batches of
+// rows it has not seen, whose lookups miss and evict, allocate nothing
+// either.
+func TestNetObserveBatchAtBudgetDoesNotAllocate(t *testing.T) {
+	const d, q, rows = 8, 4, 256
+	s, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.05, Moments: []float64{2}, StableReps: 60, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := words.Collect(workload.Uniform(d, q, 64*rows, 5), -1).Batch()
+	next := 0
+	feed := func() {
+		s.ObserveBatch(all.Slice(next*rows, (next+1)*rows))
+		next++
+	}
+	for st := s.VariateTableStats(); st.Rows < st.MaxRows; st = s.VariateTableStats() {
+		if next == all.Len()/rows/2 {
+			t.Fatalf("the table is not at its budget after %d uniform batches: %+v", next, st)
+		}
+		feed()
+	}
+	// A few more batches, until the KMV sketches hold their k minima.
+	for range 8 {
+		feed()
+	}
+	before := s.VariateTableStats()
+	if allocs := testing.AllocsPerRun(8, feed); allocs != 0 {
+		t.Fatalf("ObserveBatch of one 256-row batch at the table's budget allocates %v times, want 0", allocs)
+	}
+	// AllocsPerRun feeds one warm-up batch, then the eight it measures.
+	if after := s.VariateTableStats(); after.Misses-before.Misses < 9*rows {
+		t.Fatalf("the measured batches missed the table only %d times", after.Misses-before.Misses)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // F0SketchKind selects the (1±ε) distinct-count sketch Algorithm 1
-// instantiates for F0 — the ablation axis of DESIGN.md §5.
+// instantiates for F0 — the ablation axis of experiment E8.
 type F0SketchKind int
 
 // The supported F0 sketches.
@@ -62,7 +62,10 @@ type Net struct {
 	net  *anet.Net
 	f0   *anet.MetaSummary
 	fp   map[float64]*anet.MetaSummary
-	rows int64
+	// tables holds each moment's variate table, shared by the moment's
+	// members; per-process ingest state, never serialized.
+	tables []*sketch.StableTable
+	rows   int64
 }
 
 // Construction limits, shared with wire decoding so that any net a
@@ -148,8 +151,15 @@ func NewNet(d, q int, cfg NetConfig) (*Net, error) {
 		}
 		pseed := master.Uint64()
 		p := p
+		// Every member of the moment shares one variate table: a
+		// member's row for an item is keyed by its seed xor the item's
+		// mix, so the members' rows never clash (sketch.StableTable).
+		table := sketch.NewStableTable(p, reps, sketch.StableTableBudget)
+		s.tables = append(s.tables, table)
 		meta, err := anet.NewMetaSummary(n, func(id uint64) anet.Estimator {
-			return &stableAdapter{sk: sketch.NewStable(p, reps, pseed^rng.Mix64(id))}
+			sk := sketch.NewStable(p, reps, pseed^rng.Mix64(id))
+			sk.ShareTable(table)
+			return &stableAdapter{sk: sk}
 		})
 		if err != nil {
 			return nil, err
@@ -258,6 +268,22 @@ func (s *Net) SizeBytes() int {
 	total := s.f0.SizeBytes()
 	for _, m := range s.fp {
 		total += m.SizeBytes()
+	}
+	return total
+}
+
+// VariateTableStats totals the moment sketches' variate tables: one
+// per configured moment, each at most sketch.StableTableBudget
+// float64s of variates.
+func (s *Net) VariateTableStats() sketch.StableTableStats {
+	var total sketch.StableTableStats
+	for _, t := range s.tables {
+		st := t.Stats()
+		total.Hits += st.Hits
+		total.Misses += st.Misses
+		total.Rows += st.Rows
+		total.MaxRows += st.MaxRows
+		total.Bytes += st.Bytes
 	}
 	return total
 }

@@ -1,7 +1,7 @@
 // Package experiments contains one driver per reproduced artifact of
 // the paper: Table 1, Figure 1 (all panes), and an empirical
-// validation for every theorem with algorithmic content (the index in
-// DESIGN.md §4). Drivers are deterministic given Options.Seed and
+// validation for every theorem with algorithmic content, each
+// registered under an ID that cmd/experiments -list prints. Drivers are deterministic given Options.Seed and
 // return structured Reports that the cmd/ tools render as text or CSV
 // and the test suite asserts shapes on.
 package experiments

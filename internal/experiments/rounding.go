@@ -13,7 +13,7 @@ import (
 
 func init() { register("E10", RunRounding) }
 
-// RunRounding is the DESIGN.md §5 ablation of the α-net neighbour
+// RunRounding is experiment E10, the ablation of the α-net neighbour
 // rounding direction: shrinking to the lower boundary systematically
 // under-counts projected F0 (patterns merge), growing over-counts
 // (patterns split), and nearest-rounding minimizes the worst-case

@@ -15,7 +15,7 @@ import (
 // least z trailing zeros, doubling z whenever |B| exceeds the bucket
 // budget, and estimates F0 = |B| · 2^z. With budget = O(1/ε²) the
 // estimate is (1±ε) with constant probability. Included as the third
-// point in the F0-sketch ablation of DESIGN.md §5.
+// point in the F0-sketch ablation of experiment E8.
 type BJKST struct {
 	budget int
 	seed   uint64

@@ -76,14 +76,25 @@ func stableAddLoop(items []uint64) func(*Stable) {
 	}
 }
 
+// tableRows is the row capacity a fresh table starts with, the first
+// edge AddBatch crosses.
+const tableRows = tableStartBuckets * tableWays
+
 // TestStableAddBatchMatchesAdd pins AddBatch's reuse of variates
-// within a chunk: whatever the split, the wire bytes equal those of
-// the per-item Add loop, for every p branch of the variate.
+// through the table: whatever the split, the table's size and what it
+// evicts, the wire bytes equal those of the per-item Add loop, for
+// every p branch of the variate.
 func TestStableAddBatchMatchesAdd(t *testing.T) {
-	// A repeat on each side of the first chunk boundary.
-	long := stableBatchStream(3*stableChunk+17, 5)
-	long[stableChunk-1], long[stableChunk] = 12345, 12345
-	long[stableChunk-2], long[stableChunk+1] = 0, 0
+	// Enough distinct items to outgrow the starting table inside one
+	// batch, with a repeat on each side of the first growth.
+	long := stableBatchStream(3*tableRows+17, 5)
+	for i := range long[:2*tableRows] {
+		if i%2 == 1 {
+			long[i] = uint64(i) * 0x9e3779b97f4a7c15
+		}
+	}
+	long[tableRows-1], long[2*tableRows] = 12345, 12345
+	long[tableRows-2], long[2*tableRows+1] = 0, 0
 	distinct := make([]uint64, 200)
 	for i := range distinct {
 		distinct[i] = uint64(i) * 0x9e3779b97f4a7c15
@@ -91,20 +102,33 @@ func TestStableAddBatchMatchesAdd(t *testing.T) {
 	cases := map[string]struct {
 		items  []uint64
 		reps   int
+		budget int   // variate budget of the sketch's table; 0 means its own default one
 		splits []int // batch lengths; the remainder goes in one last batch
+		// check holds the table's statistics to the edge the case crosses.
+		check func(StableTableStats) bool
 	}{
 		"heavy-repeats": {items: stableBatchStream(300, 1), reps: 7},
 		"item-zero":     {items: []uint64{0, 0, 1, 0, 0}, reps: 7},
 		"all-distinct":  {items: distinct, reps: 7},
-		"chunk-edge":    {items: long, reps: 7},
-		"uneven":        {items: long, reps: 7, splits: []int{1, 0, 3, stableChunk - 1, 2, 700, 0, stableChunk + 1}},
-		// Enough repetitions that the scratch bound shortens the chunk.
-		"short-chunk": {items: stableBatchStream(300, 3), reps: stableScratchFloats / 100},
+		"growth-mid-batch": {items: long, reps: 7,
+			check: func(st StableTableStats) bool { return st.Rows > tableRows }},
+		"uneven": {items: long, reps: 7, splits: []int{1, 0, 3, tableRows - 1, 2, 70, 0, tableRows + 1}},
+		// A table at its budget from the start (two buckets): nearly
+		// every distinct item evicts a row that is asked for again.
+		"at-budget-evicts": {items: append(distinct, long...), reps: 7, budget: 7 * 2 * tableWays,
+			check: func(st StableTableStats) bool { return st.Rows == st.MaxRows && st.Misses > 4*uint64(st.MaxRows) }},
+		// A row larger than the budget: the table holds that one row.
+		"row-over-budget": {items: stableBatchStream(300, 3), reps: 200, budget: 150,
+			check: func(st StableTableStats) bool { return st.MaxRows == 1 && st.Hits > 0 }},
 	}
 	for name, c := range cases {
 		for _, p := range []float64{0.5, 1, 1.5, 2} {
 			want := stableBlob(t, p, c.reps, stableAddLoop(c.items))
+			var table *StableTable
 			got := stableBlob(t, p, c.reps, func(s *Stable) {
+				if c.budget > 0 {
+					s.ShareTable(NewStableTable(p, c.reps, c.budget))
+				}
 				rest := c.items
 				for _, n := range c.splits {
 					n = min(n, len(rest))
@@ -112,23 +136,123 @@ func TestStableAddBatchMatchesAdd(t *testing.T) {
 					rest = rest[n:]
 				}
 				s.AddBatch(rest)
+				table = s.table
 			})
 			if !bytes.Equal(got, want) {
 				t.Fatalf("%s p=%v: AddBatch state differs from the Add loop", name, p)
+			}
+			if st := table.Stats(); c.check != nil && !c.check(st) {
+				t.Fatalf("%s p=%v: the table did not reach the case's edge: %+v", name, p, st)
 			}
 		}
 	}
 }
 
-// TestStableAddBatchConcurrent: sketches ingesting at once share the
-// pooled scratch and must not see each other's variates (run with
-// -race).
+// TestStableSharedTable: sketches sharing one table leave the state
+// the Add loop does, whether their seeds give distinct keys or two
+// (seed, item) pairs are built to give the same one; decoding keeps a
+// fitting table, and a table of another (p, reps) is refused.
+func TestStableSharedTable(t *testing.T) {
+	const reps = 9
+	items := stableBatchStream(4*tableRows, 21)
+	// Seed b maps item y to the key seed a gives item x.
+	const a, x, y = 77, 3, 5
+	for name, seeds := range map[string][2]uint64{
+		"distinct-seeds": {a, 78},
+		"shared-key":     {a, a ^ rng.Mix64(x) ^ rng.Mix64(y)},
+	} {
+		for _, p := range []float64{0.5, 1, 1.5, 2} {
+			table := NewStableTable(p, reps, 16*reps)
+			var shared, ref [2]*Stable
+			for i, seed := range seeds {
+				shared[i], ref[i] = NewStable(p, reps, seed), NewStable(p, reps, seed)
+				shared[i].ShareTable(table)
+			}
+			// Interleave the two sketches batch by batch, as an α-net's
+			// members ingest; both see x and y throughout.
+			for lo := 0; lo < len(items); lo += 50 {
+				batch := append([]uint64{x, y}, items[lo:min(lo+50, len(items))]...)
+				for i := range shared {
+					shared[i].AddBatch(batch)
+					stableAddLoop(batch)(ref[i])
+				}
+			}
+			for i := range shared {
+				got, _ := shared[i].MarshalBinary()
+				want, _ := ref[i].MarshalBinary()
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s p=%v: sketch %d on the shared table differs from the Add loop", name, p, i)
+				}
+			}
+		}
+	}
+	// Decoding keeps the receiver's table when it fits the blob's
+	// (p, reps), and drops it otherwise.
+	table := NewStableTable(1.5, reps, 1<<10)
+	s := NewStable(1.5, reps, 1)
+	s.ShareTable(table)
+	blob, _ := NewStable(1.5, reps, 2).MarshalBinary()
+	if err := s.UnmarshalBinary(blob); err != nil || s.table != table {
+		t.Fatalf("decoding replaced the receiver's table (err %v)", err)
+	}
+	blob, _ = NewStable(2, reps, 2).MarshalBinary()
+	if err := s.UnmarshalBinary(blob); err != nil || s.table != nil {
+		t.Fatalf("a p=2 sketch decoded onto a p=1.5 table (err %v)", err)
+	}
+	for _, other := range []*StableTable{NewStableTable(1, reps, 1<<10), NewStableTable(1.5, reps+1, 1<<10)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("a table of p=%v reps=%d was shared with a p=1.5 reps=%d sketch", other.p, other.reps, reps)
+				}
+			}()
+			NewStable(1.5, reps, 1).ShareTable(other)
+		}()
+	}
+}
+
+// TestStableTableGrowthBound: the table starts empty, grows to its
+// budget and no further, and its live memory across a growth step stays
+// within 1.5× the budget.
+func TestStableTableGrowthBound(t *testing.T) {
+	const reps = 60
+	table := NewStableTable(2, reps, StableTableBudget)
+	if st := table.Stats(); st.Bytes != 0 || st.Rows != 0 {
+		t.Fatalf("a fresh table holds memory: %+v", st)
+	}
+	s := NewStable(2, reps, 1)
+	s.ShareTable(table)
+	items := make([]uint64, 256)
+	prev := 0
+	for n := uint64(0); table.Stats().Rows < table.Stats().MaxRows; n++ {
+		for i := range items {
+			items[i] = n*uint64(len(items)) + uint64(i)
+		}
+		s.AddBatch(items)
+		st := table.Stats()
+		if st.Rows != prev {
+			if variates := 8 * (prev + st.Rows) * reps; variates > 3*8*StableTableBudget/2 {
+				t.Fatalf("growing %d → %d rows holds %d bytes of variates, above 1.5× the budget", prev, st.Rows, variates)
+			}
+			prev = st.Rows
+		}
+	}
+	st := table.Stats()
+	if st.MaxRows != StableTableBudget/reps/tableWays*tableWays || 8*st.Rows*reps > 8*StableTableBudget {
+		t.Fatalf("table at its budget: %+v", st)
+	}
+	t.Logf("at the budget: %d rows, %d bytes, %d lookups derived", st.Rows, st.Bytes, st.Misses)
+}
+
+// TestStableAddBatchConcurrent: sketches with their own tables ingest
+// at once without seeing each other's variates (run with -race); each
+// stream outgrows the starting table.
 func TestStableAddBatchConcurrent(t *testing.T) {
 	const workers = 4
 	items := make([][]uint64, workers)
 	want := make([][]byte, workers)
 	for w := range items {
-		items[w] = stableBatchStream(2*stableChunk+50, uint64(w)+10)
+		items[w] = stableBatchStream(8*tableRows+50, uint64(w)+10)
 		want[w] = stableBlob(t, 1.5, 9, stableAddLoop(items[w]))
 	}
 	sketches := make([]*Stable, workers)
