@@ -261,12 +261,12 @@ func BenchmarkNetObserve_AblationBJKST(b *testing.B) { benchNetObserve(b, 0.3, c
 // BenchmarkNetObserveBatch times the α-net ingest at the net-ingest
 // workload's shape: the daemons' StandardSummary("net") at d = 8,
 // q = 4, fed 256-row batches from a 4096-pattern Zipf(1.1) catalog.
-// One iteration is one batch. The benchmark cycles a pool the size of
-// the workload's ingest (288 batches, drawn as benchmark/gen.go draws
-// them) through one summary, so the moment sketches' variate table
-// warms and evicts as it does in the daemon rather than serving a
-// handful of batches from a warm cache; -benchtime 288x is one pass
-// over the pool. It reports the table's hit ratio.
+// One iteration is one batch. It cycles a pool the size of the
+// workload's ingest (288 batches, drawn as benchmark/gen.go draws
+// them) through one summary, so the moment's variate table warms and
+// evicts as in the daemon; a pool of a few batches would time a warm
+// cache. -benchtime 288x is one pass over the pool. It reports the
+// table's hit ratio.
 func BenchmarkNetObserveBatch(b *testing.B) { benchNetObserveBatch(b, 8) }
 
 // BenchmarkNetObserveBatchD16 is BenchmarkNetObserveBatch at d = 16

@@ -283,7 +283,6 @@ func (s *Net) VariateTableStats() sketch.StableTableStats {
 		total.Misses += st.Misses
 		total.Rows += st.Rows
 		total.MaxRows += st.MaxRows
-		total.Bytes += st.Bytes
 	}
 	return total
 }

@@ -55,7 +55,7 @@ func (s *Stable) Reps() int { return s.reps }
 // variate returns the deterministic p-stable X_{item,j}, given
 // mixed = rng.Mix64(item): variate j of the row keyed seed ^ mixed.
 func (s *Stable) variate(mixed uint64, j int) float64 {
-	return stableVariate(s.p, s.seed^mixed, j)
+	return stableDraw(s.p, s.seed^mixed^variateSalt(j))
 }
 
 // AddCount adds count occurrences of item (negative counts allowed:

@@ -217,7 +217,7 @@ func TestStableSharedTable(t *testing.T) {
 func TestStableTableGrowthBound(t *testing.T) {
 	const reps = 60
 	table := NewStableTable(2, reps, StableTableBudget)
-	if st := table.Stats(); st.Bytes != 0 || st.Rows != 0 {
+	if st := table.Stats(); st.Rows != 0 || table.rows != nil {
 		t.Fatalf("a fresh table holds memory: %+v", st)
 	}
 	s := NewStable(2, reps, 1)
@@ -241,7 +241,7 @@ func TestStableTableGrowthBound(t *testing.T) {
 	if st.MaxRows != StableTableBudget/reps/tableWays*tableWays || 8*st.Rows*reps > 8*StableTableBudget {
 		t.Fatalf("table at its budget: %+v", st)
 	}
-	t.Logf("at the budget: %d rows, %d bytes, %d lookups derived", st.Rows, st.Bytes, st.Misses)
+	t.Logf("at the budget: %d rows, %d lookups derived", st.Rows, st.Misses)
 }
 
 // TestStableAddBatchConcurrent: sketches with their own tables ingest

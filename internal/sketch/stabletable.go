@@ -39,6 +39,7 @@ type StableTable struct {
 	hand                      []uint8   // bucket → the slot CLOCK inspects next
 	rows                      []float64 // slot i: rows[i*reps : (i+1)*reps]
 	fresh                     []float64 // the row a miss derives
+	salts                     []uint64  // salts[j] = variateSalt(j)
 	hits, misses              uint64
 }
 
@@ -86,8 +87,6 @@ type StableTableStats struct {
 	// Rows is the rows the table holds room for now, MaxRows the rows
 	// it may grow to.
 	Rows, MaxRows int
-	// Bytes is the memory the table holds now.
-	Bytes int
 }
 
 // Stats returns the table's counters and size.
@@ -97,7 +96,6 @@ func (t *StableTable) Stats() StableTableStats {
 		Misses:  t.misses,
 		Rows:    len(t.keys),
 		MaxRows: t.maxBuckets * t.ways,
-		Bytes:   8*(len(t.rows)+len(t.fresh)+len(t.keys)) + len(t.state) + len(t.hand),
 	}
 }
 
@@ -106,11 +104,16 @@ func (t *StableTable) Stats() StableTableStats {
 func (t *StableTable) row(key uint64) []float64 {
 	if t.buckets == 0 {
 		t.fresh = make([]float64, t.reps)
+		t.salts = make([]uint64, t.reps)
+		for j := range t.salts {
+			t.salts[j] = variateSalt(j)
+		}
 		t.resize(t.capped(tableStartBuckets))
 	}
 	b := t.bucket(key)
-	for i := b * t.ways; i < (b+1)*t.ways; i++ {
-		if t.state[i] != slotEmpty && t.keys[i] == key {
+	lo := b * t.ways
+	for k, kk := range t.keys[lo : lo+t.ways] {
+		if i := lo + k; kk == key && t.state[i] != slotEmpty {
 			t.state[i] = slotHot
 			t.hits++
 			return t.rows[i*t.reps : (i+1)*t.reps]
@@ -132,8 +135,8 @@ func (t *StableTable) row(key uint64) []float64 {
 	// Derive into the cache-hot fresh row, then copy it into the slot
 	// in one pass: writing each variate straight into a slot far off in
 	// a large table stalls on a cache miss per line.
-	for j := range t.fresh {
-		t.fresh[j] = stableVariate(t.p, key, j)
+	for j, salt := range t.salts {
+		t.fresh[j] = stableDraw(t.p, key^salt)
 	}
 	copy(t.rows[i*t.reps:(i+1)*t.reps], t.fresh)
 	return t.fresh
@@ -206,11 +209,16 @@ func (t *StableTable) resize(n int) {
 	}
 }
 
-// stableVariate is the p-stable variate j of the row keyed key: the
-// Stable draw of a Source seeded, on the stack, as
-// rng.New(key ^ Mix64(j·φ + 1)) would be.
-func stableVariate(p float64, key uint64, j int) float64 {
+// variateSalt is what variate j's seed xors into its row's key: the
+// variate is stableDraw(p, key ^ variateSalt(j)).
+func variateSalt(j int) uint64 {
+	return rng.Mix64(uint64(j)*0x9e3779b97f4a7c15 + 1)
+}
+
+// stableDraw returns the p-stable draw of a Source seeded, on the
+// stack, as rng.New(seed) would be.
+func stableDraw(p float64, seed uint64) float64 {
 	var src rng.Source
-	src.Seed(key ^ rng.Mix64(uint64(j)*0x9e3779b97f4a7c15+1))
+	src.Seed(seed)
 	return src.Stable(p)
 }

@@ -283,9 +283,8 @@ func Linkability(cfg LinkabilityConfig) (words.RowSource, error) {
 // from a catalog of m random patterns over [q]^d with Zipf(s)
 // frequencies, built as the end-to-end benchmark builds its load
 // (benchmark/gen.go) — the catalog from a master source seeded with
-// seed, the ranks from rng.Zipf over the master's next draw. It is the
-// distribution of ZipfPatterns at a fraction of the generation cost,
-// for callers that want workload-sized pools.
+// seed, the ranks from rng.Zipf over the master's next draw. The
+// distribution is ZipfPatterns'; the draws are the benchmark's.
 func ZipfCatalogBatches(d, q, count, rows, m int, s float64, seed uint64) []*words.Batch {
 	master := rng.New(seed)
 	catalog := make([]words.Word, m)
