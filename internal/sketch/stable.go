@@ -152,9 +152,9 @@ func (s *Stable) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a sketch produced by MarshalBinary,
 // replacing the receiver's state; it keeps the receiver's table when
-// that was built for the decoded (p, reps). The claimed repetition count must
-// exactly fill the input, so allocation is bounded by the blob and
-// any constructible sketch round-trips.
+// that was built for the decoded (p, reps). The claimed repetition
+// count must exactly fill the input, so allocation is bounded by the
+// blob and any constructible sketch round-trips.
 func (s *Stable) UnmarshalBinary(data []byte) error {
 	r := wire.NewReader(data, ErrCorrupt)
 	if r.U8() != tagStable {
