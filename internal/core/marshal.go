@@ -303,8 +303,9 @@ func UnmarshalSummary(data []byte) (Summary, error) {
 // --- Exact ---
 
 // MarshalBinary encodes the summary: the envelope followed by the
-// retained rows, row-major, one u16 per symbol, written run by run
-// into the one buffer that holds the header.
+// retained rows, row-major, in the flat symbol codec
+// (words.AppendSymbolsLE), written run by run into the one buffer
+// that holds the header.
 func (e *Exact) MarshalBinary() ([]byte, error) {
 	w, err := envelopeWriter(KindExact, e.d, e.q, 0, e.Rows(), 2*e.n*e.d)
 	if err != nil {
@@ -312,17 +313,13 @@ func (e *Exact) MarshalBinary() ([]byte, error) {
 	}
 	buf := w.Bytes()
 	for _, r := range e.runs {
-		off := len(buf)
-		buf = buf[:off+2*len(r)]
-		for i, x := range r {
-			binary.LittleEndian.PutUint16(buf[off+2*i:], x)
-		}
+		buf = words.AppendSymbolsLE(buf, r)
 	}
 	return buf, nil
 }
 
 // decodeExact reads the rows straight into one owned run, checking
-// each symbol against the alphabet as it goes.
+// each symbol against the alphabet in the same pass.
 func decodeExact(env envelope) (*Exact, error) {
 	// Division-based check: rows × d × 2 must equal the payload length
 	// exactly, with no way for a huge claimed row count to overflow.
@@ -338,12 +335,8 @@ func decodeExact(env envelope) (*Exact, error) {
 		return e, nil
 	}
 	run := make([]uint16, len(env.payload)/2)
-	for i := range run {
-		x := binary.LittleEndian.Uint16(env.payload[2*i:])
-		if int(x) >= env.q {
-			return nil, badEncoding("exact payload: row %d symbol %d outside alphabet [%d]", i/env.d, x, env.q)
-		}
-		run[i] = x
+	if i := words.DecodeSymbolsLE(run, env.payload, env.q); i >= 0 {
+		return nil, badEncoding("exact payload: row %d symbol %d outside alphabet [%d]", i/env.d, run[i], env.q)
 	}
 	e.runs, e.own, e.n = [][]uint16{run}, true, int(env.rows)
 	return e, nil

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/rng"
+	"repro/internal/store"
 	"repro/internal/words"
 	"repro/internal/workload"
 )
@@ -208,4 +209,76 @@ func BenchmarkEpochRebuildExact(b *testing.B) {
 			}
 		})
 	}
+}
+
+// replayRecords is the record count of the replay fixture's log tail:
+// 2,048 batches of 256 rows at d = 16 are 16.8 MB, two full 8 MiB
+// segments and a short third.
+const replayRecords = 2048
+
+// replayFixture writes a log tail shaped like durable-mixed's into a
+// temporary directory — 256-row Zipf batches at d = 16, q = 4, cycled
+// from a pool of 64 — and returns the store opened over it and the
+// tail's row count.
+func replayFixture(tb testing.TB) (*store.Store, int64) {
+	tb.Helper()
+	const d, q, batchRows, pool = 16, 4, 256, 64
+	opts := store.Options{Dir: tb.TempDir(), Dim: d, Alphabet: q, Fsync: store.FsyncNever}
+	w, err := store.Open(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rows := words.Collect(workload.ZipfPatterns(d, q, pool*batchRows, 4096, 1.1, 36), -1).Batch()
+	for i := range replayRecords {
+		lo := i % pool * batchRows
+		if err := w.AppendBatch(rows.Slice(lo, lo+batchRows)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	// Recover runs before the first append, so the tail is read back
+	// through a second Open, as a restarted daemon reads it.
+	st, err := store.Open(opts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { st.Close() })
+	return st, replayRecords * batchRows
+}
+
+// BenchmarkReplay times recovery of that tail into the durable-mixed
+// engine (2 shards of Theorem 5.1's sampler at ε 0.2, δ 0.1): reading
+// the segments, verifying every frame, decoding the rows and routing
+// them, up to the workers' last row. One iteration is one whole
+// recovery; ns/row divides it by the tail's rows.
+//
+//	go test ./internal/engine -run '^$' -bench Replay -benchmem
+func BenchmarkReplay(b *testing.B) {
+	st, rows := replayFixture(b)
+	factory := func(shard int) (core.Summary, error) {
+		return StandardSummary("sample", 16, 4, 0.2, 0.1, 0, 1, shard)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng, err := NewSharded(factory, Config{Shards: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var batch words.Batch
+		info, err := st.Recover(nil, func(rec store.Record) error {
+			batch.Bind(16, rec.Rows)
+			return eng.ReplayBatch(&batch)
+		})
+		if err != nil || info.Rows != rows {
+			b.Fatalf("recovered %d rows of %d: %v", info.Rows, rows, err)
+		}
+		if _, err := eng.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		eng.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*rows), "ns/row")
 }

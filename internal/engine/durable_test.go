@@ -382,3 +382,113 @@ func TestReplayBatchValidatesShape(t *testing.T) {
 		t.Fatalf("replayed row not accepted: %d", eng.Rows())
 	}
 }
+
+// TestRecoveryReusedBuffersDoNotLeak guards replay's reused buffers.
+// An absorbed summary is logged at the front of the first segment;
+// batches then roll the log into segments of their own and end in a
+// shorter last segment, whose read overwrites the summary's bytes in
+// the reused segment image. The summary decoded during replay must not
+// have kept any of those bytes, and the recovered engine must be
+// byte-equal to the uninterrupted run.
+func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
+	const d, q = 6, 5
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, BatchChunk: 8}
+	log := openLog(t, dir, d, q)
+	cfgA := cfg
+	cfgA.Log = log
+	eng, err := NewSharded(exactFactory(d, q), cfgA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor, err := core.NewExact(d, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make(words.Word, d)
+	for i := range 60 {
+		for j := range row {
+			row[j] = uint16((i*(j+1) + 3) % q)
+		}
+		donor.Observe(row)
+	}
+	if err := eng.Absorb(donor); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(n, salt int) *words.Batch {
+		b := words.NewBatch(d, n)
+		for i := range n {
+			r := b.AppendRow()
+			for j := range r {
+				r[j] = uint16((i*salt + j*(salt+1)) % q)
+			}
+		}
+		return b
+	}
+	for i := range 30 {
+		eng.ObserveBatch(batch(24, i+2))
+	}
+	eng.ObserveBatch(batch(40, 31))
+	want := engineBytes(t, eng)
+	eng.Close()
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := store.Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := rep.Segments
+	if len(segs) < 3 || segs[len(segs)-1].Bytes >= segs[0].Bytes {
+		t.Fatalf("want ≥ 3 segments ending in a shorter one, got %+v", segs)
+	}
+
+	st := openLog(t, dir, d, q)
+	defer st.Close()
+	cfgB := cfg
+	cfgB.Log = st
+	eng2, err := NewSharded(exactFactory(d, q), cfgB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng2.Close()
+	var absorbed core.Summary
+	var absorbedWire []byte
+	_, err = st.Recover(nil, func(rec store.Record) error {
+		switch rec.Kind {
+		case store.RecordBatch:
+			return eng2.ReplayBatch(words.BatchOf(d, rec.Rows))
+		case store.RecordSummary:
+			sum, err := core.UnmarshalSummary(rec.Blob)
+			if err != nil {
+				return err
+			}
+			if absorbed != nil {
+				return errors.New("more than one summary record")
+			}
+			if absorbedWire, err = core.MarshalSummary(sum); err != nil {
+				return err
+			}
+			absorbed = sum
+			return eng2.ReplayAbsorb(sum)
+		default:
+			return fmt.Errorf("unexpected record kind %v", rec.Kind)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if absorbed == nil {
+		t.Fatal("the summary record was not replayed")
+	}
+	after, err := core.MarshalSummary(absorbed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, absorbedWire) {
+		t.Fatal("the summary decoded during replay changed when later segments were read: it aliases the segment image")
+	}
+	if got := engineBytes(t, eng2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered snapshot differs from the uninterrupted run: %d vs %d bytes", len(got), len(want))
+	}
+}

@@ -90,6 +90,7 @@ func (n *Node) applySubspaceMeta(meta store.SubspaceMeta) error {
 // drop acknowledged data.
 func (n *Node) recover() error {
 	start := time.Now()
+	var batch words.Batch // rebound to each batch record's rows
 	info, err := n.wal.Recover(func(ck *store.Checkpoint) error {
 		for _, meta := range ck.Subspaces {
 			if err := n.applySubspaceMeta(meta); err != nil {
@@ -105,7 +106,8 @@ func (n *Node) recover() error {
 	}, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
-			return n.eng.ReplayBatch(words.BatchOf(n.eng.Dim(), rec.Rows))
+			batch.Bind(n.eng.Dim(), rec.Rows)
+			return n.eng.ReplayBatch(&batch)
 		case store.RecordSummary:
 			sum, err := core.UnmarshalSummary(rec.Blob)
 			if err != nil {

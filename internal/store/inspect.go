@@ -67,17 +67,18 @@ func Inspect(dir string) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	var image []byte // one segment image, reused
 	for _, path := range segs {
 		sr := SegmentReport{Name: filepath.Base(path)}
 		if first, ok := parseSegmentName(sr.Name); ok {
 			sr.FirstLSN = first
 		}
-		data, err := os.ReadFile(path)
+		image, err = readSegment(path, image)
 		if err != nil {
 			return nil, err
 		}
-		sr.Bytes = int64(len(data))
-		res, err := scanSegment(data)
+		sr.Bytes = int64(len(image))
+		res, err := scanSegment(image)
 		if err != nil {
 			sr.Err = err.Error()
 		} else {
@@ -85,11 +86,11 @@ func Inspect(dir string) (*Report, error) {
 				rep.Dim, rep.Alphabet = res.header.dim, res.header.alphabet
 			}
 			sr.FirstLSN = res.header.firstLSN
-			sr.Records = len(res.records)
+			sr.Records = res.records
 			sr.Torn = res.torn
-			for _, rec := range res.records {
-				if rec.Kind == RecordBatch {
-					sr.Rows += int64(len(rec.Rows) / res.header.dim)
+			for _, payload := range res.frames(image) {
+				if RecordKind(payload[0]) == RecordBatch {
+					sr.Rows += int64((len(payload) - 1) / (2 * res.header.dim))
 				}
 			}
 		}

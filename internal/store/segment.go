@@ -4,18 +4,23 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"iter"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/wire"
+	"repro/internal/words"
 )
 
 // This file is the WAL segment format: how records are framed on disk
-// and how a segment's byte image is scanned back into records during
-// recovery (and by Inspect and the fuzzer, which share the scanner).
+// and how a segment's byte image is verified and walked back into
+// records during recovery (and by Inspect and the fuzzer, which share
+// the scanner).
 //
 // Segment file layout (little-endian, see ARCHITECTURE.md):
 //
@@ -61,8 +66,9 @@ type RecordKind uint8
 
 // The WAL record kinds.
 const (
-	// RecordBatch is a batch of ingested rows (flat row-major u16
-	// symbols; the row count follows from the segment's dimension).
+	// RecordBatch is a batch of ingested rows: flat row-major
+	// little-endian u16 symbols (words.AppendSymbolsLE); the row count
+	// follows from the segment's dimension.
 	RecordBatch RecordKind = 1
 	// RecordSummary is an absorbed summary's wire blob (the /v1/push
 	// path), replayed through Absorb.
@@ -87,14 +93,17 @@ func (k RecordKind) String() string {
 	}
 }
 
-// Record is one decoded WAL record. Rows and Blob alias the scanned
-// segment image and must not be retained past the replay callback.
+// Record is one decoded WAL record. Rows and Blob alias buffers that
+// recovery reuses for the next record and the next segment: they are
+// valid only inside the replay callback and must not be retained.
 type Record struct {
 	// LSN is the record's log sequence number.
 	LSN uint64
 	// Kind selects which of the remaining fields apply.
 	Kind RecordKind
-	// Rows is the flat row-major symbol data (RecordBatch).
+	// Rows is the flat row-major symbol data (RecordBatch). The store
+	// checks its shape, not its symbols: the consumer checks them
+	// against the alphabet (engine.ReplayBatch does).
 	Rows []uint16
 	// Blob is the absorbed summary's wire form (RecordSummary).
 	Blob []byte
@@ -175,99 +184,153 @@ func finishFrame(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
 }
 
-// scanResult is what scanning a segment image yields: the decoded
-// records, the byte length of the valid prefix (header + whole valid
-// frames), and whether scanning stopped at a damaged or truncated
-// frame before the end of the image.
+// scanResult is what verifying a segment image yields: the number of
+// records (whole valid frames), the byte length of the valid prefix (header +
+// those frames), and whether verification stopped at a damaged or
+// truncated frame before the end of the image.
 type scanResult struct {
 	header   segHeader
-	records  []Record
+	records  int
 	validLen int
 	torn     bool
 }
 
-// scanSegment decodes a segment image. It never fails on frame-level
-// damage — a bad length, a CRC mismatch, a truncated tail, or an
-// undecodable record payload stops the scan and sets torn, so the
-// caller decides whether that is a tolerable torn tail (last segment)
-// or mid-log corruption (any earlier segment). Only a damaged segment
-// header is an outright error: without it, not even the first LSN is
-// known.
+// scanSegment verifies a segment image frame by frame: the length is
+// in bounds, the CRC matches, and the payload is a record of a known
+// kind whose body has its kind's shape (whole rows for a batch). It
+// keeps the verified bytes where they are and decodes nothing; frames
+// walks them afterwards. It never fails on frame-level damage — a bad
+// length, a CRC mismatch, a truncated tail, or a misshapen payload
+// stops the scan and sets torn, so the caller decides whether that is
+// a tolerable torn tail (last segment) or mid-log corruption (any
+// earlier segment). Only a damaged segment header is an outright
+// error: without it, not even the first LSN is known.
 func scanSegment(data []byte) (scanResult, error) {
 	h, err := parseSegHeader(data)
 	if err != nil {
 		return scanResult{}, err
 	}
 	res := scanResult{header: h, validLen: segHeaderSize}
-	off := segHeaderSize
-	lsn := h.firstLSN
-	for off < len(data) {
-		if len(data)-off < frameHeaderSize {
+	for off := segHeaderSize; off < len(data); {
+		n, ok := verifyFrame(data[off:], h.dim)
+		if !ok {
 			res.torn = true
-			return res, nil
+			break
 		}
-		n := int(uint32(data[off]) | uint32(data[off+1])<<8 | uint32(data[off+2])<<16 | uint32(data[off+3])<<24)
-		sum := uint32(data[off+4]) | uint32(data[off+5])<<8 | uint32(data[off+6])<<16 | uint32(data[off+7])<<24
-		if n < 1 || n > len(data)-off-frameHeaderSize {
-			res.torn = true
-			return res, nil
-		}
-		payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
-		if crc32.Checksum(payload, castagnoli) != sum {
-			res.torn = true
-			return res, nil
-		}
-		rec, err := decodeRecord(payload, h.dim)
-		if err != nil {
-			res.torn = true
-			return res, nil
-		}
-		rec.LSN = lsn
-		lsn++
 		off += frameHeaderSize + n
-		res.records = append(res.records, rec)
+		res.records++
 		res.validLen = off
 	}
 	return res, nil
 }
 
-// decodeRecord parses one frame payload (already CRC-verified).
-func decodeRecord(payload []byte, d int) (Record, error) {
-	kind := RecordKind(payload[0])
+// verifyFrame checks the frame at the front of data and returns its
+// payload length.
+func verifyFrame(data []byte, d int) (int, bool) {
+	if len(data) < frameHeaderSize {
+		return 0, false
+	}
+	n := int(binary.LittleEndian.Uint32(data))
+	if n < 1 || n > len(data)-frameHeaderSize {
+		return 0, false
+	}
+	payload := data[frameHeaderSize : frameHeaderSize+n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return 0, false
+	}
 	body := payload[1:]
-	switch kind {
+	switch RecordKind(payload[0]) {
 	case RecordBatch:
-		if len(body)%2 != 0 || (len(body)/2)%d != 0 {
-			return Record{}, fmt.Errorf("%w: batch record of %d bytes does not hold whole rows of %d columns", ErrCorrupt, len(body), d)
-		}
-		rows := make([]uint16, len(body)/2)
-		for i := range rows {
-			rows[i] = uint16(body[2*i]) | uint16(body[2*i+1])<<8
-		}
-		return Record{Kind: kind, Rows: rows}, nil
+		return n, len(body)%(2*d) == 0
 	case RecordSummary:
-		return Record{Kind: kind, Blob: body}, nil
+		return n, true
 	case RecordSubspace:
-		r := wire.NewReader(body, ErrCorrupt)
-		mask := r.U64()
-		name := r.Block()
-		if err := r.Done(); err != nil {
-			return Record{}, err
-		}
-		return Record{Kind: kind, Mask: mask, Summary: string(name)}, nil
+		_, _, err := parseSubspaceRecord(body)
+		return n, err == nil
 	default:
-		return Record{}, fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, uint8(kind))
+		return n, false
 	}
 }
 
-// encodeRecord builds the frame payload for a record: the type byte
-// followed by the type-specific body.
-func encodeBatchRecord(dst []byte, rows []uint16) []byte {
-	dst = append(dst, byte(RecordBatch))
-	for _, x := range rows {
-		dst = append(dst, byte(x), byte(x>>8))
+// frames yields the LSN and payload of each frame scanSegment
+// verified in data, in log order. It trusts the framing: every length
+// was checked by the scan.
+func (res scanResult) frames(data []byte) iter.Seq2[uint64, []byte] {
+	return func(yield func(uint64, []byte) bool) {
+		off := segHeaderSize
+		for i := range res.records {
+			n := int(binary.LittleEndian.Uint32(data[off:]))
+			payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
+			off += frameHeaderSize + n
+			if !yield(res.header.firstLSN+uint64(i), payload) {
+				return
+			}
+		}
 	}
-	return dst
+}
+
+// decodeRecord turns a verified frame payload into a Record. A batch's
+// symbols are decoded into rows, grown as needed and returned for the
+// next record; Blob aliases the payload.
+func decodeRecord(lsn uint64, payload []byte, rows []uint16) (Record, []uint16) {
+	rec := Record{LSN: lsn, Kind: RecordKind(payload[0])}
+	body := payload[1:]
+	switch rec.Kind {
+	case RecordBatch:
+		rows = slices.Grow(rows[:0], len(body)/2)[:len(body)/2]
+		// No alphabet check here: the replay consumer checks every
+		// symbol once, before it reaches a shard (engine.ReplayBatch).
+		words.DecodeSymbolsLE(rows, body, words.MaxAlphabet)
+		rec.Rows = rows
+	case RecordSummary:
+		rec.Blob = body
+	case RecordSubspace:
+		mask, name, _ := parseSubspaceRecord(body)
+		rec.Mask, rec.Summary = mask, string(name)
+	}
+	return rec, rows
+}
+
+// parseSubspaceRecord reads a subspace record's body: the column-set
+// mask and the provisioning kind string.
+func parseSubspaceRecord(body []byte) (uint64, []byte, error) {
+	r := wire.NewReader(body, ErrCorrupt)
+	mask := r.U64()
+	name := r.Block()
+	return mask, name, r.Done()
+}
+
+// readSegment reads the segment file at path into buf's storage,
+// growing it only when the file is larger than its capacity, and
+// returns the image.
+func readSegment(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return buf, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return buf, err
+	}
+	if size := int(fi.Size()); cap(buf) < size {
+		buf = make([]byte, size)
+	} else {
+		buf = buf[:size]
+	}
+	n, err := io.ReadFull(f, buf)
+	if err == io.ErrUnexpectedEOF {
+		// The file shrank after Stat; the shorter image is what is on
+		// disk.
+		err = nil
+	}
+	return buf[:n], err
+}
+
+// encodeBatchRecord builds a batch record's frame payload: the type
+// byte followed by the rows in the flat symbol codec.
+func encodeBatchRecord(dst []byte, rows []uint16) []byte {
+	return words.AppendSymbolsLE(append(dst, byte(RecordBatch)), rows)
 }
 
 func encodeSummaryRecord(dst, blob []byte) []byte {

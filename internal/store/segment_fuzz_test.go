@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/words"
@@ -9,8 +10,9 @@ import (
 // FuzzReadSegment throws arbitrary bytes at the WAL segment scanner —
 // the code that parses files straight off a possibly crashed disk.
 // The invariants: no panic, records only from CRC-valid frames, LSNs
-// dense from the header's first LSN, and validLen a consistent byte
-// count.
+// dense from the header's first LSN, every kept batch body whole rows
+// that decode and re-encode to the same bytes, and validLen a
+// consistent byte count.
 func FuzzReadSegment(f *testing.F) {
 	// Seed with a well-formed two-record segment plus truncations of it.
 	valid := appendSegHeader(nil, 3, 4, 7)
@@ -36,20 +38,33 @@ func FuzzReadSegment(f *testing.F) {
 		if !res.torn && res.validLen != len(data) {
 			t.Fatalf("clean scan consumed %d of %d bytes", res.validLen, len(data))
 		}
-		for i, rec := range res.records {
-			if rec.LSN != res.header.firstLSN+uint64(i) {
-				t.Fatalf("record %d has LSN %d, first is %d", i, rec.LSN, res.header.firstLSN)
+		i := 0
+		for lsn, payload := range res.frames(data) {
+			if lsn != res.header.firstLSN+uint64(i) {
+				t.Fatalf("record %d has LSN %d, first is %d", i, lsn, res.header.firstLSN)
 			}
-			if rec.Kind == RecordBatch && len(rec.Rows)%res.header.dim != 0 {
-				t.Fatalf("record %d: %d symbols not whole rows of %d", i, len(rec.Rows), res.header.dim)
+			i++
+			if RecordKind(payload[0]) != RecordBatch {
+				continue
 			}
+			body := payload[1:]
+			if len(body)%(2*res.header.dim) != 0 {
+				t.Fatalf("record %d: %d body bytes not whole rows of %d", lsn, len(body), res.header.dim)
+			}
+			rec, _ := decodeRecord(lsn, payload, nil)
+			if got := encodeBatchRecord(nil, rec.Rows); !bytes.Equal(got, payload) {
+				t.Fatalf("record %d: batch body does not re-encode to its bytes", lsn)
+			}
+		}
+		if i != res.records {
+			t.Fatalf("walked %d frames of %d", i, res.records)
 		}
 		// The valid prefix must rescan to the identical records: what
 		// recovery truncates to is what a later recovery will read.
 		res2, err := scanSegment(data[:res.validLen])
-		if err != nil || res2.torn || len(res2.records) != len(res.records) {
+		if err != nil || res2.torn || res2.records != res.records {
 			t.Fatalf("rescan of valid prefix: %d records torn=%v err=%v (want %d)",
-				len(res2.records), res2.torn, err, len(res.records))
+				res2.records, res2.torn, err, res.records)
 		}
 	})
 }

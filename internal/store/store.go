@@ -196,7 +196,7 @@ func (st *Store) scan() error {
 	}
 	for len(paths) > 0 {
 		last := paths[len(paths)-1]
-		data, err := os.ReadFile(last)
+		data, err := readSegment(last, nil)
 		if err != nil {
 			return err
 		}
@@ -225,7 +225,7 @@ func (st *Store) scan() error {
 				return err
 			}
 		}
-		st.lsn = res.header.firstLSN + uint64(len(res.records))
+		st.lsn = res.header.firstLSN + uint64(res.records)
 		for _, p := range paths {
 			first, _ := parseSegmentName(filepath.Base(p))
 			info, err := os.Stat(p)
@@ -555,17 +555,30 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 				ErrCorrupt, from, firstAvailable(segments))
 		}
 	}
+	// One segment image and one row buffer serve the whole replay. The
+	// image is sized for the largest segment up front, so it is
+	// allocated (and zeroed) once, not once per segment.
+	var image []byte
+	var rows []uint16
+	for _, seg := range segments {
+		if int64(cap(image)) < seg.bytes {
+			image = make([]byte, 0, seg.bytes)
+		}
+	}
 	for i, seg := range segments {
 		// Segments wholly below the cut need no replay (they survive
 		// only until the next compaction).
 		if i+1 < len(segments) && segments[i+1].firstLSN <= from {
 			continue
 		}
-		data, err := os.ReadFile(seg.path)
+		image, err = readSegment(seg.path, image)
 		if err != nil {
 			return RecoverInfo{}, err
 		}
-		res, err := scanSegment(data)
+		// The whole segment is verified before any of its records is
+		// applied: a damaged frame fails recovery with nothing of its
+		// segment replayed.
+		res, err := scanSegment(image)
 		if err != nil {
 			return RecoverInfo{}, fmt.Errorf("%s: %w", filepath.Base(seg.path), err)
 		}
@@ -577,14 +590,16 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 		if res.torn {
 			return RecoverInfo{}, fmt.Errorf("%w: %s holds a damaged frame mid-log", ErrCorrupt, filepath.Base(seg.path))
 		}
-		if i+1 < len(segments) && segments[i+1].firstLSN != res.header.firstLSN+uint64(len(res.records)) {
+		if end := res.header.firstLSN + uint64(res.records); i+1 < len(segments) && segments[i+1].firstLSN != end {
 			return RecoverInfo{}, fmt.Errorf("%w: %s ends at LSN %d but the next segment starts at %d",
-				ErrCorrupt, filepath.Base(seg.path), res.header.firstLSN+uint64(len(res.records)), segments[i+1].firstLSN)
+				ErrCorrupt, filepath.Base(seg.path), end, segments[i+1].firstLSN)
 		}
-		for _, rec := range res.records {
-			if rec.LSN < from {
+		for lsn, payload := range res.frames(image) {
+			if lsn < from {
 				continue
 			}
+			var rec Record
+			rec, rows = decodeRecord(lsn, payload, rows)
 			if err := apply(rec); err != nil {
 				return RecoverInfo{}, fmt.Errorf("store: replaying record %d (%s): %w", rec.LSN, rec.Kind, err)
 			}

@@ -732,3 +732,104 @@ func TestCheckpointSupersedesTruncatedLog(t *testing.T) {
 		t.Fatalf("post-realign recovery: ck=%+v info=%+v", ck3, info3)
 	}
 }
+
+// TestRecoverAllocsIndependentOfRecords pins replay's buffer reuse:
+// with a no-op apply, recovering a segment of 4,096 batch records
+// allocates exactly as often as one of 1,024. One segment image and
+// one row buffer serve every record, so allocations grow with the
+// segments read, not with the records in them.
+func TestRecoverAllocsIndependentOfRecords(t *testing.T) {
+	const d, q = 8, 4
+	allocs := func(records int) float64 {
+		opts := testOpts(t, d, q)
+		opts.SegmentBytes = 1 << 30
+		st, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := batchOf(d, q, 16, 1)
+		for range records {
+			if err := st.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st, err = Open(opts); err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if segs := st.Stats().Segments; segs != 1 {
+			t.Fatalf("%d records wrote %d segments, want 1", records, segs)
+		}
+		seen := 0
+		n := testing.AllocsPerRun(5, func() {
+			seen = 0
+			info, err := st.Recover(nil, func(r Record) error { seen++; return nil })
+			if err != nil || info.Records != records {
+				t.Fatalf("recovered %d of %d records: %v", info.Records, records, err)
+			}
+		})
+		if seen != records {
+			t.Fatalf("applied %d of %d records", seen, records)
+		}
+		return n
+	}
+	small, large := allocs(1024), allocs(4096)
+	t.Logf("Recover allocations: %v for 1,024 records, %v for 4,096", small, large)
+	if small != large {
+		t.Fatalf("Recover allocates %v times for 1,024 records and %v for 4,096: allocations grow with records", small, large)
+	}
+}
+
+// TestRecoverVerifiesSegmentBeforeApplying damages the last frame of a
+// middle segment: recovery fails with ErrCorrupt, and no record of
+// that segment reaches apply, since the whole segment is verified
+// before any of it is applied.
+func TestRecoverVerifiesSegmentBeforeApplying(t *testing.T) {
+	const d, q = 3, 4
+	opts := testOpts(t, d, q)
+	opts.SegmentBytes = 256
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 12 {
+		if err := st.AppendBatch(batchOf(d, q, 8, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(opts.Dir)
+	if err != nil || len(segs) < 3 {
+		t.Fatalf("want ≥ 3 segments, got %d (%v)", len(segs), err)
+	}
+	data, err := os.ReadFile(segs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(segs[1], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	first, _ := parseSegmentName(filepath.Base(segs[1]))
+	st2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	var applied []uint64
+	_, rerr := st2.Recover(nil, func(r Record) error {
+		applied = append(applied, r.LSN)
+		return nil
+	})
+	if !errors.Is(rerr, ErrCorrupt) {
+		t.Fatalf("damaged middle segment: %v", rerr)
+	}
+	if len(applied) == 0 || applied[len(applied)-1] != first-1 {
+		t.Fatalf("applied LSNs %v; want exactly the first segment's, ending at %d", applied, first-1)
+	}
+}
