@@ -26,6 +26,9 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add(valid[:segHeaderSize])
 	f.Add([]byte{})
 	f.Add(appendFrame(appendSegHeader(nil, 1, 2, 0), encodeSummaryRecord(nil, []byte("blob"))))
+	// CRC-valid frames whose batch bodies are not whole rows of 3.
+	f.Add(appendFrame(appendSegHeader(nil, 3, 4, 0), encodeBatchRecord(nil, []uint16{1, 2})))
+	f.Add(appendFrame(appendSegHeader(nil, 3, 4, 0), []byte{byte(RecordBatch), 1, 0, 2, 0, 3}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := scanSegment(data)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -735,9 +736,12 @@ func TestCheckpointSupersedesTruncatedLog(t *testing.T) {
 
 // TestRecoverAllocsIndependentOfRecords pins replay's buffer reuse:
 // with a no-op apply, recovering a segment of 4,096 batch records
-// allocates exactly as often as one of 1,024. One segment image and
-// one row buffer serve every record, so allocations grow with the
-// segments read, not with the records in them.
+// allocates as often as one of 1,024. One segment image and one row
+// buffer serve every record, so allocations grow with the segments
+// read, not with the records in them. (Decoding a record at a time
+// into fresh slices allocated 1,051 and 4,128 times.) One allocation
+// of slack absorbs the race detector, under which sync.Pool drops
+// entries at random and os.ReadDir sometimes allocates its buffer.
 func TestRecoverAllocsIndependentOfRecords(t *testing.T) {
 	const d, q = 8, 4
 	allocs := func(records int) float64 {
@@ -763,8 +767,13 @@ func TestRecoverAllocsIndependentOfRecords(t *testing.T) {
 		if segs := st.Stats().Segments; segs != 1 {
 			t.Fatalf("%d records wrote %d segments, want 1", records, segs)
 		}
+		// A collection during the runs empties sync.Pools the runtime
+		// keeps (os.ReadDir's buffers), and the larger image collects
+		// more often: count with collection off, so only Recover's own
+		// allocations are compared.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 		seen := 0
-		n := testing.AllocsPerRun(5, func() {
+		n := testing.AllocsPerRun(20, func() {
 			seen = 0
 			info, err := st.Recover(nil, func(r Record) error { seen++; return nil })
 			if err != nil || info.Records != records {
@@ -778,7 +787,7 @@ func TestRecoverAllocsIndependentOfRecords(t *testing.T) {
 	}
 	small, large := allocs(1024), allocs(4096)
 	t.Logf("Recover allocations: %v for 1,024 records, %v for 4,096", small, large)
-	if small != large {
+	if large > small+1 {
 		t.Fatalf("Recover allocates %v times for 1,024 records and %v for 4,096: allocations grow with records", small, large)
 	}
 }
@@ -831,5 +840,25 @@ func TestRecoverVerifiesSegmentBeforeApplying(t *testing.T) {
 	}
 	if len(applied) == 0 || applied[len(applied)-1] != first-1 {
 		t.Fatalf("applied LSNs %v; want exactly the first segment's, ending at %d", applied, first-1)
+	}
+}
+
+// TestScanStopsAtMisshapenRecord: a CRC-valid frame whose payload is
+// not a well-formed record — a batch body of part of a row, an odd
+// byte count, an unknown kind, a truncated subspace record — ends the
+// verified prefix there, as damage does.
+func TestScanStopsAtMisshapenRecord(t *testing.T) {
+	const d = 3
+	good := appendFrame(appendSegHeader(nil, d, 4, 0), encodeBatchRecord(nil, []uint16{1, 2, 3}))
+	for name, payload := range map[string][]byte{
+		"partial row":        encodeBatchRecord(nil, []uint16{1, 2}),
+		"odd byte count":     {byte(RecordBatch), 1, 0, 2, 0, 3, 0, 4},
+		"unknown kind":       {9, 0, 0},
+		"truncated subspace": encodeSubspaceRecord(nil, 0b11, "registered")[:12],
+	} {
+		res, err := scanSegment(appendFrame(append([]byte(nil), good...), payload))
+		if err != nil || !res.torn || res.records != 1 || res.validLen != len(good) {
+			t.Errorf("%s: %+v, %v; want torn after the first record at %d bytes", name, res, err, len(good))
+		}
 	}
 }

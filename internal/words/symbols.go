@@ -16,7 +16,8 @@ import "encoding/binary"
 // the alphabet, so it can only add a flag next to one that is already
 // set. The flags of a whole run are OR-ed together, and only a set
 // flag pays for a symbol-by-symbol rescan to find the first bad one.
-// Larger alphabets compare symbol by symbol.
+// Larger alphabets flag every symbol ≥ 2¹⁵ and compare those in the
+// rescan.
 
 const (
 	// laneOnes holds 1 in each of the four 16-bit lanes of a word.
@@ -48,11 +49,7 @@ func AppendSymbolsLE(dst []byte, syms []uint16) []byte {
 // admits every symbol. It panics if src is shorter than 2·len(dst).
 func DecodeSymbolsLE(dst []uint16, src []byte, q int) int {
 	src = src[:2*len(dst)]
-	if q < 1 || q > swarMaxAlphabet {
-		decodeSymbolsLE(dst, src)
-		return firstOutside(dst, q)
-	}
-	k := uint64(swarMaxAlphabet-q) * laneOnes
+	k := swarAddend(q)
 	var flags uint64
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
@@ -72,28 +69,11 @@ func DecodeSymbolsLE(dst []uint16, src []byte, q int) int {
 	return firstOutside(dst, q)
 }
 
-// decodeSymbolsLE is DecodeSymbolsLE without the check; len(src) is
-// 2·len(dst).
-func decodeSymbolsLE(dst []uint16, src []byte) {
-	i := 0
-	for ; i+4 <= len(dst); i += 4 {
-		v := binary.LittleEndian.Uint64(src[2*i:])
-		w := dst[i : i+4 : i+4]
-		w[0], w[1], w[2], w[3] = uint16(v), uint16(v>>16), uint16(v>>32), uint16(v>>48)
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = binary.LittleEndian.Uint16(src[2*i:])
-	}
-}
-
 // symbolsOutside returns the index of the first symbol of syms outside
 // [q], or -1: the decoder's check for symbols already in memory, four
 // lanes a step.
 func symbolsOutside(syms []uint16, q int) int {
-	if q < 1 || q > swarMaxAlphabet {
-		return firstOutside(syms, q)
-	}
-	k := uint64(swarMaxAlphabet-q) * laneOnes
+	k := swarAddend(q)
 	var flags uint64
 	i := 0
 	for ; i+4 <= len(syms); i += 4 {
@@ -109,6 +89,17 @@ func symbolsOutside(syms []uint16, q int) int {
 		return -1
 	}
 	return firstOutside(syms, q)
+}
+
+// swarAddend returns the SWAR test's k for alphabet [q]. Above 2¹⁵ it
+// is 0, so a flag means only "≥ 2¹⁵" and the rescan compares each
+// symbol with q; at q ≤ 0, where every symbol is outside, it is
+// 0x8000 in each lane, which flags any symbol.
+func swarAddend(q int) uint64 {
+	if q > swarMaxAlphabet {
+		return 0
+	}
+	return uint64(swarMaxAlphabet-max(q, 0)) * laneOnes
 }
 
 // firstOutside is the symbol-by-symbol reference: the index of the
