@@ -185,9 +185,9 @@ func finishFrame(buf []byte) {
 }
 
 // scanResult is what verifying a segment image yields: the number of
-// records (whole valid frames), the byte length of the valid prefix (header +
-// those frames), and whether verification stopped at a damaged or
-// truncated frame before the end of the image.
+// records (whole valid frames), the byte length of the valid prefix
+// (header + those frames), and whether verification stopped at a
+// damaged or truncated frame before the end of the image.
 type scanResult struct {
 	header   segHeader
 	records  int

@@ -196,7 +196,7 @@ func (st *Store) scan() error {
 	}
 	for len(paths) > 0 {
 		last := paths[len(paths)-1]
-		data, err := readSegment(last, nil)
+		data, err := os.ReadFile(last)
 		if err != nil {
 			return err
 		}
@@ -558,13 +558,12 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 	// One segment image and one row buffer serve the whole replay. The
 	// image is sized for the largest segment up front, so it is
 	// allocated (and zeroed) once, not once per segment.
-	var image []byte
-	var rows []uint16
+	var largest int64
 	for _, seg := range segments {
-		if int64(cap(image)) < seg.bytes {
-			image = make([]byte, 0, seg.bytes)
-		}
+		largest = max(largest, seg.bytes)
 	}
+	image := make([]byte, 0, largest)
+	var rows []uint16
 	for i, seg := range segments {
 		// Segments wholly below the cut need no replay (they survive
 		// only until the next compaction).
