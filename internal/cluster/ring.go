@@ -120,26 +120,37 @@ func (r *Ring) Has(node string) bool {
 // Owner returns the node owning the given key hash: the first ring
 // point clockwise from it.
 func (r *Ring) Owner(h uint64) string {
-	pts := r.points
-	i := sort.Search(len(pts), func(i int) bool { return pts[i].hash >= h })
-	if i == len(pts) {
-		i = 0
-	}
-	return r.nodes[pts[i].node]
+	return r.nodes[r.ownerIndex(h)]
 }
 
-// RowKey hashes one row of symbols to its ring coordinate. The key is
-// the row's symbol content, so the same row always lands on the same
-// node regardless of arrival order or batch boundaries — duplicate
-// rows concentrate on one owner instead of smearing, and the cluster
-// test harness can recompute every row's owner offline.
-func RowKey(row []uint16) uint64 {
-	buf := make([]byte, 2*len(row))
-	for i, sym := range row {
-		buf[2*i] = byte(sym)
-		buf[2*i+1] = byte(sym >> 8)
+// ownerIndex is Owner as an index into r.nodes.
+func (r *Ring) ownerIndex(h uint64) int {
+	pts := r.points
+	lo, hi := 0, len(pts)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pts[m].hash < h {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	return hashing.Fingerprint64(buf)
+	if lo == len(pts) {
+		lo = 0
+	}
+	return pts[lo].node
+}
+
+// RowKey hashes one row of symbols to its ring coordinate: the
+// fingerprint of the row in the flat symbol codec
+// (words.AppendSymbolsLE). The key is the row's symbol content, so
+// the same row always lands on the same node regardless of arrival
+// order or batch boundaries — duplicate rows concentrate on one owner
+// instead of smearing, and the cluster test harness can recompute
+// every row's owner offline.
+func RowKey(row []uint16) uint64 {
+	var key [2 * 64]byte // rows up to d = 64 encode on the stack
+	return hashing.Fingerprint64(words.AppendSymbolsLE(key[:0], row))
 }
 
 // OwnerOfRow is Owner(RowKey(row)).
@@ -288,17 +299,35 @@ func (r *Ring) Diff(next *Ring) Diff {
 // map. Row order within each sub-batch preserves the input order,
 // which keeps each ingest node's WAL order a subsequence of the
 // client's stream order.
+//
+// Every row's key is RowKey's, computed in one pass: the batch is
+// encoded once into a key arena and fingerprinted row by row in one
+// call. Each part is sized by a count of its rows before they are
+// copied in.
 func (r *Ring) PartitionBatch(b *words.Batch) map[string]*words.Batch {
-	out := make(map[string]*words.Batch, r.Len())
-	for i := 0; i < b.Len(); i++ {
-		row := b.Row(i)
-		node := r.OwnerOfRow(row)
-		part := out[node]
-		if part == nil {
-			part = words.NewBatch(b.Dim(), 0)
-			out[node] = part
+	n, d := b.Len(), b.Dim()
+	arena := words.AppendSymbolsLE(make([]byte, 0, 2*n*d), b.Symbols())
+	owners := hashing.AppendFingerprints64(make([]uint64, 0, n), arena, n, 2*d)
+	counts := make([]int, len(r.nodes))
+	for i, h := range owners {
+		node := r.ownerIndex(h)
+		owners[i] = uint64(node)
+		counts[node]++
+	}
+	parts := make([]*words.Batch, len(r.nodes))
+	for node, c := range counts {
+		if c > 0 {
+			parts[node] = words.NewBatch(d, c)
 		}
-		part.Append(row)
+	}
+	for i, node := range owners {
+		parts[node].Append(b.Row(i))
+	}
+	out := make(map[string]*words.Batch, len(r.nodes))
+	for node, part := range parts {
+		if part != nil {
+			out[r.nodes[node]] = part
+		}
 	}
 	return out
 }

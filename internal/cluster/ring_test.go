@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
+	"repro/internal/hashing"
+	"repro/internal/rng"
 	"repro/internal/words"
 )
 
@@ -151,4 +155,105 @@ func TestRowKeyContentAddressed(t *testing.T) {
 		}
 		seen[k] = fmt.Sprint(row)
 	}
+}
+
+// refRowKey is the per-symbol reference for RowKey: the row's symbols
+// as little-endian byte pairs, fingerprinted.
+func refRowKey(row []uint16) uint64 {
+	buf := make([]byte, 0, 2*len(row))
+	for _, sym := range row {
+		buf = append(buf, byte(sym), byte(sym>>8))
+	}
+	return hashing.Fingerprint64(buf)
+}
+
+// refOwner is the reference for Owner: the first ring point at or
+// after h, found with sort.Search.
+func refOwner(r *Ring, h uint64) string {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	return r.nodes[r.points[i%len(r.points)].node]
+}
+
+// TestPartitionBatchMatchesOwnerOfRow pins the one-pass partition to
+// per-row routing: over random batches and rings of 1–5 nodes, every
+// row lands in its OwnerOfRow part, in input order, and RowKey and
+// Owner agree with their per-symbol and sort.Search references.
+func TestPartitionBatchMatchesOwnerOfRow(t *testing.T) {
+	src := rng.New(41)
+	for _, d := range []int{1, 3, 4, 16} {
+		for size := 1; size <= 5; size++ {
+			var nodes []string
+			for i := range size {
+				nodes = append(nodes, fmt.Sprintf("http://n%d-%d", i, src.Intn(1000)))
+			}
+			r := testRing(t, nodes...)
+			for trial := range 4 {
+				n := src.Intn(300)
+				b := words.NewBatch(d, n)
+				for range n {
+					row := b.AppendRow()
+					for j := range row {
+						if trial%2 == 0 {
+							row[j] = uint16(src.Intn(4))
+						} else {
+							row[j] = uint16(src.Intn(1 << 16))
+						}
+					}
+				}
+				want := map[string][]uint16{}
+				for i := range n {
+					row := b.Row(i)
+					if k := RowKey(row); k != refRowKey(row) {
+						t.Fatalf("RowKey(%v) = %x, reference %x", row, k, refRowKey(row))
+					}
+					owner := r.OwnerOfRow(row)
+					if ref := refOwner(r, refRowKey(row)); owner != ref {
+						t.Fatalf("OwnerOfRow(%v) = %s, reference %s", row, owner, ref)
+					}
+					want[owner] = append(want[owner], row...)
+				}
+				parts := r.PartitionBatch(b)
+				if len(parts) != len(want) {
+					t.Fatalf("d=%d, %d nodes: %d parts, want %d", d, size, len(parts), len(want))
+				}
+				for node, rows := range want {
+					part := parts[node]
+					if part == nil || part.Dim() != d || !slices.Equal(part.Symbols(), rows) {
+						t.Fatalf("d=%d, %d nodes: part of %s differs from its OwnerOfRow rows in input order", d, size, node)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRowKeyDoesNotAllocate: RowKey encodes into a stack buffer.
+func TestRowKeyDoesNotAllocate(t *testing.T) {
+	row := []uint16{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3}
+	if allocs := testing.AllocsPerRun(100, func() { RowKey(row) }); allocs != 0 {
+		t.Fatalf("RowKey allocated %v times per call", allocs)
+	}
+}
+
+// BenchmarkPartitionBatch partitions 256-row, d = 16 batches over [4]
+// across two nodes, the router's shape in the cluster-router workload.
+func BenchmarkPartitionBatch(b *testing.B) {
+	const n, d = 256, 16
+	r, err := NewRing([]string{"http://127.0.0.1:7001", "http://127.0.0.1:7002"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.New(5)
+	batch := words.NewBatch(d, n)
+	for range n {
+		row := batch.AppendRow()
+		for j := range row {
+			row[j] = uint16(src.Intn(4))
+		}
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		r.PartitionBatch(batch)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
 }

@@ -21,6 +21,9 @@ var ErrCorrupt = errors.New("sample: corrupt serialized sampler")
 //	Reservoir:       u32 t | i64 seen | 4×u64 rng state | u32 n | n×row
 //	row:             u32 len (0xFFFFFFFF = absent) | len×u16 symbols
 //
+// A row's symbols are the flat symbol codec (words.AppendSymbolsLE),
+// written and read through wire.Writer.Symbols and Reader.Symbols.
+//
 // The generator states (and each with-replacement slot's next
 // acceptance position) travel with the rows so a decoded sampler
 // continues its stream — and in particular merges — exactly as the
@@ -55,9 +58,7 @@ func writeRow(w *wire.Writer, row words.Word) {
 		return
 	}
 	w.U32(uint32(len(row)))
-	for _, x := range row {
-		w.U16(x)
-	}
+	w.Symbols(row)
 }
 
 func readRow(r *wire.Reader) words.Word {
@@ -69,9 +70,7 @@ func readRow(r *wire.Reader) words.Word {
 		return nil
 	}
 	row := make(words.Word, n)
-	for i := range row {
-		row[i] = r.U16()
-	}
+	r.Symbols(row)
 	return row
 }
 

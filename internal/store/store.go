@@ -134,6 +134,16 @@ type segmentInfo struct {
 	bytes    int64
 }
 
+// verifiedSegment is the last segment as Open read and verified it:
+// its image cut to the whole frames, and their scan. Open keeps it for
+// the first Recover, which replays it without reading it again; an
+// append or Close drops it.
+type verifiedSegment struct {
+	path  string
+	image []byte
+	res   scanResult
+}
+
 // Store is an open WAL + checkpoint directory. Appends are safe for
 // concurrent callers (serialized internally); Recover must run before
 // the first append, as the daemon's boot sequence does.
@@ -149,6 +159,7 @@ type Store struct {
 	closed    bool
 	failed    error  // latched unrecoverable-tail error; fails all appends
 	buf       []byte // frame staging buffer, reused across appends
+	tail      *verifiedSegment
 	ckptCount int
 	ckptLSN   uint64 // newest checkpoint's cut, 0 if none
 
@@ -226,6 +237,8 @@ func (st *Store) scan() error {
 			}
 		}
 		st.lsn = res.header.firstLSN + uint64(res.records)
+		res.torn = false // the file now ends on its last whole frame
+		st.tail = &verifiedSegment{path: last, image: data[:res.validLen], res: res}
 		for _, p := range paths {
 			first, _ := parseSegmentName(filepath.Base(p))
 			info, err := os.Stat(p)
@@ -375,6 +388,7 @@ func (st *Store) append(enc func(dst []byte) []byte) error {
 		st.dirty = true
 	}
 	st.appended = true
+	st.tail = nil
 	st.lsn++
 	active.bytes += int64(len(st.buf))
 	return nil
@@ -469,6 +483,7 @@ func (st *Store) Close() error {
 		return nil
 	}
 	st.closed = true
+	st.tail = nil
 	if st.seg == nil {
 		return nil
 	}
@@ -522,6 +537,10 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 	}
 	segments := append([]segmentInfo(nil), st.segments...)
 	end := st.lsn
+	// Open's verified image of the last segment serves this replay
+	// only; a later Recover reads the file again.
+	tail := st.tail
+	st.tail = nil
 	st.mu.Unlock()
 
 	ck, err := st.loadCheckpoint(segments, end)
@@ -555,34 +574,44 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 				ErrCorrupt, from, firstAvailable(segments))
 		}
 	}
+	// Segments wholly below the cut need no replay (they survive only
+	// until the next compaction), and the last one may already be in
+	// memory from Open.
+	replay := func(i int) bool { return i+1 == len(segments) || segments[i+1].firstLSN > from }
+	held := func(seg segmentInfo) bool { return tail != nil && tail.path == seg.path }
 	// One segment image and one row buffer serve the whole replay. The
-	// image is sized for the largest segment up front, so it is
+	// image is sized for the largest segment to read up front, so it is
 	// allocated (and zeroed) once, not once per segment.
 	var largest int64
-	for _, seg := range segments {
-		largest = max(largest, seg.bytes)
+	for i, seg := range segments {
+		if replay(i) && !held(seg) {
+			largest = max(largest, seg.bytes)
+		}
 	}
 	image := make([]byte, 0, largest)
 	var rows []uint16
 	for i, seg := range segments {
-		// Segments wholly below the cut need no replay (they survive
-		// only until the next compaction).
-		if i+1 < len(segments) && segments[i+1].firstLSN <= from {
+		if !replay(i) {
 			continue
 		}
-		image, err = readSegment(seg.path, image)
-		if err != nil {
-			return RecoverInfo{}, err
-		}
-		// The whole segment is verified before any of its records is
-		// applied: a damaged frame fails recovery with nothing of its
-		// segment replayed.
-		res, err := scanSegment(image)
-		if err != nil {
-			return RecoverInfo{}, fmt.Errorf("%s: %w", filepath.Base(seg.path), err)
-		}
-		if err := st.checkShape(seg.path, res.header); err != nil {
-			return RecoverInfo{}, err
+		var data []byte
+		var res scanResult
+		if held(seg) {
+			data, res = tail.image, tail.res
+		} else {
+			if image, err = readSegment(seg.path, image); err != nil {
+				return RecoverInfo{}, err
+			}
+			// The whole segment is verified before any of its records
+			// is applied: a damaged frame fails recovery with nothing of
+			// its segment replayed.
+			if res, err = scanSegment(image); err != nil {
+				return RecoverInfo{}, fmt.Errorf("%s: %w", filepath.Base(seg.path), err)
+			}
+			if err := st.checkShape(seg.path, res.header); err != nil {
+				return RecoverInfo{}, err
+			}
+			data = image
 		}
 		// Open truncated the final segment's torn tail; any other torn
 		// scan means damage in the middle of the log.
@@ -593,7 +622,7 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 			return RecoverInfo{}, fmt.Errorf("%w: %s ends at LSN %d but the next segment starts at %d",
 				ErrCorrupt, filepath.Base(seg.path), end, segments[i+1].firstLSN)
 		}
-		for lsn, payload := range res.frames(image) {
+		for lsn, payload := range res.frames(data) {
 			if lsn < from {
 				continue
 			}

@@ -862,3 +862,45 @@ func TestScanStopsAtMisshapenRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverReplaysOpenScan pins the one scan of a boot: the first
+// Recover replays the last segment from the image Open read and
+// verified, so emptying the file after Open does not reach it, while a
+// second Recover reads the file again.
+func TestRecoverReplaysOpenScan(t *testing.T) {
+	const d, q = 3, 4
+	opts := testOpts(t, d, q)
+	opts.SegmentBytes = 1 << 20
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 5 {
+		if err := st.AppendBatch(batchOf(d, q, 4, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(opts); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := os.Truncate(st.segments[0].path, segHeaderSize); err != nil {
+		t.Fatal(err)
+	}
+	count := func() int {
+		info, err := st.Recover(nil, func(Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info.Records
+	}
+	if got := count(); got != 5 {
+		t.Fatalf("first Recover replayed %d records, want the 5 Open verified", got)
+	}
+	if got := count(); got != 0 {
+		t.Fatalf("second Recover replayed %d records from an emptied segment, want 0", got)
+	}
+}

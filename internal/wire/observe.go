@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -77,11 +78,26 @@ type ObserveDecoder struct {
 // encoding/json in two places: a second "rows" key is refused rather
 // than resolved, and a symbol must be an unsigned integer literal
 // (null is not 0).
+//
+// Once d is known (given, or taken from the first row), each row is
+// first tried as a compact row, d one-digit symbols joined by bare
+// commas, which is what AppendObserve and encoding/json write for
+// symbols below 10. That scan reads 8 bytes (four symbols) a step. Any
+// other byte sends the row, from its '[', to the general scanner, so
+// the general scanner alone decides what else is accepted and words
+// every error.
 func (dec *ObserveDecoder) Decode(body io.Reader, d, q int) (*words.Batch, error) {
 	dec.buf.Reset()
 	if _, err := dec.buf.ReadFrom(body); err != nil {
 		return nil, fmt.Errorf("decoding rows: %w", err)
 	}
+	return dec.decode(d, q, true)
+}
+
+// decode scans the buffered body; compact selects the compact-row
+// scan, which tests turn off to hold the general scanner up as its
+// reference.
+func (dec *ObserveDecoder) decode(d, q int, compact bool) (*words.Batch, error) {
 	syms := dec.batch.Symbols()[:0]
 	s := jsonScan{b: dec.buf.Bytes()}
 	s.skipWS()
@@ -106,7 +122,7 @@ func (dec *ObserveDecoder) Decode(body io.Reader, d, q int) (*words.Batch, error
 				return nil, errors.New(`decoding rows: duplicate "rows" field`)
 			}
 			rowsSeen = true
-			if syms, d, err = s.scanRows(syms, d, q); err != nil {
+			if syms, d, err = s.scanRows(syms, d, q, compact); err != nil {
 				return nil, err
 			}
 		} else if err := s.skipValue(); err != nil {
@@ -138,8 +154,9 @@ type jsonScan struct {
 // scanRows parses the [[…], …] rows array, appending its symbols to
 // syms; the scanner is positioned at the start of the value. It
 // returns the grown slice and the row dimension (d, or the first row's
-// length when d is 0 and the array has a row).
-func (s *jsonScan) scanRows(syms []uint16, d, q int) ([]uint16, int, error) {
+// length when d is 0 and the array has a row). With compact set, a
+// row is first tried by compactRow once d is known.
+func (s *jsonScan) scanRows(syms []uint16, d, q int, compact bool) ([]uint16, int, error) {
 	if s.eatLiteral("null") {
 		// "rows": null — what a client marshalling a nil slice sends;
 		// accepted as an empty batch, as encoding/json does.
@@ -148,6 +165,9 @@ func (s *jsonScan) scanRows(syms []uint16, d, q int) ([]uint16, int, error) {
 	if !s.eat('[') {
 		return nil, 0, errors.New("rows must be an array")
 	}
+	// A compact row's symbols are single digits, so [min(q, 10)] is
+	// both its digit range and its alphabet.
+	digits := words.NewLaneCheck(min(q, 10))
 	for i := 0; ; i++ {
 		s.skipWS()
 		if s.eat(']') {
@@ -161,6 +181,12 @@ func (s *jsonScan) scanRows(syms []uint16, d, q int) ([]uint16, int, error) {
 		}
 		if !s.eat('[') {
 			return nil, 0, fmt.Errorf("row %d must be an array", i)
+		}
+		if compact && d > 0 {
+			var ok bool
+			if syms, ok = s.compactRow(syms, d, digits); ok {
+				continue
+			}
 		}
 		j := 0
 		s.skipWS()
@@ -195,6 +221,67 @@ func (s *jsonScan) scanRows(syms []uint16, d, q int) ([]uint16, int, error) {
 			return nil, 0, fmt.Errorf("row %d has %d symbols, want %d", i, j, d)
 		}
 	}
+}
+
+// A compact row word is 8 body bytes read little-endian: four 16-bit
+// lanes, each a digit in its low byte and its separator in the high
+// byte.
+const (
+	// laneLowBytes selects each lane's digit byte.
+	laneLowBytes = 0x00ff_00ff_00ff_00ff
+	// laneZeros is '0' in each lane: a lane's digit minus it is the
+	// symbol, so the word minus laneZeros is the row's LE symbol word.
+	laneZeros = 0x0030_0030_0030_0030
+	// laneCommas is ',' after each of the four digits, and rowEnd is
+	// the last word of a row whose d is a multiple of four.
+	laneCommas = 0x2c00_2c00_2c00_2c00
+	rowEnd     = 0x5d00_2c00_2c00_2c00
+)
+
+// compactRow decodes the row after its '[' when it is d one-digit
+// symbols in [digits] joined by bare commas and closed by ']', reading
+// four symbols a step. It appends them to syms and reports true; on any
+// other byte it reports false with the scanner where it was and syms
+// at its old length, for the general scanner to decode the row.
+//
+// A lane whose digit byte is below '0' borrows from the lane above
+// when laneZeros is taken from the word, but the lowest such lane
+// wraps to ≥ 0xffd0 and is flagged, so a borrow never hides a bad byte.
+func (s *jsonScan) compactRow(syms []uint16, d int, digits words.LaneCheck) ([]uint16, bool) {
+	b := s.b[s.pos:]
+	if len(b) < 2*d {
+		return syms, false
+	}
+	n := len(syms)
+	grown := slices.Grow(syms, d)
+	row := grown[n : n+d]
+	var flags uint64
+	i := 0
+	for ; i+4 <= d; i += 4 {
+		w := binary.LittleEndian.Uint64(b[2*i:])
+		seps := uint64(laneCommas)
+		if i+4 == d {
+			seps = rowEnd
+		}
+		v := w&laneLowBytes - laneZeros
+		flags |= w&^laneLowBytes ^ seps | digits.Flags(v)
+		r := row[i : i+4 : i+4]
+		r[0], r[1], r[2], r[3] = uint16(v), uint16(v>>16), uint16(v>>32), uint16(v>>48)
+	}
+	for ; i < d; i++ {
+		sep := byte(',')
+		if i+1 == d {
+			sep = ']'
+		}
+		v := uint64(b[2*i]) - '0'
+		flags |= uint64(b[2*i+1]^sep) | digits.Flags(v)
+		row[i] = uint16(v)
+	}
+	if flags != 0 {
+		return grown[:n], false
+	}
+	s.pos += 2 * d
+	return grown[:n+d], true
 }
 
 func (s *jsonScan) skipWS() {

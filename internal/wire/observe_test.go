@@ -3,10 +3,12 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/rng"
 	"repro/internal/words"
 )
 
@@ -168,14 +170,19 @@ func FuzzDecodeObserve(f *testing.F) {
 	f.Add([]byte(`{"Rows":[[9]],"rows":[[1]]}`), uint8(1), uint16(0))
 	f.Add([]byte(`{"x":tru,"rows":[[1]]}`), uint8(1), uint16(2))
 	f.Add([]byte(`{"rows":[[1]]}`), uint8(1), uint16(2))
+	for _, body := range compactRowBodies {
+		f.Add([]byte(body), uint8(16), uint16(3))
+		f.Add([]byte(body), uint8(0), uint16(0))
+	}
 	f.Fuzz(func(t *testing.T, body []byte, dRaw uint8, qRaw uint16) {
-		d := int(dRaw % 8) // 0: take the dimension from the first row
+		d := int(dRaw % 24) // 0: take the dimension from the first row
 		q := AnySymbol
 		if qRaw != 0 {
 			q = int(qRaw) + 1
 		}
 		var dec ObserveDecoder
 		got, gotErr := dec.Decode(bytes.NewReader(body), d, q)
+		checkCompactMatchesGeneral(t, body, d, q, got, gotErr)
 
 		// The reference: the decode the router used to do. *uint16 so a
 		// null symbol (which encoding/json leaves as 0) shows.
@@ -249,4 +256,122 @@ func FuzzDecodeObserve(f *testing.F) {
 			}
 		}
 	})
+}
+
+// compactRowBodies reach every exit of the compact-row scan at d = 16,
+// q = 4: whole rows, and a row broken in each way the scan refuses.
+var compactRowBodies = map[string]string{
+	"compact":        `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[3,3,3,3,3,3,3,3,3,3,3,3,3,3,3,3]]}`,
+	"two digits":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,10,2,3,0,1,2,3,0,1,2,3]]}`,
+	"whitespace":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1, 2,3,0,1,2,3,0,1,2,3]]}`,
+	"space first":    `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[ 0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3]]}`,
+	"space last":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3 ]]}`,
+	"lane 0 out":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[4,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3]]}`,
+	"lane 1 out":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,9,2,3,0,1,2,3,0,1,2,3]]}`,
+	"lane 2 out":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,5,3,0,1,2,3]]}`,
+	"lane 3 out":     `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,7]]}`,
+	"short row":      `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2]]}`,
+	"long row":       `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3,0]]}`,
+	"negative":       `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,-3,0,1,2,3,0,1,2,3]]}`,
+	"fraction":       `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1.2,3,0,1,2,3]]}`,
+	"digit below 0":  `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,/,1,2,3,0,1,2,3,0,1,2,3]]}`,
+	"digit above 9":  `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,:,1,2,3,0,1,2,3]]}`,
+	"truncated":      `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,`,
+	"no ']' at end":  `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3`,
+	"null":           `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3],[0,1,2,3,null,1,2,3,0,1,2,3,0,1,2,3]]}`,
+	"tail d%4 = 3":   `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3,0,1,2],[3,2,1,0,3,2,1,0,3,2,1,0,3,2,1,0,3,2,1]]}`,
+	"tail out":       `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3,0,1,2],[3,2,1,0,3,2,1,0,3,2,1,0,3,2,1,0,3,8,1]]}`,
+	"tail separator": `{"rows":[[0,1,2,3,0,1,2,3,0,1,2,3,0,1,2,3,0,1,2],[3,2,1,0,3,2,1,0,3,2,1,0,3,2,1,0,3,2;1]]}`,
+}
+
+// checkCompactMatchesGeneral holds one Decode result up against the
+// general scanner alone on the same body: the same symbols, or the same
+// error text.
+func checkCompactMatchesGeneral(t *testing.T, body []byte, d, q int, got *words.Batch, gotErr error) {
+	t.Helper()
+	var ref ObserveDecoder
+	ref.buf.Write(body)
+	want, wantErr := ref.decode(d, q, false)
+	switch {
+	case (gotErr == nil) != (wantErr == nil):
+		t.Fatalf("%q (d=%d, q=%d): compact scan says %v, general scanner %v", body, d, q, gotErr, wantErr)
+	case gotErr != nil:
+		if gotErr.Error() != wantErr.Error() {
+			t.Fatalf("%q (d=%d, q=%d): compact scan fails with %q, general scanner with %q", body, d, q, gotErr, wantErr)
+		}
+	case got.Dim() != want.Dim() || !slices.Equal(got.Symbols(), want.Symbols()):
+		t.Fatalf("%q (d=%d, q=%d): compact scan reads dim %d %v, general scanner dim %d %v",
+			body, d, q, got.Dim(), got.Symbols(), want.Dim(), want.Symbols())
+	}
+}
+
+// TestCompactRowsMatchGeneralScanner runs every exit of the compact-row
+// scan, with the dimension given and taken from the first row, at
+// alphabets on both sides of 10 (where the digit range, not q, bounds a
+// compact symbol).
+func TestCompactRowsMatchGeneralScanner(t *testing.T) {
+	var dec ObserveDecoder
+	for name, body := range compactRowBodies {
+		for _, d := range []int{0, 15, 16, 17, 19} {
+			for _, q := range []int{0, 1, 2, 4, 9, 10, 11, AnySymbol} {
+				got, err := dec.Decode(strings.NewReader(body), d, q)
+				t.Run(fmt.Sprintf("%s/d=%d/q=%d", name, d, q), func(t *testing.T) {
+					checkCompactMatchesGeneral(t, []byte(body), d, q, got, err)
+				})
+			}
+		}
+	}
+	if b, err := dec.Decode(strings.NewReader(compactRowBodies["compact"]), 16, 4); err != nil || b.Len() != 2 {
+		t.Fatalf("compact body: %v, %v", b, err)
+	}
+}
+
+// observeRequest is an exact-coldquery ingest request: 4096 rows of 16
+// symbols over [4], as AppendObserve writes them.
+func observeRequest() []byte {
+	const n, d, q = 4096, 16, 4
+	src := rng.New(7)
+	b := words.NewBatch(d, n)
+	for range n {
+		row := b.AppendRow()
+		for j := range row {
+			row[j] = uint16(src.Intn(q))
+		}
+	}
+	return AppendObserve(nil, b)
+}
+
+// TestObserveDecodeDoesNotAllocate: a warm decoder, as the daemons pool
+// them, decodes a request with no allocation.
+func TestObserveDecodeDoesNotAllocate(t *testing.T) {
+	body := observeRequest()
+	var dec ObserveDecoder
+	var r bytes.Reader
+	decode := func() {
+		r.Reset(body)
+		if _, err := dec.Decode(&r, 16, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(20, decode); allocs != 0 {
+		t.Fatalf("warm Decode allocated %v times per request", allocs)
+	}
+}
+
+// BenchmarkDecodeObserve decodes the exact-coldquery request with a warm
+// decoder, as projfreqd does (d and q known).
+func BenchmarkDecodeObserve(b *testing.B) {
+	body := observeRequest()
+	var dec ObserveDecoder
+	var r bytes.Reader
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	for b.Loop() {
+		r.Reset(body)
+		if _, err := dec.Decode(&r, 16, 4); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*4096*16), "ns/symbol")
 }

@@ -16,6 +16,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"repro/internal/words"
 )
 
 // Writer accumulates a little-endian, fixed-width binary encoding.
@@ -52,6 +54,10 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 
 // Raw appends b verbatim.
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+
+// Symbols appends syms in the flat symbol codec
+// (words.AppendSymbolsLE), two bytes a symbol and no length.
+func (w *Writer) Symbols(syms []uint16) { w.buf = words.AppendSymbolsLE(w.buf, syms) }
 
 // Block appends b with a u32 length prefix.
 func (w *Writer) Block(b []byte) {
@@ -135,6 +141,18 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 
 // F64 reads an IEEE-754 binary64 bit pattern.
 func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
+
+// Symbols fills dst with the next len(dst) symbols of the flat symbol
+// codec (words.DecodeSymbolsLE), checking no alphabet. It reports
+// false, with a truncation error latched, if the input is short.
+func (r *Reader) Symbols(dst []uint16) bool {
+	if !r.Ensure(2 * len(dst)) {
+		return false
+	}
+	words.DecodeSymbolsLE(dst, r.data[r.off:], words.MaxAlphabet)
+	r.off += 2 * len(dst)
+	return true
+}
 
 // Block reads a u32-length-prefixed block, aliasing the input.
 func (r *Reader) Block() []byte {

@@ -198,3 +198,37 @@ func TestWriterZeroValueAndCapacity(t *testing.T) {
 		t.Fatalf("wrote %d bytes", len(wc.Bytes()))
 	}
 }
+
+// TestSymbolsMatchU16s: Symbols writes and reads the bytes of one U16
+// per symbol, at lengths on both sides of the codec's four-symbol
+// step, and a short input latches truncation without reading.
+func TestSymbolsMatchU16s(t *testing.T) {
+	for n := range 10 {
+		syms := make([]uint16, n)
+		for i := range syms {
+			syms[i] = uint16(0x9e37*i + 1)
+		}
+		var want, got Writer
+		for _, x := range syms {
+			want.U16(x)
+		}
+		got.Symbols(syms)
+		if string(got.Bytes()) != string(want.Bytes()) {
+			t.Fatalf("n=%d: Symbols wrote %x, U16s %x", n, got.Bytes(), want.Bytes())
+		}
+		r := NewReader(append(got.Bytes(), 0xff), errSentinel)
+		back := make([]uint16, n)
+		if !r.Symbols(back) || r.Remaining() != 1 {
+			t.Fatalf("n=%d: read failed or left %d bytes: %v", n, r.Remaining(), r.Err())
+		}
+		for i := range syms {
+			if back[i] != syms[i] {
+				t.Fatalf("n=%d: read %v, wrote %v", n, back, syms)
+			}
+		}
+	}
+	r := NewReader([]byte{1, 2, 3}, errSentinel)
+	if r.Symbols(make([]uint16, 2)) || !errors.Is(r.Err(), errSentinel) || r.Remaining() != 3 {
+		t.Fatalf("short input: %v, %d bytes left", r.Err(), r.Remaining())
+	}
+}

@@ -28,6 +28,20 @@ const (
 	swarMaxAlphabet = 1 << 15
 )
 
+// LaneCheck is the SWAR test above for one alphabet [q], applied a
+// word of four 16-bit lanes at a time. Callers outside this file that
+// hold symbols as lanes (the /v1/observe row scanner) test them with
+// it rather than with a copy of its constants.
+type LaneCheck struct{ k uint64 }
+
+// NewLaneCheck returns the lane test for the alphabet [q].
+func NewLaneCheck(q int) LaneCheck { return LaneCheck{swarAddend(q)} }
+
+// Flags returns v's lane flags, OR-able across words. For q ≤ 2¹⁵
+// they are zero exactly when every lane of v lies in [q]; for larger q
+// a flag means only "some lane is ≥ 2¹⁵", and a rescan must compare.
+func (c LaneCheck) Flags(v uint64) uint64 { return (v | (v + c.k)) & laneHigh }
+
 // AppendSymbolsLE appends syms to dst as little-endian u16s and
 // returns the extended slice.
 func AppendSymbolsLE(dst []byte, syms []uint16) []byte {
@@ -49,21 +63,21 @@ func AppendSymbolsLE(dst []byte, syms []uint16) []byte {
 // admits every symbol. It panics if src is shorter than 2·len(dst).
 func DecodeSymbolsLE(dst []uint16, src []byte, q int) int {
 	src = src[:2*len(dst)]
-	k := swarAddend(q)
+	lanes := NewLaneCheck(q)
 	var flags uint64
 	i := 0
 	for ; i+4 <= len(dst); i += 4 {
 		v := binary.LittleEndian.Uint64(src[2*i:])
-		flags |= v | (v + k)
+		flags |= lanes.Flags(v)
 		w := dst[i : i+4 : i+4]
 		w[0], w[1], w[2], w[3] = uint16(v), uint16(v>>16), uint16(v>>32), uint16(v>>48)
 	}
 	for ; i < len(dst); i++ {
 		v := uint64(binary.LittleEndian.Uint16(src[2*i:]))
-		flags |= v | (v + k)
+		flags |= lanes.Flags(v)
 		dst[i] = uint16(v)
 	}
-	if flags&laneHigh == 0 {
+	if flags == 0 {
 		return -1
 	}
 	return firstOutside(dst, q)
@@ -73,19 +87,17 @@ func DecodeSymbolsLE(dst []uint16, src []byte, q int) int {
 // [q], or -1: the decoder's check for symbols already in memory, four
 // lanes a step.
 func symbolsOutside(syms []uint16, q int) int {
-	k := swarAddend(q)
+	lanes := NewLaneCheck(q)
 	var flags uint64
 	i := 0
 	for ; i+4 <= len(syms); i += 4 {
 		w := syms[i : i+4 : i+4]
-		v := uint64(w[0]) | uint64(w[1])<<16 | uint64(w[2])<<32 | uint64(w[3])<<48
-		flags |= v | (v + k)
+		flags |= lanes.Flags(uint64(w[0]) | uint64(w[1])<<16 | uint64(w[2])<<32 | uint64(w[3])<<48)
 	}
 	for _, x := range syms[i:] {
-		v := uint64(x)
-		flags |= v | (v + k)
+		flags |= lanes.Flags(uint64(x))
 	}
-	if flags&laneHigh == 0 {
+	if flags == 0 {
 		return -1
 	}
 	return firstOutside(syms, q)
