@@ -334,3 +334,31 @@ func TestNetServingShapeGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestNetMomentOrderGolden pins a net configured with an unsorted
+// moment list that repeats an order, Moments {2, 0.5, 2}: the moments'
+// seeds are drawn from the master source in configuration order,
+// skipping the duplicate, while the wire lays the moments out
+// ascending, each with its own variate table. The digest was taken
+// while every problem still kept its own member list.
+func TestNetMomentOrderGolden(t *testing.T) {
+	const d, q = 8, 4
+	s, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: []float64{2, 0.5, 2}, StableReps: 12, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := words.NewBatch(d, 600)
+	for _, w := range batchTestRows(d, q, 600, 1) {
+		b.Append(w)
+	}
+	s.ObserveBatch(b)
+	blob, err := MarshalSummary(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	const golden = "3c0fdee0049762462fdbb0d6697da8c04842ba3c1ab278cf91d0e0d618d9cf61"
+	if digest := hex.EncodeToString(sum[:]); digest != golden {
+		t.Fatalf("wire form digest %s, golden %s", digest, golden)
+	}
+}

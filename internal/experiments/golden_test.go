@@ -1,0 +1,55 @@
+package experiments
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"testing"
+)
+
+// netExperimentDigests pins the SHA-256 of every experiment that
+// builds a core.Net or an anet.MetaSummary, run with seed 1 in quick
+// mode and rendered as cmd/experiments -csv renders it, so
+// `go run ./cmd/experiments -run E8 -quick -csv | sha256sum` prints
+// E8's digest. They were taken while every α-net problem still kept
+// its own member list and key pass, so matching them proves that the
+// shared pass changed no estimate, size or row of these experiments.
+var netExperimentDigests = map[string]string{
+	"E2":  "63b09fe5fa0479f921cba6d4eda6960f85870d102d99c0a78bdb169f75b492f4",
+	"E7":  "5be4eb490dccc37af3f0fcfde6227dfa0810c7afeef5bce03e743c26f2f94aca",
+	"E8":  "d2cb6f65f9b283d04ed21b958b3321fd49a44ebeb7920736d82ce671bfe1e444",
+	"E9":  "dc74363e2bf1881d6600ea6f9ce95780307aeb2b047c6e5ae80923aa5bdf418b",
+	"E10": "09f5a5c5bae3d09e5a1b6eafa428bb2036c80f62a6edbdd77f72463590585d9f",
+}
+
+// writeCSV renders rep into h the way cmd/experiments -csv does.
+func writeCSV(h hash.Hash, rep *Report) error {
+	for _, t := range rep.Tables {
+		fmt.Fprintf(h, "# %s / %s\n", rep.ID, t.Name)
+		if err := t.WriteCSV(h); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestNetExperimentsGolden fails, by experiment ID, when any α-net
+// experiment's quick run drifts from its pinned output.
+func TestNetExperimentsGolden(t *testing.T) {
+	for id, want := range netExperimentDigests {
+		t.Run(id, func(t *testing.T) {
+			rep, err := Run(id, Options{Seed: 1, Quick: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := writeCSV(h, rep); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != want {
+				t.Fatalf("%s -quick -csv digest %s, golden %s", id, got, want)
+			}
+		})
+	}
+}
