@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/anet"
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -229,10 +230,10 @@ func BenchmarkDistortionMeasurement(b *testing.B) {
 }
 
 // --- E8: Algorithm 1 — ingest and query costs across alpha (the
-// space/time side of the tradeoff) and across sketch kinds (ablation).
+// space/time side of the tradeoff).
 
-func benchNetObserve(b *testing.B, alpha float64, kind core.F0SketchKind) {
-	net, err := core.NewNet(12, 2, core.NetConfig{Alpha: alpha, Epsilon: 0.25, F0Sketch: kind, Seed: 19})
+func benchNetObserve(b *testing.B, alpha float64) {
+	net, err := core.NewNet(12, 2, core.NetConfig{Alpha: alpha, Epsilon: 0.25, Seed: 19})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,14 +250,10 @@ func benchNetObserve(b *testing.B, alpha float64, kind core.F0SketchKind) {
 	b.ReportMetric(float64(net.NumSketches()), "sketches")
 }
 
-func BenchmarkNetObserve_Alpha10(b *testing.B) { benchNetObserve(b, 0.1, core.F0KMV) }
-func BenchmarkNetObserve_Alpha20(b *testing.B) { benchNetObserve(b, 0.2, core.F0KMV) }
-func BenchmarkNetObserve_Alpha30(b *testing.B) { benchNetObserve(b, 0.3, core.F0KMV) }
-func BenchmarkNetObserve_Alpha40(b *testing.B) { benchNetObserve(b, 0.4, core.F0KMV) }
-
-func BenchmarkNetObserve_AblationKMV(b *testing.B)   { benchNetObserve(b, 0.3, core.F0KMV) }
-func BenchmarkNetObserve_AblationHLL(b *testing.B)   { benchNetObserve(b, 0.3, core.F0HLL) }
-func BenchmarkNetObserve_AblationBJKST(b *testing.B) { benchNetObserve(b, 0.3, core.F0BJKST) }
+func BenchmarkNetObserve_Alpha10(b *testing.B) { benchNetObserve(b, 0.1) }
+func BenchmarkNetObserve_Alpha20(b *testing.B) { benchNetObserve(b, 0.2) }
+func BenchmarkNetObserve_Alpha30(b *testing.B) { benchNetObserve(b, 0.3) }
+func BenchmarkNetObserve_Alpha40(b *testing.B) { benchNetObserve(b, 0.4) }
 
 // BenchmarkNetObserveBatch times the α-net ingest at the net-ingest
 // workload's shape: the daemons' StandardSummary("net") at d = 8,
@@ -310,7 +307,7 @@ func BenchmarkNetF0Query(b *testing.B) {
 // --- E9: one full Index protocol round (net variant, small shape).
 
 func BenchmarkIndexProtocolRound(b *testing.B) {
-	p := experimentsNetProtocol()
+	p := comm.Net{Alpha: 0.25, Epsilon: 0.25, Seed: 7}
 	src := rng.New(27)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -463,52 +460,4 @@ func BenchmarkExperimentQuick(b *testing.B) {
 			}
 		})
 	}
-}
-
-func experimentsNetProtocol() interface {
-	Encode(words.RowSource) ([]byte, error)
-	Decide([]byte, *workload.F0Instance) (bool, error)
-} {
-	return benchNet{}
-}
-
-// benchNet is a minimal inline protocol identical in shape to
-// comm.Net with alpha=0.25; kept local so the root bench file does
-// not import internal/comm's full test surface.
-type benchNet struct{}
-
-func (benchNet) Encode(src words.RowSource) ([]byte, error) {
-	n, err := anet.NewNet(src.Dim(), 0.25)
-	if err != nil {
-		return nil, err
-	}
-	m, err := anet.NewMetaSummary(n, func(id uint64) anet.Estimator {
-		return sketch.KMVForEpsilon(0.25, 7^rng.Mix64(id))
-	})
-	if err != nil {
-		return nil, err
-	}
-	m.ObserveBatch(words.Collect(src, -1).Batch())
-	return m.MarshalSketches()
-}
-
-func (benchNet) Decide(msg []byte, inst *workload.F0Instance) (bool, error) {
-	n, err := anet.NewNet(inst.D, 0.25)
-	if err != nil {
-		return false, err
-	}
-	m, err := anet.NewMetaSummary(n, func(id uint64) anet.Estimator {
-		return sketch.KMVForEpsilon(0.25, 7^rng.Mix64(id))
-	})
-	if err != nil {
-		return false, err
-	}
-	if err := m.UnmarshalSketches(msg); err != nil {
-		return false, err
-	}
-	ans, err := m.Query(inst.Query, 0)
-	if err != nil {
-		return false, err
-	}
-	return ans.Estimate >= math.Sqrt(inst.ThresholdHigh()*inst.ThresholdLow()), nil
 }

@@ -11,11 +11,14 @@ import (
 
 // Estimator is the sketch contract Algorithm 1 requires: a
 // β-approximate estimator of one projected frequency statistic fed
-// with pattern fingerprints. KMV/HLL/BJKST satisfy it for F0, and
-// core's adapter over sketch.Stable, the only F_p estimator, for F_p.
+// with pattern fingerprints. core.Net keeps a KMV for F0 and one
+// sketch.Stable per moment order behind it; the F0 ablation of
+// experiment E8 plugs in HLL and BJKST as well.
 type Estimator interface {
 	// AddBatch observes every fingerprint of items in order; the state
 	// afterwards must not depend on how a stream is cut into calls.
+	// items is shared by all of a member's estimators, so AddBatch
+	// must only read it.
 	AddBatch(items []uint64)
 	Estimate() float64
 	SizeBytes() int
@@ -27,28 +30,38 @@ type Estimator interface {
 type Factory func(subsetID uint64) Estimator
 
 // MetaSummary is Algorithm 1 (ProjectedFreq): it generates the α-net
-// N, keeps one sketch per member U ∈ N updated with the projection of
-// every observed row onto U, and answers a query C from the sketch of
-// an α-neighbour C′, inheriting the Lemma 6.4 rounding distortion.
+// N, keeps one sketch per member U ∈ N and problem (one statistic,
+// such as F0 or one F_p) updated with the projection of every observed
+// row onto U, and answers a query C for a problem from that problem's
+// sketch at an α-neighbour C′, inheriting the Lemma 6.4 rounding
+// distortion.
 type MetaSummary struct {
-	net     *Net
-	factory Factory
-	masks   []uint64
-	subsets []words.ColumnSet
-	sk      []Estimator
-	keyBuf  []byte   // reusable key arena for ObserveBatch
-	fps     []uint64 // reusable fingerprint arena for ObserveBatch
-	rows    int64
+	net      *Net
+	problems []Factory
+	masks    []uint64
+	subsets  []words.ColumnSet
+	// sk holds member i's estimator for problem j at i·len(problems)+j.
+	sk     []Estimator
+	keyBuf []byte   // reusable key arena for ObserveBatch
+	fps    []uint64 // reusable fingerprint arena for ObserveBatch
+	rows   int64
 }
 
 // NewMetaSummary materializes the net (d ≤ 30 is required for
-// enumeration; the experiments use d ≤ 16) and one sketch per member.
-func NewMetaSummary(net *Net, factory Factory) (*MetaSummary, error) {
-	m := &MetaSummary{net: net, factory: factory}
+// enumeration; the experiments use d ≤ 16) and, for every member, one
+// sketch per problem, built by that problem's factory. Problems are
+// addressed by their index in problems.
+func NewMetaSummary(net *Net, problems ...Factory) (*MetaSummary, error) {
+	if len(problems) == 0 {
+		return nil, fmt.Errorf("anet: meta-summary without a problem")
+	}
+	m := &MetaSummary{net: net, problems: problems}
 	err := net.EnumerateMasks(func(mask uint64) bool {
 		m.masks = append(m.masks, mask)
 		m.subsets = append(m.subsets, maskColumns(mask, net.Dim()))
-		m.sk = append(m.sk, factory(mask))
+		for _, f := range problems {
+			m.sk = append(m.sk, f(mask))
+		}
 		return true
 	})
 	if err != nil {
@@ -60,11 +73,22 @@ func NewMetaSummary(net *Net, factory Factory) (*MetaSummary, error) {
 	return m, nil
 }
 
+// est returns member i's estimator for problem j.
+func (m *MetaSummary) est(i, j int) Estimator { return m.sk[i*len(m.problems)+j] }
+
+func (m *MetaSummary) checkProblem(problem int) error {
+	if problem < 0 || problem >= len(m.problems) {
+		return fmt.Errorf("anet: no problem %d (have %d)", problem, len(m.problems))
+	}
+	return nil
+}
+
 // Net returns the underlying α-net.
 func (m *MetaSummary) Net() *Net { return m.net }
 
-// NumSketches returns |N|, the count of maintained sketches.
-func (m *MetaSummary) NumSketches() int { return len(m.sk) }
+// NumSketches returns |N|, the count of members; each keeps one sketch
+// per problem.
+func (m *MetaSummary) NumSketches() int { return len(m.masks) }
 
 // Rows returns the number of rows observed.
 func (m *MetaSummary) Rows() int64 { return m.rows }
@@ -79,10 +103,11 @@ func (m *MetaSummary) Observe(w words.Word) {
 // generality; the paper's claim is about space, not update time. It
 // runs member-major through the batched key pipeline: for each net
 // member the whole batch is projected into one flat key arena
-// (words.AppendBatchKeys), fingerprinted in one pass
-// (hashing.AppendFingerprints64), and handed to the member's sketch.
+// (words.AppendBatchKeys) and fingerprinted in one pass
+// (hashing.AppendFingerprints64), once for all problems, and the
+// fingerprints are handed to the member's sketches in problem order.
 // Both arenas are owned by the summary and reused across members and
-// batches; every member sees the same fingerprints in the same order
+// batches; every sketch sees the same fingerprints in the same order
 // however the stream is cut into batches.
 func (m *MetaSummary) ObserveBatch(b *words.Batch) {
 	if b.Dim() != m.net.Dim() {
@@ -93,10 +118,13 @@ func (m *MetaSummary) ObserveBatch(b *words.Batch) {
 		return
 	}
 	m.rows += int64(n)
+	k := len(m.problems)
 	for i, cs := range m.subsets {
 		m.keyBuf = words.AppendBatchKeys(m.keyBuf[:0], b, cs)
 		m.fps = hashing.AppendFingerprints64(m.fps[:0], m.keyBuf, n, 2*cs.Len())
-		m.sk[i].AddBatch(m.fps)
+		for _, e := range m.sk[i*k : (i+1)*k] {
+			e.AddBatch(m.fps)
+		}
 	}
 }
 
@@ -114,17 +142,20 @@ type Answer struct {
 	Distortion float64
 }
 
-// Query answers the projection query C for a problem with moment
-// order p (p = 0 for F0). The estimate is the raw neighbour-sketch
-// value; the true answer lies within Distortion·β of it per
-// Theorem 6.5.
-func (m *MetaSummary) Query(c words.ColumnSet, p float64) (Answer, error) {
-	return m.QueryMode(c, p, RoundNearest)
+// Query answers the projection query C for the problem with the given
+// index, whose statistic has moment order p (p = 0 for F0). The
+// estimate is the raw neighbour-sketch value; the true answer lies
+// within Distortion·β of it per Theorem 6.5.
+func (m *MetaSummary) Query(problem int, c words.ColumnSet, p float64) (Answer, error) {
+	return m.QueryMode(problem, c, p, RoundNearest)
 }
 
 // QueryMode is Query with an explicit neighbour rounding mode (the
 // ablation of experiment E10).
-func (m *MetaSummary) QueryMode(c words.ColumnSet, p float64, mode RoundingMode) (Answer, error) {
+func (m *MetaSummary) QueryMode(problem int, c words.ColumnSet, p float64, mode RoundingMode) (Answer, error) {
+	if err := m.checkProblem(problem); err != nil {
+		return Answer{}, err
+	}
 	if c.Dim() != m.net.Dim() {
 		return Answer{}, fmt.Errorf("anet: query dimension %d != net dimension %d", c.Dim(), m.net.Dim())
 	}
@@ -134,7 +165,7 @@ func (m *MetaSummary) QueryMode(c words.ColumnSet, p float64, mode RoundingMode)
 		return Answer{}, fmt.Errorf("anet: neighbour %v not materialized", nb)
 	}
 	return Answer{
-		Estimate:   m.sk[idx].Estimate(),
+		Estimate:   m.est(idx, problem).Estimate(),
 		Neighbor:   nb,
 		Distance:   dist,
 		Distortion: Distortion(p, dist),
@@ -149,11 +180,14 @@ type Mergeable interface {
 }
 
 // Merge folds another meta-summary built over the same net and
-// factory into m, enabling shard-and-merge ingestion of partitioned
+// factories into m, enabling shard-and-merge ingestion of partitioned
 // streams. Every member sketch must support merging.
 func (m *MetaSummary) Merge(o *MetaSummary) error {
-	if len(m.sk) != len(o.sk) {
-		return fmt.Errorf("anet: merging nets of different size (%d vs %d)", len(m.sk), len(o.sk))
+	if len(m.masks) != len(o.masks) {
+		return fmt.Errorf("anet: merging nets of different size (%d vs %d)", len(m.masks), len(o.masks))
+	}
+	if len(m.problems) != len(o.problems) {
+		return fmt.Errorf("anet: merging %d problems with %d", len(m.problems), len(o.problems))
 	}
 	for i := range m.masks {
 		if m.masks[i] != o.masks[i] {
@@ -191,13 +225,16 @@ func (m *MetaSummary) SizeBytes() int {
 	return total
 }
 
-// MarshalSketches serializes every member sketch (in mask order) when
-// the sketches implement encoding.BinaryMarshaler; the communication
-// experiments use this as Alice's message body.
-func (m *MetaSummary) MarshalSketches() ([]byte, error) {
+// MarshalSketches serializes one problem's member sketches (in mask
+// order) when they implement encoding.BinaryMarshaler; the
+// communication experiments use this as Alice's message body.
+func (m *MetaSummary) MarshalSketches(problem int) ([]byte, error) {
+	if err := m.checkProblem(problem); err != nil {
+		return nil, err
+	}
 	var out []byte
-	for i, s := range m.sk {
-		bm, ok := s.(encoding.BinaryMarshaler)
+	for i := range m.masks {
+		bm, ok := m.est(i, problem).(encoding.BinaryMarshaler)
 		if !ok {
 			return nil, fmt.Errorf("anet: sketch %d does not serialize", i)
 		}
@@ -216,12 +253,12 @@ func (m *MetaSummary) MarshalSketches() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalSketches restores member sketch state from a
+// UnmarshalSketches restores one problem's member sketch state from a
 // MarshalSketches message; this is Bob's decoding step in the
 // communication experiments and the summary layer's net decoding.
 //
 // The receiver must have been freshly built with the same net and
-// factory (no rows observed). When the member sketches support
+// factories (no rows observed). When the member sketches support
 // merging (Mergeable), each message sketch is decoded into a new
 // factory-made instance and folded into the corresponding empty
 // member, which both reproduces the serialized state exactly and
@@ -229,13 +266,16 @@ func (m *MetaSummary) MarshalSketches() ([]byte, error) {
 // factory derives for that member — the validation the summary
 // layer's wire decoding relies on. Members without merge support are
 // overwritten in place, unvalidated.
-func (m *MetaSummary) UnmarshalSketches(data []byte) error {
+func (m *MetaSummary) UnmarshalSketches(problem int, data []byte) error {
+	if err := m.checkProblem(problem); err != nil {
+		return err
+	}
 	off := 0
-	for i, s := range m.sk {
-		target := s
-		mg, validated := s.(Mergeable)
+	for i, mask := range m.masks {
+		target := m.est(i, problem)
+		mg, validated := target.(Mergeable)
 		if validated {
-			target = m.factory(m.masks[i])
+			target = m.problems[problem](mask)
 		}
 		bu, ok := target.(encoding.BinaryUnmarshaler)
 		if !ok {

@@ -52,7 +52,7 @@ func TestMetaSummaryMemberQueryIsDirect(t *testing.T) {
 	m, tb := buildMeta(t, d, 0.25, randomRows(d, 300, 1))
 	// Size-2 subsets are members (low = floor(4-2) = 2).
 	c := words.MustColumnSet(d, 1, 5)
-	ans, err := m.Query(c, 0)
+	ans, err := m.Query(0, c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestMetaSummaryBandQueryRounds(t *testing.T) {
 	const d = 8
 	m, tb := buildMeta(t, d, 0.25, randomRows(d, 500, 2))
 	c := words.MustColumnSet(d, 0, 1, 2, 3) // size 4: inside the band (2,6)
-	ans, err := m.Query(c, 0)
+	ans, err := m.Query(0, c, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMetaSummaryCounts(t *testing.T) {
 
 func TestMetaSummaryDimensionMismatch(t *testing.T) {
 	m, _ := buildMeta(t, 8, 0.25, randomRows(8, 10, 4))
-	if _, err := m.Query(words.MustColumnSet(9, 0), 0); err == nil {
+	if _, err := m.Query(0, words.MustColumnSet(9, 0), 0); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 	defer func() {
@@ -120,7 +120,7 @@ func TestMarshalUnmarshalSketchesRoundTrip(t *testing.T) {
 	const d = 8
 	rows := randomRows(d, 400, 5)
 	m, _ := buildMeta(t, d, 0.25, rows)
-	msg, err := m.MarshalSketches()
+	msg, err := m.MarshalSketches(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +130,13 @@ func TestMarshalUnmarshalSketchesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bob.UnmarshalSketches(msg); err != nil {
+	if err := bob.UnmarshalSketches(0, msg); err != nil {
 		t.Fatal(err)
 	}
 	for _, cols := range [][]int{{0}, {0, 1, 2, 3}, {2, 4, 6}} {
 		c := words.MustColumnSet(d, cols...)
-		a, err1 := m.Query(c, 0)
-		b, err2 := bob.Query(c, 0)
+		a, err1 := m.Query(0, c, 0)
+		b, err2 := bob.Query(0, c, 0)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -149,13 +149,63 @@ func TestMarshalUnmarshalSketchesRoundTrip(t *testing.T) {
 func TestUnmarshalSketchesRejectsGarbage(t *testing.T) {
 	n, _ := NewNet(8, 0.25)
 	m, _ := NewMetaSummary(n, kmvFactory(7))
-	if err := m.UnmarshalSketches([]byte{1, 2, 3}); err == nil {
+	if err := m.UnmarshalSketches(0, []byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated message must error")
 	}
-	good, _ := m.MarshalSketches()
-	if err := m.UnmarshalSketches(append(good, 0xff)); err == nil ||
+	good, _ := m.MarshalSketches(0)
+	if err := m.UnmarshalSketches(0, append(good, 0xff)); err == nil ||
 		!strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes must error, got %v", err)
+	}
+}
+
+// TestMetaSummaryProblemsShareOneKeyPass: a meta-summary keeping
+// several problems per member leaves each problem's sketches exactly as
+// a meta-summary of that problem alone would, since every problem sees
+// the member's one fingerprint stream.
+func TestMetaSummaryProblemsShareOneKeyPass(t *testing.T) {
+	const d = 8
+	rows := randomRows(d, 400, 6)
+	n, _ := NewNet(d, 0.25)
+	seeds := []uint64{7, 9, 11}
+	var problems []Factory
+	for _, seed := range seeds {
+		problems = append(problems, kmvFactory(seed))
+	}
+	joint, err := NewMetaSummary(n, problems...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := words.NewBatch(d, len(rows))
+	for _, r := range rows {
+		b.Append(r)
+	}
+	joint.ObserveBatch(b)
+	total := 0
+	for j, seed := range seeds {
+		alone, err := NewMetaSummary(n, kmvFactory(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone.ObserveBatch(b)
+		want, _ := alone.MarshalSketches(0)
+		got, err := joint.MarshalSketches(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("problem %d: sketches differ from a summary of that problem alone", j)
+		}
+		total += alone.SizeBytes()
+	}
+	if joint.SizeBytes() != total {
+		t.Fatalf("SizeBytes = %d, want the problems' sum %d", joint.SizeBytes(), total)
+	}
+	if _, err := joint.Query(len(seeds), words.MustColumnSet(d, 0), 0); err == nil {
+		t.Fatal("a query for a problem the summary lacks must error")
+	}
+	if _, err := NewMetaSummary(n); err == nil {
+		t.Fatal("a meta-summary without a problem must be refused")
 	}
 }
 

@@ -134,7 +134,7 @@ func (p Net) Encode(src words.RowSource) ([]byte, error) {
 		return nil, err
 	}
 	m.ObserveBatch(words.Collect(src, -1).Batch())
-	return m.MarshalSketches()
+	return m.MarshalSketches(0)
 }
 
 // Decide reconstructs the meta-summary and queries Bob's column set.
@@ -143,10 +143,10 @@ func (p Net) Decide(msg []byte, inst *workload.F0Instance) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	if err := m.UnmarshalSketches(msg); err != nil {
+	if err := m.UnmarshalSketches(0, msg); err != nil {
 		return false, err
 	}
-	ans, err := m.Query(inst.Query, 0)
+	ans, err := m.Query(0, inst.Query, 0)
 	if err != nil {
 		return false, err
 	}

@@ -37,10 +37,11 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	}
 	blobs := fuzzSeedBlobs(t)
 	for i, blob := range blobs {
-		if SummaryKind(blob[5]) == kindRetired || SummaryKind(blob[5]) == KindSample && blob[envelopeSize] == wireSampleWRRetired {
+		kind := SummaryKind(blob[5])
+		if kind == kindRetired || kind == KindSample && blob[envelopeSize] == wireSampleWRRetired ||
+			kind == KindNet && blob[netReservedOffset] != 0 {
 			continue // refused whole; the in-code seed covers it
 		}
-		kind := SummaryKind(blob[5]).String()
 		write(fmt.Sprintf("seed-%d-%s", i, kind), blob)
 		write(fmt.Sprintf("seed-%d-%s-truncated", i, kind), blob[:len(blob)/2])
 		mut := append([]byte{}, blob...)

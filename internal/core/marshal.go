@@ -4,7 +4,6 @@ import (
 	"encoding"
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/anet"
 	"repro/internal/sample"
@@ -418,39 +417,24 @@ func decodeSample(env envelope) (*Sample, error) {
 
 // --- Net ---
 
-// momentOrders returns the maintained moment orders, ascending: the
-// canonical order moments are laid out in on the wire.
-func (s *Net) momentOrders() []float64 {
-	ps := make([]float64, 0, len(s.fp))
-	for p := range s.fp {
-		ps = append(ps, p)
-	}
-	sort.Float64s(ps)
-	return ps
-}
-
 // MarshalBinary encodes the summary: the envelope, the NetConfig, and
 // one length-prefixed sketch-state block per maintained problem (F0
 // first, then each moment order ascending). Sketch states are the
 // per-member serializations of internal/sketch, in net-mask order.
+// The byte after ε is reserved and always 0: it once named the F0
+// sketch kind, and 0 was KMV.
 func (s *Net) MarshalBinary() ([]byte, error) {
 	w := &wire.Writer{}
 	w.F64(s.cfg.Alpha)
 	w.F64(s.cfg.Epsilon)
-	w.U8(uint8(s.cfg.F0Sketch))
+	w.U8(0)
 	w.U32(uint32(s.cfg.StableReps))
-	ps := s.momentOrders()
-	w.U32(uint32(len(ps)))
-	for _, p := range ps {
+	w.U32(uint32(len(s.moments)))
+	for _, p := range s.moments {
 		w.F64(p)
 	}
-	f0, err := s.f0.MarshalSketches()
-	if err != nil {
-		return nil, err
-	}
-	w.Block(f0)
-	for _, p := range ps {
-		blob, err := s.fp[p].MarshalSketches()
+	for j := range 1 + len(s.moments) {
+		blob, err := s.meta.MarshalSketches(j)
 		if err != nil {
 			return nil, err
 		}
@@ -461,19 +445,15 @@ func (s *Net) MarshalBinary() ([]byte, error) {
 
 func decodeNet(env envelope) (*Net, error) {
 	r := payloadReader(env)
-	cfg := NetConfig{
-		Alpha:      r.F64(),
-		Epsilon:    r.F64(),
-		F0Sketch:   F0SketchKind(r.U8()),
-		StableReps: int(r.U32()),
-		Seed:       env.seed,
-	}
+	cfg := NetConfig{Alpha: r.F64(), Epsilon: r.F64(), Seed: env.seed}
+	reserved := r.U8()
+	cfg.StableReps = int(r.U32())
 	nMoments := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if cfg.F0Sketch < F0KMV || cfg.F0Sketch > F0BJKST {
-		return nil, badEncoding("unknown F0 sketch kind %d", cfg.F0Sketch)
+	if reserved != 0 {
+		return nil, badEncoding("net reserved byte is %d, want 0", reserved)
 	}
 	if nMoments*8 > r.Remaining() {
 		return nil, badEncoding("moment list of %d entries in %d payload bytes", nMoments, r.Remaining())
@@ -529,18 +509,15 @@ func decodeNet(env envelope) (*Net, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding net: %v", ErrBadEncoding, err)
 	}
-	if err := s.f0.UnmarshalSketches(r.Block()); err != nil {
-		if rerr := r.Err(); rerr != nil {
-			return nil, rerr
-		}
-		return nil, badEncoding("F0 sketch block: %v", err)
-	}
-	for _, p := range cfg.Moments {
-		if err := s.fp[p].UnmarshalSketches(r.Block()); err != nil {
+	for j := range 1 + nMoments {
+		if err := s.meta.UnmarshalSketches(j, r.Block()); err != nil {
 			if rerr := r.Err(); rerr != nil {
 				return nil, rerr
 			}
-			return nil, badEncoding("F_%g sketch block: %v", p, err)
+			if j == 0 {
+				return nil, badEncoding("F0 sketch block: %v", err)
+			}
+			return nil, badEncoding("F_%g sketch block: %v", cfg.Moments[j-1], err)
 		}
 	}
 	if err := r.Done(); err != nil {

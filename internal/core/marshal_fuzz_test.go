@@ -11,8 +11,8 @@ import (
 // fuzzer structurally valid starting points (the committed corpus
 // under testdata/fuzz mirrors these plus hand-damaged variants). The
 // retired kind 4 keeps its place in the order, and a sample blob under
-// the retired sampler mode 0 comes last: every input grown from either
-// must be refused typed.
+// the retired sampler mode 0 and a net blob with a nonzero reserved
+// byte come last: every input grown from them must be refused typed.
 func fuzzSeedBlobs(f testing.TB) [][]byte {
 	f.Helper()
 	const d, q = 5, 3
@@ -41,7 +41,7 @@ func fuzzSeedBlobs(f testing.TB) [][]byte {
 	blobs = append(blobs, retiredKindBlob(f, d, q))
 	add(NewRegistered(d, q, []words.ColumnSet{words.MustColumnSet(d, 0, 2)},
 		RegisteredConfig{KHLLValues: 8, Seed: 7}))
-	return append(blobs, retiredSampleModeBlob(f, d, q))
+	return append(blobs, retiredSampleModeBlob(f, d, q), reservedNetByteBlob(f, d, q, 1))
 }
 
 // FuzzUnmarshalSummary asserts the wire decoder's contract on

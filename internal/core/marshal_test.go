@@ -623,3 +623,41 @@ func TestRetiredKindIsReserved(t *testing.T) {
 		t.Fatalf("wire kinds renumbered: %d %d %d %d", KindExact, KindSample, KindNet, KindRegistered)
 	}
 }
+
+// netReservedOffset is the payload offset of a net blob's reserved
+// byte: it follows α and ε and once named the F0 sketch kind.
+const netReservedOffset = envelopeSize + 16
+
+// reservedNetByteBlob marshals a small net and sets its reserved byte
+// to b.
+func reservedNetByteBlob(t testing.TB, d, q int, b byte) []byte {
+	t.Helper()
+	s, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.3, Moments: []float64{2}, StableReps: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := MarshalSummary(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[netReservedOffset] != 0 {
+		t.Fatalf("net encodes reserved byte %d, want 0", blob[netReservedOffset])
+	}
+	blob[netReservedOffset] = b
+	return blob
+}
+
+// TestNetRefusesReservedF0Byte: a net blob whose reserved byte (the
+// retired F0 sketch kind; 0 was KMV) is not 0 decodes to
+// ErrBadEncoding naming the byte, and 0 decodes.
+func TestNetRefusesReservedF0Byte(t *testing.T) {
+	if _, err := UnmarshalSummary(reservedNetByteBlob(t, 5, 3, 0)); err != nil {
+		t.Fatalf("reserved byte 0: %v", err)
+	}
+	for _, b := range []byte{1, 2, 255} {
+		_, err := UnmarshalSummary(reservedNetByteBlob(t, 5, 3, b))
+		if !errors.Is(err, ErrBadEncoding) || !strings.Contains(err.Error(), fmt.Sprintf("reserved byte is %d", b)) {
+			t.Fatalf("reserved byte %d: %v, want ErrBadEncoding naming the byte", b, err)
+		}
+	}
+}

@@ -68,46 +68,43 @@ func TestExactMergeEqualsUnion(t *testing.T) {
 
 func TestNetMergeEqualsUnionAcrossKinds(t *testing.T) {
 	// Same-seed shards merge to exactly the single-pass summary for
-	// every F0 sketch kind and for the p-stable moment sketches: KMV
-	// union, HLL register-max, BJKST union, and stable-vector sums
-	// are all order- and split-independent.
+	// both sketch kinds a member keeps: KMV union for F0 and
+	// stable-vector sums for the moments are order- and
+	// split-independent.
 	tb := testData(1500, 43)
-	for _, kind := range []F0SketchKind{F0KMV, F0HLL, F0BJKST} {
-		cfg := NetConfig{Alpha: 0.3, Epsilon: 0.25, F0Sketch: kind,
-			Moments: []float64{0.5, 2}, StableReps: 30, Seed: 45}
-		mk := func() Summary {
-			s, err := NewNet(10, 2, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
+	cfg := NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: []float64{0.5, 2}, StableReps: 30, Seed: 45}
+	mk := func() Summary {
+		s, err := NewNet(10, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		whole := mk()
-		shards := []Summary{mk(), mk(), mk(), mk()}
-		splitFeed(whole, shards, tb)
-		merged := mergeAll(t, shards).(*Net)
-		if merged.Rows() != whole.Rows() {
-			t.Fatalf("%v: rows %d != %d", kind, merged.Rows(), whole.Rows())
+		return s
+	}
+	whole := mk()
+	shards := []Summary{mk(), mk(), mk(), mk()}
+	splitFeed(whole, shards, tb)
+	merged := mergeAll(t, shards).(*Net)
+	if merged.Rows() != whole.Rows() {
+		t.Fatalf("rows %d != %d", merged.Rows(), whole.Rows())
+	}
+	for _, cols := range [][]int{{0, 1}, {0, 1, 2, 3, 4}, {3, 4, 5, 6, 7, 8, 9}} {
+		c := words.MustColumnSet(10, cols...)
+		a, err1 := merged.F0(c)
+		b, err2 := whole.(*Net).F0(c)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		for _, cols := range [][]int{{0, 1}, {0, 1, 2, 3, 4}, {3, 4, 5, 6, 7, 8, 9}} {
-			c := words.MustColumnSet(10, cols...)
-			a, err1 := merged.F0(c)
-			b, err2 := whole.(*Net).F0(c)
+		if a != b {
+			t.Fatalf("F0(%v) merged %v != whole %v", cols, a, b)
+		}
+		for _, p := range []float64{0.5, 2} {
+			a, err1 := merged.Fp(c, p)
+			b, err2 := whole.(*Net).Fp(c, p)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
-			if a != b {
-				t.Fatalf("%v: F0(%v) merged %v != whole %v", kind, cols, a, b)
-			}
-			for _, p := range []float64{0.5, 2} {
-				a, err1 := merged.Fp(c, p)
-				b, err2 := whole.(*Net).Fp(c, p)
-				if err1 != nil || err2 != nil {
-					t.Fatal(err1, err2)
-				}
-				if math.Abs(a-b) > 1e-9*math.Max(math.Abs(b), 1) {
-					t.Fatalf("%v: F%g(%v) merged %v != whole %v", kind, p, cols, a, b)
-				}
+			if math.Abs(a-b) > 1e-9*math.Max(math.Abs(b), 1) {
+				t.Fatalf("F%g(%v) merged %v != whole %v", p, cols, a, b)
 			}
 		}
 	}

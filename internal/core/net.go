@@ -2,37 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/anet"
 	"repro/internal/rng"
 	"repro/internal/sketch"
 	"repro/internal/words"
 )
-
-// F0SketchKind selects the (1±ε) distinct-count sketch Algorithm 1
-// instantiates for F0 — the ablation axis of experiment E8.
-type F0SketchKind int
-
-// The supported F0 sketches.
-const (
-	F0KMV F0SketchKind = iota
-	F0HLL
-	F0BJKST
-)
-
-// String names the sketch kind.
-func (k F0SketchKind) String() string {
-	switch k {
-	case F0KMV:
-		return "kmv"
-	case F0HLL:
-		return "hll"
-	case F0BJKST:
-		return "bjkst"
-	default:
-		return fmt.Sprintf("F0SketchKind(%d)", int(k))
-	}
-}
 
 // NetConfig configures the Net summary.
 type NetConfig struct {
@@ -41,8 +17,6 @@ type NetConfig struct {
 	Alpha float64
 	// Epsilon is the per-sketch accuracy β = 1+ε.
 	Epsilon float64
-	// F0Sketch selects the distinct-count sketch (default KMV).
-	F0Sketch F0SketchKind
 	// Moments lists the orders p (0 < p ≤ 2, p ≠ 0) for which F_p
 	// sketches are maintained in addition to F0. Each moment adds one
 	// p-stable sketch per net member.
@@ -54,14 +28,17 @@ type NetConfig struct {
 	Seed uint64
 }
 
-// Net is Algorithm 1 (Theorem 6.5) as a summary: one MetaSummary for
-// F0 and one per requested moment order, all sharing the same α-net.
+// Net is Algorithm 1 (Theorem 6.5) as a summary: one MetaSummary
+// whose members each keep a KMV sketch for F0 (problem 0) and one
+// p-stable sketch per configured moment order, ascending (problems
+// 1…), all fed by one key pass per member.
 type Net struct {
 	d, q int
 	cfg  NetConfig
-	net  *anet.Net
-	f0   *anet.MetaSummary
-	fp   map[float64]*anet.MetaSummary
+	meta *anet.MetaSummary
+	// moments lists the distinct configured moment orders, ascending;
+	// moments[j] is the meta-summary's problem j+1.
+	moments []float64
 	// tables holds each moment's variate table, shared by the moment's
 	// members; per-process ingest state, never serialized.
 	tables []*sketch.StableTable
@@ -125,46 +102,41 @@ func NewNet(d, q int, cfg NetConfig) (*Net, error) {
 		return nil, badParam("net", "alpha", cfg.Alpha,
 			fmt.Sprintf("yields a net of %d members, above the limit %d", count, maxNetMembers))
 	}
+	// The moments' seeds are drawn in configuration order, skipping
+	// repeats; the moments are then laid out ascending.
 	master := rng.New(cfg.Seed)
 	f0seed := master.Uint64()
-	f0, err := anet.NewMetaSummary(n, func(id uint64) anet.Estimator {
-		seed := f0seed ^ rng.Mix64(id)
-		switch cfg.F0Sketch {
-		case F0HLL:
-			return hllEstimator{sketch.HLLForEpsilon(cfg.Epsilon, seed)}
-		case F0BJKST:
-			return bjkstEstimator{sketch.BJKSTForEpsilon(cfg.Epsilon, seed)}
-		default:
-			return kmvEstimator{sketch.KMVForEpsilon(cfg.Epsilon, seed)}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	s := &Net{d: d, q: q, cfg: cfg, net: n, f0: f0, fp: make(map[float64]*anet.MetaSummary)}
+	seeds := make(map[float64]uint64, len(cfg.Moments))
+	var moments []float64
 	for _, p := range cfg.Moments {
 		if !(p > 0 && p <= 2) {
 			return nil, badParam("net", "moment", p, "outside (0,2]")
 		}
-		if _, dup := s.fp[p]; dup {
-			continue
+		if _, dup := seeds[p]; !dup {
+			seeds[p] = master.Uint64()
+			moments = append(moments, p)
 		}
-		pseed := master.Uint64()
-		p := p
+	}
+	slices.Sort(moments)
+	s := &Net{d: d, q: q, cfg: cfg, moments: moments}
+	problems := []anet.Factory{func(id uint64) anet.Estimator {
+		return kmvEstimator{sketch.KMVForEpsilon(cfg.Epsilon, f0seed^rng.Mix64(id))}
+	}}
+	for _, p := range moments {
+		pseed := seeds[p]
 		// Every member of the moment shares one variate table: a
 		// member's row for an item is keyed by its seed xor the item's
 		// mix, so the members' rows never clash (sketch.StableTable).
 		table := sketch.NewStableTable(p, reps, sketch.StableTableBudget)
 		s.tables = append(s.tables, table)
-		meta, err := anet.NewMetaSummary(n, func(id uint64) anet.Estimator {
+		problems = append(problems, func(id uint64) anet.Estimator {
 			sk := sketch.NewStable(p, reps, pseed^rng.Mix64(id))
 			sk.ShareTable(table)
 			return &stableAdapter{sk: sk}
 		})
-		if err != nil {
-			return nil, err
-		}
-		s.fp[p] = meta
+	}
+	if s.meta, err = anet.NewMetaSummary(n, problems...); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -189,15 +161,14 @@ func (a *stableAdapter) MergeEstimator(o anet.Estimator) error {
 }
 
 // MarshalBinary forwards the underlying sketch's encoding, so moment
-// meta-summaries serialize like the F0 ones.
+// sketches serialize like the F0 ones.
 func (a *stableAdapter) MarshalBinary() ([]byte, error) { return a.sk.MarshalBinary() }
 
 // UnmarshalBinary forwards the underlying sketch's decoding.
 func (a *stableAdapter) UnmarshalBinary(data []byte) error { return a.sk.UnmarshalBinary(data) }
 
-// The F0 sketch wrappers add anet.Mergeable dispatch on top of the
-// typed Merge each sketch already provides; they also forward binary
-// (de)serialization so the communication harness keeps working.
+// kmvEstimator adds anet.Mergeable dispatch on top of the KMV sketch's
+// typed Merge; binary (de)serialization is the sketch's own.
 type kmvEstimator struct{ *sketch.KMV }
 
 // MergeEstimator implements anet.Mergeable.
@@ -209,49 +180,20 @@ func (k kmvEstimator) MergeEstimator(o anet.Estimator) error {
 	return k.KMV.Merge(other.KMV)
 }
 
-type hllEstimator struct{ *sketch.HLL }
-
-// MergeEstimator implements anet.Mergeable.
-func (h hllEstimator) MergeEstimator(o anet.Estimator) error {
-	other, ok := o.(hllEstimator)
-	if !ok {
-		return fmt.Errorf("core: cannot merge HLL with %T", o)
-	}
-	return h.HLL.Merge(other.HLL)
-}
-
-type bjkstEstimator struct{ *sketch.BJKST }
-
-// MergeEstimator implements anet.Mergeable.
-func (b bjkstEstimator) MergeEstimator(o anet.Estimator) error {
-	other, ok := o.(bjkstEstimator)
-	if !ok {
-		return fmt.Errorf("core: cannot merge BJKST with %T", o)
-	}
-	return b.BJKST.Merge(other.BJKST)
-}
-
-// Observe feeds one row into every maintained meta-summary.
+// Observe feeds one row into every member sketch, as a one-row batch.
 func (s *Net) Observe(w words.Word) {
 	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch streams the whole batch member-major through each
-// meta-summary (anet.MetaSummary.ObserveBatch), so per-member
-// projection setup is paid once per batch rather than once per row.
+// ObserveBatch streams the whole batch member-major through the
+// meta-summary (anet.MetaSummary.ObserveBatch), so each member's keys
+// are built once per batch for all its sketches.
 func (s *Net) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))
 	}
-	n := b.Len()
-	if n == 0 {
-		return
-	}
-	s.rows += int64(n)
-	s.f0.ObserveBatch(b)
-	for _, m := range s.fp {
-		m.ObserveBatch(b)
-	}
+	s.rows += int64(b.Len())
+	s.meta.ObserveBatch(b)
 }
 
 // Dim returns d.
@@ -264,13 +206,7 @@ func (s *Net) Alphabet() int { return s.q }
 func (s *Net) Rows() int64 { return s.rows }
 
 // SizeBytes totals all member sketches across all problems.
-func (s *Net) SizeBytes() int {
-	total := s.f0.SizeBytes()
-	for _, m := range s.fp {
-		total += m.SizeBytes()
-	}
-	return total
-}
+func (s *Net) SizeBytes() int { return s.meta.SizeBytes() }
 
 // VariateTableStats totals the moment sketches' variate tables: one
 // per configured moment, each at most sketch.StableTableBudget
@@ -289,78 +225,70 @@ func (s *Net) VariateTableStats() sketch.StableTableStats {
 
 // Name identifies the summary.
 func (s *Net) Name() string {
-	return fmt.Sprintf("net(alpha=%.3f,%s)", s.cfg.Alpha, s.cfg.F0Sketch)
+	return fmt.Sprintf("net(alpha=%.3f,kmv)", s.cfg.Alpha)
 }
 
 // NumSketches returns the member count per problem (|N|).
-func (s *Net) NumSketches() int { return s.f0.NumSketches() }
+func (s *Net) NumSketches() int { return s.meta.NumSketches() }
 
 // ANet exposes the underlying α-net for reporting.
-func (s *Net) ANet() *anet.Net { return s.net }
+func (s *Net) ANet() *anet.Net { return s.meta.Net() }
 
 // F0 answers the projected distinct count through the α-neighbour.
 // The returned estimate is within β·2^{dist} of the truth (Lemma 6.4
 // item 1 with the sketch's β), where dist ≤ ⌈αd⌉.
 func (s *Net) F0(c words.ColumnSet) (float64, error) {
-	if err := validateQuery(s, c); err != nil {
-		return 0, err
-	}
-	ans, err := s.f0.Query(c, 0)
-	if err != nil {
-		return 0, err
-	}
-	return ans.Estimate, nil
+	ans, err := s.F0Answer(c)
+	return ans.Estimate, err
 }
 
 // F0Answer returns the full neighbour/distortion detail for F0, used
 // by the experiment drivers. The Distortion field is alphabet-aware:
 // q^{dist} rather than the binary 2^{dist} (see anet.DistortionQ).
 func (s *Net) F0Answer(c words.ColumnSet) (anet.Answer, error) {
-	if err := validateQuery(s, c); err != nil {
-		return anet.Answer{}, err
-	}
-	ans, err := s.f0.Query(c, 0)
-	if err != nil {
-		return anet.Answer{}, err
-	}
-	ans.Distortion = anet.DistortionQ(0, ans.Distance, s.q)
-	return ans, nil
+	return s.answer(c, 0, anet.RoundNearest)
+}
+
+// F0AnswerMode is F0Answer with an explicit neighbour rounding mode,
+// used by the E10 ablation.
+func (s *Net) F0AnswerMode(c words.ColumnSet, mode anet.RoundingMode) (anet.Answer, error) {
+	return s.answer(c, 0, mode)
 }
 
 // Fp answers a projected moment query for a configured order p; F1 is
 // answered exactly as Rows() per Section 5.3.
 func (s *Net) Fp(c words.ColumnSet, p float64) (float64, error) {
-	if err := validateQuery(s, c); err != nil {
-		return 0, err
-	}
 	if p == 1 {
+		if err := validateQuery(s, c); err != nil {
+			return 0, err
+		}
 		return float64(s.rows), nil
 	}
-	if p == 0 {
-		return s.F0(c)
-	}
-	m, ok := s.fp[p]
-	if !ok {
-		return 0, fmt.Errorf("%w: moment p=%v not configured (have %v)", ErrUnsupported, p, s.cfg.Moments)
-	}
-	ans, err := m.Query(c, p)
-	if err != nil {
-		return 0, err
-	}
-	return ans.Estimate, nil
+	ans, err := s.FpAnswer(c, p)
+	return ans.Estimate, err
 }
 
-// FpAnswer returns full detail for a moment query; its Distortion
-// field is alphabet-aware like F0Answer's.
+// FpAnswer returns full detail for a moment query (p = 0 is F0); its
+// Distortion field is alphabet-aware like F0Answer's.
 func (s *Net) FpAnswer(c words.ColumnSet, p float64) (anet.Answer, error) {
+	return s.answer(c, p, anet.RoundNearest)
+}
+
+// answer rounds c to its α-neighbour under mode and reads the sketch of
+// moment order p there (p = 0 is F0).
+func (s *Net) answer(c words.ColumnSet, p float64, mode anet.RoundingMode) (anet.Answer, error) {
 	if err := validateQuery(s, c); err != nil {
 		return anet.Answer{}, err
 	}
-	m, ok := s.fp[p]
-	if !ok {
-		return anet.Answer{}, fmt.Errorf("%w: moment p=%v not configured", ErrUnsupported, p)
+	problem := 0
+	if p != 0 {
+		i, ok := slices.BinarySearch(s.moments, p)
+		if !ok {
+			return anet.Answer{}, fmt.Errorf("%w: moment p=%v not configured (have %v)", ErrUnsupported, p, s.cfg.Moments)
+		}
+		problem = i + 1
 	}
-	ans, err := m.Query(c, p)
+	ans, err := s.meta.QueryMode(problem, c, p, mode)
 	if err != nil {
 		return anet.Answer{}, err
 	}
@@ -384,42 +312,17 @@ func (s *Net) Merge(other Summary) error {
 		return mergeErr("merging nets of different shape (%d/%d vs %d/%d)", s.d, s.q, o.d, o.q)
 	}
 	if s.cfg.Alpha != o.cfg.Alpha || s.cfg.Epsilon != o.cfg.Epsilon ||
-		s.cfg.F0Sketch != o.cfg.F0Sketch || s.cfg.Seed != o.cfg.Seed ||
-		s.cfg.StableReps != o.cfg.StableReps {
+		s.cfg.Seed != o.cfg.Seed || s.cfg.StableReps != o.cfg.StableReps {
 		return mergeErr("merging nets with different configs")
 	}
 	// Validate the full moment set before touching any sketch, so a
 	// refused merge leaves s untouched rather than half-merged.
-	if len(s.fp) != len(o.fp) {
-		return mergeErr("merging nets with different moment sets")
+	if !slices.Equal(s.moments, o.moments) {
+		return mergeErr("merging nets with different moment sets (%v vs %v)", s.moments, o.moments)
 	}
-	for p := range s.fp {
-		if _, ok := o.fp[p]; !ok {
-			return mergeErr("peer lacks moment p=%v", p)
-		}
-	}
-	if err := s.f0.Merge(o.f0); err != nil {
+	if err := s.meta.Merge(o.meta); err != nil {
 		return mergeWrap(err)
-	}
-	for p, m := range s.fp {
-		if err := m.Merge(o.fp[p]); err != nil {
-			return mergeWrap(err)
-		}
 	}
 	s.rows += o.rows
 	return nil
-}
-
-// F0AnswerMode is F0Answer with an explicit neighbour rounding mode,
-// used by the E10 ablation.
-func (s *Net) F0AnswerMode(c words.ColumnSet, mode anet.RoundingMode) (anet.Answer, error) {
-	if err := validateQuery(s, c); err != nil {
-		return anet.Answer{}, err
-	}
-	ans, err := s.f0.QueryMode(c, 0, mode)
-	if err != nil {
-		return anet.Answer{}, err
-	}
-	ans.Distortion = anet.DistortionQ(0, ans.Distance, s.q)
-	return ans, nil
 }

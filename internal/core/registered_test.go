@@ -175,23 +175,3 @@ func TestNetMergeValidation(t *testing.T) {
 		t.Fatal("different dimension must refuse to merge")
 	}
 }
-
-func TestNetMergeHLLAndBJKST(t *testing.T) {
-	for _, kind := range []F0SketchKind{F0HLL, F0BJKST} {
-		cfg := NetConfig{Alpha: 0.3, Epsilon: 0.25, F0Sketch: kind, Seed: 31}
-		a, err := NewNet(10, 2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := NewNet(10, 2, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tb := testData(600, 27)
-		feed(a, tb)
-		feed(b, tb)
-		if err := a.Merge(b); err != nil {
-			t.Fatalf("%v merge: %v", kind, err)
-		}
-	}
-}

@@ -3,9 +3,11 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/anet"
 	"repro/internal/core"
 	"repro/internal/freq"
 	"repro/internal/rng"
+	"repro/internal/sketch"
 	"repro/internal/words"
 	"repro/internal/workload"
 )
@@ -41,7 +43,6 @@ func RunTradeoff(opt Options) (*Report, error) {
 	rep := &Report{ID: "E8", Title: "Theorem 6.5 — Algorithm 1 space/approximation", Tables: []*Table{sweep, ablation}}
 
 	table := words.Collect(workload.Uniform(d, 2, n, opt.Seed^0xe8), -1)
-	feed := func(s *core.Net) { s.ObserveBatch(table.Batch()) }
 	type qres struct {
 		c  words.ColumnSet
 		f0 float64
@@ -55,37 +56,28 @@ func RunTradeoff(opt Options) (*Report, error) {
 		probes = append(probes, qres{c: c, f0: float64(v.Support()), f2: v.F(2)})
 	}
 
-	worstRatio := func(s *core.Net, p float64) (float64, float64, error) {
+	// worstRatio asks every probe of answer, an F0 (p = 0) or F2
+	// answerer whose Distortion is the Lemma 6.4 bound.
+	worstRatio := func(answer func(words.ColumnSet) (anet.Answer, error), p float64) (float64, float64, error) {
 		worst, bound := 1.0, 1.0
 		for _, pr := range probes {
-			var est float64
-			var distortion float64
-			if p == 0 {
-				ans, err := s.F0Answer(pr.c)
-				if err != nil {
-					return 0, 0, err
-				}
-				est, distortion = ans.Estimate, ans.Distortion
-			} else {
-				ans, err := s.FpAnswer(pr.c, p)
-				if err != nil {
-					return 0, 0, err
-				}
-				est, distortion = ans.Estimate, ans.Distortion
+			ans, err := answer(pr.c)
+			if err != nil {
+				return 0, 0, err
 			}
 			truth := pr.f0
 			if p != 0 {
 				truth = pr.f2
 			}
-			r := est / truth
+			r := ans.Estimate / truth
 			if r < 1 {
 				r = 1 / r
 			}
 			if r > worst {
 				worst = r
 			}
-			if distortion > bound {
-				bound = distortion
+			if ans.Distortion > bound {
+				bound = ans.Distortion
 			}
 		}
 		return worst, bound, nil
@@ -99,12 +91,12 @@ func RunTradeoff(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		feed(s)
-		f0w, f0b, err := worstRatio(s, 0)
+		s.ObserveBatch(table.Batch())
+		f0w, f0b, err := worstRatio(s.F0Answer, 0)
 		if err != nil {
 			return nil, err
 		}
-		f2w, f2b, err := worstRatio(s, 2)
+		f2w, f2b, err := worstRatio(func(c words.ColumnSet) (anet.Answer, error) { return s.FpAnswer(c, 2) }, 2)
 		if err != nil {
 			return nil, err
 		}
@@ -118,19 +110,36 @@ func RunTradeoff(opt Options) (*Report, error) {
 			f0w, f0b, f2w, f2b, fmt.Sprintf("%v", ok))
 	}
 
-	for _, kind := range []core.F0SketchKind{core.F0KMV, core.F0HLL, core.F0BJKST} {
-		s, err := core.NewNet(d, 2, core.NetConfig{
-			Alpha: 0.2, Epsilon: 0.25, F0Sketch: kind, Seed: opt.Seed ^ 0xe83,
-		})
+	// The ablation runs Algorithm 1 directly, one F0 sketch kind at a
+	// time, with member seeds derived as core.NewNet derives its KMVs'.
+	net, err := anet.NewNet(d, 0.2)
+	if err != nil {
+		return nil, err
+	}
+	f0seed := rng.New(opt.Seed ^ 0xe83).Uint64()
+	const eps = 0.25
+	for _, kind := range []struct {
+		name string
+		new  func(seed uint64) anet.Estimator
+	}{
+		{"kmv", func(seed uint64) anet.Estimator { return sketch.KMVForEpsilon(eps, seed) }},
+		{"hll", func(seed uint64) anet.Estimator { return sketch.HLLForEpsilon(eps, seed) }},
+		{"bjkst", func(seed uint64) anet.Estimator { return sketch.BJKSTForEpsilon(eps, seed) }},
+	} {
+		m, err := anet.NewMetaSummary(net, func(id uint64) anet.Estimator { return kind.new(f0seed ^ rng.Mix64(id)) })
 		if err != nil {
 			return nil, err
 		}
-		feed(s)
-		w, b, err := worstRatio(s, 0)
+		m.ObserveBatch(table.Batch())
+		w, b, err := worstRatio(func(c words.ColumnSet) (anet.Answer, error) {
+			ans, err := m.Query(0, c, 0)
+			ans.Distortion = anet.DistortionQ(0, ans.Distance, 2)
+			return ans, err
+		}, 0)
 		if err != nil {
 			return nil, err
 		}
-		ablation.AddRow(kind.String(), s.SizeBytes(), w, b, fmt.Sprintf("%v", w <= b*1.6))
+		ablation.AddRow(kind.name, m.SizeBytes(), w, b, fmt.Sprintf("%v", w <= b*1.6))
 	}
 	rep.Notes = append(rep.Notes,
 		"Queries are size d/2, the worst rounding case; bounds are the Lemma 6.4 distortion at the observed neighbour distance.",

@@ -97,16 +97,6 @@ type LpSample = core.LpSample
 // NetConfig configures the α-net summary.
 type NetConfig = core.NetConfig
 
-// F0SketchKind selects the distinct-count sketch of the net summary.
-type F0SketchKind = core.F0SketchKind
-
-// The supported F0 sketch kinds.
-const (
-	F0KMV   = core.F0KMV
-	F0HLL   = core.F0HLL
-	F0BJKST = core.F0BJKST
-)
-
 // Mergeable is the distributed-ingestion capability: summaries that
 // fold a peer built over a disjoint stream shard into themselves.
 type Mergeable = core.Mergeable
