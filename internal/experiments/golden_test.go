@@ -8,15 +8,19 @@ import (
 	"testing"
 )
 
-// netExperimentDigests pins the SHA-256 of every experiment that
-// builds a core.Net or an anet.MetaSummary, run with seed 1 in quick
-// mode and rendered as cmd/experiments -csv renders it, so
+// experimentDigests pins the SHA-256 of experiments run with seed 1
+// in quick mode and rendered as cmd/experiments -csv renders it, so
 // `go run ./cmd/experiments -run E8 -quick -csv | sha256sum` prints
-// E8's digest. They were taken while every α-net problem still kept
-// its own member list and key pass, so matching them proves that the
-// shared pass changed no estimate, size or row of these experiments.
-var netExperimentDigests = map[string]string{
+// E8's digest. E2 and E7–E10 build a core.Net or an
+// anet.MetaSummary; their digests were taken while every α-net
+// problem still kept its own member list and key pass, so matching
+// them proves that the shared pass changed no estimate, size or row.
+// E3's was taken while core.Sample still carried the reservoir
+// sampler as an option, so matching it proves that E3's own
+// reservoir row and the with-replacement rows are unchanged.
+var experimentDigests = map[string]string{
 	"E2":  "63b09fe5fa0479f921cba6d4eda6960f85870d102d99c0a78bdb169f75b492f4",
+	"E3":  "761eef40c1c4d48654555c3a31a3b1fa233d19571c0f877b182a9d647b133257",
 	"E7":  "5be4eb490dccc37af3f0fcfde6227dfa0810c7afeef5bce03e743c26f2f94aca",
 	"E8":  "d2cb6f65f9b283d04ed21b958b3321fd49a44ebeb7920736d82ce671bfe1e444",
 	"E9":  "dc74363e2bf1881d6600ea6f9ce95780307aeb2b047c6e5ae80923aa5bdf418b",
@@ -34,10 +38,11 @@ func writeCSV(h hash.Hash, rep *Report) error {
 	return nil
 }
 
-// TestNetExperimentsGolden fails, by experiment ID, when any α-net
-// experiment's quick run drifts from its pinned output.
+// TestNetExperimentsGolden fails, by experiment ID, when any pinned
+// experiment's quick run drifts from its pinned output. It is named
+// for the α-net experiments it pinned first; E3 joined it later.
 func TestNetExperimentsGolden(t *testing.T) {
-	for id, want := range netExperimentDigests {
+	for id, want := range experimentDigests {
 		t.Run(id, func(t *testing.T) {
 			rep, err := Run(id, Options{Seed: 1, Quick: true})
 			if err != nil {
