@@ -18,7 +18,6 @@ import (
 	"repro/internal/freq"
 	"repro/internal/hashing"
 	"repro/internal/rng"
-	"repro/internal/sample"
 	"repro/internal/sketch"
 	"repro/internal/words"
 	"repro/internal/workload"
@@ -388,15 +387,6 @@ func BenchmarkStarEnumerate(b *testing.B) {
 			b.Fatal("empty star")
 		}
 		b.SetBytes(int64(n))
-	}
-}
-
-func BenchmarkReservoirObserve(b *testing.B) {
-	s := sample.NewReservoir(1024, 31)
-	w := make(words.Word, 16)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Observe(w)
 	}
 }
 

@@ -42,11 +42,10 @@ func batchTestRows(d, q, n int, seed uint64) []words.Word {
 // separate row body, so its digest pins the per-row Observe result,
 // which the test also holds the batched feed to.
 var goldenBatchDigests = map[string]string{
-	"exact":            "1cc907bf626094d4afeefeb58c923fa0ed26c8184f722e6e95f95fcde817be1c",
-	"sample-wr":        "15f119a6ed83e583d405c324080e502e478d242a6bfc72868481527915b9afda",
-	"sample-reservoir": "a7279b598155fab92303daa6b1dcd8606cd429f29d48744e0e74c29871db08b8",
-	"net":              "73183fe0c952af3eeb0c9903763a7c3dc40eaceb66ad093930008641e3e16d31",
-	"registered":       "8d0879be8eabbf7fe363815037d7a8261f616513ddc39afce5513a9fa9bcb5eb",
+	"exact":      "1cc907bf626094d4afeefeb58c923fa0ed26c8184f722e6e95f95fcde817be1c",
+	"sample-wr":  "15f119a6ed83e583d405c324080e502e478d242a6bfc72868481527915b9afda",
+	"net":        "73183fe0c952af3eeb0c9903763a7c3dc40eaceb66ad093930008641e3e16d31",
+	"registered": "8d0879be8eabbf7fe363815037d7a8261f616513ddc39afce5513a9fa9bcb5eb",
 }
 
 // batchSummaryKinds builds one fresh instance of every summary kind.
@@ -64,13 +63,6 @@ func batchSummaryKinds(t *testing.T, d, q int) map[string]func() Summary {
 		},
 		"sample-wr": func() Summary {
 			s, err := NewSample(d, q, 48, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		},
-		"sample-reservoir": func() Summary {
-			s, err := NewSample(d, q, 48, 7, WithReservoir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -12,9 +12,9 @@ import (
 
 // mustSample builds a Sample summary, failing the test on a rejected
 // parameter.
-func mustSample(t *testing.T, d, q, size int, seed uint64, opts ...SampleOption) *Sample {
+func mustSample(t *testing.T, d, q, size int, seed uint64) *Sample {
 	t.Helper()
-	s, err := NewSample(d, q, size, seed, opts...)
+	s, err := NewSample(d, q, size, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,36 +169,30 @@ func TestSampleFrequencyAccuracy(t *testing.T) {
 
 func TestSampleHeavyHittersFindPlanted(t *testing.T) {
 	tb := testData(20000, 4)
-	for _, reservoir := range []bool{false, true} {
-		var opts []SampleOption
-		if reservoir {
-			opts = append(opts, WithReservoir())
+	s := mustSample(t, 10, 2, 800, 11)
+	feed(s, tb)
+	c := words.MustColumnSet(10, 0, 1, 2)
+	hh, err := s.HeavyHitters(c, 1, 0.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, h := range hh {
+		if h.Pattern.Equal(words.Word{1, 1, 1}) {
+			found = true
 		}
-		s := mustSample(t, 10, 2, 800, 11, opts...)
-		feed(s, tb)
-		c := words.MustColumnSet(10, 0, 1, 2)
-		hh, err := s.HeavyHitters(c, 1, 0.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		found := false
-		for _, h := range hh {
-			if h.Pattern.Equal(words.Word{1, 1, 1}) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("reservoir=%v: planted heavy hitter missed: %+v", reservoir, hh)
-		}
-		// Nothing with true frequency below phi/4 should be reported
-		// (c = 4 approximation slack).
-		ref := freq.FromTable(tb, c)
-		norm := ref.Norm(1)
-		for _, h := range hh {
-			truth := float64(ref.CountWord(h.Pattern))
-			if truth < 0.2/4*norm {
-				t.Fatalf("reservoir=%v: reported far-below-threshold pattern %v (truth %v)", reservoir, h.Pattern, truth)
-			}
+	}
+	if !found {
+		t.Fatalf("planted heavy hitter missed: %+v", hh)
+	}
+	// Nothing with true frequency below phi/4 should be reported
+	// (c = 4 approximation slack).
+	ref := freq.FromTable(tb, c)
+	norm := ref.Norm(1)
+	for _, h := range hh {
+		truth := float64(ref.CountWord(h.Pattern))
+		if truth < 0.2/4*norm {
+			t.Fatalf("reported far-below-threshold pattern %v (truth %v)", h.Pattern, truth)
 		}
 	}
 }

@@ -38,7 +38,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 	blobs := fuzzSeedBlobs(t)
 	for i, blob := range blobs {
 		kind := SummaryKind(blob[5])
-		if kind == kindRetired || kind == KindSample && blob[envelopeSize] == wireSampleWRRetired ||
+		if kind == kindRetired || kind == KindSample && blob[envelopeSize] != wireSampleWR ||
 			kind == KindNet && blob[netReservedOffset] != 0 {
 			continue // refused whole; the in-code seed covers it
 		}

@@ -349,29 +349,22 @@ const (
 	// drew once per slot and row, with a 32-byte xoshiro state per
 	// slot and no next acceptance position. Decoders refuse it.
 	wireSampleWRRetired = 0
-	wireSampleReservoir = 1
-	wireSampleWR        = 2
+	// wireSampleReservoirRetired (1) was the Algorithm-R reservoir, an
+	// ablation option: one 32-byte xoshiro state, then the retained
+	// rows. Decoders refuse it.
+	wireSampleReservoirRetired = 1
+	wireSampleWR               = 2
 )
 
-// MarshalBinary encodes the summary: the envelope, a sampler-mode
-// byte, and the sampler's own serialization (rows plus generator
+// MarshalBinary encodes the summary: the envelope, the sampler-mode
+// byte 2, and the sampler's own serialization (rows plus generator
 // state, so merges of a decoded summary match the original exactly).
 func (s *Sample) MarshalBinary() ([]byte, error) {
-	var (
-		blob []byte
-		err  error
-		mode uint8 = wireSampleWR
-	)
-	if s.reservoir {
-		mode = wireSampleReservoir
-		blob, err = s.rs.MarshalBinary()
-	} else {
-		blob, err = s.wr.MarshalBinary()
-	}
+	blob, err := s.wr.MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	payload := append([]byte{mode}, blob...)
+	payload := append([]byte{wireSampleWR}, blob...)
 	return appendEnvelope(KindSample, s.d, s.q, 0, s.Rows(), payload)
 }
 
@@ -380,28 +373,23 @@ func decodeSample(env envelope) (*Sample, error) {
 		return nil, badEncoding("sample payload missing mode byte")
 	}
 	mode, blob := env.payload[0], env.payload[1:]
-	s := &Sample{d: env.d, q: env.q}
-	var err error
 	switch mode {
+	case wireSampleWR: // decoded below
 	case wireSampleWRRetired:
 		return nil, badEncoding("retired sampler mode %d (with-replacement slots that drew once per row, before skip-ahead slots)", mode)
-	case wireSampleWR:
-		s.wr = &sample.WithReplacement{}
-		err = s.wr.UnmarshalBinary(blob)
-	case wireSampleReservoir:
-		s.reservoir = true
-		s.rs = &sample.Reservoir{}
-		err = s.rs.UnmarshalBinary(blob)
+	case wireSampleReservoirRetired:
+		return nil, badEncoding("retired sampler mode %d (Algorithm-R reservoir, an ablation option)", mode)
 	default:
 		return nil, badEncoding("unknown sampler mode %d", mode)
 	}
-	if err != nil {
+	s := &Sample{d: env.d, q: env.q, wr: &sample.WithReplacement{}}
+	if err := s.wr.UnmarshalBinary(blob); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
 	if s.Rows() != env.rows {
 		return nil, badEncoding("sampler has seen %d rows, envelope says %d", s.Rows(), env.rows)
 	}
-	for i, row := range s.rows() {
+	for i, row := range s.wr.Rows() {
 		if row == nil {
 			continue
 		}

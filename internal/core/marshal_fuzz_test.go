@@ -10,9 +10,10 @@ import (
 // fuzzSeedBlobs marshals one small summary of every kind, giving the
 // fuzzer structurally valid starting points (the committed corpus
 // under testdata/fuzz mirrors these plus hand-damaged variants). The
-// retired kind 4 keeps its place in the order, and a sample blob under
-// the retired sampler mode 0 and a net blob with a nonzero reserved
-// byte come last: every input grown from them must be refused typed.
+// retired kind 4 and a sample blob under the retired sampler mode 1
+// keep their places in the order, and a sample blob under the retired
+// sampler mode 0 and a net blob with a nonzero reserved byte come
+// last: every input grown from them must be refused typed.
 func fuzzSeedBlobs(f testing.TB) [][]byte {
 	f.Helper()
 	const d, q = 5, 3
@@ -36,12 +37,12 @@ func fuzzSeedBlobs(f testing.TB) [][]byte {
 	}
 	add(NewExact(d, q))
 	add(NewSample(d, q, 16, 3))
-	add(NewSample(d, q, 16, 4, WithReservoir()))
+	blobs = append(blobs, retiredSampleModeBlob(f, d, q, 1))
 	add(NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.3, Moments: []float64{2}, StableReps: 12, Seed: 5}))
 	blobs = append(blobs, retiredKindBlob(f, d, q))
 	add(NewRegistered(d, q, []words.ColumnSet{words.MustColumnSet(d, 0, 2)},
 		RegisteredConfig{KHLLValues: 8, Seed: 7}))
-	return append(blobs, retiredSampleModeBlob(f, d, q), reservedNetByteBlob(f, d, q, 1))
+	return append(blobs, retiredSampleModeBlob(f, d, q, 0), reservedNetByteBlob(f, d, q, 1))
 }
 
 // FuzzUnmarshalSummary asserts the wire decoder's contract on

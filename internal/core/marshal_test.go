@@ -45,10 +45,6 @@ func wireSummaries(t *testing.T) map[string]Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs, err := NewSample(d, q, 80, 12, WithReservoir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	nt, err := NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: []float64{0.5, 2}, StableReps: 24, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -61,11 +57,10 @@ func wireSummaries(t *testing.T) map[string]Summary {
 		t.Fatal(err)
 	}
 	return map[string]Summary{
-		"exact":            ex,
-		"sample-wr":        wr,
-		"sample-reservoir": rs,
-		"net":              nt,
-		"registered":       reg,
+		"exact":      ex,
+		"sample-wr":  wr,
+		"net":        nt,
+		"registered": reg,
 	}
 }
 
@@ -219,7 +214,7 @@ func TestUnmarshalTypedReceivers(t *testing.T) {
 	}
 	// UnmarshalSummary dispatches on the kind byte to the concrete type.
 	ex, ok1 := decode("exact").(*Exact)
-	smp, ok2 := decode("sample-reservoir").(*Sample)
+	smp, ok2 := decode("sample-wr").(*Sample)
 	nt, ok3 := decode("net").(*Net)
 	reg, ok4 := decode("registered").(*Registered)
 	if !ok1 || !ok2 || !ok3 || !ok4 {
@@ -559,20 +554,30 @@ func retiredKindBlob(t testing.TB, d, q int) []byte {
 	return blob
 }
 
-// retiredSampleModeBlob hand-builds a sample blob under sampler mode
-// 0, the with-replacement layout before skip-ahead slots: t slots of
+// retiredSampleModeBlob hand-builds a sample blob under a retired
+// sampler mode, over a payload shaped like its old codec's. Mode 0 was
+// the with-replacement layout before skip-ahead slots: t slots of
 // 32-byte xoshiro state and no next acceptance position, then t rows.
-func retiredSampleModeBlob(t testing.TB, d, q int) []byte {
+// Mode 1 was the Algorithm-R reservoir: one 32-byte xoshiro state and
+// a retained-row count, then the retained rows.
+func retiredSampleModeBlob(t testing.TB, d, q int, mode byte) []byte {
 	t.Helper()
 	const slots, seen = 3, 1
 	w := &wire.Writer{}
-	w.U8(0)
+	w.U8(mode)
 	w.U32(slots)
 	w.I64(seen)
-	for i := 0; i < 4*slots; i++ {
+	states, rows := 4*slots, slots
+	if mode == 1 {
+		states, rows = 4, seen
+	}
+	for i := 0; i < states; i++ {
 		w.U64(uint64(i + 1))
 	}
-	for i := 0; i < slots; i++ {
+	if mode == 1 {
+		w.U32(seen)
+	}
+	for i := 0; i < rows; i++ {
 		w.U32(uint32(d))
 		for j := 0; j < d; j++ {
 			w.U16(uint16(j % q))
@@ -585,26 +590,26 @@ func retiredSampleModeBlob(t testing.TB, d, q int) []byte {
 	return blob
 }
 
-// TestRetiredSampleModeRefused: sampler mode 0 decodes to
-// ErrBadEncoding naming the retired mode, the with-replacement sampler
-// encodes under mode 2, and the reservoir keeps mode 1.
+// TestRetiredSampleModeRefused: sampler modes 0 and 1 decode to
+// ErrBadEncoding naming the retired mode, and the with-replacement
+// sampler encodes under mode 2.
 func TestRetiredSampleModeRefused(t *testing.T) {
-	_, err := UnmarshalSummary(retiredSampleModeBlob(t, 5, 3))
-	if !errors.Is(err, ErrBadEncoding) || !strings.Contains(err.Error(), "retired sampler mode 0") {
-		t.Fatalf("mode-0 blob: %v, want ErrBadEncoding naming the retired mode", err)
+	for _, mode := range []byte{0, 1} {
+		_, err := UnmarshalSummary(retiredSampleModeBlob(t, 5, 3, mode))
+		if want := fmt.Sprintf("retired sampler mode %d", mode); !errors.Is(err, ErrBadEncoding) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("mode-%d blob: %v, want ErrBadEncoding naming %q", mode, err, want)
+		}
 	}
-	for mode, opts := range map[byte][]SampleOption{2: nil, 1: {WithReservoir()}} {
-		s, err := NewSample(5, 3, 4, 1, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blob, err := MarshalSummary(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if blob[envelopeSize] != mode {
-			t.Fatalf("%s encodes under sampler mode %d, want %d", s.Name(), blob[envelopeSize], mode)
-		}
+	s, err := NewSample(5, 3, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := MarshalSummary(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob[envelopeSize] != wireSampleWR {
+		t.Fatalf("%s encodes under sampler mode %d, want %d", s.Name(), blob[envelopeSize], wireSampleWR)
 	}
 }
 

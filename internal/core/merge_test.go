@@ -116,33 +116,21 @@ func TestSampleMergeFrequencyWithinTolerance(t *testing.T) {
 	// estimates land within ε·n of the truth (ε = 0.05 here, with
 	// sample size comfortably above the bound's requirement).
 	tb := testData(20000, 51)
-	for _, reservoir := range []bool{false, true} {
-		var opts []SampleOption
-		if reservoir {
-			opts = append(opts, WithReservoir())
-		}
-		mk := func(seed uint64) Summary {
-			s, err := NewSample(10, 2, 1600, seed, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return s
-		}
-		shards := []Summary{mk(61), mk(62), mk(63), mk(64)}
-		splitFeed(nil, shards, tb)
-		merged := mergeAll(t, shards).(*Sample)
-		if merged.Rows() != int64(tb.NumRows()) {
-			t.Fatalf("reservoir=%v: merged rows %d != %d", reservoir, merged.Rows(), tb.NumRows())
-		}
-		c := words.MustColumnSet(10, 0, 1, 2)
-		truth := float64(freq.FromTable(tb, c).CountWord(words.Word{1, 1, 1}))
-		est, err := merged.Frequency(c, words.Word{1, 1, 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(est-truth) > 0.05*float64(tb.NumRows()) {
-			t.Fatalf("reservoir=%v: merged estimate %v, truth %v", reservoir, est, truth)
-		}
+	mk := func(seed uint64) Summary { return mustSample(t, 10, 2, 1600, seed) }
+	shards := []Summary{mk(61), mk(62), mk(63), mk(64)}
+	splitFeed(nil, shards, tb)
+	merged := mergeAll(t, shards).(*Sample)
+	if merged.Rows() != int64(tb.NumRows()) {
+		t.Fatalf("merged rows %d != %d", merged.Rows(), tb.NumRows())
+	}
+	c := words.MustColumnSet(10, 0, 1, 2)
+	truth := float64(freq.FromTable(tb, c).CountWord(words.Word{1, 1, 1}))
+	est, err := merged.Frequency(c, words.Word{1, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(est-truth) > 0.05*float64(tb.NumRows()) {
+		t.Fatalf("merged estimate %v, truth %v", est, truth)
 	}
 }
 
@@ -150,7 +138,6 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 	sampleA := mustSample(t, 4, 2, 8, 1)
 	sampleB := mustSample(t, 5, 2, 8, 1)
 	sampleC := mustSample(t, 4, 2, 16, 1)
-	sampleR := mustSample(t, 4, 2, 8, 1, WithReservoir())
 	netA, _ := NewNet(4, 2, NetConfig{Alpha: 0.3, Seed: 1})
 	pair := []words.ColumnSet{words.MustColumnSet(4, 0, 1)}
 	regA, _ := NewRegistered(4, 2, pair, RegisteredConfig{Epsilon: 0.3, Seed: 1})
@@ -170,7 +157,6 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 		{"sample-vs-net", sampleA.Merge(netA)},
 		{"sample-dim", sampleA.Merge(sampleB)},
 		{"sample-size", sampleA.Merge(sampleC)},
-		{"sample-mode", sampleA.Merge(sampleR)},
 		{"net-vs-exact", netA.Merge(mustExact(t, 4, 2))},
 		{"net-moment-set", func() error {
 			a, _ := NewNet(4, 2, NetConfig{Alpha: 0.3, Moments: []float64{2}, StableReps: 40, Seed: 1})

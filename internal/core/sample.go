@@ -11,11 +11,10 @@ import (
 )
 
 // Sample is the uniform-row-sampling summary of Theorem 5.1 and
-// Corollary 5.2: t with-replacement uniform row samples (or a
-// t-element reservoir, an ablation option) kept while streaming,
-// independent of any future query C. Each with-replacement slot draws
-// only when it accepts a row, about ln n times over n rows, and a
-// batch in which no slot accepts costs O(1).
+// Corollary 5.2: t with-replacement uniform row samples kept while
+// streaming, independent of any future query C. Each slot draws only
+// when it accepts a row, about ln n times over n rows, and a batch in
+// which no slot accepts costs O(1).
 //
 // Guarantees (from the paper):
 //   - Frequency: additive error ε‖f‖₁ ≤ ε‖f‖_p for 0 < p ≤ 1 with
@@ -31,58 +30,38 @@ import (
 // F0/Fp queries are unsupported: Section 4 proves 2^Ω(d) space is
 // needed, and a uniform sample cannot certify distinctness.
 type Sample struct {
-	d, q      int
-	reservoir bool
-	wr        *sample.WithReplacement
-	rs        *sample.Reservoir
-}
-
-// SampleOption configures the Sample summary.
-type SampleOption func(*Sample)
-
-// WithReservoir switches from t independent with-replacement slots to
-// a single without-replacement reservoir of size t.
-func WithReservoir() SampleOption {
-	return func(s *Sample) { s.reservoir = true }
+	d, q int
+	wr   *sample.WithReplacement
 }
 
 // NewSample returns a sampling summary of size t. It rejects
 // degenerate shapes (d < 1, q < 2) and sizes (t < 1) with an error
 // wrapping ErrInvalidParam.
-func NewSample(d, q, t int, seed uint64, opts ...SampleOption) (*Sample, error) {
+func NewSample(d, q, t int, seed uint64) (*Sample, error) {
 	if err := validateShape("sample", d, q); err != nil {
 		return nil, err
 	}
 	if t < 1 {
 		return nil, badParam("sample", "t", t, "must be positive")
 	}
-	s := &Sample{d: d, q: q}
-	for _, o := range opts {
-		o(s)
-	}
-	if s.reservoir {
-		s.rs = sample.NewReservoir(t, seed)
-	} else {
-		s.wr = sample.NewWithReplacement(t, seed)
-	}
-	return s, nil
+	return &Sample{d: d, q: q, wr: sample.NewWithReplacement(t, seed)}, nil
 }
 
 // NewSampleForError sizes the summary per Theorem 5.1 for additive
 // error ε‖f‖₁ with probability 1−δ. ε and δ outside (0,1) are
 // rejected with an error wrapping ErrInvalidParam.
-func NewSampleForError(d, q int, eps, delta float64, seed uint64, opts ...SampleOption) (*Sample, error) {
+func NewSampleForError(d, q int, eps, delta float64, seed uint64) (*Sample, error) {
 	if err := validateErrorParams("sample", eps, delta); err != nil {
 		return nil, err
 	}
-	return NewSample(d, q, sample.SizeForError(eps, delta), seed, opts...)
+	return NewSample(d, q, sample.SizeForError(eps, delta), seed)
 }
 
 // Merge implements Mergeable: it folds another Sample built over a
-// disjoint part of the stream into s. Both must use the same shape,
-// sampler mode, and sample size t; seeds may differ (and should, when
-// the shards sample independently). The slot-wise reservoir-step merge
-// keeps every retained row a uniform draw from the combined stream.
+// disjoint part of the stream into s. Both must use the same shape and
+// sample size t; seeds may differ (and should, when the shards sample
+// independently). The slot-wise reservoir-step merge keeps every
+// retained row a uniform draw from the combined stream.
 func (s *Sample) Merge(other Summary) error {
 	o, ok := other.(*Sample)
 	if !ok {
@@ -94,16 +73,7 @@ func (s *Sample) Merge(other Summary) error {
 	if o.d != s.d || o.q != s.q {
 		return mergeErr("shape mismatch: %d cols/[%d] vs %d cols/[%d]", s.d, s.q, o.d, o.q)
 	}
-	if s.reservoir != o.reservoir {
-		return mergeErr("cannot merge %s with %s", s.Name(), o.Name())
-	}
-	var err error
-	if s.reservoir {
-		err = s.rs.Merge(o.rs)
-	} else {
-		err = s.wr.Merge(o.wr)
-	}
-	if err != nil {
+	if err := s.wr.Merge(o.wr); err != nil {
 		return mergeWrap(err)
 	}
 	return nil
@@ -114,19 +84,14 @@ func (s *Sample) Observe(w words.Word) {
 	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch feeds the batch to the underlying sampler. The
-// with-replacement sampler only counts a batch in which no slot's next
-// acceptance falls, and otherwise clones at most one row per slot that
-// accepts; the reservoir clones at most one row per slot it touches.
+// ObserveBatch feeds the batch to the sampler, which only counts a
+// batch in which no slot's next acceptance falls, and otherwise clones
+// at most one row per slot that accepts.
 func (s *Sample) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))
 	}
-	if s.reservoir {
-		s.rs.ObserveBatch(b)
-	} else {
-		s.wr.ObserveBatch(b)
-	}
+	s.wr.ObserveBatch(b)
 }
 
 // Dim returns d.
@@ -136,37 +101,19 @@ func (s *Sample) Dim() int { return s.d }
 func (s *Sample) Alphabet() int { return s.q }
 
 // Rows returns n.
-func (s *Sample) Rows() int64 {
-	if s.reservoir {
-		return s.rs.Seen()
-	}
-	return s.wr.Seen()
-}
+func (s *Sample) Rows() int64 { return s.wr.Seen() }
 
 // SizeBytes counts the stored rows plus counters.
 func (s *Sample) SizeBytes() int {
-	rows := s.rows()
 	n := 16
-	for _, r := range rows {
+	for _, r := range s.wr.Rows() {
 		n += 2 * len(r)
 	}
 	return n
 }
 
 // Name identifies the summary.
-func (s *Sample) Name() string {
-	if s.reservoir {
-		return "sample-reservoir"
-	}
-	return "sample-wr"
-}
-
-func (s *Sample) rows() []words.Word {
-	if s.reservoir {
-		return s.rs.Rows()
-	}
-	return s.wr.Rows()
-}
+func (s *Sample) Name() string { return "sample-wr" }
 
 // Frequency returns the scaled sample estimate of f_{e(b)}(A, C), the
 // estimator f̂ = g/α of Theorem 5.1.
@@ -177,27 +124,7 @@ func (s *Sample) Frequency(c words.ColumnSet, b words.Word) (float64, error) {
 	if err := validatePattern(c, b, s.q); err != nil {
 		return 0, err
 	}
-	if s.reservoir {
-		return s.rs.EstimateFrequency(c, b), nil
-	}
 	return s.wr.EstimateFrequency(c, b), nil
-}
-
-// projectedCounts builds pattern → sample count for projection c.
-func (s *Sample) projectedCounts(c words.ColumnSet) (map[string]int, int) {
-	rows := s.rows()
-	counts := make(map[string]int)
-	var key []byte
-	kept := 0
-	for _, r := range rows {
-		if r == nil {
-			continue
-		}
-		kept++
-		key = words.AppendKey(key[:0], r, c)
-		counts[string(key)]++
-	}
-	return counts, kept
 }
 
 // HeavyHitters estimates the φ-ℓp heavy hitters from the sample: each
@@ -215,11 +142,12 @@ func (s *Sample) HeavyHitters(c words.ColumnSet, p, phi float64) ([]HeavyHitter,
 	if phi <= 0 || phi > 1 {
 		return nil, errBadPhi(phi)
 	}
-	counts, kept := s.projectedCounts(c)
-	if kept == 0 {
+	if s.Rows() == 0 {
 		return nil, nil
 	}
-	scale := float64(s.Rows()) / float64(kept)
+	// Every slot holds a row once one is seen.
+	counts := s.wr.ProjectedCounts(c)
+	scale := float64(s.Rows()) / float64(s.wr.Size())
 	// Estimate ‖f‖_p from the sample-estimated frequencies of the
 	// sampled patterns. For p ≤ 1, ‖f‖_p ≥ ‖f‖₁ = n makes the
 	// threshold conservative-correct; the estimate refines it.
@@ -262,8 +190,8 @@ func (s *Sample) SampleLp(c words.ColumnSet, p float64, r *rng.Source) (LpSample
 	if p < 0 {
 		return LpSample{}, errNegativeP(p)
 	}
-	counts, kept := s.projectedCounts(c)
-	if kept == 0 {
+	counts := s.wr.ProjectedCounts(c)
+	if len(counts) == 0 {
 		return LpSample{}, errEmptyData
 	}
 	keys := make([]string, 0, len(counts))

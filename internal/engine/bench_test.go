@@ -17,18 +17,19 @@ import (
 //
 //	go test ./internal/engine -run '^$' -bench 'ObserveBatch|ExactWarm|EpochRebuild' -cpuprofile cpu.pb.gz
 
-// observeBatchFixture builds the ingest fixture: 4 shards of bounded
-// reservoir samples — per-row work is one RNG draw and the state does
-// not grow, so what is left is the engine's own path, one arena copy
-// and one channel send per chunk — and one 256-row batch (one chunk).
-// A reservoir allocates when it replaces a row, with probability 256
-// over the rows its shard has seen, so the fixture first ingests 4M
-// rows: a replacement is then a once-in-sixteen-batches event and the
+// observeBatchFixture builds the ingest fixture: 4 shards of the
+// serving with-replacement sampler, t = 256 — a batch in which no
+// slot accepts costs O(1) and the state does not grow, so what is left
+// is the engine's own path, one arena copy and one channel send per
+// chunk — and one 256-row batch (one chunk). Each of the 256 slots
+// accepts a row with probability 1 over the rows its shard has seen,
+// and an acceptance clones the row, so the fixture first ingests 4M
+// rows: an acceptance is then a once-in-sixteen-batches event and the
 // average the gate reads is the engine's.
 func observeBatchFixture(tb testing.TB) (*Sharded, *words.Batch) {
 	tb.Helper()
 	eng, err := NewSharded(func(shard int) (core.Summary, error) {
-		return core.NewSample(16, 4, 256, uint64(shard)+1, core.WithReservoir())
+		return core.NewSample(16, 4, 256, uint64(shard)+1)
 	}, Config{Shards: 4, Queue: 1024})
 	if err != nil {
 		tb.Fatal(err)

@@ -19,8 +19,9 @@ func init() { register("E3", RunSampling) }
 // the data, in space independent of n and d. The driver sweeps ε,
 // measures the worst and 95th-percentile additive error over many
 // (pattern, query) pairs on a skewed stream, and reports the fraction
-// of estimates within the bound (which must be ≥ 1−δ). The reservoir
-// ablation (core.WithReservoir) runs alongside.
+// of estimates within the bound (which must be ≥ 1−δ). The ablation
+// row feeds the same stream to a sample.Reservoir of the same size and
+// seed, sized in bytes as core.Sample sizes its rows.
 func RunSampling(opt Options) (*Report, error) {
 	d, q := 16, 4
 	n := 40000
@@ -63,30 +64,35 @@ func RunSampling(opt Options) (*Report, error) {
 		}
 	}
 
+	batch := table.Batch()
+	type sampler struct {
+		name     string
+		bytes    int
+		estimate func(words.ColumnSet, words.Word) (float64, error)
+	}
 	for _, eps := range epsList {
-		for _, reservoir := range []bool{false, true} {
-			var opts []core.SampleOption
-			name := "with-replacement"
-			if reservoir {
-				opts = append(opts, core.WithReservoir())
-				name = "reservoir"
-			}
-			sum, err := core.NewSampleForError(d, q, eps, delta, opt.Seed^0xe32, opts...)
-			if err != nil {
-				return nil, err
-			}
-			src := table.Source()
-			for {
-				w, ok := src.Next()
-				if !ok {
-					break
-				}
-				sum.Observe(w)
-			}
+		t := sample.SizeForError(eps, delta)
+		wr, err := core.NewSample(d, q, t, opt.Seed^0xe32)
+		if err != nil {
+			return nil, err
+		}
+		wr.ObserveBatch(batch)
+		rs := sample.NewReservoir(t, opt.Seed^0xe32)
+		rs.ObserveBatch(batch)
+		rsBytes := 16
+		for _, row := range rs.Rows() {
+			rsBytes += 2 * len(row)
+		}
+		for _, sm := range []sampler{
+			{"with-replacement", wr.SizeBytes(), wr.Frequency},
+			{"reservoir", rsBytes, func(c words.ColumnSet, b words.Word) (float64, error) {
+				return rs.EstimateFrequency(c, b), nil
+			}},
+		} {
 			maxErr, errs := 0.0, make([]float64, 0, len(probes))
 			within := 0
 			for _, pr := range probes {
-				est, err := sum.Frequency(pr.c, pr.b)
+				est, err := sm.estimate(pr.c, pr.b)
 				if err != nil {
 					return nil, err
 				}
@@ -101,7 +107,7 @@ func RunSampling(opt Options) (*Report, error) {
 				}
 			}
 			frac := float64(within) / float64(len(probes))
-			tbl.AddRow(name, eps, sample.SizeForError(eps, delta), sum.SizeBytes(),
+			tbl.AddRow(sm.name, eps, t, sm.bytes,
 				maxErr, percentile(errs, 0.95), frac, frac >= 1-delta)
 		}
 	}

@@ -7,7 +7,6 @@
 package rng
 
 import (
-	"errors"
 	"math"
 	"math/bits"
 )
@@ -72,20 +71,6 @@ func (r *Source) Seed(seed uint64) {
 	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
 		r.s[0] = 0x9e3779b97f4a7c15
 	}
-}
-
-// State returns the generator's full 256-bit internal state, so a
-// Source can be serialized mid-stream and later resumed with Restore.
-func (r *Source) State() [4]uint64 { return r.s }
-
-// Restore returns a Source resuming exactly from a state captured by
-// State. The all-zero state (a xoshiro fixed point, never produced by
-// New) is rejected.
-func Restore(state [4]uint64) (*Source, error) {
-	if state[0]|state[1]|state[2]|state[3] == 0 {
-		return nil, errors.New("rng: all-zero xoshiro state")
-	}
-	return &Source{s: state}, nil
 }
 
 // Uint64 returns the next 64 pseudo-random bits (xoshiro256**).

@@ -18,39 +18,15 @@ var ErrCorrupt = errors.New("sample: corrupt serialized sampler")
 // layer up in the core summary envelope.
 //
 //	WithReplacement: u32 t | i64 seen | t×(u64 splitmix | u64 next) | t×row
-//	Reservoir:       u32 t | i64 seen | 4×u64 rng state | u32 n | n×row
 //	row:             u32 len (0xFFFFFFFF = absent) | len×u16 symbols
 //
 // A row's symbols are the flat symbol codec (words.AppendSymbolsLE),
 // written and read through wire.Writer.Symbols and Reader.Symbols.
 //
-// The generator states (and each with-replacement slot's next
-// acceptance position) travel with the rows so a decoded sampler
-// continues its stream — and in particular merges — exactly as the
-// original would have.
+// Each slot's generator state and next acceptance position travel
+// with the rows so a decoded sampler continues its stream — and in
+// particular merges — exactly as the original would have.
 const nilRow = ^uint32(0)
-
-func writeSource(w *wire.Writer, s *rng.Source) {
-	st := s.State()
-	for _, x := range st {
-		w.U64(x)
-	}
-}
-
-func readSource(r *wire.Reader) *rng.Source {
-	var st [4]uint64
-	for i := range st {
-		st[i] = r.U64()
-	}
-	if r.Err() != nil {
-		return nil
-	}
-	s, err := rng.Restore(st)
-	if err != nil {
-		return nil
-	}
-	return s
-}
 
 func writeRow(w *wire.Writer, row words.Word) {
 	if row == nil {
@@ -136,54 +112,5 @@ func (s *WithReplacement) UnmarshalBinary(data []byte) error {
 		return err
 	}
 	*s = *tmp
-	return nil
-}
-
-// MarshalBinary encodes the reservoir's full state: retained rows plus
-// the generator state, so a decoded reservoir resumes the exact random
-// stream of the original.
-func (r *Reservoir) MarshalBinary() ([]byte, error) {
-	w := wire.NewWriter(48 + 4*len(r.rows))
-	w.U32(uint32(r.t))
-	w.I64(r.seen)
-	writeSource(w, r.src)
-	w.U32(uint32(len(r.rows)))
-	for _, row := range r.rows {
-		writeRow(w, row)
-	}
-	return w.Bytes(), nil
-}
-
-// UnmarshalBinary decodes a reservoir produced by MarshalBinary,
-// replacing the receiver's state. Allocation is bounded by the
-// retained-row count, which is validated against the remaining input.
-func (r *Reservoir) UnmarshalBinary(data []byte) error {
-	rd := wire.NewReader(data, ErrCorrupt)
-	t := int(rd.U32())
-	seen := rd.I64()
-	src := readSource(rd)
-	n := int(rd.U32())
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	if src == nil {
-		return fmt.Errorf("%w: generator state", ErrCorrupt)
-	}
-	// A retained row costs at least its 4-byte length prefix.
-	if t < 1 || seen < 0 || n > t || int64(n) > seen || 4*n > rd.Remaining() {
-		return fmt.Errorf("%w: reservoir header t=%d seen=%d n=%d", ErrCorrupt, t, seen, n)
-	}
-	tmp := &Reservoir{t: t, seen: seen, src: src, rows: make([]words.Word, 0, n)}
-	for i := 0; i < n; i++ {
-		row := readRow(rd)
-		if row == nil {
-			return fmt.Errorf("%w: reservoir row %d absent", ErrCorrupt, i)
-		}
-		tmp.rows = append(tmp.rows, row)
-	}
-	if err := rd.Done(); err != nil {
-		return err
-	}
-	*r = *tmp
 	return nil
 }

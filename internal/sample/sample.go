@@ -2,8 +2,10 @@
 // paper's upper bounds: the with-replacement uniform sampler of
 // Theorem 5.1 (uSample), whose slots skip ahead to their next
 // acceptance and so draw once per acceptance rather than once per row,
-// and classical reservoir sampling. Both samplers store words.Word
-// rows and are deterministic given their seed.
+// and classical reservoir sampling, an ablation that experiment E3
+// runs beside it. Both samplers store words.Word rows, take rows in
+// batches and are deterministic given their seed; only the
+// with-replacement sampler merges and serializes.
 package sample
 
 import (
@@ -84,11 +86,6 @@ func SizeForError(eps, delta float64) int {
 		panic("sample: error parameters outside (0,1)")
 	}
 	return int(2.0*math.Log(2/delta)/(eps*eps)) + 1
-}
-
-// Observe feeds one row into every slot's reservoir.
-func (s *WithReplacement) Observe(w words.Word) {
-	s.ObserveBatch(words.RowBatch(w))
 }
 
 // ObserveBatch feeds every row of b. A batch that ends before the
@@ -205,9 +202,8 @@ func (s *WithReplacement) ProjectedCounts(c words.ColumnSet) map[string]int {
 
 // Reservoir is classical Algorithm-R reservoir sampling: a uniform
 // sample of size t without replacement. It is the ablation partner of
-// WithReplacement: core.WithReservoir selects it, and experiment E3
-// (internal/experiments, RunSampling) runs it beside the
-// with-replacement sampler.
+// WithReplacement, and only experiment E3 (internal/experiments,
+// RunSampling) runs it; no summary is built on it.
 type Reservoir struct {
 	t    int
 	seen int64
@@ -221,11 +217,6 @@ func NewReservoir(t int, seed uint64) *Reservoir {
 		panic("sample: need positive reservoir size")
 	}
 	return &Reservoir{t: t, src: rng.New(seed)}
-}
-
-// Observe feeds one row.
-func (r *Reservoir) Observe(w words.Word) {
-	r.ObserveBatch(words.RowBatch(w))
 }
 
 // ObserveBatch feeds every row of b (Algorithm R: fill the first t
@@ -264,49 +255,6 @@ func (r *Reservoir) ObserveBatch(b *words.Batch) {
 	for j, row := range pending {
 		r.rows[j] = b.Row(row).Clone()
 	}
-}
-
-// Merge folds another reservoir built over a disjoint stream segment
-// into r: repeatedly pick a side with probability proportional to its
-// remaining (unsampled) stream length and move a uniform element from
-// that side's reservoir, until t rows are kept or both are exhausted —
-// the standard distributed-reservoir merge, which keeps the result a
-// uniform without-replacement sample of the concatenated stream. The
-// peer is left intact.
-func (r *Reservoir) Merge(o *Reservoir) error {
-	if o.t != r.t {
-		return fmt.Errorf("sample: merging reservoirs of different size (%d vs %d)", r.t, o.t)
-	}
-	if o.seen == 0 {
-		return nil
-	}
-	a := append([]words.Word(nil), r.rows...)
-	b := make([]words.Word, len(o.rows))
-	for i, w := range o.rows {
-		b[i] = w.Clone()
-	}
-	na, nb := r.seen, o.seen
-	merged := make([]words.Word, 0, r.t)
-	for len(merged) < r.t && len(a)+len(b) > 0 {
-		takeA := len(b) == 0 ||
-			(len(a) > 0 && r.src.Uint64n(uint64(na+nb)) < uint64(na))
-		if takeA {
-			j := int(r.src.Uint64n(uint64(len(a))))
-			merged = append(merged, a[j])
-			a[j] = a[len(a)-1]
-			a = a[:len(a)-1]
-			na--
-		} else {
-			j := int(r.src.Uint64n(uint64(len(b))))
-			merged = append(merged, b[j])
-			b[j] = b[len(b)-1]
-			b = b[:len(b)-1]
-			nb--
-		}
-	}
-	r.rows = merged
-	r.seen += o.seen
-	return nil
 }
 
 // Seen returns the stream length observed.

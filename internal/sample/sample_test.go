@@ -26,7 +26,7 @@ func TestWithReplacementFrequencyEstimate(t *testing.T) {
 	rows := makeStream(n, heavy)
 	s := NewWithReplacement(SizeForError(0.05, 0.01), 1)
 	for _, r := range rows {
-		s.Observe(r)
+		s.ObserveBatch(words.RowBatch(r))
 	}
 	if s.Seen() != n {
 		t.Fatalf("Seen = %d", s.Seen())
@@ -56,7 +56,7 @@ func TestWithReplacementChernoffBound(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		s := NewWithReplacement(SizeForError(eps, delta), uint64(trial+10))
 		for _, r := range rows {
-			s.Observe(r)
+			s.ObserveBatch(words.RowBatch(r))
 		}
 		if math.Abs(s.EstimateFrequency(c, b)-heavy) <= eps*n {
 			within++
@@ -72,7 +72,7 @@ func TestWithReplacementQueryAfterData(t *testing.T) {
 	rows := makeStream(8000, 2000)
 	s := NewWithReplacement(600, 3)
 	for _, r := range rows {
-		s.Observe(r)
+		s.ObserveBatch(words.RowBatch(r))
 	}
 	for _, cols := range [][]int{{0}, {1, 2}, {0, 1, 2}} {
 		c := words.MustColumnSet(3, cols...)
@@ -89,7 +89,7 @@ func TestWithReplacementQueryAfterData(t *testing.T) {
 
 func TestWithReplacementPatternValidation(t *testing.T) {
 	s := NewWithReplacement(4, 1)
-	s.Observe(words.Word{1, 2, 3})
+	s.ObserveBatch(words.RowBatch(words.Word{1, 2, 3}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic for wrong pattern length")
@@ -117,7 +117,7 @@ func TestReservoirSizeAndScaling(t *testing.T) {
 	rows := makeStream(n, heavy)
 	s := NewReservoir(500, 5)
 	for _, r := range rows {
-		s.Observe(r)
+		s.ObserveBatch(words.RowBatch(r))
 	}
 	if len(s.Rows()) != 500 || s.Seen() != n {
 		t.Fatalf("reservoir holds %d of %d", len(s.Rows()), s.Seen())
@@ -132,7 +132,7 @@ func TestReservoirSizeAndScaling(t *testing.T) {
 func TestReservoirShortStream(t *testing.T) {
 	s := NewReservoir(100, 7)
 	for i := 0; i < 10; i++ {
-		s.Observe(words.Word{uint16(i)})
+		s.ObserveBatch(words.RowBatch(words.Word{uint16(i)}))
 	}
 	if len(s.Rows()) != 10 {
 		t.Fatalf("short stream keeps all rows: %d", len(s.Rows()))
@@ -142,14 +142,14 @@ func TestReservoirShortStream(t *testing.T) {
 func TestSamplersCloneRows(t *testing.T) {
 	w := words.Word{5}
 	s := NewReservoir(4, 13)
-	s.Observe(w)
+	s.ObserveBatch(words.RowBatch(w))
 	w[0] = 9
 	if s.Rows()[0][0] != 5 {
 		t.Fatal("reservoir must clone observed rows")
 	}
 	wr := NewWithReplacement(2, 13)
 	w2 := words.Word{7}
-	wr.Observe(w2)
+	wr.ObserveBatch(words.RowBatch(w2))
 	w2[0] = 1
 	for _, r := range wr.Rows() {
 		if r != nil && r[0] != 7 {
@@ -163,7 +163,7 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		s := NewReservoir(50, 99)
 		src := rng.New(1)
 		for i := 0; i < 5000; i++ {
-			s.Observe(words.Word{uint16(src.Intn(100))})
+			s.ObserveBatch(words.RowBatch(words.Word{uint16(src.Intn(100))}))
 		}
 		return s
 	}

@@ -61,7 +61,7 @@ func TestKeptPositionUniform(t *testing.T) {
 		"per-row": func(seed uint64) *WithReplacement {
 			s := NewWithReplacement(slots, seed)
 			for i := 0; i < n; i++ {
-				s.Observe(rows.Row(i))
+				s.ObserveBatch(words.RowBatch(rows.Row(i)))
 			}
 			return s
 		},
