@@ -76,10 +76,10 @@ func Example_registry() {
 	reg, _ := projfreq.NewRegistry(full)
 
 	// The product team knows {0,1} is hot, so it gets a dedicated
-	// (1±ε) sketch pair — registered before observation, like every
+	// (1±ε) F0 sketch — registered before observation, like every
 	// subspace.
 	hot, _ := projfreq.NewColumnSet(d, 0, 1)
-	sketch, _ := projfreq.NewRegisteredSummary(d, q, []projfreq.ColumnSet{hot}, projfreq.RegisteredConfig{Seed: 1})
+	sketch, _ := projfreq.NewRegisteredSummary(d, q, hot, projfreq.RegisteredConfig{Seed: 1})
 	if err := reg.RegisterSubspace(hot, sketch); err != nil {
 		panic(err)
 	}

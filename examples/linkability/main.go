@@ -16,6 +16,9 @@ import (
 	"log"
 
 	projfreq "repro"
+	"repro/internal/hashing"
+	"repro/internal/sketch"
+	"repro/internal/words"
 	"repro/internal/workload"
 )
 
@@ -96,42 +99,40 @@ func main() {
 	fmt.Println("number of columns the α-net moved the query by (Lemma 6.4).")
 
 	// When the audit subsets ARE known in advance — the KHyperLogLog
-	// deployment the paper cites — the registered summary gives exact
-	// subsets with per-pattern uniqueness, in space linear in the
-	// number of registered subsets.
-	var regSets []projfreq.ColumnSet
+	// deployment the paper cites — each gets its own registered F0
+	// sketch plus a KHLL (Chia et al.) for per-pattern uniqueness, in
+	// space linear in the number of registered subsets.
+	rows := exact.Table().Batch()
+	var keys []byte
+	var fps []uint64
+	f0Bytes, khllBytes := 0, 0
+	fmt.Println("\nregistered subsets (fixed up front)")
+	fmt.Println("identifier subset        est. distinct  frac. patterns seen <= 2x")
 	for _, sub := range subsets {
 		c, err := projfreq.NewColumnSet(d, sub...)
 		if err != nil {
 			log.Fatal(err)
 		}
-		regSets = append(regSets, c)
-	}
-	reg, err := projfreq.NewRegisteredSummary(d, q, regSets, projfreq.RegisteredConfig{Seed: seed})
-	if err != nil {
-		log.Fatal(err)
-	}
-	replay := exact.Table().Source()
-	for {
-		w, ok := replay.Next()
-		if !ok {
-			break
+		reg, err := projfreq.NewRegisteredSummary(d, q, c, projfreq.RegisteredConfig{Seed: seed})
+		if err != nil {
+			log.Fatal(err)
 		}
-		reg.Observe(w)
-	}
-	fmt.Printf("\nregistered-subset summary (KHLL, subsets fixed up front): %d bytes\n", reg.SizeBytes())
-	fmt.Println("identifier subset        est. distinct  frac. patterns seen <= 2x")
-	for _, c := range regSets {
+		reg.ObserveBatch(rows)
 		f0, err := reg.F0(c)
 		if err != nil {
 			log.Fatal(err)
 		}
-		uniq, err := reg.Uniqueness(c, 2)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%-24v %13.0f %10.3f\n", c, f0, uniq)
+		// The KHLL counts, per projected pattern, the distinct rows
+		// (ids) that carry it.
+		keys = words.AppendBatchKeys(keys[:0], rows, c)
+		fps = hashing.AppendFingerprints64(fps[:0], keys, rows.Len(), 2*c.Len())
+		khll := sketch.NewKHLL(512, 8, seed)
+		khll.AddBatch(fps, 0)
+		f0Bytes += reg.SizeBytes()
+		khllBytes += khll.SizeBytes()
+		fmt.Printf("%-24v %13.0f %10.3f\n", c, f0, khll.HighlyIdentifying(2))
 	}
+	fmt.Printf("F0 sketches: %d bytes; KHLLs: %d bytes\n", f0Bytes, khllBytes)
 }
 
 func label(sub []int) string {

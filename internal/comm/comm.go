@@ -16,6 +16,7 @@ import (
 	"repro/internal/anet"
 	"repro/internal/freq"
 	"repro/internal/rng"
+	"repro/internal/sample"
 	"repro/internal/sketch"
 	"repro/internal/words"
 	"repro/internal/workload"
@@ -165,33 +166,25 @@ type Sampled struct {
 // Name identifies the protocol.
 func (p Sampled) Name() string { return fmt.Sprintf("sample(t=%d)", p.T) }
 
-// Encode reservoir-samples the stream and serializes the sampled rows.
+// Encode reservoir-samples the stream (sample.Reservoir) and
+// serializes the sampled rows.
 func (p Sampled) Encode(src words.RowSource) ([]byte, error) {
-	d := src.Dim()
-	res := make([]words.Word, 0, p.T)
-	seen := int64(0)
-	r := rng.New(p.Seed)
-	for {
-		w, ok := src.Next()
-		if !ok {
-			break
-		}
-		seen++
-		if len(res) < p.T {
-			res = append(res, w.Clone())
-		} else if j := r.Uint64n(uint64(seen)); j < uint64(p.T) {
-			res[j] = w.Clone()
-		}
+	if p.T < 1 {
+		return nil, fmt.Errorf("comm: sample size %d is not positive", p.T)
 	}
-	out := make([]byte, 0, 16+len(res)*2*d)
+	d := src.Dim()
+	res := sample.NewReservoir(p.T, p.Seed)
+	res.ObserveBatch(words.Collect(src, -1).Batch())
+	rows, seen := res.Rows(), res.Seen()
+	out := make([]byte, 0, 16+len(rows)*2*d)
 	out = append(out,
 		byte(d), byte(d>>8), byte(d>>16), byte(d>>24),
-		byte(len(res)), byte(len(res)>>8), byte(len(res)>>16), byte(len(res)>>24))
+		byte(len(rows)), byte(len(rows)>>8), byte(len(rows)>>16), byte(len(rows)>>24))
 	for i := 0; i < 8; i++ {
 		out = append(out, byte(seen>>(8*i)))
 	}
 	full := words.FullColumnSet(d)
-	for _, w := range res {
+	for _, w := range rows {
 		out = words.AppendKey(out, w, full)
 	}
 	return out, nil

@@ -40,12 +40,15 @@ func batchTestRows(d, q, n int, seed uint64) []words.Word {
 // "sample-wr" was regenerated once, when with-replacement slots moved
 // to skip-ahead draws (sampler wire mode 2): the new draw stream has no
 // separate row body, so its digest pins the per-row Observe result,
-// which the test also holds the batched feed to.
+// which the test also holds the batched feed to. "registered" was
+// regenerated once, when a Registered came to hold one column set and
+// no KHLL: its digest is that of the earlier three-set blob rewritten
+// to the new layout around the {0,1} set's unchanged KMV block.
 var goldenBatchDigests = map[string]string{
 	"exact":      "1cc907bf626094d4afeefeb58c923fa0ed26c8184f722e6e95f95fcde817be1c",
 	"sample-wr":  "15f119a6ed83e583d405c324080e502e478d242a6bfc72868481527915b9afda",
 	"net":        "73183fe0c952af3eeb0c9903763a7c3dc40eaceb66ad093930008641e3e16d31",
-	"registered": "8d0879be8eabbf7fe363815037d7a8261f616513ddc39afce5513a9fa9bcb5eb",
+	"registered": "4559c3bc9c15e7b903403cd88c01d7b97c996986e06d21de46a277e043d0fccb",
 }
 
 // batchSummaryKinds builds one fresh instance of every summary kind.
@@ -76,12 +79,7 @@ func batchSummaryKinds(t *testing.T, d, q int) map[string]func() Summary {
 			return s
 		},
 		"registered": func() Summary {
-			subsets := []words.ColumnSet{
-				words.MustColumnSet(d, 0, 1),
-				words.MustColumnSet(d, 2, 3, 4),
-				words.MustColumnSet(d, 0, d-1),
-			}
-			s, err := NewRegistered(d, q, subsets, RegisteredConfig{Epsilon: 0.1, KHLLValues: 64, Seed: 17})
+			s, err := NewRegistered(d, q, words.MustColumnSet(d, 0, 1), RegisteredConfig{Epsilon: 0.1, Seed: 17})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -356,7 +356,7 @@ func TestSummaryInterfaceCompliance(t *testing.T) {
 	var _ FpQuerier = nt
 	var _ Mergeable = nt
 
-	reg, err := NewRegistered(6, 2, []words.ColumnSet{words.MustColumnSet(6, 0, 1)}, RegisteredConfig{Epsilon: 0.3})
+	reg, err := NewRegistered(6, 2, words.MustColumnSet(6, 0, 1), RegisteredConfig{Epsilon: 0.3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,10 +57,10 @@ func validateShape(summary string, d, q int) error {
 }
 
 // maxSketchRetention bounds the per-sketch size any accuracy
-// parameter may demand (KMV/BJKST retention ≈ 1/ε², KHLL value
-// samples). It is enforced at construction, so every constructible
-// summary decodes, and at decode, so a crafted blob cannot make the
-// decoder allocate beyond it.
+// parameter may demand (KMV retention ≈ 1/ε², the KHLL value count an
+// earlier registered blob declares). It is enforced at construction,
+// so every constructible summary decodes, and at decode, so a crafted
+// blob cannot make the decoder allocate beyond it.
 const maxSketchRetention = 1 << 26
 
 // validateEpsRetention rejects accuracy parameters so small that the

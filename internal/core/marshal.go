@@ -548,76 +548,58 @@ func restoreKMV(dst *sketch.KMV, blob []byte, rerr error) error {
 	return nil
 }
 
-// MarshalBinary encodes the summary: the envelope, the
-// RegisteredConfig, the subset masks (ascending), and per subset a
-// length-prefixed KMV state and KHLL state.
+// MarshalBinary encodes the summary: the envelope, the F0 accuracy,
+// two zero words where earlier encoders declared a KHLL (value count
+// and precision), the subset count 1, the column mask, and the
+// length-prefixed KMV state.
 func (s *Registered) MarshalBinary() ([]byte, error) {
+	f0, err := s.f0.MarshalBinary()
+	if err != nil {
+		return nil, err
+	}
 	w := &wire.Writer{}
 	w.F64(s.cfg.Epsilon)
-	w.U32(uint32(s.cfg.KHLLValues))
-	w.U32(uint32(s.cfg.KHLLPrecision))
-	w.U32(uint32(len(s.masks)))
-	for _, m := range s.masks {
-		w.U64(m)
-	}
-	for i := range s.masks {
-		f0, err := s.f0[i].MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Block(f0)
-		khll, err := s.khll[i].MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		w.Block(khll)
-	}
+	w.U32(0)
+	w.U32(0)
+	w.U32(1)
+	w.U64(s.cols.Mask())
+	w.Block(f0)
 	return appendEnvelope(KindRegistered, s.d, s.q, s.cfg.Seed, s.rows, w.Bytes())
 }
 
+// decodeRegistered reads the layout MarshalBinary writes, and also the
+// one earlier encoders wrote: nonzero KHLL parameters and, after the
+// KMV block, a KHLL block. That block is checked against the declared
+// parameters and dropped, since nothing reads it.
 func decodeRegistered(env envelope) (*Registered, error) {
 	r := payloadReader(env)
-	cfg := RegisteredConfig{
-		Epsilon:       r.F64(),
-		KHLLValues:    int(r.U32()),
-		KHLLPrecision: int(r.U32()),
-		Seed:          env.seed,
-	}
-	n := int(r.U32())
+	cfg := RegisteredConfig{Epsilon: r.F64(), Seed: env.seed}
+	khllValues, khllPrecision := int(r.U32()), int(r.U32())
+	n := r.U32()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	// Each subset costs 8 mask bytes plus two 4-byte block prefixes.
-	if n < 1 || 16*n > r.Remaining() {
-		return nil, badEncoding("registered subset count %d in %d payload bytes", n, r.Remaining())
+	if n != 1 {
+		return nil, badEncoding("registered subset count %d, want 1", n)
 	}
-	subsets := make([]words.ColumnSet, n)
-	prev := uint64(0)
-	for i := range subsets {
-		mask := r.U64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if i > 0 && mask <= prev {
-			return nil, badEncoding("registered masks not strictly ascending")
-		}
-		prev = mask
-		c, err := words.ColumnSetFromMask(mask, env.d)
-		if err != nil {
-			return nil, badEncoding("registered mask %#x: %v", mask, err)
-		}
-		subsets[i] = c
+	mask := r.U64()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	s, err := NewRegistered(env.d, env.q, subsets, cfg)
+	c, err := words.ColumnSetFromMask(mask, env.d)
+	if err != nil {
+		return nil, badEncoding("registered mask %#x: %v", mask, err)
+	}
+	s, err := NewRegistered(env.d, env.q, c, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("%w: rebuilding registered summary: %v", ErrBadEncoding, err)
 	}
-	for i := range s.masks {
-		if err := restoreKMV(s.f0[i], r.Block(), r.Err()); err != nil {
-			return nil, badEncoding("registered F0 sketch %d: %v", i, err)
-		}
-		if err := restoreKHLL(s.khll[i], r.Block(), r.Err()); err != nil {
-			return nil, badEncoding("registered KHLL sketch %d: %v", i, err)
+	if err := restoreKMV(s.f0, r.Block(), r.Err()); err != nil {
+		return nil, badEncoding("registered F0 sketch: %v", err)
+	}
+	if khllValues != 0 || khllPrecision != 0 {
+		if err := checkKHLL(r.Block(), r.Err(), khllValues, khllPrecision, env.seed); err != nil {
+			return nil, badEncoding("registered KHLL sketch: %v", err)
 		}
 	}
 	if err := r.Done(); err != nil {
@@ -627,16 +609,21 @@ func decodeRegistered(env envelope) (*Registered, error) {
 	return s, nil
 }
 
-// restoreKHLL is restoreKMV for KHLL sketches.
-func restoreKHLL(dst *sketch.KHLL, blob []byte, rerr error) error {
+// checkKHLL validates a KHLL block of an earlier encoder against the
+// parameters its blob declared: the decoded sketch must merge into an
+// empty KHLL built from them, as it had to when it was kept.
+func checkKHLL(blob []byte, rerr error, k, precision int, seed uint64) error {
 	if rerr != nil {
 		return rerr
+	}
+	if k < 2 || k > maxSketchRetention || precision < 4 || precision > 16 {
+		return fmt.Errorf("parameters k=%d precision=%d out of range", k, precision)
 	}
 	var dec sketch.KHLL
 	if err := dec.UnmarshalBinary(blob); err != nil {
 		return err
 	}
-	if err := dst.Merge(&dec); err != nil {
+	if err := sketch.NewKHLL(k, precision, seed).Merge(&dec); err != nil {
 		return fmt.Errorf("sketch state contradicts the summary configuration: %w", err)
 	}
 	return nil

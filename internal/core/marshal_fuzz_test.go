@@ -13,7 +13,8 @@ import (
 // retired kind 4 and a sample blob under the retired sampler mode 1
 // keep their places in the order, and a sample blob under the retired
 // sampler mode 0 and a net blob with a nonzero reserved byte come
-// last: every input grown from them must be refused typed.
+// next: every input grown from them must be refused typed. Last is a
+// registered blob of the earlier layout, KHLL block included.
 func fuzzSeedBlobs(f testing.TB) [][]byte {
 	f.Helper()
 	const d, q = 5, 3
@@ -40,9 +41,9 @@ func fuzzSeedBlobs(f testing.TB) [][]byte {
 	blobs = append(blobs, retiredSampleModeBlob(f, d, q, 1))
 	add(NewNet(d, q, NetConfig{Alpha: 0.3, Epsilon: 0.3, Moments: []float64{2}, StableReps: 12, Seed: 5}))
 	blobs = append(blobs, retiredKindBlob(f, d, q))
-	add(NewRegistered(d, q, []words.ColumnSet{words.MustColumnSet(d, 0, 2)},
-		RegisteredConfig{KHLLValues: 8, Seed: 7}))
-	return append(blobs, retiredSampleModeBlob(f, d, q, 0), reservedNetByteBlob(f, d, q, 1))
+	add(NewRegistered(d, q, words.MustColumnSet(d, 0, 2), RegisteredConfig{Seed: 7}))
+	return append(blobs, retiredSampleModeBlob(f, d, q, 0), reservedNetByteBlob(f, d, q, 1),
+		readEarlierBlob(f, earlierOneSetBlob))
 }
 
 // FuzzUnmarshalSummary asserts the wire decoder's contract on

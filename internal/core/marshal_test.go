@@ -49,10 +49,7 @@ func wireSummaries(t *testing.T) map[string]Summary {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := NewRegistered(d, q, []words.ColumnSet{
-		words.MustColumnSet(d, 0, 1),
-		words.MustColumnSet(d, 2, 4, 5),
-	}, RegisteredConfig{Seed: 9})
+	reg, err := NewRegistered(d, q, words.MustColumnSet(d, 0, 1), RegisteredConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +90,6 @@ func probeAnswers(t *testing.T, s Summary) map[string]float64 {
 			}
 			if v, err := qr.Frequency(c, b); err == nil {
 				out["freq:"+c.String()] = v
-			}
-		}
-	}
-	if r, ok := s.(*Registered); ok {
-		for _, c := range queries {
-			if v, err := r.Uniqueness(c, 1); err == nil {
-				out["uniq:"+c.String()] = v
 			}
 		}
 	}
@@ -357,22 +347,11 @@ func TestConstructionLimitsMatchDecoder(t *testing.T) {
 	}
 }
 
-func TestRegisteredConfigParamErrors(t *testing.T) {
-	subsets := []words.ColumnSet{words.MustColumnSet(4, 0, 1)}
-	if _, err := NewRegistered(4, 2, subsets, RegisteredConfig{KHLLValues: 1}); !errors.Is(err, ErrInvalidParam) {
-		t.Fatalf("KHLLValues=1: %v", err)
-	}
-	if _, err := NewRegistered(4, 2, subsets, RegisteredConfig{KHLLPrecision: 20}); !errors.Is(err, ErrInvalidParam) {
-		t.Fatalf("KHLLPrecision=20: %v", err)
-	}
-}
-
-// TestWideShapesRefusedAtConstruction: Registered looks subsets up by
-// a 64-bit column mask, so d > 64 is refused by the constructor and,
-// through it, by the decoder.
+// TestWideShapesRefusedAtConstruction: Registered's wire form stores
+// its column set as a 64-bit mask, so d > 64 is refused by the
+// constructor and, through it, by the decoder.
 func TestWideShapesRefusedAtConstruction(t *testing.T) {
-	subsets := []words.ColumnSet{words.MustColumnSet(70, 0, 1)}
-	if _, err := NewRegistered(70, 2, subsets, RegisteredConfig{}); !errors.Is(err, ErrInvalidParam) {
+	if _, err := NewRegistered(70, 2, words.MustColumnSet(70, 0, 1), RegisteredConfig{}); !errors.Is(err, ErrInvalidParam) {
 		t.Errorf("NewRegistered d=70: %v", err)
 	}
 }
@@ -383,8 +362,7 @@ func TestDecodeRejectsInnerSketchContradictingConfig(t *testing.T) {
 	// — this is what makes engine.Absorb atomic: a decodable summary
 	// can never half-fail a merge into a same-config peer.
 	const seed = 0xDEADBEEFCAFE
-	reg, err := NewRegistered(4, 2, []words.ColumnSet{words.MustColumnSet(4, 0, 1)},
-		RegisteredConfig{KHLLValues: 8, Seed: seed})
+	reg, err := NewRegistered(4, 2, words.MustColumnSet(4, 0, 1), RegisteredConfig{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +371,7 @@ func TestDecodeRejectsInnerSketchContradictingConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Registered derives sketch 0's KMV seed as cfg.Seed itself; flip
+	// Registered seeds its KMV with cfg.Seed itself; flip
 	// its first byte inside the payload (the envelope's copy at offset
 	// 16 stays intact).
 	var seedLE [8]byte

@@ -139,9 +139,10 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 	sampleB := mustSample(t, 5, 2, 8, 1)
 	sampleC := mustSample(t, 4, 2, 16, 1)
 	netA, _ := NewNet(4, 2, NetConfig{Alpha: 0.3, Seed: 1})
-	pair := []words.ColumnSet{words.MustColumnSet(4, 0, 1)}
+	pair := words.MustColumnSet(4, 0, 1)
 	regA, _ := NewRegistered(4, 2, pair, RegisteredConfig{Epsilon: 0.3, Seed: 1})
 	regB, _ := NewRegistered(4, 2, pair, RegisteredConfig{Epsilon: 0.3, Seed: 2})
+	regC, _ := NewRegistered(4, 2, words.MustColumnSet(4, 0, 2), RegisteredConfig{Epsilon: 0.3, Seed: 1})
 
 	selfE := mustExact(t, 4, 2)
 	cases := []struct {
@@ -165,6 +166,7 @@ func TestMergeIncompatibilityChecks(t *testing.T) {
 		}()},
 		{"registered-vs-exact", regA.Merge(mustExact(t, 4, 2))},
 		{"registered-seed", regA.Merge(regB)},
+		{"registered-cols", regA.Merge(regC)},
 	}
 	for _, tc := range cases {
 		if !errors.Is(tc.got, ErrIncompatibleMerge) {

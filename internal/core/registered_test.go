@@ -9,30 +9,32 @@ import (
 	"repro/internal/words"
 )
 
-func registeredFixture(t *testing.T) (*Registered, *words.Table, []words.ColumnSet) {
+// registeredFixture builds one Registered per column set of a
+// d = 10 table and feeds each the same 4,000 rows.
+func registeredFixture(t *testing.T) ([]*Registered, *words.Table, []words.ColumnSet) {
 	t.Helper()
 	subsets := []words.ColumnSet{
 		words.MustColumnSet(10, 0, 1),
 		words.MustColumnSet(10, 2, 3, 4),
-		words.MustColumnSet(10, 0, 1), // duplicate, must collapse
 		words.MustColumnSet(10, 5, 6, 7, 8),
 	}
-	s, err := NewRegistered(10, 2, subsets, RegisteredConfig{Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tb := testData(4000, 21)
-	feed(s, tb)
-	return s, tb, subsets
+	var sums []*Registered
+	for _, c := range subsets {
+		s, err := NewRegistered(10, 2, c, RegisteredConfig{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		feed(s, tb)
+		sums = append(sums, s)
+	}
+	return sums, tb, subsets
 }
 
 func TestRegisteredF0Accuracy(t *testing.T) {
-	s, tb, subsets := registeredFixture(t)
-	if s.NumSubsets() != 3 {
-		t.Fatalf("duplicates must collapse: %d", s.NumSubsets())
-	}
-	for _, c := range subsets {
-		got, err := s.F0(c)
+	sums, tb, subsets := registeredFixture(t)
+	for i, c := range subsets {
+		got, err := sums[i].F0(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,72 +46,26 @@ func TestRegisteredF0Accuracy(t *testing.T) {
 }
 
 func TestRegisteredRejectsUnknownSubset(t *testing.T) {
-	s, _, _ := registeredFixture(t)
-	if _, err := s.F0(words.MustColumnSet(10, 0, 2)); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("unregistered subset: %v", err)
+	sums, _, subsets := registeredFixture(t)
+	s := sums[0]
+	for _, c := range []words.ColumnSet{words.MustColumnSet(10, 0, 2), subsets[1]} {
+		if _, err := s.F0(c); !errors.Is(err, ErrUnsupported) {
+			t.Fatalf("unregistered subset %v: %v", c, err)
+		}
 	}
 	if _, err := s.F0(words.MustColumnSet(9, 0)); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
 }
 
-func TestRegisteredUniqueness(t *testing.T) {
-	// Build a table where the projection onto {0} has 2 patterns
-	// shared by thousands of rows (never unique), and onto
-	// {0..9} almost every row is distinct (highly unique).
-	subsets := []words.ColumnSet{
-		words.MustColumnSet(10, 0),
-		words.FullColumnSet(10),
-	}
-	s, err := NewRegistered(10, 2, subsets, RegisteredConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := testData(4000, 23)
-	feed(s, tb)
-
-	low, err := s.Uniqueness(subsets[0], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if low > 0.2 {
-		t.Fatalf("single binary column cannot be identifying: %v", low)
-	}
-	high, err := s.Uniqueness(subsets[1], 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Compare against the exact fraction of patterns with count <= 2.
-	v := freq.FromTable(tb, subsets[1])
-	rare := 0
-	for _, e := range v.Entries() {
-		if e.Count <= 2 {
-			rare++
-		}
-	}
-	truth := float64(rare) / float64(v.Support())
-	if math.Abs(high-truth) > 0.1 {
-		t.Fatalf("uniqueness %v, exact %v", high, truth)
-	}
-	if high <= low {
-		t.Fatalf("full projection must be more identifying than one column: %v vs %v", high, low)
-	}
-	if _, err := s.Uniqueness(subsets[0], 0); err == nil {
-		t.Fatal("maxRows < 1 must error")
-	}
-}
-
 func TestRegisteredValidation(t *testing.T) {
-	if _, err := NewRegistered(8, 2, nil, RegisteredConfig{}); err == nil {
-		t.Fatal("empty registration must error")
-	}
-	if _, err := NewRegistered(8, 2, []words.ColumnSet{words.MustColumnSet(9, 0)}, RegisteredConfig{}); err == nil {
+	if _, err := NewRegistered(8, 2, words.MustColumnSet(9, 0), RegisteredConfig{}); err == nil {
 		t.Fatal("dimension mismatch must error")
 	}
-	if _, err := NewRegistered(8, 2, []words.ColumnSet{words.MustColumnSet(8)}, RegisteredConfig{}); err == nil {
+	if _, err := NewRegistered(8, 2, words.MustColumnSet(8), RegisteredConfig{}); err == nil {
 		t.Fatal("empty subset must error")
 	}
-	if _, err := NewRegistered(8, 2, []words.ColumnSet{words.MustColumnSet(8, 0)}, RegisteredConfig{Epsilon: 3}); err == nil {
+	if _, err := NewRegistered(8, 2, words.MustColumnSet(8, 0), RegisteredConfig{Epsilon: 3}); err == nil {
 		t.Fatal("bad epsilon must error")
 	}
 }

@@ -13,11 +13,11 @@
 //     guarantees for 0 < p ≤ 1 in O(ε⁻² log 1/δ) space.
 //   - Net: Algorithm 1 over an α-net — Theorem 6.5; answers F0/Fp
 //     within β·2^{O(αd)} using 2^{H(1/2−α)d} sketches.
-//   - Registered: per-subset sketches for query sets known before the
+//   - Registered: one F0 sketch for a query set known before the
 //     data — the KHyperLogLog deployment regime the paper's
-//     introduction contrasts with. Registered over the t-subsets that
-//     combin.Combinations enumerates is Section 3.1's Ω(d^t)
-//     enumeration baseline for a known query size t.
+//     introduction contrasts with. A registry holding one Registered
+//     per t-subset that combin.Combinations enumerates is Section
+//     3.1's Ω(d^t) enumeration baseline for a known query size t.
 //
 // Every summary is mergeable (Mergeable) and serializable to a
 // versioned wire format (marshal.go, specified in ARCHITECTURE.md),
@@ -75,8 +75,8 @@ func ObserveAll(s Summary, b *words.Batch) { s.ObserveBatch(b) }
 // can fold a peer built over a disjoint part of the stream into
 // itself, so that the merged summary answers every query as if it had
 // observed the concatenated stream. All four core summaries implement
-// it (the sketches underneath — KMV/HLL/BJKST/KHLL, the p-stable
-// moment sketch, and the row samplers — are all mergeable); merging
+// it (the sketches underneath — KMV, the p-stable moment sketch, and
+// the row sampler — are all mergeable); merging
 // requires compatible shape and, for seeded sketch summaries,
 // identical seeds, and returns an error wrapping ErrIncompatibleMerge
 // otherwise. Combined with the wire format (see marshal.go), merging

@@ -126,7 +126,7 @@ func TestCacheKeyDistinguishesQueries(t *testing.T) {
 // one subspace kind the daemon provisions.
 func registeredFactory(c words.ColumnSet) Factory {
 	return func(int) (core.Summary, error) {
-		return core.NewRegistered(10, 2, []words.ColumnSet{c}, core.RegisteredConfig{Seed: 3})
+		return core.NewRegistered(10, 2, c, core.RegisteredConfig{Seed: 3})
 	}
 }
 
@@ -246,7 +246,7 @@ func TestPlannerCapabilityFallback(t *testing.T) {
 	defer eng.Close()
 	hot := words.MustColumnSet(10, 0, 1, 2)
 	err = eng.RegisterSubspace(hot, func(shard int) (core.Summary, error) {
-		return core.NewRegistered(10, 2, []words.ColumnSet{hot}, core.RegisteredConfig{Seed: 3})
+		return core.NewRegistered(10, 2, hot, core.RegisteredConfig{Seed: 3})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -500,7 +500,7 @@ func TestSubspaceCacheDoesNotAliasAcrossTargets(t *testing.T) {
 	defer eng.Close()
 	hot, cold := words.MustColumnSet(10, 0, 1, 2), words.MustColumnSet(10, 3, 4, 5)
 	err = eng.RegisterSubspace(hot, func(shard int) (core.Summary, error) {
-		return core.NewRegistered(10, 2, []words.ColumnSet{hot}, core.RegisteredConfig{Seed: 11})
+		return core.NewRegistered(10, 2, hot, core.RegisteredConfig{Seed: 11})
 	})
 	if err != nil {
 		t.Fatal(err)

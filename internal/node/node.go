@@ -280,9 +280,9 @@ func (e *SubspaceKindError) Error() string {
 }
 
 // subspaceFactory turns one /v1/subspaces registration (live or
-// replayed) into the per-shard factory the engine needs: the cheap
-// per-subset KMV+KHLL sketch pair (core.Registered; F0 only, other
-// classes fall back to the catch-all), built from the daemon's own
+// replayed) into the per-shard factory the engine needs: one cheap
+// F0 sketch over the set (core.Registered; F0 only, other classes
+// fall back to the catch-all), built from the daemon's own
 // epsilon and seed so it merges with identically configured peers.
 func (n *Node) subspaceFactory(c words.ColumnSet, summary string) (engine.Factory, error) {
 	if summary != "" && summary != "registered" {
@@ -290,7 +290,7 @@ func (n *Node) subspaceFactory(c words.ColumnSet, summary string) (engine.Factor
 	}
 	cfg := n.cfg
 	return func(int) (core.Summary, error) {
-		return core.NewRegistered(cfg.D, cfg.Q, []words.ColumnSet{c}, core.RegisteredConfig{Epsilon: cfg.Eps, Seed: cfg.Seed})
+		return core.NewRegistered(cfg.D, cfg.Q, c, core.RegisteredConfig{Epsilon: cfg.Eps, Seed: cfg.Seed})
 	}, nil
 }
 
@@ -534,8 +534,8 @@ type SubspacesResponse struct {
 }
 
 // RegisterSubspaceRequest is the POST /v1/subspaces body. Summary
-// names the provisioned kind and may be omitted: "registered" (cheap
-// per-subset F0/KHLL sketches; other query classes fall back to the
+// names the provisioned kind and may be omitted: "registered" (one
+// cheap F0 sketch over the set; other query classes fall back to the
 // catch-all) is the one kind, and any other value answers 400.
 type RegisterSubspaceRequest struct {
 	Cols    []int  `json:"cols"`

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rng"
 	"repro/internal/store"
 	"repro/internal/wire"
 )
@@ -185,6 +186,35 @@ func TestRetiredSubspaceKindRefused(t *testing.T) {
 	call(t, ts.URL+"/v1/subspaces", RegisterSubspaceRequest{Cols: []int{0, 1}}, &list)
 	if len(list.Subspaces) != 1 || list.Subspaces[0].Summary != "registered(1 subsets)" {
 		t.Fatalf("registration with the kind omitted: %+v", list.Subspaces)
+	}
+}
+
+// TestSubspaceSizeIsOneKMV: a registered subspace holds one KMV over
+// its column set and nothing else, so at ε = 0.05 (k = 403) a full
+// one-shard subspace reports about 3.2 KB in /v1/subspaces.
+func TestSubspaceSizeIsOneKMV(t *testing.T) {
+	const d, q = 16, 4
+	ts, _ := serve(t, Config{Summary: "exact", D: d, Q: q, Eps: 0.05, Seed: 1, Shards: 1})
+	var list SubspacesResponse
+	call(t, ts.URL+"/v1/subspaces", RegisterSubspaceRequest{Cols: []int{0, 1, 2, 3, 4, 5}}, &list)
+	// 4,096 uniform rows over 4^6 = 4,096 patterns fill the KMV.
+	src := rng.New(3)
+	rows := make([][]int, 4096)
+	for i := range rows {
+		rows[i] = make([]int, d)
+		for j := range rows[i] {
+			rows[i][j] = src.Intn(q)
+		}
+	}
+	call(t, ts.URL+"/v1/observe", map[string]any{"rows": rows}, &ObserveResponse{})
+	call(t, ts.URL+"/v1/subspaces", nil, &list)
+	if len(list.Subspaces) != 1 {
+		t.Fatalf("subspaces %+v", list.Subspaces)
+	}
+	size := list.Subspaces[0].SizeBytes
+	t.Logf("subspace %v: %d bytes", list.Subspaces[0].Cols, size)
+	if size < 8*403 || size > 3300 {
+		t.Fatalf("subspace reports %d bytes, want one full KMV (%d to 3,300)", size, 8*403)
 	}
 }
 

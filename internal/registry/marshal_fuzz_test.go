@@ -21,7 +21,7 @@ func fuzzSeedBlob() []byte {
 		panic(err)
 	}
 	hot := words.MustColumnSet(testDim, 0, 1)
-	sub, err := core.NewRegistered(testDim, testQ, []words.ColumnSet{hot}, core.RegisteredConfig{Seed: 9})
+	sub, err := core.NewRegistered(testDim, testQ, hot, core.RegisteredConfig{Seed: 9})
 	if err != nil {
 		panic(err)
 	}

@@ -23,9 +23,9 @@ func newExact(t *testing.T) *core.Exact {
 	return e
 }
 
-func newRegisteredFor(t *testing.T, cols ...words.ColumnSet) *core.Registered {
+func newRegisteredFor(t *testing.T, c words.ColumnSet) *core.Registered {
 	t.Helper()
-	r, err := core.NewRegistered(testDim, testQ, cols, core.RegisteredConfig{Seed: 9})
+	r, err := core.NewRegistered(testDim, testQ, c, core.RegisteredConfig{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestMergeIsAtomicAcrossMembers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := core.NewRegistered(testDim, testQ, []words.ColumnSet{hot}, core.RegisteredConfig{Seed: seed})
+		sub, err := core.NewRegistered(testDim, testQ, hot, core.RegisteredConfig{Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -556,8 +556,10 @@ func TestDecodeRejectsNestedRegistry(t *testing.T) {
 // goldenRegistryDigest is the SHA-256 of the wire form of the registry
 // TestObserveSplitInvariant builds, after its 600 rows went in one
 // Observe call at a time at commit 50dbadb — through the per-row bodies
-// Registry, core.Exact and core.Registered still had there.
-const goldenRegistryDigest = "b58f6157e60461cca2372c6321e148415675bf47d6a42fe085a01cdc638eae0c"
+// Registry, core.Exact and core.Registered still had there. It was
+// regenerated once, when core.Registered dropped its KHLL: the new
+// digest is that of the earlier blob decoded and re-encoded.
+const goldenRegistryDigest = "7b4356d42a0d9898bca7b8950238753067230f46ccbbd3d6174c2fda41fb31e2"
 
 // TestObserveSplitInvariant is the registry's side of the ingest
 // contract (core's TestObserveBatchEquivalentToRows covers the bare
@@ -590,8 +592,7 @@ func TestObserveSplitInvariant(t *testing.T) {
 			t.Fatal(err)
 		}
 		cols := words.MustColumnSet(d, 0, 1)
-		sub, err := core.NewRegistered(d, q, []words.ColumnSet{cols},
-			core.RegisteredConfig{Epsilon: 0.1, KHLLValues: 64, Seed: 17})
+		sub, err := core.NewRegistered(d, q, cols, core.RegisteredConfig{Epsilon: 0.1, Seed: 17})
 		if err != nil {
 			t.Fatal(err)
 		}

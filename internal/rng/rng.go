@@ -103,7 +103,7 @@ func (r *Source) Intn(n int) int {
 // lo >= n acceptance is decided here without computing the exact
 // rejection threshold (which costs a division), keeping this fast path
 // small enough for mid-stack inlining into draw-per-row loops; the
-// rare near-boundary case falls through to Uint64nSlow. The emitted
+// rare near-boundary case falls through to uint64nSlow. The emitted
 // draw stream is identical to the single-loop form — lo >= n implies
 // lo >= -n%n, so acceptance decisions never differ.
 func (r *Source) Uint64n(n uint64) uint64 {
@@ -114,16 +114,13 @@ func (r *Source) Uint64n(n uint64) uint64 {
 	if lo >= n {
 		return hi
 	}
-	return r.Uint64nSlow(hi, lo, n)
+	return r.uint64nSlow(hi, lo, n)
 }
 
-// Uint64nSlow finishes a Uint64n draw whose first sample landed below
+// uint64nSlow finishes a Uint64n draw whose first sample landed below
 // n: apply the exact threshold test to it, then keep drawing until a
-// sample is accepted. It is exported so draw-per-row hot loops can
-// manually inline the two-instruction fast path (Mul64 on Uint64, keep
-// when lo >= n) and spill only the rare near-boundary case here; the
-// combined stream is identical to calling Uint64n.
-func (r *Source) Uint64nSlow(hi, lo, n uint64) uint64 {
+// sample is accepted.
+func (r *Source) uint64nSlow(hi, lo, n uint64) uint64 {
 	thresh := -n % n
 	for {
 		if lo >= thresh {

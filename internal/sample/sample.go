@@ -3,9 +3,10 @@
 // Theorem 5.1 (uSample), whose slots skip ahead to their next
 // acceptance and so draw once per acceptance rather than once per row,
 // and classical reservoir sampling, an ablation that experiment E3
-// runs beside it. Both samplers store words.Word rows, take rows in
-// batches and are deterministic given their seed; only the
-// with-replacement sampler merges and serializes.
+// runs beside it and the sampled Index protocol (internal/comm) sends.
+// Both samplers store words.Word rows, take rows in batches and are
+// deterministic given their seed; only the with-replacement sampler
+// merges and serializes.
 package sample
 
 import (
@@ -202,8 +203,8 @@ func (s *WithReplacement) ProjectedCounts(c words.ColumnSet) map[string]int {
 
 // Reservoir is classical Algorithm-R reservoir sampling: a uniform
 // sample of size t without replacement. It is the ablation partner of
-// WithReplacement, and only experiment E3 (internal/experiments,
-// RunSampling) runs it; no summary is built on it.
+// WithReplacement, run by experiment E3 (internal/experiments,
+// RunSampling) and by comm.Sampled; no summary is built on it.
 type Reservoir struct {
 	t    int
 	seen int64
@@ -234,24 +235,15 @@ func (r *Reservoir) ObserveBatch(b *words.Batch) {
 		r.rows = append(r.rows, b.Row(i).Clone())
 	}
 	var pending map[uint64]int
-	src, t, seen := r.src, uint64(r.t), uint64(r.seen)
 	for ; i < n; i++ {
-		// Manually inlined Uint64n fast path (see rng.Uint64nSlow): one
-		// inlined xoshiro draw per row, no call in the common case,
-		// bit-identical draw stream.
-		seen++
-		hi, lo := bits.Mul64(src.Uint64(), seen)
-		if lo < seen {
-			hi = src.Uint64nSlow(hi, lo, seen)
-		}
-		if hi < t {
+		r.seen++
+		if j := r.src.Uint64n(uint64(r.seen)); j < uint64(r.t) {
 			if pending == nil {
 				pending = make(map[uint64]int)
 			}
-			pending[hi] = i
+			pending[j] = i
 		}
 	}
-	r.seen = int64(seen)
 	for j, row := range pending {
 		r.rows[j] = b.Row(row).Clone()
 	}

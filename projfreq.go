@@ -149,12 +149,12 @@ func NewNetSummary(d, q int, cfg NetConfig) (*core.Net, error) {
 type RegisteredConfig = core.RegisteredConfig
 
 // NewRegisteredSummary returns the summary for the easy regime where
-// the query subsets are known before the data arrives (the
+// a query's column set is known before the data arrives (the
 // KHyperLogLog deployment model the paper's introduction contrasts
-// with): (1±ε) F0 plus KHLL uniqueness per registered subset, in
-// space linear in the number of subsets.
-func NewRegisteredSummary(d, q int, subsets []ColumnSet, cfg RegisteredConfig) (*core.Registered, error) {
-	return core.NewRegistered(d, q, subsets, cfg)
+// with): a (1±ε) F0 sketch over c. Register one per known set in a
+// SubspaceRegistry; space is linear in the number of sets.
+func NewRegisteredSummary(d, q int, c ColumnSet, cfg RegisteredConfig) (*core.Registered, error) {
+	return core.NewRegistered(d, q, c, cfg)
 }
 
 // NewRand returns the library's deterministic random source, needed
