@@ -11,16 +11,21 @@ import (
 // experimentDigests pins the SHA-256 of experiments run with seed 1
 // in quick mode and rendered as cmd/experiments -csv renders it, so
 // `go run ./cmd/experiments -run E8 -quick -csv | sha256sum` prints
-// E8's digest. E2 and E7–E10 build a core.Net or an
-// anet.MetaSummary; their digests were taken while every α-net
+// E8's digest. E1 and E4–E6 are the lower-bound tables, built on
+// the codes, combin and words packages. E2 and E7–E10 build a
+// core.Net or an anet.MetaSummary; their digests were taken while every α-net
 // problem still kept its own member list and key pass, so matching
 // them proves that the shared pass changed no estimate, size or row.
 // E3's was taken while core.Sample still carried the reservoir
 // sampler as an option, so matching it proves that E3's own
 // reservoir row and the with-replacement rows are unchanged.
 var experimentDigests = map[string]string{
+	"E1":  "d852fc4d9f4fad4e8900e10b6ecff51ebb1fcb3005b42e6254d46abfee5254b5",
 	"E2":  "63b09fe5fa0479f921cba6d4eda6960f85870d102d99c0a78bdb169f75b492f4",
 	"E3":  "761eef40c1c4d48654555c3a31a3b1fa233d19571c0f877b182a9d647b133257",
+	"E4":  "73bb8645e094e4b0a9793fecefca8965c60ca24358adff5542f37e29ee53d1c1",
+	"E5":  "bf92e2fbc51a4d819c9065c7db1dbc454be83c3fb2804689e64e9682a78a6da7",
+	"E6":  "d1cb055de358079789b37b771f1b70272263627f2781203702af43ff225b04e1",
 	"E7":  "5be4eb490dccc37af3f0fcfde6227dfa0810c7afeef5bce03e743c26f2f94aca",
 	"E8":  "d2cb6f65f9b283d04ed21b958b3321fd49a44ebeb7920736d82ce671bfe1e444",
 	"E9":  "dc74363e2bf1881d6600ea6f9ce95780307aeb2b047c6e5ae80923aa5bdf418b",
@@ -39,8 +44,8 @@ func writeCSV(h hash.Hash, rep *Report) error {
 }
 
 // TestNetExperimentsGolden fails, by experiment ID, when any pinned
-// experiment's quick run drifts from its pinned output. It is named
-// for the α-net experiments it pinned first; E3 joined it later.
+// experiment's quick run drifts from its pinned output. It pins
+// E1–E10; it is named for the α-net experiments it pinned first.
 func TestNetExperimentsGolden(t *testing.T) {
 	for id, want := range experimentDigests {
 		t.Run(id, func(t *testing.T) {
