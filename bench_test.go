@@ -352,13 +352,6 @@ func BenchmarkSketchAdd(b *testing.B) {
 			s.Add(uint64(i))
 		}
 	})
-	b.Run("ams-3x32", func(b *testing.B) {
-		s := sketch.NewAMS(3, 32, 1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			s.Add(uint64(i))
-		}
-	})
 }
 
 func BenchmarkFingerprint64(b *testing.B) {

@@ -245,13 +245,6 @@ func DistortionQ(p float64, dist, q int) float64 {
 	}
 }
 
-// DistortionBound returns the worst-case distortion of the net for
-// moment order p: Distortion(p, MaxNeighborDistance()), the factor
-// 2^{αd} (for F0) of Theorem 6.5 in its integer-rounded form.
-func (n *Net) DistortionBound(p float64) float64 {
-	return Distortion(p, n.MaxNeighborDistance())
-}
-
 // maskColumns converts a bitmask to a ColumnSet over [d].
 func maskColumns(mask uint64, d int) words.ColumnSet {
 	cols := make([]int, 0, bits.OnesCount64(mask))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/combin"
-	"repro/internal/rng"
 	"repro/internal/words"
 )
 
@@ -61,30 +60,6 @@ func (s *Star) Enumerate(fn func(words.Word) bool) {
 			return
 		}
 	}
-}
-
-// Child returns the idx-th child word under the canonical order,
-// without enumeration.
-func (s *Star) Child(idx uint64) words.Word {
-	k := len(s.support)
-	w := make(words.Word, s.d)
-	for i := k - 1; i >= 0; i-- {
-		w[s.support[i]] = uint16(idx % uint64(s.q))
-		idx /= uint64(s.q)
-	}
-	if idx != 0 {
-		panic("codes: child index out of range")
-	}
-	return w
-}
-
-// SampleChild returns a uniformly random child word.
-func (s *Star) SampleChild(r *rng.Source) words.Word {
-	w := make(words.Word, s.d)
-	for _, pos := range s.support {
-		w[pos] = uint16(r.Intn(s.q))
-	}
-	return w
 }
 
 // StarSource streams star_Q(T) = ∪_{y∈T} star_Q(y) for a set T of

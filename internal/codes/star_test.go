@@ -3,7 +3,6 @@ package codes
 import (
 	"testing"
 
-	"repro/internal/rng"
 	"repro/internal/words"
 )
 
@@ -56,44 +55,29 @@ func TestStarEnumerateEarlyStop(t *testing.T) {
 	}
 }
 
+// TestStarChildMatchesEnumerationOrder: Enumerate yields the children
+// in canonical order, the idx-th child carrying the base-q digits of
+// idx on the support (most significant first).
 func TestStarChildMatchesEnumerationOrder(t *testing.T) {
-	y := mustCodeword(t, 6, 0, 2, 5)
+	support := []int{0, 2, 5}
+	y := mustCodeword(t, 6, support...)
 	star, _ := NewStar(y, 2)
 	idx := uint64(0)
 	star.Enumerate(func(w words.Word) bool {
-		if !star.Child(idx).Equal(w) {
-			t.Fatalf("Child(%d) = %v, enumerate yields %v", idx, star.Child(idx), w)
+		want := make(words.Word, 6)
+		rest := idx
+		for i := len(support) - 1; i >= 0; i-- {
+			want[support[i]] = uint16(rest % 2)
+			rest /= 2
+		}
+		if !want.Equal(w) {
+			t.Fatalf("child %d = %v, enumerate yields %v", idx, want, w)
 		}
 		idx++
 		return true
 	})
 	if idx != 8 {
 		t.Fatalf("enumerated %d children", idx)
-	}
-}
-
-func TestStarChildPanicsOutOfRange(t *testing.T) {
-	y := mustCodeword(t, 4, 0)
-	star, _ := NewStar(y, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	star.Child(2)
-}
-
-func TestSampleChildSupport(t *testing.T) {
-	y := mustCodeword(t, 8, 2, 4, 6)
-	star, _ := NewStar(y, 5)
-	src := rng.New(4)
-	for i := 0; i < 100; i++ {
-		w := star.SampleChild(src)
-		for j, x := range w {
-			if x != 0 && j != 2 && j != 4 && j != 6 {
-				t.Fatalf("sampled child %v outside support", w)
-			}
-		}
 	}
 }
 

@@ -53,16 +53,6 @@ func mul64(a, b uint64) (hi, lo uint64) {
 	return
 }
 
-// MustBinomial is Binomial that panics on overflow; for parameters
-// the caller has already bounded.
-func MustBinomial(n, k int) uint64 {
-	v, err := Binomial(n, k)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // BigBinomial returns C(n, k) exactly as a big integer.
 func BigBinomial(n, k int) *big.Int {
 	if k < 0 || k > n || n < 0 {
@@ -107,22 +97,6 @@ func Entropy(x float64) float64 {
 		return 0
 	}
 	return -x*math.Log2(x) - (1-x)*math.Log2(1-x)
-}
-
-// EntropyTailBound returns the classical bound 2^{H(k/n) n} on
-// sum_{i<=k} C(n, i) for k <= n/2 ([8, Theorem 3.1] in the paper),
-// expressed as a log2 value to avoid overflow.
-func EntropyTailBound(n, k int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if k > n/2 {
-		k = n / 2
-	}
-	if k < 0 {
-		return math.Inf(-1)
-	}
-	return Entropy(float64(k)/float64(n)) * float64(n)
 }
 
 // Rank returns the combinadic rank of the k-subset `cols` (sorted
@@ -246,13 +220,4 @@ func Pow(base, exp int) (uint64, error) {
 		res = lo
 	}
 	return res, nil
-}
-
-// MustPow is Pow that panics on overflow.
-func MustPow(base, exp int) uint64 {
-	v, err := Pow(base, exp)
-	if err != nil {
-		panic(err)
-	}
-	return v
 }

@@ -376,7 +376,9 @@ func (s *Sharded) ObserveBatchDurable(b *words.Batch) error {
 // ObserveBatch for the routing contract). Each chunk is copied into a
 // pooled arena — the copy is what lets the caller reuse b the moment
 // ObserveBatch returns, and the pool is what keeps the copy from
-// costing an allocation per chunk.
+// costing an allocation per chunk. Both callers check b.Dim() ==
+// s.Dim(), and every arena holds BatchChunk·Dim symbols, so a chunk
+// always fits.
 func (s *Sharded) routeBatch(b *words.Batch) {
 	n := b.Len()
 	d := b.Dim()
@@ -387,15 +389,7 @@ func (s *Sharded) routeBatch(b *words.Batch) {
 			hi = n
 		}
 		ch := <-s.arenaFree
-		need := (hi - lo) * d
-		if cap(ch.rows) < need {
-			// Oversized batch dimension vs. the pool's sizing hint (a
-			// caller-built batch can exceed BatchChunk·Dim only via an
-			// oversized chunk config change; keep it correct regardless).
-			ch.rows = make([]uint16, need)
-		} else {
-			ch.rows = ch.rows[:need]
-		}
+		ch.rows = ch.rows[:(hi-lo)*d]
 		copy(ch.rows, flat[lo*d:hi*d])
 		i := s.next.Add(1) % uint64(len(s.chans))
 		s.chans[i] <- shardMsg{chunk: ch}
@@ -602,18 +596,6 @@ func (s *Sharded) invalidateLocked() {
 	s.wake()
 }
 
-// Snapshot returns the merged view of all shards from the serving
-// epoch, rebuilding it whenever rows have arrived since the last
-// build. The returned summary is never mutated again, so callers may
-// query it concurrently.
-func (s *Sharded) Snapshot() (core.Summary, error) {
-	e, err := s.currentEpoch()
-	if err != nil {
-		return nil, err
-	}
-	return e.reg, nil
-}
-
 // EpochInfo describes the epoch a read was served from: its build
 // number, the accepted-rows clock at its cut, how many rows had been
 // accepted past the cut when the info was captured, its wall-clock
@@ -673,7 +655,7 @@ func (s *Sharded) epochInfo(e *epoch) EpochInfo {
 	return info
 }
 
-// SnapshotInfo is Snapshot plus the serving epoch's metadata, for
+// SnapshotInfo is Flush plus the serving epoch's metadata, for
 // callers that surface staleness (the daemon's summary and stats
 // endpoints).
 func (s *Sharded) SnapshotInfo() (core.Summary, EpochInfo, error) {
@@ -684,12 +666,16 @@ func (s *Sharded) SnapshotInfo() (core.Summary, EpochInfo, error) {
 	return e.reg, s.epochInfo(e), nil
 }
 
-// Flush blocks until every row accepted so far is reflected in the
-// merged snapshot, and returns that snapshot. Every read already does
-// this: Flush is Snapshot, kept for callers that wait for ingestion to
-// land.
+// Flush returns the merged view of all shards from the serving epoch,
+// rebuilding it whenever rows have arrived since the last build, so
+// every row accepted so far is reflected in it. The returned summary
+// is never mutated again, so callers may query it concurrently.
 func (s *Sharded) Flush() (core.Summary, error) {
-	return s.Snapshot()
+	e, err := s.currentEpoch()
+	if err != nil {
+		return nil, err
+	}
+	return e.reg, nil
 }
 
 // Absorb folds an externally built summary — typically one decoded
@@ -1043,7 +1029,7 @@ func (s *Sharded) Subspaces() []SubspaceInfo {
 // core.UnmarshalSummary and, if sharded serving is needed again,
 // Absorb it into a fresh engine.
 func (s *Sharded) MarshalBinary() ([]byte, error) {
-	snap, err := s.Snapshot()
+	snap, err := s.Flush()
 	if err != nil {
 		return nil, err
 	}

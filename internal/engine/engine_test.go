@@ -251,7 +251,7 @@ func TestConcurrentObserveAndQuery(t *testing.T) {
 	}
 	// After close the engine still answers, and the final snapshot
 	// reflects every accepted row.
-	snap, err := eng.Snapshot()
+	snap, err := eng.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +495,7 @@ func TestObserveBatchInterleavedWithAbsorbAndQueryBatch(t *testing.T) {
 	if eng.Rows() != want {
 		t.Fatalf("rows %d, want %d", eng.Rows(), want)
 	}
-	snap, err := eng.Snapshot()
+	snap, err := eng.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}

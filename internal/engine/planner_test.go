@@ -262,7 +262,7 @@ func TestPlannerCapabilityFallback(t *testing.T) {
 	if res[0].Route != "subspace"+hot.String() {
 		t.Fatalf("F0 routed via %q", res[0].Route)
 	}
-	exact, err := eng.Snapshot()
+	exact, err := eng.Flush()
 	if err != nil {
 		t.Fatal(err)
 	}

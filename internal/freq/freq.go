@@ -56,13 +56,8 @@ func NewVector() *Vector { return &Vector{} }
 // c, producing f(A, C) without materializing A.
 func FromSource(src words.RowSource, c words.ColumnSet) *Vector {
 	v := NewVector()
-	for {
-		w, ok := src.Next()
-		if !ok {
-			return v
-		}
-		v.AddWord(w, c)
-	}
+	words.Drain(src, func(w words.Word) { v.AddWord(w, c) })
+	return v
 }
 
 // FromTable counts a materialized table through the batched key

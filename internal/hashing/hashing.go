@@ -104,7 +104,7 @@ func mulmod61(a, b uint64) uint64 {
 // PolyHash is a k-wise independent hash family over Z_{2^61-1}: a
 // degree-(k-1) polynomial with coefficients drawn uniformly from the
 // field. Evaluations at distinct points are k-wise independent, the
-// property the CountSketch/AMS analyses require.
+// property the CountSketch analysis requires.
 type PolyHash struct {
 	coef []uint64 // degree-ascending; len(coef) = k
 }
@@ -150,26 +150,10 @@ func (p *PolyHash) Bucket(x uint64, w int) int {
 
 // Sign maps x to ±1 using the low bit of the polynomial value; with a
 // 4-wise independent polynomial this yields the 4-wise independent
-// sign family the AMS F2 analysis needs.
+// sign family CountSketch's F2 estimate needs.
 func (p *PolyHash) Sign(x uint64) int {
 	if p.Hash(x)&1 == 1 {
 		return 1
 	}
 	return -1
-}
-
-// Coefficients returns a copy of the polynomial coefficients; used by
-// serialization.
-func (p *PolyHash) Coefficients() []uint64 {
-	out := make([]uint64, len(p.coef))
-	copy(out, p.coef)
-	return out
-}
-
-// PolyHashFromCoefficients rebuilds a PolyHash from serialized
-// coefficients.
-func PolyHashFromCoefficients(coef []uint64) *PolyHash {
-	c := make([]uint64, len(coef))
-	copy(c, coef)
-	return &PolyHash{coef: c}
 }

@@ -189,19 +189,3 @@ func TestSignPairwiseDecorrelation(t *testing.T) {
 		t.Fatalf("pairwise sign correlation: %d", sum)
 	}
 }
-
-func TestPolyHashSerializationRoundTrip(t *testing.T) {
-	h := NewPolyHash(23, 5)
-	back := PolyHashFromCoefficients(h.Coefficients())
-	for i := uint64(0); i < 100; i++ {
-		if h.Hash(i) != back.Hash(i) {
-			t.Fatal("coefficients round trip must preserve the function")
-		}
-	}
-	// Coefficients returns a copy.
-	c := h.Coefficients()
-	c[0] = 0
-	if h.Coefficients()[0] == 0 && h.Coefficients()[0] != c[0] {
-		t.Fatal("unexpected aliasing")
-	}
-}

@@ -15,7 +15,7 @@ import (
 // median across rows of sign·counter, with additive error
 // O(‖f‖₂/√width) — the ℓ₂ guarantee that distinguishes it from
 // CountMin's ℓ₁ bound. Its row counters double as a fast-AMS F₂
-// estimator (see AMS in this package).
+// estimator (EstimateF2).
 type CountSketch struct {
 	width  int
 	depth  int

@@ -11,7 +11,9 @@ import (
 
 // distinctSketch is the common surface of the three F0 sketches.
 type distinctSketch interface {
-	DistinctEstimator
+	Add(item uint64)
+	Estimate() float64
+	SizeBytes() int
 	MarshalBinary() ([]byte, error)
 }
 

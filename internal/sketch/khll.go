@@ -94,17 +94,6 @@ func (s *KHLL) refreshMax() {
 	s.maxHash = max
 }
 
-// DistinctValues estimates the number of distinct values observed
-// (the KMV estimator over the retained hashes).
-func (s *KHLL) DistinctValues() float64 {
-	n := len(s.entries)
-	if n < s.k {
-		return float64(n)
-	}
-	u := (float64(s.maxHash) + 1) / (1 << 63) / 2
-	return float64(s.k-1) / u
-}
-
 // UniquenessDistribution returns, for each requested ids-per-value
 // threshold t, the estimated fraction of values carrying at most t
 // distinct ids. The retained values are a uniform sample of the

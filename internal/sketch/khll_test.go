@@ -8,27 +8,19 @@ import (
 	"repro/internal/rng"
 )
 
-func TestKHLLDistinctValues(t *testing.T) {
-	s := NewKHLL(512, 10, 1)
-	const values = 20000
-	for v := uint64(0); v < values; v++ {
-		// Each value seen with a few ids; repeats must not inflate.
-		s.Add(v, v%7)
-		s.Add(v, v%5)
-	}
-	est := s.DistinctValues()
-	if math.Abs(est-values)/values > 0.15 {
-		t.Fatalf("distinct values %v, want ~%d", est, values)
-	}
-}
-
+// TestKHLLExactBelowK: with fewer than k values every value is
+// retained, so the ids-per-value distribution is the exact one.
 func TestKHLLExactBelowK(t *testing.T) {
 	s := NewKHLL(64, 8, 2)
 	for v := uint64(0); v < 40; v++ {
 		s.Add(v, 0)
+		if v%4 == 0 {
+			s.Add(v, 1)
+			s.Add(v, 2)
+		}
 	}
-	if got := s.DistinctValues(); got != 40 {
-		t.Fatalf("below k must be exact: %v", got)
+	if got := s.HighlyIdentifying(1); got != 0.75 {
+		t.Fatalf("below k must be exact: %v of values unique, want 0.75", got)
 	}
 }
 
@@ -78,9 +70,12 @@ func TestKHLLMerge(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	ea, ew := a.DistinctValues(), whole.DistinctValues()
-	if math.Abs(ea-ew)/ew > 0.05 {
-		t.Fatalf("merged distinct %v vs whole %v", ea, ew)
+	// Both halves keep every value the union keeps, so the merge is
+	// exact.
+	ma, _ := a.MarshalBinary()
+	mw, _ := whole.MarshalBinary()
+	if string(ma) != string(mw) {
+		t.Fatal("merged KHLL differs from the KHLL of the whole stream")
 	}
 	if err := a.Merge(NewKHLL(256, 8, 6)); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("seed mismatch: %v", err)

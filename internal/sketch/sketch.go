@@ -2,11 +2,11 @@
 // bounds consume: (1±ε) distinct-count sketches (KMV, HyperLogLog,
 // BJKST) standing in for the optimal F0 sketch of [11] referenced in
 // Section 6, a point-frequency sketch (CountSketch), and
-// frequency-moment sketches (fast-AMS F2, Indyk p-stable F_p for
-// 0 < p ≤ 2). Every sketch is deterministic given its seed, mergeable
-// where the algorithm admits it, and binary-serializable so the
-// communication experiments of Section 3.3 can measure message sizes
-// in bytes.
+// frequency-moment sketches (CountSketch's fast-AMS F2, Indyk
+// p-stable F_p for 0 < p ≤ 2). Every sketch is deterministic given its
+// seed, mergeable where the algorithm admits it, and
+// binary-serializable so the communication experiments of Section 3.3
+// can measure message sizes in bytes.
 //
 // Items are 64-bit fingerprints of patterns (hashing.Fingerprint64);
 // the collision probability is negligible against all error budgets.
@@ -15,32 +15,6 @@ package sketch
 import (
 	"errors"
 )
-
-// DistinctEstimator is a sketch approximating F0 = ‖f‖₀.
-type DistinctEstimator interface {
-	Add(item uint64)
-	// Estimate returns the approximate number of distinct items.
-	Estimate() float64
-	// SizeBytes returns the serialized size, the space the paper's
-	// bounds are stated in.
-	SizeBytes() int
-}
-
-// FrequencyEstimator is a sketch approximating point frequencies f_i.
-type FrequencyEstimator interface {
-	AddCount(item uint64, count int64)
-	// EstimateCount returns the approximate frequency of item.
-	EstimateCount(item uint64) float64
-	SizeBytes() int
-}
-
-// MomentEstimator is a sketch approximating a frequency moment F_p.
-type MomentEstimator interface {
-	AddCount(item uint64, count int64)
-	// EstimateMoment returns the approximate F_p value.
-	EstimateMoment() float64
-	SizeBytes() int
-}
 
 // ErrIncompatible is returned by Merge when two sketches were built
 // with different parameters or seeds.
@@ -72,7 +46,7 @@ const (
 	tagBJKST
 	_ // retired CountMin; its byte stays reserved so later tags keep theirs
 	tagCountSketch
-	tagAMS
+	_ // retired AMS; its byte stays reserved so later tags keep theirs
 	tagStable
 	tagKHLL
 )

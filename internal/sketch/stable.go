@@ -38,14 +38,6 @@ func NewStable(p float64, reps int, seed uint64) *Stable {
 	return &Stable{p: p, reps: reps, seed: seed, sums: make([]float64, reps)}
 }
 
-// StableForEpsilon sizes the sketch for relative error ε on ‖f‖_p.
-func StableForEpsilon(p, eps float64, seed uint64) *Stable {
-	if !(eps > 0 && eps < 1) {
-		panic("sketch: epsilon outside (0,1)")
-	}
-	return NewStable(p, int(6/(eps*eps))+3, seed)
-}
-
 // P returns the moment order p.
 func (s *Stable) P() float64 { return s.p }
 

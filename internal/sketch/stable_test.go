@@ -341,7 +341,6 @@ func TestStablePanics(t *testing.T) {
 		func() { NewStable(0, 10, 1) },
 		func() { NewStable(2.5, 10, 1) },
 		func() { NewStable(1, 2, 1) },
-		func() { StableForEpsilon(1, 0, 1) },
 	} {
 		func() {
 			defer func() {

@@ -139,50 +139,6 @@ func (c ColumnSet) Complement() ColumnSet {
 	return ColumnSet{d: c.d, cols: out}
 }
 
-// Union returns C ∪ o. Both sets must share the same dimension.
-func (c ColumnSet) Union(o ColumnSet) ColumnSet {
-	c.mustSameDim(o)
-	out := make([]int, 0, len(c.cols)+len(o.cols))
-	i, j := 0, 0
-	for i < len(c.cols) && j < len(o.cols) {
-		switch {
-		case c.cols[i] < o.cols[j]:
-			out = append(out, c.cols[i])
-			i++
-		case c.cols[i] > o.cols[j]:
-			out = append(out, o.cols[j])
-			j++
-		default:
-			out = append(out, c.cols[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, c.cols[i:]...)
-	out = append(out, o.cols[j:]...)
-	return ColumnSet{d: c.d, cols: out}
-}
-
-// Intersect returns C ∩ o.
-func (c ColumnSet) Intersect(o ColumnSet) ColumnSet {
-	c.mustSameDim(o)
-	var out []int
-	i, j := 0, 0
-	for i < len(c.cols) && j < len(o.cols) {
-		switch {
-		case c.cols[i] < o.cols[j]:
-			i++
-		case c.cols[i] > o.cols[j]:
-			j++
-		default:
-			out = append(out, c.cols[i])
-			i++
-			j++
-		}
-	}
-	return ColumnSet{d: c.d, cols: out}
-}
-
 // Diff returns C \ o.
 func (c ColumnSet) Diff(o ColumnSet) ColumnSet {
 	c.mustSameDim(o)
@@ -198,13 +154,6 @@ func (c ColumnSet) Diff(o ColumnSet) ColumnSet {
 		out = append(out, x)
 	}
 	return ColumnSet{d: c.d, cols: out}
-}
-
-// SymDiffSize returns |C Δ o|, the measure the α-net neighbour bound
-// of Section 6 is stated in.
-func (c ColumnSet) SymDiffSize(o ColumnSet) int {
-	inter := c.Intersect(o).Len()
-	return c.Len() + o.Len() - 2*inter
 }
 
 // Equal reports whether the two sets have identical dimension and

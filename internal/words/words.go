@@ -83,30 +83,6 @@ func (w Word) Weight() int {
 	return n
 }
 
-// SupportMask returns supp(w) as a bitmask. It panics if len(w) > 64.
-func (w Word) SupportMask() uint64 {
-	if len(w) > 64 {
-		panic("words: SupportMask requires d <= 64")
-	}
-	var m uint64
-	for i, x := range w {
-		if x != 0 {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
-
-// IsBinary reports whether every symbol of w is 0 or 1.
-func (w Word) IsBinary() bool {
-	for _, x := range w {
-		if x > 1 {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the word compactly, e.g. "(1 0 3)".
 func (w Word) String() string {
 	b := make([]byte, 0, 2+3*len(w))
@@ -133,24 +109,6 @@ func appendUint(b []byte, x uint64) []byte {
 		x /= 10
 	}
 	return append(b, tmp[i:]...)
-}
-
-// FromMask builds a binary word of length d whose support is the set
-// bits of mask. It panics if d > 64 or mask has bits at or above d.
-func FromMask(mask uint64, d int) Word {
-	if d > 64 {
-		panic("words: FromMask requires d <= 64")
-	}
-	if d < 64 && mask>>uint(d) != 0 {
-		panic("words: mask has bits outside [d]")
-	}
-	w := make(Word, d)
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		w[i] = 1
-		mask &= mask - 1
-	}
-	return w
 }
 
 // Project returns the restriction of w to the columns of c, in the
@@ -222,20 +180,6 @@ func Index(w Word, q int) (uint64, error) {
 		}
 	}
 	return idx, nil
-}
-
-// WordAt inverts Index: it returns the word of length n over [q] whose
-// canonical index is idx. It panics if idx >= q^n.
-func WordAt(idx uint64, q, n int) Word {
-	w := make(Word, n)
-	for i := n - 1; i >= 0; i-- {
-		w[i] = uint16(idx % uint64(q))
-		idx /= uint64(q)
-	}
-	if idx != 0 {
-		panic("words: index out of range for word length")
-	}
-	return w
 }
 
 // Validate checks that every symbol of w lies in [q].

@@ -52,58 +52,6 @@ func TestSupportAndWeight(t *testing.T) {
 	}
 }
 
-func TestSupportMaskMatchesSupport(t *testing.T) {
-	f := func(bits []bool) bool {
-		if len(bits) > 64 {
-			bits = bits[:64]
-		}
-		w := make(Word, len(bits))
-		var want uint64
-		for i, b := range bits {
-			if b {
-				w[i] = uint16(1 + i%3)
-				want |= 1 << uint(i)
-			}
-		}
-		return w.SupportMask() == want
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSupportMaskPanicsOver64(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for d > 64")
-		}
-	}()
-	make(Word, 65).SupportMask()
-}
-
-func TestFromMaskRoundTrip(t *testing.T) {
-	f := func(mask uint64, dRaw uint8) bool {
-		d := 1 + int(dRaw%64)
-		if d < 64 {
-			mask &= (1 << uint(d)) - 1
-		}
-		w := FromMask(mask, d)
-		return w.SupportMask() == mask && w.IsBinary()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFromMaskPanicsOnStrayBits(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range mask")
-		}
-	}()
-	FromMask(1<<10, 5)
-}
-
 // TestProjectPaperExample reproduces the worked example of Section 2:
 // the 5×3 binary array projected onto C = {0, 1} yields frequency
 // vector (1, 1, 0, 3).
@@ -211,6 +159,17 @@ func TestIndexCanonicalOrder(t *testing.T) {
 	}
 }
 
+// wordAt inverts Index: the word of length n over [q] whose canonical
+// index is idx < q^n.
+func wordAt(idx uint64, q, n int) Word {
+	w := make(Word, n)
+	for i := n - 1; i >= 0; i-- {
+		w[i] = uint16(idx % uint64(q))
+		idx /= uint64(q)
+	}
+	return w
+}
+
 func TestIndexWordAtRoundTrip(t *testing.T) {
 	f := func(idxRaw uint32, qRaw, nRaw uint8) bool {
 		q := 2 + int(qRaw%30)
@@ -220,7 +179,7 @@ func TestIndexWordAtRoundTrip(t *testing.T) {
 			max *= uint64(q)
 		}
 		idx := uint64(idxRaw) % max
-		w := WordAt(idx, q, n)
+		w := wordAt(idx, q, n)
 		back, err := Index(w, q)
 		return err == nil && back == idx
 	}
@@ -282,7 +241,7 @@ func TestIndexUint64Boundary(t *testing.T) {
 	if _, err := Index(Word{2, 0, 0, 0, 0}, MaxAlphabet); !errors.Is(err, ErrIndexOverflow) {
 		t.Fatalf("multiply overflow must be caught, got %v", err)
 	}
-	prefix := WordAt(math.MaxUint64/3, 3, 41)
+	prefix := wordAt(math.MaxUint64/3, 3, 41)
 	if idx, err := Index(append(prefix, 0), 3); err != nil || idx != math.MaxUint64 {
 		t.Fatalf("Index(prefix·0, 3) = %d, %v, want 2^64-1", idx, err)
 	}

@@ -76,7 +76,8 @@ func TestF0InstanceRowCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := uint64(5) * combin.MustPow(4, 3)
+	pow, _ := combin.Pow(4, 3)
+	want := 5 * pow
 	if n != want {
 		t.Fatalf("RowCount = %d, want %d", n, want)
 	}
