@@ -72,24 +72,6 @@ func (n *Net) Contains(c words.ColumnSet) bool {
 	return n.ContainsSize(c.Len())
 }
 
-// MaxNeighborDistance returns the worst-case |C Δ C′| over all
-// queries: max over band sizes of the distance to the nearer boundary.
-func (n *Net) MaxNeighborDistance() int {
-	worst := 0
-	for s := n.low + 1; s < n.high; s++ {
-		down := s - n.low
-		up := n.high - s
-		d := down
-		if up < d {
-			d = up
-		}
-		if d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // RoundingMode selects which net boundary an in-band query is rounded
 // to — the ablation axis of experiment E10. Shrinking yields
 // an under-approximation of F0 (patterns merge), growing an

@@ -207,6 +207,24 @@ func (m *MetaSummary) Merge(o *MetaSummary) error {
 	return nil
 }
 
+// Clone returns a copy of m that shares no sketch state with it:
+// member i's estimator for problem j is copyEst(j, e) of m's, and
+// problems, one factory per problem of m, build what the copy builds
+// afresh (UnmarshalSketches). The net and its member list, which never
+// change after construction, are shared. ok is false, and the copy
+// nil, when copyEst declines an estimator.
+func (m *MetaSummary) Clone(problems []Factory, copyEst func(problem int, e Estimator) (Estimator, bool)) (*MetaSummary, bool) {
+	c := &MetaSummary{net: m.net, problems: problems, masks: m.masks, subsets: m.subsets,
+		sk: make([]Estimator, len(m.sk)), rows: m.rows}
+	for i, e := range m.sk {
+		var ok bool
+		if c.sk[i], ok = copyEst(i%len(m.problems), e); !ok {
+			return nil, false
+		}
+	}
+	return c, true
+}
+
 func (m *MetaSummary) indexOf(mask uint64) int {
 	i := sort.Search(len(m.masks), func(i int) bool { return m.masks[i] >= mask })
 	if i < len(m.masks) && m.masks[i] == mask {

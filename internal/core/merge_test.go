@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"testing"
@@ -107,6 +108,76 @@ func TestNetMergeEqualsUnionAcrossKinds(t *testing.T) {
 				t.Fatalf("F%g(%v) merged %v != whole %v", p, cols, a, b)
 			}
 		}
+	}
+}
+
+// wireOf is s's wire form.
+func wireOf(t *testing.T, s Summary) []byte {
+	t.Helper()
+	blob, err := MarshalSummary(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestNetCloneMatchesFreshMerge pins Net.Clone to the merge into a
+// fresh net that it replaces, byte for byte, and checks that the copy
+// ingests through variate tables of its own: feeding it leaves the
+// source's tables untouched, and it goes on exactly as the source does.
+func TestNetCloneMatchesFreshMerge(t *testing.T) {
+	tb := testData(1500, 44)
+	more := testData(500, 46).Batch()
+	for _, moments := range [][]float64{nil, {2}, {0.5, 2}} {
+		cfg := NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: moments, StableReps: 30, Seed: 45}
+		mk := func() *Net {
+			s, err := NewNet(10, 2, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		src := mk()
+		src.ObserveBatch(tb.Batch())
+		fresh := mk()
+		if err := fresh.Merge(src); err != nil {
+			t.Fatal(err)
+		}
+		c := src.Clone()
+		if got, want := wireOf(t, c), wireOf(t, fresh); !bytes.Equal(got, want) {
+			t.Fatalf("moments %v: clone differs from a fresh net merged with its source", moments)
+		}
+		before := src.VariateTableStats()
+		c.ObserveBatch(more)
+		if src.VariateTableStats() != before {
+			t.Fatalf("moments %v: feeding the clone touched its source's variate tables", moments)
+		}
+		if st := c.VariateTableStats(); len(moments) > 0 && st.Misses == 0 {
+			t.Fatalf("moments %v: the clone's sketches do not share its own tables: %+v", moments, st)
+		}
+		src.ObserveBatch(more)
+		if got, want := wireOf(t, c), wireOf(t, src); !bytes.Equal(got, want) {
+			t.Fatalf("moments %v: the clone and its source diverged on the same rows", moments)
+		}
+	}
+}
+
+// TestRegisteredCloneIsIndependent checks Registered.Clone: the same
+// bytes as its source, and its own KMV.
+func TestRegisteredCloneIsIndependent(t *testing.T) {
+	src, err := NewRegistered(10, 2, words.MustColumnSet(10, 1, 4, 6), RegisteredConfig{Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.ObserveBatch(testData(800, 47).Batch())
+	c := src.Clone()
+	want := wireOf(t, src)
+	if got := wireOf(t, c); !bytes.Equal(got, want) {
+		t.Fatal("clone differs from its source")
+	}
+	c.ObserveBatch(testData(800, 48).Batch())
+	if got := wireOf(t, src); !bytes.Equal(got, want) {
+		t.Fatal("feeding the clone changed its source")
 	}
 }
 

@@ -39,6 +39,10 @@ type Net struct {
 	// moments lists the distinct configured moment orders, ascending;
 	// moments[j] is the meta-summary's problem j+1.
 	moments []float64
+	// seeds[0] seeds the F0 sketches and seeds[j+1] moment j's; a
+	// member's sketch takes its problem's seed xor its mask's mix.
+	seeds []uint64
+	reps  int // repetitions of every moment sketch
 	// tables holds each moment's variate table, shared by the moment's
 	// members; per-process ingest state, never serialized.
 	tables []*sketch.StableTable
@@ -118,27 +122,65 @@ func NewNet(d, q int, cfg NetConfig) (*Net, error) {
 		}
 	}
 	slices.Sort(moments)
-	s := &Net{d: d, q: q, cfg: cfg, moments: moments}
-	problems := []anet.Factory{func(id uint64) anet.Estimator {
-		return kmvEstimator{sketch.KMVForEpsilon(cfg.Epsilon, f0seed^rng.Mix64(id))}
-	}}
+	s := &Net{d: d, q: q, cfg: cfg, moments: moments, seeds: []uint64{f0seed}, reps: reps}
 	for _, p := range moments {
-		pseed := seeds[p]
-		// Every member of the moment shares one variate table: a
-		// member's row for an item is keyed by its seed xor the item's
-		// mix, so the members' rows never clash (sketch.StableTable).
-		table := sketch.NewStableTable(p, reps, sketch.StableTableBudget)
-		s.tables = append(s.tables, table)
+		s.seeds = append(s.seeds, seeds[p])
+	}
+	if s.meta, err = anet.NewMetaSummary(n, s.problems()...); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// problems gives s fresh variate tables, one per moment, and returns
+// the meta-summary's factories over them: problem 0 builds a member's
+// F0 KMV and problem j+1 its sketch of moment j. Every member of a
+// moment shares the moment's table: a member's row for an item is
+// keyed by its seed xor the item's mix, so the members' rows never
+// clash (sketch.StableTable). A table allocates nothing until its
+// first lookup.
+func (s *Net) problems() []anet.Factory {
+	eps, f0seed, reps := s.cfg.Epsilon, s.seeds[0], s.reps
+	problems := []anet.Factory{func(id uint64) anet.Estimator {
+		return kmvEstimator{sketch.KMVForEpsilon(eps, f0seed^rng.Mix64(id))}
+	}}
+	s.tables = make([]*sketch.StableTable, len(s.moments))
+	for j, p := range s.moments {
+		pseed, table := s.seeds[j+1], sketch.NewStableTable(p, reps, sketch.StableTableBudget)
+		s.tables[j] = table
 		problems = append(problems, func(id uint64) anet.Estimator {
 			sk := sketch.NewStable(p, reps, pseed^rng.Mix64(id))
 			sk.ShareTable(table)
 			return &stableAdapter{sk: sk}
 		})
 	}
-	if s.meta, err = anet.NewMetaSummary(n, problems...); err != nil {
-		return nil, err
+	return problems
+}
+
+// Clone returns a copy of s that shares no mutable state with it:
+// every member's KMV and moment sketches are copied (sketch.KMV.Clone,
+// sketch.Stable.Clone), and the copy's moment sketches share fresh
+// variate tables of its own, never s's, which only s's ingest may
+// touch. The copy's state, and so its wire form, is bit for bit that
+// of a fresh net into which s was merged.
+func (s *Net) Clone() *Net {
+	c := &Net{d: s.d, q: s.q, cfg: s.cfg, moments: s.moments, seeds: s.seeds, reps: s.reps, rows: s.rows}
+	meta, ok := s.meta.Clone(c.problems(), func(j int, e anet.Estimator) (anet.Estimator, bool) {
+		switch e := e.(type) {
+		case kmvEstimator:
+			return kmvEstimator{e.KMV.Clone()}, true
+		case *stableAdapter:
+			sk := e.sk.Clone()
+			sk.ShareTable(c.tables[j-1])
+			return &stableAdapter{sk: sk}, true
+		}
+		return nil, false
+	})
+	if !ok {
+		panic("core: net member sketch outside NewNet's kinds")
 	}
-	return s, nil
+	c.meta = meta
+	return c
 }
 
 // stableAdapter exposes a p-stable moment sketch through the

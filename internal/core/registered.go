@@ -80,6 +80,11 @@ func (s *Registered) ObserveBatch(b *words.Batch) {
 	s.f0.AddBatch(s.fps)
 }
 
+// Clone returns a copy of s whose KMV is its own (sketch.KMV.Clone).
+func (s *Registered) Clone() *Registered {
+	return &Registered{d: s.d, q: s.q, cfg: s.cfg, cols: s.cols, f0: s.f0.Clone(), rows: s.rows}
+}
+
 // Dim returns d.
 func (s *Registered) Dim() int { return s.d }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -209,6 +210,60 @@ func BenchmarkEpochRebuildExact(b *testing.B) {
 				eng.rebuild(b)
 			}
 		})
+	}
+}
+
+// netEpochFixture builds a net engine of the given shards shaped like
+// net-ingest's daemon (StandardSummary("net", d, 4, …), α 0.3, ε 0.05)
+// and feeds it 4096 Zipf rows, so that an epoch cut covers every
+// member's sketches.
+func netEpochFixture(tb testing.TB, d, shards int) *Sharded {
+	tb.Helper()
+	eng, err := NewSharded(func(shard int) (core.Summary, error) {
+		return StandardSummary("net", d, 4, 0.05, 0.01, 0.3, 1, shard)
+	}, Config{Shards: shards})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(eng.Close)
+	eng.ObserveBatch(words.Collect(workload.ZipfPatterns(d, 4, 4096, 4096, 1.1, 36), -1).Batch())
+	if snap, err := eng.Flush(); err != nil || snap.Rows() != 4096 {
+		tb.Fatalf("fixture epoch: %v rows, %v", snap.Rows(), err)
+	}
+	return eng
+}
+
+// netEpochCutAllocCeiling is the measured allocations of one cut of the
+// d = 8 fixture, 105 with 1 shard and 106 with 2, plus 10 %, rounded
+// down. Building a fresh net and merging every shard into it measured
+// 4,007 and 4,024.
+const netEpochCutAllocCeiling = 116
+
+// TestNetEpochCutAllocs pins the cost of a net epoch cut: shard 0 is
+// copied, not rebuilt and merged.
+func TestNetEpochCutAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		eng := netEpochFixture(t, 8, shards)
+		if allocs := testing.AllocsPerRun(20, func() { eng.rebuild(t) }); allocs > netEpochCutAllocCeiling {
+			t.Fatalf("shards=%d: one net epoch cut allocates %v times, ceiling %d", shards, allocs, netEpochCutAllocCeiling)
+		}
+	}
+}
+
+// BenchmarkEpochRebuildNet times one epoch cut of the net fixture at
+// d = 8 (18 members) and d = 16 (1,394 members).
+func BenchmarkEpochRebuildNet(b *testing.B) {
+	for _, d := range []int{8, 16} {
+		for _, shards := range []int{1, 2} {
+			b.Run(fmt.Sprintf("d=%d/shards=%d", d, shards), func(b *testing.B) {
+				eng := netEpochFixture(b, d, shards)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.rebuild(b)
+				}
+			})
+		}
 	}
 }
 

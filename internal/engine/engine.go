@@ -507,15 +507,31 @@ func (s *Sharded) refreshEpoch() (*epoch, error) {
 // contained in the snapshot. Counting merged rows instead would let a
 // sent-but-uncounted row masquerade as a later accepted one and serve
 // an epoch missing it.
+//
+// Inside the barrier the epoch starts as a copy of shard 0's registry
+// when every member of it clones (registry.Registry.Clone: nets and
+// registered subspaces), and the other shards merge into that copy.
+// The copy is bit for bit the fresh registry shard 0 would have merged
+// into, so the epoch is the same either way; it only skips building an
+// empty net and re-inserting every sketch of shard 0. Other kinds
+// start from a fresh registry into which every shard merges
+// (ARCHITECTURE.md, "The epoch read path", says why).
 func (s *Sharded) rebuildLocked() (*epoch, error) {
 	accepted := s.enqueued.Load()
-	merged, err := s.buildShard(len(s.shards))
-	if err != nil {
-		return nil, fmt.Errorf("engine: snapshot factory: %w", err)
-	}
+	var merged *registry.Registry
 	size := 0
-	err = s.quiesce(func() error {
-		for i, sh := range s.shards {
+	err := s.quiesce(func() error {
+		first := 0
+		if c, ok := s.shards[0].Clone(); ok {
+			merged, first = c, 1
+			size += s.shards[0].SizeBytes()
+		} else {
+			var err error
+			if merged, err = s.buildShard(len(s.shards)); err != nil {
+				return fmt.Errorf("engine: snapshot factory: %w", err)
+			}
+		}
+		for i, sh := range s.shards[first:] {
 			// Trusted path: the snapshot and the shards came from the
 			// same factories, so the clone-validating Merge would only
 			// tax every rebuild with a wire round trip per shard. An
@@ -523,7 +539,7 @@ func (s *Sharded) rebuildLocked() (*epoch, error) {
 			// once the barrier releases, its worker appends past the
 			// prefix this epoch reads.
 			if err := merged.MergeTrusted(sh); err != nil {
-				return fmt.Errorf("engine: merging shard %d: %w", i, err)
+				return fmt.Errorf("engine: merging shard %d: %w", first+i, err)
 			}
 			size += sh.SizeBytes()
 		}

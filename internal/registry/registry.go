@@ -47,6 +47,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"repro/internal/core"
 	"repro/internal/words"
@@ -425,6 +426,40 @@ func (r *Registry) merge(other core.Summary, validate bool) error {
 		if err := p.dst.(core.Mergeable).Merge(p.src); err != nil {
 			return fmt.Errorf("merging %s: %w", p.name, err)
 		}
+	}
+	return nil
+}
+
+// Clone returns a copy of r whose members are typed copies of r's
+// (core.Net.Clone, core.Registered.Clone), so that feeding either
+// registry leaves the other alone. ok is false, and nothing is copied,
+// unless every member is of a kind that clones; Exact and Sample do
+// not.
+func (r *Registry) Clone() (*Registry, bool) {
+	copies := []func() core.Summary{cloner(r.full)}
+	for _, e := range r.entries {
+		copies = append(copies, cloner(e.sum))
+	}
+	for _, f := range copies {
+		if f == nil {
+			return nil, false
+		}
+	}
+	c := &Registry{full: copies[0](), entries: make([]entry, len(r.entries)), index: maps.Clone(r.index)}
+	for i, e := range r.entries {
+		c.entries[i] = entry{cols: e.cols, sum: copies[1+i](), route: e.route}
+	}
+	return c, true
+}
+
+// cloner returns a func that copies sum with its kind's Clone, or nil
+// for a kind without one.
+func cloner(sum core.Summary) func() core.Summary {
+	switch s := sum.(type) {
+	case *core.Net:
+		return func() core.Summary { return s.Clone() }
+	case *core.Registered:
+		return func() core.Summary { return s.Clone() }
 	}
 	return nil
 }

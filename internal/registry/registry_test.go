@@ -643,3 +643,61 @@ func TestObserveSplitInvariant(t *testing.T) {
 		t.Fatalf("split digest %s, golden %s", got, goldenRegistryDigest)
 	}
 }
+
+// TestCloneOnlyWhenEveryMemberClones checks Registry.Clone: a net
+// catch-all with registered subspaces clones to the same bytes, with
+// its own members and route table; a registry holding an exact member
+// anywhere reports ok == false.
+func TestCloneOnlyWhenEveryMemberClones(t *testing.T) {
+	net, err := core.NewNet(testDim, testQ, core.NetConfig{Alpha: 0.3, Epsilon: 0.25, Moments: []float64{2}, StableReps: 10, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []words.ColumnSet{words.MustColumnSet(testDim, 0, 1), words.MustColumnSet(testDim, 2, 5, 7)} {
+		if err := reg.RegisterSubspace(c, newRegisteredFor(t, c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	testRows(300, reg)
+	c, ok := reg.Clone()
+	if !ok {
+		t.Fatal("a registry of a net and registered subspaces must clone")
+	}
+	want, err := reg.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := c.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("clone differs from its source")
+	}
+	if c.Full() == reg.Full() || c.entries[0].sum == reg.entries[0].sum {
+		t.Fatal("clone shares a member with its source")
+	}
+	if got := c.Plan(words.MustColumnSet(testDim, 2, 5, 7)); got.ID != 2 || got.Summary != c.entries[1].sum {
+		t.Fatalf("clone plans {2,5,7} to ID %d", got.ID)
+	}
+	testRows(100, c)
+	if got, _ := reg.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("feeding the clone changed its source")
+	}
+
+	exact, err := New(newExact(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := exact.Clone(); ok {
+		t.Fatal("an exact catch-all must not clone")
+	}
+	mixed, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed.add(words.MustColumnSet(testDim, 3), newExact(t))
+	if _, ok := mixed.Clone(); ok {
+		t.Fatal("an exact subspace must keep its registry from cloning")
+	}
+}

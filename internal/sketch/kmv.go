@@ -1,11 +1,13 @@
 package sketch
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 
 	"repro/internal/hashing"
+	"repro/internal/rng"
 	"repro/internal/wire"
 )
 
@@ -18,39 +20,47 @@ import (
 //
 // KMV is exact while fewer than k distinct items have been seen,
 // merges by uniting value sets, and serializes to 8k + O(1) bytes.
+// Its whole state is one []uint64 slab, so a Clone is one copy.
 type KMV struct {
 	k    int
 	seed uint64
 	h    hashing.Mixer
-	vals maxHeap             // the k smallest hashes, max at root
-	set  map[uint64]struct{} // dedup of retained hashes
+	// slab[:heapCap] is a max-heap of the n retained hashes (the
+	// largest at slab[0]), and slab[heapCap:] is a linear-probing
+	// membership table of them, a power of two at least 2·heapCap
+	// long, whose slot for v starts at slotOf(v) >> shift. Every
+	// uint64 is a valid hash, so the table cannot mark empty slots
+	// with one of them: it keeps every hash but 0, marks empty slots
+	// with 0, and zero records whether 0 is retained. The slab is
+	// nil until the first hash and grows to heapCap = k.
+	slab    []uint64
+	n       int
+	heapCap int
+	shift   uint8
+	zero    bool
 }
 
-type maxHeap []uint64
+// kmvMinCap is the heap capacity a KMV's first hash allocates; the
+// heap doubles from there up to k.
+const kmvMinCap = 16
 
-func (h maxHeap) Len() int            { return len(h) }
-func (h maxHeap) Less(i, j int) bool  { return h[i] > h[j] }
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(uint64)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
+// kmvSalt keys the membership table's slot function for this process,
+// so a crafted blob of hashes cannot pile them into one probe run. The
+// table's layout is never observable: the wire form is the sorted
+// value set, and Merge reads the donor's heap.
+var kmvSalt = rand.Uint64()
+
+// slotOf spreads v over the table's bits; the table's slot for v is
+// slotOf(v) >> shift. The retained hashes are the smallest seen, so
+// their high bits are all zero and must not index the table directly.
+func slotOf(v uint64) uint64 { return rng.Mix64(v ^ kmvSalt) }
 
 // NewKMV returns a KMV sketch retaining k minima; k must be at least 2.
 func NewKMV(k int, seed uint64) *KMV {
 	if k < 2 {
 		panic("sketch: KMV requires k >= 2")
 	}
-	return &KMV{
-		k:    k,
-		seed: seed,
-		h:    hashing.NewMixer(seed),
-		set:  make(map[uint64]struct{}, mapHint(k)),
-	}
+	return &KMV{k: k, seed: seed, h: hashing.NewMixer(seed)}
 }
 
 // KMVForEpsilon returns a KMV sized for standard error ε.
@@ -83,31 +93,146 @@ func (s *KMV) AddBatch(items []uint64) {
 	}
 }
 
+// addHash retains hv if it is among the k smallest distinct hashes
+// seen. A full sketch compares hv with its largest hash before it
+// probes the table: almost every hash of a long stream is rejected
+// there.
 func (s *KMV) addHash(hv uint64) {
-	if _, dup := s.set[hv]; dup {
+	if s.n == s.k {
+		if hv >= s.slab[0] || s.has(hv) {
+			return
+		}
+		s.unmark(s.slab[0])
+		s.mark(hv)
+		s.slab[0] = hv
+		s.siftDown()
 		return
 	}
-	if len(s.vals) < s.k {
-		s.set[hv] = struct{}{}
-		heap.Push(&s.vals, hv)
+	if s.has(hv) {
 		return
 	}
-	if hv >= s.vals[0] {
+	if s.n == s.heapCap {
+		s.grow(s.n + 1)
+	}
+	s.mark(hv)
+	s.slab[s.n] = hv
+	s.n++
+	s.siftUp()
+}
+
+// grow moves the state into a slab whose heap holds at least need
+// hashes: twice the old capacity, at least kmvMinCap, at most k.
+func (s *KMV) grow(need int) {
+	c := min(s.k, max(need, 2*s.heapCap, kmvMinCap))
+	size := 1 << bits.Len(uint(2*c-1)) // the power of two ≥ 2c
+	slab := make([]uint64, c+size)
+	copy(slab, s.slab[:s.n])
+	s.slab, s.heapCap, s.shift = slab, c, uint8(65-bits.Len(uint(size)))
+	for _, v := range slab[:s.n] {
+		s.mark(v)
+	}
+}
+
+// has reports whether hv is retained.
+func (s *KMV) has(hv uint64) bool {
+	if s.n == 0 {
+		return false
+	}
+	if hv == 0 {
+		return s.zero
+	}
+	t := s.slab[s.heapCap:]
+	mask := uint64(len(t) - 1)
+	for i := slotOf(hv) >> s.shift; ; i = (i + 1) & mask {
+		switch t[i] {
+		case hv:
+			return true
+		case 0:
+			return false
+		}
+	}
+}
+
+// mark enters hv, which is not retained, in the membership table.
+func (s *KMV) mark(hv uint64) {
+	if hv == 0 {
+		s.zero = true
 		return
 	}
-	delete(s.set, s.vals[0])
-	s.vals[0] = hv
-	heap.Fix(&s.vals, 0)
-	s.set[hv] = struct{}{}
+	t := s.slab[s.heapCap:]
+	mask := uint64(len(t) - 1)
+	i := slotOf(hv) >> s.shift
+	for t[i] != 0 {
+		i = (i + 1) & mask
+	}
+	t[i] = hv
+}
+
+// unmark removes the retained hv from the membership table, shifting
+// each later entry of its probe run back into the hole unless that
+// would move the entry before its own home slot. hv is the maximum of
+// a full heap of k ≥ 2 distinct hashes, so it is never 0.
+func (s *KMV) unmark(hv uint64) {
+	t := s.slab[s.heapCap:]
+	mask := uint64(len(t) - 1)
+	i := slotOf(hv) >> s.shift
+	for t[i] != hv {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; t[j] != 0; j = (j + 1) & mask {
+		if home := slotOf(t[j]) >> s.shift; (j-home)&mask >= (j-i)&mask {
+			t[i] = t[j]
+			i = j
+		}
+	}
+	t[i] = 0
+}
+
+// siftUp restores the heap after a hash was appended at slab[n-1].
+func (s *KMV) siftUp() {
+	h := s.slab
+	i := s.n - 1
+	v := h[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p] >= v {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = v
+}
+
+// siftDown restores the heap after its root was replaced.
+func (s *KMV) siftDown() {
+	h := s.slab[:s.n]
+	i := 0
+	v := h[0]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1] > h[c] {
+			c++
+		}
+		if v >= h[c] {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = v
 }
 
 // Estimate returns the approximate number of distinct items observed.
 func (s *KMV) Estimate() float64 {
-	if len(s.vals) < s.k {
-		return float64(len(s.vals)) // exact below saturation
+	if s.n < s.k {
+		return float64(s.n) // exact below saturation
 	}
 	// Normalize the k-th minimum to (0, 1): u = (max+1) / 2^64.
-	u := (float64(s.vals[0]) + 1) / (1 << 63) / 2
+	u := (float64(s.slab[0]) + 1) / (1 << 63) / 2
 	return float64(s.k-1) / u
 }
 
@@ -116,14 +241,22 @@ func (s *KMV) Merge(o *KMV) error {
 	if o.k != s.k || o.seed != s.seed {
 		return fmt.Errorf("%w: KMV k/seed mismatch", ErrIncompatible)
 	}
-	for _, hv := range o.vals {
+	for _, hv := range o.slab[:o.n] {
 		s.addHash(hv)
 	}
 	return nil
 }
 
+// Clone returns an independent copy of s: the same retained hashes,
+// with no state shared.
+func (s *KMV) Clone() *KMV {
+	c := *s
+	c.slab = slices.Clone(s.slab)
+	return &c
+}
+
 // SizeBytes returns the serialized size.
-func (s *KMV) SizeBytes() int { return 1 + 4 + 8 + 4 + 8*len(s.vals) }
+func (s *KMV) SizeBytes() int { return 1 + 4 + 8 + 4 + 8*s.n }
 
 // MarshalBinary encodes the sketch.
 func (s *KMV) MarshalBinary() ([]byte, error) {
@@ -131,10 +264,9 @@ func (s *KMV) MarshalBinary() ([]byte, error) {
 	w.U8(tagKMV)
 	w.U32(uint32(s.k))
 	w.U64(s.seed)
-	w.U32(uint32(len(s.vals)))
-	sorted := make([]uint64, len(s.vals))
-	copy(sorted, s.vals)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	w.U32(uint32(s.n))
+	sorted := slices.Clone(s.slab[:s.n])
+	slices.Sort(sorted)
 	for _, v := range sorted {
 		w.U64(v)
 	}
@@ -158,11 +290,9 @@ func (s *KMV) UnmarshalBinary(data []byte) error {
 	if k < 2 || n > k || r.Remaining() != 8*n {
 		return fmt.Errorf("%w: KMV header k=%d n=%d", ErrCorrupt, k, n)
 	}
-	tmp := &KMV{
-		k:    k,
-		seed: seed,
-		h:    hashing.NewMixer(seed),
-		set:  make(map[uint64]struct{}, n),
+	tmp := NewKMV(k, seed)
+	if n > 0 {
+		tmp.grow(n)
 	}
 	for i := 0; i < n; i++ {
 		tmp.addHash(r.U64())

@@ -126,6 +126,18 @@ func (s *Stable) Merge(o *Stable) error {
 	return nil
 }
 
+// Clone returns a copy of s with no variate table (ShareTable or its
+// first AddBatch gives it one). Each counter is written as 0 + v, the
+// addition a Merge into a fresh sketch makes, so the copy is bit for
+// bit that merge: a −0.0 counter becomes +0.0 in both.
+func (s *Stable) Clone() *Stable {
+	c := &Stable{p: s.p, reps: s.reps, seed: s.seed, sums: make([]float64, len(s.sums))}
+	for i, v := range s.sums {
+		c.sums[i] = 0 + v
+	}
+	return c
+}
+
 // SizeBytes returns the serialized size.
 func (s *Stable) SizeBytes() int { return 1 + 8 + 4 + 8 + 8*len(s.sums) }
 

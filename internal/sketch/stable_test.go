@@ -314,6 +314,35 @@ func TestStableMerge(t *testing.T) {
 	}
 }
 
+// TestStableCloneMatchesMergeIntoFresh pins Clone to the merge it
+// replaces, sign of zero included: a −0.0 counter must come out +0.0
+// from both, and every other counter unchanged.
+func TestStableCloneMatchesMergeIntoFresh(t *testing.T) {
+	s := NewStable(2, 8, 64)
+	s.AddCount(7, 3)
+	s.sums[0], s.sums[1], s.sums[2] = math.Copysign(0, -1), 0, math.Inf(-1)
+	fresh := NewStable(2, 8, 64)
+	if err := fresh.Merge(s); err != nil {
+		t.Fatal(err)
+	}
+	c := s.Clone()
+	if c.table != nil {
+		t.Fatal("a clone must not share its source's variate table")
+	}
+	for i := range c.sums {
+		if got, want := math.Float64bits(c.sums[i]), math.Float64bits(fresh.sums[i]); got != want {
+			t.Fatalf("counter %d: clone %#x, merge into a fresh sketch %#x", i, got, want)
+		}
+	}
+	if math.Signbit(c.sums[0]) {
+		t.Fatal("a −0.0 counter must clone to +0.0")
+	}
+	c.AddCount(9, 1)
+	if s.sums[3] != fresh.sums[3] || s.sums[4] != fresh.sums[4] {
+		t.Fatal("feeding a clone changed its source")
+	}
+}
+
 func TestStableSerializationRoundTrip(t *testing.T) {
 	s := NewStable(1.2, 40, 61)
 	src := rng.New(63)

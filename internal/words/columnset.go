@@ -170,24 +170,6 @@ func (c ColumnSet) Equal(o ColumnSet) bool {
 	return true
 }
 
-// IsSubsetOf reports whether C ⊆ o. It walks both sorted member
-// lists in place — no intersection materializes — so planners can
-// probe coverage on the query hot path without allocating.
-func (c ColumnSet) IsSubsetOf(o ColumnSet) bool {
-	c.mustSameDim(o)
-	j := 0
-	for _, x := range c.cols {
-		for j < len(o.cols) && o.cols[j] < x {
-			j++
-		}
-		if j >= len(o.cols) || o.cols[j] != x {
-			return false
-		}
-		j++
-	}
-	return true
-}
-
 func (c ColumnSet) mustSameDim(o ColumnSet) {
 	if c.d != o.d {
 		panic(fmt.Sprintf("words: dimension mismatch %d vs %d", c.d, o.d))

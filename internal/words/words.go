@@ -11,12 +11,12 @@
 //     flat stride-d buffer of rows, the unit of ingestion (one
 //     allocation and one bookkeeping pass per batch instead of per
 //     row) that core.Summary.ObserveBatch consumes.
-//   - Queries: ColumnSet is an immutable subset C ⊆ [d] with the set
-//     algebra the bounds are stated in (union, intersection, symmetric
-//     difference for the α-net neighbour distance) and the predicates
-//     planners route on (Equal for exact matches, IsSubsetOf for
-//     covering ones). Project/ProjectInto apply C to a row; AppendKey
-//     builds the canonical projection key that summaries hash.
+//   - Queries: ColumnSet is an immutable subset C ⊆ [d] with the
+//     little set algebra the summaries use (Diff, Complement,
+//     Contains, Mask) and Equal, on which the registry's planner
+//     routes exact matches. Project/ProjectInto apply C to a row;
+//     AppendKey builds the canonical projection key that summaries
+//     hash.
 //
 // Words are stored as []uint16 symbol slices, supporting alphabets up
 // to Q = 65536, which covers every parameter regime used by the paper
