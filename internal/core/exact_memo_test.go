@@ -117,9 +117,9 @@ func memoInvariant(t *testing.T, e *Exact) {
 	if sum != e.memo.bytes {
 		t.Fatalf("memo accounts %d bytes, entries hold %d", e.memo.bytes, sum)
 	}
-	if len(e.memo.entries) > maxMemoSets || e.memo.bytes > e.SizeBytes() {
+	if len(e.memo.entries) > maxMemoSets || e.memo.bytes > e.memoBudget() {
 		t.Fatalf("memo holds %d sets and %d bytes; bounds are %d sets and %d bytes",
-			len(e.memo.entries), e.memo.bytes, maxMemoSets, e.SizeBytes())
+			len(e.memo.entries), e.memo.bytes, maxMemoSets, e.memoBudget())
 	}
 }
 
@@ -184,7 +184,7 @@ func TestExactMemoStaysWithinTableBytes(t *testing.T) {
 		}
 	}
 	if st := e.MemoStats(); st.Evictions == 0 {
-		t.Fatalf("ten wide vectors fit beside a %d-byte table: %+v", e.SizeBytes(), st)
+		t.Fatalf("ten wide vectors fit beside a %d-byte table: %+v", e.memoBudget(), st)
 	}
 	// A vector larger than the whole table is handed out but not kept.
 	tiny := mustExact(t, 10, 2)

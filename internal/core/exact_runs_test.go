@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -142,9 +144,9 @@ func TestExactRunsMatchFlatConcatenation(t *testing.T) {
 				if !bytes.Equal(mustMarshal(t, s), flatExact(t, refs[k])) {
 					t.Fatalf("seed %d step %d: summary %d encodes differently from its flat reference", seed, step, k)
 				}
-				if s.Rows() != int64(refs[k].NumRows()) || s.SizeBytes() != refs[k].SizeBytes() {
+				if packed := refs[k].NumRows() * s.pk.Stride(); s.Rows() != int64(refs[k].NumRows()) || s.SizeBytes() != packed {
 					t.Fatalf("seed %d step %d: summary %d counts %d rows / %d bytes, reference %d / %d",
-						seed, step, k, s.Rows(), s.SizeBytes(), refs[k].NumRows(), refs[k].SizeBytes())
+						seed, step, k, s.Rows(), s.SizeBytes(), refs[k].NumRows(), packed)
 				}
 			}
 		}
@@ -169,16 +171,107 @@ func TestExactTableIsACopy(t *testing.T) {
 	}
 }
 
+// TestDecodeExactNamesRowAndSymbol: a symbol outside the alphabet, in
+// either payload layout, and a set padding bit are refused typed, the
+// error naming the row and what is wrong with it.
 func TestDecodeExactNamesRowAndSymbol(t *testing.T) {
-	e := mustExact(t, 3, 4)
-	e.ObserveBatch(words.BatchOf(3, []uint16{0, 1, 2, 3, 3, 3, 1, 0, 2}))
+	syms := []uint16{0, 1, 2, 2, 2, 2, 1, 0, 2}
+	e := mustExact(t, 3, 3) // 2 bits a symbol, one byte a row
+	e.ObserveBatch(words.BatchOf(3, syms))
+	packed := mustMarshal(t, e)
+	legacy, err := appendEnvelope(KindExact, 3, 3, 0, 3, words.AppendSymbolsLE(nil, syms))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outside := bytes.Clone(packed)
+	outside[envelopeSize+2] |= 3 << 2 // row 2, column 1
+	padding := bytes.Clone(packed)
+	padding[envelopeSize+1] |= 1 << 7 // row 1
+	legacy[envelopeSize+2*7] = 9      // row 2, column 1
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want []string
+	}{
+		{"packed symbol", outside, []string{"row 2", "symbol 3"}},
+		{"packed padding", padding, []string{"row 1", "padding"}},
+		{"u16 symbol", legacy, []string{"row 2", "symbol 9"}},
+	} {
+		_, err := UnmarshalSummary(c.blob)
+		if !errors.Is(err, ErrBadEncoding) {
+			t.Fatalf("%s: %v, want ErrBadEncoding", c.name, err)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: error %q does not say %q", c.name, err, w)
+			}
+		}
+	}
+}
+
+// TestExactObserveRefusesOutsideAlphabet: a symbol outside [Q] panics,
+// naming its row and value, and the summary keeps none of the batch,
+// even when the batch filled its tail and started a run before the
+// symbol came up.
+func TestExactObserveRefusesOutsideAlphabet(t *testing.T) {
+	e := grownExact(t, 8)
 	blob := mustMarshal(t, e)
-	blob[envelopeSize+2*7] = 9 // row 2, column 1
-	_, err := UnmarshalSummary(blob)
-	if !errors.Is(err, ErrBadEncoding) {
-		t.Fatalf("out-of-alphabet symbol: %v, want ErrBadEncoding", err)
+	n := runBytes/e.pk.Stride() + 100 // more rows than a run holds
+	bad := testData(n, 9)
+	bad.Row(n - 2)[3] = 2
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if want := fmt.Sprintf("row %d symbol 2", n-2); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not say %q", msg, want)
+			}
+		}()
+		e.ObserveBatch(bad.Batch())
+	}()
+	if !bytes.Equal(mustMarshal(t, e), blob) {
+		t.Fatal("the refused batch left rows behind")
 	}
-	if msg := err.Error(); !strings.Contains(msg, "row 2") || !strings.Contains(msg, "symbol 9") {
-		t.Fatalf("error %q does not name the row and the symbol", msg)
+	more := testData(30, 10)
+	e.ObserveBatch(more.Batch())
+	ref := grownExact(t, 8).Table()
+	ref.AppendBatch(more.Batch())
+	if !bytes.Equal(mustMarshal(t, e), flatExact(t, ref)) {
+		t.Fatal("rows ingested after the refusal differ from the reference")
 	}
+}
+
+// TestExactMergeStrandsNoSpareRoom: rows observed and merged in turns,
+// as a node's shard takes pushes between batches, keep about the bytes
+// they pack. A merge closes the receiver's own tail for good, so the
+// tail's spare room would otherwise stay allocated under every merge.
+func TestExactMergeStrandsNoSpareRoom(t *testing.T) {
+	const turns = 200
+	donors := make([]Summary, turns)
+	for i := range donors {
+		d := mustExact(t, 10, 2)
+		d.ObserveBatch(testData(10, uint64(i)).Batch())
+		s, err := UnmarshalSummary(mustMarshal(t, d)) // as a push decodes it
+		if err != nil {
+			t.Fatal(err)
+		}
+		donors[i] = s
+	}
+	rows := testData(10, 99).Batch()
+	e := mustExact(t, 10, 2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, d := range donors {
+		e.ObserveBatch(rows)
+		if err := e.Merge(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 1<<20 {
+		t.Fatalf("%d turns of 10 observed and 10 merged rows (%d bytes packed) hold %d more heap bytes",
+			turns, e.SizeBytes(), grown)
+	}
+	runtime.KeepAlive(donors)
 }

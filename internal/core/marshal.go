@@ -24,7 +24,9 @@ import (
 //	0      4    magic "PFQS"
 //	4      1    format version (WireVersion)
 //	5      1    summary kind (SummaryKind)
-//	6      2    reserved, must be zero
+//	6      1    payload layout: 0, or 1 for the exact kind's packed
+//	            rows
+//	7      1    reserved, must be zero
 //	8      4    dimension d
 //	12     4    alphabet size Q
 //	16     8    construction seed (zero when the kind carries its
@@ -173,6 +175,7 @@ func badEncoding(format string, args ...interface{}) error {
 // envelope is the decoded wire header.
 type envelope struct {
 	kind    SummaryKind
+	layout  uint8
 	d, q    int
 	seed    uint64
 	rows    int64
@@ -183,7 +186,7 @@ type envelope struct {
 // payload length must fit the envelope's u32 length field; callers
 // surface the error instead of emitting a silently truncated blob.
 func appendEnvelope(kind SummaryKind, d, q int, seed uint64, rows int64, payload []byte) ([]byte, error) {
-	w, err := envelopeWriter(kind, d, q, seed, rows, len(payload))
+	w, err := envelopeWriter(kind, 0, d, q, seed, rows, len(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -192,9 +195,10 @@ func appendEnvelope(kind SummaryKind, d, q int, seed uint64, rows int64, payload
 }
 
 // envelopeWriter writes the 36-byte header for a payload of plen bytes
-// into a writer with room for the payload too, so a kind can encode
-// its payload in place instead of copying it in after the header.
-func envelopeWriter(kind SummaryKind, d, q int, seed uint64, rows int64, plen int) (*wire.Writer, error) {
+// in the given layout into a writer with room for the payload too, so
+// a kind can encode its payload in place instead of copying it in
+// after the header.
+func envelopeWriter(kind SummaryKind, layout uint8, d, q int, seed uint64, rows int64, plen int) (*wire.Writer, error) {
 	if int64(plen) > int64(^uint32(0)) {
 		return nil, fmt.Errorf("core: %s summary payload of %d bytes exceeds the wire format's 4 GiB limit", kind, plen)
 	}
@@ -202,7 +206,8 @@ func envelopeWriter(kind SummaryKind, d, q int, seed uint64, rows int64, plen in
 	w.Raw(wireMagic[:])
 	w.U8(WireVersion)
 	w.U8(uint8(kind))
-	w.U16(0) // reserved
+	w.U8(layout)
+	w.U8(0) // reserved
 	w.U32(uint32(d))
 	w.U32(uint32(q))
 	w.U64(seed)
@@ -231,7 +236,8 @@ func parseEnvelope(data []byte) (envelope, error) {
 			return envelope{}, badEncoding("unknown summary kind %d", uint8(kind))
 		}
 	}
-	if data[6] != 0 || data[7] != 0 {
+	layout := data[6]
+	if data[7] != 0 || layout != 0 && kind != KindExact {
 		return envelope{}, badEncoding("non-zero reserved envelope bytes")
 	}
 	d := int(binary.LittleEndian.Uint32(data[8:]))
@@ -251,7 +257,7 @@ func parseEnvelope(data []byte) (envelope, error) {
 	if plen != len(data)-envelopeSize {
 		return envelope{}, badEncoding("payload length %d does not match %d remaining bytes", plen, len(data)-envelopeSize)
 	}
-	return envelope{kind: kind, d: d, q: q, seed: seed, rows: rows, payload: data[envelopeSize:]}, nil
+	return envelope{kind: kind, layout: layout, d: d, q: q, seed: seed, rows: rows, payload: data[envelopeSize:]}, nil
 }
 
 // payloadReader wraps the payload in a reader whose truncation errors
@@ -301,43 +307,70 @@ func UnmarshalSummary(data []byte) (Summary, error) {
 
 // --- Exact ---
 
-// MarshalBinary encodes the summary: the envelope followed by the
-// retained rows, row-major, in the flat symbol codec
-// (words.AppendSymbolsLE), written run by run into the one buffer
-// that holds the header.
+// The exact payload's layouts, named by the envelope's layout byte.
+// The packed rows cannot be told from the u16 symbols by their length
+// alone: at n·d = 1 and Q ≤ 256 both are two bytes.
+const (
+	// exactLayoutSymbols is the layout earlier encoders wrote: n·d
+	// little-endian u16 symbols in the flat symbol codec. Decoders
+	// still read it and pack the rows.
+	exactLayoutSymbols = 0
+	// exactLayoutPacked is n rows in words.Packing's layout, n·s bytes
+	// with every padding bit zero.
+	exactLayoutPacked = 1
+)
+
+// MarshalBinary encodes the summary: the envelope, in the packed
+// layout, followed by every run's bytes in order, written into the one
+// buffer that holds the header.
 func (e *Exact) MarshalBinary() ([]byte, error) {
-	w, err := envelopeWriter(KindExact, e.d, e.q, 0, e.Rows(), 2*e.n*e.d)
+	w, err := envelopeWriter(KindExact, exactLayoutPacked, e.d, e.q, 0, e.Rows(), e.SizeBytes())
 	if err != nil {
 		return nil, err
 	}
 	buf := w.Bytes()
 	for _, r := range e.runs {
-		buf = words.AppendSymbolsLE(buf, r)
+		buf = append(buf, r...)
 	}
 	return buf, nil
 }
 
-// decodeExact reads the rows straight into one owned run, checking
-// each symbol against the alphabet in the same pass.
+// decodeExact reads the rows into one run, checking every symbol
+// against the alphabet and, in the packed layout, every padding bit.
 func decodeExact(env envelope) (*Exact, error) {
-	// Division-based check: rows × d × 2 must equal the payload length
-	// exactly, with no way for a huge claimed row count to overflow.
-	rowBytes := int64(2 * env.d)
-	if int64(len(env.payload))%rowBytes != 0 || env.rows != int64(len(env.payload))/rowBytes {
-		return nil, badEncoding("exact payload of %d bytes for %d rows × %d cols", len(env.payload), env.rows, env.d)
-	}
 	e, err := NewExact(env.d, env.q)
 	if err != nil {
 		return nil, err
 	}
+	rowBytes := int64(e.pk.Stride())
+	if env.layout == exactLayoutSymbols {
+		rowBytes = int64(2 * env.d)
+	} else if env.layout != exactLayoutPacked {
+		return nil, badEncoding("unknown exact payload layout %d", env.layout)
+	}
+	// Division-based check: rows × rowBytes must equal the payload
+	// length exactly, with no way for a huge claimed row count to
+	// overflow.
+	if int64(len(env.payload))%rowBytes != 0 || env.rows != int64(len(env.payload))/rowBytes {
+		return nil, badEncoding("exact payload of %d bytes for %d rows × %d cols", len(env.payload), env.rows, env.d)
+	}
 	if env.rows == 0 {
 		return e, nil
 	}
-	run := make([]uint16, len(env.payload)/2)
-	if i := words.DecodeSymbolsLE(run, env.payload, env.q); i >= 0 {
-		return nil, badEncoding("exact payload: row %d symbol %d outside alphabet [%d]", i/env.d, run[i], env.q)
+	run := make([]byte, int(env.rows)*e.pk.Stride())
+	if env.layout == exactLayoutPacked {
+		if err := e.pk.Verify(env.payload); err != nil {
+			return nil, badEncoding("exact payload: %v", err)
+		}
+		copy(run, env.payload)
+	} else {
+		syms := make([]uint16, len(env.payload)/2)
+		if i := words.DecodeSymbolsLE(syms, env.payload, env.q); i >= 0 {
+			return nil, badEncoding("exact payload: row %d symbol %d outside alphabet [%d]", i/env.d, syms[i], env.q)
+		}
+		e.pk.Pack(run, syms)
 	}
-	e.runs, e.own, e.n = [][]uint16{run}, true, int(env.rows)
+	e.runs, e.n = [][]byte{run}, int(env.rows)
 	return e, nil
 }
 

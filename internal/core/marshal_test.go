@@ -259,7 +259,8 @@ func TestUnmarshalCorruptBlobsFailTyped(t *testing.T) {
 			{"magic", 0, 'X'},
 			{"version", 4, 99},
 			{"kind", 5, 200},
-			{"reserved", 6, 1},
+			{"layout", 6, 2},
+			{"reserved", 7, 1},
 			{"dim", 8, 0xFF},
 			{"alphabet", 12, 0},
 		} {

@@ -109,7 +109,7 @@ func TestExactEpochReadersWhileShardsAppend(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(blob) != 36+2*16*int(n) {
+		if len(blob) != 36+4*int(n) { // 16 symbols over [4], packed
 			return fmt.Errorf("epoch %d at %d rows encodes to %d bytes", info.Seq, n, len(blob))
 		}
 		if first, loaded := blobs.LoadOrStore(info.Seq, blob); loaded && !bytes.Equal(first.([]byte), blob) {

@@ -156,19 +156,47 @@ func (v *Vector) Add(key string, count int64) {
 // hashing.AppendFingerprints64 hashes them in one pass — so only
 // genuinely new patterns grow the vector.
 func (v *Vector) AddBatch(b *words.Batch, c words.ColumnSet) {
-	d, symbols, stride := b.Dim(), b.Symbols(), 2*c.Len()
+	d, symbols := b.Dim(), b.Symbols()
 	var (
-		chunk  words.Batch
-		keys   []byte
-		prints []uint64
+		chunk words.Batch
+		p     pipeline
 	)
 	for lo := 0; lo < len(symbols); lo += batchChunk * d {
 		chunk.Bind(d, symbols[lo:min(lo+batchChunk*d, len(symbols))])
-		keys = words.AppendBatchKeys(keys[:0], &chunk, c)
-		prints = hashing.AppendFingerprints64(prints[:0], keys, chunk.Len(), stride)
-		for i, fp := range prints {
-			v.add(fp, keys[i*stride:(i+1)*stride], 1)
+		p.keys = words.AppendBatchKeys(p.keys[:0], &chunk, c)
+		p.add(v, chunk.Len(), c)
+	}
+}
+
+// AddPacked counts the projections onto c of every row of the runs,
+// each holding whole rows in the packed layout pk, in order. The packed
+// key builder (words.Packing.AppendKeys) emits the keys AddBatch builds
+// for the same rows unpacked, so the vector, its entry order included,
+// is the one AddBatch builds.
+func (v *Vector) AddPacked(pk words.Packing, c words.ColumnSet, runs ...[]byte) {
+	var p pipeline
+	step := batchChunk * pk.Stride()
+	for _, run := range runs {
+		for lo := 0; lo < len(run); lo += step {
+			chunk := run[lo:min(lo+step, len(run))]
+			p.keys = pk.AppendKeys(p.keys[:0], chunk, c)
+			p.add(v, len(chunk)/pk.Stride(), c)
 		}
+	}
+}
+
+// pipeline is the key pipeline's arenas, shared by a pass's chunks.
+type pipeline struct {
+	keys   []byte
+	prints []uint64
+}
+
+// add fingerprints the n keys in p.keys and counts each one.
+func (p *pipeline) add(v *Vector, n int, c words.ColumnSet) {
+	stride := 2 * c.Len()
+	p.prints = hashing.AppendFingerprints64(p.prints[:0], p.keys, n, stride)
+	for i, fp := range p.prints {
+		v.add(fp, p.keys[i*stride:(i+1)*stride], 1)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"sync"
 
 	"repro/internal/hashing"
 	"repro/internal/rng"
@@ -105,7 +106,7 @@ func (s *KMV) addHash(hv uint64) {
 		s.unmark(s.slab[0])
 		s.mark(hv)
 		s.slab[0] = hv
-		s.siftDown()
+		s.siftDown(0)
 		return
 	}
 	if s.has(hv) {
@@ -204,11 +205,10 @@ func (s *KMV) siftUp() {
 	h[i] = v
 }
 
-// siftDown restores the heap after its root was replaced.
-func (s *KMV) siftDown() {
+// siftDown restores the heap below slab[i] after slab[i] was replaced.
+func (s *KMV) siftDown(i int) {
 	h := s.slab[:s.n]
-	i := 0
-	v := h[0]
+	v := h[i]
 	for {
 		c := 2*i + 1
 		if c >= len(h) {
@@ -237,15 +237,101 @@ func (s *KMV) Estimate() float64 {
 }
 
 // Merge unions another KMV into s. Both must share k and seed.
+//
+// Only the donor's hashes that s does not hold, and that lie below a
+// full s's maximum, can change s; they are collected into a buffer
+// pooled across merges. If they fit beside s's hashes they are added.
+// Otherwise the k smallest of both are selected in one pass and the
+// heap and table are rebuilt once, instead of inserting each donor
+// hash over the maximum only for a smaller one to evict it again. The
+// retained set is the k smallest of the union either way.
 func (s *KMV) Merge(o *KMV) error {
 	if o.k != s.k || o.seed != s.seed {
 		return fmt.Errorf("%w: KMV k/seed mismatch", ErrIncompatible)
 	}
+	buf := mergeBufs.Get().(*[]uint64)
+	defer mergeBufs.Put(buf)
+	fresh := (*buf)[:0]
 	for _, hv := range o.slab[:o.n] {
-		s.addHash(hv)
+		if (s.n < s.k || hv < s.slab[0]) && !s.has(hv) {
+			fresh = append(fresh, hv)
+		}
 	}
+	if s.n+len(fresh) <= s.k {
+		for _, hv := range fresh {
+			s.addHash(hv)
+		}
+		*buf = fresh
+		return nil
+	}
+	all := append(fresh, s.slab[:s.n]...)
+	selectSmallest(all, s.k)
+	s.refill(all[:s.k])
+	*buf = all
 	return nil
 }
+
+// refill replaces the retained hashes by vals, k distinct hashes:
+// heap and membership table are rebuilt from scratch.
+func (s *KMV) refill(vals []uint64) {
+	if s.heapCap < len(vals) {
+		s.grow(len(vals))
+	}
+	clear(s.slab[s.heapCap:])
+	s.zero = false
+	s.n = copy(s.slab, vals)
+	for i := s.n/2 - 1; i >= 0; i-- {
+		s.siftDown(i)
+	}
+	for _, v := range s.slab[:s.n] {
+		s.mark(v)
+	}
+}
+
+// selectSmallest reorders a, whose values are distinct, so that a[:k]
+// holds its k smallest values (in no particular order).
+func selectSmallest(a []uint64, k int) {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		// Median of three as the pivot, then a Hoare partition.
+		m := lo + (hi-lo)/2
+		if a[m] < a[lo] {
+			a[m], a[lo] = a[lo], a[m]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[m] {
+			a[hi], a[m] = a[m], a[hi]
+		}
+		p := a[m]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i, j = i+1, j-1
+			}
+		}
+		// a[lo:j+1] ≤ p ≤ a[i:hi+1]; a[j+1:i], if any, equals p.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// mergeBufs holds the buffers Merge collects a donor's hashes in.
+var mergeBufs = sync.Pool{New: func() any { return new([]uint64) }}
 
 // Clone returns an independent copy of s: the same retained hashes,
 // with no state shared.

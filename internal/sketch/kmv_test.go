@@ -172,3 +172,67 @@ func TestKMVCloneIsIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestKMVMergedSketchFeedsOn checks the state a merge rebuilds: a
+// sketch that took the k smallest of two full sketches keeps matching
+// the reference as it is fed on and merged into again, with the hashes
+// 0 and 2⁶⁴−1 among the values.
+func TestKMVMergedSketchFeedsOn(t *testing.T) {
+	src := rng.New(53)
+	for _, k := range []int{2, 3, 17, 403} {
+		for _, pool := range []int{40, 4000} {
+			stream := kmvStream(src, 4000, pool)
+			ref := kmvReference{}
+			m := NewKMV(k, 9)
+			for part := range 4 {
+				donor := NewKMV(k, 9)
+				for _, hv := range stream[part*1000 : part*1000+700] {
+					donor.addHash(hv)
+					ref[hv] = struct{}{}
+				}
+				if err := m.Merge(donor); err != nil {
+					t.Fatal(err)
+				}
+				checkKMV(t, "merged", m, ref)
+				for _, hv := range stream[part*1000+700 : (part+1)*1000] {
+					m.addHash(hv)
+					ref[hv] = struct{}{}
+				}
+				checkKMV(t, "merged and fed on", m, ref)
+			}
+		}
+	}
+}
+
+// TestSelectSmallest checks the merge's selection on sorted, reversed
+// and shuffled inputs of every length up to 40 and every k below it.
+func TestSelectSmallest(t *testing.T) {
+	src := rng.New(59)
+	for n := 1; n <= 40; n++ {
+		for k := range n {
+			for order := range 3 {
+				a := make([]uint64, n)
+				for i := range a {
+					a[i] = uint64(10 * i)
+				}
+				switch order {
+				case 1:
+					slices.Reverse(a)
+				case 2:
+					for i := n - 1; i > 0; i-- {
+						j := src.Intn(i + 1)
+						a[i], a[j] = a[j], a[i]
+					}
+				}
+				selectSmallest(a, k)
+				low := slices.Clone(a[:k])
+				slices.Sort(low)
+				for i, v := range low {
+					if v != uint64(10*i) {
+						t.Fatalf("n=%d k=%d order %d: a[:k] = %v", n, k, order, a[:k])
+					}
+				}
+			}
+		}
+	}
+}

@@ -18,17 +18,8 @@ func AppendBatchKeys(dst []byte, b *Batch, c ColumnSet) []byte {
 	if c.d != b.d {
 		panic(fmt.Sprintf("words: column set over [%d] applied to batch of dimension %d", c.d, b.d))
 	}
-	n := b.Len()
-	stride := 2 * len(c.cols)
-	base := len(dst)
-	need := base + n*stride
-	if cap(dst) < need {
-		grown := make([]byte, base, need)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:need]
-	off := base
+	off := len(dst)
+	dst = growLen(dst, b.Len()*2*len(c.cols))
 	data := b.data
 	for lo := 0; lo < len(data); lo += b.d {
 		row := data[lo : lo+b.d]
@@ -40,4 +31,15 @@ func AppendBatchKeys(dst []byte, b *Batch, c ColumnSet) []byte {
 		}
 	}
 	return dst
+}
+
+// growLen extends dst by k bytes, reallocating at most once.
+func growLen(dst []byte, k int) []byte {
+	need := len(dst) + k
+	if cap(dst) < need {
+		grown := make([]byte, len(dst), need)
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst[:need]
 }

@@ -4,9 +4,10 @@ import "encoding/binary"
 
 // This file is the flat symbol codec: rows as one run of
 // little-endian u16 symbols, two bytes a symbol and no framing. It is
-// the body of a WAL batch record and of an Exact summary's wire
-// payload. Both directions move 8 bytes (4 symbols) a step, and the
-// decoder checks the alphabet in the same pass.
+// the body of a WAL batch record and of the exact summary's earlier
+// wire payload, which decoders still read (the current one is packed
+// rows, packed.go). Both directions move 8 bytes (4 symbols) a step,
+// and the decoder checks the alphabet in the same pass.
 //
 // The check is SWAR (SIMD within a register) for q ≤ 2¹⁵. With
 // k = 0x8000 − q in every 16-bit lane, a lane x ends with its high
