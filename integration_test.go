@@ -84,13 +84,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatalf("sampled frequency %v vs exact %v", est, heavy[0].Estimate)
 	}
 
-	// The sample retains fewer symbols than the stream holds. Its slots
-	// keep u16 symbols, while the exact summary packs them at
-	// ⌈log₂3⌉ = 2 bits: with ~11.8k slots against 20k rows the packed
-	// exact summary is the smaller of the two here, so the sample is
-	// held to the stream's size in its own representation.
-	if streamBytes := 2 * int(exact.Rows()) * exact.Dim(); !(sample.SizeBytes() < streamBytes) {
-		t.Fatalf("sample bytes %d !< the stream's %d bytes of u16 symbols", sample.SizeBytes(), streamBytes)
+	// Space ordering: sample < exact on this shape. Both pack a row in
+	// 3 bytes, and the sample keeps ~11.8k of the 20k rows.
+	if !(sample.SizeBytes() < exact.SizeBytes()) {
+		t.Fatalf("sample bytes %d !< exact bytes %d", sample.SizeBytes(), exact.SizeBytes())
 	}
 }
 

@@ -17,6 +17,9 @@ import (
 //   - Pack flags exactly the first symbol outside [q];
 //   - the packed key builder emits the bytes AppendBatchKeys emits for
 //     the unpacked rows, and Unpack returns the rows;
+//   - Unpack of any bytes, fields outside [q] and set padding bits
+//     included, reads each field where the per-symbol reference does,
+//     and Verify refuses exactly those bytes with such a field or bit;
 //   - an exact summary's blob decodes to the same rows and re-encodes
 //     to the same bytes;
 //   - a blob with a field outside [q] or a set padding bit is refused
@@ -27,6 +30,13 @@ func FuzzPackedRows(f *testing.F) {
 	f.Add(uint8(37), uint16(998), uint64(1<<36|1<<9|1), bytes.Repeat([]byte{0xa5, 0x03}, 37*3))
 	f.Add(uint8(4), uint16(65534), uint64(0b1111), []byte{0xff, 0xff, 0, 0x80, 1, 0, 2, 0})
 	f.Add(uint8(1), uint16(0), uint64(1), []byte{1, 0, 0, 0, 9, 0})
+	// One shape for each of Unpack's passes: the flat one at b = 2, the
+	// row table at b = 3, the flat one over rows wider than a word, and
+	// the field-by-field one past a word at b = 3.
+	f.Add(uint8(15), uint16(2), uint64(0xf0f0), bytes.Repeat([]byte{0x1b, 0xe4, 0x03, 0x00}, 24))
+	f.Add(uint8(7), uint16(5), uint64(0b1011_0110), bytes.Repeat([]byte{0xff, 0x06, 0x35, 0x01}, 20))
+	f.Add(uint8(35), uint16(1), uint64(1<<35|1), bytes.Repeat([]byte{0x02, 0x00, 0x01, 0x00, 0x03}, 40))
+	f.Add(uint8(23), uint16(3), uint64(0xabcdef), bytes.Repeat([]byte{0x04, 0x00, 0x01}, 70))
 	f.Fuzz(func(t *testing.T, dRaw uint8, qRaw uint16, colMask uint64, raw []byte) {
 		d := int(dRaw)%40 + 1
 		q := 2 + int(qRaw)%(words.MaxAlphabet-1)
@@ -69,6 +79,23 @@ func FuzzPackedRows(f *testing.F) {
 		if !slices.Equal(back, syms) {
 			t.Fatalf("d=%d q=%d: unpacked %v, want %v", d, q, back, syms)
 		}
+		anyRows := raw[:len(raw)/s*s]
+		fields := make([]uint16, len(anyRows)/s*d)
+		pk.Unpack(fields, anyRows)
+		clean := true
+		for r := range len(anyRows) / s {
+			row := anyRows[r*s : (r+1)*s]
+			for j := range d {
+				if want := refField(row, j*b, b); fields[r*d+j] != want {
+					t.Fatalf("d=%d q=%d: row %d field %d unpacked as %d, the reference reads %d", d, q, r, j, fields[r*d+j], want)
+				}
+				clean = clean && int(fields[r*d+j]) < q
+			}
+			clean = clean && refField(row, d*b, 8*s-d*b) == 0
+		}
+		if err := pk.Verify(anyRows); (err == nil) != clean {
+			t.Fatalf("d=%d q=%d: Verify says %v of rows the reference finds clean=%v", d, q, err, clean)
+		}
 
 		e := mustExact(t, d, q)
 		e.ObserveBatch(words.BatchOf(d, syms))
@@ -105,6 +132,16 @@ func FuzzPackedRows(f *testing.F) {
 			refused(t, bad, "field outside the alphabet")
 		}
 	})
+}
+
+// refField is the per-symbol reference reader: the w bits of row from
+// bit offset at, little-endian.
+func refField(row []byte, at, w int) uint16 {
+	var v uint16
+	for k := range w {
+		v |= uint16(row[(at+k)/8]>>((at+k)%8)&1) << k
+	}
+	return v
 }
 
 // refused checks that a corrupted exact blob fails with ErrBadEncoding.

@@ -386,12 +386,19 @@ const (
 	// ablation option: one 32-byte xoshiro state, then the retained
 	// rows. Decoders refuse it.
 	wireSampleReservoirRetired = 1
-	wireSampleWR               = 2
+	// wireSampleWRU16 (2) is the with-replacement sampler whose rows
+	// are u16 symbols behind a u32 length each. Decoders still read it
+	// and pack the rows.
+	wireSampleWRU16 = 2
+	// wireSampleWR (3) is the with-replacement sampler whose rows are
+	// one slab of packed rows (sample.WithReplacement.MarshalBinary).
+	wireSampleWR = 3
 )
 
 // MarshalBinary encodes the summary: the envelope, the sampler-mode
-// byte 2, and the sampler's own serialization (rows plus generator
-// state, so merges of a decoded summary match the original exactly).
+// byte 3, and the sampler's own serialization (packed rows plus
+// generator state, so merges of a decoded summary match the original
+// exactly).
 func (s *Sample) MarshalBinary() ([]byte, error) {
 	blob, err := s.wr.MarshalBinary()
 	if err != nil {
@@ -406,8 +413,11 @@ func decodeSample(env envelope) (*Sample, error) {
 		return nil, badEncoding("sample payload missing mode byte")
 	}
 	mode, blob := env.payload[0], env.payload[1:]
+	decode := sample.Decode
 	switch mode {
-	case wireSampleWR: // decoded below
+	case wireSampleWR:
+	case wireSampleWRU16:
+		decode = sample.DecodeU16
 	case wireSampleWRRetired:
 		return nil, badEncoding("retired sampler mode %d (with-replacement slots that drew once per row, before skip-ahead slots)", mode)
 	case wireSampleReservoirRetired:
@@ -415,25 +425,14 @@ func decodeSample(env envelope) (*Sample, error) {
 	default:
 		return nil, badEncoding("unknown sampler mode %d", mode)
 	}
-	s := &Sample{d: env.d, q: env.q, wr: &sample.WithReplacement{}}
-	if err := s.wr.UnmarshalBinary(blob); err != nil {
+	wr, err := decode(words.NewPacking(env.d, env.q), blob)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadEncoding, err)
 	}
-	if s.Rows() != env.rows {
-		return nil, badEncoding("sampler has seen %d rows, envelope says %d", s.Rows(), env.rows)
+	if wr.Seen() != env.rows {
+		return nil, badEncoding("sampler has seen %d rows, envelope says %d", wr.Seen(), env.rows)
 	}
-	for i, row := range s.wr.Rows() {
-		if row == nil {
-			continue
-		}
-		if len(row) != env.d {
-			return nil, badEncoding("sample row %d has %d symbols, dimension is %d", i, len(row), env.d)
-		}
-		if err := row.Validate(env.q); err != nil {
-			return nil, badEncoding("sample row %d: %v", i, err)
-		}
-	}
-	return s, nil
+	return &Sample{d: env.d, q: env.q, wr: wr}, nil
 }
 
 // --- Net ---

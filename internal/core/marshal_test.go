@@ -571,7 +571,7 @@ func retiredSampleModeBlob(t testing.TB, d, q int, mode byte) []byte {
 
 // TestRetiredSampleModeRefused: sampler modes 0 and 1 decode to
 // ErrBadEncoding naming the retired mode, and the with-replacement
-// sampler encodes under mode 2.
+// sampler encodes under mode 3.
 func TestRetiredSampleModeRefused(t *testing.T) {
 	for _, mode := range []byte{0, 1} {
 		_, err := UnmarshalSummary(retiredSampleModeBlob(t, 5, 3, mode))

@@ -44,7 +44,7 @@ func NewSample(d, q, t int, seed uint64) (*Sample, error) {
 	if t < 1 {
 		return nil, badParam("sample", "t", t, "must be positive")
 	}
-	return &Sample{d: d, q: q, wr: sample.NewWithReplacement(t, seed)}, nil
+	return &Sample{d: d, q: q, wr: sample.NewWithReplacementPacked(words.NewPacking(d, q), t, seed)}, nil
 }
 
 // NewSampleForError sizes the summary per Theorem 5.1 for additive
@@ -85,8 +85,10 @@ func (s *Sample) Observe(w words.Word) {
 }
 
 // ObserveBatch feeds the batch to the sampler, which only counts a
-// batch in which no slot's next acceptance falls, and otherwise clones
-// at most one row per slot that accepts.
+// batch in which no slot's next acceptance falls, and otherwise packs
+// at most one row per slot that accepts into the slot's place. It
+// panics if b's dimension differs from the summary's, or if a row a
+// slot takes has a symbol outside [Q].
 func (s *Sample) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))
@@ -103,13 +105,9 @@ func (s *Sample) Alphabet() int { return s.q }
 // Rows returns n.
 func (s *Sample) Rows() int64 { return s.wr.Seen() }
 
-// SizeBytes counts the stored rows plus counters.
+// SizeBytes counts the t packed rows, s bytes each, plus counters.
 func (s *Sample) SizeBytes() int {
-	n := 16
-	for _, r := range s.wr.Rows() {
-		n += 2 * len(r)
-	}
-	return n
+	return 16 + s.wr.Size()*words.NewPacking(s.d, s.q).Stride()
 }
 
 // Name identifies the summary.

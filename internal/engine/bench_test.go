@@ -268,17 +268,18 @@ func BenchmarkEpochRebuildNet(b *testing.B) {
 }
 
 // replayRecords is the record count of the replay fixture's log tail:
-// 2,048 batches of 256 rows at d = 16 are 16.8 MB, two full 8 MiB
-// segments and a short third.
+// 2,048 batches of 256 rows at d = 16 take 2.1 MB of packed rows at
+// q = 4 and 3.2 MB at q = 7, one segment each (16.8 MB and three
+// segments as u16 symbols).
 const replayRecords = 2048
 
-// replayFixture writes a log tail shaped like durable-mixed's into a
-// temporary directory — 256-row Zipf batches at d = 16, q = 4, cycled
-// from a pool of 64 — and returns the store opened over it and the
-// tail's row count.
-func replayFixture(tb testing.TB) (*store.Store, int64) {
+// replayFixture writes a log tail shaped like durable-mixed's, over
+// [q], into a temporary directory — 256-row Zipf batches at d = 16,
+// cycled from a pool of 64 — and returns the store opened over it and
+// the tail's row count.
+func replayFixture(tb testing.TB, q int) (*store.Store, int64) {
 	tb.Helper()
-	const d, q, batchRows, pool = 16, 4, 256, 64
+	const d, batchRows, pool = 16, 256, 64
 	opts := store.Options{Dir: tb.TempDir(), Dim: d, Alphabet: q, Fsync: store.FsyncNever}
 	w, err := store.Open(opts)
 	if err != nil {
@@ -307,14 +308,22 @@ func replayFixture(tb testing.TB) (*store.Store, int64) {
 // BenchmarkReplay times recovery of that tail into the durable-mixed
 // engine (2 shards of Theorem 5.1's sampler at ε 0.2, δ 0.1): reading
 // the segments, verifying every frame, decoding the rows and routing
-// them, up to the workers' last row. One iteration is one whole
-// recovery; ns/row divides it by the tail's rows.
+// them, up to the workers' last row. At q = 4 every 2-bit field is a
+// symbol; at q = 7 verifying a frame checks each 3-bit field against
+// the alphabet. One iteration is one whole recovery; ns/row divides it
+// by the tail's rows.
 //
 //	go test ./internal/engine -run '^$' -bench Replay -benchmem
 func BenchmarkReplay(b *testing.B) {
-	st, rows := replayFixture(b)
+	for _, q := range []int{4, 7} {
+		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) { benchmarkReplay(b, q) })
+	}
+}
+
+func benchmarkReplay(b *testing.B, q int) {
+	st, rows := replayFixture(b, q)
 	factory := func(shard int) (core.Summary, error) {
-		return StandardSummary("sample", 16, 4, 0.2, 0.1, 0, 1, shard)
+		return StandardSummary("sample", 16, q, 0.2, 0.1, 0, 1, shard)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -425,10 +425,12 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 		}
 		return b
 	}
+	// A packed row takes 3 bytes here, so these frames are as long as
+	// those of 24 and 40 rows of u16 symbols.
 	for i := range 30 {
-		eng.ObserveBatch(batch(24, i+2))
+		eng.ObserveBatch(batch(96, i+2))
 	}
-	eng.ObserveBatch(batch(40, 31))
+	eng.ObserveBatch(batch(160, 31))
 	want := engineBytes(t, eng)
 	eng.Close()
 	if err := log.Close(); err != nil {

@@ -21,7 +21,8 @@ func init() { register("E3", RunSampling) }
 // (pattern, query) pairs on a skewed stream, and reports the fraction
 // of estimates within the bound (which must be ≥ 1−δ). The ablation
 // row feeds the same stream to a sample.Reservoir of the same size and
-// seed, sized in bytes as core.Sample sizes its rows.
+// seed, sized at the 2·d bytes a row its words.Word rows take (the
+// with-replacement sampler packs a row in ⌈d·⌈log₂q⌉/8⌉).
 func RunSampling(opt Options) (*Report, error) {
 	d, q := 16, 4
 	n := 40000

@@ -4,9 +4,10 @@
 // acceptance and so draw once per acceptance rather than once per row,
 // and classical reservoir sampling, an ablation that experiment E3
 // runs beside it and the sampled Index protocol (internal/comm) sends.
-// Both samplers store words.Word rows, take rows in batches and are
-// deterministic given their seed; only the with-replacement sampler
-// merges and serializes.
+// Both samplers take rows in batches and are deterministic given their
+// seed; only the with-replacement sampler merges and serializes, and
+// it keeps its rows packed (words.Packing) in one slab, where the
+// reservoir keeps words.Word rows.
 package sample
 
 import (
@@ -27,10 +28,15 @@ import (
 // A slot does not draw per row. It keeps the stream position of its
 // next acceptance and draws once per acceptance (Vitter 1985; Li 1994,
 // Algorithm L): about ln n draws per slot over n rows.
+//
+// The t rows sit packed in one slab of t·s bytes, s the layout's row
+// stride: slot i's row is rows[i·s : (i+1)·s]. The slab is allocated
+// with the first row, which every slot accepts, and is nil before.
 type WithReplacement struct {
 	t     int
 	seen  int64
-	rows  []words.Word
+	pk    words.Packing
+	rows  []byte
 	slots []slot
 	// minNext is the smallest slots[i].next: a batch that ends before
 	// it accepts in no slot.
@@ -61,15 +67,24 @@ func (sl *slot) skip(m uint64) {
 	}
 }
 
-// NewWithReplacement returns a sampler with t slots.
+// NewWithReplacement returns a sampler with t slots whose rows keep
+// 16 bits a symbol, the layout of rows over any alphabet, at the
+// dimension of the first batch it observes. NewWithReplacementPacked
+// packs rows of a known shape tighter.
 func NewWithReplacement(t int, seed uint64) *WithReplacement {
+	return NewWithReplacementPacked(words.Packing{}, t, seed)
+}
+
+// NewWithReplacementPacked returns a sampler with t slots of rows in
+// pk's layout.
+func NewWithReplacementPacked(pk words.Packing, t int, seed uint64) *WithReplacement {
 	if t < 1 {
 		panic("sample: need at least one slot")
 	}
 	master := rng.New(seed)
 	s := &WithReplacement{
 		t:       t,
-		rows:    make([]words.Word, t),
+		pk:      pk,
 		slots:   make([]slot, t),
 		minNext: 1,
 	}
@@ -89,18 +104,24 @@ func SizeForError(eps, delta float64) int {
 	return int(2.0*math.Log(2/delta)/(eps*eps)) + 1
 }
 
-// ObserveBatch feeds every row of b. A batch that ends before the
-// earliest pending acceptance only advances the row count, and
-// allocates nothing. Otherwise each slot whose next acceptance falls
-// inside the batch accepts and redraws until it passes the batch's
-// end, and clones only the last row it accepted. Draws depend on the
-// stream positions only, not on where batches are cut.
+// ObserveBatch feeds every row of b, whose dimension must be the
+// layout's. A batch that ends before the earliest pending acceptance
+// only advances the row count. Otherwise each slot whose next
+// acceptance falls inside the batch accepts and redraws until it
+// passes the batch's end, and packs only the last row it accepted into
+// its place in the slab. Only the first row allocates: the slab. Draws
+// depend on the stream positions only, not on where batches are cut.
+// It panics if a packed row has a symbol outside the layout's
+// alphabet, which no slot can hold.
 func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 	base := uint64(s.seen)
 	end := base + uint64(b.Len())
 	s.seen = int64(end)
 	if s.minNext > end {
 		return
+	}
+	if s.rows == nil {
+		s.start(words.NewPacking(b.Dim(), words.MaxAlphabet))
 	}
 	minNext := uint64(math.MaxUint64)
 	for i := range s.slots {
@@ -111,11 +132,30 @@ func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 				kept = sl.next
 				sl.skip(kept)
 			}
-			s.rows[i] = b.Row(int(kept - base - 1)).Clone()
+			row := b.Row(int(kept - base - 1))
+			if j := s.pk.Pack(s.slot(i), row); j >= 0 {
+				panic(fmt.Sprintf("sample: row %d symbol %d outside the sampler's alphabet", kept, row[j]))
+			}
 		}
 		minNext = min(minNext, sl.next)
 	}
 	s.minNext = minNext
+}
+
+// start allocates the slab of a sampler that has seen no row, since
+// every slot is about to take one. A sampler built without a layout
+// takes pk's.
+func (s *WithReplacement) start(pk words.Packing) {
+	if s.pk == (words.Packing{}) {
+		s.pk = pk
+	}
+	s.rows = make([]byte, s.t*s.pk.Stride())
+}
+
+// slot returns slot i's packed row in the slab.
+func (s *WithReplacement) slot(i int) []byte {
+	st := s.pk.Stride()
+	return s.rows[i*st : (i+1)*st]
 }
 
 // Merge folds another with-replacement sampler built over a disjoint
@@ -135,12 +175,18 @@ func (s *WithReplacement) Merge(o *WithReplacement) error {
 	if o.seen == 0 {
 		return nil
 	}
+	if s.pk != (words.Packing{}) && s.pk != o.pk {
+		return fmt.Errorf("sample: merging samplers of different row layouts")
+	}
+	if s.rows == nil {
+		s.start(o.pk)
+	}
 	total := uint64(s.seen + o.seen)
 	minNext := uint64(math.MaxUint64)
 	for i := range s.slots {
 		sl := &s.slots[i]
 		if sl.next <= total {
-			s.rows[i] = o.rows[i].Clone()
+			copy(s.slot(i), o.slot(i))
 			sl.skip(total)
 		}
 		minNext = min(minNext, sl.next)
@@ -156,10 +202,6 @@ func (s *WithReplacement) Seen() int64 { return s.seen }
 // Size returns the number of slots t.
 func (s *WithReplacement) Size() int { return s.t }
 
-// Rows returns the current sample; nil entries only before any row is
-// observed.
-func (s *WithReplacement) Rows() []words.Word { return s.rows }
-
 // EstimateFrequency returns the Theorem 5.1 estimator of the absolute
 // frequency of pattern b on projection c: the sample count g scaled by
 // n/t.
@@ -170,16 +212,11 @@ func (s *WithReplacement) EstimateFrequency(c words.ColumnSet, b words.Word) flo
 	if len(b) != c.Len() {
 		panic(fmt.Sprintf("sample: pattern length %d != |C| = %d", len(b), c.Len()))
 	}
-	var bkey, rkey []byte
-	full := words.FullColumnSet(len(b))
-	bkey = words.AppendKey(bkey, b, full)
-	g := 0
-	for _, row := range s.rows {
-		if row == nil {
-			continue
-		}
-		rkey = words.AppendKey(rkey[:0], row, c)
-		if string(rkey) == string(bkey) {
+	bkey := words.AppendKey(nil, b, words.FullColumnSet(len(b)))
+	keys := s.pk.AppendKeys(nil, s.rows, c)
+	w, g := len(bkey), 0
+	for i := range s.t {
+		if string(keys[i*w:(i+1)*w]) == string(bkey) {
 			g++
 		}
 	}
@@ -190,13 +227,13 @@ func (s *WithReplacement) EstimateFrequency(c words.ColumnSet, b words.Word) flo
 // projected onto c, the input to sample-based heavy hitter detection.
 func (s *WithReplacement) ProjectedCounts(c words.ColumnSet) map[string]int {
 	counts := make(map[string]int)
-	var key []byte
-	for _, row := range s.rows {
-		if row == nil {
-			continue
-		}
-		key = words.AppendKey(key[:0], row, c)
-		counts[string(key)]++
+	if s.seen == 0 {
+		return counts
+	}
+	keys := s.pk.AppendKeys(nil, s.rows, c)
+	w := 2 * c.Len()
+	for i := range s.t {
+		counts[string(keys[i*w:(i+1)*w])]++
 	}
 	return counts
 }

@@ -21,10 +21,13 @@ func makeStream(n, heavy int) []words.Word {
 	return rows
 }
 
+// streamPacking is the row layout of makeStream's rows.
+var streamPacking = words.NewPacking(3, 4)
+
 func TestWithReplacementFrequencyEstimate(t *testing.T) {
 	const n, heavy = 20000, 5000 // true rate 0.25
 	rows := makeStream(n, heavy)
-	s := NewWithReplacement(SizeForError(0.05, 0.01), 1)
+	s := NewWithReplacementPacked(streamPacking, SizeForError(0.05, 0.01), 1)
 	for _, r := range rows {
 		s.ObserveBatch(words.RowBatch(r))
 	}
@@ -54,7 +57,7 @@ func TestWithReplacementChernoffBound(t *testing.T) {
 	within := 0
 	const trials = 60
 	for trial := 0; trial < trials; trial++ {
-		s := NewWithReplacement(SizeForError(eps, delta), uint64(trial+10))
+		s := NewWithReplacementPacked(streamPacking, SizeForError(eps, delta), uint64(trial+10))
 		for _, r := range rows {
 			s.ObserveBatch(words.RowBatch(r))
 		}
@@ -70,7 +73,7 @@ func TestWithReplacementChernoffBound(t *testing.T) {
 func TestWithReplacementQueryAfterData(t *testing.T) {
 	// The sampler never sees C: any projection must work post hoc.
 	rows := makeStream(8000, 2000)
-	s := NewWithReplacement(600, 3)
+	s := NewWithReplacementPacked(streamPacking, 600, 3)
 	for _, r := range rows {
 		s.ObserveBatch(words.RowBatch(r))
 	}
@@ -88,7 +91,7 @@ func TestWithReplacementQueryAfterData(t *testing.T) {
 }
 
 func TestWithReplacementPatternValidation(t *testing.T) {
-	s := NewWithReplacement(4, 1)
+	s := NewWithReplacementPacked(streamPacking, 4, 1)
 	s.ObserveBatch(words.RowBatch(words.Word{1, 2, 3}))
 	defer func() {
 		if recover() == nil {
@@ -147,14 +150,20 @@ func TestSamplersCloneRows(t *testing.T) {
 	if s.Rows()[0][0] != 5 {
 		t.Fatal("reservoir must clone observed rows")
 	}
+	// Without a layout, the sampler keeps the first batch's rows at
+	// 16 bits a symbol.
 	wr := NewWithReplacement(2, 13)
-	w2 := words.Word{7}
+	w2 := words.Word{7, 60000}
 	wr.ObserveBatch(words.RowBatch(w2))
 	w2[0] = 1
-	for _, r := range wr.Rows() {
-		if r != nil && r[0] != 7 {
-			t.Fatal("with-replacement sampler must clone rows")
+	kept := keptRows(wr)
+	for i := range kept.Len() {
+		if !kept.Row(i).Equal(words.Word{7, 60000}) {
+			t.Fatal("with-replacement sampler must copy rows")
 		}
+	}
+	if wr.pk != words.NewPacking(2, words.MaxAlphabet) {
+		t.Fatal("the sampler did not take the 16-bit layout of the first batch")
 	}
 }
 

@@ -11,6 +11,22 @@ import (
 	"repro/internal/words"
 )
 
+// positionPacking is the row layout of positionBatch's rows: one
+// symbol over the largest alphabet.
+var positionPacking = words.NewPacking(1, words.MaxAlphabet)
+
+// keptRows unpacks the sampler's slots into a batch, one row a slot in
+// slot order, or none before any row was seen.
+func keptRows(s *WithReplacement) *words.Batch {
+	d := s.pk.Dim()
+	if s.rows == nil {
+		return words.NewBatch(d, 0)
+	}
+	syms := make([]uint16, s.t*d)
+	s.pk.Unpack(syms, s.rows)
+	return words.BatchOf(d, syms)
+}
+
 // positionBatch returns rows 1..n of a stream whose row at stream
 // position p is the one-symbol word {p − 1}, so a kept row names the
 // position it was accepted at.
@@ -41,8 +57,8 @@ func mustRoundTrip(t *testing.T, s *WithReplacement) *WithReplacement {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := &WithReplacement{}
-	if err := out.UnmarshalBinary(blob); err != nil {
+	out, err := Decode(s.pk, blob)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -59,14 +75,14 @@ func TestKeptPositionUniform(t *testing.T) {
 	rows := positionBatch(n)
 	feeds := map[string]func(seed uint64) *WithReplacement{
 		"per-row": func(seed uint64) *WithReplacement {
-			s := NewWithReplacement(slots, seed)
+			s := NewWithReplacementPacked(positionPacking, slots, seed)
 			for i := 0; i < n; i++ {
 				s.ObserveBatch(words.RowBatch(rows.Row(i)))
 			}
 			return s
 		},
 		"random-cuts": func(seed uint64) *WithReplacement {
-			s := NewWithReplacement(slots, seed)
+			s := NewWithReplacementPacked(positionPacking, slots, seed)
 			cut := rng.New(seed ^ 0xc0ffee)
 			for i := 0; i < n; {
 				j := min(n, i+cut.Intn(300))
@@ -79,9 +95,9 @@ func TestKeptPositionUniform(t *testing.T) {
 			cut := rng.New(seed ^ 0xbeef)
 			c1 := 1 + cut.Intn(n/2)
 			c2 := c1 + 1 + cut.Intn(n/2-1)
-			s := NewWithReplacement(slots, seed)
+			s := NewWithReplacementPacked(positionPacking, slots, seed)
 			s.ObserveBatch(rows.Slice(0, c1))
-			peer := NewWithReplacement(slots, seed+1<<32)
+			peer := NewWithReplacementPacked(positionPacking, slots, seed+1<<32)
 			peer.ObserveBatch(rows.Slice(c1, c2))
 			if err := s.Merge(peer); err != nil {
 				t.Fatal(err)
@@ -91,7 +107,7 @@ func TestKeptPositionUniform(t *testing.T) {
 		},
 		"round-trip": func(seed uint64) *WithReplacement {
 			c := 1 + rng.New(seed^0xfeed).Intn(n-1)
-			s := NewWithReplacement(slots, seed)
+			s := NewWithReplacementPacked(positionPacking, slots, seed)
 			s.ObserveBatch(rows.Slice(0, c))
 			s = mustRoundTrip(t, s)
 			s.ObserveBatch(rows.Slice(c, n))
@@ -106,8 +122,9 @@ func TestKeptPositionUniform(t *testing.T) {
 			if s.Seen() != n {
 				t.Fatalf("%s: seen %d rows, want %d", name, s.Seen(), n)
 			}
-			for _, row := range s.Rows() {
-				count[int(row[0])*bins/n]++
+			kept := keptRows(s)
+			for i := range kept.Len() {
+				count[int(kept.Row(i)[0])*bins/n]++
 			}
 		}
 		want := float64(slots*seeds) / bins
@@ -136,13 +153,14 @@ func TestSlotsIndependent(t *testing.T) {
 	const p = 3.0 / 8 // rows with symbol < 3
 	var sum, sumSq float64
 	for seed := uint64(1); seed <= seeds; seed++ {
-		s := NewWithReplacement(slots, seed)
+		s := NewWithReplacementPacked(words.NewPacking(1, 8), slots, seed)
 		for i := 0; i < n; i += 256 {
 			s.ObserveBatch(b.Slice(i, min(i+256, n)))
 		}
 		g := 0
-		for _, row := range s.Rows() {
-			if row[0] < 3 {
+		kept := keptRows(s)
+		for i := range kept.Len() {
+			if kept.Row(i)[0] < 3 {
 				g++
 			}
 		}
@@ -168,7 +186,7 @@ func TestSlotsIndependent(t *testing.T) {
 // before every slot's next acceptance only advances the row count.
 func TestObserveBatchAllocatesNothingWithoutAcceptance(t *testing.T) {
 	const runs = 50
-	s := NewWithReplacement(150, 3)
+	s := NewWithReplacementPacked(positionPacking, 150, 3)
 	rows := positionBatch(256)
 	// Feed until the earliest pending acceptance lies more than runs+1
 	// rows ahead, which happens once seen ≫ t.
@@ -225,14 +243,15 @@ func TestSkipDistribution(t *testing.T) {
 // acceptance past the merged count.
 func TestMergeDrawsOnlyOnTake(t *testing.T) {
 	rows := positionBatch(2000)
-	s := NewWithReplacement(200, 1)
+	s := NewWithReplacementPacked(positionPacking, 200, 1)
 	s.ObserveBatch(rows.Slice(0, 1000))
-	peer := NewWithReplacement(200, 2)
+	peer := NewWithReplacementPacked(positionPacking, 200, 2)
 	peer.ObserveBatch(rows.Slice(1000, 2000))
 	before := append([]slot(nil), s.slots...)
 	if err := s.Merge(peer); err != nil {
 		t.Fatal(err)
 	}
+	kept, peers := keptRows(s), keptRows(peer)
 	took := 0
 	for i, sl := range s.slots {
 		if sl.next <= 2000 {
@@ -241,10 +260,10 @@ func TestMergeDrawsOnlyOnTake(t *testing.T) {
 		switch {
 		case before[i].next <= 2000:
 			took++
-			if !s.rows[i].Equal(peer.rows[i]) {
-				t.Fatalf("slot %d holds %v, not the peer's %v", i, s.rows[i], peer.rows[i])
+			if !kept.Row(i).Equal(peers.Row(i)) {
+				t.Fatalf("slot %d holds %v, not the peer's %v", i, kept.Row(i), peers.Row(i))
 			}
-		case sl != before[i] || s.rows[i][0] >= 1000:
+		case sl != before[i] || kept.Row(i)[0] >= 1000:
 			t.Fatalf("slot %d kept its row but changed state", i)
 		}
 	}
@@ -254,10 +273,15 @@ func TestMergeDrawsOnlyOnTake(t *testing.T) {
 	}
 }
 
-// TestUnmarshalRejectsUnreachableSlots: the decoder refuses slots no
-// sampler can reach, and a slot count the blob cannot hold.
+// TestUnmarshalRejectsUnreachableSlots: both decoders, of the packed
+// slab and of the earlier u16 rows, refuse slots no sampler can reach,
+// a row the layout cannot hold, and a slot count the blob cannot hold.
 func TestUnmarshalRejectsUnreachableSlots(t *testing.T) {
-	build := func(t, seen uint64, next uint64, row bool) []byte {
+	pk := words.NewPacking(1, 4)
+	// build writes t slots whose next acceptance is next after seen
+	// rows; with row set each slot holds the one-symbol row {sym}, as
+	// a packed byte or as a u16 row behind its length.
+	build := func(u16 bool, t, seen, next uint64, row bool, sym uint16) []byte {
 		w := wire.NewWriter(0)
 		w.U32(uint32(t))
 		w.I64(int64(seen))
@@ -266,28 +290,44 @@ func TestUnmarshalRejectsUnreachableSlots(t *testing.T) {
 			w.U64(next)
 		}
 		for i := uint64(0); i < t; i++ {
-			if row {
-				writeRow(w, words.Word{1})
-			} else {
+			switch {
+			case row && u16:
+				w.U32(1)
+				w.U16(sym)
+			case row:
+				w.U8(uint8(sym))
+			case u16:
 				w.U32(nilRow)
 			}
 		}
 		return w.Bytes()
 	}
-	good := build(2, 5, 6, true)
-	if err := (&WithReplacement{}).UnmarshalBinary(good); err != nil {
-		t.Fatalf("reachable state refused: %v", err)
-	}
-	for name, blob := range map[string][]byte{
-		"next at seen":         build(2, 5, 5, true),
-		"next before seen":     build(2, 5, 2, true),
-		"fresh slot skips row": build(2, 0, 2, false),
-		"row before any seen":  build(2, 0, 1, true),
-		"seen without a row":   build(2, 5, 6, false),
-		"t beyond the blob":    good[:12+20*2-1],
-	} {
-		if err := (&WithReplacement{}).UnmarshalBinary(blob); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: %v, want ErrCorrupt", name, err)
+	for name, decode := range map[string]func(words.Packing, []byte) (*WithReplacement, error){"packed": Decode, "u16": DecodeU16} {
+		u16 := name == "u16"
+		good := build(u16, 2, 5, 6, true, 1)
+		s, err := decode(pk, good)
+		if err != nil {
+			t.Fatalf("%s: reachable state refused: %v", name, err)
+		}
+		if kept := keptRows(s); kept.Len() != 2 || kept.Row(1)[0] != 1 {
+			t.Fatalf("%s: decoded rows %v", name, kept.Symbols())
+		}
+		// 4 is outside [4] as a u16 symbol and a set padding bit as a
+		// packed byte.
+		for what, blob := range map[string][]byte{
+			"next at seen":          build(u16, 2, 5, 5, true, 1),
+			"next before seen":      build(u16, 2, 5, 2, true, 1),
+			"fresh slot skips row":  build(u16, 2, 0, 2, false, 0),
+			"row before any seen":   build(u16, 2, 0, 1, true, 1),
+			"seen without a row":    build(u16, 2, 5, 6, false, 0),
+			"row outside layout":    build(u16, 2, 5, 6, true, 4),
+			"t beyond the blob":     good[:len(good)-1],
+			"trailing bytes":        append(append([]byte(nil), good...), 0),
+			"empty with a row byte": append(build(u16, 1, 0, 1, false, 0), 0),
+		} {
+			if _, err := decode(pk, blob); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, %s: %v, want ErrCorrupt", name, what, err)
+			}
 		}
 	}
 }
@@ -296,7 +336,7 @@ func TestUnmarshalRejectsUnreachableSlots(t *testing.T) {
 // and continues exactly as the original.
 func TestRoundTripIsExact(t *testing.T) {
 	rows := positionBatch(3000)
-	a := NewWithReplacement(64, 5)
+	a := NewWithReplacementPacked(positionPacking, 64, 5)
 	a.ObserveBatch(rows.Slice(0, 1234))
 	b := mustRoundTrip(t, a)
 	a.ObserveBatch(rows.Slice(1234, 3000))

@@ -3,9 +3,12 @@ package store_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,18 +23,20 @@ import (
 
 var updateWALGolden = flag.Bool("update-wal-golden", false, "rewrite testdata/wal-golden with the current encoder")
 
-// goldenDir holds a small data directory written by writeGoldenLog:
-// six segments (batch, summary and subspace records; 53 to 2,151
-// bytes, the last one the shortest) and one checkpoint whose cut lies
-// inside the first segment.
+// goldenDir holds a small data directory an earlier writeGoldenLog
+// wrote, rolling 256-byte segments of format version 1: six segments
+// (u16 batch, summary and subspace records; 53 to 2,151 bytes, the
+// last one the shortest) and one checkpoint whose cut lies inside the
+// first segment.
 const goldenDir = "testdata/wal-golden"
 
 // The golden stream's shape: an odd alphabet, so symbols use neither
 // a power of two nor a whole byte.
 const goldenD, goldenQ = 5, 7
 
-// goldenFileDigests pins the SHA-256 of every file writeGoldenLog
-// produces, so the WAL and checkpoint encoders stay byte-identical.
+// goldenFileDigests pins the SHA-256 of every file of the committed
+// directory, which stays as it is, so recovery keeps reading the
+// earlier layouts it holds.
 var goldenFileDigests = map[string]string{
 	"ckpt-0000000000000003.pfqc": "f823b1b0b4fd28c2fe846c0d45e293f62cf44f449ed0994a350adb5397a9ee52",
 	"wal-0000000000000000.seg":   "6dea8e80fad42ef6444ded03ea21a9d241d1ed2364fa2e2e56438fdaa05b8421",
@@ -42,16 +47,24 @@ var goldenFileDigests = map[string]string{
 	"wal-0000000000000013.seg":   "e45e770a7e55d4efddddf7de0da1c174e2df40f1b4174d59a5ec591f13f978f3",
 }
 
-// goldenEncoderDigests pins the files the current encoder writes
-// differently from the committed ones: their checkpoint and summary
-// records carry the registered subspace, whose blob lost a KHLL block
-// after the directory was written, and the exact catch-all, whose rows
-// have since been shipped packed instead of as u16 symbols. The
-// committed files stay as they are, so recovery still reads both
-// earlier layouts. Batch records keep their u16 bodies.
+// goldenEncoderDigests pins the SHA-256 of every file writeGoldenLog
+// writes now, so the WAL and checkpoint encoders stay byte-identical.
+// It differs from the committed directory three ways. The checkpoint
+// and the summary record carry the registered subspace, whose blob
+// lost a KHLL block, and the exact catch-all, whose rows are shipped
+// packed. Segments are of format version 2, and their batch records
+// are packed rows, 2 bytes a row where the u16 body took 10. And
+// segments roll at 128 bytes, so the stream still spans five
+// segments; the first three hold the committed ones' records. Each
+// segment is the committed directory's records from its first LSN to
+// the next one's, decoded and re-encoded.
 var goldenEncoderDigests = map[string]string{
 	"ckpt-0000000000000003.pfqc": "8ec924fa6f6a60f2f0d39a163c3bc7cfa537d9765be9c80ca3339fdf3c6dacbd",
-	"wal-0000000000000006.seg":   "fbd5838dde5935a0ba17b6f49f822572ed21839452348a5edaaa019de913e05b",
+	"wal-0000000000000000.seg":   "d5ff125c7aa3bdc6350f7d8224880bedad8f441c14c1c3dcee027c155475ec3c",
+	"wal-0000000000000006.seg":   "f87e962197b4c839a5ef28b3dda8d6699499f2f309f1e0481b6d2c4eaa63ee2b",
+	"wal-0000000000000008.seg":   "8793e286a92c54c015578e376773da9f942d273a3b67b9c44a8a16f597015dc0",
+	"wal-000000000000000c.seg":   "36f177b4dd4ea0f89529872dcc3531e611960287d02a5067760bf86db0451ae2",
+	"wal-0000000000000011.seg":   "479764449d00736015afe22e475452b17863c3f0cdde2f4ce74e84bf143b0183",
 }
 
 // goldenRecoveredDigest pins the SHA-256 of the recovered engine's
@@ -102,11 +115,11 @@ func goldenBatch(n, salt int) *words.Batch {
 // writeGoldenLog writes the golden stream into dir through an engine
 // teeing into the store, exactly as a durable daemon does: the
 // subspace registration, two batches, a checkpoint, then batches of
-// assorted sizes around one absorbed registry, rolling 256-byte
+// assorted sizes around one absorbed registry, rolling 128-byte
 // segments.
 func writeGoldenLog(t *testing.T, dir string) {
 	t.Helper()
-	st, err := store.Open(store.Options{Dir: dir, Dim: goldenD, Alphabet: goldenQ, Fsync: store.FsyncNever, SegmentBytes: 256})
+	st, err := store.Open(store.Options{Dir: dir, Dim: goldenD, Alphabet: goldenQ, Fsync: store.FsyncNever, SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +184,9 @@ func fileDigests(t *testing.T, dir string) map[string]string {
 	return out
 }
 
-// recoverGolden copies the data directory src (without its checkpoint
-// when skipCheckpoint), recovers it the way the daemon boots, and
-// returns the recovered engine's wire form.
-func recoverGolden(t *testing.T, src string, skipCheckpoint bool) []byte {
+// copyGolden copies the data directory src, without its checkpoint
+// when skipCheckpoint, into a fresh directory and returns it.
+func copyGolden(t *testing.T, src string, skipCheckpoint bool) string {
 	t.Helper()
 	dir := t.TempDir()
 	entries, err := os.ReadDir(src)
@@ -193,16 +205,40 @@ func recoverGolden(t *testing.T, src string, skipCheckpoint bool) []byte {
 			t.Fatal(err)
 		}
 	}
+	return dir
+}
+
+// recoverGolden copies the data directory src (without its checkpoint
+// when skipCheckpoint), recovers it the way the daemon boots, and
+// returns the recovered engine's wire form.
+func recoverGolden(t *testing.T, src string, skipCheckpoint bool) []byte {
+	t.Helper()
+	st, eng, info := openGolden(t, copyGolden(t, src, skipCheckpoint))
+	defer st.Close()
+	defer eng.Close()
+	if info.Checkpoint == skipCheckpoint {
+		t.Fatalf("recovery info %+v with skipCheckpoint=%v", info, skipCheckpoint)
+	}
+	blob, err := eng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// openGolden opens the golden-shaped data directory dir and recovers
+// an engine teeing into it, the way the daemon boots. The caller
+// closes both.
+func openGolden(t *testing.T, dir string) (*store.Store, *engine.Sharded, store.RecoverInfo) {
+	t.Helper()
 	st, err := store.Open(store.Options{Dir: dir, Dim: goldenD, Alphabet: goldenQ, Fsync: store.FsyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	eng, err := engine.NewSharded(goldenCatchAll, engine.Config{Shards: 2, BatchChunk: 4, Log: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer eng.Close()
 	register := func(meta store.SubspaceMeta) error {
 		if meta.Mask != goldenSubspace.Mask() || meta.Summary != "registered" {
 			return fmt.Errorf("unexpected subspace %#x %q", meta.Mask, meta.Summary)
@@ -233,25 +269,20 @@ func recoverGolden(t *testing.T, src string, skipCheckpoint bool) []byte {
 		}
 	})
 	if err != nil {
+		eng.Close()
+		st.Close()
 		t.Fatal(err)
 	}
-	if info.Checkpoint == skipCheckpoint {
-		t.Fatalf("recovery info %+v with skipCheckpoint=%v", info, skipCheckpoint)
-	}
-	blob, err := eng.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return blob
+	return st, eng, info
 }
 
 // TestWALFormatGolden pins the WAL and checkpoint bytes of a small
 // mixed stream and what recovery reads back from them. The committed
-// directory was written by an earlier encoder: the current encoder
-// must reproduce it byte for byte except for the files
-// goldenEncoderDigests names, and the current decoder must recover the
-// pinned state from it and from what the current encoder writes. Regenerate (only on a deliberate
-// format change, with a version bump) with
+// directory was written by an earlier encoder and is pinned by
+// goldenFileDigests; the current encoder must write the files
+// goldenEncoderDigests pins, and the current decoder must recover the
+// pinned state from both. Regenerate the committed directory (only on
+// a deliberate format change, with a version bump) with
 //
 //	go test ./internal/store -run TestWALFormatGolden -update-wal-golden
 func TestWALFormatGolden(t *testing.T) {
@@ -287,16 +318,15 @@ func TestWALFormatGolden(t *testing.T) {
 		t.Fatalf("golden stream wrote %d segments and %d checkpoints, want ≥ 4 and 1", segments, checkpoints)
 	}
 	committed := fileDigests(t, goldenDir)
-	if len(got) != len(goldenFileDigests) || len(committed) != len(goldenFileDigests) {
-		t.Errorf("%d files written, %d committed, %d pinned", len(got), len(committed), len(goldenFileDigests))
+	if len(got) != len(goldenEncoderDigests) || len(committed) != len(goldenFileDigests) {
+		t.Errorf("%d files written, %d pinned; %d committed, %d pinned", len(got), len(goldenEncoderDigests), len(committed), len(goldenFileDigests))
 	}
 	for name, want := range goldenFileDigests {
 		if committed[name] != want {
 			t.Errorf("%s: committed file has sha256 %s, pinned %s", name, committed[name], want)
 		}
-		if w, ok := goldenEncoderDigests[name]; ok {
-			want = w
-		}
+	}
+	for name, want := range goldenEncoderDigests {
 		if got[name] != want {
 			t.Errorf("%s: encoder wrote sha256 %s, pinned %s", name, got[name], want)
 		}
@@ -313,5 +343,122 @@ func TestWALFormatGolden(t *testing.T) {
 	sum := sha256.Sum256(withCkpt)
 	if d := hex.EncodeToString(sum[:]); d != goldenRecoveredDigest {
 		t.Errorf("recovered engine sha256 %s, pinned %s", d, goldenRecoveredDigest)
+	}
+}
+
+// goldenLogRows is the number of rows the golden stream's batch
+// records hold.
+const goldenLogRows = 122
+
+// TestAppendAfterEarlierSegments boots on a copy of the committed
+// directory, whose segments are of format version 1, and ingests more
+// rows, as a daemon upgraded in place does. The new records land in a
+// fresh version-2 segment and every committed file keeps its bytes,
+// so a decoder of version 1 alone refuses the directory by that
+// segment's header instead of truncating a packed frame as a torn
+// tail. The mixed directory recovers to the state the first boot
+// reached, and Inspect counts the rows of both batch bodies. A packed
+// batch frame inside a version-1 segment is damage.
+func TestAppendAfterEarlierSegments(t *testing.T) {
+	dir := copyGolden(t, goldenDir, false)
+	st, eng, _ := openGolden(t, dir)
+	for i, n := range []int{9, 3} {
+		if err := eng.ObserveBatchDurable(goldenBatch(n, 70+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := eng.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := fileDigests(t, dir)
+	for name, digest := range goldenFileDigests {
+		if got[name] != digest {
+			t.Errorf("%s changed: sha256 %s, committed %s", name, got[name], digest)
+		}
+	}
+	const next = "wal-0000000000000014.seg" // the log ended at LSN 20
+	if len(got) != len(goldenFileDigests)+1 || got[next] == "" {
+		t.Fatalf("after appending, the directory holds %v; want the committed files and %s", got, next)
+	}
+	seg, err := os.ReadFile(filepath.Join(dir, next))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg[4] != 2 {
+		t.Fatalf("%s is of format version %d, want 2", next, seg[4])
+	}
+
+	st2, eng2, info := openGolden(t, dir)
+	blob, err := eng2.MarshalBinary()
+	eng2.Close()
+	st2.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(blob, want) {
+		t.Errorf("the mixed directory recovered %d bytes, unlike the %d the first boot served", len(blob), len(want))
+	}
+	if !info.Checkpoint || info.Records != 17+2 {
+		t.Errorf("recovery info %+v, want the checkpoint and 19 records", info)
+	}
+
+	rep, err := store.Inspect(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows int64
+	for _, s := range rep.Segments {
+		if s.Err != "" || s.Torn {
+			t.Errorf("%s reported damaged: %+v", s.Name, s)
+		}
+		rows += s.Rows
+		if s.Name == next && (s.Rows != 12 || s.Records != 2) {
+			t.Errorf("%s: %d records of %d rows, want 2 of 12", s.Name, s.Records, s.Rows)
+		}
+	}
+	if rows != goldenLogRows+12 {
+		t.Errorf("Inspect counted %d rows, want %d", rows, goldenLogRows+12)
+	}
+
+	// A middle version-1 segment whose last batch record is rewritten
+	// as the same rows packed, in a CRC-valid frame: the log would
+	// recover were packed frames read there.
+	bad := copyGolden(t, goldenDir, false)
+	path := filepath.Join(bad, "wal-0000000000000008.seg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := 24 // the segment header's length
+	for off := last; off < len(data); off += 8 + int(binary.LittleEndian.Uint32(data[off:])) {
+		last = off
+	}
+	if data[last+8] != byte(store.RecordBatch) {
+		t.Fatalf("the last record of %s is of kind %d, want a batch", path, data[last+8])
+	}
+	syms := make([]uint16, (len(data)-last-9)/2)
+	words.DecodeSymbolsLE(syms, data[last+9:], goldenQ)
+	pk := words.NewPacking(goldenD, goldenQ)
+	payload := make([]byte, 1+len(syms)/goldenD*pk.Stride())
+	payload[0] = 4
+	pk.Pack(payload[1:], syms)
+	frame := binary.LittleEndian.AppendUint32(data[:last:last], uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, append(frame, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := store.Open(store.Options{Dir: bad, Dim: goldenD, Alphabet: goldenQ, Fsync: store.FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	if _, err := st3.Recover(nil, func(store.Record) error { return nil }); !errors.Is(err, store.ErrCorrupt) || !strings.Contains(err.Error(), "wal-0000000000000008.seg") {
+		t.Fatalf("a packed batch in a version-1 segment recovered with %v, want ErrCorrupt naming the segment", err)
 	}
 }

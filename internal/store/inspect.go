@@ -89,9 +89,7 @@ func Inspect(dir string) (*Report, error) {
 			sr.Records = res.records
 			sr.Torn = res.torn
 			for _, payload := range res.frames(image) {
-				if RecordKind(payload[0]) == RecordBatch {
-					sr.Rows += int64((len(payload) - 1) / (2 * res.header.dim))
-				}
+				sr.Rows += int64(batchRows(payload, res.header))
 			}
 		}
 		rep.Segments = append(rep.Segments, sr)

@@ -26,7 +26,7 @@ import (
 //
 //	offset size field
 //	0      4    magic "PFQW"
-//	4      1    format version (walVersion)
+//	4      1    format version (walVersion, or 1 from earlier encoders)
 //	5      3    reserved, must be zero
 //	8      4    dimension d
 //	12     4    alphabet size Q
@@ -46,8 +46,13 @@ import (
 // therefore indistinguishable from a clean end-of-log at the previous
 // frame, which is exactly the recovery semantics we want.
 
-// walVersion is the WAL segment format version.
-const walVersion = 1
+// walVersion is the format version of the segments Open writes.
+// Version 2 added the packed batch record (recordPackedBatch); a
+// version-1 segment, which earlier encoders wrote, holds u16 batch
+// records only. Both versions are read, and a decoder of version 1
+// alone refuses a version-2 segment by its header rather than mistake
+// a packed batch frame for a torn tail.
+const walVersion = 2
 
 // segHeaderSize is the fixed byte length of the segment header.
 const segHeaderSize = 24
@@ -66,9 +71,13 @@ type RecordKind uint8
 
 // The WAL record kinds.
 const (
-	// RecordBatch is a batch of ingested rows: flat row-major
-	// little-endian u16 symbols (words.AppendSymbolsLE); the row count
-	// follows from the segment's dimension.
+	// RecordBatch is a batch of ingested rows. Its body takes one of
+	// two encodings, each under its own type byte: this one's, 1, is
+	// flat row-major little-endian u16 symbols (words.AppendSymbolsLE),
+	// which earlier encoders wrote; recordPackedBatch is the packed
+	// rows the current encoder writes. Either way the row count follows
+	// from the segment's shape, and either decodes to a Record of this
+	// kind.
 	RecordBatch RecordKind = 1
 	// RecordSummary is an absorbed summary's wire blob (the /v1/push
 	// path), replayed through Absorb.
@@ -77,6 +86,10 @@ const (
 	// and the provisioning kind string the daemon maps back to a
 	// factory on replay.
 	RecordSubspace RecordKind = 3
+	// recordPackedBatch is a RecordBatch whose body is its rows in
+	// words.Packing's layout for the segment's shape, ⌈d·⌈log₂Q⌉/8⌉
+	// bytes a row. Only version-2 segments hold it.
+	recordPackedBatch RecordKind = 4
 )
 
 // String names the kind as printed by Inspect.
@@ -102,8 +115,9 @@ type Record struct {
 	// Kind selects which of the remaining fields apply.
 	Kind RecordKind
 	// Rows is the flat row-major symbol data (RecordBatch). The store
-	// checks its shape, not its symbols: the consumer checks them
-	// against the alphabet (engine.ReplayBatch does).
+	// checks its shape, and the symbols of a packed body against the
+	// alphabet; the consumer checks every batch's symbols against the
+	// alphabet (engine.ReplayBatch does), since a u16 body's are not.
 	Rows []uint16
 	// Blob is the absorbed summary's wire form (RecordSummary).
 	Blob []byte
@@ -117,9 +131,13 @@ type Record struct {
 
 // segHeader is a decoded segment header.
 type segHeader struct {
+	version       uint8
 	dim, alphabet int
 	firstLSN      uint64
 }
+
+// packing returns the packed row layout of the segment's shape.
+func (h segHeader) packing() words.Packing { return words.NewPacking(h.dim, h.alphabet) }
 
 // appendSegHeader writes the 24-byte segment header.
 func appendSegHeader(dst []byte, d, q int, firstLSN uint64) []byte {
@@ -150,16 +168,16 @@ func parseSegHeader(data []byte) (segHeader, error) {
 	if magic != walMagic {
 		return segHeader{}, fmt.Errorf("%w: bad segment magic %q", ErrCorrupt, magic[:])
 	}
-	if version != walVersion {
+	if version < 1 || version > walVersion {
 		return segHeader{}, fmt.Errorf("%w: unsupported segment version %d (have %d)", ErrCorrupt, version, walVersion)
 	}
 	if rsv1 != 0 || rsv2 != 0 {
 		return segHeader{}, fmt.Errorf("%w: non-zero reserved segment bytes", ErrCorrupt)
 	}
-	if d < 1 || q < 2 {
+	if d < 1 || q < 2 || q > words.MaxAlphabet {
 		return segHeader{}, fmt.Errorf("%w: degenerate segment shape d=%d q=%d", ErrCorrupt, d, q)
 	}
-	return segHeader{dim: d, alphabet: q, firstLSN: first}, nil
+	return segHeader{version: version, dim: d, alphabet: q, firstLSN: first}, nil
 }
 
 // appendFrame wraps payload in the length+CRC frame.
@@ -197,11 +215,13 @@ type scanResult struct {
 
 // scanSegment verifies a segment image frame by frame: the length is
 // in bounds, the CRC matches, and the payload is a record of a known
-// kind whose body has its kind's shape (whole rows for a batch). It
-// keeps the verified bytes where they are and decodes nothing; frames
-// walks them afterwards. It never fails on frame-level damage — a bad
-// length, a CRC mismatch, a truncated tail, or a misshapen payload
-// stops the scan and sets torn, so the caller decides whether that is
+// kind whose body has its kind's shape: whole rows for a batch, and
+// for a packed one every padding bit zero and every symbol in the
+// alphabet (words.Packing.Verify). It keeps the verified bytes where
+// they are and decodes nothing; frames walks them afterwards. It never
+// fails on frame-level damage — a bad length, a CRC mismatch, a
+// truncated tail, or a misshapen payload stops the scan and sets
+// torn, so the caller decides whether that is
 // a tolerable torn tail (last segment) or mid-log corruption (any
 // earlier segment). Only a damaged segment header is an outright
 // error: without it, not even the first LSN is known.
@@ -211,8 +231,9 @@ func scanSegment(data []byte) (scanResult, error) {
 		return scanResult{}, err
 	}
 	res := scanResult{header: h, validLen: segHeaderSize}
+	pk := h.packing()
 	for off := segHeaderSize; off < len(data); {
-		n, ok := verifyFrame(data[off:], h.dim)
+		n, ok := verifyFrame(data[off:], h, pk)
 		if !ok {
 			res.torn = true
 			break
@@ -224,9 +245,9 @@ func scanSegment(data []byte) (scanResult, error) {
 	return res, nil
 }
 
-// verifyFrame checks the frame at the front of data and returns its
-// payload length.
-func verifyFrame(data []byte, d int) (int, bool) {
+// verifyFrame checks the frame at the front of data, in a segment with
+// header h and row layout pk, and returns its payload length.
+func verifyFrame(data []byte, h segHeader, pk words.Packing) (int, bool) {
 	if len(data) < frameHeaderSize {
 		return 0, false
 	}
@@ -241,7 +262,9 @@ func verifyFrame(data []byte, d int) (int, bool) {
 	body := payload[1:]
 	switch RecordKind(payload[0]) {
 	case RecordBatch:
-		return n, len(body)%(2*d) == 0
+		return n, len(body)%(2*h.dim) == 0
+	case recordPackedBatch:
+		return n, h.version >= 2 && pk.Verify(body) == nil
 	case RecordSummary:
 		return n, true
 	case RecordSubspace:
@@ -269,10 +292,11 @@ func (res scanResult) frames(data []byte) iter.Seq2[uint64, []byte] {
 	}
 }
 
-// decodeRecord turns a verified frame payload into a Record. A batch's
-// symbols are decoded into rows, grown as needed and returned for the
-// next record; Blob aliases the payload.
-func decodeRecord(lsn uint64, payload []byte, rows []uint16) (Record, []uint16) {
+// decodeRecord turns a verified frame payload, of a segment whose rows
+// are in pk's layout, into a Record. A batch's symbols are decoded into
+// rows, grown as needed and returned for the next record; Blob aliases
+// the payload.
+func decodeRecord(lsn uint64, payload []byte, pk words.Packing, rows []uint16) (Record, []uint16) {
 	rec := Record{LSN: lsn, Kind: RecordKind(payload[0])}
 	body := payload[1:]
 	switch rec.Kind {
@@ -282,6 +306,11 @@ func decodeRecord(lsn uint64, payload []byte, rows []uint16) (Record, []uint16) 
 		// symbol once, before it reaches a shard (engine.ReplayBatch).
 		words.DecodeSymbolsLE(rows, body, words.MaxAlphabet)
 		rec.Rows = rows
+	case recordPackedBatch:
+		n := len(body) / pk.Stride() * pk.Dim()
+		rows = slices.Grow(rows[:0], n)[:n]
+		pk.Unpack(rows, body)
+		rec.Kind, rec.Rows = RecordBatch, rows
 	case RecordSummary:
 		rec.Blob = body
 	case RecordSubspace:
@@ -327,10 +356,28 @@ func readSegment(path string, buf []byte) ([]byte, error) {
 	return buf[:n], err
 }
 
-// encodeBatchRecord builds a batch record's frame payload: the type
-// byte followed by the rows in the flat symbol codec.
-func encodeBatchRecord(dst []byte, rows []uint16) []byte {
-	return words.AppendSymbolsLE(append(dst, byte(RecordBatch)), rows)
+// encodeBatchRecord appends a batch record's frame payload to dst:
+// the packed type byte, then the rows packed in pk's layout in place.
+// It returns the index in rows of the first symbol outside pk's
+// alphabet, or -1; when there is one, the payload holds garbage.
+func encodeBatchRecord(dst []byte, pk words.Packing, rows []uint16) ([]byte, int) {
+	dst = append(dst, byte(recordPackedBatch))
+	off := len(dst)
+	n := len(rows) / pk.Dim() * pk.Stride()
+	dst = slices.Grow(dst, n)[:off+n]
+	return dst, pk.Pack(dst[off:], rows)
+}
+
+// batchRows returns the rows a verified batch payload holds, in a
+// segment with header h, or 0 for any other record.
+func batchRows(payload []byte, h segHeader) int {
+	switch RecordKind(payload[0]) {
+	case RecordBatch:
+		return (len(payload) - 1) / (2 * h.dim)
+	case recordPackedBatch:
+		return (len(payload) - 1) / h.packing().Stride()
+	}
+	return 0
 }
 
 func encodeSummaryRecord(dst, blob []byte) []byte {

@@ -149,6 +149,7 @@ type verifiedSegment struct {
 // the first append, as the daemon's boot sequence does.
 type Store struct {
 	opts Options
+	pk   words.Packing // the batch records' row layout
 
 	mu        sync.Mutex
 	seg       *os.File // active segment
@@ -176,13 +177,13 @@ func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("store: Options.Dir is required")
 	}
-	if opts.Dim < 1 || opts.Alphabet < 2 {
+	if opts.Dim < 1 || opts.Alphabet < 2 || opts.Alphabet > words.MaxAlphabet {
 		return nil, fmt.Errorf("store: degenerate shape d=%d q=%d", opts.Dim, opts.Alphabet)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{opts: opts}
+	st := &Store{opts: opts, pk: words.NewPacking(opts.Dim, opts.Alphabet)}
 	if err := st.scan(); err != nil {
 		return nil, err
 	}
@@ -272,12 +273,24 @@ func (st *Store) checkShape(path string, h segHeader) error {
 }
 
 // openActive opens the last segment for appending, or creates the
-// first one.
+// next one: the first, or the successor of a segment of an earlier
+// format version, which is never appended to. An earlier segment that
+// holds no record goes first, since its successor takes its name.
 func (st *Store) openActive() error {
-	if len(st.segments) == 0 {
+	n := len(st.segments)
+	if n > 0 && st.tail.res.header.version != walVersion {
+		if st.tail.res.records == 0 {
+			if err := os.Remove(st.tail.path); err != nil {
+				return err
+			}
+			st.segments, st.tail = st.segments[:n-1], nil
+		}
+		n = 0
+	}
+	if n == 0 {
 		return st.rollLocked()
 	}
-	active := &st.segments[len(st.segments)-1]
+	active := &st.segments[n-1]
 	f, err := os.OpenFile(active.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
@@ -328,14 +341,15 @@ func (st *Store) rollLocked() error {
 // append frames one record, writes it, and applies the fsync policy;
 // enc encodes the record payload directly into the reused frame
 // buffer (after its reserved header), so the hot durable-ingest path
-// stages no per-record intermediate buffer. The segment roll runs
+// stages no per-record intermediate buffer. An enc error is returned
+// with nothing written. The segment roll runs
 // BEFORE the write, not after: once a frame is durably on disk the
 // append must report success (an error would make the caller refuse
 // rows that recovery later resurrects, double-counting the client's
 // retry), so nothing fallible may follow the write except the
 // record's own fsync — whose failure leaves the record un-synced
 // exactly as if the write had not happened.
-func (st *Store) append(enc func(dst []byte) []byte) error {
+func (st *Store) append(enc func(dst []byte) ([]byte, error)) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
@@ -350,7 +364,11 @@ func (st *Store) append(enc func(dst []byte) []byte) error {
 		}
 	}
 	active := &st.segments[len(st.segments)-1]
-	st.buf = enc(beginFrame(st.buf[:0]))
+	buf, err := enc(beginFrame(st.buf[:0]))
+	if err != nil {
+		return err
+	}
+	st.buf = buf
 	finishFrame(st.buf)
 	if n, err := st.seg.Write(st.buf); err != nil || n != len(st.buf) {
 		if err == nil {
@@ -394,26 +412,34 @@ func (st *Store) append(enc func(dst []byte) []byte) error {
 	return nil
 }
 
-// AppendBatch logs one batch of ingested rows. The batch is encoded
-// into the frame before the call returns; b is not retained.
+// AppendBatch logs one batch of ingested rows, packed. The batch is
+// encoded into the frame before the call returns; b is not retained. A
+// batch with a symbol outside the store's alphabet, which no packed
+// row can hold, is refused with nothing logged.
 func (st *Store) AppendBatch(b *words.Batch) error {
 	if b.Dim() != st.opts.Dim {
 		return fmt.Errorf("store: batch dimension %d != store dimension %d", b.Dim(), st.opts.Dim)
 	}
 	rows := b.Symbols()
-	return st.append(func(dst []byte) []byte { return encodeBatchRecord(dst, rows) })
+	return st.append(func(dst []byte) ([]byte, error) {
+		dst, bad := encodeBatchRecord(dst, st.pk, rows)
+		if bad >= 0 {
+			return nil, fmt.Errorf("store: batch row %d symbol %d outside alphabet [%d]", bad/st.opts.Dim, rows[bad], st.opts.Alphabet)
+		}
+		return dst, nil
+	})
 }
 
 // AppendSummary logs one absorbed summary's wire blob (the push path).
 func (st *Store) AppendSummary(blob []byte) error {
-	return st.append(func(dst []byte) []byte { return encodeSummaryRecord(dst, blob) })
+	return st.append(func(dst []byte) ([]byte, error) { return encodeSummaryRecord(dst, blob), nil })
 }
 
 // AppendSubspace logs one subspace registration: the column-set mask
 // and the provisioning kind string replay hands back to the daemon's
 // subspace builder.
 func (st *Store) AppendSubspace(mask uint64, summary string) error {
-	return st.append(func(dst []byte) []byte { return encodeSubspaceRecord(dst, mask, summary) })
+	return st.append(func(dst []byte) ([]byte, error) { return encodeSubspaceRecord(dst, mask, summary), nil })
 }
 
 // LSN returns the next log sequence number — the number of records
@@ -627,7 +653,7 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 				continue
 			}
 			var rec Record
-			rec, rows = decodeRecord(lsn, payload, rows)
+			rec, rows = decodeRecord(lsn, payload, st.pk, rows)
 			if err := apply(rec); err != nil {
 				return RecoverInfo{}, fmt.Errorf("store: replaying record %d (%s): %w", rec.LSN, rec.Kind, err)
 			}

@@ -203,7 +203,7 @@ func TestTornTailIsTruncatedAndAppendsContinue(t *testing.T) {
 func TestMidLogCorruptionFailsRecovery(t *testing.T) {
 	const d, q = 3, 4
 	opts := testOpts(t, d, q)
-	opts.SegmentBytes = 256 // force several segments
+	opts.SegmentBytes = 64 // force several segments of 17-byte frames
 	st, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestMidLogCorruptionFailsRecovery(t *testing.T) {
 func TestCheckpointRecoveryAndCompaction(t *testing.T) {
 	const d, q = 3, 4
 	opts := testOpts(t, d, q)
-	opts.SegmentBytes = 256
+	opts.SegmentBytes = 64 // three 17-byte frames a segment
 	st, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -377,7 +377,7 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 func TestRecoveryGapIsCorruption(t *testing.T) {
 	const d, q = 3, 4
 	opts := testOpts(t, d, q)
-	opts.SegmentBytes = 256
+	opts.SegmentBytes = 64 // three 17-byte frames a segment
 	st, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -608,7 +608,7 @@ func TestClearedLogWithLeftoverCheckpointRefusesFreshStart(t *testing.T) {
 func TestFallbackCheckpointKeepsItsReplayRange(t *testing.T) {
 	const d, q = 3, 4
 	opts := testOpts(t, d, q)
-	opts.SegmentBytes = 128 // roll aggressively between checkpoints
+	opts.SegmentBytes = 64 // roll every four 13-byte frames, between checkpoints
 	st, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -799,7 +799,7 @@ func TestRecoverAllocsIndependentOfRecords(t *testing.T) {
 func TestRecoverVerifiesSegmentBeforeApplying(t *testing.T) {
 	const d, q = 3, 4
 	opts := testOpts(t, d, q)
-	opts.SegmentBytes = 256
+	opts.SegmentBytes = 64 // three 17-byte frames a segment
 	st, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -845,14 +845,20 @@ func TestRecoverVerifiesSegmentBeforeApplying(t *testing.T) {
 
 // TestScanStopsAtMisshapenRecord: a CRC-valid frame whose payload is
 // not a well-formed record — a batch body of part of a row, an odd
-// byte count, an unknown kind, a truncated subspace record — ends the
+// byte count, a packed row with a field outside the alphabet or a set
+// padding bit, an unknown kind, a truncated subspace record — ends the
 // verified prefix there, as damage does.
 func TestScanStopsAtMisshapenRecord(t *testing.T) {
 	const d = 3
-	good := appendFrame(appendSegHeader(nil, d, 4, 0), encodeBatchRecord(nil, []uint16{1, 2, 3}))
+	good := appendFrame(appendSegHeader(nil, d, 7, 0), packedBatchRecord(t, d, 7, []uint16{1, 2, 3}))
+	// A row of 3 symbols over [7] packs into 9 bits: two bytes, the
+	// second with 7 padding bits.
 	for name, payload := range map[string][]byte{
-		"partial row":        encodeBatchRecord(nil, []uint16{1, 2}),
+		"partial row":        encodeU16BatchRecord(nil, []uint16{1, 2}),
 		"odd byte count":     {byte(RecordBatch), 1, 0, 2, 0, 3, 0, 4},
+		"partial packed row": {byte(recordPackedBatch), 0x11},
+		"field outside [7]":  {byte(recordPackedBatch), 0x07, 0x00},
+		"set padding bit":    {byte(recordPackedBatch), 0x00, 0x02},
 		"unknown kind":       {9, 0, 0},
 		"truncated subspace": encodeSubspaceRecord(nil, 0b11, "registered")[:12],
 	} {
@@ -902,5 +908,86 @@ func TestRecoverReplaysOpenScan(t *testing.T) {
 	}
 	if got := count(); got != 0 {
 		t.Fatalf("second Recover replayed %d records from an emptied segment, want 0", got)
+	}
+}
+
+// TestPackedBatchOnlyInVersion2: a packed batch frame scans in a
+// version-2 segment and stops the scan, as damage, in a version-1
+// one, whose u16 batch frames still scan.
+func TestPackedBatchOnlyInVersion2(t *testing.T) {
+	const d, q = 3, 4
+	rows := []uint16{1, 2, 3, 0, 1, 2}
+	packed := packedBatchRecord(t, d, q, rows)
+	for _, c := range []struct {
+		header  []byte
+		records int
+		torn    bool
+	}{
+		{appendSegHeader(nil, d, q, 0), 2, false},
+		{segHeaderV1(d, q, 0), 1, true},
+	} {
+		seg := appendFrame(appendFrame(c.header, encodeU16BatchRecord(nil, rows)), packed)
+		res, err := scanSegment(seg)
+		if err != nil || res.records != c.records || res.torn != c.torn {
+			t.Errorf("version %d: %d records, torn %v, %v; want %d, %v", c.header[4], res.records, res.torn, err, c.records, c.torn)
+		}
+	}
+}
+
+// TestOpenRollsPastEarlierSegment: Open never appends to a segment of
+// an earlier format version. One that holds records stays as it is,
+// and the appends go to its successor; one that holds none is
+// replaced by a current one under the same name.
+func TestOpenRollsPastEarlierSegment(t *testing.T) {
+	const d, q = 3, 4
+	for _, records := range []int{0, 2} {
+		opts := testOpts(t, d, q)
+		seg := segHeaderV1(d, q, 0)
+		for range records {
+			seg = appendFrame(seg, encodeU16BatchRecord(nil, batchOf(d, q, 2, 1).Symbols()))
+		}
+		old := filepath.Join(opts.Dir, segmentName(0))
+		if err := os.WriteFile(old, seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.AppendBatch(batchOf(d, q, 3, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		segs, err := listSegments(opts.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSegs := 1 + min(records, 1)
+		if len(segs) != wantSegs {
+			t.Fatalf("%d records: segments %v, want %d", records, segs, wantSegs)
+		}
+		if records > 0 {
+			if data, err := os.ReadFile(old); err != nil || !bytes.Equal(data, seg) {
+				t.Fatalf("%d records: the version-1 segment changed (%v)", records, err)
+			}
+		}
+		data, err := os.ReadFile(segs[len(segs)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, err := parseSegHeader(data); err != nil || h.version != walVersion || h.firstLSN != uint64(records) {
+			t.Fatalf("%d records: the appended segment's header %+v, %v", records, h, err)
+		}
+		st, err = Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, info, recs := replayAll(t, st)
+		st.Close()
+		if info.Records != records+1 || info.Rows != int64(2*records+3) || recs[len(recs)-1].LSN != uint64(records) {
+			t.Fatalf("%d records: replayed %+v", records, info)
+		}
 	}
 }

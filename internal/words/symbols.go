@@ -4,10 +4,12 @@ import "encoding/binary"
 
 // This file is the flat symbol codec: rows as one run of
 // little-endian u16 symbols, two bytes a symbol and no framing. It is
-// the body of a WAL batch record and of the exact summary's earlier
-// wire payload, which decoders still read (the current one is packed
-// rows, packed.go). Both directions move 8 bytes (4 symbols) a step,
-// and the decoder checks the alphabet in the same pass.
+// the row key the cluster ring places rows by, and the body of three
+// layouts earlier encoders wrote, which decoders still read: the WAL's
+// kind-1 batch record, the exact summary's layout-0 payload and the
+// sampler's mode-2 rows. Where rows rest now they are packed
+// (packed.go). Both directions move 8 bytes (4 symbols) a step, and
+// the decoder checks the alphabet in the same pass.
 //
 // The check is SWAR (SIMD within a register) for q ≤ 2¹⁵. With
 // k = 0x8000 − q in every 16-bit lane, a lane x ends with its high
