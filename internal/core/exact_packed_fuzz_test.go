@@ -31,8 +31,8 @@ func FuzzPackedRows(f *testing.F) {
 	f.Add(uint8(4), uint16(65534), uint64(0b1111), []byte{0xff, 0xff, 0, 0x80, 1, 0, 2, 0})
 	f.Add(uint8(1), uint16(0), uint64(1), []byte{1, 0, 0, 0, 9, 0})
 	// One shape for each of Unpack's passes: the flat one at b = 2, the
-	// row table at b = 3, the flat one over rows wider than a word, and
-	// the field-by-field one past a word at b = 3.
+	// one-word row read field by field at b = 3, the flat one over rows
+	// wider than a word, and the field-by-field one past a word at b = 3.
 	f.Add(uint8(15), uint16(2), uint64(0xf0f0), bytes.Repeat([]byte{0x1b, 0xe4, 0x03, 0x00}, 24))
 	f.Add(uint8(7), uint16(5), uint64(0b1011_0110), bytes.Repeat([]byte{0xff, 0x06, 0x35, 0x01}, 20))
 	f.Add(uint8(35), uint16(1), uint64(1<<35|1), bytes.Repeat([]byte{0x02, 0x00, 0x01, 0x00, 0x03}, 40))

@@ -105,8 +105,12 @@ func (s *Sample) Alphabet() int { return s.q }
 // Rows returns n.
 func (s *Sample) Rows() int64 { return s.wr.Seen() }
 
-// SizeBytes counts the t packed rows, s bytes each, plus counters.
+// SizeBytes counts the t packed rows, s bytes each, plus counters. A
+// summary that has seen no row holds no rows.
 func (s *Sample) SizeBytes() int {
+	if s.wr.Seen() == 0 {
+		return 16
+	}
 	return 16 + s.wr.Size()*words.NewPacking(s.d, s.q).Stride()
 }
 

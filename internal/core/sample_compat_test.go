@@ -29,7 +29,8 @@ var earlierSampleAnswers = []struct {
 // TestSampleReadsU16Layout: a blob of sampler mode 2 still decodes, to
 // the rows and stream state a summary of the current encoder holds
 // after the same rows, and so to the same answers; it re-encodes under
-// mode 3, 2 bytes a slot's row here where mode 2 took 14.
+// mode 3, 2 bytes a slot's row here where mode 2 took 14. SizeBytes
+// counts the packed slots once a row is seen, and none before.
 func TestSampleReadsU16Layout(t *testing.T) {
 	old := readEarlierBlob(t, earlierSampleBlob)
 	if old[envelopeSize] != wireSampleWRU16 {
@@ -71,7 +72,13 @@ func TestSampleReadsU16Layout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := fresh.SizeBytes(); got != 16 {
+		t.Fatalf("an empty summary reports %d bytes, want 16", got)
+	}
 	fresh.ObserveBatch(words.BatchOf(5, earlierExactRows()))
+	if got := fresh.SizeBytes(); got != 16+40*2 {
+		t.Fatalf("SizeBytes %d, want %d", got, 16+40*2)
+	}
 	if want, err := fresh.MarshalBinary(); err != nil || !bytes.Equal(want, blob) {
 		t.Fatal("the decoded summary differs from one built over the same rows")
 	}

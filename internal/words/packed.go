@@ -19,9 +19,10 @@ import (
 // frequency-vector keys); packing is how rows rest, in core.Exact, the
 // sampler's slots and the WAL's batch records. AppendKeys emits
 // exactly the keys AppendBatchKeys emits for the unpacked rows, so
-// everything keyed on them is unchanged. Every reader stays inside the slice it is given:
-// a run shared with a writer may grow past its length, and under the
-// race detector even a masked-off byte beyond it counts as a read.
+// everything keyed on them is unchanged. Every reader stays inside the
+// slice it is given: a run shared with a writer may grow past its
+// length, and under the race detector even a masked-off byte beyond it
+// counts as a read.
 
 // Packing is the packed row layout of one shape (d, q).
 type Packing struct {
@@ -250,33 +251,20 @@ func (p Packing) AppendKeys(dst []byte, rows []byte, c ColumnSet) []byte {
 }
 
 // Unpack writes the symbols of the packed rows into dst, which must
-// hold exactly d symbols a row. Rows of at most one word whose width
-// is a multiple of four take a flat pass, four symbols a table lookup:
-// at b = 2 a row has no padding, so the rows are one run of bytes of
-// four symbols each; at b = 1 and b = 3 each row is read as one word
-// and cut into groups of 4·b bits. Every other shape reads one symbol
-// at a time.
+// hold exactly d symbols a row. At b = 2 with d a multiple of four a
+// row has no padding, so the rows are one run of bytes of four symbols
+// each and take a flat pass, a table lookup a byte; every other shape
+// reads one symbol at a time.
 func (p Packing) Unpack(dst []uint16, rows []byte) {
 	n := p.rowsOf(rows)
 	if len(dst) != n*p.d {
 		panic(fmt.Sprintf("words: %d packed rows do not unpack into %d symbols", n, len(dst)))
 	}
-	switch {
-	case p.d%4 == 0 && p.b == 2:
+	if p.d%4 == 0 && p.b == 2 {
 		for i, g := range rows {
-			putLanes(dst[4*i:], laneTables[2][g])
-		}
-		return
-	case p.d%4 == 0 && p.b < len(laneTables) && p.narrow():
-		tab := laneTables[p.b]
-		gb := uint(4 * p.b)
-		for r := 0; r < n; r++ {
-			v := loadRow(rows, r*p.stride, p.stride)
-			out := dst[r*p.d : (r+1)*p.d]
-			for j := 0; j < len(out); j += 4 {
-				putLanes(out[j:], tab[v&uint64(len(tab)-1)])
-				v >>= gb
-			}
+			x := byteLanes[g]
+			w := dst[4*i : 4*i+4 : 4*i+4]
+			w[0], w[1], w[2], w[3] = uint16(x), uint16(x>>16), uint16(x>>32), uint16(x>>48)
 		}
 		return
 	}
@@ -296,25 +284,16 @@ func (p Packing) Unpack(dst []uint16, rows []byte) {
 	}
 }
 
-// laneTables[b], for b ≤ 3, maps a group of four b-bit fields to the
-// four 16-bit lanes holding them (16, 256 and 4,096 entries).
-var laneTables = func() (t [4][]uint64) {
-	for b := 1; b < len(t); b++ {
-		t[b] = make([]uint64, 1<<(4*b))
-		for g := range t[b] {
-			for i := range 4 {
-				t[b][g] |= uint64(g>>(i*b)&(1<<b-1)) << (16 * i)
-			}
+// byteLanes maps a byte of four 2-bit fields to the four 16-bit lanes
+// holding them.
+var byteLanes = func() (t [256]uint64) {
+	for g := range t {
+		for i := range 4 {
+			t[g] |= uint64(g>>(2*i)&3) << (16 * i)
 		}
 	}
 	return t
 }()
-
-// putLanes stores the four 16-bit lanes of x as dst[0:4].
-func putLanes(dst []uint16, x uint64) {
-	w := dst[:4:4]
-	w[0], w[1], w[2], w[3] = uint16(x), uint16(x>>16), uint16(x>>32), uint16(x>>48)
-}
 
 // Verify checks packed rows the way a decoder must: whole rows, every
 // padding bit zero and every symbol in [q]. Its error names the row.
@@ -332,23 +311,6 @@ func (p Packing) Verify(rows []byte) error {
 	}
 	if p.q == 1<<p.b {
 		return nil // every b-bit field is a symbol
-	}
-	if p.d%4 == 0 && p.b < len(laneTables) && p.narrow() {
-		// Unpack's row pass, testing each group's four lanes where it
-		// would store them; only a flagged run is unpacked below, to
-		// name the row.
-		lanes, tab, gb := NewLaneCheck(p.q), laneTables[p.b], uint(4*p.b)
-		var flags uint64
-		for r := 0; r < n; r++ {
-			v := loadRow(rows, r*p.stride, p.stride)
-			for j := 0; j < p.d; j += 4 {
-				flags |= lanes.Flags(tab[v&uint64(len(tab)-1)])
-				v >>= gb
-			}
-		}
-		if flags == 0 {
-			return nil
-		}
 	}
 	// Rows are unpacked a chunk at a time into a buffer on the stack,
 	// unless one row does not fit it.
