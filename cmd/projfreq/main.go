@@ -16,9 +16,10 @@
 //
 // The tool is also the remote writer of the projfreqd deployment
 // model (ARCHITECTURE.md): -save writes the built summary's wire form
-// to a file, -push POSTs it to a running projfreqd daemon (which
-// merges it on ingest), and -load answers queries from a previously
-// saved blob without re-reading any data:
+// to a file, -push POSTs it to a running projfreqd daemon, and -load
+// answers queries from a previously saved blob without re-reading any
+// data. A push is named after its input (pushSource), and the daemon
+// keeps each name's latest push, so re-pushing an input replaces it:
 //
 //	projfreq -demo -summary net -save shard.pfqs -query 0,1
 //	projfreq -demo -summary net -push http://localhost:8080 -query 0,1
@@ -40,7 +41,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	neturl "net/url"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -186,7 +189,11 @@ func run() error {
 			fmt.Printf("saved %d-byte summary to %s\n", len(blob), *savePath)
 		}
 		if *pushURL != "" {
-			if err := pushSummary(*pushURL, blob); err != nil {
+			source, err := pushSource(*dataPath)
+			if err != nil {
+				return err
+			}
+			if err := pushSummary(*pushURL, source, blob); err != nil {
 				return err
 			}
 		}
@@ -242,8 +249,8 @@ func inspect(dir string, out io.Writer) error {
 			fmt.Fprintf(out, "  %s  %d bytes  CORRUPT: %s\n", c.Name, c.Bytes, c.Err)
 			continue
 		}
-		fmt.Fprintf(out, "  %s  lsn=%d rows=%d shards=%d subspaces=%d bytes=%d  ok\n",
-			c.Name, c.LSN, c.Rows, c.Shards, c.Subspaces, c.Bytes)
+		fmt.Fprintf(out, "  %s  lsn=%d rows=%d shards=%d subspaces=%d sources=%d bytes=%d  ok\n",
+			c.Name, c.LSN, c.Rows, c.Shards, c.Subspaces, c.Sources, c.Bytes)
 	}
 	if damaged > 0 {
 		fmt.Fprintf(out, "%d damaged file(s)\n", damaged)
@@ -251,10 +258,21 @@ func inspect(dir string, out io.Writer) error {
 	return nil
 }
 
+// pushSource names a push after its input: <hostname>:<absolute path>
+// of the -data file, or <hostname>:demo.
+func pushSource(dataPath string) (string, error) {
+	host, err := os.Hostname()
+	if err != nil || dataPath == "" {
+		return host + ":demo", err
+	}
+	abs, err := filepath.Abs(dataPath)
+	return host + ":" + abs, err
+}
+
 // pushSummary POSTs a wire blob to a projfreqd daemon's push endpoint
-// and reports the daemon's merged row total.
-func pushSummary(baseURL string, blob []byte) error {
-	url := strings.TrimSuffix(baseURL, "/") + "/v1/push"
+// as the named source and reports the daemon's served row total.
+func pushSummary(baseURL, source string, blob []byte) error {
+	url := strings.TrimSuffix(baseURL, "/") + "/v1/push?source=" + neturl.QueryEscape(source)
 	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		return err
@@ -274,7 +292,7 @@ func pushSummary(baseURL string, blob []byte) error {
 	if err := json.Unmarshal(body, &ack); err != nil {
 		return fmt.Errorf("push to %s: decoding ack: %w", url, err)
 	}
-	fmt.Printf("pushed %d bytes: daemon merged %d rows, now serving %d\n", len(blob), ack.RowsMerged, ack.Rows)
+	fmt.Printf("pushed %d bytes as source %q: %d rows, daemon now serving %d\n", len(blob), source, ack.RowsMerged, ack.Rows)
 	return nil
 }
 

@@ -158,26 +158,45 @@ func TestIngestFeedsEveryRowInOrder(t *testing.T) {
 
 func TestPushSummaryAgainstStubDaemon(t *testing.T) {
 	var gotBody []byte
+	var gotSource string
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/push" {
 			t.Errorf("push path %q", r.URL.Path)
 		}
+		gotSource = r.URL.Query().Get("source")
 		gotBody, _ = io.ReadAll(r.Body)
 		fmt.Fprintln(w, `{"rows_merged": 10, "rows": 10}`)
 	}))
 	defer ts.Close()
-	if err := pushSummary(ts.URL+"/", []byte("blob")); err != nil {
+	host, err := os.Hostname()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if string(gotBody) != "blob" {
-		t.Fatalf("daemon received %q", gotBody)
+	// A push is named after its input, so the same input pushed again
+	// replaces the earlier push.
+	demo, err := pushSource("")
+	if err != nil || demo != host+":demo" {
+		t.Fatalf("demo source %q, %v", demo, err)
+	}
+	abs, err := filepath.Abs("rows.csv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if src, err := pushSource("rows.csv"); err != nil || src != host+":"+abs {
+		t.Fatalf("-data rows.csv source %q, %v; want %q", src, err, host+":"+abs)
+	}
+	if err := pushSummary(ts.URL+"/", "h:/data/a b.csv", []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if string(gotBody) != "blob" || gotSource != "h:/data/a b.csv" {
+		t.Fatalf("daemon received %q from source %q", gotBody, gotSource)
 	}
 	// Non-200 responses surface as errors.
 	tsErr := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `{"error":"incompatible"}`, http.StatusConflict)
 	}))
 	defer tsErr.Close()
-	if err := pushSummary(tsErr.URL, []byte("blob")); err == nil {
+	if err := pushSummary(tsErr.URL, demo, []byte("blob")); err == nil {
 		t.Fatal("conflict push must error")
 	}
 }

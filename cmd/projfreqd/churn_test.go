@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"sync"
@@ -131,10 +132,10 @@ func TestSummaryETagPushUnderStalenessBudget(t *testing.T) {
 	if got := blobRows(t, blob); got != 350 {
 		t.Fatalf("post-push blob has %d rows, want 350 (20+30 local, 300 pushed)", got)
 	}
-	// The row clock counts pushed rows as accepted, so the cut covers
-	// all 350 and nothing is behind it.
-	if r, s := resp.Header.Get("X-Epoch-Rows"), resp.Header.Get("X-Epoch-Staleness-Rows"); r != "350" || s != "0" {
-		t.Fatalf("X-Epoch-Rows = %q, X-Epoch-Staleness-Rows = %q, want 350 and 0", r, s)
+	// The row clock counts the 50 local rows only (a push is a source,
+	// served on top of them), and nothing is behind the cut.
+	if r, s := resp.Header.Get("X-Epoch-Rows"), resp.Header.Get("X-Epoch-Staleness-Rows"); r != "50" || s != "0" {
+		t.Fatalf("X-Epoch-Rows = %q, X-Epoch-Staleness-Rows = %q, want 50 and 0", r, s)
 	}
 }
 
@@ -142,7 +143,7 @@ func TestSummaryETagPushUnderStalenessBudget(t *testing.T) {
 func pushRemote(t *testing.T, url string, d, q int, seed uint64) {
 	t.Helper()
 	remote, _ := remoteWriter(t, "exact", d, q, 300, seed, 5)
-	resp, err := http.Post(url+"/v1/push", "application/octet-stream", bytes.NewReader(remote))
+	resp, err := http.Post(url+"/v1/push?source=remote", "application/octet-stream", bytes.NewReader(remote))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,10 +154,11 @@ func pushRemote(t *testing.T, url string, d, q int, seed uint64) {
 }
 
 // TestConcurrentPushObserveRead hammers one daemon with concurrent
-// /v1/observe batches, /v1/push absorbs, and readers (summary
-// exports). It asserts only invariants that hold
-// under any interleaving — handler status codes and the final row
-// clock — and exists chiefly as a -race target for the absorb ↔
+// /v1/observe batches, /v1/push absorbs (each pusher re-sending its
+// snapshot under its own source name), and readers (summary exports).
+// It asserts only invariants that hold under any interleaving —
+// handler status codes, the final row clock, and each source's rows
+// served once — and exists chiefly as a -race target for the absorb ↔
 // epoch-publish ↔ conditional-GET interplay (CI runs this package
 // under the race detector).
 func TestConcurrentPushObserveRead(t *testing.T) {
@@ -187,10 +189,10 @@ func TestConcurrentPushObserveRead(t *testing.T) {
 	}
 	for g := 0; g < pushers; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < pushesEach; i++ {
-				resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+				resp, err := http.Post(fmt.Sprintf("%s/v1/push?source=pusher-%d", ts.URL, g), "application/octet-stream", bytes.NewReader(blob))
 				if err != nil {
 					fail <- err.Error()
 					return
@@ -201,7 +203,7 @@ func TestConcurrentPushObserveRead(t *testing.T) {
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	for g := 0; g < readerThreads; g++ {
 		wg.Add(1)
@@ -235,10 +237,12 @@ func TestConcurrentPushObserveRead(t *testing.T) {
 	}
 
 	// Check the row clock and the export that covers it: every
-	// observed and pushed row is accounted for exactly once.
-	want := int64(observers*obsBatches*rowsPerBatch + pushers*pushesEach*rowsPerPush)
-	if rows := daemonStats(t, ts.URL).Rows; rows != want {
-		t.Fatalf("final row clock %d, want %d", rows, want)
+	// observed row and each pusher's latest snapshot is accounted for
+	// exactly once.
+	local := int64(observers * obsBatches * rowsPerBatch)
+	want := local + pushers*rowsPerPush
+	if rows := daemonStats(t, ts.URL).Rows; rows != local {
+		t.Fatalf("final row clock %d, want %d", rows, local)
 	}
 	if _, _, blob := condGet(t, ts.URL, ""); blobRows(t, blob) != want {
 		t.Fatalf("final export has %d rows, want %d", blobRows(t, blob), want)

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/node"
+	"repro/internal/store"
 )
 
 // adminObserveRows feeds rows to a daemon over the wire.
@@ -198,5 +201,78 @@ func TestAdminSourcesRetargetsAggregator(t *testing.T) {
 	resp, _ = postJSON(t, src1.URL+"/v1/admin/sources", node.SourcesRequest{Add: []string{src2.URL}})
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("sources update on ingest daemon: %d, want 409", resp.StatusCode)
+	}
+}
+
+// TestAdminHandoffDurable: on a durable successor a hand-off is as
+// durable as a push. A successor that took a push and a hand-off, with
+// the departed peer gone, serves the same /v1/summary blob after
+// recovering a copy of its data directory taken while it ran (its WAL
+// replays the source records) and after a restart that closed it
+// (a shutdown checkpoint carries the source table).
+func TestAdminHandoffDurable(t *testing.T) {
+	const d, q, seed = 4, 3, 7
+	peerNode := newNode(t, testConfig("exact", d, q, seed))
+	peer := httptest.NewServer(peerNode)
+	dir := t.TempDir()
+	succNode := newNode(t, durableConfig(dir, "exact", d, q, seed))
+	succ := httptest.NewServer(succNode)
+	t.Cleanup(succ.Close)
+
+	row := []uint16{1, 2, 0, 1}
+	adminObserveRows(t, peer.URL, [][]uint16{row, row, row})
+	adminObserveRows(t, succ.URL, [][]uint16{row, {0, 0, 1, 2}})
+	blob, _ := remoteWriter(t, "exact", d, q, 9, seed, 2)
+	if resp, body := pushAs(t, succ.URL, "h:/data/w.csv", blob); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %d %s", resp.StatusCode, body)
+	}
+	if resp, body := postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: peer.URL}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("handoff: %d %s", resp.StatusCode, body)
+	}
+	peer.Close()
+	peerNode.Close()
+	status, want := getBlob(t, succ.URL+"/v1/summary")
+	if status != http.StatusOK || blobRows(t, want) != 2+9+3 {
+		t.Fatalf("successor export: %d, %d rows", status, blobRows(t, want))
+	}
+
+	// served boots a daemon on a data directory and returns the blob
+	// it exports.
+	served := func(dir string) []byte {
+		t.Helper()
+		n := newNode(t, durableConfig(dir, "exact", d, q, seed))
+		ts := httptest.NewServer(n)
+		defer n.Close()
+		defer ts.Close()
+		status, got := getBlob(t, ts.URL+"/v1/summary")
+		if status != http.StatusOK {
+			t.Fatalf("recovered export: %d", status)
+		}
+		return got
+	}
+
+	// A copy taken while the successor runs holds no checkpoint: the
+	// push and the hand-off come back from their WAL records.
+	live := t.TempDir()
+	if err := os.CopyFS(live, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := store.Inspect(live); err != nil || len(rep.Checkpoints) != 0 {
+		t.Fatalf("live copy: %v, %+v", err, rep)
+	}
+	if got := served(live); !bytes.Equal(got, want) {
+		t.Fatalf("the WAL replay serves %d bytes, unlike the %d the successor served", len(got), len(want))
+	}
+
+	// Closing cuts a checkpoint at the log end, so the restart reads
+	// both sources from its table and replays nothing.
+	succ.Close()
+	succNode.Close()
+	rep, err := store.Inspect(dir)
+	if err != nil || len(rep.Checkpoints) == 0 || rep.Checkpoints[len(rep.Checkpoints)-1].Sources != 2 {
+		t.Fatalf("after shutdown: %v, %+v", err, rep)
+	}
+	if got := served(dir); !bytes.Equal(got, want) {
+		t.Fatalf("the restart serves %d bytes, unlike the %d the successor served", len(got), len(want))
 	}
 }

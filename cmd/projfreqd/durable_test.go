@@ -115,7 +115,7 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("donor summary: %d", status)
 	}
-	respPush, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(donorBlob))
+	respPush, err := http.Post(ts.URL+"/v1/push?source=donor", "application/octet-stream", bytes.NewReader(donorBlob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	if statsBefore.Store == nil || statsBefore.Store.Checkpoints == 0 || statsBefore.Store.CheckpointLSN == 0 {
 		t.Fatalf("store stats missing: %+v", statsBefore.Store)
 	}
-	if statsBefore.Rows != 80 {
-		t.Fatalf("rows %d, want 80", statsBefore.Rows)
+	if statsBefore.Rows != 65 || statsBefore.Epoch.MergedRows != 80 {
+		t.Fatalf("rows %d, %d served, want 65 and 80", statsBefore.Rows, statsBefore.Epoch.MergedRows)
 	}
 
 	// "Crash": stop serving without closing the daemon (no shutdown
@@ -143,8 +143,8 @@ func TestDurableDaemonRecoversAllMutationKinds(t *testing.T) {
 	ts.Close()
 
 	ts2 := startNode(t, durableConfig(dir, "exact", d, q, seed))
-	if st := daemonStats(t, ts2.URL); st.Rows != 80 || st.Subspaces != 2 {
-		t.Fatalf("recovered %d rows and %d subspaces, want 80 and 2", st.Rows, st.Subspaces)
+	if st := daemonStats(t, ts2.URL); st.Rows != 65 || st.Epoch.MergedRows != 80 || st.Subspaces != 2 {
+		t.Fatalf("recovered %d rows (%d served) and %d subspaces, want 65 (80) and 2", st.Rows, st.Epoch.MergedRows, st.Subspaces)
 	}
 	status, got := getBlob(t, ts2.URL+"/v1/summary")
 	if status != http.StatusOK {

@@ -128,7 +128,7 @@ func TestDaemonObservePushQueryMatchesInProcessMerge(t *testing.T) {
 
 	// Push a remote writer's serialized summary.
 	blob, remote := remoteWriter(t, "net", d, q, 300, seed, 5)
-	resp2, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+	resp2, err := http.Post(ts.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +177,9 @@ func TestDaemonObservePushQueryMatchesInProcessMerge(t *testing.T) {
 		t.Fatalf("daemon F2 %v != in-process merge %v", qresp.Results[1].Value, wantF2)
 	}
 
-	// Stats reflect both ingestion paths.
-	if stats := daemonStats(t, ts.URL); stats.Rows != 700 || stats.Dim != d || stats.Alphabet != q {
+	// Stats reflect both ingestion paths: the row clock counts the
+	// observed rows, the served epoch the pushed ones too.
+	if stats := daemonStats(t, ts.URL); stats.Rows != 400 || stats.Epoch.MergedRows != 700 || stats.Dim != d || stats.Alphabet != q {
 		t.Fatalf("stats %+v", stats)
 	}
 }
@@ -233,7 +234,7 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 	ts := startDaemon(t, "net", d, q, seed)
 
 	// Corrupt push blob → 400.
-	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader([]byte("not a summary")))
+	resp, err := http.Post(ts.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader([]byte("not a summary")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +246,7 @@ func TestDaemonRejectsBadInput(t *testing.T) {
 
 	// Wrong-seed (incompatible) push → 409.
 	blob, _ := remoteWriter(t, "net", d, q, 10, seed+1, 0)
-	resp, err = http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+	resp, err = http.Post(ts.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestDaemonOversizedBodyReturns413(t *testing.T) {
 	if rows := daemonStats(t, ts.URL).Rows; rows != 0 {
 		t.Fatalf("oversized observe ingested %d rows", rows)
 	}
-	resp2, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(make([]byte, 4096)))
+	resp2, err := http.Post(ts.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader(make([]byte, 4096)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +323,7 @@ func TestDaemonOversizedBodyReturns413(t *testing.T) {
 }
 
 func TestAbsorbKeepsEngineConsistent(t *testing.T) {
-	// Absorb's staleness-clock bookkeeping: an export after a push must
+	// A push does not move the row clock, yet an export after it must
 	// include the pushed rows even with no new observes since the last
 	// epoch was cut.
 	const d, q, seed = 5, 2, 3
@@ -350,8 +351,8 @@ func TestAbsorbKeepsEngineConsistent(t *testing.T) {
 	if resp, body := pushBlob(t, ts.URL, otherBlob); resp.StatusCode != http.StatusConflict {
 		t.Fatalf("mismatched push: %d %s", resp.StatusCode, body)
 	}
-	if rows := daemonStats(t, ts.URL).Rows; rows != 41 {
-		t.Fatalf("failed absorb advanced the row clock to %d", rows)
+	if _, _, snap := condGet(t, ts.URL, ""); blobRows(t, snap) != 41 {
+		t.Fatalf("after a failed push the export holds %d rows, want 41", blobRows(t, snap))
 	}
 }
 
@@ -469,7 +470,7 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	if resp, body := postJSON(t, ts2.URL+"/v1/subspaces", node.RegisterSubspaceRequest{Cols: []int{2, 3, 4}, Summary: "registered"}); resp.StatusCode != http.StatusOK {
 		t.Fatalf("peer register: %d %s", resp.StatusCode, body)
 	}
-	respP, err := http.Post(ts2.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+	respP, err := http.Post(ts2.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -478,11 +479,11 @@ func TestDaemonSubspaceLifecycle(t *testing.T) {
 	if respP.StatusCode != http.StatusOK {
 		t.Fatalf("registry push: %d %s", respP.StatusCode, pushBody)
 	}
-	if rows := daemonStats(t, ts2.URL).Rows; rows != 300 {
-		t.Fatalf("peer rows %d", rows)
+	if _, _, snap := condGet(t, ts2.URL, ""); blobRows(t, snap) != 300 {
+		t.Fatalf("peer serves %d rows, want 300", blobRows(t, snap))
 	}
 	bare, _ := remoteWriter(t, "exact", d, q, 10, seed, 1)
-	respBare, err := http.Post(ts2.URL+"/v1/push", "application/octet-stream", bytes.NewReader(bare))
+	respBare, err := http.Post(ts2.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader(bare))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestRetiredSubsetKindRefused(t *testing.T) {
 		t.Fatalf("kind-4 blob decoded to %v, %v; want ErrBadEncoding", sum, err)
 	}
 	ts := startDaemon(t, "exact", 2, 2, 1)
-	resp, err := http.Post(ts.URL+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+	resp, err := http.Post(ts.URL+"/v1/push?source=writer", "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}

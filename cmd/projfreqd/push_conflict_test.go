@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	neturl "net/url"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -25,7 +27,17 @@ type pushConflictBody struct {
 
 func pushBlob(t *testing.T, url string, blob []byte) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Post(url+"/v1/push", "application/octet-stream", bytes.NewReader(blob))
+	return pushAs(t, url, "writer", blob)
+}
+
+// pushAs posts blob to /v1/push as the named source ("" sends no
+// source parameter).
+func pushAs(t *testing.T, url, source string, blob []byte) (*http.Response, []byte) {
+	t.Helper()
+	if source != "" {
+		source = "?source=" + neturl.QueryEscape(source)
+	}
+	resp, err := http.Post(url+"/v1/push"+source, "application/octet-stream", bytes.NewReader(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,5 +150,39 @@ func TestPushSubspaceMismatchTypedError(t *testing.T) {
 	}
 	if pc.Code != "" {
 		t.Fatalf("wrong-dim conflict should not claim subspace_mismatch: %s", body)
+	}
+}
+
+// TestPushReplacesPerSource: a push is named by ?source=, and the
+// daemon serves each source's latest push once. The same blob pushed
+// twice (a retry after a lost ack) counts once, two sources are both
+// served, a re-push carrying more rows replaces the earlier one, and a
+// push without a name is refused with nothing changed.
+func TestPushReplacesPerSource(t *testing.T) {
+	const d, q, seed = 5, 2, 3
+	ts := startDaemon(t, "exact", d, q, seed)
+	adminObserveRows(t, ts.URL, [][]uint16{make([]uint16, d)})
+	push := func(source string, rows int, want int64) {
+		t.Helper()
+		blob, _ := remoteWriter(t, "exact", d, q, rows, seed, 1)
+		if resp, body := pushAs(t, ts.URL, source, blob); resp.StatusCode != http.StatusOK {
+			t.Fatalf("push of %d rows as %q: %d %s", rows, source, resp.StatusCode, body)
+		}
+		if _, _, snap := condGet(t, ts.URL, ""); blobRows(t, snap) != want {
+			t.Fatalf("after pushing %d rows as %q the daemon serves %d rows, want %d", rows, source, blobRows(t, snap), want)
+		}
+	}
+	push("h:/data/a.csv", 40, 41)
+	push("h:/data/a.csv", 40, 41) // the retry
+	push("h:demo", 7, 48)
+	push("h:/data/a.csv", 60, 68)
+
+	blob, _ := remoteWriter(t, "exact", d, q, 5, seed, 1)
+	resp, body := pushAs(t, ts.URL, "", blob)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "source") {
+		t.Fatalf("unnamed push: %d %s, want 400 naming the source parameter", resp.StatusCode, body)
+	}
+	if _, _, snap := condGet(t, ts.URL, ""); blobRows(t, snap) != 68 {
+		t.Fatalf("a refused push changed the served rows to %d", blobRows(t, snap))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"testing"
 
@@ -34,46 +35,49 @@ func fuzzDaemon(f *testing.F) *node.Node {
 	return fuzzNode
 }
 
-// fuzzRows reads the daemon's row clock off its /v1/stats.
+// fuzzRows reads the rows the daemon serves, its own and every
+// source's, off its /v1/stats.
 func fuzzRows(t *testing.T, h http.Handler) int64 {
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/stats", nil))
 	var st node.Stats
-	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
-		t.Fatalf("stats: %d %v", rec.Code, err)
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil || st.Epoch == nil {
+		t.Fatalf("stats: %d %v %s", rec.Code, err, rec.Body.Bytes())
 	}
-	return st.Rows
+	return st.Epoch.MergedRows
 }
 
-// FuzzHandlePush drives arbitrary bytes through the full /v1/push
-// handler — HTTP plumbing, body read, envelope decode, absorb. The
-// contract under attack: a corrupt or truncated envelope must come
-// back as a 4xx, never panic, and never partially absorb (the row
-// clock is unchanged unless the handler answered 200).
+// FuzzHandlePush drives arbitrary source names and bytes through the
+// full /v1/push?source= handler — HTTP plumbing, body read, envelope
+// decode, absorb. The contract under attack: a missing name or a
+// corrupt or truncated envelope must come back as a 4xx, never panic,
+// and never partially absorb (the served rows are unchanged unless the
+// handler answered 200).
 func FuzzHandlePush(f *testing.F) {
 	srv := fuzzDaemon(f)
 
 	// Seeds: a valid envelope, truncations of it, a bit flip in the
-	// header and in the payload, an incompatible-shape envelope, and
-	// plain garbage.
+	// header and in the payload, an incompatible-shape envelope, plain
+	// garbage, and the valid envelope without a source name.
 	valid, _ := remoteWriterF(f, "exact", 6, 3, 50, 11)
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:1])
-	f.Add([]byte{})
+	f.Add("writer", valid)
+	f.Add("writer", valid[:len(valid)/2])
+	f.Add("h:/data/rows.csv", valid[:1])
+	f.Add("writer", []byte{})
 	flipped := append([]byte(nil), valid...)
 	flipped[0] ^= 0xff
-	f.Add(flipped)
+	f.Add("writer", flipped)
 	flippedTail := append([]byte(nil), valid...)
 	flippedTail[len(flippedTail)-1] ^= 0x01
-	f.Add(flippedTail)
+	f.Add("other writer", flippedTail)
 	wrongShape, _ := remoteWriterF(f, "exact", 7, 3, 5, 11)
-	f.Add(wrongShape)
-	f.Add([]byte("not a summary envelope at all"))
+	f.Add("writer", wrongShape)
+	f.Add("writer&x=1", []byte("not a summary envelope at all"))
+	f.Add("", valid)
 
-	f.Fuzz(func(t *testing.T, blob []byte) {
+	f.Fuzz(func(t *testing.T, source string, blob []byte) {
 		before := fuzzRows(t, srv)
-		req := httptest.NewRequest(http.MethodPost, "/v1/push", bytes.NewReader(blob))
+		req := httptest.NewRequest(http.MethodPost, "/v1/push?source="+url.QueryEscape(source), bytes.NewReader(blob))
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		switch rec.Code {
@@ -81,8 +85,11 @@ func FuzzHandlePush(f *testing.F) {
 		default:
 			t.Fatalf("push of %d bytes: status %d %s", len(blob), rec.Code, rec.Body.Bytes())
 		}
+		if source == "" && rec.Code != http.StatusBadRequest {
+			t.Fatalf("unnamed push answered %d, want 400", rec.Code)
+		}
 		if after := fuzzRows(t, srv); rec.Code != http.StatusOK && after != before {
-			t.Fatalf("refused push (status %d) moved the row clock %d -> %d: partial absorb",
+			t.Fatalf("refused push (status %d) moved the served rows %d -> %d: partial absorb",
 				rec.Code, before, after)
 		}
 		// The engine must stay able to serve after every input.

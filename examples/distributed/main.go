@@ -7,7 +7,8 @@
 // Here all three "processes" run in one binary for reproducibility —
 // the only thing that crosses between them is the []byte wire blobs,
 // exactly what would travel over the network to a projfreqd daemon
-// (whose /v1/push endpoint does the reader's half on every push).
+// (whose /v1/push?source= endpoint keeps each writer's latest blob and
+// does the reader's half on every read).
 //
 // Run with: go run ./examples/distributed
 package main

@@ -45,7 +45,7 @@ func expectWake(t *testing.T, eng *Sharded, name string, change func() error) {
 }
 
 // TestAwaitChange pins the engine's change signal: every mutation that
-// retires the serving epoch — rows, a push, a source absorbed or
+// retires the serving epoch — rows, a source absorbed, replaced or
 // removed, a subspace registration, a checkpoint restore — wakes a
 // waiter parked on it, nothing else does, and the wake path holds up
 // under concurrent writers and waiters.
@@ -58,8 +58,8 @@ func testAwaitChangeWakes(t *testing.T) {
 	eng := sourceTestEngine(t, Config{})
 	row := words.BatchOf(4, []uint16{1, 2, 0, 1})
 	expectWake(t, eng, "ObserveBatch", func() error { eng.ObserveBatch(row); return nil })
-	expectWake(t, eng, "Absorb", func() error { return eng.Absorb(sourceDonor(t, 3, 2)) })
-	expectWake(t, eng, "AbsorbSource", func() error { return eng.AbsorbSource("peer", sourceDonor(t, 5, 1)) })
+	expectWake(t, eng, "AbsorbSource", func() error { return eng.AbsorbSource("peer", sourceDonor(t, 3, 2)) })
+	expectWake(t, eng, "AbsorbSource replacing", func() error { return eng.AbsorbSource("peer", sourceDonor(t, 5, 1)) })
 	expectWake(t, eng, "RemoveSource", func() error {
 		if !eng.RemoveSource("peer") {
 			return errors.New("source not present")

@@ -240,11 +240,13 @@ func netEpochFixture(tb testing.TB, d, shards int) *Sharded {
 const netEpochCutAllocCeiling = 116
 
 // TestNetEpochCutAllocs pins the cost of a net epoch cut: shard 0 is
-// copied, not rebuilt and merged.
+// copied, not rebuilt and merged. Under the race detector the cuts
+// still run, but the count is not asserted: sync.Pool then drops one
+// Put in four, and each dropped KMV merge buffer is allocated again.
 func TestNetEpochCutAllocs(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		eng := netEpochFixture(t, 8, shards)
-		if allocs := testing.AllocsPerRun(20, func() { eng.rebuild(t) }); allocs > netEpochCutAllocCeiling {
+		if allocs := testing.AllocsPerRun(20, func() { eng.rebuild(t) }); allocs > netEpochCutAllocCeiling && !raceEnabled {
 			t.Fatalf("shards=%d: one net epoch cut allocates %v times, ceiling %d", shards, allocs, netEpochCutAllocCeiling)
 		}
 	}

@@ -10,18 +10,19 @@ import (
 
 // This file is the engine's durability face: the Log tee interface
 // (Config.Log), the checkpoint cut (CheckpointState), and the boot
-// counterparts Restore and the Replay methods. internal/store
+// counterparts Restore and ReplayBatch. internal/store
 // implements Log; cmd/projfreqd glues the two together. The
 // correctness backbone is a single invariant:
 //
 //	log order == routing order == the checkpoint cut
 //
 // Appends hold logMu across the log write and the shard routing
-// (ObserveBatchDurable, absorb), and CheckpointState reads the cut LSN
+// (ObserveBatchDurable), and CheckpointState reads the cut LSN
 // and the routing clock while holding logMu inside the quiesce barrier
 // — so a checkpoint's shard blobs contain exactly the records below
 // its LSN, and replaying the records at or above it through the same
-// routing code rebuilds the exact pre-crash shard state.
+// routing code rebuilds the exact pre-crash shard state. Sources live
+// outside the shards: the cut carries them, and the daemon logs them.
 
 // Log is the durability tee the engine appends to before routing
 // (implemented by *store.Store). Append calls are serialized by the
@@ -30,8 +31,6 @@ import (
 type Log interface {
 	// AppendBatch logs one accepted batch of rows (not retained).
 	AppendBatch(b *words.Batch) error
-	// AppendSummary logs one absorbed summary's wire blob.
-	AppendSummary(blob []byte) error
 	// LSN returns the next log sequence number.
 	LSN() uint64
 }
@@ -41,7 +40,7 @@ type Log interface {
 var ErrNoLog = errors.New("engine: no durability log configured")
 
 // CheckpointState is a consistent cut of the engine for a checkpoint:
-// the per-shard wire blobs plus exactly the bookkeeping a restarted
+// the shard and source blobs plus exactly the bookkeeping a restarted
 // engine needs to continue routing identically (see Restore).
 type CheckpointState struct {
 	// LSN is the log cut: every record below it is inside Shards,
@@ -51,13 +50,15 @@ type CheckpointState struct {
 	Next uint64
 	// Rows is the accepted-row clock at the cut.
 	Rows int64
-	// Absorbs is the absorbed-summary count at the cut; restoring it
-	// keeps the late-subspace-registration gate correct even for
-	// absorbed blobs that claimed zero rows.
+	// Absorbs counts the source installs and removals up to the cut;
+	// restoring it keeps the late-subspace-registration gate closed
+	// even once every source is gone.
 	Absorbs int
 	// Shards holds one wire blob (core.MarshalSummary of the shard's
 	// registry) per ingest shard, in shard order.
 	Shards [][]byte
+	// Sources maps each source's name to its summary's wire blob.
+	Sources map[string][]byte
 }
 
 // CheckpointState captures a checkpoint cut under the quiesce
@@ -121,11 +122,17 @@ func (s *Sharded) CheckpointState() (CheckpointState, error) {
 	if err != nil {
 		return CheckpointState{}, err
 	}
+	// Sources change only under mu, which this cut holds.
+	st.Sources = make(map[string][]byte, len(s.sources))
+	for name, sum := range s.sources {
+		if st.Sources[name], err = core.MarshalSummary(sum); err != nil {
+			return CheckpointState{}, fmt.Errorf("engine: marshaling source %q for checkpoint: %w", name, err)
+		}
+	}
 	if mergedErr == nil {
-		// Absorbed sources (soft anti-entropy state, outside the
-		// checkpoint's shard blobs) still belong in the published read
-		// epoch; a source merge failure only skips the epoch refresh,
-		// like a scaffold failure.
+		// Sources also belong in the published read epoch; a source
+		// merge failure only skips the epoch refresh, like a scaffold
+		// failure.
 		if srcSize, srcRows, srcErr := s.mergeSourcesInto(merged); srcErr == nil {
 			s.publishLocked(merged, accepted, size+srcSize, srcRows)
 		}
@@ -135,10 +142,11 @@ func (s *Sharded) CheckpointState() (CheckpointState, error) {
 
 // Restore rebuilds the engine from a checkpoint cut: each shard blob
 // is decoded and merged into the corresponding (still empty) shard,
-// and the routing clock, the row clock, and the absorb count are set
-// to the cut's — after which replaying the post-cut log records
-// through ReplayBatch and ReplayAbsorb reproduces the pre-crash state
-// exactly. The cut's LSN is the log's concern and is ignored here.
+// each source is installed as AbsorbSource installs it, and the
+// routing clock, the row clock, and the absorb count are set to the
+// cut's — after which replaying the post-cut log records reproduces
+// the pre-crash state exactly. The cut's LSN is the log's concern and
+// is ignored here.
 //
 // The engine must be freshly constructed (no rows accepted, no
 // absorbs) with the same shard count the checkpoint was cut at, and —
@@ -184,6 +192,15 @@ func (s *Sharded) Restore(st CheckpointState) error {
 	if err != nil {
 		return err
 	}
+	for name, blob := range st.Sources {
+		sum, err := core.UnmarshalSummary(blob)
+		if err == nil {
+			err = s.absorbSourceLocked(name, sum)
+		}
+		if err != nil {
+			return fmt.Errorf("engine: restoring source %q: %w", name, err)
+		}
+	}
 	s.next.Store(st.Next)
 	s.enqueued.Store(st.Rows)
 	s.absorbs = st.Absorbs
@@ -208,10 +225,4 @@ func (s *Sharded) ReplayBatch(b *words.Batch) error {
 	}
 	s.routeBatch(b)
 	return nil
-}
-
-// ReplayAbsorb re-applies one logged absorb record during recovery:
-// Absorb without the tee.
-func (s *Sharded) ReplayAbsorb(sum core.Summary) error {
-	return s.absorb(sum, false)
 }

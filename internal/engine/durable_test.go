@@ -22,6 +22,24 @@ func openLog(t *testing.T, dir string, d, q int) *store.Store {
 	return st
 }
 
+// exactDonor builds an exact d-column summary of n rows that salt
+// varies.
+func exactDonor(t *testing.T, d, q, n, salt int) core.Summary {
+	t.Helper()
+	sum, err := core.NewExact(d, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make(words.Word, d)
+	for i := range n {
+		for j := range row {
+			row[j] = uint16((i*salt + j) % q)
+		}
+		sum.Observe(row)
+	}
+	return sum
+}
+
 // recoverEngine rebuilds an engine from dir the way the daemon boots:
 // open the store, construct the engine over it, restore the newest
 // checkpoint, replay the tail. The caller owns Close on both.
@@ -34,25 +52,45 @@ func recoverEngine(t *testing.T, dir string, factory Factory, cfg Config, d, q i
 		t.Fatal(err)
 	}
 	_, err = st.Recover(func(ck *store.Checkpoint) error {
-		return eng.Restore(CheckpointState{Next: ck.Next, Rows: ck.Rows, Absorbs: int(ck.Absorbs), Shards: ck.Shards})
-	}, func(rec store.Record) error {
-		switch rec.Kind {
-		case store.RecordBatch:
-			return eng.ReplayBatch(words.BatchOf(d, rec.Rows))
-		case store.RecordSummary:
-			sum, err := core.UnmarshalSummary(rec.Blob)
-			if err != nil {
-				return err
-			}
-			return eng.ReplayAbsorb(sum)
-		default:
-			return fmt.Errorf("unexpected record kind %v", rec.Kind)
-		}
-	})
+		return eng.Restore(CheckpointState{Next: ck.Next, Rows: ck.Rows, Absorbs: int(ck.Absorbs), Shards: ck.Shards, Sources: ck.Sources})
+	}, func(rec store.Record) error { return replayRecord(eng, d, rec) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	return eng, st
+}
+
+// replayRecord applies one recovered record the way the daemon does:
+// a batch through ReplayBatch, a source through AbsorbSource.
+func replayRecord(eng *Sharded, d int, rec store.Record) error {
+	switch rec.Kind {
+	case store.RecordBatch:
+		return eng.ReplayBatch(words.BatchOf(d, rec.Rows))
+	case store.RecordSource:
+		sum, err := core.UnmarshalSummary(rec.Blob)
+		if err != nil {
+			return err
+		}
+		return eng.AbsorbSource(rec.Source, sum)
+	default:
+		return fmt.Errorf("unexpected record kind %v", rec.Kind)
+	}
+}
+
+// absorbLogged installs sum as the named source and logs it, as the
+// daemon's push and hand-off paths do.
+func absorbLogged(t *testing.T, eng *Sharded, log *store.Store, name string, sum core.Summary) {
+	t.Helper()
+	blob, err := core.MarshalSummary(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AbsorbSource(name, sum); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.AppendSource(name, blob); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // engineBytes marshals the merged snapshot; exact summaries make this
@@ -80,7 +118,7 @@ func TestDurableReplayReproducesEngineBitForBit(t *testing.T) {
 	}
 
 	// A mixed serial stream: single rows, batches (crossing the chunk
-	// size), and an absorbed donor in the middle.
+	// size), and a logged source in the middle, replaced once.
 	row := make(words.Word, d)
 	for i := 0; i < 40; i++ {
 		for j := range row {
@@ -98,9 +136,8 @@ func TestDurableReplayReproducesEngineBitForBit(t *testing.T) {
 		}
 		donor.Observe(row)
 	}
-	if err := eng.Absorb(donor); err != nil {
-		t.Fatal(err)
-	}
+	absorbLogged(t, eng, log, "donor", exactDonor(t, d, q, 9, 1))
+	absorbLogged(t, eng, log, "donor", donor)
 	for _, n := range []int{1, 4, 9, 30} {
 		b := words.NewBatch(d, n)
 		for i := 0; i < n; i++ {
@@ -163,6 +200,8 @@ func TestCheckpointRestoreThenReplayMatches(t *testing.T) {
 		eng.ObserveBatch(b)
 	}
 	feed(2, 20)
+	absorbLogged(t, eng, log, "a", exactDonor(t, d, q, 6, 2))
+	absorbLogged(t, eng, log, "b", exactDonor(t, d, q, 4, 3))
 	feed(5, 11)
 	if _, err := eng.Flush(); err != nil {
 		t.Fatal(err)
@@ -172,15 +211,16 @@ func TestCheckpointRestoreThenReplayMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Rows != 31 || len(cs.Shards) != 2 {
+	if cs.Rows != 31 || len(cs.Shards) != 2 || len(cs.Sources) != 2 {
 		t.Fatalf("checkpoint state %+v", cs)
 	}
-	if err := log.WriteCheckpoint(&store.Checkpoint{LSN: cs.LSN, Next: cs.Next, Rows: cs.Rows, Absorbs: uint64(cs.Absorbs), Shards: cs.Shards}); err != nil {
+	if err := log.WriteCheckpoint(&store.Checkpoint{LSN: cs.LSN, Next: cs.Next, Rows: cs.Rows, Absorbs: uint64(cs.Absorbs), Shards: cs.Shards, Sources: cs.Sources}); err != nil {
 		t.Fatal(err)
 	}
 	// More ingestion after the cut: recovery must replay exactly this
-	// tail on top of the restored shards.
+	// tail, a source replaced among it, on top of the restored state.
 	feed(7, 9)
+	absorbLogged(t, eng, log, "a", exactDonor(t, d, q, 8, 4))
 	want := engineBytes(t, eng)
 	eng.Close()
 	log.Close()
@@ -261,7 +301,6 @@ func TestCheckpointCutExactUnderConcurrentIngest(t *testing.T) {
 type brokenLog struct{ lsn uint64 }
 
 func (b *brokenLog) AppendBatch(*words.Batch) error { return errors.New("disk on fire") }
-func (b *brokenLog) AppendSummary([]byte) error     { return errors.New("disk on fire") }
 func (b *brokenLog) LSN() uint64                    { return b.lsn }
 
 func TestDurableFailureSurfaces(t *testing.T) {
@@ -345,6 +384,14 @@ func TestRestoreValidation(t *testing.T) {
 	if err := mk(2).Restore(CheckpointState{Next: 2, Rows: 1, Shards: [][]byte{[]byte("junk"), []byte("junk")}}); err == nil {
 		t.Fatal("corrupt shard blob must fail")
 	}
+	// A source of another shape is refused as AbsorbSource refuses it.
+	other, err := core.MarshalSummary(exactDonor(t, d+1, q, 2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mk(2).Restore(CheckpointState{Next: 1, Rows: 1, Shards: blobs, Sources: map[string][]byte{"peer": other}}); !errors.Is(err, core.ErrIncompatibleMerge) {
+		t.Fatalf("mis-shaped checkpoint source: %v", err)
+	}
 	// A clean restore reproduces the source exactly.
 	dst := mk(2)
 	if err := dst.Restore(CheckpointState{Next: 1, Rows: 1, Shards: blobs}); err != nil {
@@ -384,7 +431,7 @@ func TestReplayBatchValidatesShape(t *testing.T) {
 }
 
 // TestRecoveryReusedBuffersDoNotLeak guards replay's reused buffers.
-// An absorbed summary is logged at the front of the first segment;
+// A source summary is logged at the front of the first segment;
 // batches then roll the log into segments of their own and end in a
 // shorter last segment, whose read overwrites the summary's bytes in
 // the reused segment image. The summary decoded during replay must not
@@ -412,9 +459,7 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 		}
 		donor.Observe(row)
 	}
-	if err := eng.Absorb(donor); err != nil {
-		t.Fatal(err)
-	}
+	absorbLogged(t, eng, log, "donor", donor)
 	batch := func(n, salt int) *words.Batch {
 		b := words.NewBatch(d, n)
 		for i := range n {
@@ -460,19 +505,19 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 		switch rec.Kind {
 		case store.RecordBatch:
 			return eng2.ReplayBatch(words.BatchOf(d, rec.Rows))
-		case store.RecordSummary:
+		case store.RecordSource:
 			sum, err := core.UnmarshalSummary(rec.Blob)
 			if err != nil {
 				return err
 			}
 			if absorbed != nil {
-				return errors.New("more than one summary record")
+				return errors.New("more than one source record")
 			}
 			if absorbedWire, err = core.MarshalSummary(sum); err != nil {
 				return err
 			}
 			absorbed = sum
-			return eng2.ReplayAbsorb(sum)
+			return eng2.AbsorbSource(rec.Source, sum)
 		default:
 			return fmt.Errorf("unexpected record kind %v", rec.Kind)
 		}
@@ -481,7 +526,7 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	if absorbed == nil {
-		t.Fatal("the summary record was not replayed")
+		t.Fatal("the source record was not replayed")
 	}
 	after, err := core.MarshalSummary(absorbed)
 	if err != nil {

@@ -42,8 +42,8 @@
 // the catch-all full summary — evaluating each group against its
 // planned target and falling back to the full summary when a
 // specialized one cannot answer the query's class. Snapshots
-// (being merged registries) serialize whole-registry blobs that Absorb
-// accepts back.
+// (being merged registries) serialize whole-registry blobs that
+// AbsorbSource accepts back.
 package engine
 
 import (
@@ -84,12 +84,12 @@ type Config struct {
 	// runtime.GOMAXPROCS(0)).
 	QueryWorkers int
 	// Log, when non-nil, is the durability tee: every accepted batch
-	// and absorbed summary is appended to it before it is routed
-	// to a shard, so a crashed process can be rebuilt by replaying the
-	// log (see internal/store and the durability section of
-	// ARCHITECTURE.md). Ingestion through a log is serialized —
-	// append order in the log is exactly shard-routing order, which is
-	// what makes replay reproduce the shard state bit for bit.
+	// is appended to it before it is routed to a shard, so a crashed
+	// process can be rebuilt by replaying the log (see internal/store
+	// and the durability section of ARCHITECTURE.md). Ingestion
+	// through a log is serialized — append order in the log is exactly
+	// shard-routing order, which is what makes replay reproduce the
+	// shard state bit for bit.
 	Log Log
 }
 
@@ -178,21 +178,19 @@ type Sharded struct {
 
 	mu      sync.Mutex // serializes quiesce + epoch rebuild
 	subs    []subspaceSpec
-	absorbs int // successful Absorb calls; guards late registration
+	absorbs int // source installs and removals; guards late registration
 
 	// sources holds the latest summary absorbed per named source
-	// (AbsorbSource): cluster anti-entropy state, merged into every
-	// epoch on top of the local shards. Unlike Absorb's cumulative
-	// merge-into-a-shard, a source's summary is *replaced* on each
-	// absorb — re-pulling a peer's cumulative snapshot must not
-	// double-count its rows. Guarded by mu; nil until first use.
+	// (AbsorbSource), merged into every epoch on top of the local
+	// shards: each absorb *replaces* the name's summary, so a re-sent
+	// cumulative snapshot is not double-counted. Guarded by mu.
 	sources map[string]core.Summary
 
 	// cur is the serving epoch: an immutable merged snapshot readers
 	// load without locks. It is nil before the first build and after
-	// any mutation that invalidates merged state wholesale (Absorb,
-	// Restore, subspace registration). All stores happen under mu;
-	// epochSeq (also under mu) numbers the builds.
+	// any mutation that invalidates merged state wholesale (a source
+	// absorbed or removed, Restore, subspace registration). All stores
+	// happen under mu; epochSeq (also under mu) numbers the builds.
 	cur      atomic.Pointer[epoch]
 	epochSeq uint64
 
@@ -450,23 +448,16 @@ func (s *Sharded) AwaitChange(ctx context.Context, seq uint64) error {
 // enqueued rows are fully observed first), runs f, then resumes them.
 // Callers must hold s.mu.
 func (s *Sharded) quiesce(f func() error) error {
-	return s.quiesceChans(s.chans, f)
-}
-
-// quiesceChans is quiesce over an explicit worker subset, so
-// single-shard operations (Absorb) pause one worker instead of all of
-// them. Callers must hold s.mu.
-func (s *Sharded) quiesceChans(chans []chan shardMsg, f func() error) error {
 	if s.chans == nil {
 		// Closed: the workers are gone and the shards are idle.
 		return f()
 	}
 	resume := make(chan struct{})
-	acks := make(chan struct{}, len(chans))
-	for _, ch := range chans {
+	acks := make(chan struct{}, len(s.chans))
+	for _, ch := range s.chans {
 		ch <- shardMsg{ack: acks, resume: resume}
 	}
-	for range chans {
+	for range s.chans {
 		<-acks
 	}
 	err := f()
@@ -694,130 +685,37 @@ func (s *Sharded) Flush() (core.Summary, error) {
 	return e.reg, nil
 }
 
-// Absorb folds an externally built summary — typically one decoded
-// from a remote writer's serialized push — into one of the engine's
-// shards, so cross-process ingestion composes with the local workers.
-// The donor must be mergeable into the engine's summary kind (same
-// shape and configuration) and is left intact; on error the engine is
-// unchanged. Shards are chosen round-robin with the row router.
-//
-// An engine with registered subspaces only absorbs whole registries
-// (the blobs its own snapshots export) whose subspace structure
-// matches; bare summary pushes are refused with ErrIncompatibleMerge,
-// since folding them into the catch-all alone would leave the
-// subspace summaries behind the stream.
-//
-// With a durability log configured, a successful absorb is appended
-// to it (as the donor's re-marshaled wire blob) so replay reproduces
-// it; a failed merge is never logged. If the merge succeeds but the
-// log append fails, the error is returned with the merge in place —
-// the engine is then ahead of its log, and the caller should treat
-// the store as failing (the daemon surfaces a 500 and the operator's
-// next checkpoint or restart reconciles).
-func (s *Sharded) Absorb(sum core.Summary) error {
-	return s.absorb(sum, true)
-}
-
-// absorb implements Absorb; replay passes tee=false so recovered
-// records are not re-appended to the log they came from.
-func (s *Sharded) absorb(sum core.Summary, tee bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.log != nil {
-		// The log order must match the state order (see
-		// ObserveBatchDurable): no row append may land between this
-		// merge and its log record.
-		s.logMu.Lock()
-		defer s.logMu.Unlock()
-	}
-	var i int
-	if s.log != nil {
-		// Replay only sees successful absorbs (failures are never
-		// logged), so the routing counter must advance only on success
-		// or every later row would re-route differently on recovery.
-		// logMu is held, so no other advancer can race the
-		// read-then-add below.
-		i = int((s.next.Load() + 1) % uint64(len(s.shards)))
-	} else {
-		i = int(s.next.Add(1) % uint64(len(s.shards)))
-	}
-	var target []chan shardMsg
-	if s.chans != nil {
-		// Only the receiving shard's worker needs to pause; ingestion
-		// on every other shard continues during the merge.
-		target = s.chans[i : i+1]
-	}
-	err := s.quiesceChans(target, func() error {
-		return s.shards[i].Merge(sum)
-	})
-	if err != nil {
-		return fmt.Errorf("engine: absorbing into shard %d: %w", i, err)
-	}
-	var teeErr error
-	if tee && s.log != nil {
-		blob, err := core.MarshalSummary(sum)
-		if err == nil {
-			err = s.log.AppendSummary(blob)
-		}
-		teeErr = err
-	}
-	// The routing counter must track the log exactly: it advances only
-	// when the absorb has (or needs, in replay) a log record, because
-	// recovery re-derives every later record's shard from the replayed
-	// counter. A merged-but-unlogged absorb (teeErr != nil) therefore
-	// leaves the counter alone — its state is a ghost the next
-	// checkpoint will capture, but the rows logged after it must route
-	// on replay exactly as they did live.
-	if s.log != nil && teeErr == nil {
-		s.next.Add(1)
-	}
-	// Count the absorb itself, not just the donor's rows: a blob may
-	// carry sketch state while claiming zero rows, and subspace
-	// registration must treat any absorbed state as ingestion started.
-	// This includes the unlogged-failure path — the state exists in the
-	// shards regardless of what the log says.
-	s.absorbs++
-	s.enqueued.Add(sum.Rows())
-	// Drop the serving epoch outright rather than trusting the donor's
-	// self-reported row count to advance the freshness clock: a blob
-	// may carry sketch state with rows = 0, which would otherwise
-	// leave a prior epoch looking fresh.
-	s.invalidateLocked()
-	if teeErr != nil {
-		return fmt.Errorf("engine: logging absorb: %w", teeErr)
-	}
-	return nil
-}
-
 // AbsorbSource installs sum as the latest state of the named source:
-// the cluster anti-entropy primitive. Where Absorb folds a donor into
-// a shard cumulatively, a source is replaced wholesale — an aggregator
-// re-pulling a peer's cumulative snapshot (same source, more rows)
-// must supersede the previous pull, not double-count it. The absorbed
-// state is merged into every subsequent epoch on top of the local
-// shards, so queries, snapshots, and exported summaries all reflect
-// the newest pull of every source.
+// the one way a summary built elsewhere (a pull, a hand-off, a push)
+// enters the engine. A source is replaced wholesale — a writer
+// re-sending its cumulative snapshot (same name, more rows) supersedes
+// the previous one instead of double-counting it. The absorbed state
+// is merged into every subsequent epoch on top of the local shards.
 //
 // The donor is validated against a factory-fresh registry before any
 // state changes: a blob of the wrong shape, configuration, or subspace
 // structure is refused (wrapping core.ErrIncompatibleMerge where the
 // merge rules do) and the engine is unchanged. The probe is discarded
 // either way, so it takes the trusted merge: a partial merge into it
-// is harmless, and the donor is not cloned through the wire. On success the previous
-// summary for name (if any) is dropped, the serving epoch is
-// invalidated, and late subspace registration is blocked exactly
-// as it is after Absorb. The donor must not be mutated by the caller
-// afterwards; the engine re-merges it into every epoch it serves.
+// is harmless, and the donor is not cloned through the wire. On
+// success the previous summary for name (if any) is dropped, the
+// serving epoch is invalidated, and late subspace registration is
+// blocked. The donor must not be mutated by the caller afterwards; the
+// engine re-merges it into every epoch it serves.
 //
-// Source state is deliberately soft: it is not appended to a
-// durability log, because anti-entropy re-pulls it from the source of
-// truth (the peer's own durable store) after a restart.
+// The engine does not log a source: a durable daemon logs the blob
+// itself, and CheckpointState carries the source table.
 func (s *Sharded) AbsorbSource(name string, sum core.Summary) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.absorbSourceLocked(name, sum)
+}
+
+// absorbSourceLocked implements AbsorbSource; callers hold mu.
+func (s *Sharded) absorbSourceLocked(name string, sum core.Summary) error {
 	if name == "" {
 		return errors.New("engine: empty source name")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	probe, err := s.buildShard(len(s.shards))
 	if err != nil {
 		return fmt.Errorf("engine: probe for source %q: %w", name, err)
@@ -895,9 +793,9 @@ var ErrRowsAccepted = errors.New("engine: rows already accepted; register subspa
 // subspace summary; see Plan in internal/registry.
 //
 // Registration must happen before ingestion: once the engine has
-// accepted rows (Observe, ObserveBatch, or Absorb), RegisterSubspace
-// fails with ErrRowsAccepted. Registering the same column set twice
-// fails with registry.ErrDuplicateSubspace.
+// accepted rows (Observe, ObserveBatch) or absorbed a source,
+// RegisterSubspace fails with ErrRowsAccepted. Registering the same
+// column set twice fails with registry.ErrDuplicateSubspace.
 func (s *Sharded) RegisterSubspace(c words.ColumnSet, sub Factory) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -936,10 +834,9 @@ func (s *Sharded) registerSubspaceLocked(c words.ColumnSet, sub Factory) error {
 	if n := s.enqueued.Load(); n != 0 {
 		return fmt.Errorf("%w (%d rows accepted)", ErrRowsAccepted, n)
 	}
-	// The row clock alone cannot gate this: a donor blob may carry
-	// sketch state while claiming zero rows (see Absorb), which the
-	// clock never sees. Any completed absorb means shard state exists
-	// that a new subspace summary would not share.
+	// The row clock alone cannot gate this: sources never move it,
+	// and a source summary built without the new subspace could not
+	// merge into an epoch built with it.
 	if s.absorbs != 0 {
 		return fmt.Errorf("%w (%d summaries absorbed)", ErrRowsAccepted, s.absorbs)
 	}
@@ -1043,7 +940,7 @@ func (s *Sharded) Subspaces() []SubspaceInfo {
 // registry blob when subspaces are registered). The engine itself is
 // not reconstructible from the blob — decode it with
 // core.UnmarshalSummary and, if sharded serving is needed again,
-// Absorb it into a fresh engine.
+// install it as a source of a fresh engine (AbsorbSource).
 func (s *Sharded) MarshalBinary() ([]byte, error) {
 	snap, err := s.Flush()
 	if err != nil {
@@ -1080,18 +977,6 @@ func (s *Sharded) Alphabet() int { return s.shards[0].Alphabet() }
 
 // Rows returns the number of rows accepted by Observe.
 func (s *Sharded) Rows() int64 { return s.enqueued.Load() }
-
-// Absorbs returns the number of summaries folded in through Absorb,
-// including absorbs restored from a checkpoint or replayed during
-// recovery. Together with Rows and NumSubspaces it versions the
-// engine's queryable state — a zero-row donor blob can change answers
-// without moving the row clock, which is why the daemon's /v1/summary
-// ETag includes it.
-func (s *Sharded) Absorbs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.absorbs
-}
 
 // SizeBytes totals the shard summaries' space as of the serving
 // epoch's cut — the walk over the live shards happens once per epoch

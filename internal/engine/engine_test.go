@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -466,7 +467,7 @@ func TestObserveBatchInterleavedWithAbsorbAndQueryBatch(t *testing.T) {
 				row[0] = uint16(r % 2)
 				donor.Observe(row)
 			}
-			if err := eng.Absorb(donor); err != nil {
+			if err := eng.AbsorbSource(fmt.Sprintf("donor-%d", i), donor); err != nil {
 				t.Error(err)
 				return
 			}
@@ -491,9 +492,10 @@ func TestObserveBatchInterleavedWithAbsorbAndQueryBatch(t *testing.T) {
 	}()
 	wg.Wait()
 	eng.Close()
-	want := int64(writers*batchesPerW*rowsPerBatch + absorbs*rowsPerDonor)
-	if eng.Rows() != want {
-		t.Fatalf("rows %d, want %d", eng.Rows(), want)
+	local := int64(writers * batchesPerW * rowsPerBatch)
+	want := local + absorbs*rowsPerDonor
+	if eng.Rows() != local {
+		t.Fatalf("rows %d, want %d", eng.Rows(), local)
 	}
 	snap, err := eng.Flush()
 	if err != nil {
@@ -519,8 +521,8 @@ func (unmergeable) Name() string              { return "unmergeable" }
 func TestAbsorbInvalidatesSnapshotDespiteDonorRowCount(t *testing.T) {
 	// A donor blob can carry sketch state while claiming zero rows
 	// (Net row counts cannot be cross-checked against sketch content),
-	// so Absorb must drop any existing snapshot outright instead of
-	// relying on the row clock to mark it stale.
+	// so AbsorbSource must drop any existing snapshot outright instead
+	// of relying on the row clock to mark it stale.
 	cfg := core.NetConfig{Alpha: 0.3, Epsilon: 0.3, Seed: 5}
 	eng, err := NewSharded(netFactory(10, 2, cfg), Config{Shards: 2})
 	if err != nil {
@@ -554,7 +556,7 @@ func TestAbsorbInvalidatesSnapshotDespiteDonorRowCount(t *testing.T) {
 	if dec.Rows() != 0 {
 		t.Fatalf("crafted donor reports %d rows", dec.Rows())
 	}
-	if err := eng.Absorb(dec); err != nil {
+	if err := eng.AbsorbSource("donor", dec); err != nil {
 		t.Fatal(err)
 	}
 	c := words.MustColumnSet(10, 0, 1, 2)

@@ -338,9 +338,9 @@ func TestRegisterSubspaceEngineRules(t *testing.T) {
 }
 
 // TestRegisterSubspaceRefusedAfterZeroRowAbsorb: the pre-ingestion
-// gate must not trust the donor-influenced row clock alone — a blob
-// can carry sketch state while claiming zero rows (see Absorb), and a
-// subspace registered afterwards would silently lack that state.
+// gate must not trust the row clock alone — a source blob can carry
+// sketch state while claiming zero rows, and a subspace registered
+// afterwards would silently lack that state.
 func TestRegisterSubspaceRefusedAfterZeroRowAbsorb(t *testing.T) {
 	cfg := core.NetConfig{Alpha: 0.3, Epsilon: 0.3, Seed: 5}
 	eng, err := NewSharded(netFactory(10, 2, cfg), Config{Shards: 2})
@@ -362,7 +362,7 @@ func TestRegisterSubspaceRefusedAfterZeroRowAbsorb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Absorb(dec); err != nil {
+	if err := eng.AbsorbSource("donor", dec); err != nil {
 		t.Fatal(err)
 	}
 	if eng.Rows() != 0 {
@@ -428,7 +428,7 @@ func TestQueryBatchOrderingUnderParallelPool(t *testing.T) {
 
 // TestSubspaceEngineWireRoundTrip: an engine with subspaces exports a
 // whole-registry blob that another engine with the same registrations
-// absorbs; bare pushes are refused once subspaces exist.
+// absorbs as a source; bare summaries are refused once subspaces exist.
 func TestSubspaceEngineWireRoundTrip(t *testing.T) {
 	netCfg := core.NetConfig{Alpha: 0.3, Epsilon: 0.25, Seed: 5}
 	build := func() *Sharded {
@@ -458,7 +458,7 @@ func TestSubspaceEngineWireRoundTrip(t *testing.T) {
 	if reg.NumSubspaces() != 1 || reg.Rows() != 500 {
 		t.Fatalf("exported registry: %d subspaces, %d rows", reg.NumSubspaces(), reg.Rows())
 	}
-	if err := b.Absorb(dec); err != nil {
+	if err := b.AbsorbSource("a", dec); err != nil {
 		t.Fatal(err)
 	}
 	c := words.MustColumnSet(10, 0, 1)
@@ -480,7 +480,7 @@ func TestSubspaceEngineWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	donor.Observe(make(words.Word, 10))
-	if err := b.Absorb(donor); !errors.Is(err, core.ErrIncompatibleMerge) {
+	if err := b.AbsorbSource("bare", donor); !errors.Is(err, core.ErrIncompatibleMerge) {
 		t.Fatalf("bare absorb into subspaced engine: %v", err)
 	}
 }

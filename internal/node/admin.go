@@ -6,10 +6,10 @@ package node
 // in exactly one live summary:
 //
 //   - /v1/admin/handoff makes this daemon pull a departing peer's
-//     /v1/summary once and absorb it (AbsorbSource, replace semantics),
-//     so the peer's slice of the stream survives inside this daemon's
-//     own export. Re-issuing the hand-off is safe: a re-pull replaces
-//     the previous absorption instead of double-counting it.
+//     /v1/summary once and absorb it as a source (absorbSource, replace
+//     semantics, logged on a durable daemon), so the peer's slice of
+//     the stream survives inside this daemon's own export. Re-issuing
+//     the hand-off is safe: a re-pull replaces the previous one.
 //   - /v1/admin/sources adds and removes anti-entropy sources on an
 //     aggregator, dropping the removed peers' absorbed state in the
 //     same step — once a successor's export carries the departed
@@ -51,12 +51,11 @@ type HandoffResponse struct {
 // handleAdminHandoff absorbs a departing peer's summary: one
 // conditional-GET pull of the peer's /v1/summary applied through the
 // same Applier path the aggregator role uses. The absorbed state is
-// keyed by the peer's URL, so a repeated hand-off (orchestrator retry,
-// or a re-issue after this daemon restarted) replaces rather than
-// accumulates. Hand-off state is soft — not WAL-logged — which is why
-// the departing peer must stay decommission-able (its durable store
-// intact) until the cluster has converged; /v1/stats lists completed
-// hand-offs so an orchestrator can verify before decommissioning.
+// keyed by the peer's URL, so a repeated hand-off (an orchestrator
+// retry) replaces rather than accumulates. On a durable daemon the
+// 200 comes after the WAL record, so the slice survives a crash of
+// this daemon once the peer is gone; /v1/stats lists the hand-offs
+// completed since boot.
 func (n *Node) handleAdminHandoff(w http.ResponseWriter, r *http.Request) {
 	var req HandoffRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -17,8 +17,8 @@ import (
 // This file is the daemon's durability glue: boot recovery, the
 // checkpoint cut, the automatic checkpointer, and the admin endpoint.
 // The layering: internal/store owns files and frames, internal/engine
-// owns the consistent cut (CheckpointState/Restore/Replay*), and this
-// file maps between them — including the one piece of state only the
+// owns the consistent cut (CheckpointState/Restore/ReplayBatch), and
+// this file maps between them — including the one piece of state only the
 // daemon knows, the subspace registrations' provisioning kind strings
 // (subspaceFactory input), which ride the WAL as registration records
 // and every checkpoint as SubspaceMeta.
@@ -83,11 +83,11 @@ func (n *Node) applySubspaceMeta(meta store.SubspaceMeta) error {
 // recover rebuilds the engine from the data directory before the
 // daemon starts serving: restore the newest checkpoint (re-register
 // its subspaces first, so the shard blobs' registry structure
-// matches), then replay the WAL tail through the engine's replay
-// entry points — which route like live ingestion but never tee back
-// into the log. Runs single-threaded at boot; any failure is fatal,
-// because serving from a partially recovered state would silently
-// drop acknowledged data.
+// matches), then replay the WAL tail: batches through ReplayBatch,
+// which routes like live ingestion but never tees back into the log,
+// and sources through AbsorbSource, which the engine never logs. Runs
+// single-threaded at boot; any failure is fatal, because serving from
+// a partially recovered state would silently drop acknowledged data.
 func (n *Node) recover() error {
 	start := time.Now()
 	var batch words.Batch // rebound to each batch record's rows
@@ -102,18 +102,19 @@ func (n *Node) recover() error {
 			Rows:    ck.Rows,
 			Absorbs: int(ck.Absorbs),
 			Shards:  ck.Shards,
+			Sources: ck.Sources,
 		})
 	}, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
 			batch.Bind(n.eng.Dim(), rec.Rows)
 			return n.eng.ReplayBatch(&batch)
-		case store.RecordSummary:
+		case store.RecordSource:
 			sum, err := core.UnmarshalSummary(rec.Blob)
 			if err != nil {
-				return fmt.Errorf("decoding absorbed summary: %w", err)
+				return fmt.Errorf("decoding source %q: %w", rec.Source, err)
 			}
-			return n.eng.ReplayAbsorb(sum)
+			return n.eng.AbsorbSource(rec.Source, sum)
 		case store.RecordSubspace:
 			return n.applySubspaceMeta(store.SubspaceMeta{Mask: rec.Mask, Summary: rec.Summary})
 		default:
@@ -176,6 +177,7 @@ func (n *Node) checkpoint() (store.Stats, error) {
 		Absorbs:   uint64(cs.Absorbs),
 		Subspaces: metas,
 		Shards:    cs.Shards,
+		Sources:   cs.Sources,
 	})
 	if err != nil {
 		return store.Stats{}, err

@@ -6,7 +6,8 @@
 // the tests and the in-process cluster all call it.
 //
 // Rows stream in through /v1/observe, remote writers push whole
-// serialized summaries through /v1/push (merged on ingest), and readers
+// serialized summaries through /v1/push?source=NAME (each name's latest
+// push is served, replacing its previous one), and readers
 // batch queries through /v1/query or export the merged summary as a
 // wire blob from /v1/summary. Reads are served from an epoch snapshot
 // that covers every row accepted before the read started (responses
@@ -20,8 +21,8 @@
 // README for curl examples.
 //
 // With Config.DataDir the daemon is durable: every accepted observe,
-// push, and subspace registration is written to a write-ahead log
-// before it is applied (fsync policy via Config.Fsync), checkpoints are
+// push, hand-off, and subspace registration is written to a write-ahead
+// log (fsync policy via Config.Fsync), checkpoints are
 // cut periodically (CheckpointRows / CheckpointInterval), on demand
 // (POST /v1/admin/checkpoint), and on Close, and a restart recovers the
 // full pre-crash state — the newest checkpoint plus a replay of the log
@@ -97,7 +98,7 @@ type Node struct {
 	mux *http.ServeMux
 
 	// wal is the WAL + checkpoint store; the engine tees ingestion
-	// into it (engine.Config.Log), the node logs subspace
+	// into it (engine.Config.Log), the node logs sources and subspace
 	// registrations and cuts checkpoints.
 	wal *store.Store
 	// regMu serializes subspace registration against checkpoint
@@ -107,8 +108,9 @@ type Node struct {
 	regMu   sync.Mutex
 	subMeta []store.SubspaceMeta
 	// ckptMu serializes checkpoints (admin-triggered, timer-triggered,
-	// and the one Close cuts); lastCkptRows and lastCkptTime drive the
-	// automatic triggers.
+	// and the one Close cuts) and source installs (absorbSource), so no
+	// cut falls between a source's install and its WAL record;
+	// lastCkptRows and lastCkptTime drive the automatic triggers.
 	ckptMu       sync.Mutex
 	lastCkptRows int64
 	lastCkptTime time.Time
@@ -122,10 +124,9 @@ type Node struct {
 	puller *cluster.Puller
 	// handoffMu guards handoffs: the record of peers this daemon has
 	// absorbed through /v1/admin/handoff (a membership-change slice
-	// hand-off). Handed-off state is soft like all AbsorbSource state —
-	// it is not in the WAL or checkpoints — so the record is surfaced
-	// on /v1/stats and the orchestrator re-issues the hand-off if this
-	// daemon restarts before the departed peer is decommissioned.
+	// hand-off), surfaced on /v1/stats. On a durable daemon the
+	// handed-off state itself is in the WAL and every checkpoint; this
+	// record is not, and restarts empty.
 	handoffMu sync.Mutex
 	handoffs  map[string]cluster.SourceStats
 
@@ -349,7 +350,7 @@ func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request) {
 // and the batch the rows land in) across requests.
 var observePool = sync.Pool{New: func() interface{} { return new(wire.ObserveDecoder) }}
 
-// PushResponse reports a merged remote summary.
+// PushResponse reports a pushed summary's rows and all rows served.
 type PushResponse struct {
 	RowsMerged int64 `json:"rows_merged"`
 	Rows       int64 `json:"rows"`
@@ -388,44 +389,64 @@ func pushConflict(w http.ResponseWriter, err error) {
 	})
 }
 
+// handlePush installs a writer's summary as the source named by the
+// required ?source= parameter, replacing the name's previous push: a
+// retry after a lost ack, or a re-pushed snapshot, counts once.
 func (n *Node) handlePush(w http.ResponseWriter, r *http.Request) {
+	name := r.URL.Query().Get("source")
+	if name == "" {
+		HTTPError(w, http.StatusBadRequest, errors.New("push needs a source=NAME query parameter naming the writer"))
+		return
+	}
 	blob, err := io.ReadAll(r.Body)
 	if err != nil {
 		BodyError(w, fmt.Errorf("reading push body: %w", err))
 		return
 	}
-	sum, err := core.UnmarshalSummary(blob)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, core.ErrIncompatibleMerge) {
-			status = http.StatusConflict
-		}
-		HTTPError(w, status, err)
-		return
-	}
-	if err := n.eng.Absorb(sum); err != nil {
-		if errors.Is(err, core.ErrIncompatibleMerge) {
+	if err := n.absorbSource(name, blob); err != nil {
+		switch {
+		case errors.Is(err, core.ErrIncompatibleMerge):
 			pushConflict(w, err)
-			return
+		case errors.Is(err, core.ErrBadEncoding), errors.Is(err, core.ErrInvalidParam):
+			HTTPError(w, http.StatusBadRequest, err)
+		default:
+			HTTPError(w, http.StatusInternalServerError, err)
 		}
-		HTTPError(w, http.StatusInternalServerError, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, PushResponse{RowsMerged: sum.Rows(), Rows: n.eng.Rows()})
+	resp := PushResponse{Rows: n.eng.Rows()}
+	for _, src := range n.eng.Sources() {
+		resp.Rows += src.Rows
+		if src.Name == name {
+			resp.RowsMerged = src.Rows
+		}
+	}
+	WriteJSON(w, http.StatusOK, resp)
 }
 
-// ApplySource implements cluster.Applier: a pulled peer snapshot is
-// decoded and installed under the source's URL with replace semantics
-// (AbsorbSource), so re-pulling a peer's cumulative snapshot
-// supersedes the previous pull instead of double-counting it — the
-// difference between this path and /v1/push, whose donors are folded
-// in cumulatively.
-func (n *Node) ApplySource(source string, blob []byte) error {
+// ApplySource implements cluster.Applier: a pulled peer snapshot (an
+// aggregator's pull, or a hand-off) is absorbed under the peer's URL.
+func (n *Node) ApplySource(source string, blob []byte) error { return n.absorbSource(source, blob) }
+
+// absorbSource is the one way a summary built elsewhere enters the
+// daemon: it decodes blob, installs it as the named source
+// (engine.AbsorbSource), and on a durable daemon then logs it. Holding
+// ckptMu puts the source in a checkpoint's table or in its WAL tail.
+// A failed log append leaves the install for the next checkpoint.
+func (n *Node) absorbSource(name string, blob []byte) error {
 	sum, err := core.UnmarshalSummary(blob)
 	if err != nil {
 		return err
 	}
-	return n.eng.AbsorbSource(source, sum)
+	n.ckptMu.Lock()
+	defer n.ckptMu.Unlock()
+	if err := n.eng.AbsorbSource(name, sum); err != nil || n.wal == nil {
+		return err
+	}
+	if err := n.wal.AppendSource(name, blob); err != nil {
+		return fmt.Errorf("source %q installed but not logged: %w", name, err)
+	}
+	return nil
 }
 
 // summaryETag versions the exported summary: the wire version, a
@@ -433,7 +454,7 @@ func (n *Node) ApplySource(source string, blob []byte) error {
 // carries the summary kind and shard count — and shape, plus a boot
 // nonce), and the serving epoch's sequence number. The epoch seq is
 // the right validator: every mutation the daemon accepts (rows,
-// pushes, subspace registrations) produces a new epoch before a
+// sources, subspace registrations) produces a new epoch before a
 // changed blob can be exported, and the blob is a function of the
 // epoch alone.
 // The boot nonce keeps a restarted daemon (whose seq restarts at 1)
@@ -773,8 +794,7 @@ type Stats struct {
 // aggregators and on any daemon that has absorbed a membership
 // hand-off. The per-source counters are what the cluster tests read to
 // prove that idle sources cost 304 probes, not blob transfers; Handoffs
-// is what a membership orchestrator checks before decommissioning a
-// departed peer.
+// lists the membership hand-offs this daemon completed since boot.
 type ClusterStats struct {
 	Role     string                `json:"role"`
 	Sources  []cluster.SourceStats `json:"sources,omitempty"`

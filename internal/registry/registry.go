@@ -344,8 +344,7 @@ func (r *Registry) Name() string {
 // summary kind), so a structurally matching registry whose members
 // turn out incompatible — say, sketch-backed subspaces built with
 // different seeds — is refused before any receiver state is touched.
-// Engine.Absorb's "on error the engine is unchanged" contract relies
-// on this.
+// A refused merge therefore leaves the receiver unchanged.
 func (r *Registry) Merge(other core.Summary) error {
 	return r.merge(other, true)
 }

@@ -3,8 +3,10 @@ package store
 import (
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,7 +21,7 @@ import (
 //
 //	offset size field
 //	0      4    magic "PFQC"
-//	4      1    format version (ckptVersion)
+//	4      1    format version (ckptVersion, or 1 from earlier encoders)
 //	5      3    reserved, must be zero
 //	8      4    payload length (u32)
 //	12     4    CRC32C of the payload
@@ -30,9 +32,11 @@ import (
 //	u64 lsn     — the WAL cut: every record with LSN < lsn is inside
 //	u64 next    — the engine's round-robin routing counter at the cut
 //	i64 rows    — the engine's accepted-row clock at the cut
-//	u64 absorbs — the engine's absorbed-summary count at the cut
+//	u64 absorbs — the engine's source install/removal count at the cut
 //	u32 nsubs, then per subspace: u64 mask + block(kind string)
 //	u32 nshards, then per shard: block(summary wire blob)
+//	u32 nsources, then per source in name order: block(name) +
+//	    block(summary wire blob) — version 2 only (version 1 ends above)
 //
 // The per-shard blobs are ordinary core/registry wire envelopes
 // (ARCHITECTURE.md "Wire format") — the checkpoint adds only the cut
@@ -41,8 +45,9 @@ import (
 // records re-route with the restored counter, so the recovered engine
 // is bit-identical to one that never crashed.
 
-// ckptVersion is the checkpoint file format version.
-const ckptVersion = 1
+// ckptVersion is the checkpoint file format version. Version 2 added
+// the source table; version 1 is still read.
+const ckptVersion = 2
 
 // ckptHeaderSize is the magic+version+length+CRC prefix.
 const ckptHeaderSize = 16
@@ -71,8 +76,8 @@ type Checkpoint struct {
 	Next uint64
 	// Rows is the engine's accepted-row clock at the cut.
 	Rows int64
-	// Absorbs is the engine's absorbed-summary count at the cut (it
-	// gates late subspace registration, so it must survive recovery).
+	// Absorbs is the engine's source install/removal count at the cut
+	// (it gates late subspace registration, so it must survive it).
 	Absorbs uint64
 	// Subspaces lists the registrations the shards were built with, in
 	// registration order.
@@ -80,6 +85,8 @@ type Checkpoint struct {
 	// Shards holds one wire blob (core/registry envelope) per ingest
 	// shard, in shard order.
 	Shards [][]byte
+	// Sources maps each source's name to its summary's wire blob.
+	Sources map[string][]byte
 }
 
 // encode serializes the checkpoint file image.
@@ -97,6 +104,11 @@ func (c *Checkpoint) encode() ([]byte, error) {
 	p.U32(uint32(len(c.Shards)))
 	for _, blob := range c.Shards {
 		p.Block(blob)
+	}
+	p.U32(uint32(len(c.Sources)))
+	for _, name := range slices.Sorted(maps.Keys(c.Sources)) {
+		p.Block([]byte(name))
+		p.Block(c.Sources[name])
 	}
 	payload := p.Bytes()
 	if int64(len(payload)) > int64(^uint32(0)) {
@@ -124,8 +136,9 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if magic != ckptMagic {
 		return nil, fmt.Errorf("%w: bad checkpoint magic %q", ErrCorrupt, magic[:])
 	}
-	if v := h.U8(); v != ckptVersion {
-		return nil, fmt.Errorf("%w: unsupported checkpoint version %d (have %d)", ErrCorrupt, v, ckptVersion)
+	version := h.U8()
+	if version < 1 || version > ckptVersion {
+		return nil, fmt.Errorf("%w: unsupported checkpoint version %d (have %d)", ErrCorrupt, version, ckptVersion)
 	}
 	if h.U8() != 0 || h.U16() != 0 {
 		return nil, fmt.Errorf("%w: non-zero reserved checkpoint bytes", ErrCorrupt)
@@ -177,6 +190,20 @@ func decodeCheckpoint(data []byte) (*Checkpoint, error) {
 		}
 		// Copy out of the file image: shard blobs outlive the decode.
 		c.Shards = append(c.Shards, append([]byte(nil), blob...))
+	}
+	if version >= 2 {
+		n := int(r.U32()) // each source costs at least two block prefixes
+		if r.Err() == nil && 8*n > r.Remaining() {
+			return nil, fmt.Errorf("%w: checkpoint source count %d in %d payload bytes", ErrCorrupt, n, r.Remaining())
+		}
+		c.Sources = make(map[string][]byte, n)
+		for i := 0; i < n && r.Err() == nil; i++ {
+			name, blob := string(r.Block()), r.Block()
+			if _, dup := c.Sources[name]; r.Err() == nil && (dup || name == "") {
+				return nil, fmt.Errorf("%w: checkpoint source %d has an empty or repeated name %q", ErrCorrupt, i, name)
+			}
+			c.Sources[name] = append([]byte(nil), blob...)
+		}
 	}
 	if err := r.Done(); err != nil {
 		return nil, err

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/words"
 )
@@ -49,19 +50,22 @@ var goldenFileDigests = map[string]string{
 
 // goldenEncoderDigests pins the SHA-256 of every file writeGoldenLog
 // writes now, so the WAL and checkpoint encoders stay byte-identical.
-// It differs from the committed directory three ways. The checkpoint
+// It differs from the committed directory four ways. The checkpoint
 // and the summary record carry the registered subspace, whose blob
 // lost a KHLL block, and the exact catch-all, whose rows are shipped
-// packed. Segments are of format version 2, and their batch records
-// are packed rows, 2 bytes a row where the u16 body took 10. And
+// packed. The checkpoint is of format version 2, with an empty source
+// table, and the summary is a named source record (kind 5) where the
+// committed one is unnamed (kind 2). Segments are of format version
+// 2, and their batch records are packed rows, 2 bytes a row where the
+// u16 body took 10. And
 // segments roll at 128 bytes, so the stream still spans five
 // segments; the first three hold the committed ones' records. Each
 // segment is the committed directory's records from its first LSN to
 // the next one's, decoded and re-encoded.
 var goldenEncoderDigests = map[string]string{
-	"ckpt-0000000000000003.pfqc": "8ec924fa6f6a60f2f0d39a163c3bc7cfa537d9765be9c80ca3339fdf3c6dacbd",
+	"ckpt-0000000000000003.pfqc": "1e289f6cd1078c159a6e57578a9e0f785da6ed0d928b516e6b2f69f7efd79e0d",
 	"wal-0000000000000000.seg":   "d5ff125c7aa3bdc6350f7d8224880bedad8f441c14c1c3dcee027c155475ec3c",
-	"wal-0000000000000006.seg":   "f87e962197b4c839a5ef28b3dda8d6699499f2f309f1e0481b6d2c4eaa63ee2b",
+	"wal-0000000000000006.seg":   "75ebe942aad03ca5fc64aff20fe7420f27655ceb7efeb104acff50089635b69c",
 	"wal-0000000000000008.seg":   "8793e286a92c54c015578e376773da9f942d273a3b67b9c44a8a16f597015dc0",
 	"wal-000000000000000c.seg":   "36f177b4dd4ea0f89529872dcc3531e611960287d02a5067760bf86db0451ae2",
 	"wal-0000000000000011.seg":   "479764449d00736015afe22e475452b17863c3f0cdde2f4ce74e84bf143b0183",
@@ -72,9 +76,13 @@ var goldenEncoderDigests = map[string]string{
 // read back the same stream — from the checkpoint plus the tail, and
 // from the whole log without the checkpoint, and from the committed
 // directory as from one the current encoder writes. It was regenerated
-// once, when the exact catch-all came to ship its rows packed: the new
-// digest is that of the earlier blob decoded and re-encoded.
-const goldenRecoveredDigest = "84b5e4889d640616e024bfafe8238e828f72878b273abbdd34734ca0e119c83a"
+// twice: when the exact catch-all came to ship its rows packed (the
+// earlier blob decoded and re-encoded), and when the summary record
+// came to replay as a source instead of folding into a shard: its rows
+// now follow the shards' rows, and the batches logged after it route
+// one shard over, since it no longer advances the routing counter.
+// checkGoldenAnswers pins what that move must not change.
+const goldenRecoveredDigest = "ade1b6fdc7b89c7e23e38452442630ab86a019aabf4343e7f5deaceeac52daa0"
 
 // goldenSubspace is the one registered column set.
 var goldenSubspace = words.MustColumnSet(goldenD, 0, 2)
@@ -115,7 +123,7 @@ func goldenBatch(n, salt int) *words.Batch {
 // writeGoldenLog writes the golden stream into dir through an engine
 // teeing into the store, exactly as a durable daemon does: the
 // subspace registration, two batches, a checkpoint, then batches of
-// assorted sizes around one absorbed registry, rolling 128-byte
+// assorted sizes around one logged source registry, rolling 128-byte
 // segments.
 func writeGoldenLog(t *testing.T, dir string) {
 	t.Helper()
@@ -140,7 +148,7 @@ func writeGoldenLog(t *testing.T, dir string) {
 	if err := st.WriteCheckpoint(&store.Checkpoint{
 		LSN: cs.LSN, Next: cs.Next, Rows: cs.Rows, Absorbs: uint64(cs.Absorbs),
 		Subspaces: []store.SubspaceMeta{{Mask: goldenSubspace.Mask(), Summary: "registered"}},
-		Shards:    cs.Shards,
+		Shards:    cs.Shards, Sources: cs.Sources,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +162,14 @@ func writeGoldenLog(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.Absorb(snap); err != nil {
+	blob, err := core.MarshalSummary(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AbsorbSource("donor", snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendSource("donor", blob); err != nil {
 		t.Fatal(err)
 	}
 	for i, n := range []int{2, 9, 5, 24, 3, 6, 11, 1, 17, 4, 8, 2} {
@@ -251,17 +266,17 @@ func openGolden(t *testing.T, dir string) (*store.Store, *engine.Sharded, store.
 				return err
 			}
 		}
-		return eng.Restore(engine.CheckpointState{Next: ck.Next, Rows: ck.Rows, Absorbs: int(ck.Absorbs), Shards: ck.Shards})
+		return eng.Restore(engine.CheckpointState{Next: ck.Next, Rows: ck.Rows, Absorbs: int(ck.Absorbs), Shards: ck.Shards, Sources: ck.Sources})
 	}, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
 			return eng.ReplayBatch(words.BatchOf(goldenD, rec.Rows))
-		case store.RecordSummary:
+		case store.RecordSource:
 			sum, err := core.UnmarshalSummary(rec.Blob)
 			if err != nil {
 				return err
 			}
-			return eng.ReplayAbsorb(sum)
+			return eng.AbsorbSource(rec.Source, sum)
 		case store.RecordSubspace:
 			return register(store.SubspaceMeta{Mask: rec.Mask, Summary: rec.Summary})
 		default:
@@ -343,6 +358,50 @@ func TestWALFormatGolden(t *testing.T) {
 	sum := sha256.Sum256(withCkpt)
 	if d := hex.EncodeToString(sum[:]); d != goldenRecoveredDigest {
 		t.Errorf("recovered engine sha256 %s, pinned %s", d, goldenRecoveredDigest)
+	}
+	checkGoldenAnswers(t, withCkpt)
+}
+
+// The answers the golden stream recovers to, pinned from the encoder
+// that wrote the committed directory, whose summary record was folded
+// into a shard instead of kept as a source. goldenBatch writes one
+// symbol across a row (j·7 ≡ 0 mod 7), so every non-empty C projects
+// the stream alike: 7 patterns, F₂ 2,362 and F₀.₅ 29.898… over 128
+// rows, 6 of them the source's.
+const (
+	goldenF0, goldenF2, goldenF05 = 7, 2362, 29.89889196773466
+	goldenRows                    = 128
+)
+
+// checkGoldenAnswers decodes a recovered engine's wire form and checks
+// F0, F₂ and F₀.₅ on every non-empty C ⊆ [5] against the catch-all,
+// the registered subspace's F0 and the row count against the pins.
+func checkGoldenAnswers(t *testing.T, blob []byte) {
+	t.Helper()
+	sum, err := core.UnmarshalSummary(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := sum.(*registry.Registry)
+	full := reg.Full().(*core.Exact)
+	for mask := uint64(1); mask < 1<<goldenD; mask++ {
+		c, err := words.ColumnSetFromMask(mask, goldenD)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f0, err0 := full.F0(c)
+		f2, err2 := full.Fp(c, 2)
+		f05, err05 := full.Fp(c, 0.5)
+		if err := errors.Join(err0, err2, err05); err != nil || f0 != goldenF0 || f2 != goldenF2 || f05 != goldenF05 {
+			t.Errorf("%v: F0 %v, F2 %v, F0.5 %v (%v); pinned %v, %v, %v", c, f0, f2, f05, err, goldenF0, goldenF2, goldenF05)
+		}
+	}
+	cols, sub := reg.Subspace(0)
+	if f0, err := sub.(core.F0Querier).F0(cols); err != nil || !cols.Equal(goldenSubspace) || f0 != goldenF0 {
+		t.Errorf("subspace %v F0 %v (%v); pinned %v on %v", cols, f0, err, goldenF0, goldenSubspace)
+	}
+	if reg.Rows() != goldenRows {
+		t.Errorf("recovered %d rows, pinned %d", reg.Rows(), goldenRows)
 	}
 }
 

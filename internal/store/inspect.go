@@ -38,6 +38,8 @@ type CheckpointReport struct {
 	Shards int
 	// Subspaces is the number of recorded subspace registrations.
 	Subspaces int
+	// Sources is the number of absorbed sources the checkpoint carries.
+	Sources int
 	// Bytes is the file size on disk.
 	Bytes int64
 	// Err is the decode failure message ("" when the checkpoint is
@@ -113,6 +115,7 @@ func Inspect(dir string) (*Report, error) {
 			cr.Rows = ck.Rows
 			cr.Shards = len(ck.Shards)
 			cr.Subspaces = len(ck.Subspaces)
+			cr.Sources = len(ck.Sources)
 		}
 		rep.Checkpoints = append(rep.Checkpoints, cr)
 	}

@@ -79,9 +79,10 @@ const (
 	// from the segment's shape, and either decodes to a Record of this
 	// kind.
 	RecordBatch RecordKind = 1
-	// RecordSummary is an absorbed summary's wire blob (the /v1/push
-	// path), replayed through Absorb.
-	RecordSummary RecordKind = 2
+	// recordSummary is an unnamed summary's wire blob, the record of
+	// a push folded into a shard. It decodes to a RecordSource named
+	// "wal-<lsn>", so each replays as a source of its own.
+	recordSummary RecordKind = 2
 	// RecordSubspace is a subspace registration: the column-set mask
 	// and the provisioning kind string the daemon maps back to a
 	// factory on replay.
@@ -90,6 +91,9 @@ const (
 	// words.Packing's layout for the segment's shape, ⌈d·⌈log₂Q⌉/8⌉
 	// bytes a row. Only version-2 segments hold it.
 	recordPackedBatch RecordKind = 4
+	// RecordSource is a named source's summary (engine.AbsorbSource):
+	// block(name) then the summary's wire blob.
+	RecordSource RecordKind = 5
 )
 
 // String names the kind as printed by Inspect.
@@ -97,8 +101,8 @@ func (k RecordKind) String() string {
 	switch k {
 	case RecordBatch:
 		return "batch"
-	case RecordSummary:
-		return "summary"
+	case RecordSource:
+		return "source"
 	case RecordSubspace:
 		return "subspace"
 	default:
@@ -119,7 +123,9 @@ type Record struct {
 	// alphabet; the consumer checks every batch's symbols against the
 	// alphabet (engine.ReplayBatch does), since a u16 body's are not.
 	Rows []uint16
-	// Blob is the absorbed summary's wire form (RecordSummary).
+	// Source is the source's name (RecordSource).
+	Source string
+	// Blob is the source summary's wire form (RecordSource).
 	Blob []byte
 	// Mask and Summary are the registered column-set mask and the
 	// provisioning kind string (RecordSubspace).
@@ -265,8 +271,11 @@ func verifyFrame(data []byte, h segHeader, pk words.Packing) (int, bool) {
 		return n, len(body)%(2*h.dim) == 0
 	case recordPackedBatch:
 		return n, h.version >= 2 && pk.Verify(body) == nil
-	case RecordSummary:
+	case recordSummary:
 		return n, true
+	case RecordSource:
+		_, _, err := parseSourceRecord(body)
+		return n, err == nil
 	case RecordSubspace:
 		_, _, err := parseSubspaceRecord(body)
 		return n, err == nil
@@ -311,8 +320,11 @@ func decodeRecord(lsn uint64, payload []byte, pk words.Packing, rows []uint16) (
 		rows = slices.Grow(rows[:0], n)[:n]
 		pk.Unpack(rows, body)
 		rec.Kind, rec.Rows = RecordBatch, rows
-	case RecordSummary:
-		rec.Blob = body
+	case recordSummary:
+		rec.Kind, rec.Source, rec.Blob = RecordSource, fmt.Sprintf("wal-%d", lsn), body
+	case RecordSource:
+		name, blob, _ := parseSourceRecord(body)
+		rec.Source, rec.Blob = string(name), blob
 	case RecordSubspace:
 		mask, name, _ := parseSubspaceRecord(body)
 		rec.Mask, rec.Summary = mask, string(name)
@@ -327,6 +339,16 @@ func parseSubspaceRecord(body []byte) (uint64, []byte, error) {
 	mask := r.U64()
 	name := r.Block()
 	return mask, name, r.Done()
+}
+
+// parseSourceRecord reads a source record's body: name, then blob.
+func parseSourceRecord(body []byte) ([]byte, []byte, error) {
+	r := wire.NewReader(body, ErrCorrupt)
+	name := r.Block()
+	if r.Err() == nil && len(name) == 0 {
+		return nil, nil, fmt.Errorf("%w: source record without a name", ErrCorrupt)
+	}
+	return name, r.Rest(), r.Err()
 }
 
 // readSegment reads the segment file at path into buf's storage,
@@ -381,7 +403,14 @@ func batchRows(payload []byte, h segHeader) int {
 }
 
 func encodeSummaryRecord(dst, blob []byte) []byte {
-	return append(append(dst, byte(RecordSummary)), blob...)
+	return append(append(dst, byte(recordSummary)), blob...)
+}
+
+func encodeSourceRecord(dst []byte, name string, blob []byte) []byte {
+	w := &wire.Writer{}
+	w.U8(uint8(RecordSource))
+	w.Block([]byte(name))
+	return append(append(dst, w.Bytes()...), blob...)
 }
 
 func encodeSubspaceRecord(dst []byte, mask uint64, summary string) []byte {

@@ -37,8 +37,9 @@ func segHeaderV1(d, q int, firstLSN uint64) []byte {
 // The invariants: no panic, records only from CRC-valid frames, LSNs
 // dense from the header's first LSN, every kept batch body whole rows
 // that decode and re-encode to the same bytes (a packed body only in
-// a version-2 segment, with every symbol in the alphabet), and
-// validLen a consistent byte count.
+// a version-2 segment, with every symbol in the alphabet), every kept
+// source record named and re-encoding to its bytes, and validLen a
+// consistent byte count.
 func FuzzReadSegment(f *testing.F) {
 	// Seed with a well-formed two-record segment plus truncations of it.
 	valid := appendSegHeader(nil, 3, 4, 7)
@@ -52,6 +53,11 @@ func FuzzReadSegment(f *testing.F) {
 	f.Add(valid[:segHeaderSize])
 	f.Add([]byte{})
 	f.Add(appendFrame(appendSegHeader(nil, 1, 2, 0), encodeSummaryRecord(nil, []byte("blob"))))
+	// Source records: one named, one whose name block overruns the body,
+	// and one with an empty name.
+	f.Add(appendFrame(appendFrame(appendSegHeader(nil, 3, 4, 5), encodeSourceRecord(nil, "peer", []byte("blob"))), encodeSourceRecord(nil, "h:/a.csv", nil)))
+	f.Add(appendFrame(appendSegHeader(nil, 3, 4, 0), []byte{byte(RecordSource), 9, 0, 0, 0, 'p'}))
+	f.Add(appendFrame(appendSegHeader(nil, 3, 4, 0), encodeSourceRecord(nil, "", []byte("blob"))))
 	// CRC-valid frames whose batch bodies are not whole rows of 3.
 	f.Add(appendFrame(appendSegHeader(nil, 3, 4, 0), encodeU16BatchRecord(nil, []uint16{1, 2})))
 	f.Add(appendFrame(appendSegHeader(nil, 3, 4, 0), []byte{byte(RecordBatch), 1, 0, 2, 0, 3}))
@@ -103,11 +109,19 @@ func FuzzReadSegment(f *testing.F) {
 				if again, bad = encodeBatchRecord(nil, pk, rec.Rows); bad >= 0 {
 					t.Fatalf("record %d: symbol %d outside [%d] kept", lsn, rec.Rows[bad], h.alphabet)
 				}
+			case RecordSource, recordSummary:
+				rec, _ := decodeRecord(lsn, payload, pk, nil)
+				if rec.Kind != RecordSource || rec.Source == "" {
+					t.Fatalf("record %d: kind-%d payload decoded to %v named %q", lsn, payload[0], rec.Kind, rec.Source)
+				}
+				if again = encodeSourceRecord(nil, rec.Source, rec.Blob); payload[0] == byte(recordSummary) {
+					again = encodeSummaryRecord(nil, rec.Blob)
+				}
 			default:
 				continue
 			}
 			if !bytes.Equal(again, payload) {
-				t.Fatalf("record %d: batch body does not re-encode to its bytes", lsn)
+				t.Fatalf("record %d: body does not re-encode to its bytes", lsn)
 			}
 		}
 		if i != res.records {

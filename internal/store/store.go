@@ -430,7 +430,15 @@ func (st *Store) AppendBatch(b *words.Batch) error {
 	})
 }
 
-// AppendSummary logs one absorbed summary's wire blob (the push path).
+// AppendSource logs one source's summary under its name; replay
+// installs it in place of any earlier summary of that source.
+func (st *Store) AppendSource(name string, blob []byte) error {
+	return st.append(func(dst []byte) ([]byte, error) { return encodeSourceRecord(dst, name, blob), nil })
+}
+
+// AppendSummary logs an unnamed summary's wire blob, which replays as
+// a source named "wal-<lsn>". No daemon path writes it; it stays only
+// because the benchmark module's engine.Log wrapper forwards to it.
 func (st *Store) AppendSummary(blob []byte) error {
 	return st.append(func(dst []byte) ([]byte, error) { return encodeSummaryRecord(dst, blob), nil })
 }

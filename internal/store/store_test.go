@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -72,11 +74,14 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if err := st.AppendSummary(blob); err != nil {
 		t.Fatal(err)
 	}
+	if err := st.AppendSource("h:/data/a.csv", blob[4:]); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.AppendBatch(b2); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.LSN(); got != 4 {
-		t.Fatalf("LSN %d, want 4", got)
+	if got := st.LSN(); got != 5 {
+		t.Fatalf("LSN %d, want 5", got)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -87,17 +92,19 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if got := st2.LSN(); got != 4 {
-		t.Fatalf("reopened LSN %d, want 4", got)
+	if got := st2.LSN(); got != 5 {
+		t.Fatalf("reopened LSN %d, want 5", got)
 	}
 	ck, info, recs := replayAll(t, st2)
 	if ck != nil || info.Checkpoint {
 		t.Fatalf("no checkpoint was written, got %+v", info)
 	}
-	if info.Records != 4 || info.Rows != 10 {
+	if info.Records != 5 || info.Rows != 10 {
 		t.Fatalf("replay info %+v", info)
 	}
-	wantKinds := []RecordKind{RecordSubspace, RecordBatch, RecordSummary, RecordBatch}
+	// The unnamed summary record earlier encoders wrote replays as a
+	// source named after its LSN.
+	wantKinds := []RecordKind{RecordSubspace, RecordBatch, RecordSource, RecordSource, RecordBatch}
 	for i, rec := range recs {
 		if rec.LSN != uint64(i) || rec.Kind != wantKinds[i] {
 			t.Fatalf("record %d: %+v", i, rec)
@@ -106,11 +113,14 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if recs[0].Mask != 0b0011 || recs[0].Summary != "mirror" {
 		t.Fatalf("subspace record %+v", recs[0])
 	}
-	if !bytes.Equal(recs[2].Blob, blob) {
-		t.Fatalf("summary blob %q", recs[2].Blob)
+	if recs[2].Source != "wal-2" || !bytes.Equal(recs[2].Blob, blob) {
+		t.Fatalf("legacy summary record %q %q", recs[2].Source, recs[2].Blob)
+	}
+	if recs[3].Source != "h:/data/a.csv" || !bytes.Equal(recs[3].Blob, blob[4:]) {
+		t.Fatalf("source record %q %q", recs[3].Source, recs[3].Blob)
 	}
 	for i, want := range [][]uint16{b1.Symbols(), b2.Symbols()} {
-		got := recs[1+2*i].Rows
+		got := recs[1+3*i].Rows
 		if len(got) != len(want) {
 			t.Fatalf("batch %d length %d, want %d", i, len(got), len(want))
 		}
@@ -989,5 +999,88 @@ func TestOpenRollsPastEarlierSegment(t *testing.T) {
 		if info.Records != records+1 || info.Rows != int64(2*records+3) || recs[len(recs)-1].LSN != uint64(records) {
 			t.Fatalf("%d records: replayed %+v", records, info)
 		}
+	}
+}
+
+// TestCheckpointSourcesRoundTrip: a version-2 checkpoint carries its
+// source table through encode and decode, and writes it in name order,
+// so equal tables encode to equal bytes.
+func TestCheckpointSourcesRoundTrip(t *testing.T) {
+	ck := &Checkpoint{
+		LSN: 9, Next: 4, Rows: 31, Absorbs: 3,
+		Shards:  [][]byte{[]byte("shard-0")},
+		Sources: map[string][]byte{"h:/data/b.csv": []byte("blob-b"), "h:demo": {}, "http://peer:1": []byte("blob-p")},
+	}
+	data, err := ck.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != 2 {
+		t.Fatalf("checkpoint format version %d, want 2", data[4])
+	}
+	got, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LSN != 9 || got.Absorbs != 3 || len(got.Sources) != 3 {
+		t.Fatalf("decoded %+v", got)
+	}
+	for name, blob := range ck.Sources {
+		if b, ok := got.Sources[name]; !ok || !bytes.Equal(b, blob) {
+			t.Fatalf("source %q decoded as %q (present %v), want %q", name, b, ok, blob)
+		}
+	}
+	again, err := got.encode()
+	if err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("re-encoding the decoded checkpoint changed its bytes (%v)", err)
+	}
+}
+
+// TestCheckpointV1Decodes: the committed golden checkpoint, of format
+// version 1, decodes with its shards and no sources.
+func TestCheckpointV1Decodes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "wal-golden", "ckpt-0000000000000003.pfqc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if data[4] != 1 {
+		t.Fatalf("committed checkpoint is of format version %d, want 1", data[4])
+	}
+	ck, err := decodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.LSN != 3 || len(ck.Shards) != 2 || len(ck.Subspaces) != 1 || ck.Sources != nil {
+		t.Fatalf("decoded %d shards, %d subspaces, %d sources at LSN %d", len(ck.Shards), len(ck.Subspaces), len(ck.Sources), ck.LSN)
+	}
+}
+
+// TestCheckpointSourceCountBounded: a source count the remaining
+// payload cannot hold, or a repeated source name, is corruption, found
+// before anything is allocated for the table.
+func TestCheckpointSourceCountBounded(t *testing.T) {
+	reseal := func(data []byte) []byte {
+		binary.LittleEndian.PutUint32(data[12:], crc32.Checksum(data[ckptHeaderSize:], castagnoli))
+		return data
+	}
+	ck := &Checkpoint{LSN: 1, Shards: [][]byte{[]byte("s")}}
+	data, err := ck.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The payload ends with the empty table's count.
+	binary.LittleEndian.PutUint32(data[len(data)-4:], 1<<20)
+	if _, err := decodeCheckpoint(reseal(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "source count") {
+		t.Fatalf("oversized source count: %v", err)
+	}
+	ck.Sources = map[string][]byte{"a": []byte("x"), "b": []byte("y")}
+	if data, err = ck.encode(); err != nil {
+		t.Fatal(err)
+	}
+	// The table ends block("a") block("x") block("b") block("y"), each
+	// a u32 length and one byte: name the first source "b" too.
+	data[len(data)-16] = 'b'
+	if _, err := decodeCheckpoint(reseal(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `repeated name "b"`) {
+		t.Fatalf("repeated source name: %v", err)
 	}
 }

@@ -55,10 +55,6 @@ func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
 // Raw appends b verbatim.
 func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
 
-// Symbols appends syms in the flat symbol codec
-// (words.AppendSymbolsLE), two bytes a symbol and no length.
-func (w *Writer) Symbols(syms []uint16) { w.buf = words.AppendSymbolsLE(w.buf, syms) }
-
 // Block appends b with a u32 length prefix.
 func (w *Writer) Block(b []byte) {
 	w.U32(uint32(len(b)))

@@ -199,7 +199,7 @@ func TestWriterZeroValueAndCapacity(t *testing.T) {
 	}
 }
 
-// TestSymbolsMatchU16s: Symbols writes and reads the bytes of one U16
+// TestSymbolsMatchU16s: Reader.Symbols reads back the bytes of one U16
 // per symbol, at lengths on both sides of the codec's four-symbol
 // step, and a short input latches truncation without reading.
 func TestSymbolsMatchU16s(t *testing.T) {
@@ -208,15 +208,11 @@ func TestSymbolsMatchU16s(t *testing.T) {
 		for i := range syms {
 			syms[i] = uint16(0x9e37*i + 1)
 		}
-		var want, got Writer
+		var w Writer
 		for _, x := range syms {
-			want.U16(x)
+			w.U16(x)
 		}
-		got.Symbols(syms)
-		if string(got.Bytes()) != string(want.Bytes()) {
-			t.Fatalf("n=%d: Symbols wrote %x, U16s %x", n, got.Bytes(), want.Bytes())
-		}
-		r := NewReader(append(got.Bytes(), 0xff), errSentinel)
+		r := NewReader(append(w.Bytes(), 0xff), errSentinel)
 		back := make([]uint16, n)
 		if !r.Symbols(back) || r.Remaining() != 1 {
 			t.Fatalf("n=%d: read failed or left %d bytes: %v", n, r.Remaining(), r.Err())
