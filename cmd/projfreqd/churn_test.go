@@ -133,9 +133,47 @@ func TestSummaryETagPushUnderStalenessBudget(t *testing.T) {
 		t.Fatalf("post-push blob has %d rows, want 350 (20+30 local, 300 pushed)", got)
 	}
 	// The row clock counts the 50 local rows only (a push is a source,
-	// served on top of them), and nothing is behind the cut.
-	if r, s := resp.Header.Get("X-Epoch-Rows"), resp.Header.Get("X-Epoch-Staleness-Rows"); r != "50" || s != "0" {
-		t.Fatalf("X-Epoch-Rows = %q, X-Epoch-Staleness-Rows = %q, want 50 and 0", r, s)
+	// served on top of them); X-Epoch-Rows counts every row the blob
+	// carries, and nothing is behind the cut.
+	if st := daemonStats(t, ts.URL); st.Rows != 50 {
+		t.Fatalf("row clock %d after the push, want the 50 local rows", st.Rows)
+	}
+	if r, s := resp.Header.Get("X-Epoch-Rows"), resp.Header.Get("X-Epoch-Staleness-Rows"); r != "350" || s != "0" {
+		t.Fatalf("X-Epoch-Rows = %q, X-Epoch-Staleness-Rows = %q, want 350 and 0", r, s)
+	}
+}
+
+// TestSummaryEpochRowsCountSources: X-Epoch-Rows names the rows of the
+// blob it comes with, local rows plus every source's, on a 200 and on
+// the 304 that revalidates it.
+func TestSummaryEpochRowsCountSources(t *testing.T) {
+	const d, q, seed = 6, 3, 11
+	ts := startDaemon(t, "exact", d, q, seed)
+	observeRows(t, ts.URL, d, q, 20, 0)
+	pushRemote(t, ts.URL, d, q, seed)
+
+	resp, err := http.Get(ts.URL + "/v1/summary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("export: %d %v", resp.StatusCode, err)
+	}
+	if got, want := resp.Header.Get("X-Epoch-Rows"), fmt.Sprint(blobRows(t, blob)); got != "320" || got != want {
+		t.Fatalf("X-Epoch-Rows = %q, want 20 local + 300 pushed = 320 (the blob holds %s)", got, want)
+	}
+
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/summary", nil)
+	req.Header.Set("If-None-Match", resp.Header.Get("ETag"))
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotModified || resp.Header.Get("X-Epoch-Rows") != "320" {
+		t.Fatalf("revalidation: %d, X-Epoch-Rows %q, want 304 and 320", resp.StatusCode, resp.Header.Get("X-Epoch-Rows"))
 	}
 }
 

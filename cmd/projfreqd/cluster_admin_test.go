@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,8 +78,8 @@ func waitFreq(t *testing.T, url string, pattern []uint16, want float64, what str
 // TestAdminHandoffAbsorbsPeer drives the ingest half of a membership
 // change: a successor told to absorb a departing peer serves the
 // peer's rows from its own engine, re-issuing the hand-off replaces
-// rather than double-counts, and the hand-off is listed on stats for
-// the orchestrator to verify.
+// rather than double-counts, and the handed-off peer is listed among
+// the sources on stats for the orchestrator to verify.
 func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 	const d, q, seed = 4, 3, 7
 	peer := startDaemon(t, "exact", d, q, seed)
@@ -114,14 +115,14 @@ func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 		t.Fatalf("successor serves %v after re-handoff, want 5 (replace, not accumulate)", got)
 	}
 
-	// Stats surface the hand-off so an orchestrator can verify before
-	// decommissioning the peer.
+	// Stats list the hand-off among the sources so an orchestrator can
+	// verify before decommissioning the peer.
 	st := daemonStats(t, succ.URL)
-	if st.Cluster == nil || len(st.Cluster.Handoffs) != 1 || st.Cluster.Handoffs[0].URL != peer.URL {
-		t.Fatalf("stats cluster block: %+v", st.Cluster)
+	if len(st.Sources) != 1 || st.Sources[0].Name != peer.URL || st.Sources[0].Rows != 4 {
+		t.Fatalf("stats sources: %+v", st.Sources)
 	}
-	if st.Cluster.Handoffs[0].Rows != 4 {
-		t.Fatalf("handoff stats rows: %+v", st.Cluster.Handoffs[0])
+	if st.Cluster != nil {
+		t.Fatalf("an ingest daemon reports a cluster block: %+v", st.Cluster)
 	}
 
 	// An unreachable peer is a retryable 502, and nothing is recorded.
@@ -132,14 +133,49 @@ func TestAdminHandoffAbsorbsPeer(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("handoff from dead peer: %d, want 502", resp.StatusCode)
 	}
-	if st := daemonStats(t, succ.URL); len(st.Cluster.Handoffs) != 1 {
-		t.Fatalf("failed handoff recorded: %+v", st.Cluster.Handoffs)
+	if st := daemonStats(t, succ.URL); len(st.Sources) != 1 || st.Sources[0].Name != peer.URL {
+		t.Fatalf("failed handoff recorded: %+v", st.Sources)
 	}
 
 	// Refusals: empty and malformed sources.
 	resp, _ = postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: "  "})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("blank source: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestAdminHandoffCountsPeerSources hands off a peer that serves a
+// pushed source on top of its own rows. The hand-off moves the peer's
+// whole export, so the ack and the successor's source entry count both,
+// not only the peer's row clock.
+func TestAdminHandoffCountsPeerSources(t *testing.T) {
+	const d, q, seed = 4, 3, 7
+	peer := startDaemon(t, "exact", d, q, seed)
+	succ := startDaemon(t, "exact", d, q, seed)
+	row := []uint16{1, 2, 0, 1}
+	adminObserveRows(t, peer.URL, [][]uint16{row, row, row})
+	blob, _ := remoteWriter(t, "exact", d, q, 9, seed, 2)
+	if resp, body := pushAs(t, peer.URL, "writer", blob); resp.StatusCode != http.StatusOK {
+		t.Fatalf("push: %d %s", resp.StatusCode, body)
+	}
+
+	resp, body := postJSON(t, succ.URL+"/v1/admin/handoff", node.HandoffRequest{Source: peer.URL})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("handoff: %d %s", resp.StatusCode, body)
+	}
+	var ack node.HandoffResponse
+	if err := json.Unmarshal(body, &ack); err != nil {
+		t.Fatal(err)
+	}
+	if ack.Rows != 3+9 {
+		t.Fatalf("handoff ack counts %d rows, want 3 local + 9 pushed = 12", ack.Rows)
+	}
+	st := daemonStats(t, succ.URL)
+	if len(st.Sources) != 1 || st.Sources[0].Name != peer.URL || st.Sources[0].Rows != 3+9 || st.Sources[0].SizeBytes <= 0 {
+		t.Fatalf("successor sources: %+v, want %s with 12 rows", st.Sources, peer.URL)
+	}
+	if st.Rows != 0 || st.Epoch == nil || st.Epoch.MergedRows != 3+9 {
+		t.Fatalf("successor rows %d, epoch %+v: want 0 local and 12 merged", st.Rows, st.Epoch)
 	}
 }
 
@@ -209,7 +245,8 @@ func TestAdminSourcesRetargetsAggregator(t *testing.T) {
 // the departed peer gone, serves the same /v1/summary blob after
 // recovering a copy of its data directory taken while it ran (its WAL
 // replays the source records) and after a restart that closed it
-// (a shutdown checkpoint carries the source table).
+// (a shutdown checkpoint carries the source table). Its /v1/stats
+// source list, which the engine's table supplies, survives both.
 func TestAdminHandoffDurable(t *testing.T) {
 	const d, q, seed = 4, 3, 7
 	peerNode := newNode(t, testConfig("exact", d, q, seed))
@@ -235,9 +272,14 @@ func TestAdminHandoffDurable(t *testing.T) {
 	if status != http.StatusOK || blobRows(t, want) != 2+9+3 {
 		t.Fatalf("successor export: %d, %d rows", status, blobRows(t, want))
 	}
+	wantSources := daemonStats(t, succ.URL).Sources
+	if len(wantSources) != 2 || wantSources[0].Name != "h:/data/w.csv" || wantSources[0].Rows != 9 ||
+		wantSources[1].Name != peer.URL || wantSources[1].Rows != 3 {
+		t.Fatalf("successor sources: %+v", wantSources)
+	}
 
 	// served boots a daemon on a data directory and returns the blob
-	// it exports.
+	// it exports, after checking its sources are the successor's.
 	served := func(dir string) []byte {
 		t.Helper()
 		n := newNode(t, durableConfig(dir, "exact", d, q, seed))
@@ -247,6 +289,9 @@ func TestAdminHandoffDurable(t *testing.T) {
 		status, got := getBlob(t, ts.URL+"/v1/summary")
 		if status != http.StatusOK {
 			t.Fatalf("recovered export: %d", status)
+		}
+		if srcs := daemonStats(t, ts.URL).Sources; !reflect.DeepEqual(srcs, wantSources) {
+			t.Fatalf("recovered sources %+v, want %+v", srcs, wantSources)
 		}
 		return got
 	}

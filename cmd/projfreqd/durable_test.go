@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,6 +20,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/node"
+	"repro/internal/store"
 	"repro/internal/words"
 )
 
@@ -474,4 +479,139 @@ func TestSIGTERMReleasesHeldSummaryGET(t *testing.T) {
 	if got := <-status; got != http.StatusNotModified {
 		t.Fatalf("the held GET answered %d, want 304", got)
 	}
+}
+
+// TestBootLogCountsSources: a durable daemon whose state is all
+// pushes boots saying it serves every pushed row, both when it replays
+// them from the log (a copy of its directory taken while it ran) and
+// when its shutdown checkpoint carries them.
+func TestBootLogCountsSources(t *testing.T) {
+	const d, q, seed = 4, 3, 7
+	dir := t.TempDir()
+	n := newNode(t, durableConfig(dir, "exact", d, q, seed))
+	ts := httptest.NewServer(n)
+	t.Cleanup(ts.Close)
+	for i, name := range []string{"w1", "w2"} {
+		blob, _ := remoteWriter(t, "exact", d, q, 20000, seed, uint64(i))
+		if resp, body := pushAs(t, ts.URL, name, blob); resp.StatusCode != http.StatusOK {
+			t.Fatalf("push %s: %d %s", name, resp.StatusCode, body)
+		}
+	}
+	live := t.TempDir()
+	if err := os.CopyFS(live, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+
+	// bootLog boots a daemon on a data directory and returns what it
+	// logged while recovering.
+	bootLog := func(dir string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		log.SetOutput(&buf)
+		n, err := node.New(durableConfig(dir, "exact", d, q, seed))
+		log.SetOutput(os.Stderr) // no write reaches buf after this returns
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Close()
+		return buf.String()
+	}
+	for _, boot := range []struct{ name, dir, want string }{
+		{"log replay", live, "no checkpoint; replayed 2 WAL records"},
+		{"checkpoint", dir, "recovered checkpoint"},
+	} {
+		if boot.dir == dir {
+			ts.Close()
+			n.Close() // cuts the shutdown checkpoint
+		}
+		got := bootLog(boot.dir)
+		if !strings.Contains(got, boot.want) || !strings.Contains(got, "serving 40000 rows") {
+			t.Fatalf("%s boot logged %q, want %q and serving 40000 rows", boot.name, got, boot.want)
+		}
+	}
+}
+
+// TestCheckpointsDuringRegistrationRecover registers subspaces from
+// several clients while another cuts checkpoints through the admin
+// endpoint and copies the data directory after each cut. A cut takes
+// its subspace list from the engine under the lock a registration
+// holds, so every copy recovers, with at least the subspaces its
+// newest checkpoint lists.
+func TestCheckpointsDuringRegistrationRecover(t *testing.T) {
+	const d, q, seed, clients, each = 16, 3, 5, 4, 12
+	dir := t.TempDir()
+	ts := startNode(t, durableConfig(dir, "exact", d, q, seed))
+
+	var registering sync.WaitGroup
+	errs := make(chan error, clients*each)
+	for c := 0; c < clients; c++ {
+		registering.Add(1)
+		go func() {
+			defer registering.Done()
+			for i := 0; i < each; i++ {
+				// Client c registers {c, 4+i}: every set is distinct.
+				blob, _ := json.Marshal(node.RegisterSubspaceRequest{Cols: []int{c, clients + i}})
+				resp, err := http.Post(ts.URL+"/v1/subspaces", "application/json", bytes.NewReader(blob))
+				if err != nil {
+					errs <- err
+					return
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("register {%d,%d}: %d %s", c, clients+i, resp.StatusCode, body)
+					return
+				}
+			}
+		}()
+	}
+	var done atomic.Bool
+	go func() { registering.Wait(); done.Store(true) }()
+
+	// Only this loop cuts checkpoints, so nothing compacts the log
+	// while it copies; registrations may append meanwhile, which a copy
+	// sees as a torn tail at worst.
+	var copies []string
+	for last := false; !last; {
+		last = done.Load()
+		resp, err := http.Post(ts.URL+"/v1/admin/checkpoint", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("admin checkpoint: %d", resp.StatusCode)
+		}
+		cp := t.TempDir()
+		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		copies = append(copies, cp)
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	var lists []int
+	for i, cp := range copies {
+		rep, err := store.Inspect(cp)
+		if err != nil || len(rep.Checkpoints) == 0 {
+			t.Fatalf("copy %d: %v, %+v", i, err, rep)
+		}
+		listed := rep.Checkpoints[len(rep.Checkpoints)-1].Subspaces
+		lists = append(lists, listed)
+		n, err := node.New(durableConfig(cp, "exact", d, q, seed))
+		if err != nil {
+			t.Fatalf("copy %d (its checkpoint lists %d subspaces) does not recover: %v", i, listed, err)
+		}
+		srv := httptest.NewServer(n)
+		got := daemonStats(t, srv.URL).Subspaces
+		srv.Close()
+		n.Close()
+		if got < listed || i == len(copies)-1 && got != clients*each {
+			t.Fatalf("copy %d recovers %d subspaces; its checkpoint lists %d, %d were registered", i, got, listed, clients*each)
+		}
+	}
+	t.Logf("the checkpoints cut while %d subspaces were registered list %v", clients*each, lists)
 }

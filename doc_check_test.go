@@ -15,10 +15,10 @@ import (
 
 // docCheckedSources are the files whose exported identifiers must all
 // carry doc comments (CI runs this as its docs gate): the public
-// facade, the whole subspace registry package, and the engine's query
+// facade, the whole subspace registry package, the engine's query
 // API (the Query/Result/QueryBatch surface the planner work lives
-// on). Files marked wantPackageDoc must also carry the package
-// comment.
+// on), and the daemon's /v1 request and response bodies. Files marked
+// wantPackageDoc must also carry the package comment.
 var docCheckedSources = []struct {
 	path           string
 	wantPackageDoc bool
@@ -27,6 +27,8 @@ var docCheckedSources = []struct {
 	{"internal/registry/registry.go", true},
 	{"internal/registry/marshal.go", false},
 	{"internal/engine/query.go", false},
+	{"internal/node/node.go", true},
+	{"internal/node/admin.go", false},
 }
 
 // TestPublicAPIDocumented fails when an exported identifier in the

@@ -80,9 +80,6 @@ type SourceStats struct {
 	// LastError is the most recent failure, cleared by the next
 	// successful attempt.
 	LastError string `json:"last_error,omitempty"`
-	// Rows is the row count the source's last applied blob reported
-	// via the daemon's X-Epoch-Rows header (0 if absent).
-	Rows int64 `json:"rows"`
 }
 
 // pendingBlob is a fetched-but-not-yet-applied summary: a 200
@@ -92,7 +89,6 @@ type SourceStats struct {
 // puller already holds.
 type pendingBlob struct {
 	etag  string
-	rows  int64
 	blob  []byte
 	tries int // apply attempts so far (the failed inline one included)
 }
@@ -361,14 +357,8 @@ func (p *Puller) pullSource(ctx context.Context, src string, st *sourceState, wa
 	if err != nil {
 		return res, p.fail(st, fmt.Errorf("cluster: pull %s: reading body: %w", src, err))
 	}
-	var rows int64
-	fmt.Sscanf(resp.Header.Get("X-Epoch-Rows"), "%d", &rows)
 	res.applied = true
-	return res, p.applyBlob(src, st, &pendingBlob{
-		etag: resp.Header.Get("ETag"),
-		rows: rows,
-		blob: blob,
-	}, false)
+	return res, p.applyBlob(src, st, &pendingBlob{etag: resp.Header.Get("ETag"), blob: blob}, false)
 }
 
 // serverHold reads how long the source held a request from its
@@ -428,7 +418,6 @@ func (p *Puller) applyBlob(src string, st *sourceState, b *pendingBlob, retry bo
 	st.pending = nil
 	st.stats.Changed++
 	st.stats.ETag = b.etag
-	st.stats.Rows = b.rows
 	st.stats.ConsecFailures = 0
 	st.stats.LastError = ""
 	return nil

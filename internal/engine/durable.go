@@ -11,7 +11,7 @@ import (
 // This file is the engine's durability face: the Log tee interface
 // (Config.Log), the checkpoint cut (CheckpointState), and the boot
 // counterparts Restore and ReplayBatch. internal/store
-// implements Log; cmd/projfreqd glues the two together. The
+// implements Log; internal/node glues the two together. The
 // correctness backbone is a single invariant:
 //
 //	log order == routing order == the checkpoint cut
@@ -22,7 +22,8 @@ import (
 // — so a checkpoint's shard blobs contain exactly the records below
 // its LSN, and replaying the records at or above it through the same
 // routing code rebuilds the exact pre-crash shard state. Sources live
-// outside the shards: the cut carries them, and the daemon logs them.
+// outside the shards and subspace registrations shape them: the cut
+// carries both, and the daemon logs both.
 
 // Log is the durability tee the engine appends to before routing
 // (implemented by *store.Store). Append calls are serialized by the
@@ -59,6 +60,10 @@ type CheckpointState struct {
 	Shards [][]byte
 	// Sources maps each source's name to its summary's wire blob.
 	Sources map[string][]byte
+	// Subspaces lists the registered column sets in registration order:
+	// the registry structure every shard blob was built with. Restore
+	// ignores it (the caller re-registers them first).
+	Subspaces []words.ColumnSet
 }
 
 // CheckpointState captures a checkpoint cut under the quiesce
@@ -122,7 +127,11 @@ func (s *Sharded) CheckpointState() (CheckpointState, error) {
 	if err != nil {
 		return CheckpointState{}, err
 	}
-	// Sources change only under mu, which this cut holds.
+	// Sources and registrations change only under mu, which this cut
+	// holds, so they agree with the shard blobs.
+	for _, sp := range s.subs {
+		st.Subspaces = append(st.Subspaces, sp.cols)
+	}
 	st.Sources = make(map[string][]byte, len(s.sources))
 	for name, sum := range s.sources {
 		if st.Sources[name], err = core.MarshalSummary(sum); err != nil {

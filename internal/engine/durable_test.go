@@ -236,6 +236,44 @@ func TestCheckpointRestoreThenReplayMatches(t *testing.T) {
 	}
 }
 
+// TestCheckpointStateListsSubspaces: the cut carries the registered
+// column sets in registration order, the order a restart must
+// re-register them in before the shard blobs can merge.
+func TestCheckpointStateListsSubspaces(t *testing.T) {
+	const d, q = 10, 2
+	log := openLog(t, t.TempDir(), d, q)
+	defer log.Close()
+	eng, err := NewSharded(exactFactory(d, q), Config{Shards: 2, Log: log})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	if cs, err := eng.CheckpointState(); err != nil || len(cs.Subspaces) != 0 {
+		t.Fatalf("no registrations: %v, %v", cs.Subspaces, err)
+	}
+	want := []words.ColumnSet{
+		words.MustColumnSet(d, 4, 5),
+		words.MustColumnSet(d, 0, 1),
+	}
+	for _, c := range want {
+		if err := eng.RegisterSubspace(c, registeredFactory(c)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs, err := eng.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cs.Subspaces) != len(want) {
+		t.Fatalf("cut lists %v, want %v", cs.Subspaces, want)
+	}
+	for i, c := range want {
+		if cs.Subspaces[i].Mask() != c.Mask() {
+			t.Fatalf("cut lists %v, want %v in registration order", cs.Subspaces, want)
+		}
+	}
+}
+
 func TestCheckpointCutExactUnderConcurrentIngest(t *testing.T) {
 	const d, q = 4, 3
 	dir := t.TempDir()

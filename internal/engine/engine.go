@@ -760,11 +760,11 @@ func (s *Sharded) RemoveSource(name string) bool {
 // SourceInfo describes one absorbed source (AbsorbSource).
 type SourceInfo struct {
 	// Name is the source key (for an aggregator, the peer's URL).
-	Name string
+	Name string `json:"name"`
 	// Rows is the row count of the source's latest absorbed summary.
-	Rows int64
+	Rows int64 `json:"rows"`
 	// SizeBytes is that summary's space.
-	SizeBytes int
+	SizeBytes int `json:"size_bytes"`
 }
 
 // Sources lists the absorbed sources in sorted name order.
@@ -810,8 +810,8 @@ func (s *Sharded) RegisterSubspace(c words.ColumnSet, sub Factory) error {
 // accepted between the registration and its log record would replay
 // first on recovery and make the logged registration unapplicable
 // (rows already accepted). If appendRecord fails the registration
-// stays (it cannot be undone) and the error is returned; the caller
-// owns that divergence — see the daemon's recordSubspace.
+// stays (it cannot be undone) and the error is returned; the next
+// checkpoint cut (CheckpointState.Subspaces) then carries it.
 func (s *Sharded) RegisterSubspaceLogged(c words.ColumnSet, sub Factory, appendRecord func() error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -35,14 +34,17 @@ import (
 // HandoffRequest is the POST /v1/admin/handoff body: the base URL of
 // the departing peer whose summary this daemon should absorb.
 type HandoffRequest struct {
+	// Source is the departing peer's base URL; the absorbed source is
+	// named by it (trailing slashes trimmed).
 	Source string `json:"source"`
 }
 
 // HandoffResponse reports one completed hand-off.
 type HandoffResponse struct {
+	// Source is the absorbed source's name, the peer's URL.
 	Source string `json:"source"`
-	// Rows is the row count the peer's summary reported (its
-	// X-Epoch-Rows header).
+	// Rows is the installed source's row count: every row of the
+	// handed-off blob, the peer's own sources included.
 	Rows int64 `json:"rows"`
 	// ETag is the validator of the absorbed blob.
 	ETag string `json:"etag,omitempty"`
@@ -54,8 +56,8 @@ type HandoffResponse struct {
 // keyed by the peer's URL, so a repeated hand-off (an orchestrator
 // retry) replaces rather than accumulates. On a durable daemon the
 // 200 comes after the WAL record, so the slice survives a crash of
-// this daemon once the peer is gone; /v1/stats lists the hand-offs
-// completed since boot.
+// this daemon once the peer is gone; /v1/stats lists it among the
+// sources.
 func (n *Node) handleAdminHandoff(w http.ResponseWriter, r *http.Request) {
 	var req HandoffRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -89,38 +91,24 @@ func (n *Node) handleAdminHandoff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st := p.Stats()[0]
-	n.handoffMu.Lock()
-	if n.handoffs == nil {
-		n.handoffs = make(map[string]cluster.SourceStats)
-	}
-	n.handoffs[st.URL] = st
-	n.handoffMu.Unlock()
-	WriteJSON(w, http.StatusOK, HandoffResponse{Source: st.URL, Rows: st.Rows, ETag: st.ETag})
-}
-
-// handoffStats lists completed hand-offs, sorted by source URL.
-func (n *Node) handoffStats() []cluster.SourceStats {
-	n.handoffMu.Lock()
-	defer n.handoffMu.Unlock()
-	out := make([]cluster.SourceStats, 0, len(n.handoffs))
-	for _, st := range n.handoffs {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].URL < out[j].URL })
-	return out
+	_, rows := n.servedRows(st.URL)
+	WriteJSON(w, http.StatusOK, HandoffResponse{Source: st.URL, Rows: rows, ETag: st.ETag})
 }
 
 // SourcesRequest is the POST /v1/admin/sources body: pull sources to
 // add and to remove. Removal also drops the source's absorbed state
 // from the engine.
 type SourcesRequest struct {
-	Add    []string `json:"add,omitempty"`
+	// Add lists peer base URLs to start pulling.
+	Add []string `json:"add,omitempty"`
+	// Remove lists peer base URLs to stop pulling and drop.
 	Remove []string `json:"remove,omitempty"`
 }
 
 // SourcesResponse reports the aggregator's source list after the
 // update.
 type SourcesResponse struct {
+	// Sources is the pull list after the update, sorted.
 	Sources []string `json:"sources"`
 	// Removed lists the removed URLs whose absorbed engine state was
 	// actually dropped (a URL never pulled has no state to drop).

@@ -18,10 +18,10 @@ import (
 // checkpoint cut, the automatic checkpointer, and the admin endpoint.
 // The layering: internal/store owns files and frames, internal/engine
 // owns the consistent cut (CheckpointState/Restore/ReplayBatch), and
-// this file maps between them — including the one piece of state only the
-// daemon knows, the subspace registrations' provisioning kind strings
-// (subspaceFactory input), which ride the WAL as registration records
-// and every checkpoint as SubspaceMeta.
+// this file maps between them. Subspace registrations ride the WAL as
+// registration records and every checkpoint as SubspaceMeta, whose
+// list the engine's cut supplies; "registered", the one kind
+// subspaceFactory builds, is the kind string both carry.
 
 // errSubspaceNotLogged marks a registration that mutated the engine
 // but could not be made durable; the handler turns it into a 500.
@@ -31,31 +31,19 @@ var errSubspaceNotLogged = errors.New("registration applied but not logged")
 // without -data-dir.
 var errNotDurable = errors.New("daemon runs without -data-dir")
 
-// recordSubspace makes one accepted registration durable and adds it
-// to the in-memory meta list checkpoints embed. Callers hold regMu.
-// The empty kind string is canonicalized so replay hands the builder
-// the same spelling every time.
+// recordSubspace logs one accepted registration. The log, not only
+// the checkpoints, must hold it: a directory whose checkpoints are all
+// unreadable recovers by replaying the whole log.
 //
-// The meta list is appended even when the WAL write fails: the engine
-// registration has already happened and cannot be undone, and a
-// checkpoint whose shard blobs carry a subspace its metadata omits
-// would be unrecoverable (Restore's structure validation refuses it).
-// With meta and engine in lockstep, the next successful checkpoint
-// re-establishes full durability for the registration; until then a
-// crash recovers to the registration-free prefix — which matches what
-// the client was told, since this path still returns an error.
-func (n *Node) recordSubspace(c words.ColumnSet, summary string) error {
+// When the append fails the engine registration stays (it cannot be
+// undone); the next checkpoint cut carries it, and until then a crash
+// recovers to the registration-free prefix — which matches what the
+// client was told, since this path returns an error.
+func (n *Node) recordSubspace(c words.ColumnSet) error {
 	if n.wal == nil {
-		// Nothing to record: without a store there are no checkpoints
-		// to embed the meta list in and no replay to re-register from.
 		return nil
 	}
-	if summary == "" {
-		summary = "registered"
-	}
-	meta := store.SubspaceMeta{Mask: c.Mask(), Summary: summary}
-	n.subMeta = append(n.subMeta, meta)
-	if err := n.wal.AppendSubspace(meta.Mask, meta.Summary); err != nil {
+	if err := n.wal.AppendSubspace(c.Mask(), "registered"); err != nil {
 		return fmt.Errorf("%w: %v", errSubspaceNotLogged, err)
 	}
 	return nil
@@ -73,11 +61,7 @@ func (n *Node) applySubspaceMeta(meta store.SubspaceMeta) error {
 	if err != nil {
 		return fmt.Errorf("subspace %v: %w", c, err)
 	}
-	if err := n.eng.RegisterSubspace(c, factory); err != nil {
-		return err
-	}
-	n.subMeta = append(n.subMeta, meta)
-	return nil
+	return n.eng.RegisterSubspace(c, factory)
 }
 
 // recover rebuilds the engine from the data directory before the
@@ -124,12 +108,13 @@ func (n *Node) recover() error {
 	if err != nil {
 		return err
 	}
+	served, _ := n.servedRows("")
 	if info.Checkpoint {
 		log.Printf("projfreqd: recovered checkpoint at LSN %d, replayed %d WAL records (%d rows) in %v; serving %d rows",
-			info.CheckpointLSN, info.Records, info.Rows, time.Since(start).Round(time.Millisecond), n.eng.Rows())
+			info.CheckpointLSN, info.Records, info.Rows, time.Since(start).Round(time.Millisecond), served)
 	} else if info.Records > 0 {
 		log.Printf("projfreqd: no checkpoint; replayed %d WAL records (%d rows) in %v; serving %d rows",
-			info.Records, info.Rows, time.Since(start).Round(time.Millisecond), n.eng.Rows())
+			info.Records, info.Rows, time.Since(start).Round(time.Millisecond), served)
 	} else {
 		log.Printf("projfreqd: empty data directory; starting fresh")
 	}
@@ -157,18 +142,13 @@ func (n *Node) checkpoint() (store.Stats, error) {
 	}
 	n.ckptMu.Lock()
 	defer n.ckptMu.Unlock()
-	// regMu spans the cut and the metadata copy: a registration is
-	// either in both the shard blobs and the subspace list, or in
-	// neither.
-	n.regMu.Lock()
 	cs, err := n.eng.CheckpointState()
-	var metas []store.SubspaceMeta
-	if err == nil {
-		metas = append(metas, n.subMeta...)
-	}
-	n.regMu.Unlock()
 	if err != nil {
 		return store.Stats{}, err
+	}
+	metas := make([]store.SubspaceMeta, len(cs.Subspaces))
+	for i, c := range cs.Subspaces {
+		metas[i] = store.SubspaceMeta{Mask: c.Mask(), Summary: "registered"}
 	}
 	err = n.wal.WriteCheckpoint(&store.Checkpoint{
 		LSN:       cs.LSN,
@@ -244,11 +224,9 @@ func (n *Node) checkpointLoop(ctx context.Context) {
 // CheckpointResponse is the POST /v1/admin/checkpoint body: the
 // store's shape after the cut.
 type CheckpointResponse struct {
-	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-	Rows          int64  `json:"rows"`
-	Segments      int    `json:"segments"`
-	LogBytes      int64  `json:"log_bytes"`
-	Checkpoints   int    `json:"checkpoints"`
+	store.Stats
+	// Rows is the local row clock after the cut.
+	Rows int64 `json:"rows"`
 }
 
 // handleAdminCheckpoint cuts a checkpoint on demand. 409 when the
@@ -263,11 +241,5 @@ func (n *Node) handleAdminCheckpoint(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, status, err)
 		return
 	}
-	WriteJSON(w, http.StatusOK, CheckpointResponse{
-		CheckpointLSN: stats.CheckpointLSN,
-		Rows:          n.eng.Rows(),
-		Segments:      stats.Segments,
-		LogBytes:      stats.LogBytes,
-		Checkpoints:   stats.Checkpoints,
-	})
+	WriteJSON(w, http.StatusOK, CheckpointResponse{Stats: stats, Rows: n.eng.Rows()})
 }

@@ -27,7 +27,8 @@
 // (POST /v1/admin/checkpoint), and on Close, and a restart recovers the
 // full pre-crash state — the newest checkpoint plus a replay of the log
 // records after its cut. /v1/stats reports the store's segments, bytes,
-// and last checkpoint. See the "durability path" section of
+// and last checkpoint, and every source the engine serves, as the store
+// and the engine report them. See the "durability path" section of
 // ARCHITECTURE.md and the README ops cookbook.
 //
 // Remote writers must build their summaries with the same shape and
@@ -99,14 +100,9 @@ type Node struct {
 
 	// wal is the WAL + checkpoint store; the engine tees ingestion
 	// into it (engine.Config.Log), the node logs sources and subspace
-	// registrations and cuts checkpoints.
+	// registrations and cuts checkpoints. The engine and the store are
+	// the only records of what they hold: the node keeps no copy.
 	wal *store.Store
-	// regMu serializes subspace registration against checkpoint
-	// metadata capture, so a checkpoint's shard blobs and its subspace
-	// list always describe the same registry structure. subMeta is the
-	// durable registration list, in registration order.
-	regMu   sync.Mutex
-	subMeta []store.SubspaceMeta
 	// ckptMu serializes checkpoints (admin-triggered, timer-triggered,
 	// and the one Close cuts) and source installs (absorbSource), so no
 	// cut falls between a source's install and its WAL record;
@@ -119,16 +115,10 @@ type Node struct {
 	cfgTag uint32
 	// puller runs ETag anti-entropy from ingest peers when the daemon
 	// is an aggregator; nil otherwise. Pulled state lives in the
-	// engine's source map — soft by design, so aggregators refuse a
-	// data directory and reconverge by re-pulling after a restart.
+	// engine's source map. An aggregator re-pulls every source after a
+	// restart, which replaces anything a data directory could recover,
+	// so aggregators refuse one rather than log every pulled blob.
 	puller *cluster.Puller
-	// handoffMu guards handoffs: the record of peers this daemon has
-	// absorbed through /v1/admin/handoff (a membership-change slice
-	// hand-off), surfaced on /v1/stats. On a durable daemon the
-	// handed-off state itself is in the WAL and every checkpoint; this
-	// record is not, and restarts empty.
-	handoffMu sync.Mutex
-	handoffs  map[string]cluster.SourceStats
 
 	// ctx is the node's lifetime: stop cancels it, which ends the
 	// checkpointer, the puller and every held /v1/summary GET; wg waits
@@ -147,12 +137,12 @@ type Node struct {
 // serves HTTP until Close.
 func New(cfg Config) (*Node, error) {
 	if len(cfg.PullFrom) > 0 && cfg.DataDir != "" {
-		// Aggregator state is soft: pulled summaries live outside the
-		// WAL/checkpoint cut, so a durable aggregator would recover a
-		// state missing every source and silently under-count until the
-		// operator noticed. Re-pulling after a restart is the recovery
-		// path; refuse the combination instead of half-honoring it.
-		return nil, errors.New("-pull-from and -data-dir are mutually exclusive: aggregator state is re-pulled on restart, not recovered from disk")
+		// Aggregator state is soft: a restarted aggregator re-pulls every
+		// source, and each pull replaces that source's state. A data
+		// directory would log every pulled blob only for those first
+		// pulls to replace what it recovered, so re-pulling is the
+		// recovery path and the combination is refused.
+		return nil, errors.New("-pull-from and -data-dir are mutually exclusive: an aggregator re-pulls every source on restart, which replaces what a data directory would recover")
 	}
 	if len(cfg.PullFrom) > 0 && (cfg.PullInterval <= 0 || cfg.PullTimeout > 0 && cfg.PullInterval >= cfg.PullTimeout) {
 		// A source holds an unchanged pull for up to -pull-interval, so
@@ -322,8 +312,10 @@ func BodyError(w http.ResponseWriter, err error) {
 
 // ObserveResponse reports accepted rows and the engine's new total.
 type ObserveResponse struct {
-	Accepted int   `json:"accepted"`
-	Rows     int64 `json:"rows"`
+	// Accepted is the number of rows in the request, all ingested.
+	Accepted int `json:"accepted"`
+	// Rows is the local row clock after them.
+	Rows int64 `json:"rows"`
 }
 
 func (n *Node) handleObserve(w http.ResponseWriter, r *http.Request) {
@@ -352,8 +344,11 @@ var observePool = sync.Pool{New: func() interface{} { return new(wire.ObserveDec
 
 // PushResponse reports a pushed summary's rows and all rows served.
 type PushResponse struct {
+	// RowsMerged is the pushed summary's row count, now the source's.
 	RowsMerged int64 `json:"rows_merged"`
-	Rows       int64 `json:"rows"`
+	// Rows is every row the daemon serves: its row clock plus every
+	// source's rows.
+	Rows int64 `json:"rows"`
 }
 
 // pushConflict maps an incompatible-merge failure to its 409 body. A
@@ -414,14 +409,23 @@ func (n *Node) handlePush(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp := PushResponse{Rows: n.eng.Rows()}
+	var resp PushResponse
+	resp.Rows, resp.RowsMerged = n.servedRows(name)
+	WriteJSON(w, http.StatusOK, resp)
+}
+
+// servedRows counts the rows the daemon serves, its row clock plus
+// every source's rows (an epoch's MergedRows, without building one),
+// and the rows of the source called name (0 when there is none).
+func (n *Node) servedRows(name string) (total, source int64) {
+	total = n.eng.Rows()
 	for _, src := range n.eng.Sources() {
-		resp.Rows += src.Rows
+		total += src.Rows
 		if src.Name == name {
-			resp.RowsMerged = src.Rows
+			source = src.Rows
 		}
 	}
-	WriteJSON(w, http.StatusOK, resp)
+	return total, source
 }
 
 // ApplySource implements cluster.Applier: a pulled peer snapshot (an
@@ -516,7 +520,7 @@ func (n *Node) handleSummary(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Server-Timing", fmt.Sprintf("hold;dur=%.3f", float64(hold)/float64(time.Millisecond)))
 	w.Header().Set("ETag", tag)
-	w.Header().Set("X-Epoch-Rows", fmt.Sprint(info.Rows))
+	w.Header().Set("X-Epoch-Rows", fmt.Sprint(info.MergedRows))
 	w.Header().Set("X-Epoch-Staleness-Rows", fmt.Sprint(info.StalenessRows))
 	if inm != "" && etagMatch(inm, tag) {
 		w.WriteHeader(http.StatusNotModified)
@@ -543,14 +547,18 @@ func (n *Node) hold(ctx context.Context, seq uint64, wait time.Duration) {
 
 // Subspace is one registered subspace in the /v1/subspaces listing.
 type Subspace struct {
-	Cols      []int  `json:"cols"`
-	Summary   string `json:"summary"`
-	SizeBytes int    `json:"size_bytes"`
+	// Cols is the registered column set, ascending.
+	Cols []int `json:"cols"`
+	// Summary is the subspace summary's kind name.
+	Summary string `json:"summary"`
+	// SizeBytes totals the subspace's space across all shards.
+	SizeBytes int `json:"size_bytes"`
 }
 
 // SubspacesResponse is the GET /v1/subspaces body; Subspaces is in
 // registration (planner-priority) order.
 type SubspacesResponse struct {
+	// Subspaces lists every registration; empty, not null, when none.
 	Subspaces []Subspace `json:"subspaces"`
 }
 
@@ -559,7 +567,9 @@ type SubspacesResponse struct {
 // cheap F0 sketch over the set; other query classes fall back to the
 // catch-all) is the one kind, and any other value answers 400.
 type RegisterSubspaceRequest struct {
-	Cols    []int  `json:"cols"`
+	// Cols is the column set to provision, as column indices.
+	Cols []int `json:"cols"`
+	// Summary is the kind: "registered" or empty.
 	Summary string `json:"summary,omitempty"`
 }
 
@@ -596,18 +606,14 @@ func (n *Node) handleSubspacesRegister(w http.ResponseWriter, r *http.Request) {
 		HTTPError(w, http.StatusBadRequest, err)
 		return
 	}
-	// regMu spans the registration and its WAL record so a concurrent
-	// checkpoint cannot capture shard blobs and a subspace list that
-	// disagree about this registration; the engine's Logged variant
-	// additionally runs the WAL append under the ingestion lock, so no
-	// concurrently observed row can take a log position between the
-	// registration and its record (replay applies strictly in log
-	// order, and a registration after accepted rows is unapplicable).
-	n.regMu.Lock()
-	err = n.eng.RegisterSubspaceLogged(c, factory, func() error {
-		return n.recordSubspace(c, req.Summary)
-	})
-	n.regMu.Unlock()
+	// The engine's Logged variant runs the WAL append under the
+	// ingestion lock, so no concurrently observed row can take a log
+	// position between the registration and its record (replay applies
+	// strictly in log order, and a registration after accepted rows is
+	// unapplicable). A checkpoint cut holds the same engine lock, so it
+	// carries the registration in both its shard blobs and its subspace
+	// list, or in neither.
+	err = n.eng.RegisterSubspaceLogged(c, factory, func() error { return n.recordSubspace(c) })
 	if err != nil {
 		// Late or repeated registrations conflict with existing state;
 		// a WAL failure is the server's problem; everything else is a
@@ -628,6 +634,7 @@ func (n *Node) handleSubspacesRegister(w http.ResponseWriter, r *http.Request) {
 // QueryRequest is the /v1/query body: a batch answered against one
 // consistent merged snapshot.
 type QueryRequest struct {
+	// Queries is the batch; it must not be empty.
 	Queries []QuerySpec `json:"queries"`
 }
 
@@ -647,19 +654,26 @@ type QuerySpec struct {
 
 // Hit is one reported heavy hitter.
 type Hit struct {
-	Pattern  []uint16 `json:"pattern"`
-	Estimate float64  `json:"estimate"`
+	// Pattern is the heavy pattern over the query's columns.
+	Pattern []uint16 `json:"pattern"`
+	// Estimate is its estimated frequency.
+	Estimate float64 `json:"estimate"`
 }
 
-// Result is the answer to one query. Value is always emitted — a
-// legitimate answer of 0 must stay distinguishable from no answer.
-// Route reports the planner's decision: "full" or "subspace{…}".
+// Result is the answer to one query.
 type Result struct {
-	Value       float64 `json:"value"`
-	Hits        []Hit   `json:"hits,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Unsupported bool    `json:"unsupported,omitempty"`
-	Route       string  `json:"route,omitempty"`
+	// Value is the estimate (f0, fp, freq). It is always emitted: a
+	// legitimate answer of 0 must stay distinguishable from no answer.
+	Value float64 `json:"value"`
+	// Hits are the heavy hitters (hh).
+	Hits []Hit `json:"hits,omitempty"`
+	// Error says why the query was not answered.
+	Error string `json:"error,omitempty"`
+	// Unsupported marks an Error that says the summary cannot answer
+	// this query class.
+	Unsupported bool `json:"unsupported,omitempty"`
+	// Route reports the planner's decision: "full" or "subspace{…}".
+	Route string `json:"route,omitempty"`
 }
 
 // Epoch surfaces the serving epoch to clients: which snapshot build
@@ -667,24 +681,33 @@ type Result struct {
 // writers had added past that cut by the time the response was built,
 // and its wall-clock age.
 type Epoch struct {
-	Seq           uint64  `json:"seq"`
-	Rows          int64   `json:"rows"`
-	StalenessRows int64   `json:"staleness_rows"`
-	AgeMS         float64 `json:"age_ms"`
+	// Seq numbers the epoch build; it moves with every accepted change.
+	Seq uint64 `json:"seq"`
+	// Rows is the local row clock the epoch covers.
+	Rows int64 `json:"rows"`
+	// StalenessRows counts rows accepted past the cut by the time the
+	// response was built.
+	StalenessRows int64 `json:"staleness_rows"`
+	// AgeMS is the epoch's wall-clock age in milliseconds.
+	AgeMS float64 `json:"age_ms"`
 	// MergedRows is the total row count the epoch serves: local rows
 	// plus rows inside absorbed source summaries. On an aggregator this
 	// is the convergence clock the cluster harness watches; on a plain
 	// daemon it equals Rows.
 	MergedRows int64 `json:"merged_rows"`
-	// The exact summary's per-column-set vector memo since this epoch's
-	// cut: requests answered from an already built vector, passes over
-	// the retained rows and the time they took, vectors evicted. Many
-	// builds and few hits: queries are slow because every column set is
-	// new. All zero for summaries that keep no such state.
-	MemoHits      int64   `json:"memo_hits"`
-	MemoBuilds    int64   `json:"memo_builds"`
-	MemoEvictions int64   `json:"memo_evictions"`
-	MemoBuildMS   float64 `json:"memo_build_ms"`
+	// MemoHits counts requests the exact summary's per-column-set
+	// vector memo answered from an already built vector since this
+	// epoch's cut. Many builds and few hits: queries are slow because
+	// every column set is new. The Memo fields are all zero for
+	// summaries that keep no such state.
+	MemoHits int64 `json:"memo_hits"`
+	// MemoBuilds counts passes over the retained rows that built a
+	// vector.
+	MemoBuilds int64 `json:"memo_builds"`
+	// MemoEvictions counts vectors evicted from the memo.
+	MemoEvictions int64 `json:"memo_evictions"`
+	// MemoBuildMS is the time the builds took, in milliseconds.
+	MemoBuildMS float64 `json:"memo_build_ms"`
 }
 
 // epochFromInfo converts the engine's view into the wire block.
@@ -705,8 +728,10 @@ func epochFromInfo(info engine.EpochInfo) *Epoch {
 // QueryResponse position-matches the request's queries; Epoch
 // identifies the snapshot that answered them.
 type QueryResponse struct {
+	// Results holds one answer per query, in request order.
 	Results []Result `json:"results"`
-	Epoch   *Epoch   `json:"epoch,omitempty"`
+	// Epoch is the snapshot that answered them.
+	Epoch *Epoch `json:"epoch,omitempty"`
 }
 
 func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -763,42 +788,48 @@ func (n *Node) handleQuery(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, resp)
 }
 
-// StoreStats is the durability block of the /v1/stats body, present
-// only when the daemon runs with a data directory.
-type StoreStats struct {
-	Segments      int    `json:"segments"`
-	LogBytes      int64  `json:"log_bytes"`
-	LSN           uint64 `json:"lsn"`
-	Checkpoints   int    `json:"checkpoints"`
-	CheckpointLSN uint64 `json:"checkpoint_lsn"`
-}
-
 // Stats is the /v1/stats body. SizeBytes comes from the serving epoch's
 // cut — a cached value, not a fresh shard walk — so polling stats never
 // stalls ingestion; Epoch says how old that cut is.
 type Stats struct {
-	Name      string        `json:"name"`
-	Dim       int           `json:"dim"`
-	Alphabet  int           `json:"alphabet"`
-	Rows      int64         `json:"rows"`
-	Shards    int           `json:"shards"`
-	Subspaces int           `json:"subspaces"`
-	SizeBytes int           `json:"size_bytes"`
-	Wire      int           `json:"wire_version"`
-	Epoch     *Epoch        `json:"epoch,omitempty"`
-	Store     *StoreStats   `json:"store,omitempty"`
-	Cluster   *ClusterStats `json:"cluster,omitempty"`
+	// Name is the engine's name: the summary kind and shard count.
+	Name string `json:"name"`
+	// Dim is the number of columns d.
+	Dim int `json:"dim"`
+	// Alphabet is the alphabet size q.
+	Alphabet int `json:"alphabet"`
+	// Rows is the local row clock: rows accepted through /v1/observe.
+	// Sources' rows are in Sources and in Epoch.MergedRows.
+	Rows int64 `json:"rows"`
+	// Shards is the ingest shard count.
+	Shards int `json:"shards"`
+	// Subspaces counts the registered subspaces.
+	Subspaces int `json:"subspaces"`
+	// SizeBytes is the serving epoch's space.
+	SizeBytes int `json:"size_bytes"`
+	// Wire is the summary wire-format version /v1/summary exports.
+	Wire int `json:"wire_version"`
+	// Epoch describes the serving epoch; absent when it failed to build.
+	Epoch *Epoch `json:"epoch,omitempty"`
+	// Sources lists every source the engine serves, in name order:
+	// pushes, pulls and hand-offs alike, with each one's rows and space.
+	// On a durable daemon the list survives a restart.
+	Sources []engine.SourceInfo `json:"sources,omitempty"`
+	// Store is the data directory's shape, present only when the daemon
+	// runs with one.
+	Store *store.Stats `json:"store,omitempty"`
+	// Cluster holds an aggregator's pull counters.
+	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
 // ClusterStats is the anti-entropy block of /v1/stats, present on
-// aggregators and on any daemon that has absorbed a membership
-// hand-off. The per-source counters are what the cluster tests read to
-// prove that idle sources cost 304 probes, not blob transfers; Handoffs
-// lists the membership hand-offs this daemon completed since boot.
+// aggregators. The per-source counters are what the cluster tests read
+// to prove that idle sources cost 304 probes, not blob transfers.
 type ClusterStats struct {
-	Role     string                `json:"role"`
-	Sources  []cluster.SourceStats `json:"sources,omitempty"`
-	Handoffs []cluster.SourceStats `json:"handoffs,omitempty"`
+	// Role is "aggregator".
+	Role string `json:"role"`
+	// Sources holds each pulled peer's counters, sorted by URL.
+	Sources []cluster.SourceStats `json:"sources,omitempty"`
 }
 
 func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -810,6 +841,7 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 		Shards:    n.eng.NumShards(),
 		Subspaces: n.eng.NumSubspaces(),
 		Wire:      core.WireVersion,
+		Sources:   n.eng.Sources(),
 	}
 	// One epoch resolution serves both the size and the epoch
 	// block; an epoch-build failure degrades the two fields rather than
@@ -820,22 +852,10 @@ func (n *Node) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if n.wal != nil {
 		st := n.wal.Stats()
-		resp.Store = &StoreStats{
-			Segments:      st.Segments,
-			LogBytes:      st.LogBytes,
-			LSN:           st.LSN,
-			Checkpoints:   st.Checkpoints,
-			CheckpointLSN: st.CheckpointLSN,
-		}
+		resp.Store = &st
 	}
 	if n.puller != nil {
 		resp.Cluster = &ClusterStats{Role: "aggregator", Sources: n.puller.Stats()}
-	}
-	if handoffs := n.handoffStats(); len(handoffs) > 0 {
-		if resp.Cluster == nil {
-			resp.Cluster = &ClusterStats{Role: "ingest"}
-		}
-		resp.Cluster.Handoffs = handoffs
 	}
 	WriteJSON(w, http.StatusOK, resp)
 }

@@ -58,7 +58,8 @@ type HandoffReport struct {
 	// From is the removed node, To its ring successor doing the absorb.
 	From string `json:"from"`
 	To   string `json:"to"`
-	// Rows is the removed node's exported row count at hand-off.
+	// Rows counts every row of the removed node's export, its own
+	// sources included, as the successor installed it.
 	Rows int64 `json:"rows,omitempty"`
 	// Share is the fraction of From's keyspace that To inherited (why
 	// it was chosen).

@@ -14,7 +14,7 @@
 // routing clock at the cut. The engine (internal/engine) decides what
 // the cut means — it captures checkpoint state under its quiesce
 // barrier so the shard blobs and the WAL cut agree exactly — and the
-// daemon (cmd/projfreqd) glues the two together at boot and shutdown.
+// daemon (internal/node) glues the two together at boot and shutdown.
 //
 // # Log sequence numbers
 //
@@ -843,19 +843,19 @@ func (st *Store) compactLocked() error {
 	return syncDir(st.opts.Dir)
 }
 
-// Stats is a point-in-time view of the directory for the daemon's
-// stats endpoint.
+// Stats is a point-in-time view of the directory, served as it is by
+// the daemon's /v1/stats (its "store" block) and checkpoint endpoint.
 type Stats struct {
 	// Segments is the number of retained WAL segment files.
-	Segments int
+	Segments int `json:"segments"`
 	// LogBytes totals the retained segments' sizes.
-	LogBytes int64
+	LogBytes int64 `json:"log_bytes"`
 	// LSN is the next log sequence number.
-	LSN uint64
+	LSN uint64 `json:"lsn"`
 	// Checkpoints is the number of retained checkpoint files.
-	Checkpoints int
+	Checkpoints int `json:"checkpoints"`
 	// CheckpointLSN is the newest checkpoint's cut (0 if none).
-	CheckpointLSN uint64
+	CheckpointLSN uint64 `json:"checkpoint_lsn"`
 }
 
 // Stats reports the store's current shape.
