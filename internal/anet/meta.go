@@ -41,10 +41,11 @@ type MetaSummary struct {
 	masks    []uint64
 	subsets  []words.ColumnSet
 	// sk holds member i's estimator for problem j at i·len(problems)+j.
-	sk     []Estimator
-	keyBuf []byte   // reusable key arena for ObserveBatch
-	fps    []uint64 // reusable fingerprint arena for ObserveBatch
-	rows   int64
+	sk      []Estimator
+	keyBuf  []byte            // reusable key arena for ObservePacked
+	fps     []uint64          // reusable fingerprint arena for ObservePacked
+	packBuf words.PackedBatch // ObserveBatch's packed copy of its batch
+	rows    int64
 }
 
 // NewMetaSummary materializes the net (d ≤ 30 is required for
@@ -98,20 +99,34 @@ func (m *MetaSummary) Observe(w words.Word) {
 	m.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch feeds every row of b into every member sketch — the
-// O(|N|) per-row cost that Theorem 6.5 trades against query-time
-// generality; the paper's claim is about space, not update time. It
-// runs member-major through the batched key pipeline: for each net
-// member the whole batch is projected into one flat key arena
-// (words.AppendBatchKeys) and fingerprinted in one pass
-// (hashing.AppendFingerprints64), once for all problems, and the
-// fingerprints are handed to the member's sketches in problem order.
-// Both arenas are owned by the summary and reused across members and
-// batches; every sketch sees the same fingerprints in the same order
-// however the stream is cut into batches.
+// ObserveBatch feeds every row of b into every member sketch: it packs
+// b at 16 bits a symbol, a layout that holds every alphabet, into a
+// buffer the summary keeps, and ingests that (ObservePacked).
 func (m *MetaSummary) ObserveBatch(b *words.Batch) {
 	if b.Dim() != m.net.Dim() {
 		panic(fmt.Sprintf("anet: batch dimension %d != dimension %d", b.Dim(), m.net.Dim()))
+	}
+	m.packBuf.Pack(words.NewPacking(b.Dim(), words.MaxAlphabet), b)
+	m.ObservePacked(&m.packBuf)
+}
+
+// ObservePacked feeds every row of b, in any packed layout of the
+// net's dimension, into every member sketch — the O(|N|) per-row cost
+// that Theorem 6.5 trades against query-time generality; the paper's
+// claim is about space, not update time. It runs member-major through
+// the batched key pipeline: for each net member the whole batch is
+// projected into one flat key arena (words.Packing.AppendKeys, the
+// keys words.AppendBatchKeys builds from the rows unpacked) and
+// fingerprinted in one pass (hashing.AppendFingerprints64), once for
+// all problems, and the fingerprints are handed to the member's
+// sketches in problem order. Both arenas are owned by the summary and
+// reused across members and batches; every sketch sees the same
+// fingerprints in the same order however the stream is cut into
+// batches.
+func (m *MetaSummary) ObservePacked(b *words.PackedBatch) {
+	pk := b.Packing()
+	if pk.Dim() != m.net.Dim() {
+		panic(fmt.Sprintf("anet: batch dimension %d != dimension %d", pk.Dim(), m.net.Dim()))
 	}
 	n := b.Len()
 	if n == 0 {
@@ -120,7 +135,7 @@ func (m *MetaSummary) ObserveBatch(b *words.Batch) {
 	m.rows += int64(n)
 	k := len(m.problems)
 	for i, cs := range m.subsets {
-		m.keyBuf = words.AppendBatchKeys(m.keyBuf[:0], b, cs)
+		m.keyBuf = pk.AppendKeys(m.keyBuf[:0], b.Rows(), cs)
 		m.fps = hashing.AppendFingerprints64(m.fps[:0], m.keyBuf, n, 2*cs.Len())
 		for _, e := range m.sk[i*k : (i+1)*k] {
 			e.AddBatch(m.fps)

@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/words"
 )
 
 // ErrInvalidParam is the sentinel wrapped by every construction-time
@@ -52,6 +54,19 @@ func validateShape(summary string, d, q int) error {
 	}
 	if q < 2 {
 		return badParam(summary, "q", q, "must be at least 2")
+	}
+	return nil
+}
+
+// validateRowShape is validateShape for a constructor: the summary
+// keeps or ingests its rows packed (words.Packing), so q must also be
+// an alphabet a packed layout holds.
+func validateRowShape(summary string, d, q int) error {
+	if err := validateShape(summary, d, q); err != nil {
+		return err
+	}
+	if q > words.MaxAlphabet {
+		return badParam(summary, "q", q, "exceeds words.MaxAlphabet")
 	}
 	return nil
 }

@@ -50,6 +50,8 @@ type Exact struct {
 	own  bool     // the last run is this summary's own tail
 	n    int      // rows retained across all runs
 
+	packBuf words.PackedBatch // ObserveBatch's packed copy of its batch
+
 	mu   sync.Mutex  // guards memo and everything in it but the vectors
 	memo *vectorMemo // nil until the first Vector call after a mutation
 }
@@ -122,11 +124,8 @@ func (m *vectorMemo) evictOldest() {
 // rejected with an error wrapping ErrInvalidParam, matching the other
 // summary constructors.
 func NewExact(d, q int) (*Exact, error) {
-	if err := validateShape("exact", d, q); err != nil {
+	if err := validateRowShape("exact", d, q); err != nil {
 		return nil, err
-	}
-	if q > words.MaxAlphabet {
-		return nil, badParam("exact", "q", q, "exceeds words.MaxAlphabet")
 	}
 	return &Exact{d: d, q: q, pk: words.NewPacking(d, q)}, nil
 }
@@ -136,42 +135,38 @@ func (e *Exact) Observe(w words.Word) {
 	e.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch packs the batch into the summary's own tail run,
-// starting a run of runBytes whenever the tail is full or not its own,
-// and checks every symbol against [Q] in the same pass. It panics if
-// b's dimension differs from the summary's, or, keeping none of the
-// batch, if a symbol lies outside [Q].
+// ObserveBatch packs the batch in the summary's layout and appends it
+// (ObservePacked). It panics if b's dimension differs from the
+// summary's, or, keeping none of the batch, if a symbol lies outside
+// [Q].
 func (e *Exact) ObserveBatch(b *words.Batch) {
 	if b.Dim() != e.d {
 		panic(fmt.Sprintf("core: batch dimension %d != exact summary dimension %d", b.Dim(), e.d))
 	}
+	e.ObservePacked(packU16(&e.packBuf, e.pk, b, "exact summary", e.q))
+}
+
+// ObservePacked appends the batch's rows to the summary's own tail
+// run, starting a run of runBytes whenever the tail is full or not its
+// own: a copy of the batch's bytes, which are already in the
+// summary's layout. It panics if b's layout is not the summary's.
+func (e *Exact) ObservePacked(b *words.PackedBatch) {
+	if b.Packing() != e.pk {
+		panic("core: packed batch layout differs from the exact summary's")
+	}
 	e.memo = nil
 	s := e.pk.Stride()
-	// What a symbol outside [Q] puts back.
-	runs0, own0, n0 := len(e.runs), e.own, e.n
-	var tail0 []byte
-	if own0 {
-		tail0 = e.runs[runs0-1]
-	}
-	for syms := b.Symbols(); len(syms) > 0; {
+	for rows := b.Rows(); len(rows) > 0; {
 		last := len(e.runs) - 1
 		if !e.own || cap(e.runs[last])-len(e.runs[last]) < s {
 			e.runs = append(e.runs, make([]byte, 0, max(1, runBytes/s)*s))
 			e.own, last = true, last+1
 		}
 		tail := e.runs[last]
-		k := min(len(syms)/e.d, (cap(tail)-len(tail))/s)
-		if i := e.pk.Pack(tail[len(tail):len(tail)+k*s], syms[:k*e.d]); i >= 0 {
-			row := e.n - n0 + i/e.d
-			e.runs, e.own, e.n = e.runs[:runs0], own0, n0
-			if own0 {
-				e.runs[runs0-1] = tail0
-			}
-			panic(fmt.Sprintf("core: batch row %d symbol %d outside exact summary alphabet [%d]", row, syms[i], e.q))
-		}
-		e.runs[last] = tail[:len(tail)+k*s]
-		e.n += k
-		syms = syms[k*e.d:]
+		k := min(len(rows), (cap(tail)-len(tail))/s*s)
+		e.runs[last] = append(tail, rows[:k]...)
+		e.n += k / s
+		rows = rows[k:]
 	}
 }
 

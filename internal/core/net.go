@@ -45,8 +45,10 @@ type Net struct {
 	reps  int // repetitions of every moment sketch
 	// tables holds each moment's variate table, shared by the moment's
 	// members; per-process ingest state, never serialized.
-	tables []*sketch.StableTable
-	rows   int64
+	tables  []*sketch.StableTable
+	rows    int64
+	pk      words.Packing     // the rows' packed layout (d, q)
+	packBuf words.PackedBatch // ObserveBatch's packed copy of its batch
 }
 
 // Construction limits, shared with wire decoding so that any net a
@@ -65,7 +67,7 @@ const (
 // configurations whose net or sketch sizes exceed the construction
 // limits above.
 func NewNet(d, q int, cfg NetConfig) (*Net, error) {
-	if err := validateShape("net", d, q); err != nil {
+	if err := validateRowShape("net", d, q); err != nil {
 		return nil, err
 	}
 	if !(cfg.Alpha > 0 && cfg.Alpha < 0.5) {
@@ -122,7 +124,7 @@ func NewNet(d, q int, cfg NetConfig) (*Net, error) {
 		}
 	}
 	slices.Sort(moments)
-	s := &Net{d: d, q: q, cfg: cfg, moments: moments, seeds: []uint64{f0seed}, reps: reps}
+	s := &Net{d: d, q: q, cfg: cfg, moments: moments, seeds: []uint64{f0seed}, reps: reps, pk: words.NewPacking(d, q)}
 	for _, p := range moments {
 		s.seeds = append(s.seeds, seeds[p])
 	}
@@ -164,7 +166,7 @@ func (s *Net) problems() []anet.Factory {
 // touch. The copy's state, and so its wire form, is bit for bit that
 // of a fresh net into which s was merged.
 func (s *Net) Clone() *Net {
-	c := &Net{d: s.d, q: s.q, cfg: s.cfg, moments: s.moments, seeds: s.seeds, reps: s.reps, rows: s.rows}
+	c := &Net{d: s.d, q: s.q, cfg: s.cfg, moments: s.moments, seeds: s.seeds, reps: s.reps, rows: s.rows, pk: s.pk}
 	meta, ok := s.meta.Clone(c.problems(), func(j int, e anet.Estimator) (anet.Estimator, bool) {
 		switch e := e.(type) {
 		case kmvEstimator:
@@ -227,15 +229,27 @@ func (s *Net) Observe(w words.Word) {
 	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch streams the whole batch member-major through the
-// meta-summary (anet.MetaSummary.ObserveBatch), so each member's keys
-// are built once per batch for all its sketches.
+// ObserveBatch packs the batch in the summary's layout and ingests it
+// (ObservePacked). It panics if b's dimension differs from the
+// summary's, or, observing none of the batch, if a symbol lies outside
+// [Q].
 func (s *Net) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))
 	}
+	s.ObservePacked(packU16(&s.packBuf, s.pk, b, "net summary", s.q))
+}
+
+// ObservePacked streams the whole batch member-major through the
+// meta-summary (anet.MetaSummary.ObservePacked), so each member's keys
+// are built off the packed rows once per batch for all its sketches.
+// It panics if b's layout is not the summary's.
+func (s *Net) ObservePacked(b *words.PackedBatch) {
+	if b.Packing() != s.pk {
+		panic("core: packed batch layout differs from the net summary's")
+	}
 	s.rows += int64(b.Len())
-	s.meta.ObserveBatch(b)
+	s.meta.ObservePacked(b)
 }
 
 // Dim returns d.

@@ -16,13 +16,15 @@ import (
 // registered queries — no 2^Ω(d) anywhere, which is exactly the gap
 // between this model and the paper's reveal-after-observation model.
 type Registered struct {
-	d, q   int
-	cfg    RegisteredConfig
-	cols   words.ColumnSet
-	f0     *sketch.KMV
-	keyBuf []byte   // reusable key arena for ObserveBatch
-	fps    []uint64 // reusable fingerprint arena for ObserveBatch
-	rows   int64
+	d, q    int
+	cfg     RegisteredConfig
+	cols    words.ColumnSet
+	f0      *sketch.KMV
+	keyBuf  []byte            // reusable key arena for ObservePacked
+	fps     []uint64          // reusable fingerprint arena for ObservePacked
+	pk      words.Packing     // the rows' packed layout (d, q)
+	packBuf words.PackedBatch // ObserveBatch's packed copy of its batch
+	rows    int64
 }
 
 // RegisteredConfig configures NewRegistered.
@@ -45,6 +47,9 @@ func NewRegistered(d, q int, c words.ColumnSet, cfg RegisteredConfig) (*Register
 	if err := validateEpsRetention("registered", cfg.Epsilon); err != nil {
 		return nil, err
 	}
+	if err := validateRowShape("registered", d, q); err != nil {
+		return nil, err
+	}
 	if d > 64 {
 		return nil, badParam("registered", "d", d, "exceeds the 64 columns a subset mask holds")
 	}
@@ -54,7 +59,7 @@ func NewRegistered(d, q int, c words.ColumnSet, cfg RegisteredConfig) (*Register
 	if c.Len() == 0 {
 		return nil, fmt.Errorf("core: empty subset registered")
 	}
-	return &Registered{d: d, q: q, cfg: cfg, cols: c, f0: sketch.KMVForEpsilon(cfg.Epsilon, cfg.Seed)}, nil
+	return &Registered{d: d, q: q, cfg: cfg, cols: c, f0: sketch.KMVForEpsilon(cfg.Epsilon, cfg.Seed), pk: words.NewPacking(d, q)}, nil
 }
 
 // Observe feeds one row into the F0 sketch.
@@ -62,27 +67,39 @@ func (s *Registered) Observe(w words.Word) {
 	s.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch feeds the batch through the batched key pipeline: the
-// column set's whole-batch key arena (words.AppendBatchKeys) is
-// fingerprinted in one pass (hashing.AppendFingerprints64) and fed to
-// the F0 sketch via AddBatch.
+// ObserveBatch packs the batch in the summary's layout and ingests it
+// (ObservePacked). It panics if b's dimension differs from the
+// summary's, or, observing none of the batch, if a symbol lies outside
+// [Q].
 func (s *Registered) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != dimension %d", b.Dim(), s.d))
+	}
+	s.ObservePacked(packU16(&s.packBuf, s.pk, b, "registered summary", s.q))
+}
+
+// ObservePacked feeds the batch through the batched key pipeline: the
+// column set's whole-batch key arena, built off the packed rows
+// (words.Packing.AppendKeys), is fingerprinted in one pass
+// (hashing.AppendFingerprints64) and fed to the F0 sketch via
+// AddBatch. It panics if b's layout is not the summary's.
+func (s *Registered) ObservePacked(b *words.PackedBatch) {
+	if b.Packing() != s.pk {
+		panic("core: packed batch layout differs from the registered summary's")
 	}
 	n := b.Len()
 	if n == 0 {
 		return
 	}
 	s.rows += int64(n)
-	s.keyBuf = words.AppendBatchKeys(s.keyBuf[:0], b, s.cols)
+	s.keyBuf = s.pk.AppendKeys(s.keyBuf[:0], b.Rows(), s.cols)
 	s.fps = hashing.AppendFingerprints64(s.fps[:0], s.keyBuf, n, 2*s.cols.Len())
 	s.f0.AddBatch(s.fps)
 }
 
 // Clone returns a copy of s whose KMV is its own (sketch.KMV.Clone).
 func (s *Registered) Clone() *Registered {
-	return &Registered{d: s.d, q: s.q, cfg: s.cfg, cols: s.cols, f0: s.f0.Clone(), rows: s.rows}
+	return &Registered{d: s.d, q: s.q, cfg: s.cfg, cols: s.cols, f0: s.f0.Clone(), rows: s.rows, pk: s.pk}
 }
 
 // Dim returns d.

@@ -38,7 +38,7 @@ type Sample struct {
 // degenerate shapes (d < 1, q < 2) and sizes (t < 1) with an error
 // wrapping ErrInvalidParam.
 func NewSample(d, q, t int, seed uint64) (*Sample, error) {
-	if err := validateShape("sample", d, q); err != nil {
+	if err := validateRowShape("sample", d, q); err != nil {
 		return nil, err
 	}
 	if t < 1 {
@@ -86,14 +86,21 @@ func (s *Sample) Observe(w words.Word) {
 
 // ObserveBatch feeds the batch to the sampler, which only counts a
 // batch in which no slot's next acceptance falls, and otherwise packs
-// at most one row per slot that accepts into the slot's place. It
-// panics if b's dimension differs from the summary's, or if a row a
-// slot takes has a symbol outside [Q].
+// it in the summary's layout and ingests it (ObservePacked). It panics
+// if b's dimension differs from the summary's, or if a batch it packs
+// has a symbol outside [Q].
 func (s *Sample) ObserveBatch(b *words.Batch) {
 	if b.Dim() != s.d {
 		panic(fmt.Sprintf("core: batch dimension %d != data dimension %d", b.Dim(), s.d))
 	}
 	s.wr.ObserveBatch(b)
+}
+
+// ObservePacked feeds the batch to the sampler: each slot that accepts
+// copies the one row it keeps, s bytes, into its place. It panics if
+// b's layout is not the summary's.
+func (s *Sample) ObservePacked(b *words.PackedBatch) {
+	s.wr.ObservePacked(b)
 }
 
 // Dim returns d.

@@ -73,10 +73,12 @@ func gateStreams(t *testing.T) map[string]func(s int) gateTrial {
 	return map[string]func(s int) gateTrial{
 		"zipf": func(s int) gateTrial {
 			c := colSets[s%len(colSets)]
+			b := make(words.Word, c.Len())
+			zipf.Row(s*7919%n).ProjectInto(c, b)
 			return gateTrial{
 				d: d, q: q, rows: zipf,
 				point: c,
-				b:     zipf.Row(s * 7919 % n).Project(c),
+				b:     b,
 				hh:    colSets[(s+1)%len(colSets)],
 			}
 		},

@@ -308,12 +308,14 @@ func replayFixture(tb testing.TB, q int) (*store.Store, int64) {
 }
 
 // BenchmarkReplay times recovery of that tail into the durable-mixed
-// engine (2 shards of Theorem 5.1's sampler at ε 0.2, δ 0.1): reading
-// the segments, verifying every frame, decoding the rows and routing
-// them, up to the workers' last row. At q = 4 every 2-bit field is a
-// symbol; at q = 7 verifying a frame checks each 3-bit field against
-// the alphabet. One iteration is one whole recovery; ns/row divides it
-// by the tail's rows.
+// engine (2 shards of Theorem 5.1's sampler at ε 0.2, δ 0.1) as the
+// daemon replays it: reading the segments, verifying every frame, and
+// routing each record's packed body as it lies in the segment
+// (Record.Packed → ReplayPacked), up to the workers' last row. At
+// q = 4 every 2-bit field is a symbol; at q = 7 verifying a frame
+// checks each 3-bit field against the alphabet, the only unpack left.
+// One iteration is one whole recovery; ns/row divides it by the tail's
+// rows.
 //
 //	go test ./internal/engine -run '^$' -bench Replay -benchmem
 func BenchmarkReplay(b *testing.B) {
@@ -334,10 +336,8 @@ func benchmarkReplay(b *testing.B, q int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		var batch words.Batch
 		info, err := st.Recover(nil, func(rec store.Record) error {
-			batch.Bind(16, rec.Rows)
-			return eng.ReplayBatch(&batch)
+			return eng.ReplayPacked(rec.Packed)
 		})
 		if err != nil || info.Rows != rows {
 			b.Fatalf("recovered %d rows of %d: %v", info.Rows, rows, err)

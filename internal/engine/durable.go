@@ -10,7 +10,7 @@ import (
 
 // This file is the engine's durability face: the Log tee interface
 // (Config.Log), the checkpoint cut (CheckpointState), and the boot
-// counterparts Restore and ReplayBatch. internal/store
+// counterparts Restore, ReplayPacked and ReplayBatch. internal/store
 // implements Log; internal/node glues the two together. The
 // correctness backbone is a single invariant:
 //
@@ -217,11 +217,33 @@ func (s *Sharded) Restore(st CheckpointState) error {
 	return nil
 }
 
-// ReplayBatch re-ingests one logged batch record during recovery: it
-// routes exactly like ObserveBatch but never tees back into the log
-// the record came from. The batch is validated against the engine's
-// shape first, since it was read from disk rather than built by a
-// caller the type system vouches for.
+// ReplayPacked re-ingests one logged batch record during recovery, as
+// the store hands it over: the record's packed body, which the store
+// verified (padding and alphabet) and bound in the segment's layout
+// after checking that layout against its own. It routes exactly like
+// ObserveBatch, through the same chunk loop, but never tees back into
+// the log the record came from, and neither unpacks the rows nor
+// checks their symbols again. It refuses, routing nothing, a batch in
+// a layout other than the engine's.
+func (s *Sharded) ReplayPacked(b *words.PackedBatch) error {
+	if s.closed.Load() {
+		return errors.New("engine: ReplayPacked after Close")
+	}
+	if b.Packing() != s.pk {
+		got := b.Packing()
+		return fmt.Errorf("engine: replayed batch packs rows of %d columns over [%d], the engine %d over [%d]",
+			got.Dim(), got.Alphabet(), s.Dim(), s.Alphabet())
+	}
+	s.routeBatch(b)
+	return nil
+}
+
+// ReplayBatch re-ingests one logged batch record of u16 symbols (the
+// kind earlier encoders wrote) during recovery: it routes exactly like
+// ObserveBatch but never tees back into the log the record came from.
+// The batch is checked against the engine's shape first, and its
+// symbols against the alphabet as it is packed, since it was read from
+// disk rather than built by a caller the type system vouches for.
 func (s *Sharded) ReplayBatch(b *words.Batch) error {
 	if s.closed.Load() {
 		return errors.New("engine: ReplayBatch after Close")
@@ -229,9 +251,11 @@ func (s *Sharded) ReplayBatch(b *words.Batch) error {
 	if b.Dim() != s.Dim() {
 		return fmt.Errorf("engine: replayed batch dimension %d != engine dimension %d", b.Dim(), s.Dim())
 	}
-	if err := b.Validate(s.Alphabet()); err != nil {
+	pb, err := s.pack(b)
+	if err != nil {
 		return fmt.Errorf("engine: replayed batch: %w", err)
 	}
-	s.routeBatch(b)
+	s.routeBatch(pb)
+	s.staged.Put(pb)
 	return nil
 }

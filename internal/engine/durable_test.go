@@ -61,10 +61,14 @@ func recoverEngine(t *testing.T, dir string, factory Factory, cfg Config, d, q i
 }
 
 // replayRecord applies one recovered record the way the daemon does:
-// a batch through ReplayBatch, a source through AbsorbSource.
+// a packed batch through ReplayPacked, a u16 one through ReplayBatch,
+// a source through AbsorbSource.
 func replayRecord(eng *Sharded, d int, rec store.Record) error {
 	switch rec.Kind {
 	case store.RecordBatch:
+		if rec.Packed != nil {
+			return eng.ReplayPacked(rec.Packed)
+		}
 		return eng.ReplayBatch(words.BatchOf(d, rec.Rows))
 	case store.RecordSource:
 		sum, err := core.UnmarshalSummary(rec.Blob)
@@ -542,7 +546,7 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 	_, err = st.Recover(nil, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
-			return eng2.ReplayBatch(words.BatchOf(d, rec.Rows))
+			return eng2.ReplayPacked(rec.Packed)
 		case store.RecordSource:
 			sum, err := core.UnmarshalSummary(rec.Blob)
 			if err != nil {

@@ -9,9 +9,12 @@
 //
 // The Sharded engine runs one worker goroutine per shard, each owning
 // a private summary fed through a buffered channel; ObserveBatch is
-// safe for concurrent callers, never touches a summary directly, and
-// routes one chunk of rows per channel send into the shard summary's
-// ObserveBatch.
+// safe for concurrent callers, never touches a summary directly, packs
+// the batch once at its door (words.Packing's layout, checking every
+// symbol against the alphabet) and routes one chunk of packed rows per
+// channel send into the shard summary's ObservePacked. WAL replay
+// routes a logged batch's packed body through the same chunk loop
+// (ReplayPacked) without unpacking it.
 //
 // # Queries
 //
@@ -117,14 +120,14 @@ type shardMsg struct {
 	resume <-chan struct{}
 }
 
-// chunk is one recycled ingest arena: a flat stride-d copy of up to
-// Config.BatchChunk rows. routeBatch takes a chunk from the engine's
-// free-list, fills it, and sends it; the receiving worker returns it
-// to the free-list once its summary's ObserveBatch call has consumed
-// the rows (summaries never retain batch views, per the Batch
-// contract).
+// chunk is one recycled ingest arena: up to Config.BatchChunk rows in
+// the engine's packed layout (words.Packing), Stride() bytes a row.
+// routeBatch takes a chunk from the engine's free-list, fills it, and
+// sends it; the receiving worker returns it to the free-list once its
+// summary's ObservePacked call has consumed the rows (summaries never
+// retain batch views, per the PackedBatch contract).
 type chunk struct {
-	rows []uint16
+	rows []byte
 }
 
 // subspaceSpec records one engine-level subspace registration, so
@@ -146,9 +149,16 @@ type subspaceSpec struct {
 type Sharded struct {
 	cfg     Config
 	factory Factory
+	pk      words.Packing // the shards' packed row layout
 	shards  []*registry.Registry
 	chans   []chan shardMsg
 	workers sync.WaitGroup
+
+	// staged recycles the *words.PackedBatch a u16 batch is packed into
+	// at the door, whole, before any of its chunks is routed: the pack
+	// checks every symbol, so a batch with one outside the alphabet is
+	// refused with nothing logged or routed.
+	staged sync.Pool
 
 	next     atomic.Uint64 // round-robin routing counter
 	enqueued atomic.Int64  // rows accepted (the freshness clock)
@@ -245,11 +255,13 @@ func NewSharded(factory Factory, cfg Config) (*Sharded, error) {
 	// the next arena; the +2 slack covers the producer's chunk in hand
 	// and one in transit. See the arenaFree field comment for why this
 	// stays deliberately small.
-	arenaCap := cfg.BatchChunk * s.shards[0].Dim()
+	s.pk = words.NewPacking(s.shards[0].Dim(), s.shards[0].Alphabet())
+	s.staged.New = func() any { return new(words.PackedBatch) }
+	arenaCap := cfg.BatchChunk * s.pk.Stride()
 	depth := 2*cfg.Shards + 2
 	s.arenaFree = make(chan *chunk, depth)
 	for i := 0; i < depth; i++ {
-		s.arenaFree <- &chunk{rows: make([]uint16, 0, arenaCap)}
+		s.arenaFree <- &chunk{rows: make([]byte, 0, arenaCap)}
 	}
 	s.workers.Add(cfg.Shards)
 	for i := range s.shards {
@@ -292,10 +304,9 @@ func (s *Sharded) buildShard(idx int) (*registry.Registry, error) {
 func (s *Sharded) worker(i int) {
 	defer s.workers.Done()
 	sum := s.shards[i]
-	d := sum.Dim()
 	// One long-lived batch header per worker, rebound to each arriving
-	// chunk's arena: no per-chunk *Batch allocation on the ingest path.
-	var batch words.Batch
+	// chunk's arena: no per-chunk allocation on the ingest path.
+	var batch words.PackedBatch
 	for m := range s.chans[i] {
 		if m.ack != nil {
 			m.ack <- struct{}{}
@@ -303,8 +314,8 @@ func (s *Sharded) worker(i int) {
 			continue
 		}
 		ch := m.chunk
-		batch.Bind(d, ch.rows)
-		sum.ObserveBatch(&batch)
+		batch.Bind(s.pk, ch.rows)
+		sum.ObservePacked(&batch)
 		ch.rows = ch.rows[:0]
 		s.arenaFree <- ch
 	}
@@ -318,14 +329,15 @@ func (s *Sharded) Observe(w words.Word) {
 }
 
 // ObserveBatch routes a whole batch of rows to the shard workers in
-// chunks of at most Config.BatchChunk rows: one arena copy and one
-// channel send per chunk. Chunks are distributed round-robin and each
-// worker feeds its shard summary's ObserveBatch; how a stream is cut
-// into batches and chunks only moves rows between shards, which the
-// merge contract makes invisible. Safe for concurrent callers; b is
-// not retained and may be reused (or mutated) as soon as the call
-// returns. It must not be called after Close, and it panics in the
-// caller if b's dimension is not the engine's.
+// chunks of at most Config.BatchChunk rows: the batch is packed once
+// (words.Packing's layout), then each chunk takes one arena copy of
+// its packed bytes and one channel send. Chunks are distributed
+// round-robin and each worker feeds its shard summary's ObservePacked;
+// how a stream is cut into batches and chunks only moves rows between
+// shards, which the merge contract makes invisible. Safe for
+// concurrent callers; b is not retained and may be reused (or mutated)
+// as soon as the call returns. It must not be called after Close, and
+// it panics in the caller if b's dimension is not the engine's.
 //
 // A chunk counts as accepted only once it is in the shard queue: the
 // accepted-rows clock ticks after the channel send, so a concurrent
@@ -333,25 +345,30 @@ func (s *Sharded) Observe(w words.Word) {
 // behind its quiesce barrier and reflect them in the snapshot.
 //
 // With a durability log configured the whole batch is appended as one
-// record before its chunks are routed; a log failure panics, because
-// this signature cannot report that the durability promise was broken
-// — servers use ObserveBatchDurable, which returns it.
+// record before its chunks are routed. A batch with a symbol outside
+// the alphabet, or whose append fails, is refused with nothing routed;
+// this signature cannot report either, so it panics in the caller —
+// servers use ObserveBatchDurable, which returns the error.
 func (s *Sharded) ObserveBatch(b *words.Batch) {
 	if err := s.ObserveBatchDurable(b); err != nil {
-		panic(fmt.Sprintf("engine: durability log append failed: %v", err))
+		panic(fmt.Sprintf("engine: batch refused: %v", err))
 	}
 }
 
-// ObserveBatchDurable is ObserveBatch with the durability surfaced:
-// with a log configured the batch is appended to it first, and an
-// append failure is returned with nothing routed — the engine and the
-// log stay consistent and the caller (the daemon's observe handler)
-// can refuse the request. Without a log it never fails.
+// ObserveBatchDurable is ObserveBatch with the refusals surfaced: the
+// batch is packed first, and a symbol outside the alphabet is returned
+// as an error with nothing logged or routed; with a log configured the
+// batch is then appended to it, and an append failure is returned with
+// nothing routed — the engine and the log stay consistent and the
+// caller (the daemon's observe handler) can refuse the request.
 //
 // This is the tee point. Log order must equal routing order or replay
 // would re-shard rows differently than the original run, so the whole
 // append+route sequence holds logMu — durable ingestion is serialized,
-// which the log's own disk write would largely force anyway.
+// which the log's own disk write would largely force anyway. The pack
+// runs before it, outside the lock. The log packs the batch for its
+// record itself (Log.AppendBatch takes u16 rows), so a durable batch
+// is packed twice.
 func (s *Sharded) ObserveBatchDurable(b *words.Batch) error {
 	if s.closed.Load() {
 		panic("engine: ObserveBatch after Close")
@@ -359,6 +376,11 @@ func (s *Sharded) ObserveBatchDurable(b *words.Batch) error {
 	if b.Dim() != s.Dim() {
 		panic(fmt.Sprintf("engine: batch dimension %d != engine dimension %d", b.Dim(), s.Dim()))
 	}
+	pb, err := s.pack(b)
+	if err != nil {
+		return err
+	}
+	defer s.staged.Put(pb)
 	if s.log != nil {
 		s.logMu.Lock()
 		defer s.logMu.Unlock()
@@ -366,29 +388,36 @@ func (s *Sharded) ObserveBatchDurable(b *words.Batch) error {
 			return err
 		}
 	}
-	s.routeBatch(b)
+	s.routeBatch(pb)
 	return nil
 }
 
-// routeBatch distributes a batch's chunks to the shard workers (see
-// ObserveBatch for the routing contract). Each chunk is copied into a
-// pooled arena — the copy is what lets the caller reuse b the moment
-// ObserveBatch returns, and the pool is what keeps the copy from
-// costing an allocation per chunk. Both callers check b.Dim() ==
-// s.Dim(), and every arena holds BatchChunk·Dim symbols, so a chunk
-// always fits.
-func (s *Sharded) routeBatch(b *words.Batch) {
+// pack packs b whole into a staged batch in the engine's layout,
+// checking every symbol against the alphabet; the caller returns the
+// batch to s.staged once it is routed. On a symbol outside the
+// alphabet it returns an error naming it and keeps nothing.
+func (s *Sharded) pack(b *words.Batch) (*words.PackedBatch, error) {
+	pb := s.staged.Get().(*words.PackedBatch)
+	if i := pb.Pack(s.pk, b); i >= 0 {
+		s.staged.Put(pb)
+		return nil, fmt.Errorf("engine: batch row %d symbol %d outside alphabet [%d]", i/b.Dim(), b.Symbols()[i], s.Alphabet())
+	}
+	return pb, nil
+}
+
+// routeBatch distributes a packed batch's chunks to the shard workers
+// (see ObserveBatch for the routing contract). Each chunk's bytes are
+// copied into a pooled arena — the copy is what lets the caller reuse
+// the batch the moment routing returns, and the pool is what keeps the
+// copy from costing an allocation per chunk. Every caller checks that
+// the batch is in the engine's layout, and every arena holds
+// BatchChunk rows of it, so a chunk always fits.
+func (s *Sharded) routeBatch(b *words.PackedBatch) {
 	n := b.Len()
-	d := b.Dim()
-	flat := b.Symbols()
 	for lo := 0; lo < n; lo += s.cfg.BatchChunk {
-		hi := lo + s.cfg.BatchChunk
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+s.cfg.BatchChunk, n)
 		ch := <-s.arenaFree
-		ch.rows = ch.rows[:(hi-lo)*d]
-		copy(ch.rows, flat[lo*d:hi*d])
+		ch.rows = append(ch.rows[:0], b.Slice(lo, hi).Rows()...)
 		i := s.next.Add(1) % uint64(len(s.chans))
 		s.chans[i] <- shardMsg{chunk: ch}
 		s.enqueued.Add(int64(hi - lo))

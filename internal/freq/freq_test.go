@@ -109,8 +109,12 @@ func TestMonotoneNormInequality(t *testing.T) {
 func TestHeavyHittersDefinition(t *testing.T) {
 	tb := words.NewTable(2, 4)
 	// Pattern (3,3) appears 60 times, (1,1) 30, ten singletons.
-	tb.AppendRepeated(words.Word{3, 3}, 60)
-	tb.AppendRepeated(words.Word{1, 1}, 30)
+	for range 60 {
+		tb.Append(words.Word{3, 3})
+	}
+	for range 30 {
+		tb.Append(words.Word{1, 1})
+	}
 	for i := 0; i < 10; i++ {
 		tb.Append(words.Word{uint16(i % 4), uint16((i / 4) % 4)})
 	}

@@ -133,7 +133,9 @@ func FuzzVectorMatchesMap(f *testing.F) {
 		}
 		checkAgainst(t, FromTable(tb, c), ref)
 		checkAgainst(t, FromSource(tb.Source(), c), ref)
-		for _, b := range []words.Word{row.Project(c), make(words.Word, c.Len())} {
+		proj := make(words.Word, c.Len())
+		row.ProjectInto(c, proj)
+		for _, b := range []words.Word{proj, make(words.Word, c.Len())} {
 			key := words.AppendKey(nil, b, words.FullColumnSet(len(b)))
 			if got, want := FromTable(tb, c).CountWord(b), ref.counts[string(key)]; got != want {
 				t.Fatalf("CountWord(%v) = %d, want %d", b, got, want)

@@ -67,14 +67,16 @@ func (n *Node) applySubspaceMeta(meta store.SubspaceMeta) error {
 // recover rebuilds the engine from the data directory before the
 // daemon starts serving: restore the newest checkpoint (re-register
 // its subspaces first, so the shard blobs' registry structure
-// matches), then replay the WAL tail: batches through ReplayBatch,
-// which routes like live ingestion but never tees back into the log,
-// and sources through AbsorbSource, which the engine never logs. Runs
+// matches), then replay the WAL tail: packed batch records through
+// ReplayPacked, as their verified bodies lie in the segment, and u16
+// ones an earlier encoder wrote through ReplayBatch — both route like
+// live ingestion but never tee back into the log — and sources
+// through AbsorbSource, which the engine never logs. Runs
 // single-threaded at boot; any failure is fatal, because serving from
 // a partially recovered state would silently drop acknowledged data.
 func (n *Node) recover() error {
 	start := time.Now()
-	var batch words.Batch // rebound to each batch record's rows
+	var batch words.Batch // rebound to each u16 batch record's rows
 	info, err := n.wal.Recover(func(ck *store.Checkpoint) error {
 		for _, meta := range ck.Subspaces {
 			if err := n.applySubspaceMeta(meta); err != nil {
@@ -91,6 +93,9 @@ func (n *Node) recover() error {
 	}, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
+			if rec.Packed != nil {
+				return n.eng.ReplayPacked(rec.Packed)
+			}
 			batch.Bind(n.eng.Dim(), rec.Rows)
 			return n.eng.ReplayBatch(&batch)
 		case store.RecordSource:

@@ -172,6 +172,9 @@ func decodeRegistry(env core.Envelope) (core.Summary, error) {
 			}
 			return nil, err
 		}
+		if _, ok := sum.(core.PackedObserver); !ok {
+			return nil, badEncoding("registry subspace %v: %s summary does not ingest packed rows", c, sum.Name())
+		}
 		reg.add(c, sum)
 	}
 	if err := r.Done(); err != nil {

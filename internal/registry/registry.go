@@ -141,18 +141,25 @@ type Registry struct {
 	full    core.Summary
 	entries []entry
 	index   map[string]int // canonical ColumnSet key → entry position
+	packBuf words.PackedBatch
 }
 
 // New wraps the catch-all summary in a registry with no subspaces. A
 // subspace-free registry is transparent: it routes every query to
 // full, reports full's name, and serializes as full's own wire blob.
-// Nesting is refused — a registry cannot be the catch-all of another.
+// Nesting is refused — a registry cannot be the catch-all of another —
+// and so is a summary that does not ingest packed rows
+// (core.PackedObserver), since the registry feeds its members nothing
+// else.
 func New(full core.Summary) (*Registry, error) {
 	if full == nil {
 		return nil, fmt.Errorf("registry: nil catch-all summary")
 	}
 	if _, ok := full.(*Registry); ok {
 		return nil, fmt.Errorf("registry: the catch-all summary cannot itself be a registry")
+	}
+	if _, ok := full.(core.PackedObserver); !ok {
+		return nil, fmt.Errorf("registry: the catch-all %s summary does not ingest packed rows", full.Name())
 	}
 	return &Registry{full: full, index: map[string]int{}}, nil
 }
@@ -164,8 +171,9 @@ func New(full core.Summary) (*Registry, error) {
 func colsKey(c words.ColumnSet) string { return string(c.AppendCanonicalKey(nil)) }
 
 // RegisterSubspace adds a summary provisioned for the column set c.
-// The summary must share the registry's shape, must not itself be a
-// registry, and — like the registry — must not have observed any rows
+// The summary must share the registry's shape, must ingest packed rows
+// (core.PackedObserver), must not itself be a registry, and — like the
+// registry — must not have observed any rows
 // yet (ErrRowsObserved otherwise): every member digests the same
 // stream from row zero. Registering the same column set twice returns
 // ErrDuplicateSubspace. Entries keep registration order, which fixes
@@ -176,6 +184,9 @@ func (r *Registry) RegisterSubspace(c words.ColumnSet, sum core.Summary) error {
 	}
 	if _, ok := sum.(*Registry); ok {
 		return fmt.Errorf("registry: subspace summary for %v cannot itself be a registry", c)
+	}
+	if _, ok := sum.(core.PackedObserver); !ok {
+		return fmt.Errorf("registry: subspace %s summary for %v does not ingest packed rows", sum.Name(), c)
 	}
 	if c.Dim() != r.full.Dim() {
 		return fmt.Errorf("registry: subspace %v has dimension %d, registry has %d", c, c.Dim(), r.full.Dim())
@@ -293,12 +304,25 @@ func (r *Registry) Observe(w words.Word) {
 	r.ObserveBatch(words.RowBatch(w))
 }
 
-// ObserveBatch fans the whole batch out to the full summary and every
-// subspace summary, keeping all members over the identical stream.
+// ObserveBatch packs the batch once, in the members' layout, and fans
+// it out (ObservePacked). It panics, with no member fed, if a symbol
+// lies outside [Q].
 func (r *Registry) ObserveBatch(b *words.Batch) {
-	r.full.ObserveBatch(b)
+	pk := words.NewPacking(r.Dim(), r.Alphabet())
+	if i := r.packBuf.Pack(pk, b); i >= 0 {
+		panic(fmt.Sprintf("registry: batch row %d symbol %d outside alphabet [%d]", i/b.Dim(), b.Symbols()[i], r.Alphabet()))
+	}
+	r.ObservePacked(&r.packBuf)
+}
+
+// ObservePacked fans the whole packed batch out to the full summary
+// and every subspace summary, keeping all members over the identical
+// stream. Every member ingests packed rows: New, RegisterSubspace and
+// the wire decoder refuse one that does not.
+func (r *Registry) ObservePacked(b *words.PackedBatch) {
+	r.full.(core.PackedObserver).ObservePacked(b)
 	for i := range r.entries {
-		r.entries[i].sum.ObserveBatch(b)
+		r.entries[i].sum.(core.PackedObserver).ObservePacked(b)
 	}
 }
 

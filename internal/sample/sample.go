@@ -41,6 +41,7 @@ type WithReplacement struct {
 	// minNext is the smallest slots[i].next: a batch that ends before
 	// it accepts in no slot.
 	minNext uint64
+	packBuf words.PackedBatch // ObserveBatch's packed copy of its batch
 }
 
 // slot is one size-one reservoir: its private SplitMix64 stream and
@@ -106,14 +107,33 @@ func SizeForError(eps, delta float64) int {
 
 // ObserveBatch feeds every row of b, whose dimension must be the
 // layout's. A batch that ends before the earliest pending acceptance
-// only advances the row count. Otherwise each slot whose next
-// acceptance falls inside the batch accepts and redraws until it
-// passes the batch's end, and packs only the last row it accepted into
-// its place in the slab. Only the first row allocates: the slab. Draws
-// depend on the stream positions only, not on where batches are cut.
-// It panics if a packed row has a symbol outside the layout's
-// alphabet, which no slot can hold.
+// only advances the row count; any other is packed in the sampler's
+// layout into a buffer the sampler keeps and fed to ObservePacked. It
+// panics if a packed row has a symbol outside the layout's alphabet,
+// which no slot can hold.
 func (s *WithReplacement) ObserveBatch(b *words.Batch) {
+	if end := uint64(s.seen) + uint64(b.Len()); s.minNext > end {
+		s.seen = int64(end)
+		return
+	}
+	if s.pk == (words.Packing{}) {
+		s.pk = words.NewPacking(b.Dim(), words.MaxAlphabet)
+	}
+	if j := s.packBuf.Pack(s.pk, b); j >= 0 {
+		panic(fmt.Sprintf("sample: row %d symbol %d outside the sampler's alphabet", s.seen+int64(j/b.Dim())+1, b.Symbols()[j]))
+	}
+	s.ObservePacked(&s.packBuf)
+}
+
+// ObservePacked feeds every row of b, whose layout must be the
+// sampler's (a sampler built without one takes b's). A batch that ends
+// before the earliest pending acceptance only advances the row count.
+// Otherwise each slot whose next acceptance falls inside the batch
+// accepts and redraws until it passes the batch's end, and copies only
+// the last row it accepted, s bytes, into its place in the slab. Only
+// the first row allocates: the slab. Draws depend on the stream
+// positions only, not on where batches are cut.
+func (s *WithReplacement) ObservePacked(b *words.PackedBatch) {
 	base := uint64(s.seen)
 	end := base + uint64(b.Len())
 	s.seen = int64(end)
@@ -121,7 +141,10 @@ func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 		return
 	}
 	if s.rows == nil {
-		s.start(words.NewPacking(b.Dim(), words.MaxAlphabet))
+		s.start(b.Packing())
+	}
+	if b.Packing() != s.pk {
+		panic("sample: packed batch layout differs from the sampler's")
 	}
 	minNext := uint64(math.MaxUint64)
 	for i := range s.slots {
@@ -132,10 +155,7 @@ func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 				kept = sl.next
 				sl.skip(kept)
 			}
-			row := b.Row(int(kept - base - 1))
-			if j := s.pk.Pack(s.slot(i), row); j >= 0 {
-				panic(fmt.Sprintf("sample: row %d symbol %d outside the sampler's alphabet", kept, row[j]))
-			}
+			copy(s.slot(i), b.Row(int(kept-base-1)))
 		}
 		minNext = min(minNext, sl.next)
 	}

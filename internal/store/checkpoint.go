@@ -253,6 +253,31 @@ func listCheckpoints(dir string) ([]string, error) {
 	return paths, nil
 }
 
+// removeCheckpointTemps deletes what checkpoint writes a crash cut
+// short left in dir: WriteFileAtomic's temp files of checkpoint names
+// (.ckpt-<lsn>.pfqc.tmp-*), which no rename ever made a checkpoint.
+// Each is a whole checkpoint in size and nothing else removes it.
+// Other names, temp files of other targets included, are left alone.
+func removeCheckpointTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		target, _, ok := strings.Cut(e.Name(), ".tmp-")
+		if !ok || e.IsDir() || !strings.HasPrefix(target, ".") {
+			continue
+		}
+		if _, ok := parseCheckpointName(target[1:]); !ok {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // WriteFileAtomic writes data to path so that a crash at any moment
 // leaves either the old content (or no file) or the complete new
 // content — never a torn prefix. It stages the bytes in a temporary

@@ -270,6 +270,9 @@ func openGolden(t *testing.T, dir string) (*store.Store, *engine.Sharded, store.
 	}, func(rec store.Record) error {
 		switch rec.Kind {
 		case store.RecordBatch:
+			if rec.Packed != nil {
+				return eng.ReplayPacked(rec.Packed)
+			}
 			return eng.ReplayBatch(words.BatchOf(goldenD, rec.Rows))
 		case store.RecordSource:
 			sum, err := core.UnmarshalSummary(rec.Blob)

@@ -110,18 +110,27 @@ func (k RecordKind) String() string {
 	}
 }
 
-// Record is one decoded WAL record. Rows and Blob alias buffers that
-// recovery reuses for the next record and the next segment: they are
-// valid only inside the replay callback and must not be retained.
+// Record is one decoded WAL record. Rows, Packed and Blob alias
+// buffers that recovery reuses for the next record and the next
+// segment: they are valid only inside the replay callback and must not
+// be retained.
 type Record struct {
 	// LSN is the record's log sequence number.
 	LSN uint64
 	// Kind selects which of the remaining fields apply.
 	Kind RecordKind
-	// Rows is the flat row-major symbol data (RecordBatch). The store
-	// checks its shape, and the symbols of a packed body against the
-	// alphabet; the consumer checks every batch's symbols against the
-	// alphabet (engine.ReplayBatch does), since a u16 body's are not.
+	// Packed holds the rows of a RecordBatch the current encoder wrote
+	// (type byte 4): its body as it lies in the segment image, bound in
+	// the store's layout, never unpacked. The scan checked every
+	// padding bit and symbol (words.Packing.Verify) and the segment's
+	// shape against the store's, so a consumer routes it as it is
+	// (engine.ReplayPacked). Nil for every other record.
+	Packed *words.PackedBatch
+	// Rows is the flat row-major symbol data of a RecordBatch an
+	// earlier encoder wrote as u16 symbols (type byte 1); nil for every
+	// other record, a packed batch included. The store checks its
+	// shape, not its symbols: the consumer checks them against the
+	// alphabet (engine.ReplayBatch does).
 	Rows []uint16
 	// Source is the source's name (RecordSource).
 	Source string
@@ -301,25 +310,31 @@ func (res scanResult) frames(data []byte) iter.Seq2[uint64, []byte] {
 	}
 }
 
+// recordBufs holds what decodeRecord reuses from one record to the
+// next: the symbols of a u16 batch and the header a packed batch's
+// body is bound to.
+type recordBufs struct {
+	rows   []uint16
+	packed words.PackedBatch
+}
+
 // decodeRecord turns a verified frame payload, of a segment whose rows
-// are in pk's layout, into a Record. A batch's symbols are decoded into
-// rows, grown as needed and returned for the next record; Blob aliases
-// the payload.
-func decodeRecord(lsn uint64, payload []byte, pk words.Packing, rows []uint16) (Record, []uint16) {
+// are in pk's layout, into a Record. A u16 batch's symbols are decoded
+// into bufs.rows, grown as needed; a packed batch's body is bound to
+// bufs.packed where it lies, and Blob aliases the payload too.
+func decodeRecord(lsn uint64, payload []byte, pk words.Packing, bufs *recordBufs) Record {
 	rec := Record{LSN: lsn, Kind: RecordKind(payload[0])}
 	body := payload[1:]
 	switch rec.Kind {
 	case RecordBatch:
-		rows = slices.Grow(rows[:0], len(body)/2)[:len(body)/2]
+		bufs.rows = slices.Grow(bufs.rows[:0], len(body)/2)[:len(body)/2]
 		// No alphabet check here: the replay consumer checks every
 		// symbol once, before it reaches a shard (engine.ReplayBatch).
-		words.DecodeSymbolsLE(rows, body, words.MaxAlphabet)
-		rec.Rows = rows
+		words.DecodeSymbolsLE(bufs.rows, body, words.MaxAlphabet)
+		rec.Rows = bufs.rows
 	case recordPackedBatch:
-		n := len(body) / pk.Stride() * pk.Dim()
-		rows = slices.Grow(rows[:0], n)[:n]
-		pk.Unpack(rows, body)
-		rec.Kind, rec.Rows = RecordBatch, rows
+		bufs.packed.Bind(pk, body)
+		rec.Kind, rec.Packed = RecordBatch, &bufs.packed
 	case recordSummary:
 		rec.Kind, rec.Source, rec.Blob = RecordSource, fmt.Sprintf("wal-%d", lsn), body
 	case RecordSource:
@@ -329,7 +344,7 @@ func decodeRecord(lsn uint64, payload []byte, pk words.Packing, rows []uint16) (
 		mask, name, _ := parseSubspaceRecord(body)
 		rec.Mask, rec.Summary = mask, string(name)
 	}
-	return rec, rows
+	return rec
 }
 
 // parseSubspaceRecord reads a subspace record's body: the column-set

@@ -98,19 +98,24 @@ func FuzzReadSegment(f *testing.F) {
 				if len(body)%(2*h.dim) != 0 {
 					t.Fatalf("record %d: %d body bytes not whole rows of %d", lsn, len(body), h.dim)
 				}
-				rec, _ := decodeRecord(lsn, payload, pk, nil)
+				rec := decodeRecord(lsn, payload, pk, &recordBufs{})
 				again = encodeU16BatchRecord(nil, rec.Rows)
 			case recordPackedBatch:
 				if h.version < 2 || len(body)%pk.Stride() != 0 {
 					t.Fatalf("record %d: packed body of %d bytes in a version-%d segment of %d-byte rows", lsn, len(body), h.version, pk.Stride())
 				}
-				rec, _ := decodeRecord(lsn, payload, pk, nil)
+				rec := decodeRecord(lsn, payload, pk, &recordBufs{})
+				if rec.Kind != RecordBatch || rec.Rows != nil || rec.Packed.Packing() != pk {
+					t.Fatalf("record %d: packed batch decoded to kind %v, u16 rows %v, layout %v", lsn, rec.Kind, rec.Rows != nil, rec.Packed.Packing())
+				}
+				rows := make([]uint16, rec.Packed.Len()*h.dim)
+				pk.Unpack(rows, rec.Packed.Rows())
 				var bad int
-				if again, bad = encodeBatchRecord(nil, pk, rec.Rows); bad >= 0 {
-					t.Fatalf("record %d: symbol %d outside [%d] kept", lsn, rec.Rows[bad], h.alphabet)
+				if again, bad = encodeBatchRecord(nil, pk, rows); bad >= 0 {
+					t.Fatalf("record %d: symbol %d outside [%d] kept", lsn, rows[bad], h.alphabet)
 				}
 			case RecordSource, recordSummary:
-				rec, _ := decodeRecord(lsn, payload, pk, nil)
+				rec := decodeRecord(lsn, payload, pk, &recordBufs{})
 				if rec.Kind != RecordSource || rec.Source == "" {
 					t.Fatalf("record %d: kind-%d payload decoded to %v named %q", lsn, payload[0], rec.Kind, rec.Source)
 				}

@@ -172,6 +172,14 @@ type Store struct {
 // scans the existing segments, truncates a torn final frame so the
 // log ends on a whole record, and positions the next LSN after the
 // last valid record. The directory's shape must match the caller's.
+//
+// Open owns the directory: one Store at a time, and no other writer.
+// It repairs what a crash can leave behind in it, removing files no
+// acknowledged record lives in: a final segment that holds no header
+// (a stub shorter than one, or all zero bytes, as a file system that
+// persists a file's size before its data leaves a segment created
+// mid-roll), a torn final frame, and checkpoint temp files a crash
+// left before their rename.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -181,6 +189,9 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: degenerate shape d=%d q=%d", opts.Dim, opts.Alphabet)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
+		return nil, err
+	}
+	if err := removeCheckpointTemps(opts.Dir); err != nil {
 		return nil, err
 	}
 	st := &Store{opts: opts, pk: words.NewPacking(opts.Dim, opts.Alphabet)}
@@ -212,10 +223,13 @@ func (st *Store) scan() error {
 		if err != nil {
 			return err
 		}
-		if len(data) < segHeaderSize {
+		if len(data) < segHeaderSize || allZero(data) {
 			// A crash between creating a segment and writing its header
-			// leaves a stub with no records in it; drop it and continue
-			// from the previous segment.
+			// leaves a stub with no records in it: shorter than the
+			// header, or, on a file system that persists a file's size
+			// before its data, zero bytes of any length. Drop it and
+			// continue from the previous segment; the next roll takes
+			// its name again.
 			if err := os.Remove(last); err != nil {
 				return err
 			}
@@ -261,6 +275,16 @@ func (st *Store) scan() error {
 		st.ckptLSN, _ = parseCheckpointName(filepath.Base(ckpts[len(ckpts)-1]))
 	}
 	return nil
+}
+
+// allZero reports whether every byte of data is zero.
+func allZero(data []byte) bool {
+	for _, b := range data {
+		if b != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // checkShape validates a segment header against the open options.
@@ -539,7 +563,8 @@ type RecoverInfo struct {
 	// Records and Rows count the replayed WAL records and the rows
 	// they carried.
 	Records int
-	// Rows is the total row count of replayed batch records.
+	// Rows is the total row count of replayed batch records, packed
+	// and u16 alike.
 	Rows int64
 }
 
@@ -613,7 +638,8 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 	// memory from Open.
 	replay := func(i int) bool { return i+1 == len(segments) || segments[i+1].firstLSN > from }
 	held := func(seg segmentInfo) bool { return tail != nil && tail.path == seg.path }
-	// One segment image and one row buffer serve the whole replay. The
+	// One segment image and one set of record buffers serve the whole
+	// replay. The
 	// image is sized for the largest segment to read up front, so it is
 	// allocated (and zeroed) once, not once per segment.
 	var largest int64
@@ -623,7 +649,7 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 		}
 	}
 	image := make([]byte, 0, largest)
-	var rows []uint16
+	var bufs recordBufs
 	for i, seg := range segments {
 		if !replay(i) {
 			continue
@@ -660,15 +686,12 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 			if lsn < from {
 				continue
 			}
-			var rec Record
-			rec, rows = decodeRecord(lsn, payload, st.pk, rows)
+			rec := decodeRecord(lsn, payload, st.pk, &bufs)
 			if err := apply(rec); err != nil {
 				return RecoverInfo{}, fmt.Errorf("store: replaying record %d (%s): %w", rec.LSN, rec.Kind, err)
 			}
 			info.Records++
-			if rec.Kind == RecordBatch {
-				info.Rows += int64(len(rec.Rows) / st.opts.Dim)
-			}
+			info.Rows += int64(batchRows(payload, res.header))
 		}
 	}
 	return info, nil

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -32,6 +33,19 @@ func batchOf(d, q, n, salt int) *words.Batch {
 	return b
 }
 
+// packedSymbols unpacks the rows of a batch record the current encoder
+// wrote, which carries them packed (Record.Packed) and no u16 rows.
+func packedSymbols(t *testing.T, rec Record) []uint16 {
+	t.Helper()
+	if rec.Packed == nil || rec.Rows != nil {
+		t.Fatalf("record %d: packed rows %v, u16 rows %v; want packed rows only", rec.LSN, rec.Packed != nil, rec.Rows != nil)
+	}
+	pk := rec.Packed.Packing()
+	syms := make([]uint16, rec.Packed.Len()*pk.Dim())
+	pk.Unpack(syms, rec.Packed.Rows())
+	return syms
+}
+
 // replayAll recovers st collecting the checkpoint and every record
 // (records deep-copied, since they alias the scan buffer).
 func replayAll(t *testing.T, st *Store) (*Checkpoint, RecoverInfo, []Record) {
@@ -47,6 +61,10 @@ func replayAll(t *testing.T, st *Store) (*Checkpoint, RecoverInfo, []Record) {
 		cp := r
 		cp.Rows = append([]uint16(nil), r.Rows...)
 		cp.Blob = append([]byte(nil), r.Blob...)
+		if r.Packed != nil {
+			cp.Packed = new(words.PackedBatch)
+			cp.Packed.Bind(r.Packed.Packing(), append([]byte(nil), r.Packed.Rows()...))
+		}
 		recs = append(recs, cp)
 		return nil
 	})
@@ -120,7 +138,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 		t.Fatalf("source record %q %q", recs[3].Source, recs[3].Blob)
 	}
 	for i, want := range [][]uint16{b1.Symbols(), b2.Symbols()} {
-		got := recs[1+3*i].Rows
+		got := packedSymbols(t, recs[1+3*i])
 		if len(got) != len(want) {
 			t.Fatalf("batch %d length %d, want %d", i, len(got), len(want))
 		}
@@ -1082,5 +1100,141 @@ func TestCheckpointSourceCountBounded(t *testing.T) {
 	data[len(data)-16] = 'b'
 	if _, err := decodeCheckpoint(reseal(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), `repeated name "b"`) {
 		t.Fatalf("repeated source name: %v", err)
+	}
+}
+
+// TestAllZeroFinalSegmentIsDropped: a crash mid-roll on a file system
+// that persists a file's size before its data leaves the new segment
+// as zero bytes, at the header's length or at any other. Open drops it
+// as it drops a stub shorter than the header: the earlier segment's
+// records recover, and the next roll creates a segment under the
+// dropped name. A final segment of other garbage is still refused.
+func TestAllZeroFinalSegmentIsDropped(t *testing.T) {
+	const d, q = 3, 4
+	for _, size := range []int{segHeaderSize, 4096} {
+		opts := testOpts(t, d, q)
+		opts.SegmentBytes = 1 << 20 // the three records share one segment
+		st, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][]uint16
+		for i := range 3 {
+			b := batchOf(d, q, 4, i)
+			want = append(want, b.Symbols())
+			if err := st.AppendBatch(b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		dropped := filepath.Join(opts.Dir, segmentName(3))
+		if err := os.WriteFile(dropped, make([]byte, size), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		opts.SegmentBytes = 32 // the next append rolls
+		st2, err := Open(opts)
+		if err != nil {
+			t.Fatalf("%d zero bytes: Open: %v", size, err)
+		}
+		_, info, recs := replayAll(t, st2)
+		if info.Records != 3 || info.Rows != 12 {
+			t.Fatalf("%d zero bytes: replay %+v, want 3 records of 12 rows", size, info)
+		}
+		for i, rec := range recs {
+			if !slices.Equal(packedSymbols(t, rec), want[i]) {
+				t.Fatalf("%d zero bytes: record %d rows differ", size, i)
+			}
+		}
+		if err := st2.AppendBatch(batchOf(d, q, 4, 9)); err != nil {
+			t.Fatalf("%d zero bytes: append: %v", size, err)
+		}
+		if err := st2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(dropped)
+		if err != nil || !bytes.HasPrefix(data, walMagic[:]) {
+			t.Fatalf("%d zero bytes: the next segment under the dropped name reads %.8q (%v)", size, data, err)
+		}
+		st3, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, info, _ := replayAll(t, st3); info.Records != 4 {
+			t.Fatalf("%d zero bytes: reopened log replays %d records, want 4", size, info.Records)
+		}
+		st3.Close()
+	}
+
+	opts := testOpts(t, d, q)
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch(batchOf(d, q, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	garbage := make([]byte, 4096)
+	garbage[2000] = 1
+	if err := os.WriteFile(filepath.Join(opts.Dir, segmentName(1)), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(opts); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("a final segment of non-zero garbage: Open says %v, want ErrCorrupt", err)
+	}
+}
+
+// TestOpenRemovesCheckpointTemps: a crash between writing a
+// checkpoint's temp file and renaming it leaves the temp file behind,
+// a whole checkpoint in size. Open removes it, and only it: the
+// checkpoint, a temp file of another target and other files stay.
+func TestOpenRemovesCheckpointTemps(t *testing.T) {
+	const d, q = 3, 4
+	opts := testOpts(t, d, q)
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AppendBatch(batchOf(d, q, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.WriteCheckpoint(&Checkpoint{LSN: 1, Next: 1, Rows: 4, Shards: [][]byte{[]byte("shard-0")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stale := []string{
+		"." + checkpointName(1) + ".tmp-123456",
+		"." + checkpointName(7) + ".tmp-9",
+	}
+	kept := []string{".blob.pfqs.tmp-42", "notes.txt", checkpointName(1) + ".tmp-1"}
+	for _, name := range append(append([]string(nil), stale...), kept...) {
+		if err := os.WriteFile(filepath.Join(opts.Dir, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	for _, name := range stale {
+		if _, err := os.Stat(filepath.Join(opts.Dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("stale checkpoint temp %s survives Open (%v)", name, err)
+		}
+	}
+	for _, name := range append(kept, checkpointName(1)) {
+		if _, err := os.Stat(filepath.Join(opts.Dir, name)); err != nil {
+			t.Errorf("Open removed %s: %v", name, err)
+		}
+	}
+	if ck, info, _ := replayAll(t, st2); ck == nil || ck.LSN != 1 || info.Records != 0 {
+		t.Fatalf("recovery after the cleanup: checkpoint %v, %+v", ck, info)
 	}
 }

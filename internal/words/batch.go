@@ -117,12 +117,3 @@ func (b *Batch) Bind(d int, symbols []uint16) {
 func (b *Batch) Clone() *Batch {
 	return &Batch{d: b.d, data: append([]uint16(nil), b.data...)}
 }
-
-// Validate checks that every symbol of every row lies in [q], four
-// symbols a step (the flat symbol codec's check).
-func (b *Batch) Validate(q int) error {
-	if i := symbolsOutside(b.data, q); i >= 0 {
-		return fmt.Errorf("words: row %d symbol %d outside alphabet [%d]", i/b.d, b.data[i], q)
-	}
-	return nil
-}

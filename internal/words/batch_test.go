@@ -90,18 +90,6 @@ func TestBatchResetKeepsCapacity(t *testing.T) {
 	}
 }
 
-func TestBatchValidate(t *testing.T) {
-	b := NewBatch(2, 2)
-	b.Append(Word{0, 1})
-	b.Append(Word{1, 2})
-	if err := b.Validate(3); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Validate(2); err == nil {
-		t.Fatal("symbol 2 outside [2] must fail validation")
-	}
-}
-
 func TestBatchShapePanics(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()

@@ -15,14 +15,20 @@ import (
 // of the rows before them, which is what lets core.Exact hand a run to
 // readers and keep appending to it.
 //
-// Symbols stay u16 at every edge that computes on them (batches,
-// frequency-vector keys); packing is how rows rest, in core.Exact, the
-// sampler's slots and the WAL's batch records. AppendKeys emits
-// exactly the keys AppendBatchKeys emits for the unpacked rows, so
-// everything keyed on them is unchanged. Every reader stays inside the
-// slice it is given: a run shared with a writer may grow past its
-// length, and under the race detector even a masked-off byte beyond it
-// counts as a read.
+// Packed rows are how rows travel past an engine's ingest door and how
+// they rest: the door packs each u16 batch once (PackedBatch.Pack,
+// which checks the alphabet), and from there the chunk arenas, every
+// summary's ingest (core.PackedObserver), core.Exact's runs, the
+// sampler's slots and the WAL's batch records hold this layout; WAL
+// replay hands a verified record body to the shards as it lies in the
+// segment. Symbols are u16 only where rows arrive (the JSON decoder,
+// the public Go API, the u16 ObserveBatch each summary keeps as its
+// public entry, which packs and then ingests packed) and in projection
+// keys: AppendKeys emits exactly the keys AppendBatchKeys emits for
+// the unpacked rows, so everything keyed on them is unchanged. Every
+// reader stays inside the slice it is given: a run shared with a
+// writer may grow past its length, and under the race detector even a
+// masked-off byte beyond it counts as a read.
 
 // Packing is the packed row layout of one shape (d, q).
 type Packing struct {
@@ -44,6 +50,9 @@ func NewPacking(d, q int) Packing {
 
 // Dim returns the symbols a row holds, d.
 func (p Packing) Dim() int { return p.d }
+
+// Alphabet returns the alphabet size q.
+func (p Packing) Alphabet() int { return p.q }
 
 // Stride returns the bytes a packed row takes.
 func (p Packing) Stride() int { return p.stride }

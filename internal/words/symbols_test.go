@@ -2,7 +2,6 @@ package words
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 
 	"repro/internal/rng"
@@ -77,7 +76,7 @@ func TestSymbolsLEMatchReference(t *testing.T) {
 
 // TestSymbolsFirstBadMatchesReference plants out-of-alphabet symbols
 // at every position of rows of several widths: the decoder and
-// Batch.Validate must name the same first bad row and symbol as the
+// symbolsOutside must name the same first bad symbol as the
 // per-symbol loop, at every alphabet size.
 func TestSymbolsFirstBadMatchesReference(t *testing.T) {
 	src := rng.New(12)
@@ -110,16 +109,8 @@ func TestSymbolsFirstBadMatchesReference(t *testing.T) {
 					if bad := DecodeSymbolsLE(dst, refAppendSymbols(nil, syms), q); bad != wantBad {
 						t.Fatalf("q=%d d=%d %v: first bad %d, reference %d", q, d, syms, bad, wantBad)
 					}
-					err := BatchOf(d, syms).Validate(q)
-					if wantBad < 0 {
-						if err != nil {
-							t.Fatalf("q=%d d=%d %v: Validate: %v", q, d, syms, err)
-						}
-						continue
-					}
-					want := fmt.Sprintf("words: row %d symbol %d outside alphabet [%d]", wantBad/d, syms[wantBad], q)
-					if err == nil || err.Error() != want {
-						t.Fatalf("q=%d d=%d: Validate = %v, want %q", q, d, err, want)
+					if bad := symbolsOutside(syms, q); bad != wantBad {
+						t.Fatalf("q=%d d=%d %v: symbolsOutside = %d, reference %d", q, d, syms, bad, wantBad)
 					}
 				}
 			}
@@ -131,7 +122,7 @@ func TestSymbolsFirstBadMatchesReference(t *testing.T) {
 // arbitrary bytes and alphabets: decode (from an aligned and a
 // misaligned source) gives the same symbols and the same accept or
 // reject decision, with the same first bad index; encode round-trips
-// the bytes; and Batch.Validate agrees.
+// the bytes; and symbolsOutside agrees.
 func FuzzSymbolsLE(f *testing.F) {
 	f.Add([]byte{}, uint32(4))
 	f.Add([]byte{3, 0, 1, 0, 2, 0, 0, 0, 1, 0}, uint32(4))
@@ -156,10 +147,8 @@ func FuzzSymbolsLE(f *testing.F) {
 		if got := AppendSymbolsLE(nil, dst); !bytes.Equal(got, body) {
 			t.Fatalf("round trip: %x, want %x", got, body)
 		}
-		if len(want) > 0 {
-			if err := BatchOf(1, want).Validate(q); (err != nil) != (wantBad >= 0) {
-				t.Fatalf("q=%d: Validate = %v, reference first bad %d", q, err, wantBad)
-			}
+		if bad := symbolsOutside(want, q); bad != wantBad {
+			t.Fatalf("q=%d: symbolsOutside = %d, reference first bad %d", q, bad, wantBad)
 		}
 	})
 }

@@ -109,13 +109,6 @@ func (t *Table) AppendBatch(b *Batch) {
 	t.data = append(t.data, b.Symbols()...)
 }
 
-// AppendRepeated adds count copies of w.
-func (t *Table) AppendRepeated(w Word, count int) {
-	for i := 0; i < count; i++ {
-		t.Append(w)
-	}
-}
-
 // Row returns row i as a Word aliasing the table's storage; callers
 // must not modify it.
 func (t *Table) Row(i int) Word {

@@ -40,14 +40,6 @@ func TestTableAppendWrongLengthPanics(t *testing.T) {
 	NewTable(3, 2).Append(Word{1})
 }
 
-func TestAppendRepeated(t *testing.T) {
-	tb := NewTable(1, 2)
-	tb.AppendRepeated(Word{1}, 5)
-	if tb.NumRows() != 5 {
-		t.Fatalf("NumRows = %d", tb.NumRows())
-	}
-}
-
 func TestTableSourceResets(t *testing.T) {
 	tb := NewTable(2, 3)
 	tb.Append(Word{1, 2})

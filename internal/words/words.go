@@ -111,19 +111,9 @@ func appendUint(b []byte, x uint64) []byte {
 	return append(b, tmp[i:]...)
 }
 
-// Project returns the restriction of w to the columns of c, in the
-// (ascending) column order of c: the row A^C_i of the paper.
-// The result is freshly allocated.
-func (w Word) Project(c ColumnSet) Word {
-	out := make(Word, len(c.cols))
-	for i, j := range c.cols {
-		out[i] = w[j]
-	}
-	return out
-}
-
-// ProjectInto writes the restriction of w to c into dst, which must
-// have length c.Len(). It avoids allocation in hot loops.
+// ProjectInto writes the restriction of w to the columns of c, in the
+// (ascending) column order of c — the row A^C_i of the paper — into
+// dst, which must have length c.Len().
 func (w Word) ProjectInto(c ColumnSet, dst Word) {
 	for i, j := range c.cols {
 		dst[i] = w[j]

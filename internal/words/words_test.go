@@ -65,8 +65,9 @@ func TestProjectPaperExample(t *testing.T) {
 	}
 	c := MustColumnSet(3, 0, 1)
 	counts := map[uint64]int{}
+	p := make(Word, c.Len())
 	for _, r := range rows {
-		p := r.Project(c)
+		r.ProjectInto(c, p)
 		idx, err := Index(p, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -98,11 +99,14 @@ func TestProjectIntoMatchesProject(t *testing.T) {
 			}
 		}
 		c := MustColumnSet(d, cols...)
-		want := w.Project(c)
+		var want Word
+		for _, j := range cols {
+			want = append(want, w[j])
+		}
 		got := make(Word, c.Len())
 		w.ProjectInto(c, got)
 		if !got.Equal(want) {
-			t.Fatalf("ProjectInto = %v, Project = %v", got, want)
+			t.Fatalf("ProjectInto = %v, want %v", got, want)
 		}
 	}
 }

@@ -59,7 +59,10 @@ type Table = words.Table
 // Build rows into a Batch and feed it to a summary's (or the engine's)
 // ObserveBatch to pay per-row overhead once per batch; Observe is the
 // one-row case. A summary's state depends on the row sequence only,
-// not on how it is split into batches.
+// not on how it is split into batches. Every summary packs a batch at
+// ⌈log₂Q⌉ bits a symbol before it ingests it, and panics, ingesting
+// none of the batch, on a symbol outside [Q] (a sampling summary packs
+// only a batch in which one of its slots takes a row).
 type Batch = words.Batch
 
 // NewBatch returns an empty batch of rows with d columns and capacity
