@@ -28,7 +28,8 @@
 // -save stages the blob in a temporary file and renames it into
 // place, so an interrupted save never leaves a torn file. Finally,
 // -inspect-dir audits a projfreqd -data-dir offline — every WAL
-// segment and checkpoint listed with its CRCs verified:
+// segment and checkpoint listed with its CRCs verified, then the
+// checkpoint and log a boot would restore and replay:
 //
 //	projfreq -inspect-dir /var/lib/projfreq
 package main
@@ -218,8 +219,9 @@ func ingest(sum core.Summary, t *words.Table) {
 // inspect prints the -inspect-dir report: every WAL segment and
 // checkpoint in a projfreqd data directory, with frame and checkpoint
 // CRCs verified and damage called out (a torn tail on the last
-// segment is what a crash mid-append leaves; recovery tolerates it).
-// Nothing is modified.
+// segment is what a crash mid-append leaves; recovery tolerates it),
+// then what a boot would restore, read and replay. Nothing is
+// modified.
 func inspect(dir string, out io.Writer) error {
 	rep, err := store.Inspect(dir)
 	if err != nil {
@@ -255,6 +257,17 @@ func inspect(dir string, out io.Writer) error {
 	if damaged > 0 {
 		fmt.Fprintf(out, "%d damaged file(s)\n", damaged)
 	}
+	b := rep.Boot
+	if b.Err != "" {
+		fmt.Fprintf(out, "boot: refuses the directory: %s\n", b.Err)
+		return nil
+	}
+	restores := "no usable checkpoint, replays the whole log"
+	if b.Checkpoint != "" {
+		restores = fmt.Sprintf("restores %s (lsn=%d)", b.Checkpoint, b.CheckpointLSN)
+	}
+	fmt.Fprintf(out, "boot: %s; reads %d segment(s), %d bytes, skips %d below the cut; replays records=%d rows=%d\n",
+		restores, b.Segments, b.Bytes, b.Skipped, b.Records, b.Rows)
 	return nil
 }
 

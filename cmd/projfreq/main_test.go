@@ -250,7 +250,8 @@ func TestInspectDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	report := out.String()
-	for _, want := range []string{"d=3, Q=4", "segments (1):", "records=3 rows=6", "checkpoints (1):", "lsn=2 rows=4 shards=1", "ok"} {
+	for _, want := range []string{"d=3, Q=4", "segments (1):", "records=3 rows=6", "checkpoints (1):", "lsn=2 rows=4 shards=1", "ok",
+		"boot: restores ckpt-0000000000000002.pfqc (lsn=2); reads 1 segment(s)", "skips 0 below the cut; replays records=1 rows=2"} {
 		if !strings.Contains(report, want) {
 			t.Fatalf("report missing %q:\n%s", want, report)
 		}
@@ -286,6 +287,67 @@ func TestInspectDir(t *testing.T) {
 	if err := inspect(t.TempDir(), io.Discard); err == nil {
 		t.Fatal("empty directory must error")
 	}
+
+	// Small segments between two checkpoints: the report ends with what
+	// Recover itself then restores, reads, skips and replays, before
+	// and after the newer checkpoint rots.
+	opts := store.Options{Dir: t.TempDir(), Dim: d, Alphabet: q, Fsync: store.FsyncNever, SegmentBytes: 64}
+	st, err = store.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for lsn := range uint64(10) { // four 11-byte frames a segment
+		if lsn == 3 || lsn == 9 {
+			if err := st.WriteCheckpoint(&store.Checkpoint{LSN: lsn, Next: lsn, Rows: 2 * int64(lsn), Shards: [][]byte{[]byte("s")}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bootMatchesRecover := func(want string) {
+		t.Helper()
+		out.Reset()
+		if err := inspect(opts.Dir, &out); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("report does not end with %q:\n%s", want, out.String())
+		}
+		rep, err := store.Inspect(opts.Dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := store.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		info, err := st.Recover(nil, func(store.Record) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := rep.Boot
+		if got.CheckpointLSN != info.CheckpointLSN || got.Segments != info.SegmentsRead || got.Skipped != info.SegmentsSkipped ||
+			got.Records != info.Records || got.Rows != info.Rows {
+			t.Fatalf("inspect plans %+v, Recover did %+v", got, info)
+		}
+	}
+	bootMatchesRecover("boot: restores ckpt-0000000000000009.pfqc (lsn=9); reads 1 segment(s), 46 bytes, skips 2 below the cut; replays records=1 rows=2\n")
+	newer := filepath.Join(opts.Dir, "ckpt-0000000000000009.pfqc")
+	data, err = os.ReadFile(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(newer, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bootMatchesRecover("boot: restores ckpt-0000000000000003.pfqc (lsn=3); reads 3 segment(s), 182 bytes, skips 0 below the cut; replays records=7 rows=14\n")
 }
 
 func TestSaveIsAtomicAndLeavesNoStaging(t *testing.T) {

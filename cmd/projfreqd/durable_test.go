@@ -482,25 +482,67 @@ func TestSIGTERMReleasesHeldSummaryGET(t *testing.T) {
 }
 
 // TestBootLogCountsSources: a durable daemon whose state is all
-// pushes boots saying it serves every pushed row, both when it replays
-// them from the log (a copy of its directory taken while it ran) and
-// when its shutdown checkpoint carries them.
+// pushes boots saying it serves every pushed row, and which segments
+// it read and skipped, both when it replays them from the log (a copy
+// of its directory taken while it ran) and when a checkpoint carries
+// them. Re-pushing the same blobs grows the log past a segment roll
+// without changing what is served, so the checkpoints around that roll
+// leave a segment wholly below the newer cut, which a boot skips.
 func TestBootLogCountsSources(t *testing.T) {
 	const d, q, seed = 4, 3, 7
 	dir := t.TempDir()
 	n := newNode(t, durableConfig(dir, "exact", d, q, seed))
 	ts := httptest.NewServer(n)
 	t.Cleanup(ts.Close)
-	for i, name := range []string{"w1", "w2"} {
-		blob, _ := remoteWriter(t, "exact", d, q, 20000, seed, uint64(i))
-		if resp, body := pushAs(t, ts.URL, name, blob); resp.StatusCode != http.StatusOK {
+	blobs := make([][]byte, 2)
+	push := func(i int) {
+		t.Helper()
+		name := fmt.Sprintf("w%d", i+1)
+		if resp, body := pushAs(t, ts.URL, name, blobs[i]); resp.StatusCode != http.StatusOK {
 			t.Fatalf("push %s: %d %s", name, resp.StatusCode, body)
 		}
 	}
-	live := t.TempDir()
-	if err := os.CopyFS(live, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
+	for i := range blobs {
+		blobs[i], _ = remoteWriter(t, "exact", d, q, 20000, seed, uint64(i))
+		push(i)
 	}
+	// copyDir snapshots the running daemon's directory.
+	copyDir := func() string {
+		t.Helper()
+		cp := t.TempDir()
+		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		return cp
+	}
+	checkpoint := func() {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/admin/checkpoint", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("checkpoint: %d", resp.StatusCode)
+		}
+	}
+	live := copyDir()
+	checkpoint() // its cut lies in the first segment
+	for i := 0; ; i++ {
+		segs, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(segs) == 2 {
+			break
+		}
+		if i == 1000 {
+			t.Fatal("the log never rolled a segment")
+		}
+		push(i % 2)
+	}
+	checkpoint() // its cut lies in the second segment
+	rolled := copyDir()
 
 	// bootLog boots a daemon on a data directory and returns what it
 	// logged while recovering.
@@ -517,7 +559,8 @@ func TestBootLogCountsSources(t *testing.T) {
 		return buf.String()
 	}
 	for _, boot := range []struct{ name, dir, want string }{
-		{"log replay", live, "no checkpoint; replayed 2 WAL records"},
+		{"log replay", live, "no checkpoint; replayed 2 WAL records (0 rows; read 1 segments, skipped 0 below the cut)"},
+		{"rolled", rolled, "replayed 0 WAL records (0 rows; read 1 segments, skipped 1 below the cut)"},
 		{"checkpoint", dir, "recovered checkpoint"},
 	} {
 		if boot.dir == dir {

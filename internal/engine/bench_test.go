@@ -271,17 +271,17 @@ func BenchmarkEpochRebuildNet(b *testing.B) {
 
 // replayRecords is the record count of the replay fixture's log tail:
 // 2,048 batches of 256 rows at d = 16 take 2.1 MB of packed rows at
-// q = 4 and 3.2 MB at q = 7, one segment each (16.8 MB and three
-// segments as u16 symbols).
+// q = 4 and 3.2 MB at q = 7, three and four 1 MiB segments (16.8 MB
+// as u16 symbols). At d = 8, q = 4 they take 1.05 MB, two segments.
 const replayRecords = 2048
 
-// replayFixture writes a log tail shaped like durable-mixed's, over
-// [q], into a temporary directory — 256-row Zipf batches at d = 16,
+// replayFixture writes a log tail shaped like durable-mixed's, d
+// columns over [q], into a temporary directory — 256-row Zipf batches,
 // cycled from a pool of 64 — and returns the store opened over it and
 // the tail's row count.
-func replayFixture(tb testing.TB, q int) (*store.Store, int64) {
+func replayFixture(tb testing.TB, d, q int) (*store.Store, int64) {
 	tb.Helper()
-	const d, batchRows, pool = 16, 256, 64
+	const batchRows, pool = 256, 64
 	opts := store.Options{Dir: tb.TempDir(), Dim: d, Alphabet: q, Fsync: store.FsyncNever}
 	w, err := store.Open(opts)
 	if err != nil {
@@ -307,28 +307,36 @@ func replayFixture(tb testing.TB, q int) (*store.Store, int64) {
 	return st, replayRecords * batchRows
 }
 
-// BenchmarkReplay times recovery of that tail into the durable-mixed
-// engine (2 shards of Theorem 5.1's sampler at ε 0.2, δ 0.1) as the
-// daemon replays it: reading the segments, verifying every frame, and
-// routing each record's packed body as it lies in the segment
-// (Record.Packed → ReplayPacked), up to the workers' last row. At
-// q = 4 every 2-bit field is a symbol; at q = 7 verifying a frame
-// checks each 3-bit field against the alphabet, the only unpack left.
-// One iteration is one whole recovery; ns/row divides it by the tail's
-// rows.
+// BenchmarkReplay times recovery of that tail into a 2-shard engine
+// as the daemon replays it: reading the segments, verifying every
+// frame, and routing each record's packed body as it lies in the
+// segment (Record.Packed → ReplayPacked), up to the workers' last row.
+// The q rows are the durable-mixed engine (d = 16, Theorem 5.1's
+// sampler at ε 0.2, δ 0.1): at q = 4 every 2-bit field is a symbol; at
+// q = 7 verifying a frame checks each 3-bit field against the
+// alphabet, the only unpack left. The net row is net-ingest's summary
+// (d = 8, q = 4, α 0.3, ε 0.05), where the shard workers' sketch
+// updates are nearly all of a replay. One iteration is one whole
+// recovery; ns/row divides it by the tail's rows.
 //
 //	go test ./internal/engine -run '^$' -bench Replay -benchmem
 func BenchmarkReplay(b *testing.B) {
 	for _, q := range []int{4, 7} {
-		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) { benchmarkReplay(b, q) })
+		b.Run(fmt.Sprintf("q=%d", q), func(b *testing.B) {
+			benchmarkReplay(b, 16, q, func(shard int) (core.Summary, error) {
+				return StandardSummary("sample", 16, q, 0.2, 0.1, 0, 1, shard)
+			})
+		})
 	}
+	b.Run("net/d=8/q=4", func(b *testing.B) {
+		benchmarkReplay(b, 8, 4, func(shard int) (core.Summary, error) {
+			return StandardSummary("net", 8, 4, 0.05, 0.01, 0.3, 1, shard)
+		})
+	})
 }
 
-func benchmarkReplay(b *testing.B, q int) {
-	st, rows := replayFixture(b, q)
-	factory := func(shard int) (core.Summary, error) {
-		return StandardSummary("sample", 16, q, 0.2, 0.1, 0, 1, shard)
-	}
+func benchmarkReplay(b *testing.B, d, q int, factory Factory) {
+	st, rows := replayFixture(b, d, q)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

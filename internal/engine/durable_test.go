@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -579,5 +581,122 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 	}
 	if got := engineBytes(t, eng2); !bytes.Equal(got, want) {
 		t.Fatalf("recovered snapshot differs from the uninterrupted run: %d vs %d bytes", len(got), len(want))
+	}
+}
+
+// TestUpgradeInPlaceFromLargerSegments: nothing on disk records the
+// segment size, so a directory written at 8 MiB segments (the earlier
+// default) opens under the current default as it is. It recovers the
+// same records to the same engine, and the appends after it roll at
+// the new size.
+func TestUpgradeInPlaceFromLargerSegments(t *testing.T) {
+	const d, q, rows = 16, 4, 1024
+	const frame = 8 + 1 + rows*d*2/8 // frame header, kind byte, packed rows
+	const before, after = 384, 640   // batches: ~1.5 MiB, then ~2.6 MiB
+	dir := t.TempDir()
+	batch := func(i int) *words.Batch {
+		b := words.NewBatch(d, rows)
+		for r := range rows {
+			row := b.AppendRow()
+			for j := range row {
+				row[j] = uint16((i*7 + r*(j+1)) % q)
+			}
+		}
+		return b
+	}
+	// boot opens the directory at the given segment size (0 is the
+	// default) and recovers an engine from it as the daemon does.
+	boot := func(segmentBytes int64) (*Sharded, *store.Store, store.RecoverInfo) {
+		t.Helper()
+		st, err := store.Open(store.Options{Dir: dir, Dim: d, Alphabet: q, Fsync: store.FsyncNever, SegmentBytes: segmentBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := NewSharded(exactFactory(d, q), Config{Shards: 2, Log: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := st.Recover(func(ck *store.Checkpoint) error {
+			return eng.Restore(CheckpointState{Next: ck.Next, Rows: ck.Rows, Absorbs: int(ck.Absorbs), Shards: ck.Shards, Sources: ck.Sources})
+		}, func(rec store.Record) error { return replayRecord(eng, d, rec) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng, st, info
+	}
+	segmentSizes := func() []int64 {
+		t.Helper()
+		paths, err := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := make([]int64, len(paths))
+		for i, p := range paths {
+			fi, err := os.Stat(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[i] = fi.Size()
+		}
+		return sizes
+	}
+
+	eng, st, _ := boot(8 << 20)
+	for i := range before {
+		if i == before/3 {
+			cs, err := eng.CheckpointState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.WriteCheckpoint(&store.Checkpoint{LSN: cs.LSN, Next: cs.Next, Rows: cs.Rows, Shards: cs.Shards}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.ObserveBatch(batch(i))
+	}
+	want := engineBytes(t, eng)
+	eng.Close()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sizes := segmentSizes(); len(sizes) != 1 || sizes[0] <= 1<<20 {
+		t.Fatalf("segments of %v bytes at 8 MiB, want one past 1 MiB", sizes)
+	}
+
+	eng2, st2, info := boot(0)
+	if tail := int64(before - before/3); !info.Checkpoint || info.Records != int(tail) || info.Rows != tail*rows {
+		t.Fatalf("recovered %+v under the default, want the checkpoint and %d records of %d rows", info, tail, rows)
+	}
+	if got := engineBytes(t, eng2); !bytes.Equal(got, want) {
+		t.Fatalf("recovered engine differs: %d vs %d bytes", len(got), len(want))
+	}
+	for i := before; i < before+after; i++ {
+		eng2.ObserveBatch(batch(i))
+	}
+	want2 := engineBytes(t, eng2)
+	eng2.Close()
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The earlier segment stays as it was; the first append rolled past
+	// it, and every new segment but the last rolled at 1 MiB.
+	sizes := segmentSizes()
+	if len(sizes) < 3 {
+		t.Fatalf("segments of %v bytes, want the earlier one and at least two at 1 MiB", sizes)
+	}
+	for i, size := range sizes[1 : len(sizes)-1] {
+		if size < 1<<20 || size >= 1<<20+frame {
+			t.Fatalf("new segment %d holds %d bytes, want 1 MiB up to one %d-byte frame more (all: %v)", i, size, frame, sizes)
+		}
+	}
+
+	eng3, st3, info3 := boot(0)
+	defer st3.Close()
+	defer eng3.Close()
+	if info3.Records != int(before-before/3+after) {
+		t.Fatalf("second recovery replayed %d records, want %d", info3.Records, before-before/3+after)
+	}
+	if got := engineBytes(t, eng3); !bytes.Equal(got, want2) {
+		t.Fatalf("engine recovered after the new appends differs: %d vs %d bytes", len(got), len(want2))
 	}
 }

@@ -74,8 +74,9 @@ func (n *Node) applySubspaceMeta(meta store.SubspaceMeta) error {
 // through AbsorbSource, which the engine never logs. Runs
 // single-threaded at boot; any failure is fatal, because serving from
 // a partially recovered state would silently drop acknowledged data.
-func (n *Node) recover() error {
-	start := time.Now()
+// Its log line times the boot from start, taken before store.Open, so
+// the Open scan is counted with the replay.
+func (n *Node) recover(start time.Time) error {
 	var batch words.Batch // rebound to each u16 batch record's rows
 	info, err := n.wal.Recover(func(ck *store.Checkpoint) error {
 		for _, meta := range ck.Subspaces {
@@ -114,12 +115,13 @@ func (n *Node) recover() error {
 		return err
 	}
 	served, _ := n.servedRows("")
+	took := time.Since(start).Round(time.Millisecond)
 	if info.Checkpoint {
-		log.Printf("projfreqd: recovered checkpoint at LSN %d, replayed %d WAL records (%d rows) in %v; serving %d rows",
-			info.CheckpointLSN, info.Records, info.Rows, time.Since(start).Round(time.Millisecond), served)
+		log.Printf("projfreqd: recovered checkpoint at LSN %d, replayed %d WAL records (%d rows; read %d segments, skipped %d below the cut) in %v; serving %d rows",
+			info.CheckpointLSN, info.Records, info.Rows, info.SegmentsRead, info.SegmentsSkipped, took, served)
 	} else if info.Records > 0 {
-		log.Printf("projfreqd: no checkpoint; replayed %d WAL records (%d rows) in %v; serving %d rows",
-			info.Records, info.Rows, time.Since(start).Round(time.Millisecond), served)
+		log.Printf("projfreqd: no checkpoint; replayed %d WAL records (%d rows; read %d segments, skipped %d below the cut) in %v; serving %d rows",
+			info.Records, info.Rows, info.SegmentsRead, info.SegmentsSkipped, took, served)
 	} else {
 		log.Printf("projfreqd: empty data directory; starting fresh")
 	}

@@ -151,6 +151,7 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("-pull-interval %v must be positive and below -pull-timeout %v: an unchanged pull is held for up to -pull-interval", cfg.PullInterval, cfg.PullTimeout)
 	}
 	var wal *store.Store
+	boot := time.Now() // the recovery log line times Open's scan too
 	if cfg.DataDir != "" {
 		policy, err := store.ParsePolicy(cfg.Fsync)
 		if err == nil {
@@ -181,7 +182,7 @@ func New(cfg Config) (*Node, error) {
 	case len(cfg.PullFrom) > 0:
 		n.puller, err = cluster.NewPuller(cfg.PullFrom, n, cfg.PullTimeout)
 	case wal != nil:
-		if err = n.recover(); err != nil {
+		if err = n.recover(boot); err != nil {
 			err = fmt.Errorf("recovering %s: %w", cfg.DataDir, err)
 		}
 	}

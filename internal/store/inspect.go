@@ -47,6 +47,27 @@ type CheckpointReport struct {
 	Err string
 }
 
+// BootReport is what a boot of the directory would restore, read and
+// replay, chosen by Recover's own rule.
+type BootReport struct {
+	// Checkpoint names the checkpoint a boot restores, "" for a
+	// full-log replay, and CheckpointLSN is its cut.
+	Checkpoint    string
+	CheckpointLSN uint64
+	// Segments counts the segments a boot reads, the last one (which
+	// Open reads) included, and Bytes their size. Skipped counts the
+	// segments wholly below the cut, which it never reads.
+	Segments, Skipped int
+	Bytes             int64
+	// Records and Rows count the records at or past the cut, which a
+	// boot replays, and the rows their batches carry.
+	Records int
+	Rows    int64
+	// Err is why a boot would refuse the directory ("" when it would
+	// recover).
+	Err string
+}
+
 // Report is Inspect's inventory of one data directory.
 type Report struct {
 	// Dim and Alphabet are the shape recorded by the first readable
@@ -56,6 +77,8 @@ type Report struct {
 	// LSN, each individually verified (frame CRCs, checkpoint CRC).
 	Segments    []SegmentReport
 	Checkpoints []CheckpointReport
+	// Boot is what a boot would replay from the directory as it stands.
+	Boot BootReport
 }
 
 // Inspect verifies a data directory without opening it for appending:
@@ -70,7 +93,19 @@ func Inspect(dir string) (*Report, error) {
 		return nil, err
 	}
 	var image []byte // one segment image, reused
-	for _, path := range segs {
+	plan, logged, image, err := inspectPlan(dir, segs, image)
+	if err != nil {
+		return nil, err
+	}
+	if plan.err != nil {
+		rep.Boot.Err = plan.err.Error()
+	} else {
+		rep.Boot = BootReport{Segments: logged - plan.first, Skipped: plan.first}
+		if plan.ck != nil {
+			rep.Boot.Checkpoint, rep.Boot.CheckpointLSN = checkpointName(plan.ck.LSN), plan.ck.LSN
+		}
+	}
+	for i, path := range segs {
 		sr := SegmentReport{Name: filepath.Base(path)}
 		if first, ok := parseSegmentName(sr.Name); ok {
 			sr.FirstLSN = first
@@ -80,6 +115,7 @@ func Inspect(dir string) (*Report, error) {
 			return nil, err
 		}
 		sr.Bytes = int64(len(image))
+		reads := plan.err == nil && i >= plan.first && i < logged // a boot reads this segment
 		res, err := scanSegment(image)
 		if err != nil {
 			sr.Err = err.Error()
@@ -90,8 +126,21 @@ func Inspect(dir string) (*Report, error) {
 			sr.FirstLSN = res.header.firstLSN
 			sr.Records = res.records
 			sr.Torn = res.torn
-			for _, payload := range res.frames(image) {
-				sr.Rows += int64(batchRows(payload, res.header))
+			for lsn, payload := range res.frames(image) {
+				rows := int64(batchRows(payload, res.header))
+				sr.Rows += rows
+				if reads && lsn >= plan.from {
+					rep.Boot.Records++
+					rep.Boot.Rows += rows
+				}
+			}
+		}
+		if reads {
+			rep.Boot.Bytes += sr.Bytes
+			// Recover verifies every segment it reads; Open cuts only the
+			// last one's torn tail.
+			if rep.Boot.Err == "" && (sr.Err != "" || sr.Torn && i+1 < logged) {
+				rep.Boot.Err = fmt.Sprintf("%s is damaged", sr.Name)
 			}
 		}
 		rep.Segments = append(rep.Segments, sr)
@@ -123,4 +172,50 @@ func Inspect(dir string) (*Report, error) {
 		return nil, fmt.Errorf("store: %s holds no WAL segments or checkpoints", dir)
 	}
 	return rep, nil
+}
+
+// bootPlan is the replay plan Inspect reports, or why a boot fails.
+type bootPlan struct {
+	replayPlan
+	err error
+}
+
+// inspectPlan runs Recover's selection rule over the directory as Open
+// would leave it: trailing stub segments dropped and the last
+// segment's torn tail cut. It returns the plan, the number of segments
+// Open keeps (segs[:logged]) and the image buffer, grown if it had to
+// be. A directory Open or the rule would refuse yields a plan whose err
+// says why.
+func inspectPlan(dir string, segs []string, image []byte) (bootPlan, int, []byte, error) {
+	logged := len(segs)
+	var res scanResult
+	for ; logged > 0; logged-- {
+		var err error
+		if image, err = readSegment(segs[logged-1], image); err != nil {
+			return bootPlan{}, 0, image, err
+		}
+		if isStub(image) {
+			continue
+		}
+		if res, err = scanSegment(image); err != nil {
+			return bootPlan{err: fmt.Errorf("%s: %w", filepath.Base(segs[logged-1]), err)}, logged, image, nil
+		}
+		break
+	}
+	infos := make([]segmentInfo, logged)
+	for i, path := range segs[:logged] {
+		fi, err := os.Stat(path)
+		if err != nil {
+			return bootPlan{}, 0, image, err
+		}
+		first, _ := parseSegmentName(filepath.Base(path))
+		infos[i] = segmentInfo{path: path, firstLSN: first, bytes: fi.Size()}
+	}
+	var end uint64 // the log end Open would find
+	if logged > 0 {
+		end = res.header.firstLSN + uint64(res.records)
+	}
+	var plan bootPlan
+	plan.replayPlan, plan.err = planReplay(dir, infos, end)
+	return plan, logged, image, nil
 }

@@ -113,7 +113,16 @@ type Options struct {
 	// FsyncEvery is the FsyncInterval period (default 100ms).
 	FsyncEvery time.Duration
 	// SegmentBytes rolls the active segment once it exceeds this size
-	// (default 8 MiB).
+	// (default 1 MiB). The size sets what a boot reads: Recover never
+	// reads a segment wholly below the cut it restores, and it reads
+	// each replayed segment into one image sized once for the largest,
+	// so smaller segments waste less of the log below the cut and keep
+	// that image cache-resident rather than faulting in fresh pages.
+	// The cost is a roll per SegmentBytes of log, three fsyncs (the old
+	// segment, the new header, the directory). Nothing on disk records
+	// the size; a directory written at another one opens as it is, and
+	// its active segment rolls at the next append once it is past this
+	// one.
 	SegmentBytes int64
 }
 
@@ -122,7 +131,7 @@ func (o Options) withDefaults() Options {
 		o.FsyncEvery = 100 * time.Millisecond
 	}
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 8 << 20
+		o.SegmentBytes = 1 << 20
 	}
 	return o
 }
@@ -223,7 +232,7 @@ func (st *Store) scan() error {
 		if err != nil {
 			return err
 		}
-		if len(data) < segHeaderSize || allZero(data) {
+		if isStub(data) {
 			// A crash between creating a segment and writing its header
 			// leaves a stub with no records in it: shorter than the
 			// header, or, on a file system that persists a file's size
@@ -277,8 +286,12 @@ func (st *Store) scan() error {
 	return nil
 }
 
-// allZero reports whether every byte of data is zero.
-func allZero(data []byte) bool {
+// isStub reports whether a final segment's image holds no header:
+// shorter than one, or all zero bytes. Open drops such a segment.
+func isStub(data []byte) bool {
+	if len(data) < segHeaderSize {
+		return true
+	}
 	for _, b := range data {
 		if b != 0 {
 			return false
@@ -566,6 +579,11 @@ type RecoverInfo struct {
 	// Rows is the total row count of replayed batch records, packed
 	// and u16 alike.
 	Rows int64
+	// SegmentsRead counts the segments this boot verified: the ones
+	// Recover read and the last one, which Open read and kept.
+	// SegmentsSkipped counts the retained segments wholly below the
+	// restored cut, which nothing reads.
+	SegmentsRead, SegmentsSkipped int
 }
 
 // Recover rebuilds state from the directory: it loads the newest
@@ -602,14 +620,12 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 	st.tail = nil
 	st.mu.Unlock()
 
-	ck, err := st.loadCheckpoint(segments, end)
+	plan, err := planReplay(st.opts.Dir, segments, end)
 	if err != nil {
 		return RecoverInfo{}, err
 	}
-	info := RecoverInfo{}
-	from := uint64(0)
-	if ck != nil {
-		from = ck.LSN
+	info := RecoverInfo{SegmentsRead: len(segments) - plan.first, SegmentsSkipped: plan.first}
+	if ck := plan.ck; ck != nil {
 		info.CheckpointLSN = ck.LSN
 		info.Checkpoint = true
 		if restore != nil {
@@ -627,33 +643,21 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 			return info, nil
 		}
 	}
-	if from < end {
-		if len(segments) == 0 || segments[0].firstLSN > from {
-			return RecoverInfo{}, fmt.Errorf("%w: replay needs records from LSN %d but the oldest segment starts at %d",
-				ErrCorrupt, from, firstAvailable(segments))
-		}
-	}
-	// Segments wholly below the cut need no replay (they survive only
-	// until the next compaction), and the last one may already be in
-	// memory from Open.
-	replay := func(i int) bool { return i+1 == len(segments) || segments[i+1].firstLSN > from }
+	// The last segment may already be in memory from Open.
 	held := func(seg segmentInfo) bool { return tail != nil && tail.path == seg.path }
 	// One segment image and one set of record buffers serve the whole
-	// replay. The
-	// image is sized for the largest segment to read up front, so it is
-	// allocated (and zeroed) once, not once per segment.
+	// replay. The image is sized for the largest segment to read up
+	// front, so it is allocated (and zeroed) once, not once per segment.
 	var largest int64
-	for i, seg := range segments {
-		if replay(i) && !held(seg) {
+	for _, seg := range segments[plan.first:] {
+		if !held(seg) {
 			largest = max(largest, seg.bytes)
 		}
 	}
 	image := make([]byte, 0, largest)
 	var bufs recordBufs
-	for i, seg := range segments {
-		if !replay(i) {
-			continue
-		}
+	for i := plan.first; i < len(segments); i++ {
+		seg := segments[i]
 		var data []byte
 		var res scanResult
 		if held(seg) {
@@ -683,7 +687,7 @@ func (st *Store) Recover(restore func(*Checkpoint) error, apply func(Record) err
 				ErrCorrupt, filepath.Base(seg.path), end, segments[i+1].firstLSN)
 		}
 		for lsn, payload := range res.frames(data) {
-			if lsn < from {
+			if lsn < plan.from {
 				continue
 			}
 			rec := decodeRecord(lsn, payload, st.pk, &bufs)
@@ -733,13 +737,49 @@ func firstAvailable(segments []segmentInfo) uint64 {
 	return segments[0].firstLSN
 }
 
-// loadCheckpoint picks the newest checkpoint that decodes and whose
-// cut is covered by the retained segments (so replay has no gap).
-// Undecodable newer checkpoints are tolerated — the previous one is
-// retained exactly for that — but only while an older usable one (or
-// a full log back to LSN 0) exists.
-func (st *Store) loadCheckpoint(segments []segmentInfo, end uint64) (*Checkpoint, error) {
-	paths, err := listCheckpoints(st.opts.Dir)
+// replayPlan is what a boot of a directory restores and reads.
+type replayPlan struct {
+	// ck is the checkpoint to restore, nil for a full-log replay.
+	ck *Checkpoint
+	// from is the first LSN to replay: ck's cut, or 0.
+	from uint64
+	// first indexes the first segment a boot reads. The ones before it
+	// lie wholly below the cut and are never read; the last one is
+	// always read, by Open.
+	first int
+}
+
+// planReplay is Recover's selection rule, which Inspect shares. Given
+// the retained segments and the log end, it picks the newest
+// checkpoint that decodes and whose cut is covered by the segments (so
+// replay has no gap), and the segments replay must read. Undecodable
+// newer checkpoints are tolerated — the previous one is retained
+// exactly for that — but only while an older usable one (or a full
+// log back to LSN 0) exists.
+func planReplay(dir string, segments []segmentInfo, end uint64) (replayPlan, error) {
+	ck, err := loadCheckpoint(dir, segments, end)
+	if err != nil {
+		return replayPlan{}, err
+	}
+	plan := replayPlan{ck: ck}
+	if ck != nil {
+		plan.from = ck.LSN
+	}
+	if plan.from < end && (len(segments) == 0 || segments[0].firstLSN > plan.from) {
+		return replayPlan{}, fmt.Errorf("%w: replay needs records from LSN %d but the oldest segment starts at %d",
+			ErrCorrupt, plan.from, firstAvailable(segments))
+	}
+	// A segment whose successor starts at or below the cut holds no
+	// record to replay; it survives only until the next compaction.
+	for plan.first+1 < len(segments) && segments[plan.first+1].firstLSN <= plan.from {
+		plan.first++
+	}
+	return plan, nil
+}
+
+// loadCheckpoint returns planReplay's checkpoint.
+func loadCheckpoint(dir string, segments []segmentInfo, end uint64) (*Checkpoint, error) {
+	paths, err := listCheckpoints(dir)
 	if err != nil {
 		return nil, err
 	}

@@ -402,6 +402,110 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	}
 }
 
+// TestRecoverSkipsSegmentsBelowCut: a boot reads no segment wholly
+// below the checkpoint it restores. With two checkpoints and several
+// segments between their cuts, damage in one of those segments goes
+// unread while the newer checkpoint is usable, and fails the fallback
+// to the older one, whose replay must read it.
+func TestRecoverSkipsSegmentsBelowCut(t *testing.T) {
+	const d, q = 3, 4
+	opts := testOpts(t, d, q)
+	opts.SegmentBytes = 64 // three 17-byte frames a segment
+	st, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN := func(from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ {
+			if err := st.AppendBatch(batchOf(d, q, 8, i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Segments [0,3) [3,6) [6,9) [9,12) [12,15) [15,17); the older cut
+	// (4) lies in [3,6) and the newer (13) in [12,15), so [6,9) and
+	// [9,12) lie wholly between them.
+	appendN(0, 4)
+	if err := st.WriteCheckpoint(&Checkpoint{LSN: 4, Next: 4, Rows: 32, Shards: [][]byte{[]byte("old")}}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(4, 13)
+	if err := st.WriteCheckpoint(&Checkpoint{LSN: 13, Next: 13, Rows: 104, Shards: [][]byte{[]byte("new")}}); err != nil {
+		t.Fatal(err)
+	}
+	appendN(13, 17)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := listSegments(opts.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var firsts []uint64
+	for _, p := range segs {
+		first, _ := parseSegmentName(filepath.Base(p))
+		firsts = append(firsts, first)
+	}
+	if !slices.Equal(firsts, []uint64{3, 6, 9, 12, 15}) {
+		t.Fatalf("segments start at %v, want [3 6 9 12 15]", firsts)
+	}
+	// Break the CRC of [6,9)'s first frame.
+	between := filepath.Join(opts.Dir, segmentName(6))
+	data, err := os.ReadFile(between)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[segHeaderSize+frameHeaderSize+1] ^= 0xff
+	if err := os.WriteFile(between, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, info, recs := replayAll(t, st2)
+	st2.Close()
+	if ck == nil || ck.LSN != 13 || string(ck.Shards[0]) != "new" {
+		t.Fatalf("restored checkpoint %+v, want the one at 13", ck)
+	}
+	if info.Records != 4 || info.SegmentsRead != 2 || info.SegmentsSkipped != 3 {
+		t.Fatalf("recovery %+v, want 4 records from 2 segments read and 3 skipped", info)
+	}
+	for i, rec := range recs {
+		lsn := 13 + i
+		if rec.LSN != uint64(lsn) || !slices.Equal(packedSymbols(t, rec), batchOf(d, q, 8, lsn).Symbols()) {
+			t.Fatalf("replayed record %d is LSN %d or holds other rows, want LSN %d", i, rec.LSN, lsn)
+		}
+	}
+
+	// Rot the newer checkpoint: the fallback's replay from 4 reads the
+	// damaged segment and refuses.
+	newer := filepath.Join(opts.Dir, checkpointName(13))
+	ckData, err := os.ReadFile(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckData[len(ckData)-1] ^= 0xff
+	if err := os.WriteFile(newer, ckData, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st3, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st3.Close()
+	var restored string
+	_, err = st3.Recover(func(c *Checkpoint) error {
+		restored = string(c.Shards[0])
+		return nil
+	}, func(Record) error { return nil })
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), segmentName(6)) || restored != "old" {
+		t.Fatalf("fallback restored %q and returned %v, want the old checkpoint and ErrCorrupt naming %s", restored, err, segmentName(6))
+	}
+}
+
 func TestRecoveryGapIsCorruption(t *testing.T) {
 	const d, q = 3, 4
 	opts := testOpts(t, d, q)
