@@ -56,7 +56,7 @@ func (f *fakeIngest) handler() http.Handler {
 // least one under the ring the router builds over urls, so a test that
 // faults one node always has rows on both sides of the fault, whatever
 // ports the test servers drew: one row per node first, found by
-// ring.OwnerOfRow, then distinct rows in a fixed order.
+// ring.Owner(cluster.RowKey(row)), then distinct rows in a fixed order.
 func ringRows(t *testing.T, urls []string, n int) [][]uint16 {
 	t.Helper()
 	ring, err := cluster.NewRing(urls)
@@ -67,7 +67,7 @@ func ringRows(t *testing.T, urls []string, n int) [][]uint16 {
 	var rows [][]uint16
 	for _, u := range urls {
 		i := 0
-		for ; ring.OwnerOfRow(row(i)) != u; i++ {
+		for ; ring.Owner(cluster.RowKey(row(i))) != u; i++ {
 			if i == 1<<16 {
 				t.Fatalf("ring assigns %s no row", u)
 			}
@@ -154,14 +154,14 @@ func TestRouterPartitionsByRing(t *testing.T) {
 	}
 	want := make(map[string]int)
 	for _, row := range rows {
-		want[ring.OwnerOfRow(row)]++
+		want[ring.Owner(cluster.RowKey(row))]++
 	}
 	total := 0
 	for i, ing := range ingests {
 		ing.mu.Lock()
 		got := len(ing.rows)
 		for _, row := range ing.rows {
-			if owner := ring.OwnerOfRow(row); owner != urls[i] {
+			if owner := ring.Owner(cluster.RowKey(row)); owner != urls[i] {
 				t.Fatalf("node %s holds a row owned by %s", urls[i], owner)
 			}
 		}
@@ -207,7 +207,7 @@ func TestRouterReportsPartialIngest(t *testing.T) {
 	ring, _ := cluster.NewRing(urls)
 	liveRows := 0
 	for _, row := range rows {
-		if ring.OwnerOfRow(row) == urls[0] {
+		if ring.Owner(cluster.RowKey(row)) == urls[0] {
 			liveRows++
 		}
 	}

@@ -158,7 +158,7 @@ func TestRetryQueueAbsorbsOutageAndDrains(t *testing.T) {
 	}
 	deadShare := 0
 	for _, row := range rows {
-		if ring.OwnerOfRow(row) == urls[1] {
+		if ring.Owner(cluster.RowKey(row)) == urls[1] {
 			deadShare++
 		}
 	}

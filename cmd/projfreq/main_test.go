@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -232,8 +233,8 @@ func TestInspectDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := words.NewBatch(d, 2)
-	b.AppendRow()
-	copy(b.AppendRow(), words.Word{1, 2, 3})
+	b.Append(make(words.Word, b.Dim()))
+	b.Append(words.Word{1, 2, 3})
 	for i := 0; i < 3; i++ {
 		if err := st.AppendBatch(b); err != nil {
 			t.Fatal(err)
@@ -289,8 +290,10 @@ func TestInspectDir(t *testing.T) {
 	}
 
 	// Small segments between two checkpoints: the report ends with what
-	// Recover itself then restores, reads, skips and replays, before
-	// and after the newer checkpoint rots.
+	// Open and Recover, run on a copy, then restore, read, skip and
+	// replay: before and after the newer checkpoint rots, and after a
+	// crash tears the last segment's tail and leaves an all-zero stub
+	// after it, which Open repairs and Inspect must leave alone.
 	opts := store.Options{Dir: t.TempDir(), Dim: d, Alphabet: q, Fsync: store.FsyncNever, SegmentBytes: 64}
 	st, err = store.Open(opts)
 	if err != nil {
@@ -318,11 +321,26 @@ func TestInspectDir(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("report does not end with %q:\n%s", want, out.String())
 		}
+		before := dirSizes(t, opts.Dir)
 		rep, err := store.Inspect(opts.Dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := store.Open(opts)
+		if after := dirSizes(t, opts.Dir); !maps.Equal(after, before) {
+			t.Fatalf("inspect changed the directory: %v, was %v", after, before)
+		}
+		boot := opts
+		boot.Dir = t.TempDir()
+		for name := range before {
+			data, err := os.ReadFile(filepath.Join(opts.Dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(boot.Dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st, err := store.Open(boot)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,8 +350,8 @@ func TestInspectDir(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := rep.Boot
-		if got.CheckpointLSN != info.CheckpointLSN || got.Segments != info.SegmentsRead || got.Skipped != info.SegmentsSkipped ||
-			got.Records != info.Records || got.Rows != info.Rows {
+		if got.Err != "" || got.Checkpoint == "" != !info.Checkpoint || got.CheckpointLSN != info.CheckpointLSN ||
+			got.Segments != info.SegmentsRead || got.Skipped != info.SegmentsSkipped || got.Records != info.Records || got.Rows != info.Rows {
 			t.Fatalf("inspect plans %+v, Recover did %+v", got, info)
 		}
 	}
@@ -348,6 +366,39 @@ func TestInspectDir(t *testing.T) {
 		t.Fatal(err)
 	}
 	bootMatchesRecover("boot: restores ckpt-0000000000000003.pfqc (lsn=3); reads 3 segment(s), 182 bytes, skips 0 below the cut; replays records=7 rows=14\n")
+	segs, err = filepath.Glob(filepath.Join(opts.Dir, "wal-*.seg"))
+	if err != nil || len(segs) != 3 {
+		t.Fatalf("segments: %v %v", segs, err)
+	}
+	last := segs[len(segs)-1]
+	if data, err = os.ReadFile(last); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(last, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(opts.Dir, "wal-00000000000000ff.seg"), make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	bootMatchesRecover("boot: restores ckpt-0000000000000003.pfqc (lsn=3); reads 3 segment(s), 179 bytes, skips 0 below the cut; replays records=6 rows=12\n")
+}
+
+// dirSizes maps each file in dir to its size.
+func dirSizes(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := make(map[string]int64, len(entries))
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[e.Name()] = info.Size()
+	}
+	return sizes
 }
 
 func TestSaveIsAtomicAndLeavesNoStaging(t *testing.T) {

@@ -103,6 +103,10 @@ func main() {
 	// sketch plus a KHLL (Chia et al.) for per-pattern uniqueness, in
 	// space linear in the number of registered subsets.
 	rows := exact.Table().Batch()
+	var packed words.PackedBatch // the rows packed once, for the KHLLs' keys
+	if i := packed.Pack(words.NewPacking(d, q), rows); i >= 0 {
+		log.Fatalf("symbol %d outside [%d]", rows.Symbols()[i], q)
+	}
 	var keys []byte
 	var fps []uint64
 	f0Bytes, khllBytes := 0, 0
@@ -124,7 +128,7 @@ func main() {
 		}
 		// The KHLL counts, per projected pattern, the distinct rows
 		// (ids) that carry it.
-		keys = words.AppendBatchKeys(keys[:0], rows, c)
+		keys = packed.Packing().AppendKeys(keys[:0], packed.Rows(), c)
 		fps = hashing.AppendFingerprints64(fps[:0], keys, rows.Len(), 2*c.Len())
 		khll := sketch.NewKHLL(512, 8, seed)
 		khll.AddBatch(fps, 0)

@@ -41,11 +41,10 @@ type MetaSummary struct {
 	masks    []uint64
 	subsets  []words.ColumnSet
 	// sk holds member i's estimator for problem j at i·len(problems)+j.
-	sk      []Estimator
-	keyBuf  []byte            // reusable key arena for ObservePacked
-	fps     []uint64          // reusable fingerprint arena for ObservePacked
-	packBuf words.PackedBatch // ObserveBatch's packed copy of its batch
-	rows    int64
+	sk     []Estimator
+	keyBuf []byte   // reusable key arena for ObservePacked
+	fps    []uint64 // reusable fingerprint arena for ObservePacked
+	rows   int64
 }
 
 // NewMetaSummary materializes the net (d ≤ 30 is required for
@@ -94,29 +93,15 @@ func (m *MetaSummary) NumSketches() int { return len(m.masks) }
 // Rows returns the number of rows observed.
 func (m *MetaSummary) Rows() int64 { return m.rows }
 
-// Observe feeds one row into every member sketch, as a one-row batch.
-func (m *MetaSummary) Observe(w words.Word) {
-	m.ObserveBatch(words.RowBatch(w))
-}
-
-// ObserveBatch feeds every row of b into every member sketch: it packs
-// b at 16 bits a symbol, a layout that holds every alphabet, into a
-// buffer the summary keeps, and ingests that (ObservePacked).
-func (m *MetaSummary) ObserveBatch(b *words.Batch) {
-	if b.Dim() != m.net.Dim() {
-		panic(fmt.Sprintf("anet: batch dimension %d != dimension %d", b.Dim(), m.net.Dim()))
-	}
-	m.packBuf.Pack(words.NewPacking(b.Dim(), words.MaxAlphabet), b)
-	m.ObservePacked(&m.packBuf)
-}
-
-// ObservePacked feeds every row of b, in any packed layout of the
-// net's dimension, into every member sketch — the O(|N|) per-row cost
-// that Theorem 6.5 trades against query-time generality; the paper's
-// claim is about space, not update time. It runs member-major through
-// the batched key pipeline: for each net member the whole batch is
-// projected into one flat key arena (words.Packing.AppendKeys, the
-// keys words.AppendBatchKeys builds from the rows unpacked) and
+// ObservePacked feeds every row of b into every member sketch — the
+// O(|N|) per-row cost that Theorem 6.5 trades against query-time
+// generality; the paper's claim is about space, not update time. It is
+// the meta-summary's only ingest: core.Net's u16 door packs in the
+// summary's layout, and the experiments pack their tables once. b may
+// be in any packed layout of the net's dimension, because the keys do
+// not depend on the layout: for each net member the whole batch is
+// projected into one flat key arena (words.Packing.AppendKeys, two
+// little-endian bytes a projected symbol whatever the packing) and
 // fingerprinted in one pass (hashing.AppendFingerprints64), once for
 // all problems, and the fingerprints are handed to the member's
 // sketches in problem order. Both arenas are owned by the summary and

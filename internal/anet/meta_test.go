@@ -28,10 +28,21 @@ func buildMeta(t *testing.T, d int, alpha float64, rows []words.Word) (*MetaSumm
 	}
 	tb := words.NewTable(d, 2)
 	for _, r := range rows {
-		m.Observe(r)
 		tb.Append(r)
 	}
+	m.ObservePacked(packed(t, tb.Batch()))
 	return m, tb
+}
+
+// packed packs b's binary rows, as core.Net's door and the
+// experiments pack theirs before ObservePacked.
+func packed(t *testing.T, b *words.Batch) *words.PackedBatch {
+	t.Helper()
+	var pb words.PackedBatch
+	if i := pb.Pack(words.NewPacking(b.Dim(), 2), b); i >= 0 {
+		t.Fatalf("symbol %d outside [2]", b.Symbols()[i])
+	}
+	return &pb
 }
 
 func randomRows(d, n int, seed uint64) []words.Word {
@@ -113,7 +124,7 @@ func TestMetaSummaryDimensionMismatch(t *testing.T) {
 			t.Fatal("observe with wrong length must panic")
 		}
 	}()
-	m.Observe(make(words.Word, 9))
+	m.ObservePacked(packed(t, words.RowBatch(make(words.Word, 9))))
 }
 
 func TestMarshalUnmarshalSketchesRoundTrip(t *testing.T) {
@@ -180,14 +191,14 @@ func TestMetaSummaryProblemsShareOneKeyPass(t *testing.T) {
 	for _, r := range rows {
 		b.Append(r)
 	}
-	joint.ObserveBatch(b)
+	joint.ObservePacked(packed(t, b))
 	total := 0
 	for j, seed := range seeds {
 		alone, err := NewMetaSummary(n, kmvFactory(seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		alone.ObserveBatch(b)
+		alone.ObservePacked(packed(t, b))
 		want, _ := alone.MarshalSketches(0)
 		got, err := joint.MarshalSketches(j)
 		if err != nil {

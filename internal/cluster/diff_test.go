@@ -25,7 +25,7 @@ func TestRingEpochs(t *testing.T) {
 	}
 	for i := 0; i < 500; i++ {
 		row := []uint16{uint16(i), uint16(i * 3)}
-		if a.OwnerOfRow(row) != b.OwnerOfRow(row) {
+		if a.Owner(RowKey(row)) != b.Owner(RowKey(row)) {
 			t.Fatalf("row %d: epoch changed routing", i)
 		}
 	}
@@ -72,7 +72,7 @@ func TestDiffRemovalMatchesEmpiricalMovement(t *testing.T) {
 	emp := make(map[[2]string]int)
 	for i := 0; i < total; i++ {
 		row := []uint16{uint16(i), uint16(i >> 8), uint16(i * 131)}
-		from, to := old.OwnerOfRow(row), next.OwnerOfRow(row)
+		from, to := old.Owner(RowKey(row)), next.Owner(RowKey(row))
 		if from != to {
 			if from != "http://d" {
 				t.Fatalf("key moved from surviving node %s", from)
@@ -134,7 +134,7 @@ func TestDiffAdditionOnlyMovesToNewNode(t *testing.T) {
 	}
 	for i := 0; i < 4000; i++ {
 		row := []uint16{uint16(i * 7), uint16(i)}
-		from, to := old.OwnerOfRow(row), next.OwnerOfRow(row)
+		from, to := old.Owner(RowKey(row)), next.Owner(RowKey(row))
 		if from != to && to != "http://c" {
 			t.Fatalf("key moved between survivors: %s -> %s", from, to)
 		}
@@ -202,7 +202,7 @@ func TestSingleNodeRing(t *testing.T) {
 	b := words.NewBatch(3, 0)
 	for i := 0; i < 50; i++ {
 		b.Append(words.Word{uint16(i), 1, 2})
-		if r.OwnerOfRow([]uint16{uint16(i), 1, 2}) != "http://solo" {
+		if r.Owner(RowKey([]uint16{uint16(i), 1, 2})) != "http://solo" {
 			t.Fatal("single node does not own every key")
 		}
 	}
@@ -229,7 +229,7 @@ func TestRingDeduplicatesURLs(t *testing.T) {
 	clean := testRing(t, "http://a", "http://b")
 	for i := 0; i < 1000; i++ {
 		row := []uint16{uint16(i * 3), uint16(i)}
-		if dirty.OwnerOfRow(row) != clean.OwnerOfRow(row) {
+		if dirty.Owner(RowKey(row)) != clean.Owner(RowKey(row)) {
 			t.Fatalf("row %d: deduplicated ring routes differently", i)
 		}
 	}
@@ -274,7 +274,7 @@ func TestPartitionBatchIsPartitionProperty(t *testing.T) {
 			total += part.Len()
 			for i := 0; i < part.Len(); i++ {
 				row := part.Row(i)
-				if owner := r.OwnerOfRow(row); owner != node {
+				if owner := r.Owner(RowKey(row)); owner != node {
 					t.Fatalf("trial %d: row in %s's part owned by %s", trial, node, owner)
 				}
 				got[RowKey(row)]++

@@ -153,11 +153,6 @@ func RowKey(row []uint16) uint64 {
 	return hashing.Fingerprint64(words.AppendSymbolsLE(key[:0], row))
 }
 
-// OwnerOfRow is Owner(RowKey(row)).
-func (r *Ring) OwnerOfRow(row []uint16) string {
-	return r.Owner(RowKey(row))
-}
-
 // Reassignment is one (from, to) flow of key space between two rings:
 // the fraction of the 64-bit hash ring whose owner changes from From
 // to To across a membership change.

@@ -28,7 +28,7 @@ func TestRingDeterministic(t *testing.T) {
 	b := testRing(t, "http://n3", "http://n1", "http://n2", "http://n1")
 	for i := 0; i < 1000; i++ {
 		row := []uint16{uint16(i % 7), uint16(i % 5), uint16(i % 3)}
-		if a.OwnerOfRow(row) != b.OwnerOfRow(row) {
+		if a.Owner(RowKey(row)) != b.Owner(RowKey(row)) {
 			t.Fatalf("row %d: owners differ across equivalent rings", i)
 		}
 	}
@@ -44,7 +44,7 @@ func TestRingCoversAllNodesRoughlyEvenly(t *testing.T) {
 	const total = 8000
 	for i := 0; i < total; i++ {
 		row := []uint16{uint16(i), uint16(i >> 8), uint16(i * 31)}
-		counts[r.OwnerOfRow(row)]++
+		counts[r.Owner(RowKey(row))]++
 	}
 	for _, n := range nodes {
 		share := float64(counts[n]) / total
@@ -63,8 +63,8 @@ func TestRingStability(t *testing.T) {
 	const total = 4000
 	for i := 0; i < total; i++ {
 		row := []uint16{uint16(i), uint16(i / 3), uint16(i % 11)}
-		before := full.OwnerOfRow(row)
-		after := reduced.OwnerOfRow(row)
+		before := full.Owner(RowKey(row))
+		after := reduced.Owner(RowKey(row))
 		if before != "http://c" && before != after {
 			t.Fatalf("row %d moved from surviving node %s to %s", i, before, after)
 		}
@@ -95,7 +95,7 @@ func TestPartitionBatch(t *testing.T) {
 			t.Fatalf("node %s part has dim %d", node, part.Dim())
 		}
 		for i := 0; i < part.Len(); i++ {
-			if got := r.OwnerOfRow(part.Row(i)); got != node {
+			if got := r.Owner(RowKey(part.Row(i))); got != node {
 				t.Fatalf("row in %s's partition owned by %s", node, got)
 			}
 		}
@@ -108,7 +108,7 @@ func TestPartitionBatch(t *testing.T) {
 	want := make(map[string][]words.Word)
 	for i := 0; i < b.Len(); i++ {
 		row := b.Row(i)
-		node := r.OwnerOfRow(row)
+		node := r.Owner(RowKey(row))
 		want[node] = append(want[node], append(words.Word(nil), row...))
 	}
 	for node, rows := range want {
@@ -176,8 +176,9 @@ func refOwner(r *Ring, h uint64) string {
 
 // TestPartitionBatchMatchesOwnerOfRow pins the one-pass partition to
 // per-row routing: over random batches and rings of 1–5 nodes, every
-// row lands in its OwnerOfRow part, in input order, and RowKey and
-// Owner agree with their per-symbol and sort.Search references.
+// row lands in its Owner(RowKey(row)) part, in input order, and
+// RowKey and Owner agree with their per-symbol and sort.Search
+// references.
 func TestPartitionBatchMatchesOwnerOfRow(t *testing.T) {
 	src := rng.New(41)
 	for _, d := range []int{1, 3, 4, 16} {
@@ -191,7 +192,7 @@ func TestPartitionBatchMatchesOwnerOfRow(t *testing.T) {
 				n := src.Intn(300)
 				b := words.NewBatch(d, n)
 				for range n {
-					row := b.AppendRow()
+					row := make(words.Word, b.Dim())
 					for j := range row {
 						if trial%2 == 0 {
 							row[j] = uint16(src.Intn(4))
@@ -199,6 +200,7 @@ func TestPartitionBatchMatchesOwnerOfRow(t *testing.T) {
 							row[j] = uint16(src.Intn(1 << 16))
 						}
 					}
+					b.Append(row)
 				}
 				want := map[string][]uint16{}
 				for i := range n {
@@ -206,9 +208,9 @@ func TestPartitionBatchMatchesOwnerOfRow(t *testing.T) {
 					if k := RowKey(row); k != refRowKey(row) {
 						t.Fatalf("RowKey(%v) = %x, reference %x", row, k, refRowKey(row))
 					}
-					owner := r.OwnerOfRow(row)
+					owner := r.Owner(RowKey(row))
 					if ref := refOwner(r, refRowKey(row)); owner != ref {
-						t.Fatalf("OwnerOfRow(%v) = %s, reference %s", row, owner, ref)
+						t.Fatalf("Owner(RowKey(%v)) = %s, reference %s", row, owner, ref)
 					}
 					want[owner] = append(want[owner], row...)
 				}
@@ -219,7 +221,7 @@ func TestPartitionBatchMatchesOwnerOfRow(t *testing.T) {
 				for node, rows := range want {
 					part := parts[node]
 					if part == nil || part.Dim() != d || !slices.Equal(part.Symbols(), rows) {
-						t.Fatalf("d=%d, %d nodes: part of %s differs from its OwnerOfRow rows in input order", d, size, node)
+						t.Fatalf("d=%d, %d nodes: part of %s differs from its Owner(RowKey(row)) rows in input order", d, size, node)
 					}
 				}
 			}
@@ -246,10 +248,11 @@ func BenchmarkPartitionBatch(b *testing.B) {
 	src := rng.New(5)
 	batch := words.NewBatch(d, n)
 	for range n {
-		row := batch.AppendRow()
+		row := make(words.Word, batch.Dim())
 		for j := range row {
 			row[j] = uint16(src.Intn(4))
 		}
+		batch.Append(row)
 	}
 	b.ReportAllocs()
 	for b.Loop() {

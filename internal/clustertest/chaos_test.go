@@ -169,13 +169,13 @@ func TestClusterChaosConvergence(t *testing.T) {
 			t.Fatalf("batch %d: status %d, %+v — with the retry queue on, a whole-node outage must not fail a batch", i, status, resp)
 		}
 		for _, row := range batch {
-			if ring.Has(ingestURLs[2]) && ring.OwnerOfRow(row) == ingestURLs[2] {
+			if ring.Has(ingestURLs[2]) && ring.Owner(cluster.RowKey(row)) == ingestURLs[2] {
 				node2Direct++
 			}
 		}
 		b := words.NewBatch(d, len(batch))
 		for _, row := range batch {
-			copy(b.AppendRow(), row)
+			b.Append(row)
 		}
 		baseline.ObserveBatch(b)
 

@@ -110,7 +110,7 @@ func TestClusterKillAndRecover(t *testing.T) {
 	feedBaseline := func(sent [][]uint16) {
 		b := words.NewBatch(d, len(sent))
 		for _, row := range sent {
-			copy(b.AppendRow(), row)
+			b.Append(row)
 		}
 		baseline.ObserveBatch(b)
 	}
@@ -226,7 +226,7 @@ func TestClusterKillAndRecover(t *testing.T) {
 	before := GetStats(t, c.Aggregator.URL())
 	var node1Rows [][]uint16
 	for _, row := range workloadRows(t, d, q, 400, 1234) {
-		if ring.OwnerOfRow(row) == c.Ingest[1].URL() {
+		if ring.Owner(cluster.RowKey(row)) == c.Ingest[1].URL() {
 			node1Rows = append(node1Rows, row)
 		}
 	}

@@ -136,13 +136,13 @@ func TestInProcessClusterConverges(t *testing.T) {
 			t.Fatalf("batch %d: status %d, %+v — an unreachable node's slice must queue, not fail", i, status, resp)
 		}
 		for _, row := range batch {
-			if ring.Has(ingestURLs[2]) && ring.OwnerOfRow(row) == ingestURLs[2] {
+			if ring.Has(ingestURLs[2]) && ring.Owner(cluster.RowKey(row)) == ingestURLs[2] {
 				node2Direct++
 			}
 		}
 		b := words.NewBatch(d, len(batch))
 		for _, row := range batch {
-			copy(b.AppendRow(), row)
+			b.Append(row)
 		}
 		baseline.ObserveBatch(b)
 		if i == 7 {

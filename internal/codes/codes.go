@@ -144,14 +144,9 @@ func (b *ConstantWeightCode) Dim() int { return b.d }
 func (b *ConstantWeightCode) Weight() int { return b.k }
 
 // Size returns |B(d, k)| = C(d, k); it errors if the count overflows
-// uint64, in which case LogSize still applies.
+// uint64.
 func (b *ConstantWeightCode) Size() (uint64, error) {
 	return combin.Binomial(b.d, b.k)
-}
-
-// LogSize returns log2 C(d, k).
-func (b *ConstantWeightCode) LogSize() float64 {
-	return combin.LogBinomial(b.d, b.k)
 }
 
 // At returns the codeword with the given colexicographic rank.

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/combin"
 	"repro/internal/rng"
 )
 
@@ -175,12 +174,5 @@ func TestRandomCodeParamsDerived(t *testing.T) {
 	}
 	if p.IntersectionBound() != 4 { // (0.0625+0.05)*40 = 4.5 -> 4
 		t.Fatalf("IntersectionBound = %d", p.IntersectionBound())
-	}
-}
-
-func TestLogSize(t *testing.T) {
-	b, _ := NewConstantWeightCode(10, 5)
-	if got := b.LogSize(); got < combin.LogBinomial(10, 5)-1e-9 || got > combin.LogBinomial(10, 5)+1e-9 {
-		t.Fatalf("LogSize = %v", got)
 	}
 }

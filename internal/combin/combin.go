@@ -61,19 +61,6 @@ func BigBinomial(n, k int) *big.Int {
 	return new(big.Int).Binomial(int64(n), int64(k))
 }
 
-// LogBinomial returns log2 C(n, k), computed via lgamma so it is
-// stable for n in the thousands. It returns -Inf when C(n,k) = 0.
-func LogBinomial(n, k int) float64 {
-	if k < 0 || k > n || n < 0 {
-		return math.Inf(-1)
-	}
-	lg := func(x int) float64 {
-		v, _ := math.Lgamma(float64(x + 1))
-		return v
-	}
-	return (lg(n) - lg(k) - lg(n-k)) / math.Ln2
-}
-
 // BinomialSum returns sum_{i=0}^{m} C(n, i) as a big integer: the
 // exact size of one tail of the α-net of Definition 6.1.
 func BinomialSum(n, m int) *big.Int {

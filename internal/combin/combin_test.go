@@ -88,22 +88,6 @@ func TestBigBinomialMatchesBinomial(t *testing.T) {
 	}
 }
 
-func TestLogBinomialAccuracy(t *testing.T) {
-	for _, c := range []struct{ n, k int }{{10, 5}, {30, 7}, {60, 30}, {200, 100}} {
-		got := LogBinomial(c.n, c.k)
-		exact := BigBinomial(c.n, c.k)
-		want := new(big.Float).SetInt(exact)
-		wf, _ := want.Float64()
-		ref := math.Log2(wf)
-		if math.Abs(got-ref) > 1e-6 {
-			t.Errorf("LogBinomial(%d,%d) = %v, want %v", c.n, c.k, got, ref)
-		}
-	}
-	if !math.IsInf(LogBinomial(5, 9), -1) {
-		t.Fatal("C(5,9) log must be -Inf")
-	}
-}
-
 func TestBinomialSum(t *testing.T) {
 	// Sum over all k is 2^n.
 	got := BinomialSum(10, 10)

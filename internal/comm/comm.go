@@ -92,12 +92,24 @@ func (Exact) Decide(msg []byte, inst *workload.F0Instance) (bool, error) {
 	if d != inst.D || len(body) != n*2*d {
 		return false, fmt.Errorf("comm: malformed exact message (d=%d n=%d len=%d)", d, n, len(body))
 	}
-	v := freq.NewVector()
-	for i := 0; i < n; i++ {
-		row := words.KeyToWord(string(body[i*2*d : (i+1)*2*d]))
-		v.AddWord(row, inst.Query)
+	v, err := vectorOf(body, n, inst)
+	if err != nil {
+		return false, err
 	}
 	return float64(v.Support()) >= threshold(inst), nil
+}
+
+// vectorOf counts the projections onto Bob's query of the n rows a
+// message body carries as full-row keys: little-endian u16 symbols,
+// which it decodes as one batch.
+func vectorOf(body []byte, n int, inst *workload.F0Instance) (*freq.Vector, error) {
+	syms := make([]uint16, n*inst.D)
+	if i := words.DecodeSymbolsLE(syms, body, inst.Q); i >= 0 {
+		return nil, fmt.Errorf("comm: message symbol %d outside alphabet [%d]", syms[i], inst.Q)
+	}
+	tb := words.NewTable(inst.D, inst.Q)
+	tb.AppendBatch(words.BatchOf(inst.D, syms))
+	return freq.FromTable(tb, inst.Query), nil
 }
 
 // Net compresses Alice's state through Algorithm 1: an α-net of KMV
@@ -134,7 +146,12 @@ func (p Net) Encode(src words.RowSource) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.ObserveBatch(words.Collect(src, -1).Batch())
+	tb := words.Collect(src, -1)
+	var rows words.PackedBatch
+	if i := rows.Pack(words.NewPacking(tb.Dim(), tb.Alphabet()), tb.Batch()); i >= 0 {
+		return nil, fmt.Errorf("comm: symbol %d outside alphabet [%d]", tb.Batch().Symbols()[i], tb.Alphabet())
+	}
+	m.ObservePacked(&rows)
 	return m.MarshalSketches(0)
 }
 
@@ -206,10 +223,9 @@ func (p Sampled) Decide(msg []byte, inst *workload.F0Instance) (bool, error) {
 	if d != inst.D || len(body) != t*2*d {
 		return false, fmt.Errorf("comm: malformed sample message")
 	}
-	v := freq.NewVector()
-	for i := 0; i < t; i++ {
-		row := words.KeyToWord(string(body[i*2*d : (i+1)*2*d]))
-		v.AddWord(row, inst.Query)
+	v, err := vectorOf(body, t, inst)
+	if err != nil {
+		return false, err
 	}
 	// Scale distinct patterns in the sample up by the sampling rate;
 	// this overcounts duplicates wildly but is the best a frequency

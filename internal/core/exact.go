@@ -136,14 +136,9 @@ func (e *Exact) Observe(w words.Word) {
 }
 
 // ObserveBatch packs the batch in the summary's layout and appends it
-// (ObservePacked). It panics if b's dimension differs from the
-// summary's, or, keeping none of the batch, if a symbol lies outside
-// [Q].
+// (words.ObserveU16).
 func (e *Exact) ObserveBatch(b *words.Batch) {
-	if b.Dim() != e.d {
-		panic(fmt.Sprintf("core: batch dimension %d != exact summary dimension %d", b.Dim(), e.d))
-	}
-	e.ObservePacked(packU16(&e.packBuf, e.pk, b, "exact summary", e.q))
+	words.ObserveU16(e, &e.packBuf, e.pk, b, "core: exact summary")
 }
 
 // ObservePacked appends the batch's rows to the summary's own tail

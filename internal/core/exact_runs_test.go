@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -206,37 +205,6 @@ func TestDecodeExactNamesRowAndSymbol(t *testing.T) {
 				t.Fatalf("%s: error %q does not say %q", c.name, err, w)
 			}
 		}
-	}
-}
-
-// TestExactObserveRefusesOutsideAlphabet: a symbol outside [Q] panics,
-// naming its row and value, and the summary keeps none of the batch,
-// even when the batch filled its tail and started a run before the
-// symbol came up.
-func TestExactObserveRefusesOutsideAlphabet(t *testing.T) {
-	e := grownExact(t, 8)
-	blob := mustMarshal(t, e)
-	n := runBytes/e.pk.Stride() + 100 // more rows than a run holds
-	bad := testData(n, 9)
-	bad.Row(n - 2)[3] = 2
-	func() {
-		defer func() {
-			msg := fmt.Sprint(recover())
-			if want := fmt.Sprintf("row %d symbol 2", n-2); !strings.Contains(msg, want) {
-				t.Fatalf("panic %q does not say %q", msg, want)
-			}
-		}()
-		e.ObserveBatch(bad.Batch())
-	}()
-	if !bytes.Equal(mustMarshal(t, e), blob) {
-		t.Fatal("the refused batch left rows behind")
-	}
-	more := testData(30, 10)
-	e.ObserveBatch(more.Batch())
-	ref := grownExact(t, 8).Table()
-	ref.AppendBatch(more.Batch())
-	if !bytes.Equal(mustMarshal(t, e), flatExact(t, ref)) {
-		t.Fatal("rows ingested after the refusal differ from the reference")
 	}
 }
 

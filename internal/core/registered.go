@@ -68,14 +68,9 @@ func (s *Registered) Observe(w words.Word) {
 }
 
 // ObserveBatch packs the batch in the summary's layout and ingests it
-// (ObservePacked). It panics if b's dimension differs from the
-// summary's, or, observing none of the batch, if a symbol lies outside
-// [Q].
+// (words.ObserveU16).
 func (s *Registered) ObserveBatch(b *words.Batch) {
-	if b.Dim() != s.d {
-		panic(fmt.Sprintf("core: batch dimension %d != dimension %d", b.Dim(), s.d))
-	}
-	s.ObservePacked(packU16(&s.packBuf, s.pk, b, "registered summary", s.q))
+	words.ObserveU16(s, &s.packBuf, s.pk, b, "core: registered summary")
 }
 
 // ObservePacked feeds the batch through the batched key pipeline: the

@@ -73,12 +73,10 @@ func gateStreams(t *testing.T) map[string]func(s int) gateTrial {
 	return map[string]func(s int) gateTrial{
 		"zipf": func(s int) gateTrial {
 			c := colSets[s%len(colSets)]
-			b := make(words.Word, c.Len())
-			zipf.Row(s*7919%n).ProjectInto(c, b)
 			return gateTrial{
 				d: d, q: q, rows: zipf,
 				point: c,
-				b:     b,
+				b:     words.KeyToWord(string(words.AppendKey(nil, zipf.Row(s*7919%n), c))),
 				hh:    colSets[(s+1)%len(colSets)],
 			}
 		},
@@ -237,9 +235,9 @@ func TestSampleGuarantee(t *testing.T) {
 		fails := map[string]int{}
 		for s := 0; s < gateSeeds; s++ {
 			tr := trial(s)
-			pointTruth, hhTruth := freq.NewVector(), freq.NewVector()
-			pointTruth.AddBatch(tr.rows, tr.point)
-			hhTruth.AddBatch(tr.rows, tr.hh)
+			tb := words.NewTable(tr.d, tr.q)
+			tb.AppendBatch(tr.rows)
+			pointTruth, hhTruth := freq.FromTable(tb, tr.point), freq.FromTable(tb, tr.hh)
 			for v, sum := range gateVariants(t, tr, tPoint, uint64(s)+1) {
 				if gatePointFails(t, sum, pointTruth, tr.point, tr.b) {
 					fails[v+" point"]++

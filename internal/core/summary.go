@@ -76,22 +76,13 @@ func ObserveAll(s Summary, b *words.Batch) { s.ObserveBatch(b) }
 // whose symbols were checked against the alphabet where it was packed
 // or verified, so the summary copies bytes or builds keys and checks
 // nothing. Every summary's ObservePacked is its one ingest
-// implementation: its u16 ObserveBatch packs the batch in the
-// summary's layout, panicking on a symbol outside [Q], and calls it.
+// implementation: its u16 ObserveBatch is words.ObserveU16, which
+// packs the batch in the summary's layout, panicking on a symbol
+// outside [Q], and calls it.
 // ObservePacked panics if b's layout is not the summary's, and, like
 // ObserveBatch, must not retain b or any row of it.
 type PackedObserver interface {
 	ObservePacked(b *words.PackedBatch)
-}
-
-// packU16 packs b into buf in pk's layout for a summary's u16
-// ObserveBatch and returns buf, panicking, with nothing observed, if a
-// symbol lies outside [Q]. who names the summary in the panic.
-func packU16(buf *words.PackedBatch, pk words.Packing, b *words.Batch, who string, q int) *words.PackedBatch {
-	if i := buf.Pack(pk, b); i >= 0 {
-		panic(fmt.Sprintf("core: batch row %d symbol %d outside %s alphabet [%d]", i/b.Dim(), b.Symbols()[i], who, q))
-	}
-	return buf
 }
 
 // Mergeable is the distributed-ingestion capability: a summary that

@@ -163,10 +163,11 @@ func testAwaitChangeConcurrent(t *testing.T) {
 			for i := 0; i < batches; i++ {
 				b.Reset()
 				for r := 0; r < 3; r++ {
-					row := b.AppendRow()
+					row := make(words.Word, b.Dim())
 					for j := range row {
 						row[j] = uint16(src.Intn(q))
 					}
+					b.Append(row)
 				}
 				eng.ObserveBatch(b)
 			}

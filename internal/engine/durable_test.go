@@ -147,10 +147,11 @@ func TestDurableReplayReproducesEngineBitForBit(t *testing.T) {
 	for _, n := range []int{1, 4, 9, 30} {
 		b := words.NewBatch(d, n)
 		for i := 0; i < n; i++ {
-			r := b.AppendRow()
+			r := make(words.Word, b.Dim())
 			for j := range r {
 				r[j] = uint16((i*n + j) % q)
 			}
+			b.Append(r)
 		}
 		eng.ObserveBatch(b)
 	}
@@ -198,10 +199,11 @@ func TestCheckpointRestoreThenReplayMatches(t *testing.T) {
 	feed := func(salt, n int) {
 		b := words.NewBatch(d, n)
 		for i := 0; i < n; i++ {
-			r := b.AppendRow()
+			r := make(words.Word, b.Dim())
 			for j := range r {
 				r[j] = uint16((i*salt + j) % q)
 			}
+			b.Append(r)
 		}
 		eng.ObserveBatch(b)
 	}
@@ -304,10 +306,11 @@ func TestCheckpointCutExactUnderConcurrentIngest(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				b := words.NewBatch(d, 3)
 				for r := 0; r < 3; r++ {
-					row := b.AppendRow()
+					row := make(words.Word, b.Dim())
 					for j := range row {
 						row[j] = uint16((g + i + r + j) % q)
 					}
+					b.Append(row)
 				}
 				eng.ObserveBatch(b)
 			}
@@ -355,8 +358,8 @@ func TestDurableFailureSurfaces(t *testing.T) {
 	}
 	defer eng.Close()
 	b := words.NewBatch(d, 2)
-	b.AppendRow()
-	b.AppendRow()
+	b.Append(make(words.Word, b.Dim()))
+	b.Append(make(words.Word, b.Dim()))
 	// The durable path reports the failure and routes nothing.
 	if err := eng.ObserveBatchDurable(b); err == nil {
 		t.Fatal("append failure must surface")
@@ -507,10 +510,11 @@ func TestRecoveryReusedBuffersDoNotLeak(t *testing.T) {
 	batch := func(n, salt int) *words.Batch {
 		b := words.NewBatch(d, n)
 		for i := range n {
-			r := b.AppendRow()
+			r := make(words.Word, b.Dim())
 			for j := range r {
 				r[j] = uint16((i*salt + j*(salt+1)) % q)
 			}
+			b.Append(r)
 		}
 		return b
 	}
@@ -597,10 +601,11 @@ func TestUpgradeInPlaceFromLargerSegments(t *testing.T) {
 	batch := func(i int) *words.Batch {
 		b := words.NewBatch(d, rows)
 		for r := range rows {
-			row := b.AppendRow()
+			row := make(words.Word, b.Dim())
 			for j := range row {
 				row[j] = uint16((i*7 + r*(j+1)) % q)
 			}
+			b.Append(row)
 		}
 		return b
 	}

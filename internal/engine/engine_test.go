@@ -444,10 +444,11 @@ func TestObserveBatchInterleavedWithAbsorbAndQueryBatch(t *testing.T) {
 			for i := 0; i < batchesPerW; i++ {
 				batch.Reset()
 				for r := 0; r < rowsPerBatch; r++ {
-					row := batch.AppendRow()
+					row := make(words.Word, batch.Dim())
 					for j := range row {
 						row[j] = uint16(src.Intn(2))
 					}
+					batch.Append(row)
 				}
 				eng.ObserveBatch(batch)
 			}

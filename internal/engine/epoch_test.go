@@ -49,10 +49,11 @@ func TestEpochMixedStress(t *testing.T) {
 			for i := 0; i < batchesPerW; i++ {
 				b := words.NewBatch(d, rowsPerBatch)
 				for r := 0; r < rowsPerBatch; r++ {
-					row := b.AppendRow()
+					row := make(words.Word, b.Dim())
 					for j := range row {
 						row[j] = uint16(src.Intn(q))
 					}
+					b.Append(row)
 				}
 				eng.ObserveBatch(b)
 			}
@@ -169,10 +170,11 @@ func TestCheckpointCutExactUnderEpochReads(t *testing.T) {
 			for i := 0; i < 25; i++ {
 				b := words.NewBatch(d, 3)
 				for r := 0; r < 3; r++ {
-					row := b.AppendRow()
+					row := make(words.Word, b.Dim())
 					for j := range row {
 						row[j] = uint16((g + i + r + j) % q)
 					}
+					b.Append(row)
 				}
 				eng.ObserveBatch(b)
 			}

@@ -27,11 +27,12 @@ import (
 func distinctRows(writer, first, n int) *words.Batch {
 	b := words.NewBatch(16, n)
 	for i := first; i < first+n; i++ {
-		w := b.AppendRow()
+		w := make(words.Word, 16)
 		w[0] = uint16(writer)
 		for j, k := 1, i; j < 15; j, k = j+1, k/4 {
 			w[j] = uint16(k % 4)
 		}
+		b.Append(w)
 	}
 	return b
 }

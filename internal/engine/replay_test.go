@@ -62,9 +62,11 @@ func TestReplayPackedMatchesLiveIngest(t *testing.T) {
 				for i := range 24 {
 					b := words.NewBatch(d, 0)
 					for range 1 + i*i%97 {
-						for j, row := 0, b.AppendRow(); j < d; j++ {
+						row := make(words.Word, d)
+						for j := range row {
 							row[j] = uint16(src.Intn(q))
 						}
+						b.Append(row)
 					}
 					if err := live.ObserveBatchDurable(b); err != nil {
 						t.Fatal(err)
@@ -164,10 +166,11 @@ func TestObserveBatchDurableRefusesOutsideAlphabet(t *testing.T) {
 		defer eng.Close()
 		bad := words.NewBatch(d, 40)
 		for i := range 40 {
-			row := bad.AppendRow()
+			row := make(words.Word, bad.Dim())
 			for j := range row {
 				row[j] = uint16((i + j) % q)
 			}
+			bad.Append(row)
 		}
 		bad.Row(38)[1] = q
 		if err := eng.ObserveBatchDurable(bad); err == nil {

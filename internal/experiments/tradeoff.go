@@ -111,10 +111,15 @@ func RunTradeoff(opt Options) (*Report, error) {
 	}
 
 	// The ablation runs Algorithm 1 directly, one F0 sketch kind at a
-	// time, with member seeds derived as core.NewNet derives its KMVs'.
+	// time, with member seeds derived as core.NewNet derives its KMVs',
+	// over the table packed once.
 	net, err := anet.NewNet(d, 0.2)
 	if err != nil {
 		return nil, err
+	}
+	var rows words.PackedBatch
+	if i := rows.Pack(words.NewPacking(d, 2), table.Batch()); i >= 0 {
+		return nil, fmt.Errorf("experiments: E8 symbol %d outside [2]", table.Batch().Symbols()[i])
 	}
 	f0seed := rng.New(opt.Seed ^ 0xe83).Uint64()
 	const eps = 0.25
@@ -130,7 +135,7 @@ func RunTradeoff(opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.ObserveBatch(table.Batch())
+		m.ObservePacked(&rows)
 		w, b, err := worstRatio(func(c words.ColumnSet) (anet.Answer, error) {
 			ans, err := m.Query(0, c, 0)
 			ans.Distortion = anet.DistortionQ(0, ans.Distance, 2)

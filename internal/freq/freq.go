@@ -42,8 +42,8 @@ type Vector struct {
 	total  int64    // F_1 = n, invariant under C (as the paper notes)
 }
 
-// batchChunk is how many rows AddBatch pushes through the key pipeline
-// at a time. A chunk's rows, keys and fingerprints should stay in the
+// batchChunk is how many rows the key pipeline packs and keys at a
+// time. A chunk's rows, keys and fingerprints should stay in the
 // first-level cache between the stage that writes them and the stage
 // that reads them: on 16-column rows 256 to 512 rows a chunk measured
 // 21 ns a row, 4096 rows 27 and the whole table at once 46.
@@ -53,21 +53,45 @@ const batchChunk = 512
 func NewVector() *Vector { return &Vector{} }
 
 // FromSource streams src and counts the projections of its rows onto
-// c, producing f(A, C) without materializing A.
+// c, producing f(A, C) without materializing A: it gathers at most
+// batchChunk rows at a time and counts them as FromTable does. It
+// panics if a row has a symbol outside the source's alphabet.
 func FromSource(src words.RowSource, c words.ColumnSet) *Vector {
 	v := NewVector()
-	words.Drain(src, func(w words.Word) { v.AddWord(w, c) })
+	if src.Dim() < 1 {
+		// No packing holds a row of no columns; each projects to the
+		// empty key.
+		if n := words.Drain(src, func(words.Word) {}); n > 0 {
+			v.Add("", int64(n))
+		}
+		return v
+	}
+	var p pipeline
+	pk := words.NewPacking(src.Dim(), src.Alphabet())
+	chunk := words.NewBatch(src.Dim(), batchChunk)
+	words.Drain(src, func(w words.Word) {
+		if chunk.Append(w); chunk.Len() == batchChunk {
+			p.addRows(v, pk, c, chunk)
+			chunk.Reset()
+		}
+	})
+	p.addRows(v, pk, c, chunk)
 	return v
 }
 
-// FromTable counts a materialized table through the batched key
-// pipeline, equivalent to FromSource over the table's rows.
+// FromTable counts the projections of a materialized table's rows onto
+// c: it packs them batchChunk at a time in the table's own (d, q)
+// layout, the one core.Exact keeps its rows in, and counts them as
+// AddPacked does, so an exact summary's vector and the table's are
+// built by one pipeline. It panics if a row has a symbol outside the
+// table's alphabet.
 func FromTable(t *words.Table, c words.ColumnSet) *Vector {
 	if t.Dim() < 1 {
 		return FromSource(t.Source(), c)
 	}
 	v := NewVector()
-	v.AddBatch(t.Batch(), c)
+	var p pipeline
+	p.addRows(v, words.NewPacking(t.Dim(), t.Alphabet()), c, t.Batch())
 	return v
 }
 
@@ -149,62 +173,53 @@ func (v *Vector) Add(key string, count int64) {
 	v.add(hashing.Fingerprint64(k), k, count)
 }
 
-// AddBatch counts the projections of every row of b onto c,
-// equivalent to AddWord per row. Rows go through the batched key
-// pipeline a chunk at a time — words.AppendBatchKeys builds the
-// chunk's keys into an arena the chunks share, and
-// hashing.AppendFingerprints64 hashes them in one pass — so only
-// genuinely new patterns grow the vector.
-func (v *Vector) AddBatch(b *words.Batch, c words.ColumnSet) {
-	d, symbols := b.Dim(), b.Symbols()
-	var (
-		chunk words.Batch
-		p     pipeline
-	)
-	for lo := 0; lo < len(symbols); lo += batchChunk * d {
-		chunk.Bind(d, symbols[lo:min(lo+batchChunk*d, len(symbols))])
-		p.keys = words.AppendBatchKeys(p.keys[:0], &chunk, c)
-		p.add(v, chunk.Len(), c)
-	}
-}
-
 // AddPacked counts the projections onto c of every row of the runs,
-// each holding whole rows in the packed layout pk, in order. The packed
-// key builder (words.Packing.AppendKeys) emits the keys AddBatch builds
-// for the same rows unpacked, so the vector, its entry order included,
-// is the one AddBatch builds.
+// each holding whole rows in the packed layout pk, in order: the key
+// pipeline every vector of rows is built by.
 func (v *Vector) AddPacked(pk words.Packing, c words.ColumnSet, runs ...[]byte) {
 	var p pipeline
-	step := batchChunk * pk.Stride()
 	for _, run := range runs {
-		for lo := 0; lo < len(run); lo += step {
-			chunk := run[lo:min(lo+step, len(run))]
-			p.keys = pk.AppendKeys(p.keys[:0], chunk, c)
-			p.add(v, len(chunk)/pk.Stride(), c)
-		}
+		p.addPacked(v, pk, c, run)
 	}
 }
 
 // pipeline is the key pipeline's arenas, shared by a pass's chunks.
+// Each chunk of at most batchChunk packed rows is projected into one
+// key arena (words.Packing.AppendKeys, two little-endian bytes a
+// projected symbol whatever the packing), the keys are fingerprinted
+// in one pass (hashing.AppendFingerprints64), and each is counted, so
+// only genuinely new patterns grow the vector.
 type pipeline struct {
+	packed words.PackedBatch // addRows' packed chunk
 	keys   []byte
 	prints []uint64
 }
 
-// add fingerprints the n keys in p.keys and counts each one.
-func (p *pipeline) add(v *Vector, n int, c words.ColumnSet) {
-	stride := 2 * c.Len()
-	p.prints = hashing.AppendFingerprints64(p.prints[:0], p.keys, n, stride)
-	for i, fp := range p.prints {
-		v.add(fp, p.keys[i*stride:(i+1)*stride], 1)
+// addRows packs the rows of b in pk's layout, batchChunk at a time,
+// and counts each chunk. It panics on a symbol outside pk's alphabet.
+func (p *pipeline) addRows(v *Vector, pk words.Packing, c words.ColumnSet, b *words.Batch) {
+	var chunk words.Batch
+	for lo := 0; lo < b.Len(); lo += batchChunk {
+		chunk.Bind(pk.Dim(), b.Symbols()[lo*pk.Dim():min(lo+batchChunk, b.Len())*pk.Dim()])
+		if i := p.packed.Pack(pk, &chunk); i >= 0 {
+			panic(fmt.Sprintf("freq: row %d symbol %d outside alphabet [%d]", lo+i/pk.Dim(), chunk.Symbols()[i], pk.Alphabet()))
+		}
+		p.addPacked(v, pk, c, p.packed.Rows())
 	}
 }
 
-// AddWord increments the count of w projected onto c.
-func (v *Vector) AddWord(w words.Word, c words.ColumnSet) {
-	var buf [64]byte
-	key := words.AppendKey(buf[:0], w, c)
-	v.add(hashing.Fingerprint64(key), key, 1)
+// addPacked counts run's packed rows, batchChunk at a time.
+func (p *pipeline) addPacked(v *Vector, pk words.Packing, c words.ColumnSet, run []byte) {
+	stride := 2 * c.Len()
+	step := batchChunk * pk.Stride()
+	for lo := 0; lo < len(run); lo += step {
+		chunk := run[lo:min(lo+step, len(run))]
+		p.keys = pk.AppendKeys(p.keys[:0], chunk, c)
+		p.prints = hashing.AppendFingerprints64(p.prints[:0], p.keys, len(chunk)/pk.Stride(), stride)
+		for i, fp := range p.prints {
+			v.add(fp, p.keys[i*stride:(i+1)*stride], 1)
+		}
+	}
 }
 
 // Count returns f_{e(pattern)}: the frequency of the projected word

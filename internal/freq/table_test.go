@@ -133,8 +133,7 @@ func FuzzVectorMatchesMap(f *testing.F) {
 		}
 		checkAgainst(t, FromTable(tb, c), ref)
 		checkAgainst(t, FromSource(tb.Source(), c), ref)
-		proj := make(words.Word, c.Len())
-		row.ProjectInto(c, proj)
+		proj := words.KeyToWord(string(words.AppendKey(nil, row, c)))
 		for _, b := range []words.Word{proj, make(words.Word, c.Len())} {
 			key := words.AppendKey(nil, b, words.FullColumnSet(len(b)))
 			if got, want := FromTable(tb, c).CountWord(b), ref.counts[string(key)]; got != want {

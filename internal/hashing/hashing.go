@@ -33,7 +33,7 @@ func Fingerprint64(b []byte) uint64 {
 // slice. Each hash equals Fingerprint64(arena[i*stride:(i+1)*stride])
 // exactly — one flat pass with no per-record slice headers, the second
 // stage of the batched key pipeline over the arena that
-// words.AppendBatchKeys builds. n is explicit so the zero-stride case
+// words.Packing.AppendKeys builds. n is explicit so the zero-stride case
 // (an empty column set, where every record is the empty key) still
 // yields one fingerprint per record. It panics if len(arena) != n*stride.
 func AppendFingerprints64(dst []uint64, arena []byte, n, stride int) []uint64 {

@@ -305,14 +305,9 @@ func (r *Registry) Observe(w words.Word) {
 }
 
 // ObserveBatch packs the batch once, in the members' layout, and fans
-// it out (ObservePacked). It panics, with no member fed, if a symbol
-// lies outside [Q].
+// it out (words.ObserveU16).
 func (r *Registry) ObserveBatch(b *words.Batch) {
-	pk := words.NewPacking(r.Dim(), r.Alphabet())
-	if i := r.packBuf.Pack(pk, b); i >= 0 {
-		panic(fmt.Sprintf("registry: batch row %d symbol %d outside alphabet [%d]", i/b.Dim(), b.Symbols()[i], r.Alphabet()))
-	}
-	r.ObservePacked(&r.packBuf)
+	words.ObserveU16(r, &r.packBuf, words.NewPacking(r.Dim(), r.Alphabet()), b, "registry")
 }
 
 // ObservePacked fans the whole packed batch out to the full summary

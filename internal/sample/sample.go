@@ -108,9 +108,9 @@ func SizeForError(eps, delta float64) int {
 // ObserveBatch feeds every row of b, whose dimension must be the
 // layout's. A batch that ends before the earliest pending acceptance
 // only advances the row count; any other is packed in the sampler's
-// layout into a buffer the sampler keeps and fed to ObservePacked. It
-// panics if a packed row has a symbol outside the layout's alphabet,
-// which no slot can hold.
+// layout into a buffer the sampler keeps and fed to ObservePacked
+// (words.ObserveU16), which panics on a symbol outside the layout's
+// alphabet, which no slot can hold.
 func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 	if end := uint64(s.seen) + uint64(b.Len()); s.minNext > end {
 		s.seen = int64(end)
@@ -119,10 +119,7 @@ func (s *WithReplacement) ObserveBatch(b *words.Batch) {
 	if s.pk == (words.Packing{}) {
 		s.pk = words.NewPacking(b.Dim(), words.MaxAlphabet)
 	}
-	if j := s.packBuf.Pack(s.pk, b); j >= 0 {
-		panic(fmt.Sprintf("sample: row %d symbol %d outside the sampler's alphabet", s.seen+int64(j/b.Dim())+1, b.Symbols()[j]))
-	}
-	s.ObservePacked(&s.packBuf)
+	words.ObserveU16(s, &s.packBuf, s.pk, b, "sample: sampler")
 }
 
 // ObservePacked feeds every row of b, whose layout must be the

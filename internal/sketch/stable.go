@@ -41,9 +41,6 @@ func NewStable(p float64, reps int, seed uint64) *Stable {
 // P returns the moment order p.
 func (s *Stable) P() float64 { return s.p }
 
-// Reps returns the repetition count.
-func (s *Stable) Reps() int { return s.reps }
-
 // variate returns the deterministic p-stable X_{item,j}, given
 // mixed = rng.Mix64(item): variate j of the row keyed seed ^ mixed.
 func (s *Stable) variate(mixed uint64, j int) float64 {

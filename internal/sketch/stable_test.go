@@ -357,7 +357,7 @@ func TestStableSerializationRoundTrip(t *testing.T) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if back.EstimateNorm() != s.EstimateNorm() || back.P() != 1.2 || back.Reps() != 40 {
+	if back.EstimateNorm() != s.EstimateNorm() || back.P() != 1.2 || back.reps != 40 {
 		t.Fatal("serialization round trip drifted")
 	}
 	if err := back.UnmarshalBinary(data[:5]); err == nil {

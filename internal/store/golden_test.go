@@ -112,10 +112,11 @@ func goldenEngine(t *testing.T, log engine.Log, appendSub func() error) *engine.
 func goldenBatch(n, salt int) *words.Batch {
 	b := words.NewBatch(goldenD, n)
 	for i := 0; i < n; i++ {
-		r := b.AppendRow()
+		r := make(words.Word, b.Dim())
 		for j := range r {
 			r[j] = uint16((i*31 + j*7 + salt*13) % goldenQ)
 		}
+		b.Append(r)
 	}
 	return b
 }

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,24 +89,29 @@ type Report struct {
 // -inspect-dir mode.
 func Inspect(dir string) (*Report, error) {
 	rep := &Report{}
-	segs, err := listSegments(dir)
-	if err != nil {
+	// The boot runs Recover's selection rule over the directory as Open
+	// would leave it: its trailing stubs dropped and the last segment's
+	// torn tail cut.
+	t, err := readTail(dir)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
 		return nil, err
 	}
-	var image []byte // one segment image, reused
-	plan, logged, image, err := inspectPlan(dir, segs, image)
-	if err != nil {
-		return nil, err
+	var plan replayPlan
+	if err == nil {
+		plan, err = planReplay(dir, t.segments, t.end())
 	}
-	if plan.err != nil {
-		rep.Boot.Err = plan.err.Error()
-	} else {
-		rep.Boot = BootReport{Segments: logged - plan.first, Skipped: plan.first}
+	boots := err == nil
+	if boots {
+		rep.Boot = BootReport{Segments: len(t.segments) - plan.first, Skipped: plan.first}
 		if plan.ck != nil {
 			rep.Boot.Checkpoint, rep.Boot.CheckpointLSN = checkpointName(plan.ck.LSN), plan.ck.LSN
 		}
+	} else {
+		rep.Boot.Err = err.Error()
 	}
-	for i, path := range segs {
+	image := t.image // one segment image, reused
+	logged := len(t.segments)
+	for i, path := range t.paths {
 		sr := SegmentReport{Name: filepath.Base(path)}
 		if first, ok := parseSegmentName(sr.Name); ok {
 			sr.FirstLSN = first
@@ -115,7 +121,7 @@ func Inspect(dir string) (*Report, error) {
 			return nil, err
 		}
 		sr.Bytes = int64(len(image))
-		reads := plan.err == nil && i >= plan.first && i < logged // a boot reads this segment
+		reads := boots && i >= plan.first && i < logged // a boot reads this segment
 		res, err := scanSegment(image)
 		if err != nil {
 			sr.Err = err.Error()
@@ -172,50 +178,4 @@ func Inspect(dir string) (*Report, error) {
 		return nil, fmt.Errorf("store: %s holds no WAL segments or checkpoints", dir)
 	}
 	return rep, nil
-}
-
-// bootPlan is the replay plan Inspect reports, or why a boot fails.
-type bootPlan struct {
-	replayPlan
-	err error
-}
-
-// inspectPlan runs Recover's selection rule over the directory as Open
-// would leave it: trailing stub segments dropped and the last
-// segment's torn tail cut. It returns the plan, the number of segments
-// Open keeps (segs[:logged]) and the image buffer, grown if it had to
-// be. A directory Open or the rule would refuse yields a plan whose err
-// says why.
-func inspectPlan(dir string, segs []string, image []byte) (bootPlan, int, []byte, error) {
-	logged := len(segs)
-	var res scanResult
-	for ; logged > 0; logged-- {
-		var err error
-		if image, err = readSegment(segs[logged-1], image); err != nil {
-			return bootPlan{}, 0, image, err
-		}
-		if isStub(image) {
-			continue
-		}
-		if res, err = scanSegment(image); err != nil {
-			return bootPlan{err: fmt.Errorf("%s: %w", filepath.Base(segs[logged-1]), err)}, logged, image, nil
-		}
-		break
-	}
-	infos := make([]segmentInfo, logged)
-	for i, path := range segs[:logged] {
-		fi, err := os.Stat(path)
-		if err != nil {
-			return bootPlan{}, 0, image, err
-		}
-		first, _ := parseSegmentName(filepath.Base(path))
-		infos[i] = segmentInfo{path: path, firstLSN: first, bytes: fi.Size()}
-	}
-	var end uint64 // the log end Open would find
-	if logged > 0 {
-		end = res.header.firstLSN + uint64(res.records)
-	}
-	var plan bootPlan
-	plan.replayPlan, plan.err = planReplay(dir, infos, end)
-	return plan, logged, image, nil
 }

@@ -44,8 +44,8 @@ func FuzzReadSegment(f *testing.F) {
 	// Seed with a well-formed two-record segment plus truncations of it.
 	valid := appendSegHeader(nil, 3, 4, 7)
 	b := words.NewBatch(3, 2)
-	copy(b.AppendRow(), words.Word{1, 2, 3})
-	copy(b.AppendRow(), words.Word{0, 1, 0})
+	b.Append(words.Word{1, 2, 3})
+	b.Append(words.Word{0, 1, 0})
 	valid = appendFrame(valid, encodeU16BatchRecord(nil, b.Symbols()))
 	valid = appendFrame(valid, encodeSubspaceRecord(nil, 0b101, "mirror"))
 	f.Add(valid)

@@ -218,62 +218,41 @@ func Open(opts Options) (*Store, error) {
 	return st, nil
 }
 
-// scan inventories the directory: segment list, checkpoint count, and
-// the next LSN (which requires scanning the final segment's frames; a
-// torn tail is truncated away so appends continue from a clean end).
+// scan inventories the directory (readTail) and applies Open's repairs
+// to what it found, so appends continue from a clean end: it drops the
+// trailing stubs and cuts the last segment's torn tail. It sets the
+// segment list, the next LSN and the checkpoint count.
 func (st *Store) scan() error {
-	paths, err := listSegments(st.opts.Dir)
+	t, err := readTail(st.opts.Dir)
 	if err != nil {
 		return err
 	}
-	for len(paths) > 0 {
-		last := paths[len(paths)-1]
-		data, err := os.ReadFile(last)
-		if err != nil {
+	for i := len(t.paths) - 1; i >= len(t.segments); i-- {
+		// A crash between creating a segment and writing its header
+		// leaves a stub with no records in it: shorter than the header,
+		// or, on a file system that persists a file's size before its
+		// data, zero bytes of any length. Drop it; the next roll takes
+		// its name again.
+		if err := os.Remove(t.paths[i]); err != nil {
 			return err
 		}
-		if isStub(data) {
-			// A crash between creating a segment and writing its header
-			// leaves a stub with no records in it: shorter than the
-			// header, or, on a file system that persists a file's size
-			// before its data, zero bytes of any length. Drop it and
-			// continue from the previous segment; the next roll takes
-			// its name again.
-			if err := os.Remove(last); err != nil {
-				return err
-			}
-			paths = paths[:len(paths)-1]
-			continue
-		}
-		res, err := scanSegment(data)
-		if err != nil {
-			return fmt.Errorf("%s: %w", filepath.Base(last), err)
-		}
-		if err := st.checkShape(last, res.header); err != nil {
+	}
+	if n := len(t.segments); n > 0 {
+		last := &t.segments[n-1]
+		if err := st.checkShape(last.path, t.last.header); err != nil {
 			return err
 		}
-		if res.torn {
+		if t.last.torn {
 			// The torn final frame is the crash's half-written append;
 			// the record was never acknowledged, so cutting the file back
 			// to the last whole frame loses nothing that was promised.
-			if err := os.Truncate(last, int64(res.validLen)); err != nil {
+			if err := os.Truncate(last.path, int64(t.last.validLen)); err != nil {
 				return err
 			}
+			last.bytes, t.last.torn = int64(t.last.validLen), false
 		}
-		st.lsn = res.header.firstLSN + uint64(res.records)
-		res.torn = false // the file now ends on its last whole frame
-		st.tail = &verifiedSegment{path: last, image: data[:res.validLen], res: res}
-		for _, p := range paths {
-			first, _ := parseSegmentName(filepath.Base(p))
-			info, err := os.Stat(p)
-			if err != nil {
-				return err
-			}
-			st.segments = append(st.segments, segmentInfo{path: p, firstLSN: first, bytes: info.Size()})
-		}
-		// The truncation above already landed; refresh the last entry.
-		st.segments[len(st.segments)-1].bytes = int64(res.validLen)
-		break
+		st.segments, st.lsn = t.segments, t.end()
+		st.tail = &verifiedSegment{path: last.path, image: t.image[:t.last.validLen], res: t.last}
 	}
 	ckpts, err := listCheckpoints(st.opts.Dir)
 	if err != nil {
@@ -284,6 +263,64 @@ func (st *Store) scan() error {
 		st.ckptLSN, _ = parseCheckpointName(filepath.Base(ckpts[len(ckpts)-1]))
 	}
 	return nil
+}
+
+// logTail is the end of a directory's log as Open finds it, before it
+// repairs anything: every segment, the ones Open keeps — all but the
+// trailing stubs (isStub) — and the scan of the last one it keeps.
+// Open drops the stubs and cuts the last segment's torn tail (scan);
+// Inspect reports from the same reading and changes nothing.
+type logTail struct {
+	paths    []string      // every segment, ascending by first LSN
+	segments []segmentInfo // paths[:len(segments)], the ones Open keeps, sized as on disk
+	last     scanResult    // the last kept segment's scan
+	image    []byte        // the last kept segment's image
+}
+
+// end returns the LSN after the last kept segment's last whole record:
+// the next LSN Open assigns.
+func (t *logTail) end() uint64 {
+	if len(t.segments) == 0 {
+		return 0
+	}
+	return t.last.header.firstLSN + uint64(t.last.records)
+}
+
+// readTail reads dir's log tail, reading the segments it looks at into
+// one image buffer, and writes nothing. When the last kept segment's
+// header does not parse, it returns the tail read so far, without the
+// scan, and an error wrapping ErrCorrupt that names the segment.
+func readTail(dir string) (logTail, error) {
+	paths, err := listSegments(dir)
+	if err != nil {
+		return logTail{}, err
+	}
+	t := logTail{paths: paths}
+	var image []byte
+	kept := len(paths)
+	for ; kept > 0; kept-- {
+		if image, err = readSegment(paths[kept-1], image); err != nil {
+			return logTail{}, err
+		}
+		if !isStub(image) {
+			break
+		}
+	}
+	t.image = image
+	for _, p := range paths[:kept] {
+		info, err := os.Stat(p)
+		if err != nil {
+			return logTail{}, err
+		}
+		first, _ := parseSegmentName(filepath.Base(p))
+		t.segments = append(t.segments, segmentInfo{path: p, firstLSN: first, bytes: info.Size()})
+	}
+	if kept > 0 {
+		if t.last, err = scanSegment(image); err != nil {
+			return t, fmt.Errorf("%s: %w", filepath.Base(paths[kept-1]), err)
+		}
+	}
+	return t, nil
 }
 
 // isStub reports whether a final segment's image holds no header:

@@ -25,10 +25,11 @@ func testOpts(t *testing.T, d, q int) Options {
 func batchOf(d, q, n, salt int) *words.Batch {
 	b := words.NewBatch(d, n)
 	for i := 0; i < n; i++ {
-		row := b.AppendRow()
+		row := make(words.Word, b.Dim())
 		for j := range row {
 			row[j] = uint16((i*(j+2) + salt) % q)
 		}
+		b.Append(row)
 	}
 	return b
 }

@@ -333,10 +333,11 @@ func observeRequest() []byte {
 	src := rng.New(7)
 	b := words.NewBatch(d, n)
 	for range n {
-		row := b.AppendRow()
+		row := make(words.Word, b.Dim())
 		for j := range row {
 			row[j] = uint16(src.Intn(q))
 		}
+		b.Append(row)
 	}
 	return AppendObserve(nil, b)
 }

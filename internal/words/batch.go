@@ -8,7 +8,7 @@ import "fmt"
 // core.Summary.ObserveBatch costs one allocation, one clone, and one
 // handoff per batch rather than per row.
 //
-// A Batch is a mutable builder (Append/AppendRow/Reset) whose row
+// A Batch is a mutable builder (Append/Reset) whose row
 // views alias its storage; consumers of a Batch must therefore not
 // retain rows across the producer's next mutation — the same contract
 // RowSource already states for streamed rows.
@@ -66,18 +66,6 @@ func (b *Batch) Append(w Word) {
 		panic(fmt.Sprintf("words: row length %d != batch dimension %d", len(w), b.d))
 	}
 	b.data = append(b.data, w...)
-}
-
-// AppendRow extends the batch by one zeroed row and returns it as a
-// writable view into the batch's storage, so decoders can fill rows
-// in place without a per-row staging slice. The view is invalidated
-// by the next Append/AppendRow (the backing array may be regrown).
-func (b *Batch) AppendRow() Word {
-	n := len(b.data)
-	for i := 0; i < b.d; i++ {
-		b.data = append(b.data, 0)
-	}
-	return Word(b.data[n : n+b.d])
 }
 
 // Row returns row i as a view aliasing the batch's storage; callers

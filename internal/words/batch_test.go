@@ -26,18 +26,6 @@ func TestBatchAppendAndRows(t *testing.T) {
 	}
 }
 
-func TestBatchAppendRowInPlace(t *testing.T) {
-	b := NewBatch(2, 4)
-	row := b.AppendRow()
-	if len(row) != 2 || row[0] != 0 || row[1] != 0 {
-		t.Fatalf("AppendRow must return a zeroed row, got %v", row)
-	}
-	row[0], row[1] = 3, 4
-	if !b.Row(0).Equal(Word{3, 4}) {
-		t.Fatalf("in-place fill lost: %v", b.Row(0))
-	}
-}
-
 func TestBatchSliceSharesStorage(t *testing.T) {
 	b := NewBatch(2, 4)
 	for i := uint16(0); i < 4; i++ {

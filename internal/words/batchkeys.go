@@ -10,10 +10,11 @@ import "fmt"
 // dst[base+i·stride : base+(i+1)·stride] where stride = 2·c.Len() and
 // base is len(dst) on entry.
 //
-// This is the first stage of the batched key pipeline: one pass builds
-// a flat key arena for a whole batch, which hashing.AppendFingerprints64
-// then fingerprints without materializing per-row slices. It panics if
-// c's dimension differs from b's, matching ProjectInto's contract.
+// It is the u16 form of the key pipeline's first stage, which every
+// summary and freq.Vector run off packed rows (Packing.AppendKeys,
+// fuzz-checked against it). Only the benchmark's per-layer timer
+// (words.batch_keys) still calls it, and ROADMAP item 28(d) deletes it
+// with that caller. It panics if c's dimension differs from b's.
 func AppendBatchKeys(dst []byte, b *Batch, c ColumnSet) []byte {
 	if c.d != b.d {
 		panic(fmt.Sprintf("words: column set over [%d] applied to batch of dimension %d", c.d, b.d))

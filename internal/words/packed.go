@@ -15,17 +15,17 @@ import (
 // of the rows before them, which is what lets core.Exact hand a run to
 // readers and keep appending to it.
 //
-// Packed rows are how rows travel past an engine's ingest door and how
-// they rest: the door packs each u16 batch once (PackedBatch.Pack,
-// which checks the alphabet), and from there the chunk arenas, every
-// summary's ingest (core.PackedObserver), core.Exact's runs, the
-// sampler's slots and the WAL's batch records hold this layout; WAL
-// replay hands a verified record body to the shards as it lies in the
-// segment. Symbols are u16 only where rows arrive (the JSON decoder,
-// the public Go API, the u16 ObserveBatch each summary keeps as its
-// public entry, which packs and then ingests packed) and in projection
-// keys: AppendKeys emits exactly the keys AppendBatchKeys emits for
-// the unpacked rows, so everything keyed on them is unchanged. Every
+// Packed rows are how rows travel past the u16 edge and how they rest:
+// two doors pack u16 batches (PackedBatch.Pack, which checks the
+// alphabet), an engine's ingest door and ObserveU16, every summary's
+// u16 ObserveBatch; from there the chunk arenas, every summary's ingest
+// (core.PackedObserver), core.Exact's runs, the sampler's slots, the
+// WAL's batch records and freq.Vector's key pipeline hold this layout,
+// and WAL replay hands a verified record body to the shards as it lies
+// in the segment. Symbols are u16 only where rows arrive (the JSON
+// decoder, the public Go API) and in projection keys: AppendKeys emits
+// exactly the keys AppendKey emits for each row unpacked, whatever the
+// layout, so everything keyed on them is unchanged. Every
 // reader stays inside the slice it is given: a run shared with a
 // writer may grow past its length, and under the race detector even a
 // masked-off byte beyond it counts as a read.
@@ -220,8 +220,8 @@ func (p Packing) rowsOf(rows []byte) int {
 
 // AppendKeys projects every packed row of rows through c and appends
 // the canonical projection keys onto dst in row order: byte for byte
-// what AppendBatchKeys appends for the same rows unpacked, 2·c.Len()
-// bytes a row. It panics if c's dimension is not the layout's.
+// what AppendKey appends for each row unpacked, 2·c.Len() bytes a row,
+// whatever the layout. It panics if c's dimension is not the layout's.
 func (p Packing) AppendKeys(dst []byte, rows []byte, c ColumnSet) []byte {
 	if c.d != p.d {
 		panic(fmt.Sprintf("words: column set over [%d] applied to packed rows of dimension %d", c.d, p.d))

@@ -79,3 +79,18 @@ func (b *PackedBatch) Pack(pk Packing, src *Batch) int {
 	b.pk, b.rows = pk, b.own[:n]
 	return pk.Pack(b.rows, src.Symbols())
 }
+
+// ObserveU16 is every summary's u16 ObserveBatch, written once: it
+// packs b into buf, a buffer the summary reuses, in the summary's
+// layout pk, and feeds the packed batch to s.ObservePacked. It panics,
+// naming the summary who and with nothing observed, if b's dimension
+// is not pk's or a symbol lies outside pk's alphabet.
+func ObserveU16(s interface{ ObservePacked(*PackedBatch) }, buf *PackedBatch, pk Packing, b *Batch, who string) {
+	if b.Dim() != pk.d {
+		panic(fmt.Sprintf("%s: batch dimension %d != dimension %d", who, b.Dim(), pk.d))
+	}
+	if i := buf.Pack(pk, b); i >= 0 {
+		panic(fmt.Sprintf("%s: batch row %d symbol %d outside alphabet [%d]", who, i/pk.d, b.Symbols()[i], pk.q))
+	}
+	s.ObservePacked(buf)
+}

@@ -14,9 +14,10 @@
 //   - Queries: ColumnSet is an immutable subset C ⊆ [d] with the
 //     little set algebra the summaries use (Diff, Complement,
 //     Contains, Mask) and Equal, on which the registry's planner
-//     routes exact matches. Project/ProjectInto apply C to a row;
-//     AppendKey builds the canonical projection key that summaries
-//     hash.
+//     routes exact matches. AppendKey applies C to a row, building the
+//     canonical projection key that summaries hash, and
+//     Packing.AppendKeys builds the same keys for a run of packed
+//     rows.
 //
 // Words are stored as []uint16 symbol slices, supporting alphabets up
 // to Q = 65536, which covers every parameter regime used by the paper
@@ -109,15 +110,6 @@ func appendUint(b []byte, x uint64) []byte {
 		x /= 10
 	}
 	return append(b, tmp[i:]...)
-}
-
-// ProjectInto writes the restriction of w to the columns of c, in the
-// (ascending) column order of c — the row A^C_i of the paper — into
-// dst, which must have length c.Len().
-func (w Word) ProjectInto(c ColumnSet, dst Word) {
-	for i, j := range c.cols {
-		dst[i] = w[j]
-	}
 }
 
 // AppendKey appends a compact byte encoding of w's restriction to c

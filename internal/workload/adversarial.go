@@ -90,12 +90,6 @@ func (i *F0Instance) ThresholdLow() float64 {
 	return float64(i.K) * math.Pow(float64(i.Q), float64(i.K-1))
 }
 
-// ApproxFactor returns Δ = Q/k from Equation (3): any algorithm with
-// a better approximation factor distinguishes the two cases.
-func (i *F0Instance) ApproxFactor() float64 {
-	return float64(i.Q) / float64(i.K)
-}
-
 // AlphabetReduction implements the Corollary 4.4 remapping: each
 // symbol of [Q] expands to L = ⌈log_q′ Q⌉ digits over the smaller
 // alphabet [q′], multiplying the dimensionality by L while preserving
@@ -138,10 +132,6 @@ func (a *AlphabetReduction) Dim() int { return a.inner.Dim() * a.L }
 
 // Alphabet returns the reduced alphabet size q′.
 func (a *AlphabetReduction) Alphabet() int { return a.qSmall }
-
-// Digits returns L = ⌈log_q′ Q⌉, the dimensionality blow-up of
-// Corollary 4.4.
-func (a *AlphabetReduction) Digits() int { return a.L }
 
 // Reset replays the stream.
 func (a *AlphabetReduction) Reset() { a.inner.Reset() }

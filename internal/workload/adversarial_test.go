@@ -81,9 +81,6 @@ func TestF0InstanceRowCount(t *testing.T) {
 	if n != want {
 		t.Fatalf("RowCount = %d, want %d", n, want)
 	}
-	if inst.ApproxFactor() != 4.0/3.0 {
-		t.Fatalf("ApproxFactor = %v", inst.ApproxFactor())
-	}
 }
 
 func TestF0InstanceValidation(t *testing.T) {
@@ -119,8 +116,8 @@ func TestAlphabetReductionPreservesF0(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if red.Digits() != 3 || red.Dim() != 30 {
-			t.Fatalf("L = %d, d' = %d", red.Digits(), red.Dim())
+		if red.L != 3 || red.Dim() != 30 {
+			t.Fatalf("L = %d, d' = %d", red.L, red.Dim())
 		}
 		reduced := freq.FromSource(red, red.ExpandQuery(inst.Query)).Support()
 		if base != reduced {
